@@ -14,7 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .smallmat import as_operator, as_state, is_hermitian, normalize, propagator
+from .smallmat import (
+    _cos_sinc,
+    _pauli_split,
+    as_operator,
+    as_state,
+    is_hermitian,
+    normalize,
+    propagator,
+)
 
 __all__ = [
     "OptimalHamiltonianSpec",
@@ -133,11 +141,12 @@ def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -
 
     The fidelity |<final|psi(t)>| (normalized) is sampled on a uniform grid of
     ``steps`` points; the earliest fidelity peak clearing PASSAGE_FIDELITY is
-    refined by bisection to about 1e-10 in t and returned.  None when the
-    target is never reached.  Hermitian drives use an exact eigendecomposition
-    of the sampled amplitudes; non-Hermitian drives fall back to a dense
-    diagonalization with normalized fidelities (or per-point propagation when
-    the generator is defective).
+    refined to about 1e-10 in t and returned.  None when the target is never
+    reached.  Hermitian drives use an exact eigendecomposition of the sampled
+    amplitudes and bisect on the analytic slope.  Non-Hermitian drives
+    evaluate the closed-form state cos(r t) u - i sin(r t)/r (n.sigma) u of
+    the identity+Pauli split, exact for defective generators too, and refine
+    by golden-section search on the normalized fidelity.
     """
     m = as_operator(ham, dim=2)
     t_max = float(t_max)
@@ -171,7 +180,23 @@ def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -
 
         scale = float(np.max(np.abs(w)))
     else:
-        fid, fid_at = _sampled_fidelity(m, u, v, ts)
+        # psi(t) = e^{-i a0 t} (cos(r t) u - i sin(r t)/r (n.sigma) u); the
+        # phase factor cancels in the normalized fidelity, and plain complex
+        # scalars keep the golden-section steps cheap
+        _, r, pauli_part = _pauli_split(m)
+        r = complex(r)
+        u0, u1 = (complex(x) for x in u)
+        su0, su1 = (complex(x) for x in pauli_part @ u)
+        v0, v1 = (complex(x) for x in np.conj(v))
+
+        def fid_at(t):
+            cosf, sincf = _cos_sinc(r, t)
+            isinc = 1j * sincf
+            psi0 = cosf * u0 - isinc * su0
+            psi1 = cosf * u1 - isinc * su1
+            return np.abs(v0 * psi0 + v1 * psi1) / np.hypot(np.abs(psi0), np.abs(psi1))
+
+        fid = fid_at(ts)
         slope_at = None
         scale = float(np.linalg.norm(m))
 
@@ -205,37 +230,6 @@ def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -
         if fid_at(t_peak) >= PASSAGE_FIDELITY:
             return float(t_peak)
     return None
-
-
-def _sampled_fidelity(m, u, v, ts):
-    """Grid fidelities for a general (possibly non-normal) generator."""
-    try:
-        lam, p = np.linalg.eig(m)
-        pin = np.linalg.solve(p, u)
-        if np.linalg.norm(p @ np.diag(lam) @ np.linalg.inv(p) - m) > 1e-9 * max(
-            1.0, float(np.linalg.norm(m))
-        ):
-            raise np.linalg.LinAlgError("defective generator")
-
-        def states(t):
-            return p @ (np.exp(-1j * lam * np.atleast_1d(t)[:, None]) * pin).T
-
-        psi = states(ts)
-        norms = np.linalg.norm(psi, axis=0)
-        fid = np.abs(np.conj(v) @ psi) / norms
-
-        def fid_at(t: float) -> float:
-            col = states(t)[:, 0]
-            return float(abs(np.vdot(v, col)) / np.linalg.norm(col))
-
-    except np.linalg.LinAlgError:
-
-        def fid_at(t: float) -> float:
-            col = propagator(m, t) @ u
-            return float(abs(np.vdot(v, col)) / np.linalg.norm(col))
-
-        fid = np.array([fid_at(t) for t in ts])
-    return fid, fid_at
 
 
 def _golden_max(fun, lo: float, hi: float) -> float:

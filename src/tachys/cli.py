@@ -15,15 +15,12 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import brachistochrone, dilation, gates, metric, opendyn, smallmat
 
 SCHEMA = "tachys-report/1"
-
-THREADS_ENV = "TACHYS_THREADS"
 
 
 class _UsageError(Exception):
@@ -34,16 +31,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
-
-
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -124,16 +111,7 @@ def _cmd_dissipation(args):
     if args.points < 2:
         raise _UsageError("sweep needs at least 2 points")
     grid = np.linspace(args.f_min, args.f_max, args.points)
-
-    def one(f: float) -> opendyn.DissipationScanRow:
-        return opendyn.dissipation_scan([f], args.omega, proximity=args.proximity)[0]
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            scan = list(pool.map(one, [float(f) for f in grid]))
-    else:
-        scan = [one(float(f)) for f in grid]
+    scan = opendyn.dissipation_scan(grid, args.omega, proximity=args.proximity)
     rows = [
         {
             "f": r.f,

@@ -49,6 +49,19 @@ class ChannelDecompositionError(RuntimeError):
         self.residual = residual
 
 
+def _circle_state(polar: float) -> np.ndarray:
+    """(cos(polar/2), -i sin(polar/2)): the Bloch great circle of the working pair."""
+    return np.array([np.cos(0.5 * polar), -1j * np.sin(0.5 * polar)], dtype=complex)
+
+
+def _not_gate(theta: float) -> np.ndarray:
+    """Minimal-time NOT of the working pair: the rotation taking (1, 0) to
+    ``_circle_state(theta)``."""
+    half = 0.5 * theta
+    c, s = np.cos(half), np.sin(half)
+    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+
+
 @dataclass(frozen=True)
 class BlochBasis:
     """Working pair: (1, 0) and (cos(theta/2), -i sin(theta/2)), theta in (0, pi]."""
@@ -70,8 +83,7 @@ class BlochBasis:
 
     @property
     def psi1(self) -> np.ndarray:
-        half = 0.5 * self.theta
-        return np.array([np.cos(half), -1j * np.sin(half)], dtype=complex)
+        return _circle_state(self.theta)
 
     @property
     def overlap(self) -> float:
@@ -177,9 +189,7 @@ def not_gate_roundtrip(basis: BlochBasis, omega: float) -> NotGateReport:
     omega = float(omega)
     if omega <= 0.0:
         raise ValueError("omega must be positive")
-    half = 0.5 * basis.theta
-    c, s = np.cos(half), np.sin(half)
-    gate = np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+    gate = _not_gate(basis.theta)
     forward = gate @ basis.psi0
     forward_residual = float(np.linalg.norm(forward - basis.psi1))
     back = gate @ basis.psi1
@@ -206,10 +216,6 @@ def cloning_defect(basis: BlochBasis) -> float:
     return float(abs(before - after))
 
 
-def _circle_state(polar: float) -> np.ndarray:
-    return np.array([np.cos(0.5 * polar), -1j * np.sin(0.5 * polar)], dtype=complex)
-
-
 def _trace_out_control(rho4: np.ndarray) -> np.ndarray:
     return rho4[:2, :2] + rho4[2:, 2:]
 
@@ -233,9 +239,7 @@ def control_u_channel(
         raise ValueError("e_basis_polar must be finite")
     e0 = _circle_state(alpha)
     e1 = _circle_state(alpha + np.pi)
-    half = 0.5 * basis.theta
-    c, s = np.cos(half), np.sin(half)
-    gate = np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+    gate = _not_gate(basis.theta)
     vmat = np.kron(_projector(e1), gate) + np.kron(_projector(e0), np.eye(2))
 
     ancilla = _projector(e1)

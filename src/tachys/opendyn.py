@@ -105,8 +105,9 @@ def evolve_semigroup(ham, rho0, times) -> EvolutionTrace:
     """One-sided semigroup rho(t) = e^{-i ham t} rho0 e^{+i ham^dag t}.
 
     ``rho0`` must be a density matrix (Hermitian, positive semidefinite, unit
-    trace).  The closed form is evaluated exactly at every requested time, no
-    stepping error is involved.
+    trace).  The closed-form propagator is evaluated at every requested time,
+    defective generators at an exceptional point included; no stepping error
+    is involved.
     """
     m = as_operator(ham, dim=2)
     rho = as_operator(rho0, dim=2)
@@ -120,24 +121,13 @@ def evolve_semigroup(ham, rho0, times) -> EvolutionTrace:
     ts = np.asarray(times, dtype=float).reshape(-1)
     if ts.shape[0] == 0:
         raise ValueError("times must be non-empty")
-    us = _propagators(m, ts)
-    rhos = us @ rho @ np.conj(np.swapaxes(us, 1, 2))
+    us = propagator(m, ts)
+    left = us @ rho
+    # conjugating in place keeps one fewer stack of len(ts) matrices alive
+    rhos = left @ np.swapaxes(np.conj(us, out=us), 1, 2)
     traces = np.real(np.trace(rhos, axis1=1, axis2=2))
     rate = split_generator(m).rate_max
     return EvolutionTrace(times=ts, rhos=rhos, trace_values=traces, k_values=np.exp(-2.0 * rate * ts))
-
-
-def _propagators(m: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Stack of e^{-i m t} over a time grid, shape (len(ts), 2, 2)."""
-    try:
-        lam, p = np.linalg.eig(m)
-        pinv = np.linalg.inv(p)
-        if float(np.linalg.norm((p * lam) @ pinv - m)) > 1e-9 * max(1.0, float(np.linalg.norm(m))):
-            raise np.linalg.LinAlgError("defective generator")
-        phases = np.exp(-1j * np.outer(ts, lam))
-        return np.einsum("ij,tj,jk->tik", p, phases, pinv)
-    except np.linalg.LinAlgError:
-        return np.stack([propagator(m, t) for t in ts])
 
 
 def shifted_generator(ham) -> tuple[np.ndarray, float]:
@@ -226,12 +216,24 @@ def revelation_probability(metric: Metric, omega: float) -> float:
     the target.  At a root diagonal of 1 it tends to exp(-2) as the root
     degenerates, matching ``dissipative_factor(1.0)``.
     """
+    _, _, _, arrived = _canonical_arrival(metric, omega)
+    return float(np.real(np.vdot(arrived, arrived)))
+
+
+def _canonical_arrival(
+    metric: Metric, omega: float
+) -> tuple[QuasiHamiltonian, float, float, np.ndarray]:
+    """The aligned canonical problem (1,0) -> (0,1) under ``metric``.
+
+    Returns the aligned drive, the flat overlap |a'|, the arrival time
+    tau = (2/omega) * arccos|a'| and the reference state evolved to tau under
+    the shifted (trace-contracting) generator.
+    """
     qh = aligned_hamiltonian(metric, omega, _E0, _E1)
     _, _, a_abs = map_boundary_states(metric, _E0, _E1)
     tau = (2.0 / omega) * float(np.arccos(np.clip(a_abs, 0.0, 1.0)))
     shifted, _ = shifted_generator(qh.operator)
-    arrived = propagator(shifted, tau) @ _E0
-    return float(np.real(np.vdot(arrived, arrived)))
+    return qh, a_abs, tau, propagator(shifted, tau) @ _E0
 
 
 def energy_gap_squared(hermitian_part) -> float:
@@ -266,15 +268,12 @@ def _scan_row(f: float, omega: float, proximity: float) -> DissipationScanRow:
     if proximity >= f:
         raise ValueError(f"proximity {proximity:.3g} must be smaller than f {f:.3g}")
     metric = metric_from_sqrt(f, np.sqrt(f - proximity))
-    qh = aligned_hamiltonian(metric, omega, _E0, _E1)
-    _, _, a_abs = map_boundary_states(metric, _E0, _E1)
-    tau = (2.0 / omega) * float(np.arccos(np.clip(a_abs, 0.0, 1.0)))
+    qh, a_abs, tau, arrived = _canonical_arrival(metric, omega)
     gap_sq = energy_gap_squared(split_generator(qh.operator).coherent)
     # finite-proximity revelation probability under the shifted realization;
     # cross-checks the closed-form d_factor at f = 1, where both tend to
     # exp(-2) as the proximity shrinks
-    shifted, _ = shifted_generator(qh.operator)
-    finite = float(np.linalg.norm(propagator(shifted, tau) @ _E0) ** 2)
+    finite = float(np.linalg.norm(arrived) ** 2)
     return DissipationScanRow(
         f=f,
         d_factor=dissipative_factor(f),

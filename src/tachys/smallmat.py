@@ -9,7 +9,6 @@ their fidelity is 1 up to tolerance).
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "HERMITICITY_TOL",
@@ -119,34 +118,53 @@ def states_equal(u, v, tol: float = STATE_EQUALITY_TOL) -> bool:
     return fidelity(u, v) >= 1.0 - tol
 
 
-def propagator(ham, t: float) -> np.ndarray:
+def _pauli_split(m: np.ndarray) -> tuple[complex, complex, np.ndarray]:
+    """Split a 2x2 generator as ``a0 * I + n.sigma``; returns (a0, r, n.sigma).
+
+    ``r`` is the principal root of n.n, complex for non-Hermitian generators
+    and zero at an exceptional point, where n.sigma is nilpotent.
+    """
+    a0 = 0.5 * (m[0, 0] + m[1, 1])
+    ax = 0.5 * (m[0, 1] + m[1, 0])
+    ay = 0.5j * (m[0, 1] - m[1, 0])
+    az = 0.5 * (m[0, 0] - m[1, 1])
+    r = np.sqrt(ax * ax + ay * ay + az * az + 0j)
+    return a0, r, ax * PAULI_X + ay * PAULI_Y + az * PAULI_Z
+
+
+def _cos_sinc(r: complex, t):
+    """cos(r t) and sin(r t)/r, elementwise in ``t``; sin(r t)/r -> t as r -> 0."""
+    if abs(r) < 1e-150:
+        return np.ones_like(t) + 0j, t + 0j
+    phi = r * t
+    return np.cos(phi), np.sin(phi) / r
+
+
+def propagator(ham, t) -> np.ndarray:
     """Time-evolution operator ``exp(-1j * ham * t)``.
 
-    2x2 generators use the closed-form identity+Pauli decomposition, exact up
-    to rounding whether or not ``ham`` is Hermitian.  Hermitian 4x4 generators
-    go through an eigendecomposition; anything else falls back to scipy's
-    scaling-and-squaring expm.
+    ``t`` is a scalar, giving one ``(d, d)`` matrix, or a 1-d array of times,
+    giving a ``(len(t), d, d)`` stack whose slices equal the scalar calls bit
+    for bit.  2x2 generators use the closed-form identity+Pauli decomposition,
+    exact up to rounding whether or not ``ham`` is Hermitian, defective
+    generators at an exceptional point included.  4x4 generators must be
+    Hermitian and go through an eigendecomposition; a non-Hermitian 4x4
+    generator raises ValueError.
     """
     m = as_operator(ham)
-    t = float(t)
+    t = np.asarray(t, dtype=float)
+    if t.ndim > 1:
+        raise ValueError(f"t must be a scalar or a 1-d array, got shape {t.shape}")
+    # a time array gains trailing matrix axes, so it broadcasts to (n, d, d)
+    t = t[:, None, None] if t.ndim else float(t)
     if m.shape[0] == 2:
-        a0 = 0.5 * (m[0, 0] + m[1, 1])
-        ax = 0.5 * (m[0, 1] + m[1, 0])
-        ay = 0.5j * (m[0, 1] - m[1, 0])
-        az = 0.5 * (m[0, 0] - m[1, 1])
-        r = np.sqrt(ax * ax + ay * ay + az * az + 0j)
-        phi = r * t
-        if abs(r) < 1e-150:
-            # nilpotent / scalar case: sin(r t)/r -> t
-            cosf, sincf = 1.0 + 0j, t + 0j
-        else:
-            cosf, sincf = np.cos(phi), np.sin(phi) / r
-        pauli_part = ax * PAULI_X + ay * PAULI_Y + az * PAULI_Z
+        a0, r, pauli_part = _pauli_split(m)
+        cosf, sincf = _cos_sinc(r, t)
         return np.exp(-1j * a0 * t) * (cosf * np.eye(2) - 1j * sincf * pauli_part)
-    if is_hermitian(m):
-        w, v = np.linalg.eigh(0.5 * (m + dagger(m)))
-        return (v * np.exp(-1j * w * t)) @ dagger(v)
-    return scipy.linalg.expm(-1j * t * m)
+    if not is_hermitian(m):
+        raise ValueError("4x4 generators must be Hermitian")
+    w, v = np.linalg.eigh(0.5 * (m + dagger(m)))
+    return (v * np.exp(-1j * w * t)) @ dagger(v)
 
 
 def hermitian_sqrt(mat) -> np.ndarray:

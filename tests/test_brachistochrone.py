@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -201,6 +202,20 @@ def test_first_passage_non_hermitian_generator():
     t = first_passage_scan(qh.operator, E0, E1, t_max=4.0, steps=2000)
     assert t is not None
     assert t == pytest.approx(np.pi, abs=1e-7)
+
+
+@pytest.mark.parametrize("ratio", [1.0, 1.0 - 1e-12], ids=["at_ep", "near_ep"])
+def test_first_passage_general_path_matches_expm_at_pt_exceptional_point(ratio):
+    # the target is the expm-evolved reference state at t0; the fidelity
+    # climbs monotonically to it, so t0 is the first passage
+    s, t0 = 0.7, 1.3
+    ham = np.array([[1j * ratio * s, s], [s, -1j * ratio * s]])
+    v = scipy.linalg.expm(-1j * t0 * ham) @ E0
+    v = v / np.linalg.norm(v)
+    t = first_passage_scan(ham, E0, v, t_max=4.0, steps=2000)
+    assert t == pytest.approx(t0, abs=1e-6)
+    psi = scipy.linalg.expm(-1j * t * ham) @ E0
+    assert 1.0 - abs(np.vdot(v, psi)) / np.linalg.norm(psi) <= 1e-12
 
 
 def test_first_passage_validation():

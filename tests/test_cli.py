@@ -130,15 +130,6 @@ def test_domain_rejection_exits_one_with_typed_message(capsys):
     assert err.startswith("tachys povm: error: DegenerateBasisError:")
 
 
-def test_invalid_thread_cap_exits_one(capsys, monkeypatch):
-    monkeypatch.setenv("TACHYS_THREADS", "three")
-    code, _, err = run_cli(
-        capsys, ["dissipation", "--f-min", "0.5", "--f-max", "1.5", "--points", "3"]
-    )
-    assert code == 1
-    assert "TACHYS_THREADS" in err
-
-
 # -------------------------------------------------------------- dissipation
 
 
@@ -166,15 +157,6 @@ def test_dissipation_default_grid_shape_and_formula(capsys):
         assert row["d_factor"] == pytest.approx(np.exp(-(1.0 / f + f)) / f, rel=1e-14)
         assert 0.0 < row["finite_factor"] <= 1.0
     assert max(r["d_factor"] for r in rows) < 0.2
-
-
-def test_dissipation_thread_cap_preserves_output(capsys, monkeypatch):
-    argv = ["dissipation", "--f-min", "0.3", "--f-max", "2.0", "--points", "24"]
-    monkeypatch.delenv("TACHYS_THREADS", raising=False)
-    _, serial, _ = run_cli(capsys, argv)
-    monkeypatch.setenv("TACHYS_THREADS", "4")
-    _, threaded, _ = run_cli(capsys, argv)
-    assert serial == threaded
 
 
 def test_dissipation_points_validation(capsys):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tachys.metric import diag_metric, metric_from_matrix, metric_from_sqrt, pseudo_hermiticity_defect, quasi_hamiltonian
 from tachys.opendyn import (
@@ -94,6 +95,21 @@ def test_evolve_semigroup_k_relation_ties_shifted_run():
     # rho_shifted(t) = k(t) * rho(t), entry by entry
     gap = np.max(np.abs(damped.rhos - plain.k_values[:, None, None] * plain.rhos))
     assert gap < 1e-12
+
+
+@pytest.mark.parametrize("ratio", [1.0, 1.0 - 1e-12], ids=["at_ep", "near_ep"])
+def test_evolve_semigroup_matches_expm_at_pt_exceptional_point(ratio):
+    # [[i gamma, s], [s, -i gamma]] is defective at gamma = s and nearly so
+    # just below it, where an eigenbasis is ill-conditioned
+    s = 0.7
+    ham = np.array([[1j * ratio * s, s], [s, -1j * ratio * s]])
+    rho0 = np.array([[0.5, 0.5j], [-0.5j, 0.5]])
+    ts = np.linspace(0.0, 4.0, 2001)
+    trace = evolve_semigroup(ham, rho0, ts)
+    for j in range(0, ts.size, 100):
+        u = scipy.linalg.expm(-1j * ts[j] * ham)
+        want = u @ rho0 @ dagger(u)
+        assert np.linalg.norm(trace.rhos[j] - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
 
 
 def test_evolve_semigroup_input_validation():

@@ -7,6 +7,10 @@ literals below were produced by those oracle routes, not by the code under
 test.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,6 +118,41 @@ def test_propagator_4x4_hermitian():
     got = propagator(h, 0.9)
     assert np.linalg.norm(got - _taylor_expm(h, 0.9, terms=60)) < 1e-11
     assert np.linalg.norm(got @ dagger(got) - np.eye(4)) < UNITARITY_TOL
+
+
+def test_propagator_time_array_stacks_scalar_calls_bit_for_bit():
+    rng = np.random.default_rng(11)
+    general = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    ts = np.linspace(-2.0, 5.0, 257)
+    for gen in (general, a + dagger(a)):
+        stack = propagator(gen, ts)
+        assert stack.shape == (ts.size,) + gen.shape
+        assert np.array_equal(stack, np.stack([propagator(gen, float(t)) for t in ts]))
+
+
+def test_propagator_rejects_non_hermitian_4x4():
+    m = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+    m[0, 1] = 0.5
+    with pytest.raises(ValueError, match="Hermitian"):
+        propagator(m, 0.5)
+
+
+def test_propagator_rejects_2d_time_grid():
+    with pytest.raises(ValueError):
+        propagator(0.5 * PAULI_X, np.zeros((2, 2)))
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, tachys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @settings(max_examples=60, deadline=None)
