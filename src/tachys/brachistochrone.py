@@ -150,8 +150,8 @@ def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -
     """
     m = as_operator(ham, dim=2)
     t_max = float(t_max)
-    if t_max <= 0.0:
-        raise ValueError("t_max must be positive")
+    if not np.isfinite(t_max) or t_max <= 0.0:
+        raise ValueError("t_max must be a positive finite real")
     steps = int(steps)
     if steps < 1000:
         raise ValueError("at least 1000 scan steps are required")

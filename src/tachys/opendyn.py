@@ -19,6 +19,8 @@ import numpy as np
 from .metric import Metric, QuasiHamiltonian, metric_from_sqrt, quasi_hamiltonian
 from .smallmat import (
     PAULI_X,
+    _cos_sinc,
+    _pauli_split,
     as_operator,
     as_state,
     dagger,
@@ -105,9 +107,16 @@ def evolve_semigroup(ham, rho0, times) -> EvolutionTrace:
     """One-sided semigroup rho(t) = e^{-i ham t} rho0 e^{+i ham^dag t}.
 
     ``rho0`` must be a density matrix (Hermitian, positive semidefinite, unit
-    trace).  The closed-form propagator is evaluated at every requested time,
-    defective generators at an exceptional point included; no stepping error
-    is involved.
+    trace) and ``times`` a non-empty array of finite times.  With the
+    identity+Pauli split ham = a0 I + N, c = cos(r t), s = sin(r t)/r and
+    B = -i N rho0, the trajectory has the closed form
+
+        rho(t) = e^{2 Im(a0) t} (|c|^2 rho0 + s c* B + c s* B^dag + |s|^2 N rho0 N^dag),
+
+    so every state is four time coefficients times four fixed matrices, and
+    every trace the same coefficients times their four traces.  The form is
+    exact up to rounding, defective generators at an exceptional point
+    included (s -> t as r -> 0); no stepping error is involved.
     """
     m = as_operator(ham, dim=2)
     rho = as_operator(rho0, dim=2)
@@ -121,11 +130,26 @@ def evolve_semigroup(ham, rho0, times) -> EvolutionTrace:
     ts = np.asarray(times, dtype=float).reshape(-1)
     if ts.shape[0] == 0:
         raise ValueError("times must be non-empty")
-    us = propagator(m, ts)
-    left = us @ rho
-    # conjugating in place keeps one fewer stack of len(ts) matrices alive
-    rhos = left @ np.swapaxes(np.conj(us, out=us), 1, 2)
-    traces = np.real(np.trace(rhos, axis1=1, axis2=2))
+    if not np.all(np.isfinite(ts)):
+        raise ValueError("times must be finite")
+    a0, r, pauli_part = _pauli_split(m)
+    cosf, sincf = _cos_sinc(r, ts)
+    # |e^{-i a0 t}| = e^{Im(a0) t} goes onto c and s before they are squared,
+    # as it goes onto the propagator, so |c|^2 overflows no earlier than U does
+    modulus = np.exp(a0.imag * ts)
+    cosf *= modulus
+    sincf *= modulus
+    coeffs = np.empty((ts.shape[0], 4), dtype=complex)
+    coeffs[:, 0] = cosf.real**2 + cosf.imag**2
+    np.multiply(sincf, np.conj(cosf), out=coeffs[:, 1])
+    np.conj(coeffs[:, 1], out=coeffs[:, 2])
+    coeffs[:, 3] = sincf.real**2 + sincf.imag**2
+    b = -1j * (pauli_part @ rho)
+    # rows rho0, B, B^dag, N rho0 N^dag; B^dag is written out as i rho0 N^dag so
+    # a rho0 Hermitian only to tolerance is conjugated exactly as given
+    basis = np.stack([rho, b, 1j * (rho @ dagger(pauli_part)), pauli_part @ rho @ dagger(pauli_part)])
+    rhos = (coeffs @ basis.reshape(4, 4)).reshape(-1, 2, 2)
+    traces = np.real(coeffs @ (basis[:, 0, 0] + basis[:, 1, 1]))
     rate = split_generator(m).rate_max
     return EvolutionTrace(times=ts, rhos=rhos, trace_values=traces, k_values=np.exp(-2.0 * rate * ts))
 
@@ -169,6 +193,11 @@ def aligned_hamiltonian(metric: Metric, omega: float, initial, final) -> QuasiHa
     Pauli-X form) is conjugated back.  The propagated state then reaches
     ``final`` (as a ray) at tau = (2/omega) * arccos|a'|.
     """
+    return _aligned_drive(metric, omega, initial, final)[0]
+
+
+def _aligned_drive(metric: Metric, omega: float, initial, final) -> tuple[QuasiHamiltonian, float]:
+    """``aligned_hamiltonian`` together with the flat overlap |a'| of the pair."""
     omega = float(omega)
     if omega <= 0.0:
         raise ValueError("omega must be positive")
@@ -195,7 +224,7 @@ def aligned_hamiltonian(metric: Metric, omega: float, initial, final) -> QuasiHa
         raise AlignmentError(f"phase alignment residual {residual:.3e} exceeds tolerance")
     h = 0.5 * omega * (frame @ PAULI_X @ dagger(frame))
     h = 0.5 * (h + dagger(h))
-    return quasi_hamiltonian(h, metric, omega)
+    return quasi_hamiltonian(h, metric, omega), a_abs
 
 
 def dissipative_factor(f: float) -> float:
@@ -222,18 +251,19 @@ def revelation_probability(metric: Metric, omega: float) -> float:
 
 def _canonical_arrival(
     metric: Metric, omega: float
-) -> tuple[QuasiHamiltonian, float, float, np.ndarray]:
+) -> tuple[OpenSplit, float, float, np.ndarray]:
     """The aligned canonical problem (1,0) -> (0,1) under ``metric``.
 
-    Returns the aligned drive, the flat overlap |a'|, the arrival time
-    tau = (2/omega) * arccos|a'| and the reference state evolved to tau under
-    the shifted (trace-contracting) generator.
+    Returns the open split of the aligned drive, the flat overlap |a'|, the
+    arrival time tau = (2/omega) * arccos|a'| and the reference state evolved
+    to tau under the shifted (trace-contracting) generator.
     """
-    qh = aligned_hamiltonian(metric, omega, _E0, _E1)
-    _, _, a_abs = map_boundary_states(metric, _E0, _E1)
+    qh, a_abs = _aligned_drive(metric, omega, _E0, _E1)
     tau = (2.0 / omega) * float(np.arccos(np.clip(a_abs, 0.0, 1.0)))
-    shifted, _ = shifted_generator(qh.operator)
-    return qh, a_abs, tau, propagator(shifted, tau) @ _E0
+    split = split_generator(qh.operator)
+    # the shift of shifted_generator, from the split computed once here
+    shifted = qh.operator - 1j * split.rate_max * np.eye(2)
+    return split, a_abs, tau, propagator(shifted, tau) @ _E0
 
 
 def energy_gap_squared(hermitian_part) -> float:
@@ -268,8 +298,8 @@ def _scan_row(f: float, omega: float, proximity: float) -> DissipationScanRow:
     if proximity >= f:
         raise ValueError(f"proximity {proximity:.3g} must be smaller than f {f:.3g}")
     metric = metric_from_sqrt(f, np.sqrt(f - proximity))
-    qh, a_abs, tau, arrived = _canonical_arrival(metric, omega)
-    gap_sq = energy_gap_squared(split_generator(qh.operator).coherent)
+    split, a_abs, tau, arrived = _canonical_arrival(metric, omega)
+    gap_sq = energy_gap_squared(split.coherent)
     # finite-proximity revelation probability under the shifted realization;
     # cross-checks the closed-form d_factor at f = 1, where both tend to
     # exp(-2) as the proximity shrinks

@@ -3,9 +3,9 @@
 One test per criterion, tolerances pinned in the bodies, so ``pytest -v``
 emits exactly one pass/fail line for each.  Every body also prints an
 ``ACCEPTANCE nn <tag>: PASS`` / ``FAIL`` line (visible with ``-s`` and in
-failure reports).  The module is self-contained.  It takes about 20 s on a
-2-core x86 machine (Python 3.11, numpy 2.4), nearly all of it in criteria 02
-(about 11 s) and 03 (about 6 s).
+failure reports).  The module is self-contained.  It takes about 15 s on a
+2-core x86 machine (Python 3.11, numpy 2.4), nearly all of it in criterion 02
+(about 11 s); criterion 03 takes 1-2 s.
 
 Criterion 5 pins the peak of the dissipative factor D(f) = (1/f) e^{-(1/f + f)}
 to its closed form: d/df ln D = -1/f + 1/f^2 - 1 = 0 gives f^2 + f - 1 = 0, so

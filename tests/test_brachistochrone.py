@@ -219,8 +219,9 @@ def test_first_passage_general_path_matches_expm_at_pt_exceptional_point(ratio):
 
 
 def test_first_passage_validation():
-    with pytest.raises(ValueError, match="t_max"):
-        first_passage_scan(0.5 * PAULI_X, E0, E1, t_max=0.0)
+    for bad in (0.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="t_max"):
+            first_passage_scan(0.5 * PAULI_X, E0, E1, t_max=bad)
     with pytest.raises(ValueError, match="steps"):
         first_passage_scan(0.5 * PAULI_X, E0, E1, t_max=1.0, steps=10)
 

@@ -17,7 +17,7 @@ from tachys.opendyn import (
     shifted_generator,
     split_generator,
 )
-from tachys.smallmat import PAULI_X, dagger, is_hermitian, propagator
+from tachys.smallmat import PAULI_X, PAULI_Y, PAULI_Z, dagger, is_hermitian, propagator
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)
@@ -112,6 +112,61 @@ def test_evolve_semigroup_matches_expm_at_pt_exceptional_point(ratio):
         assert np.linalg.norm(trace.rhos[j] - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
 
 
+def _generator_family(rng):
+    """Hermitian, general non-Hermitian (complex r), metric-Hermitian,
+    trace-shifted and exceptional-point generators."""
+    for _ in range(25):
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        yield 0.5 * (a + dagger(a))
+        yield 0.5 * a
+        f = rng.uniform(0.8, 2.5)
+        g = rng.uniform(0.15, 0.7) * np.sqrt(f) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        n = rng.normal(size=3)
+        n /= np.linalg.norm(n)
+        omega = rng.uniform(0.5, 2.0)
+        pauli = n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
+        op = quasi_hamiltonian(0.5 * omega * pauli, metric_from_sqrt(f, g), omega).operator
+        yield op
+        yield shifted_generator(op)[0]
+        s = rng.uniform(0.2, 1.5)
+        yield np.array([[1j * s, s], [s, -1j * s]]) + complex(rng.normal(), rng.normal()) * np.eye(2)
+
+
+def _random_density(rng):
+    psi = rng.normal(size=2) + 1j * rng.normal(size=2)
+    psi /= np.linalg.norm(psi)
+    p = rng.uniform(0.5, 1.0)
+    return p * np.outer(psi, np.conj(psi)) + 0.5 * (1.0 - p) * np.eye(2)
+
+
+def test_evolve_semigroup_matches_propagator_sandwich():
+    # the closed form against U(t) rho0 U(t)^dag built from the propagator
+    # stack; the last case reaches a trace of ~6e135 at t = 1e3, where
+    # |cos(r t)|^2 alone would overflow unless the damping reaches c and s
+    # before they are squared
+    rng = np.random.default_rng(2024)
+    cases = [(m, _random_density(rng), np.linspace(0.0, 4.0, 257)) for m in _generator_family(rng)]
+    rho_mixed = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]], dtype=complex)
+    cases.append((GENERATOR, rho_mixed, np.linspace(0.0, 1e3, 11)))
+    for m, rho0, ts in cases:
+        trace = evolve_semigroup(m, rho0, ts)
+        us = propagator(m, ts)
+        want = us @ rho0 @ np.conj(us).transpose(0, 2, 1)
+        err = np.linalg.norm(trace.rhos - want, axis=(1, 2))
+        assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=(1, 2)))
+    assert np.linalg.norm(want[-1]) > 1e135
+
+
+def test_evolve_semigroup_trace_values_are_traces_of_rhos():
+    rng = np.random.default_rng(99)
+    ts = np.linspace(0.0, 4.0, 257)
+    for m in _generator_family(rng):
+        trace = evolve_semigroup(m, _random_density(rng), ts)
+        stacked = np.trace(trace.rhos, axis1=1, axis2=2).real
+        gap = np.abs(trace.trace_values - stacked)
+        assert np.all(gap <= 1e-14 * np.maximum(1.0, np.abs(stacked)))
+
+
 def test_evolve_semigroup_input_validation():
     ts = [0.0, 1.0]
     with pytest.raises(ValueError, match="Hermitian"):
@@ -122,6 +177,9 @@ def test_evolve_semigroup_input_validation():
         evolve_semigroup(GENERATOR, 0.5 * np.eye(2) * 0.9, ts)
     with pytest.raises(ValueError, match="non-empty"):
         evolve_semigroup(GENERATOR, 0.5 * np.eye(2), [])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            evolve_semigroup(GENERATOR, 0.5 * np.eye(2), [0.0, bad, 1.0])
 
 
 # -------------------------------------------------------------------- shift
