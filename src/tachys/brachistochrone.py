@@ -10,17 +10,22 @@ provides a scan that locates first-passage times for arbitrary drives.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .smallmat import (
+    _EP_RADIUS,
     _cos_sinc,
     _pauli_split,
     as_operator,
     as_state,
+    dagger,
     is_hermitian,
     normalize,
+    positive_finite,
     propagator,
 )
 
@@ -71,9 +76,7 @@ class BrachistochroneResult:
 
 def minimal_time(initial, final, omega: float) -> float:
     """Shortest travel time (2/omega) * arccos|<initial|final>|."""
-    omega = float(omega)
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
+    omega = positive_finite("omega", omega)
     u = normalize(as_state(initial, dim=2))
     v = normalize(as_state(final, dim=2))
     return (2.0 / omega) * float(np.arccos(np.clip(abs(np.vdot(u, v)), 0.0, 1.0)))
@@ -95,9 +98,7 @@ def optimal_hamiltonian(target, omega: float) -> OptimalHamiltonianSpec:
     target exactly is recorded on the returned spec.  The diagonal shift is
     fixed so the propagated phase matches the target phase, not only the ray.
     """
-    omega = float(omega)
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
+    omega = positive_finite("omega", omega)
     v = as_state(target, dim=2)
     nrm = float(np.linalg.norm(v))
     if abs(nrm - 1.0) > 1e-10:
@@ -139,113 +140,105 @@ def transfer(target, omega: float) -> BrachistochroneResult:
 def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -> float | None:
     """Earliest time in [0, t_max] at which the evolution reaches ``final``.
 
-    The fidelity |<final|psi(t)>| (normalized) is sampled on a uniform grid of
-    ``steps`` points; the earliest fidelity peak clearing PASSAGE_FIDELITY is
-    refined to about 1e-10 in t and returned.  None when the target is never
-    reached.  Hermitian drives use an exact eigendecomposition of the sampled
-    amplitudes and bisect on the analytic slope.  Non-Hermitian drives
-    evaluate the closed-form state cos(r t) u - i sin(r t)/r (n.sigma) u of
-    the identity+Pauli split, exact for defective generators too, and refine
-    by golden-section search on the normalized fidelity.
+    The evolution arrives at a peak of the normalized fidelity
+    |<final|psi(t)>| / |psi(t)| that clears PASSAGE_FIDELITY; the earliest
+    such peak is returned, 0.0 when the initial state already clears it, and
+    None when no peak in [0, t_max] does.  Both paths use the identity+Pauli
+    split ham = a0 I + n.sigma, whose phase e^{-i a0 t} cancels in the
+    normalized fidelity.
+
+    Hermitian drives need no grid.  With alpha = <v|u>, beta = <v|(n.sigma)u>
+    and r = |n| the amplitude is c+ e^{irt} + c- e^{-irt}, where
+    c+ = (alpha - beta/r)/2 and c- = (alpha + beta/r)/2, so every peak has
+    height |c+| + |c-| and the first one lies at
+    (-arg(c+ conj(c-)) mod 2 pi) / (2 r).  When that is past t_max, t_max is
+    returned if the fidelity there clears the threshold.
+
+    Other drives sample psi(t) = cos(r t) u - i sin(r t)/r (n.sigma) u, exact
+    for defective generators too, on a uniform grid of ``steps`` points;
+    ``steps`` sets only this grid (it is validated on both paths).  Candidate
+    peaks are visited in time order and each is refined to about 1e-12 in t by
+    bisection on the analytic slope of the normalized fidelity, from
+    d psi/dt = -i (n.sigma) psi.
     """
     m = as_operator(ham, dim=2)
-    t_max = float(t_max)
-    if not np.isfinite(t_max) or t_max <= 0.0:
-        raise ValueError("t_max must be a positive finite real")
+    t_max = positive_finite("t_max", t_max)
     steps = int(steps)
     if steps < 1000:
         raise ValueError("at least 1000 scan steps are required")
     u = normalize(as_state(initial, dim=2))
     v = normalize(as_state(final, dim=2))
-    ts = np.linspace(0.0, t_max, steps)
+    if is_hermitian(m):
+        return _hermitian_passage(0.5 * (m + dagger(m)), u, v, t_max)
+    return _general_passage(m, u, v, t_max, steps)
 
-    hermitian = is_hermitian(m)
-    if hermitian:
-        w, vecs = np.linalg.eigh(0.5 * (m + np.conj(m).T))
-        coeff = (np.conj(v) @ vecs) * (np.conj(vecs).T @ u)
 
-        def amplitude(t):
-            return np.exp(-1j * np.outer(np.atleast_1d(t), w)) @ coeff
-
-        fid = np.abs(amplitude(ts)).reshape(-1)
-
-        def fid_at(t: float) -> float:
-            return float(abs(amplitude(t)[0]))
-
-        def slope_at(t: float) -> float:
-            phases = np.exp(-1j * w * t)
-            g = np.sum(coeff * phases)
-            dg = np.sum(coeff * (-1j * w) * phases)
-            return float(2.0 * np.real(np.conj(g) * dg))
-
-        scale = float(np.max(np.abs(w)))
-    else:
-        # psi(t) = e^{-i a0 t} (cos(r t) u - i sin(r t)/r (n.sigma) u); the
-        # phase factor cancels in the normalized fidelity, and plain complex
-        # scalars keep the golden-section steps cheap
-        _, r, pauli_part = _pauli_split(m)
-        r = complex(r)
-        u0, u1 = (complex(x) for x in u)
-        su0, su1 = (complex(x) for x in pauli_part @ u)
-        v0, v1 = (complex(x) for x in np.conj(v))
-
-        def fid_at(t):
-            cosf, sincf = _cos_sinc(r, t)
-            isinc = 1j * sincf
-            psi0 = cosf * u0 - isinc * su0
-            psi1 = cosf * u1 - isinc * su1
-            return np.abs(v0 * psi0 + v1 * psi1) / np.hypot(np.abs(psi0), np.abs(psi1))
-
-        fid = fid_at(ts)
-        slope_at = None
-        scale = float(np.linalg.norm(m))
-
-    if fid[0] >= PASSAGE_FIDELITY:
+def _hermitian_passage(h: np.ndarray, u: np.ndarray, v: np.ndarray, t_max: float) -> float | None:
+    """Closed-form first passage under the Hermitian 2x2 drive ``h``."""
+    alpha = complex(np.vdot(v, u))
+    if abs(alpha) >= PASSAGE_FIDELITY:
         return 0.0
-
-    step = ts[1] - ts[0]
-    slack = 2.0 * step * max(scale, 1e-30)
-    n = steps
-    for j in range(1, n):
-        left = fid[j] >= fid[j - 1]
-        right = fid[j] >= fid[j + 1] if j + 1 < n else True
-        if not (left and right):
-            continue
-        if fid[j] + slack < PASSAGE_FIDELITY:
-            continue
-        lo = ts[j - 1]
-        hi = ts[j + 1] if j + 1 < n else ts[j]
-        if hi <= lo:
-            t_peak = ts[j]
-        elif slope_at is not None and slope_at(lo) > 0.0 >= slope_at(hi):
-            while hi - lo > _REFINE_TOL:
-                mid = 0.5 * (lo + hi)
-                if slope_at(mid) > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            t_peak = 0.5 * (lo + hi)
-        else:
-            t_peak = _golden_max(fid_at, lo, hi)
-        if fid_at(t_peak) >= PASSAGE_FIDELITY:
-            return float(t_peak)
+    _, r, pauli_part = _pauli_split(h)
+    r = float(r.real)
+    if r == 0.0:
+        return None
+    beta = complex(np.vdot(v, pauli_part @ u)) / r
+    c_plus, c_minus = 0.5 * (alpha - beta), 0.5 * (alpha + beta)
+    t = min(t_max, (-cmath.phase(c_plus * c_minus.conjugate())) % (2.0 * math.pi) / (2.0 * r))
+    if abs(c_plus * cmath.exp(1j * r * t) + c_minus * cmath.exp(-1j * r * t)) >= PASSAGE_FIDELITY:
+        return t
     return None
 
 
-def _golden_max(fun, lo: float, hi: float) -> float:
-    """Golden-section maximizer used when no analytic slope is available."""
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > _REFINE_TOL:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
+def _general_passage(
+    m: np.ndarray, u: np.ndarray, v: np.ndarray, t_max: float, steps: int
+) -> float | None:
+    """Grid scan plus slope bisection for a 2x2 drive that is not Hermitian."""
+    _, r, pauli_part = _pauli_split(m)
+    # plain complex scalars keep each bisection step cheap
+    r = complex(r)
+    n00, n01, n10, n11 = (complex(x) for x in pauli_part.ravel())
+    u0, u1, su0, su1 = (complex(x) for x in (*u, *(pauli_part @ u)))
+    w0, w1 = (complex(x) for x in np.conj(v))
+    ts = np.linspace(0.0, t_max, steps)
+    cosf, sincf = _cos_sinc(r, ts)
+    psi0 = cosf * u0 - 1j * sincf * su0
+    psi1 = cosf * u1 - 1j * sincf * su1
+    fid = np.abs(w0 * psi0 + w1 * psi1) / np.hypot(np.abs(psi0), np.abs(psi1))
+    if fid[0] >= PASSAGE_FIDELITY:
+        return 0.0
+    exceptional = abs(r) < _EP_RADIUS
+
+    def state(t: float) -> tuple[complex, complex]:
+        c, s = (1.0, t) if exceptional else (cmath.cos(r * t), cmath.sin(r * t) / r)
+        return c * u0 - 1j * s * su0, c * u1 - 1j * s * su1
+
+    def rising(t: float) -> bool:
+        # with g = <v|psi> and psi' = -i (n.sigma) psi, d/dt |g|^2 / |psi|^2 has
+        # the sign of Re(g* g') |psi|^2 - |g|^2 Re<psi|psi'>
+        p0, p1 = state(t)
+        d0 = -1j * (n00 * p0 + n01 * p1)
+        d1 = -1j * (n10 * p0 + n11 * p1)
+        g = w0 * p0 + w1 * p1
+        dg = w0 * d0 + w1 * d1
+        norm2 = abs(p0) ** 2 + abs(p1) ** 2
+        growth = (p0.conjugate() * d0 + p1.conjugate() * d1).real
+        return (g.conjugate() * dg).real * norm2 > abs(g) ** 2 * growth
+
+    slack = 2.0 * (t_max / (steps - 1)) * max(float(np.linalg.norm(m)), 1e-30)
+    # grid peaks: no lower than either neighbour; the last sample needs only the left one
+    climbs = fid[1:] >= fid[:-1]
+    tops = np.append(fid[1:-1] >= fid[2:], True)
+    for j in np.flatnonzero(climbs & tops & (fid[1:] + slack >= PASSAGE_FIDELITY)) + 1:
+        lo, hi = float(ts[j - 1]), float(ts[min(j + 1, steps - 1)])
+        while hi - lo > _REFINE_TOL:
+            mid = 0.5 * (lo + hi)
+            if rising(mid):
+                lo = mid
+            else:
+                hi = mid
+        t = 0.5 * (lo + hi)
+        p0, p1 = state(t)
+        if abs(w0 * p0 + w1 * p1) / math.hypot(abs(p0), abs(p1)) >= PASSAGE_FIDELITY:
+            return t
+    return None

@@ -116,7 +116,9 @@ def evolve_semigroup(ham, rho0, times) -> EvolutionTrace:
     so every state is four time coefficients times four fixed matrices, and
     every trace the same coefficients times their four traces.  The form is
     exact up to rounding, defective generators at an exceptional point
-    included (s -> t as r -> 0); no stepping error is involved.
+    included (s -> t as r -> 0); no stepping error is involved.  Where the
+    growth e^{Im(a0) t} |c| or |s| overflows, ValueError names the earliest
+    time whose state is not finite.
     """
     m = as_operator(ham, dim=2)
     rho = as_operator(rho0, dim=2)
@@ -133,23 +135,30 @@ def evolve_semigroup(ham, rho0, times) -> EvolutionTrace:
     if not np.all(np.isfinite(ts)):
         raise ValueError("times must be finite")
     a0, r, pauli_part = _pauli_split(m)
-    cosf, sincf = _cos_sinc(r, ts)
-    # |e^{-i a0 t}| = e^{Im(a0) t} goes onto c and s before they are squared,
-    # as it goes onto the propagator, so |c|^2 overflows no earlier than U does
-    modulus = np.exp(a0.imag * ts)
-    cosf *= modulus
-    sincf *= modulus
-    coeffs = np.empty((ts.shape[0], 4), dtype=complex)
-    coeffs[:, 0] = cosf.real**2 + cosf.imag**2
-    np.multiply(sincf, np.conj(cosf), out=coeffs[:, 1])
-    np.conj(coeffs[:, 1], out=coeffs[:, 2])
-    coeffs[:, 3] = sincf.real**2 + sincf.imag**2
-    b = -1j * (pauli_part @ rho)
-    # rows rho0, B, B^dag, N rho0 N^dag; B^dag is written out as i rho0 N^dag so
-    # a rho0 Hermitian only to tolerance is conjugated exactly as given
-    basis = np.stack([rho, b, 1j * (rho @ dagger(pauli_part)), pauli_part @ rho @ dagger(pauli_part)])
-    rhos = (coeffs @ basis.reshape(4, 4)).reshape(-1, 2, 2)
-    traces = np.real(coeffs @ (basis[:, 0, 0] + basis[:, 1, 1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cosf, sincf = _cos_sinc(r, ts)
+        # |e^{-i a0 t}| = e^{Im(a0) t} goes onto c and s before they are squared,
+        # as it goes onto the propagator, so |c|^2 overflows no earlier than U does
+        modulus = np.exp(a0.imag * ts)
+        cosf *= modulus
+        sincf *= modulus
+        coeffs = np.empty((ts.shape[0], 4), dtype=complex)
+        coeffs[:, 0] = cosf.real**2 + cosf.imag**2
+        np.multiply(sincf, np.conj(cosf), out=coeffs[:, 1])
+        np.conj(coeffs[:, 1], out=coeffs[:, 2])
+        coeffs[:, 3] = sincf.real**2 + sincf.imag**2
+        b = -1j * (pauli_part @ rho)
+        # rows rho0, B, B^dag, N rho0 N^dag; B^dag is written out as i rho0 N^dag so
+        # a rho0 Hermitian only to tolerance is conjugated exactly as given
+        basis = np.stack([rho, b, 1j * (rho @ dagger(pauli_part)), pauli_part @ rho @ dagger(pauli_part)])
+        rhos = (coeffs @ basis.reshape(4, 4)).reshape(-1, 2, 2)
+        traces = np.real(coeffs @ (basis[:, 0, 0] + basis[:, 1, 1]))
+    # each trace sums all four coefficients of its state (inf * 0 is NaN), so
+    # the n traces show every overflow the (n, 2, 2) stack would
+    blown = ~np.isfinite(traces)
+    if blown.any():
+        t_bad = float(ts[blown].min())
+        raise ValueError(f"the trajectory overflows: rho(t) is first not finite at t = {t_bad!r}")
     rate = split_generator(m).rate_max
     return EvolutionTrace(times=ts, rhos=rhos, trace_values=traces, k_values=np.exp(-2.0 * rate * ts))
 

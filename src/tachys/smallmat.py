@@ -8,6 +8,8 @@ their fidelity is 1 up to tolerance).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -24,6 +26,7 @@ __all__ = [
     "is_hermitian",
     "dagger",
     "normalize",
+    "positive_finite",
     "fidelity",
     "states_equal",
     "propagator",
@@ -42,6 +45,9 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 _SUPPORTED_DIMS = (2, 4)
 
+#: |r| below which sin(r t)/r is taken as t (the generator is at an exceptional point)
+_EP_RADIUS = 1e-150
+
 
 class MetricDegeneracyError(ValueError):
     """A required positive-definite operator is singular or indefinite.
@@ -53,6 +59,14 @@ class MetricDegeneracyError(ValueError):
     def __init__(self, message: str, eigenvalue: float | None = None):
         super().__init__(message)
         self.eigenvalue = eigenvalue
+
+
+def positive_finite(name: str, x) -> float:
+    """``x`` as a float; ValueError naming ``name`` unless it is finite and > 0."""
+    x = float(x)
+    if not (math.isfinite(x) and x > 0.0):
+        raise ValueError(f"{name} must be a positive finite real, got {x!r}")
+    return x
 
 
 def as_operator(mat, dim: int | None = None) -> np.ndarray:
@@ -134,7 +148,7 @@ def _pauli_split(m: np.ndarray) -> tuple[complex, complex, np.ndarray]:
 
 def _cos_sinc(r: complex, t):
     """cos(r t) and sin(r t)/r, elementwise in ``t``; sin(r t)/r -> t as r -> 0."""
-    if abs(r) < 1e-150:
+    if abs(r) < _EP_RADIUS:
         return np.ones_like(t) + 0j, t + 0j
     phi = r * t
     return np.cos(phi), np.sin(phi) / r

@@ -13,8 +13,9 @@ from tachys.brachistochrone import (
     optimal_hamiltonian,
     transfer,
 )
-from tachys.metric import diag_metric, quasi_hamiltonian
-from tachys.smallmat import PAULI_X, PAULI_Z, propagator, states_equal
+from tachys.metric import diag_metric, metric_from_sqrt, quasi_hamiltonian
+from tachys.opendyn import aligned_hamiltonian
+from tachys.smallmat import PAULI_X, PAULI_Y, PAULI_Z, propagator, states_equal
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)
@@ -68,6 +69,16 @@ def test_minimal_time_speed_law(theta, omega):
 def test_minimal_time_rejects_nonpositive_gap():
     with pytest.raises(ValueError):
         minimal_time(E0, E1, 0.0)
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf, -np.inf], ids=["zero", "nan", "inf", "-inf"])
+def test_gap_must_be_positive_finite(bad):
+    with pytest.raises(ValueError, match="omega"):
+        minimal_time(E0, E1, bad)
+    with pytest.raises(ValueError, match="omega"):
+        optimal_hamiltonian([0.0, 1.0], bad)
+    with pytest.raises(ValueError, match="omega"):
+        transfer([0.0, 1.0], bad)
 
 
 # ------------------------------------------------------ optimal_hamiltonian
@@ -224,6 +235,145 @@ def test_first_passage_validation():
             first_passage_scan(0.5 * PAULI_X, E0, E1, t_max=bad)
     with pytest.raises(ValueError, match="steps"):
         first_passage_scan(0.5 * PAULI_X, E0, E1, t_max=1.0, steps=10)
+    # steps sets only the general path's grid, but a Hermitian drive checks it too
+    with pytest.raises(ValueError, match="steps"):
+        first_passage_scan(0.5 * PAULI_X, E0, E1, t_max=1.0, steps=999)
+
+
+# ------------------------------------- Hermitian closed form vs expm oracle
+
+
+def _expm_passage(h, u, v, t_max, steps=2000):
+    """Reference first passage: a grid stepped by expm(-i h dt), then slope
+    bisection (d/dt |<v|psi>|^2 from expm and h) at each candidate peak."""
+    ts = np.linspace(0.0, t_max, steps)
+    psi = np.empty((steps, 2), dtype=complex)
+    psi[0] = u
+    filled, power = 1, scipy.linalg.expm(-1j * (ts[1] - ts[0]) * h)
+    while filled < steps:  # psi[k] = step^k u, by doubling
+        k = min(filled, steps - filled)
+        psi[filled : filled + k] = psi[:k] @ power.T
+        filled += k
+        power = power @ power
+    fid = np.abs(psi @ np.conj(v))
+    if fid[0] >= PASSAGE_FIDELITY:
+        return 0.0
+
+    def state(t):
+        return scipy.linalg.expm(-1j * t * h) @ u
+
+    def slope(t):
+        phi = state(t)
+        return (np.conj(np.vdot(v, phi)) * np.vdot(v, -1j * (h @ phi))).real
+
+    slack = 2.0 * (ts[1] - ts[0]) * np.linalg.norm(h, 2)
+    for j in range(1, steps):
+        right = fid[j] >= fid[j + 1] if j + 1 < steps else True
+        if not (fid[j] >= fid[j - 1] and right and fid[j] + slack >= PASSAGE_FIDELITY):
+            continue
+        lo, hi = ts[j - 1], ts[min(j + 1, steps - 1)]
+        while hi - lo > 1e-13:
+            mid = 0.5 * (lo + hi)
+            if slope(mid) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        t = 0.5 * (lo + hi)
+        if abs(np.vdot(v, state(t))) >= PASSAGE_FIDELITY:
+            return t
+    return None
+
+
+def _random_state(rng):
+    psi = rng.normal(size=2) + 1j * rng.normal(size=2)
+    return psi / np.linalg.norm(psi)
+
+
+def _bloch(psi):
+    a, b = psi
+    ab = np.conj(a) * b
+    return np.array([2.0 * ab.real, 2.0 * ab.imag, abs(a) ** 2 - abs(b) ** 2])
+
+
+def _axis_drive(axis, half_gap):
+    """half_gap * (n.sigma) for the unit vector n along ``axis``."""
+    n = axis / np.linalg.norm(axis)
+    return half_gap * (n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z)
+
+
+def _hermitian_family(rng):
+    """(drive, initial, target, t_max): random axes, axes whose orbit runs
+    through the target, and diagonal drives, each with a random shift."""
+    cases = []
+    for kind in ("random", "tilted", "diagonal") * 80:
+        u, v = _random_state(rng), _random_state(rng)
+        omega = rng.uniform(0.3, 3.0)
+        if kind == "diagonal":
+            h = np.diag([0.5 * omega, -0.5 * omega]).astype(complex)
+            if rng.uniform() < 0.5:  # a target on the orbit of u
+                v = propagator(h, rng.uniform(0.0, 2.0 * np.pi / omega)) @ u
+        else:
+            axis = rng.normal(size=3)
+            if kind == "tilted":  # orthogonal to p_u - p_v: the orbit of u meets v
+                gap = _bloch(u) - _bloch(v)
+                axis -= axis @ gap / (gap @ gap) * gap
+            h = _axis_drive(axis, 0.5 * omega)
+        h = h + rng.normal() * np.eye(2)
+        cases.append((h, u, v, rng.uniform(0.2, 1.5) * 2.0 * np.pi / omega))
+    return cases
+
+
+def test_hermitian_passage_matches_expm_grid_scan():
+    hits = 0
+    for h, u, v, t_max in _hermitian_family(np.random.default_rng(4242)):
+        want = _expm_passage(h, u, v, t_max)
+        got = first_passage_scan(h, u, v, t_max)
+        assert (got is None) == (want is None), (h, u, v, t_max, got, want)
+        if got is not None:
+            hits += 1
+            assert abs(got - want) <= 1e-9
+    assert 60 <= hits < 240  # both verdicts are exercised
+
+
+def test_hermitian_passage_edge_cases():
+    # a drive proportional to I never moves the ray
+    assert first_passage_scan(0.7 * np.eye(2), E0, np.exp(0.4j) * E0, t_max=5.0) == 0.0
+    assert first_passage_scan(0.7 * np.eye(2), E0, _target(0.5), t_max=5.0) is None
+    # 0.5 sigma_x peaks on E1 at pi with |<E1|psi(t)>| = sin(t/2): a t_max
+    # 1e-4 short of pi clears the threshold (1 - 1.25e-9), 1e-3 short does not
+    h = 0.5 * PAULI_X
+    assert first_passage_scan(h, E0, E1, t_max=np.pi - 1e-4) == np.pi - 1e-4
+    assert first_passage_scan(h, E0, E1, t_max=np.pi - 1e-3) is None
+    # passages every 2 pi / omega after the first: the earliest is returned
+    u, v = _target(1.1, alpha=0.3, beta=-0.4), _target(2.3, alpha=-1.0, beta=0.9)
+    gap = _bloch(u) - _bloch(v)
+    axis = np.array([0.3, -0.8, 0.5])
+    axis -= axis @ gap / (gap @ gap) * gap
+    h = 0.4 * np.eye(2) + _axis_drive(axis, 0.9)
+    first = first_passage_scan(h, u, v, t_max=2.0 * np.pi / 1.8)
+    assert first is not None and 0.0 < first < 2.0 * np.pi / 1.8
+    assert first_passage_scan(h, u, v, t_max=10.0 * np.pi / 1.8) == first
+    assert abs(first - _expm_passage(h, u, v, 10.0 * np.pi / 1.8, steps=10_000)) <= 1e-9
+
+
+def test_general_passage_meets_aligned_closed_form():
+    # metric-aligned drives reach the target at (2/omega) arccos|a'|, with a'
+    # the overlap of the metric-normalized images of the boundary pair under
+    # the root [[1, g], [conj g, f]]
+    rng = np.random.default_rng(909)
+    for _ in range(40):
+        omega = rng.uniform(0.3, 3.0)
+        v = _target(rng.uniform(0.05, np.pi), *rng.uniform(-np.pi, np.pi, size=2))
+        f = rng.uniform(0.8, 2.5)
+        g = rng.uniform(0.15, 0.7) * np.sqrt(f) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        ham = aligned_hamiltonian(metric_from_sqrt(f, g), omega, E0, v).operator
+        root = np.array([[1.0, g], [np.conj(g), f]])
+        u1, v1 = root @ E0, root @ v
+        a_abs = abs(np.vdot(u1, v1)) / (np.linalg.norm(u1) * np.linalg.norm(v1))
+        tau = (2.0 / omega) * np.arccos(min(1.0, a_abs))
+        t = first_passage_scan(ham, E0, v, t_max=1.02 * 2.0 * np.pi / omega, steps=1500)
+        assert t is not None
+        assert abs(t - tau) <= 1e-10
 
 
 def test_passage_threshold_is_tight():

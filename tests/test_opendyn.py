@@ -182,6 +182,25 @@ def test_evolve_semigroup_input_validation():
             evolve_semigroup(GENERATOR, 0.5 * np.eye(2), [0.0, bad, 1.0])
 
 
+def test_evolve_semigroup_overflow_raises_naming_first_bad_time():
+    # e^{Im(a0) t} |cos(r t)| of GENERATOR passes the float range near
+    # t ~ 1.7e3; up to t = 1e3 the trajectory is finite and unchanged
+    rho0 = np.array([[0.6, 0.25 + 0.1j], [0.25 - 0.1j, 0.4]], dtype=complex)
+    trace = evolve_semigroup(GENERATOR, rho0, np.linspace(0.0, 1e3, 5))
+    frozen = [1.0, 9.800565713599315e33, 7.947220685987463e67, 6.444354180917700e101, 5.225688633804966e135]
+    assert trace.trace_values == pytest.approx(frozen, rel=1e-13)
+    with pytest.raises(ValueError, match=r"not finite at t = 5000\.0"):
+        evolve_semigroup(GENERATOR, rho0, [0.0, 1e3, 6e3, 5e3])
+    ts = np.linspace(0.0, 5e3, 5001)
+    with pytest.raises(ValueError, match="overflows") as info:
+        evolve_semigroup(GENERATOR, rho0, ts)
+    t_bad = float(str(info.value).rsplit("= ", 1)[1])
+    assert 1e3 < t_bad < 5e3
+    assert np.all(np.isfinite(evolve_semigroup(GENERATOR, rho0, ts[ts < t_bad]).rhos))
+    with pytest.raises(ValueError, match="overflows"):
+        evolve_semigroup(GENERATOR, rho0, [t_bad])
+
+
 # -------------------------------------------------------------------- shift
 
 

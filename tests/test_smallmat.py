@@ -30,6 +30,7 @@ from tachys.smallmat import (
     hermitian_sqrt,
     is_hermitian,
     normalize,
+    positive_finite,
     propagator,
     spectral_gap,
     states_equal,
@@ -287,6 +288,14 @@ def test_as_state_validation():
         as_state([1.0, 0.0], dim=4)
     with pytest.raises(ValueError, match="non-finite"):
         as_state([np.inf, 0.0])
+
+
+def test_positive_finite():
+    assert positive_finite("omega", 2) == 2.0
+    assert type(positive_finite("omega", np.float64(0.5))) is float
+    for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="omega must be a positive finite real"):
+            positive_finite("omega", bad)
 
 
 def test_normalize_and_zero_vector():
