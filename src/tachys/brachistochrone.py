@@ -56,15 +56,13 @@ class OptimalHamiltonianSpec:
     """The minimal-time drive in closed form.
 
     ``matrix`` is [[shift, (omega/2) e^{-i phase}], [(omega/2) e^{i phase},
-    shift]].  ``phase_convention`` records which sign of the quarter-turn term
-    survived the propagation check ("literal" or "flipped").
+    shift]].
     """
 
     omega: float
     shift: float
     phase: float
     matrix: np.ndarray
-    phase_convention: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,15 +86,22 @@ def _drive_matrix(omega: float, shift: float, phase: float) -> np.ndarray:
 
 
 def optimal_hamiltonian(target, omega: float) -> OptimalHamiltonianSpec:
-    """Minimal-time Hermitian drive taking (1, 0) to ``target``.
+    """Minimal-time Hermitian drive taking (1, 0) to ``target``; see ``transfer``."""
+    return transfer(target, omega).drive
+
+
+def transfer(target, omega: float) -> BrachistochroneResult:
+    """Minimal-time drive taking (1, 0) to ``target``, with its travel time
+    and the overlap <(1, 0)|target>.
 
     The target must be normalized with a nonzero second component (otherwise
-    no excursion is needed and the drive is not unique).  The off-diagonal
-    phase convention is not taken on faith: the candidate with the literal
-    quarter-turn sign is propagated over the minimal time first, and if it
-    misses the target the sign is flipped; the convention that reproduces the
-    target exactly is recorded on the returned spec.  The diagonal shift is
-    fixed so the propagated phase matches the target phase, not only the ray.
+    no excursion is needed and the drive is not unique).  With target
+    (a, b), the drive of off-diagonal phase phi sends (1, 0) over the minimal
+    time to e^{i alpha} (|a|, -i e^{i phi} |b|), so phi = arg b - arg a + pi/2
+    is the only phase that reaches the target; the diagonal shift is fixed so
+    the propagated phase matches the target phase, not only the ray.  The
+    drive is propagated over the minimal time and must land on the target
+    within 1e-9, or ValueError is raised.
     """
     omega = positive_finite("omega", omega)
     v = as_state(target, dim=2)
@@ -112,28 +117,17 @@ def optimal_hamiltonian(target, omega: float) -> OptimalHamiltonianSpec:
     half_turn = float(np.arcsin(np.clip(abs(b), 0.0, 1.0)))
     shift = -omega * arg_a / (2.0 * half_turn)
     tau = minimal_time(_REFERENCE, v, omega)
-    base = arg_b - arg_a
-    for convention, phase in (("literal", base - np.pi / 2.0), ("flipped", base + np.pi / 2.0)):
-        phase = float((phase + np.pi) % (2.0 * np.pi) - np.pi)
-        if phase == -np.pi:
-            phase = np.pi
-        ham = _drive_matrix(omega, shift, phase)
-        reached = propagator(ham, tau) @ _REFERENCE
-        if float(np.linalg.norm(reached - v)) <= _PROPAGATION_TOL:
-            return OptimalHamiltonianSpec(
-                omega=omega, shift=shift, phase=phase, matrix=ham, phase_convention=convention
-            )
-    raise ValueError("no off-diagonal phase convention reproduces the target")
-
-
-def transfer(target, omega: float) -> BrachistochroneResult:
-    """Bundle the minimal-time drive with its travel time and target overlap."""
-    drive = optimal_hamiltonian(target, omega)
-    v = normalize(as_state(target, dim=2))
+    phase = float((arg_b - arg_a + np.pi / 2.0 + np.pi) % (2.0 * np.pi) - np.pi)
+    if phase == -np.pi:
+        phase = np.pi
+    ham = _drive_matrix(omega, shift, phase)
+    residual = float(np.linalg.norm(propagator(ham, tau) @ _REFERENCE - v))
+    if not residual <= _PROPAGATION_TOL:
+        raise ValueError(f"the minimal-time drive misses the target by {residual:.3e}")
     return BrachistochroneResult(
-        tau=minimal_time(_REFERENCE, v, omega),
+        tau=tau,
         overlap=complex(np.vdot(_REFERENCE, v)),
-        drive=drive,
+        drive=OptimalHamiltonianSpec(omega=omega, shift=shift, phase=phase, matrix=ham),
     )
 
 
@@ -159,7 +153,8 @@ def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -
     ``steps`` sets only this grid (it is validated on both paths).  Candidate
     peaks are visited in time order and each is refined to about 1e-12 in t by
     bisection on the analytic slope of the normalized fidelity, from
-    d psi/dt = -i (n.sigma) psi.
+    d psi/dt = -i (n.sigma) psi.  Where the growth of psi(t) overflows on the
+    grid, ValueError names the earliest grid time whose state is not finite.
     """
     m = as_operator(ham, dim=2)
     t_max = positive_finite("t_max", t_max)
@@ -201,10 +196,15 @@ def _general_passage(
     u0, u1, su0, su1 = (complex(x) for x in (*u, *(pauli_part @ u)))
     w0, w1 = (complex(x) for x in np.conj(v))
     ts = np.linspace(0.0, t_max, steps)
-    cosf, sincf = _cos_sinc(r, ts)
-    psi0 = cosf * u0 - 1j * sincf * su0
-    psi1 = cosf * u1 - 1j * sincf * su1
-    fid = np.abs(w0 * psi0 + w1 * psi1) / np.hypot(np.abs(psi0), np.abs(psi1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cosf, sincf = _cos_sinc(r, ts)
+        psi0 = cosf * u0 - 1j * sincf * su0
+        psi1 = cosf * u1 - 1j * sincf * su1
+        fid = np.abs(w0 * psi0 + w1 * psi1) / np.hypot(np.abs(psi0), np.abs(psi1))
+    finite = np.isfinite(fid)
+    if not finite.all():
+        t_bad = float(ts[~finite][0])
+        raise ValueError(f"the evolution overflows: psi(t) is first not finite at t = {t_bad!r}")
     if fid[0] >= PASSAGE_FIDELITY:
         return 0.0
     exceptional = abs(r) < _EP_RADIUS

@@ -5,13 +5,15 @@ with 17 significant digits, LF line endings, and the generating configuration
 echoed into the report next to the schema version, so the same invocation
 yields byte-identical output.  Files are written atomically (temp file plus
 rename).  Exit status: 0 on success, 1 when the numerics reject the request
-(domain errors carry the originating error type), 2 on bad usage.
+(domain errors carry the originating error type), 2 on bad usage, which
+includes a float flag that is not a finite number.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -49,13 +51,16 @@ def _write_text(path: str | None, text: str) -> None:
         raise
 
 
-def _render(command: str, config: dict, columns: list[str], rows: list[dict],
-            summary: dict | None, fmt: str) -> str:
+def _render(command: str, config: dict, table: dict, summary: dict | None, fmt: str) -> str:
+    """Zip the ``{column: values}`` table into rows; a scalar fills its column."""
+    columns = list(table)
+    values = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, float)) for v in table.values()))
+    rows = list(zip(*(v.tolist() for v in values)))
     if fmt == "json":
         report = {"schema": SCHEMA, "command": command, "config": config}
         if summary is not None:
             report["summary"] = summary
-        report["rows"] = rows
+        report["rows"] = [dict(zip(columns, row)) for row in rows]
         return json.dumps(report, indent=2) + "\n"
     lines = [f"# schema={SCHEMA}", f"# command={command}"]
     for key in config:
@@ -65,8 +70,19 @@ def _render(command: str, config: dict, columns: list[str], rows: list[dict],
             lines.append(f"# summary.{key}={_fmt(summary[key])}")
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(_fmt(row[col]) for col in columns))
+        lines.append(",".join(_fmt(x) for x in row))
     return "\n".join(lines) + "\n"
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: nan and +-inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _theta_grid(args) -> np.ndarray:
@@ -76,9 +92,12 @@ def _theta_grid(args) -> np.ndarray:
         raise _UsageError("provide either --theta or both --theta-min and --theta-max")
     if args.points < 2:
         raise _UsageError("sweep needs at least 2 points")
-    if not (np.isfinite(args.theta_min) and np.isfinite(args.theta_max)):
-        raise _UsageError("sweep range must be finite")
     return np.linspace(args.theta_min, args.theta_max, args.points)
+
+
+def _row_norms(stack: np.ndarray) -> list[float]:
+    # the 1-d norm of each row: a reduction along axis 1 rounds differently
+    return [float(np.linalg.norm(row)) for row in stack]
 
 
 # ---------------------------------------------------------------- commands
@@ -86,25 +105,20 @@ def _theta_grid(args) -> np.ndarray:
 
 def _cmd_brachy(args):
     grid = _theta_grid(args)
-    rows = []
-    for theta in grid:
-        basis = gates.BlochBasis(float(theta))
-        result = brachistochrone.transfer(basis.psi1, args.omega)
-        rows.append(
-            {
-                "theta": float(theta),
-                "omega": float(args.omega),
-                "overlap": float(result.overlap.real),
-                "tau": result.tau,
-                "shift": result.drive.shift,
-                "phase": result.drive.phase,
-                "h01_re": float(result.drive.matrix[0, 1].real),
-                "h01_im": float(result.drive.matrix[0, 1].imag),
-            }
-        )
-    config = _config(args, ["theta", "theta_min", "theta_max", "points", "omega"])
-    cols = ["theta", "omega", "overlap", "tau", "shift", "phase", "h01_re", "h01_im"]
-    return config, cols, rows, None
+    results = [
+        brachistochrone.transfer(psi1, args.omega) for psi1 in gates.BlochBasis(grid).psi1
+    ]
+    table = {
+        "theta": grid,
+        "omega": args.omega,
+        "overlap": [r.overlap.real for r in results],
+        "tau": [r.tau for r in results],
+        "shift": [r.drive.shift for r in results],
+        "phase": [r.drive.phase for r in results],
+        "h01_re": [r.drive.matrix[0, 1].real for r in results],
+        "h01_im": [r.drive.matrix[0, 1].imag for r in results],
+    }
+    return table, None
 
 
 def _cmd_dissipation(args):
@@ -112,149 +126,103 @@ def _cmd_dissipation(args):
         raise _UsageError("sweep needs at least 2 points")
     grid = np.linspace(args.f_min, args.f_max, args.points)
     scan = opendyn.dissipation_scan(grid, args.omega, proximity=args.proximity)
-    rows = [
-        {
-            "f": r.f,
-            "d_factor": r.d_factor,
-            "finite_factor": r.finite_factor,
-            "gap_sq": r.gap_sq,
-            "a_prime": r.a_prime,
-            "tau": r.tau,
-        }
-        for r in scan
-    ]
-    config = _config(args, ["f_min", "f_max", "points", "omega", "proximity"])
-    return config, ["f", "d_factor", "finite_factor", "gap_sq", "a_prime", "tau"], rows, None
+    table = {
+        name: [getattr(r, name) for r in scan]
+        for name in ("f", "d_factor", "finite_factor", "gap_sq", "a_prime", "tau")
+    }
+    return table, None
 
 
 def _cmd_dilation(args):
     m = metric.diag_metric(args.scale)
-    h = 0.5 * args.omega * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    h = 0.5 * args.omega * smallmat.PAULI_X
     model = dilation.build_dilation(h, m, args.omega)
     qh = metric.quasi_hamiltonian(h, m, args.omega)
     psi0 = np.array([1.0, 0.0], dtype=complex)
     if args.t_points < 2:
         raise _UsageError("sweep needs at least 2 points")
     ts = np.linspace(0.0, args.t_max, args.t_points)
-    rows = []
-    for t in ts:
-        evolved, observed = dilation.evolve_dilated(model, psi0, float(t))
-        direct = smallmat.propagator(qh.operator, float(t)) @ psi0
-        rows.append(
-            {
-                "t": float(t),
-                "embedding_error": float(np.linalg.norm(observed - direct)),
-                "observed_norm": float(np.linalg.norm(observed)),
-                "total_norm": float(np.linalg.norm(evolved)),
-            }
-        )
+    evolved, observed = dilation.evolve_dilated(model, psi0, ts)
+    direct = smallmat.propagator(qh.operator, ts) @ psi0
+    table = {
+        "t": ts,
+        "embedding_error": _row_norms(observed - direct),
+        "observed_norm": _row_norms(observed),
+        "total_norm": _row_norms(evolved),
+    }
+    vmat, big = model.extended_vectors, model.hamiltonian
     summary = {
-        "unitarity_defect": float(
-            np.linalg.norm(
-                model.extended_vectors.conj().T @ model.extended_vectors - np.eye(4)
-            )
-        ),
-        "hermiticity_defect": float(
-            np.linalg.norm(model.hamiltonian - model.hamiltonian.conj().T)
-        ),
+        "unitarity_defect": smallmat.frobenius(vmat.conj().T @ vmat - np.eye(4)),
+        "hermiticity_defect": smallmat.frobenius(big - big.conj().T),
         "norm_factor": model.norm_factor,
         "visibility_ratio": dilation.visibility_ratio(m, np.array([0.0, 1.0], dtype=complex)),
     }
-    config = _config(args, ["scale", "omega", "t_max", "t_points"])
-    return config, ["t", "embedding_error", "observed_norm", "total_norm"], rows, summary
+    return table, summary
 
 
 def _cmd_povm(args):
     grid = _theta_grid(args)
-    rows = []
-    for theta in grid:
-        basis = gates.BlochBasis(float(theta))
-        povm = gates.discrimination_povm(basis)
-        labels = povm.labels
-        e_conclusive_0 = povm.effects[labels.index("0")]
-        e_conclusive_1 = povm.effects[labels.index("1")]
-        rows.append(
-            {
-                "theta": float(theta),
-                "overlap": basis.overlap,
-                "p_inconclusive_psi0": gates.inconclusive_probability(povm, basis.psi0),
-                "p_inconclusive_psi1": gates.inconclusive_probability(povm, basis.psi1),
-                "misid_0_on_psi1": float(
-                    np.real(np.vdot(basis.psi1, e_conclusive_0 @ basis.psi1))
-                ),
-                "misid_1_on_psi0": float(
-                    np.real(np.vdot(basis.psi0, e_conclusive_1 @ basis.psi0))
-                ),
-                "completeness_defect": povm.completeness_defect(),
-                "min_eigenvalue": povm.min_eigenvalue(),
-            }
-        )
-    config = _config(args, ["theta", "theta_min", "theta_max", "points"])
-    cols = [
-        "theta",
-        "overlap",
-        "p_inconclusive_psi0",
-        "p_inconclusive_psi1",
-        "misid_0_on_psi1",
-        "misid_1_on_psi0",
-        "completeness_defect",
-        "min_eigenvalue",
-    ]
-    return config, cols, rows, None
+    basis = gates.BlochBasis(grid)
+    povm = gates.discrimination_povm(basis)
+    effect = dict(zip(povm.labels, povm.effects))
+    psi0, psi1 = basis.psi0, basis.psi1
+    # inconclusive_probability normalizes its state; |psi1| is 1 only to rounding
+    unit_psi1 = psi1 / np.array(_row_norms(psi1))[:, None]
+
+    def sandwich(label, psi):
+        # <psi|E|psi> row by row
+        return np.real(np.sum(np.conj(psi) * (effect[label] @ psi[..., None])[..., 0], axis=-1))
+
+    table = {
+        "theta": grid,
+        "overlap": basis.overlap,
+        "p_inconclusive_psi0": sandwich(gates.INCONCLUSIVE, psi0),
+        "p_inconclusive_psi1": sandwich(gates.INCONCLUSIVE, unit_psi1),
+        "misid_0_on_psi1": sandwich("0", psi1),
+        "misid_1_on_psi0": sandwich("1", psi0),
+        "completeness_defect": povm.completeness_defect(),
+        "min_eigenvalue": povm.min_eigenvalue(),
+    }
+    return table, None
 
 
 def _cmd_notgate(args):
     report = gates.not_gate_roundtrip(gates.BlochBasis(args.theta), args.omega)
-    rows = [
-        {
-            "theta": report.theta,
-            "omega": report.omega,
-            "forward_residual": report.forward_residual,
-            "roundtrip_fidelity": report.roundtrip_fidelity,
-            "tau_not": report.tau_not,
-        }
-    ]
-    config = _config(args, ["theta", "omega"])
-    return config, ["theta", "omega", "forward_residual", "roundtrip_fidelity", "tau_not"], rows, None
+    table = {
+        name: getattr(report, name)
+        for name in ("theta", "omega", "forward_residual", "roundtrip_fidelity", "tau_not")
+    }
+    return table, None
 
 
 def _cmd_controlu(args):
     report = gates.control_u_channel(gates.BlochBasis(args.theta), args.e_polar)
-    rows = [
-        {
-            "theta": report.theta,
-            "e_polar": report.e_polar,
-            "p": report.p,
-            "q": report.q,
-            "bound_lhs": report.bound_lhs,
-            "bound_rhs": report.bound_rhs,
-            "slack": report.bound_rhs - report.bound_lhs,
-            "decomposition_residual": report.decomposition_residual,
-        }
-    ]
-    config = _config(args, ["theta", "e_polar"])
-    cols = ["theta", "e_polar", "p", "q", "bound_lhs", "bound_rhs", "slack",
-            "decomposition_residual"]
-    return config, cols, rows, None
+    table = {
+        "theta": report.theta,
+        "e_polar": report.e_polar,
+        "p": report.p,
+        "q": report.q,
+        "bound_lhs": report.bound_lhs,
+        "bound_rhs": report.bound_rhs,
+        "slack": report.bound_rhs - report.bound_lhs,
+        "decomposition_residual": report.decomposition_residual,
+    }
+    return table, None
 
 
 def _cmd_efficiency(args):
     report = gates.efficiency_bound(gates.BlochBasis(args.theta), args.omega)
     bound = 2.0 * report.epsilon / report.delta_e
-    rows = [
-        {
-            "theta": float(args.theta),
-            "omega": float(args.omega),
-            "epsilon": report.epsilon,
-            "delta_e": report.delta_e,
-            "delta_t": report.delta_t,
-            "bound_rhs": bound,
-            "slack": report.delta_t - bound,
-        }
-    ]
-    config = _config(args, ["theta", "omega"])
-    cols = ["theta", "omega", "epsilon", "delta_e", "delta_t", "bound_rhs", "slack"]
-    return config, cols, rows, None
+    table = {
+        "theta": args.theta,
+        "omega": args.omega,
+        "epsilon": report.epsilon,
+        "delta_e": report.delta_e,
+        "delta_t": report.delta_t,
+        "bound_rhs": bound,
+        "slack": report.delta_t - bound,
+    }
+    return table, None
 
 
 _COMMANDS = {
@@ -268,14 +236,13 @@ _COMMANDS = {
 }
 
 
-def _config(args, keys: list[str]) -> dict:
-    out = {}
-    for key in keys:
-        value = getattr(args, key)
-        if value is not None:
-            out[key] = value
-    out["format"] = args.format
-    return out
+def _config(args) -> dict:
+    """Every flag that has a value, in definition order (``--format`` last)."""
+    return {
+        key: value
+        for key, value in vars(args).items()
+        if key not in ("command", "output") and value is not None
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -285,56 +252,56 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # reports echo the flags in the order they are added here
     def common(p):
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", default=None, help="output file (default: stdout)")
 
-    def theta_options(p, sweep: bool):
-        p.add_argument("--theta", type=float, default=None,
+    def theta_options(p):
+        p.add_argument("--theta", type=_finite_float, default=None,
                        help="working-pair polar angle in (0, pi]")
-        if sweep:
-            p.add_argument("--theta-min", type=float, default=None)
-            p.add_argument("--theta-max", type=float, default=None)
-            p.add_argument("--points", type=int, default=64)
+        p.add_argument("--theta-min", type=_finite_float, default=None)
+        p.add_argument("--theta-max", type=_finite_float, default=None)
+        p.add_argument("--points", type=int, default=64)
 
     p = sub.add_parser("brachy", help="minimal-time drive for a working pair")
-    theta_options(p, sweep=True)
-    p.add_argument("--omega", type=float, default=1.0)
+    theta_options(p)
+    p.add_argument("--omega", type=_finite_float, default=1.0)
     common(p)
 
     p = sub.add_parser("dissipation", help="degenerate-metric revelation scan")
-    p.add_argument("--f-min", type=float, required=True)
-    p.add_argument("--f-max", type=float, required=True)
+    p.add_argument("--f-min", type=_finite_float, required=True)
+    p.add_argument("--f-max", type=_finite_float, required=True)
     p.add_argument("--points", type=int, default=512)
-    p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--proximity", type=float, default=1e-6)
+    p.add_argument("--omega", type=_finite_float, default=1.0)
+    p.add_argument("--proximity", type=_finite_float, default=1e-6)
     common(p)
 
     p = sub.add_parser("dilation", help="four-level Hermitian embedding trace")
-    p.add_argument("--scale", type=float, default=2.0, help="diagonal metric scale")
-    p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--t-max", type=float, default=2.0 * np.pi)
+    p.add_argument("--scale", type=_finite_float, default=2.0, help="diagonal metric scale")
+    p.add_argument("--omega", type=_finite_float, default=1.0)
+    p.add_argument("--t-max", type=_finite_float, default=2.0 * np.pi)
     p.add_argument("--t-points", type=int, default=33)
     common(p)
 
     p = sub.add_parser("povm", help="unambiguous-discrimination audit")
-    theta_options(p, sweep=True)
+    theta_options(p)
     common(p)
 
     p = sub.add_parser("notgate", help="minimal-time NOT round trip")
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--omega", type=float, default=1.0)
+    p.add_argument("--theta", type=_finite_float, required=True)
+    p.add_argument("--omega", type=_finite_float, default=1.0)
     common(p)
 
     p = sub.add_parser("controlu", help="control-U channel report")
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--e-polar", type=float, default=0.0,
+    p.add_argument("--theta", type=_finite_float, required=True)
+    p.add_argument("--e-polar", type=_finite_float, default=0.0,
                    help="Bloch polar angle of the lower control state")
     common(p)
 
     p = sub.add_parser("efficiency", help="time-energy-information bound")
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--omega", type=float, default=1.0)
+    p.add_argument("--theta", type=_finite_float, required=True)
+    p.add_argument("--omega", type=_finite_float, default=1.0)
     common(p)
 
     return parser
@@ -345,8 +312,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handler = _COMMANDS[args.command]
     try:
-        config, columns, rows, summary = handler(args)
-        text = _render(args.command, config, columns, rows, summary, args.format)
+        table, summary = handler(args)
+        text = _render(args.command, _config(args), table, summary, args.format)
         _write_text(args.output, text)
     except _UsageError as exc:
         parser.error(str(exc))

@@ -22,6 +22,7 @@ from .smallmat import (
     frobenius,
     is_hermitian,
     normalize,
+    positive_finite,
     propagator,
     spectral_gap,
 )
@@ -69,9 +70,9 @@ def build_dilation(h, metric: Metric, omega: float) -> DilationModel:
         raise ValueError("build_dilation requires a Hermitian generator")
     if abs(complex(np.trace(hm))) > _TRACELESS_TOL:
         raise ValueError("build_dilation requires a traceless generator")
-    omega = float(omega)
+    omega = positive_finite("omega", omega)
     gap = spectral_gap(hm).real
-    if omega <= 0.0 or abs(gap - omega) > _GAP_TOL * max(1.0, omega):
+    if abs(gap - omega) > _GAP_TOL * max(1.0, omega):
         raise ValueError(f"generator gap {gap:.12g} does not match omega {omega:.12g}")
 
     det_eta = float(np.linalg.det(metric.eta).real)
@@ -130,7 +131,7 @@ def build_dilation(h, metric: Metric, omega: float) -> DilationModel:
     )
 
 
-def evolve_dilated(model: DilationModel, initial, t: float) -> tuple[np.ndarray, np.ndarray]:
+def evolve_dilated(model: DilationModel, initial, t) -> tuple[np.ndarray, np.ndarray]:
     """Evolve the stacked vector (psi; eta psi) under the dilated generator.
 
     ``initial`` is a two-level state in the original basis of the generator
@@ -138,12 +139,15 @@ def evolve_dilated(model: DilationModel, initial, t: float) -> tuple[np.ndarray,
     (in the model's eigenbasis) and the observed two-level part converted
     back to the original basis; the observed part reproduces the two-level
     non-unitary evolution exactly while the four-vector norm stays constant.
+    ``t`` is a scalar or a 1-d array of times, as for ``propagator``; an
+    array gives ``(len(t), 4)`` and ``(len(t), 2)`` stacks whose rows equal
+    the scalar calls bit for bit.
     """
     psi = normalize(as_state(initial, dim=2))
     psi_e = dagger(model.eigenbasis) @ psi
     stacked = np.concatenate([psi_e, model.metric.eta @ psi_e])
-    evolved = propagator(model.hamiltonian, float(t)) @ stacked
-    observed = model.eigenbasis @ evolved[:2]
+    evolved = propagator(model.hamiltonian, t) @ stacked
+    observed = (model.eigenbasis @ evolved[..., :2, None])[..., 0]
     return evolved, observed
 
 

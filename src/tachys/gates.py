@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .smallmat import as_state, dagger, normalize
+from .smallmat import as_state, dagger, normalize, positive_finite
 
 __all__ = [
     "DegenerateBasisError",
@@ -49,9 +49,12 @@ class ChannelDecompositionError(RuntimeError):
         self.residual = residual
 
 
-def _circle_state(polar: float) -> np.ndarray:
-    """(cos(polar/2), -i sin(polar/2)): the Bloch great circle of the working pair."""
-    return np.array([np.cos(0.5 * polar), -1j * np.sin(0.5 * polar)], dtype=complex)
+def _circle_state(polar) -> np.ndarray:
+    """(cos(polar/2), -i sin(polar/2)): the Bloch great circle of the working pair.
+
+    An array of angles gives the states stacked on the last axis.
+    """
+    return np.stack([np.cos(0.5 * polar) + 0j, -1j * np.sin(0.5 * polar)], axis=-1)
 
 
 def _not_gate(theta: float) -> np.ndarray:
@@ -64,17 +67,24 @@ def _not_gate(theta: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BlochBasis:
-    """Working pair: (1, 0) and (cos(theta/2), -i sin(theta/2)), theta in (0, pi]."""
+    """Working pair: (1, 0) and (cos(theta/2), -i sin(theta/2)), theta in (0, pi].
+
+    ``theta`` may be a 1-d array of angles, one working pair each: every
+    angle is validated, ``psi1`` stacks the partners as ``(n, 2)`` and
+    ``overlap`` is an array; ``psi0`` stays the single shared reference.
+    ``discrimination_povm`` takes such a basis; the other functions here
+    take a single angle.
+    """
 
     theta: float
 
     def __post_init__(self):
-        th = float(self.theta)
-        if not np.isfinite(th):
+        th = np.asarray(self.theta, dtype=float)
+        if not np.all(np.isfinite(th)):
             raise ValueError("theta must be finite")
-        if th == 0.0:
+        if np.any(th == 0.0):
             raise DegenerateBasisError("theta = 0: the working states coincide")
-        if th < 0.0 or th > np.pi + 1e-12:
+        if np.any((th < 0.0) | (th > np.pi + 1e-12)):
             raise ValueError("theta must lie in (0, pi]")
 
     @property
@@ -87,22 +97,27 @@ class BlochBasis:
 
     @property
     def overlap(self) -> float:
-        """<psi0|psi1> = cos(theta/2), real and non-negative here."""
-        return float(np.cos(0.5 * self.theta))
+        """<psi0|psi1> = cos(theta/2), real and non-negative here; an array of
+        angles gives an array."""
+        return _float_or_array(np.cos(0.5 * np.asarray(self.theta, dtype=float)))
 
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Effects summing to the identity, with per-outcome labels."""
+    """Effects summing to the identity, with per-outcome labels.
+
+    Each effect is a 2x2 matrix, or an ``(n, 2, 2)`` stack for a basis with
+    n angles; the audits then return one value per angle.
+    """
 
     effects: tuple
     labels: tuple
 
     def completeness_defect(self) -> float:
-        return float(np.linalg.norm(sum(self.effects) - np.eye(2)))
+        return _float_or_array(np.linalg.norm(sum(self.effects) - np.eye(2), axis=(-2, -1)))
 
     def min_eigenvalue(self) -> float:
-        return float(min(np.linalg.eigvalsh(e).min() for e in self.effects))
+        return _float_or_array(np.linalg.eigvalsh(np.stack(self.effects)).min(axis=(0, -1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,8 +159,14 @@ class EfficiencyReport:
     epsilon: float
 
 
+def _float_or_array(x):
+    """A 0-d result as a Python float, anything else as it is."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def _projector(state: np.ndarray) -> np.ndarray:
-    return np.outer(state, np.conj(state))
+    """|state><state|, for a single state or a stack of them."""
+    return state[..., :, None] * np.conj(state)[..., None, :]
 
 
 def discrimination_povm(basis: BlochBasis) -> Povm:
@@ -153,20 +174,22 @@ def discrimination_povm(basis: BlochBasis) -> Povm:
 
     Outcome "0" never fires on psi1 and outcome "1" never fires on psi0, so
     each conclusively identifies one state; the third outcome is inconclusive
-    and fires with probability cos(theta/2) on either working state.
+    and fires with probability cos(theta/2) on either working state.  A basis
+    with an array of angles gives ``(n, 2, 2)`` effect stacks, slice for slice
+    the effects of the single-angle calls.
     """
-    a = complex(np.cos(0.5 * basis.theta))
-    b = complex(-1j * np.sin(0.5 * basis.theta))
-    v0 = np.array([np.conj(b), -np.conj(a)], dtype=complex)
+    psi1 = basis.psi1
+    a, b = psi1[..., 0], psi1[..., 1]
+    v0 = np.stack([np.conj(b), -np.conj(a)], axis=-1)
     e0 = _projector(v0)
     e1 = np.diag([0.0, 1.0]).astype(complex)
-    scale = 1.0 / (1.0 + abs(a))
+    scale = (1.0 / (1.0 + np.abs(a)))[..., None, None]
     e2 = np.eye(2) - scale * (e0 + e1)
     effects = (scale * e0, scale * e1, e2)
     povm = Povm(effects=effects, labels=("0", "1", INCONCLUSIVE))
-    if povm.completeness_defect() > POVM_TOL:
+    if np.any(povm.completeness_defect() > POVM_TOL):
         raise ValueError("effects do not sum to the identity")
-    if povm.min_eigenvalue() < -POVM_TOL:
+    if np.any(povm.min_eigenvalue() < -POVM_TOL):
         raise ValueError("an effect has a negative eigenvalue")
     return povm
 
@@ -186,9 +209,7 @@ def not_gate_roundtrip(basis: BlochBasis, omega: float) -> NotGateReport:
     which the same fixed-gap drive maps both working states across, by the
     half-period condition.
     """
-    omega = float(omega)
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
+    omega = positive_finite("omega", omega)
     gate = _not_gate(basis.theta)
     forward = gate @ basis.psi0
     forward_residual = float(np.linalg.norm(forward - basis.psi1))
@@ -288,8 +309,6 @@ def efficiency_bound(basis: BlochBasis, omega: float) -> EfficiencyReport:
     working pair, delta_e = omega the energy spread of the drive, and delta_t
     the minimal-time transfer; the optimal drive saturates the bound.
     """
-    omega = float(omega)
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
+    omega = positive_finite("omega", omega)
     epsilon = float(np.arccos(np.clip(basis.overlap, 0.0, 1.0)))
     return EfficiencyReport(delta_t=(2.0 / omega) * epsilon, delta_e=omega, epsilon=epsilon)

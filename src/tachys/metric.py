@@ -22,6 +22,7 @@ from .smallmat import (
     frobenius,
     hermitian_sqrt,
     is_hermitian,
+    positive_finite,
     spectral_gap,
 )
 
@@ -83,9 +84,7 @@ class QuasiHamiltonian:
 
 def diag_metric(scale: float) -> Metric:
     """Metric diag(1, scale**2) together with its roots."""
-    s = float(scale)
-    if not np.isfinite(s) or s <= 0.0:
-        raise ValueError("diagonal metric scale must be a positive finite real")
+    s = positive_finite("diagonal metric scale", scale)
     eta = np.diag([1.0 + 0j, s * s])
     return Metric(
         eta=eta,
@@ -138,9 +137,7 @@ def quasi_hamiltonian(h, metric: Metric, omega: float) -> QuasiHamiltonian:
     hm = as_operator(h, dim=2)
     if not is_hermitian(hm):
         raise ValueError("quasi_hamiltonian requires a Hermitian generator")
-    omega = float(omega)
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
+    omega = positive_finite("omega", omega)
     gap = spectral_gap(hm)
     if abs(gap - omega) > GAP_MATCH_TOL * max(1.0, omega):
         raise ValueError(f"generator gap {gap.real:.12g} does not match omega {omega:.12g}")

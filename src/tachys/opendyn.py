@@ -26,7 +26,7 @@ from .smallmat import (
     dagger,
     eigvals2,
     is_hermitian,
-    normalize,
+    positive_finite,
     propagator,
 )
 
@@ -207,9 +207,7 @@ def aligned_hamiltonian(metric: Metric, omega: float, initial, final) -> QuasiHa
 
 def _aligned_drive(metric: Metric, omega: float, initial, final) -> tuple[QuasiHamiltonian, float]:
     """``aligned_hamiltonian`` together with the flat overlap |a'| of the pair."""
-    omega = float(omega)
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
+    omega = positive_finite("omega", omega)
     mapped_i, mapped_f, a_abs = map_boundary_states(metric, initial, final)
     a_complex = complex(np.vdot(mapped_i, mapped_f))
     u0 = mapped_i
@@ -238,9 +236,7 @@ def _aligned_drive(metric: Metric, omega: float, initial, final) -> tuple[QuasiH
 
 def dissipative_factor(f: float) -> float:
     """Degenerate-limit revelation probability (1/f) * exp(-(1/f + f))."""
-    f = float(f)
-    if not np.isfinite(f) or f <= 0.0:
-        raise ValueError("f must be a positive finite real")
+    f = positive_finite("f", f)
     return float(np.exp(-(1.0 / f + f)) / f)
 
 
@@ -291,12 +287,8 @@ def dissipation_scan(f_grid, omega: float, proximity: float = 1e-6) -> list[Diss
     time tau of the aligned canonical problem evaluated at the caller-set
     ``proximity`` (the offset of |offdiag|^2 below f along real offdiag).
     """
-    omega = float(omega)
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
-    proximity = float(proximity)
-    if proximity <= 0.0:
-        raise ValueError("proximity must be positive")
+    omega = positive_finite("omega", omega)
+    proximity = positive_finite("proximity", proximity)
     rows = []
     for f in np.asarray(f_grid, dtype=float).reshape(-1):
         rows.append(_scan_row(float(f), omega, proximity))

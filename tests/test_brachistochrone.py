@@ -240,6 +240,20 @@ def test_first_passage_validation():
         first_passage_scan(0.5 * PAULI_X, E0, E1, t_max=1.0, steps=999)
 
 
+def test_general_passage_overflow_raises_naming_first_bad_time():
+    # r = i sqrt(3): psi(t) grows like cosh(sqrt(3) t), which overflows past t ~ 410
+    ham = np.array([[2j, 1.0], [1.0, -2j]])
+    ts = np.linspace(0.0, 1000.0, 10_000)
+    with pytest.raises(ValueError, match="not finite at t = ") as exc:
+        first_passage_scan(ham, E0, E1, t_max=1000.0)
+    t_bad = float(str(exc.value).rpartition("= ")[2])
+    k = int(np.flatnonzero(ts == t_bad)[0])
+    assert 400.0 < t_bad < 420.0
+    assert np.isfinite(np.cosh(np.sqrt(3.0) * ts[k - 1]))
+    # a window that stays finite keeps its verdict
+    assert first_passage_scan(ham, E0, E1, t_max=100.0) is None
+
+
 # ------------------------------------- Hermitian closed form vs expm oracle
 
 

@@ -4,12 +4,23 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tachys import cli
-from tachys.gates import BlochBasis, control_u_channel, not_gate_roundtrip
+from tachys.brachistochrone import transfer
+from tachys.dilation import build_dilation, evolve_dilated
+from tachys.gates import (
+    BlochBasis,
+    control_u_channel,
+    discrimination_povm,
+    inconclusive_probability,
+    not_gate_roundtrip,
+)
+from tachys.metric import diag_metric, quasi_hamiltonian
+from tachys.smallmat import PAULI_X, propagator
 
 EXP_MINUS_2 = 0.1353352832366127
 
@@ -25,6 +36,27 @@ def run_cli_expecting_exit(capsys, argv):
         cli.main(argv)
     captured = capsys.readouterr()
     return exc.value.code, captured.out, captured.err
+
+
+def json_rows(capsys, argv):
+    code, out, err = run_cli(capsys, argv + ["--format", "json"])
+    assert code == 0 and err == ""
+    return json.loads(out)["rows"]
+
+
+def assert_rows_bitwise_equal(got, want):
+    # repr round-trips every double and tells -0.0 from 0.0
+    assert json.dumps(got) == json.dumps(want)
+
+
+def random_sweeps(seed, count, max_points=300):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        lo = float(np.exp(rng.uniform(np.log(1e-3), np.log(3.1))))
+        hi = float(rng.uniform(lo, np.pi))
+        points = int(rng.integers(2, max_points))
+        argv = ["--theta-min", repr(lo), "--theta-max", repr(hi), "--points", str(points)]
+        yield np.linspace(lo, hi, points).tolist(), argv, rng
 
 
 def parse_csv(text):
@@ -102,6 +134,38 @@ def test_csv_floats_round_trip_exactly(capsys):
     assert rows[0]["tau"] == want
 
 
+def test_brachy_rows_equal_scalar_transfer(capsys):
+    for grid, sweep, rng in random_sweeps(11, 4):
+        omega = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
+        rows = json_rows(capsys, ["brachy", *sweep, "--omega", repr(omega)])
+        want = []
+        for theta in grid:
+            r = transfer(BlochBasis(theta).psi1, omega)
+            want.append(
+                {
+                    "theta": theta,
+                    "omega": omega,
+                    "overlap": r.overlap.real,
+                    "tau": r.tau,
+                    "shift": r.drive.shift,
+                    "phase": r.drive.phase,
+                    "h01_re": r.drive.matrix[0, 1].real,
+                    "h01_im": r.drive.matrix[0, 1].imag,
+                }
+            )
+        assert_rows_bitwise_equal(rows, want)
+
+
+def test_brachy_tiny_angle_drive_turns_toward_target(capsys):
+    # at theta <= 2e-9 tau rounds to 0, so the propagation check passes for
+    # any phase; the drive is still the one phase that can reach the target
+    for theta in ("1e-10", "2e-9"):
+        (row,) = json_rows(capsys, ["brachy", "--theta", theta, "--omega", "2.0"])
+        assert row["tau"] == 0.0
+        assert row["phase"] == 0.0
+        assert row["h01_re"] == 1.0 and row["h01_im"] == 0.0
+
+
 # -------------------------------------------------------------- exit status
 
 
@@ -116,6 +180,33 @@ def test_underfilled_sweep_is_usage_error(capsys):
         capsys, ["brachy", "--theta-min", "0.1", "--theta-max", "1.0", "--points", "1"]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, flag, text",
+    [
+        (["brachy", "--theta", "nan"], "--theta", "nan"),
+        (["brachy", "--theta", "1.0", "--omega", "inf"], "--omega", "inf"),
+        (["povm", "--theta-min", "0.1", "--theta-max", "inf"], "--theta-max", "inf"),
+        (["povm", "--theta-min=-inf", "--theta-max", "1.0"], "--theta-min", "-inf"),
+        (["dissipation", "--f-min", "0.1", "--f-max", "inf"], "--f-max", "inf"),
+        (["dissipation", "--f-min", "0.1", "--f-max", "2", "--proximity", "nan"], "--proximity", "nan"),
+        (["dilation", "--t-max", "nan"], "--t-max", "nan"),
+        (["dilation", "--t-max", "inf"], "--t-max", "inf"),
+        (["dilation", "--scale", "nan"], "--scale", "nan"),
+        (["notgate", "--theta", "1.0", "--omega", "nan"], "--omega", "nan"),
+        (["controlu", "--theta", "1.0", "--e-polar", "inf"], "--e-polar", "inf"),
+        (["efficiency", "--theta", "1.0", "--omega=-inf"], "--omega", "-inf"),
+    ],
+)
+def test_nonfinite_float_flag_is_usage_error(capsys, argv, flag, text):
+    code, out, err = run_cli_expecting_exit(capsys, argv)
+    assert code == 2 and out == ""
+    # only the usage message: no report, no numpy warning
+    lines = err.splitlines()
+    assert lines[0].startswith(f"usage: tachys {argv[0]} ")
+    assert lines[-1] == f"tachys {argv[0]}: error: argument {flag}: expected a finite number, got {text!r}"
+    assert all(line.startswith(" ") for line in lines[1:-1])
 
 
 def test_unknown_command_is_usage_error(capsys):
@@ -238,7 +329,88 @@ def test_efficiency_report_saturation(capsys):
     assert rows[0]["slack"] == pytest.approx(0.0, abs=1e-15)
 
 
+# ---------------------------------------------------- grids vs scalar calls
+
+
+def test_povm_rows_equal_scalar_library_calls(capsys):
+    for grid, sweep, _ in random_sweeps(12, 4):
+        rows = json_rows(capsys, ["povm", *sweep])
+        want = []
+        for theta in grid:
+            basis = BlochBasis(theta)
+            povm = discrimination_povm(basis)
+            e0 = povm.effects[povm.labels.index("0")]
+            e1 = povm.effects[povm.labels.index("1")]
+            want.append(
+                {
+                    "theta": theta,
+                    "overlap": basis.overlap,
+                    "p_inconclusive_psi0": inconclusive_probability(povm, basis.psi0),
+                    "p_inconclusive_psi1": inconclusive_probability(povm, basis.psi1),
+                    "misid_0_on_psi1": float(np.real(np.vdot(basis.psi1, e0 @ basis.psi1))),
+                    "misid_1_on_psi0": float(np.real(np.vdot(basis.psi0, e1 @ basis.psi0))),
+                    "completeness_defect": povm.completeness_defect(),
+                    "min_eigenvalue": povm.min_eigenvalue(),
+                }
+            )
+        assert_rows_bitwise_equal(rows, want)
+
+
+def test_dilation_rows_equal_scalar_library_calls(capsys):
+    rng = np.random.default_rng(13)
+    e0 = np.array([1.0, 0.0], dtype=complex)
+    for _ in range(4):
+        scale = float(np.exp(rng.uniform(-1.5, 1.5)))
+        omega = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
+        t_max = float(rng.uniform(0.01, 60.0))
+        points = int(rng.integers(2, 300))
+        rows = json_rows(
+            capsys,
+            ["dilation", "--scale", repr(scale), "--omega", repr(omega),
+             "--t-max", repr(t_max), "--t-points", str(points)],
+        )
+        m = diag_metric(scale)
+        h = 0.5 * omega * PAULI_X
+        model = build_dilation(h, m, omega)
+        op = quasi_hamiltonian(h, m, omega).operator
+        want = []
+        for t in np.linspace(0.0, t_max, points).tolist():
+            evolved, observed = evolve_dilated(model, e0, t)
+            direct = propagator(op, t) @ e0
+            want.append(
+                {
+                    "t": t,
+                    "embedding_error": float(np.linalg.norm(observed - direct)),
+                    "observed_norm": float(np.linalg.norm(observed)),
+                    "total_norm": float(np.linalg.norm(evolved)),
+                }
+            )
+        assert_rows_bitwise_equal(rows, want)
+
+
 # ------------------------------------------------------------------- output
+
+
+README_INVOCATIONS = {
+    "brachy": "brachy --theta-min 0.1 --theta-max 3.1 --points 64 --omega 1.0",
+    "dissipation": "dissipation --f-min 0.05 --f-max 6.0 --points 512 --proximity 1e-6",
+    "dilation": "dilation --scale 2.0 --omega 1.0 --t-max 6.0 --t-points 33",
+    "povm": "povm --theta-min 0.1 --theta-max 3.1 --points 64",
+    "notgate": "notgate --theta 2.0 --omega 1.0",
+    "controlu": "controlu --theta 3.141592653589793 --e-polar 0.0",
+    "efficiency": "efficiency --theta 1.0 --omega 2.0",
+}
+
+GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens"
+
+
+@pytest.mark.parametrize("name", sorted(README_INVOCATIONS))
+def test_readme_report_is_byte_identical_to_golden(capsys, name):
+    code, out, err = run_cli(capsys, README_INVOCATIONS[name].split())
+    assert code == 0 and err == ""
+    assert out.encode() == (GOLDENS / f"{name}.csv").read_bytes()
+
+
 
 
 def test_output_file_matches_stdout_and_leaves_no_droppings(tmp_path, capsys):

@@ -75,6 +75,20 @@ def test_embedding_reproduces_two_level_evolution_on_grid():
         assert np.linalg.norm(observed - direct) < 1e-10
 
 
+def test_evolve_dilated_time_array_matches_scalar_calls():
+    rng = np.random.default_rng(4)
+    metric = metric_from_sqrt(1.5, 0.4 - 0.2j)
+    model = build_dilation(H_HALF_X, metric, 1.0)
+    psi0 = np.array([0.6, 0.8j])
+    ts = np.sort(rng.uniform(0.0, 40.0, 200))
+    evolved, observed = evolve_dilated(model, psi0, ts)
+    assert evolved.shape == (200, 4) and observed.shape == (200, 2)
+    for k, t in enumerate(ts):
+        big, small = evolve_dilated(model, psi0, float(t))
+        assert np.array_equal(big, evolved[k])
+        assert np.array_equal(small, observed[k])
+
+
 def test_four_vector_norm_is_conserved():
     model = build_dilation(H_HALF_X, metric_from_sqrt(2.0, 1.0), 1.0)
     norms = []
@@ -124,6 +138,9 @@ def test_build_dilation_input_checks():
         build_dilation(H_HALF_X + 0.1 * np.eye(2), metric, 1.0)
     with pytest.raises(ValueError, match="gap"):
         build_dilation(H_HALF_X, metric, 3.0)
+    for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="omega"):
+            build_dilation(H_HALF_X, metric, bad)
 
 
 def test_build_dilation_rejects_degenerate_metric():

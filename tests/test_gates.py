@@ -91,6 +91,36 @@ def test_povm_orthogonal_pair_needs_no_inconclusive_outcome():
     assert np.linalg.norm(e_inc) < 1e-14
 
 
+def test_basis_over_an_angle_array_validates_every_angle():
+    grid = np.array([0.5, 1.0, 3.0])
+    b = BlochBasis(theta=grid)
+    assert b.psi1.shape == (3, 2)
+    assert np.array_equal(b.overlap, np.cos(0.5 * grid))
+    with pytest.raises(DegenerateBasisError):
+        BlochBasis(theta=np.array([0.5, 0.0]))
+    with pytest.raises(ValueError, match="lie in"):
+        BlochBasis(theta=np.array([0.5, 3.5]))
+    with pytest.raises(ValueError, match="finite"):
+        BlochBasis(theta=np.array([np.nan, 0.5]))
+
+
+def test_povm_effect_stacks_match_single_angle_calls():
+    rng = np.random.default_rng(9)
+    grid = np.concatenate([rng.uniform(1e-3, np.pi, 400), [1e-9, np.pi]])
+    stacked = discrimination_povm(BlochBasis(theta=grid))
+    defects = stacked.completeness_defect()
+    lowest = stacked.min_eigenvalue()
+    for k, theta in enumerate(grid):
+        b = BlochBasis(theta=float(theta))
+        povm = discrimination_povm(b)
+        assert np.array_equal(b.psi1.view(float), BlochBasis(theta=grid).psi1[k].view(float))
+        for single, stack in zip(povm.effects, stacked.effects):
+            # bit for bit, signed zeros included
+            assert np.array_equal(single.view(float), stack[k].view(float))
+        assert povm.completeness_defect() == defects[k]
+        assert povm.min_eigenvalue() == lowest[k]
+
+
 def test_povm_outcome_probabilities_sum_to_one():
     b = BlochBasis(theta=1.7)
     povm = discrimination_povm(b)
@@ -124,8 +154,9 @@ def test_not_gate_time_is_half_period_for_every_angle():
         for omega in (0.5, 1.0, 4.0):
             rep = not_gate_roundtrip(BlochBasis(theta=theta), omega)
             assert rep.tau_not == pytest.approx(np.pi / omega, rel=1e-15)
-    with pytest.raises(ValueError):
-        not_gate_roundtrip(BlochBasis(theta=1.0), 0.0)
+    for bad in (0.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="omega"):
+            not_gate_roundtrip(BlochBasis(theta=1.0), bad)
 
 
 def test_cloning_defect_profile():
@@ -216,5 +247,6 @@ def test_efficiency_bound_saturates_for_minimal_transfers():
 
 
 def test_efficiency_bound_validation():
-    with pytest.raises(ValueError):
-        efficiency_bound(BlochBasis(theta=1.0), -1.0)
+    for bad in (-1.0, 0.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="omega"):
+            efficiency_bound(BlochBasis(theta=1.0), bad)

@@ -125,8 +125,9 @@ def test_quasi_hamiltonian_rejects_bad_inputs():
         quasi_hamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]), m, 1.0)
     with pytest.raises(ValueError, match="gap"):
         quasi_hamiltonian(0.5 * PAULI_X, m, 2.0)
-    with pytest.raises(ValueError, match="omega"):
-        quasi_hamiltonian(0.5 * PAULI_X, m, -1.0)
+    for bad in (-1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="omega"):
+            quasi_hamiltonian(0.5 * PAULI_X, m, bad)
 
 
 @settings(max_examples=40, deadline=None)

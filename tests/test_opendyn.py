@@ -297,8 +297,9 @@ def test_aligned_drive_parallel_pair_raises():
 
 
 def test_aligned_drive_rejects_nonpositive_gap():
-    with pytest.raises(ValueError, match="omega"):
-        aligned_hamiltonian(metric_from_sqrt(2.0, 1.0), 0.0, E0, E1)
+    for bad in (0.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="omega"):
+            aligned_hamiltonian(metric_from_sqrt(2.0, 1.0), bad, E0, E1)
 
 
 def test_aligned_drive_survives_near_degenerate_root():
@@ -407,5 +408,8 @@ def test_dissipation_scan_validation():
         dissipation_scan([0.5], 1.0, proximity=0.5)
     with pytest.raises(ValueError, match="proximity"):
         dissipation_scan([1.0], 1.0, proximity=-1e-3)
-    with pytest.raises(ValueError, match="omega"):
-        dissipation_scan([1.0], 0.0)
+    for bad in (0.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="omega"):
+            dissipation_scan([1.0], bad)
+        with pytest.raises(ValueError, match="proximity"):
+            dissipation_scan([1.0], 1.0, proximity=bad)
