@@ -18,8 +18,16 @@ import numpy as np
 
 from .smallmat import (
     _EP_RADIUS,
+    _abs,
     _cos_sinc,
+    _first_failing_row,
+    _float_or_array,
+    _matrix2,
+    _norm,
     _pauli_split,
+    _reject_rows,
+    _vdots,
+    _where,
     as_operator,
     as_state,
     dagger,
@@ -56,7 +64,8 @@ class OptimalHamiltonianSpec:
     """The minimal-time drive in closed form.
 
     ``matrix`` is [[shift, (omega/2) e^{-i phase}], [(omega/2) e^{i phase},
-    shift]].
+    shift]]; for a stack of targets ``shift`` and ``phase`` are arrays and
+    ``matrix`` an ``(n, 2, 2)`` stack.
     """
 
     omega: float
@@ -72,17 +81,21 @@ class BrachistochroneResult:
     drive: OptimalHamiltonianSpec
 
 
-def minimal_time(initial, final, omega: float) -> float:
-    """Shortest travel time (2/omega) * arccos|<initial|final>|."""
+def minimal_time(initial, final, omega: float):
+    """Shortest travel time (2/omega) * arccos|<initial|final>|.
+
+    Either state may be an ``(n, 2)`` stack of states, giving ``(n,)`` times.
+    """
     omega = positive_finite("omega", omega)
-    u = normalize(as_state(initial, dim=2))
-    v = normalize(as_state(final, dim=2))
-    return (2.0 / omega) * float(np.arccos(np.clip(abs(np.vdot(u, v)), 0.0, 1.0)))
+    u = normalize(as_state(initial, dim=2, stack=True), stack=True)
+    v = normalize(as_state(final, dim=2, stack=True), stack=True)
+    overlap = _vdots(u, v)
+    return _float_or_array((2.0 / omega) * np.arccos(np.clip(_abs(overlap), 0.0, 1.0)))
 
 
-def _drive_matrix(omega: float, shift: float, phase: float) -> np.ndarray:
+def _drive_matrix(omega: float, shift, phase) -> np.ndarray:
     off = 0.5 * omega * np.exp(-1j * phase)
-    return np.array([[shift, off], [np.conj(off), shift]], dtype=complex)
+    return _matrix2(shift, off, np.conj(off), shift)
 
 
 def optimal_hamiltonian(target, omega: float) -> OptimalHamiltonianSpec:
@@ -102,31 +115,53 @@ def transfer(target, omega: float) -> BrachistochroneResult:
     the propagated phase matches the target phase, not only the ray.  The
     drive is propagated over the minimal time and must land on the target
     within 1e-9, or ValueError is raised.
+
+    ``target`` may be an ``(n, 2)`` stack of targets: every row is validated,
+    the drives are propagated in one stacked ``propagator`` call, and the
+    result holds ``(n,)`` arrays and an ``(n, 2, 2)`` drive stack whose rows
+    equal the single calls bit for bit.  The first row that fails a check
+    raises, from the earliest check it fails, as a loop over the rows would.
     """
     omega = positive_finite("omega", omega)
-    v = as_state(target, dim=2)
-    nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > 1e-10:
-        raise ValueError(f"target must be normalized (norm = {nrm:.12g})")
-    v = v / nrm
-    a, b = complex(v[0]), complex(v[1])
-    if abs(b) == 0.0:
-        raise ValueError("trivial target: second component vanishes, travel time is zero")
-    arg_a = float(np.angle(a)) if abs(a) > 0.0 else 0.0
-    arg_b = float(np.angle(b))
-    half_turn = float(np.arcsin(np.clip(abs(b), 0.0, 1.0)))
+    v = as_state(target, dim=2, stack=True)
+    if v.ndim == 1:
+        return _transfer(v, omega)
+    return _first_failing_row(lambda n: _transfer(v[:n], omega), len(v))
+
+
+def _transfer(v: np.ndarray, omega: float) -> BrachistochroneResult:
+    """``transfer`` of one validated target, or of each row of a stack."""
+    nrm = _norm(v)
+    _reject_rows(
+        abs(nrm - 1.0) > 1e-10,
+        lambda x: ValueError(f"target must be normalized (norm = {x:.12g})"),
+        nrm,
+    )
+    v = v / np.asarray(nrm)[..., None]
+    a, b = v[..., 0], v[..., 1]
+    abs_a, abs_b = _abs(a), _abs(b)
+    trivial = ValueError("trivial target: second component vanishes, travel time is zero")
+    _reject_rows(abs_b == 0.0, trivial)
+    arg_a = _where(abs_a > 0.0, np.angle(a), 0.0)
+    arg_b = np.angle(b)
+    half_turn = np.arcsin(np.clip(abs_b, 0.0, 1.0))
     shift = -omega * arg_a / (2.0 * half_turn)
     tau = minimal_time(_REFERENCE, v, omega)
-    phase = float((arg_b - arg_a + np.pi / 2.0 + np.pi) % (2.0 * np.pi) - np.pi)
-    if phase == -np.pi:
-        phase = np.pi
+    phase = (arg_b - arg_a + np.pi / 2.0 + np.pi) % (2.0 * np.pi) - np.pi
+    phase = _where(phase == -np.pi, np.pi, phase)
     ham = _drive_matrix(omega, shift, phase)
-    residual = float(np.linalg.norm(propagator(ham, tau) @ _REFERENCE - v))
-    if not residual <= _PROPAGATION_TOL:
-        raise ValueError(f"the minimal-time drive misses the target by {residual:.3e}")
+    residual = _norm(propagator(ham, tau) @ _REFERENCE - v)
+    _reject_rows(
+        np.logical_not(residual <= _PROPAGATION_TOL),
+        lambda x: ValueError(f"the minimal-time drive misses the target by {x:.3e}"),
+        residual,
+    )
+    overlap = _vdots(_REFERENCE, v)
+    if v.ndim == 1:
+        shift, phase, overlap = float(shift), float(phase), complex(overlap)
     return BrachistochroneResult(
         tau=tau,
-        overlap=complex(np.vdot(_REFERENCE, v)),
+        overlap=overlap,
         drive=OptimalHamiltonianSpec(omega=omega, shift=shift, phase=phase, matrix=ham),
     )
 

@@ -5,8 +5,9 @@ with 17 significant digits, LF line endings, and the generating configuration
 echoed into the report next to the schema version, so the same invocation
 yields byte-identical output.  Files are written atomically (temp file plus
 rename).  Exit status: 0 on success, 1 when the numerics reject the request
-(domain errors carry the originating error type), 2 on bad usage, which
-includes a float flag that is not a finite number.
+(domain errors carry the originating error type) or a report value is not
+finite, 2 on bad usage, which includes a float flag that is not a finite
+number and a sweep of more than MAX_POINTS points.
 """
 
 from __future__ import annotations
@@ -24,9 +25,18 @@ from . import brachistochrone, dilation, gates, metric, opendyn, smallmat
 
 SCHEMA = "tachys-report/1"
 
+#: most rows a sweep may ask for (``--points``, ``--t-points``); a stacked
+#: sweep and its report take about 1.2 kB per row at their peak (a 65,536-row
+#: dissipation report peaks at 109 MB), so the cap allows about 1.2 GB
+MAX_POINTS = 2**20
+
 
 class _UsageError(Exception):
     """Missing or inconsistent flags; reported through the parser (exit 2)."""
+
+
+class NonFiniteReportError(ArithmeticError):
+    """A report value is NaN or infinite; no report is written (exit 1)."""
 
 
 def _fmt(value) -> str:
@@ -55,6 +65,13 @@ def _render(command: str, config: dict, table: dict, summary: dict | None, fmt: 
     """Zip the ``{column: values}`` table into rows; a scalar fills its column."""
     columns = list(table)
     values = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, float)) for v in table.values()))
+    for name, column in zip(columns, values):
+        bad = np.flatnonzero(~np.isfinite(column))
+        if bad.size:
+            raise NonFiniteReportError(f"column {name} is {float(column[bad[0]])!r} in row {bad[0]}")
+    for key, value in (summary or {}).items():
+        if not math.isfinite(value):
+            raise NonFiniteReportError(f"summary {key} is {value!r}")
     rows = list(zip(*(v.tolist() for v in values)))
     if fmt == "json":
         report = {"schema": SCHEMA, "command": command, "config": config}
@@ -85,19 +102,20 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _sweep(start: float, stop: float, points: int) -> np.ndarray:
+    if points < 2:
+        raise _UsageError("sweep needs at least 2 points")
+    if points > MAX_POINTS:
+        raise _UsageError(f"sweep takes at most {MAX_POINTS} points, got {points}")
+    return np.linspace(start, stop, points)
+
+
 def _theta_grid(args) -> np.ndarray:
     if args.theta is not None:
         return np.array([args.theta], dtype=float)
     if args.theta_min is None or args.theta_max is None:
         raise _UsageError("provide either --theta or both --theta-min and --theta-max")
-    if args.points < 2:
-        raise _UsageError("sweep needs at least 2 points")
-    return np.linspace(args.theta_min, args.theta_max, args.points)
-
-
-def _row_norms(stack: np.ndarray) -> list[float]:
-    # the 1-d norm of each row: a reduction along axis 1 rounds differently
-    return [float(np.linalg.norm(row)) for row in stack]
+    return _sweep(args.theta_min, args.theta_max, args.points)
 
 
 # ---------------------------------------------------------------- commands
@@ -105,26 +123,23 @@ def _row_norms(stack: np.ndarray) -> list[float]:
 
 def _cmd_brachy(args):
     grid = _theta_grid(args)
-    results = [
-        brachistochrone.transfer(psi1, args.omega) for psi1 in gates.BlochBasis(grid).psi1
-    ]
+    result = brachistochrone.transfer(gates.BlochBasis(grid).psi1, args.omega)
+    h01 = result.drive.matrix[:, 0, 1]
     table = {
         "theta": grid,
         "omega": args.omega,
-        "overlap": [r.overlap.real for r in results],
-        "tau": [r.tau for r in results],
-        "shift": [r.drive.shift for r in results],
-        "phase": [r.drive.phase for r in results],
-        "h01_re": [r.drive.matrix[0, 1].real for r in results],
-        "h01_im": [r.drive.matrix[0, 1].imag for r in results],
+        "overlap": result.overlap.real,
+        "tau": result.tau,
+        "shift": result.drive.shift,
+        "phase": result.drive.phase,
+        "h01_re": h01.real,
+        "h01_im": h01.imag,
     }
     return table, None
 
 
 def _cmd_dissipation(args):
-    if args.points < 2:
-        raise _UsageError("sweep needs at least 2 points")
-    grid = np.linspace(args.f_min, args.f_max, args.points)
+    grid = _sweep(args.f_min, args.f_max, args.points)
     scan = opendyn.dissipation_scan(grid, args.omega, proximity=args.proximity)
     table = {
         name: [getattr(r, name) for r in scan]
@@ -139,16 +154,14 @@ def _cmd_dilation(args):
     model = dilation.build_dilation(h, m, args.omega)
     qh = metric.quasi_hamiltonian(h, m, args.omega)
     psi0 = np.array([1.0, 0.0], dtype=complex)
-    if args.t_points < 2:
-        raise _UsageError("sweep needs at least 2 points")
-    ts = np.linspace(0.0, args.t_max, args.t_points)
+    ts = _sweep(0.0, args.t_max, args.t_points)
     evolved, observed = dilation.evolve_dilated(model, psi0, ts)
     direct = smallmat.propagator(qh.operator, ts) @ psi0
     table = {
         "t": ts,
-        "embedding_error": _row_norms(observed - direct),
-        "observed_norm": _row_norms(observed),
-        "total_norm": _row_norms(evolved),
+        "embedding_error": smallmat.row_norms(observed - direct),
+        "observed_norm": smallmat.row_norms(observed),
+        "total_norm": smallmat.row_norms(evolved),
     }
     vmat, big = model.extended_vectors, model.hamiltonian
     summary = {
@@ -167,7 +180,7 @@ def _cmd_povm(args):
     effect = dict(zip(povm.labels, povm.effects))
     psi0, psi1 = basis.psi0, basis.psi1
     # inconclusive_probability normalizes its state; |psi1| is 1 only to rounding
-    unit_psi1 = psi1 / np.array(_row_norms(psi1))[:, None]
+    unit_psi1 = psi1 / smallmat.row_norms(psi1)[:, None]
 
     def sandwich(label, psi):
         # <psi|E|psi> row by row

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .smallmat import as_state, dagger, normalize, positive_finite
+from .smallmat import _float_or_array, as_state, dagger, normalize, positive_finite
 
 __all__ = [
     "DegenerateBasisError",
@@ -157,11 +157,6 @@ class EfficiencyReport:
     delta_t: float
     delta_e: float
     epsilon: float
-
-
-def _float_or_array(x):
-    """A 0-d result as a Python float, anything else as it is."""
-    return float(x) if np.ndim(x) == 0 else x
 
 
 def _projector(state: np.ndarray) -> np.ndarray:

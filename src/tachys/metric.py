@@ -15,6 +15,11 @@ import numpy as np
 
 from .smallmat import (
     MetricDegeneracyError,
+    _abs,
+    _matrix2,
+    _max,
+    _reject_rows,
+    _square,
     as_operator,
     as_state,
     dagger,
@@ -23,7 +28,6 @@ from .smallmat import (
     hermitian_sqrt,
     is_hermitian,
     positive_finite,
-    spectral_gap,
 )
 
 __all__ = [
@@ -57,6 +61,8 @@ class Metric:
     parameterization produced the metric (None when not applicable):
     ``diag_metric(scale)`` yields eta = diag(1, scale**2); ``metric_from_sqrt``
     yields the metric whose Hermitian root is [[1, offdiag], [conj, diag]].
+    ``metric_from_sqrt`` over arrays gives ``(n, 2, 2)`` stacks of matrices
+    and arrays of its two parameters, one metric per row.
     """
 
     eta: np.ndarray
@@ -94,27 +100,34 @@ def diag_metric(scale: float) -> Metric:
     )
 
 
-def metric_from_sqrt(diag: float, offdiag: complex) -> Metric:
+def metric_from_sqrt(diag, offdiag) -> Metric:
     """Metric whose Hermitian square root is [[1, offdiag], [conj(offdiag), diag]].
 
     The root must stay positive definite, which requires real ``diag`` and a
     determinant margin ``diag - |offdiag|**2`` above DEGENERACY_MARGIN; below
     it the construction is rejected (that margin going to zero is exactly the
-    degenerate limit where travel times collapse).
+    degenerate limit where travel times collapse).  ``diag`` and ``offdiag``
+    may also be 1-d arrays of one length n: the metric then holds ``(n, 2, 2)``
+    stacks whose slices equal the single calls bit for bit, and the first
+    rejected pair raises.
     """
-    f = float(diag)
-    g = complex(offdiag)
-    if not np.isfinite(f) or not np.isfinite(g.real) or not np.isfinite(g.imag):
-        raise ValueError("metric root parameters must be finite")
-    margin = f - abs(g) ** 2
-    if margin <= DEGENERACY_MARGIN:
-        raise MetricDegeneracyError(
-            f"metric square root is degenerate: diag - |offdiag|^2 = {margin:.3e}",
-            eigenvalue=margin,
-        )
-    root = np.array([[1.0, g], [np.conj(g), f]], dtype=complex)
+    f = np.asarray(diag, dtype=float)
+    g = np.asarray(offdiag, dtype=complex)
+    finite = np.isfinite(f) & np.isfinite(g.real) & np.isfinite(g.imag)
+    _reject_rows(~finite, ValueError("metric root parameters must be finite"))
+    margin = f - _square(_abs(g))
+    _reject_rows(
+        margin <= DEGENERACY_MARGIN,
+        lambda m: MetricDegeneracyError(
+            f"metric square root is degenerate: diag - |offdiag|^2 = {m:.3e}", eigenvalue=float(m)
+        ),
+        margin,
+    )
+    root = _matrix2(1.0, g, np.conj(g), f)
     eta = root @ root
-    inv_root = np.array([[f, -g], [-np.conj(g), 1.0]], dtype=complex) / margin
+    inv_root = _matrix2(f, -g, -np.conj(g), 1.0) / margin[..., None, None]
+    if f.ndim == 0:
+        f, g = float(f), complex(g)
     return Metric(eta=eta, sqrt_eta=root, inv_sqrt_eta=inv_root, sqrt_diag=f, sqrt_offdiag=g)
 
 
@@ -132,15 +145,22 @@ def quasi_hamiltonian(h, metric: Metric, omega: float) -> QuasiHamiltonian:
 
     Returns the similarity image ``inv_sqrt_eta @ h @ sqrt_eta`` bundled with
     its ingredients.  The generator must be Hermitian and its eigenvalue gap
-    must match ``omega``.
+    must match ``omega``.  ``h`` may be an ``(n, 2, 2)`` stack, paired with a
+    metric of ``(n, 2, 2)`` stacks: every gate then runs once over the stack,
+    slice k equals the single call bit for bit, and the first failing slice
+    raises, from the earliest gate it fails.
     """
-    hm = as_operator(h, dim=2)
-    if not is_hermitian(hm):
-        raise ValueError("quasi_hamiltonian requires a Hermitian generator")
+    hm = as_operator(h, dim=2, stack=True)
+    not_hermitian = ValueError("quasi_hamiltonian requires a Hermitian generator")
+    _reject_rows(np.logical_not(is_hermitian(hm)), not_hermitian)
     omega = positive_finite("omega", omega)
-    gap = spectral_gap(hm)
-    if abs(gap - omega) > GAP_MATCH_TOL * max(1.0, omega):
-        raise ValueError(f"generator gap {gap.real:.12g} does not match omega {omega:.12g}")
+    l_h = eigvals2(hm)
+    gap = l_h[0] - l_h[1]
+    _reject_rows(
+        _abs(gap - omega) > GAP_MATCH_TOL * max(1.0, omega),
+        lambda g: ValueError(f"generator gap {g.real:.12g} does not match omega {omega:.12g}"),
+        gap,
+    )
     op = metric.inv_sqrt_eta @ hm @ metric.sqrt_eta
     # validation gates scale with the conditioning of the similarity: near the
     # degenerate-metric limit the raw residuals are dominated by roundoff that
@@ -148,26 +168,27 @@ def quasi_hamiltonian(h, metric: Metric, omega: float) -> QuasiHamiltonian:
     # constructions.  For well-conditioned metrics cond/2 ~ 1 and the gates
     # collapse to the tight absolute tolerances.
     cond = 0.5 * frobenius(metric.sqrt_eta) * frobenius(metric.inv_sqrt_eta)
-    defect_gate = DEFECT_TOL * max(1.0, frobenius(op)) * cond * cond
-    if pseudo_hermiticity_defect(op, metric.eta) > defect_gate:
-        raise ValueError("constructed operator violates metric-Hermiticity")
+    defect_gate = DEFECT_TOL * _max(1.0, frobenius(op)) * cond * cond
+    defect = pseudo_hermiticity_defect(op, metric.eta)
+    _reject_rows(defect > defect_gate, ValueError("constructed operator violates metric-Hermiticity"))
     l_op = eigvals2(op)
-    l_h = eigvals2(hm)
-    spectrum_gate = max(1e-10 * max(1.0, omega), 50.0 * np.finfo(float).eps * frobenius(op) * cond)
-    if max(abs(l_op[0] - l_h[0]), abs(l_op[1] - l_h[1])) > spectrum_gate:
-        raise ValueError("constructed operator does not share the generator spectrum")
+    spectrum_gate = _max(1e-10 * max(1.0, omega), 50.0 * np.finfo(float).eps * frobenius(op) * cond)
+    spread = _max(_abs(l_op[0] - l_h[0]), _abs(l_op[1] - l_h[1]))
+    foreign = ValueError("constructed operator does not share the generator spectrum")
+    _reject_rows(spread > spectrum_gate, foreign)
     return QuasiHamiltonian(h=hm, metric=metric, operator=op, omega=omega)
 
 
-def pseudo_hermiticity_defect(operator, eta) -> float:
+def pseudo_hermiticity_defect(operator, eta):
     """Frobenius distance ||op^dag - eta @ op @ eta^-1||_F.
 
     Zero exactly when ``operator`` is Hermitian in the ``eta`` inner product.
+    Stacks of operators and metrics give one distance per slice.
     """
-    op = as_operator(operator, dim=2)
-    em = as_operator(eta, dim=2)
-    if abs(np.linalg.det(em)) < 1e-300:
-        raise ValueError("metric matrix is singular")
+    op = as_operator(operator, dim=2, stack=True)
+    em = as_operator(eta, dim=2, stack=True)
+    det = np.linalg.det(em)
+    _reject_rows(_abs(det) < 1e-300, ValueError("metric matrix is singular"))
     try:
         inv = np.linalg.inv(em)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - det check above

@@ -19,8 +19,17 @@ import numpy as np
 from .metric import Metric, QuasiHamiltonian, metric_from_sqrt, quasi_hamiltonian
 from .smallmat import (
     PAULI_X,
+    _abs,
+    _cmul,
     _cos_sinc,
+    _col,
+    _first_failing_row,
+    _float_or_array,
+    _norm,
     _pauli_split,
+    _reject_rows,
+    _square,
+    _vdots,
     as_operator,
     as_state,
     dagger,
@@ -95,12 +104,15 @@ class DissipationScanRow:
 
 
 def split_generator(ham) -> OpenSplit:
-    """Split a generator into Hermitian and anti-Hermitian parts."""
-    m = as_operator(ham, dim=2)
+    """Split a generator into Hermitian and anti-Hermitian parts.
+
+    An ``(n, 2, 2)`` stack gives stacked parts and ``(n,)`` rate arrays.
+    """
+    m = as_operator(ham, dim=2, stack=True)
     coherent = 0.5 * (m + dagger(m))
     drift = (m - dagger(m)) / 2j
     hi, lo = eigvals2(drift)
-    return OpenSplit(coherent=coherent, drift=drift, rate_max=float(hi.real), rate_min=float(lo.real))
+    return OpenSplit(coherent=coherent, drift=drift, rate_max=np.real(hi), rate_min=np.real(lo))
 
 
 def evolve_semigroup(ham, rho0, times) -> EvolutionTrace:
@@ -174,23 +186,23 @@ def shifted_generator(ham) -> tuple[np.ndarray, float]:
     return m - 1j * rate * np.eye(2), rate
 
 
-def map_boundary_states(metric: Metric, initial, final) -> tuple[np.ndarray, np.ndarray, float]:
+def map_boundary_states(metric: Metric, initial, final):
     """Metric-normalized images of a boundary pair in the flat frame.
 
     Each state is sent to sqrt_eta @ psi / sqrt(<psi|eta|psi>); the returned
     scalar is the modulus of the flat overlap of the two images, which sets
-    the travel time of the aligned problem.
+    the travel time of the aligned problem.  A metric of ``(n, 2, 2)`` stacks
+    gives ``(n, 2)`` images and ``(n,)`` moduli.
     """
     u = as_state(initial, dim=2)
     v = as_state(final, dim=2)
     out = []
     for psi in (u, v):
-        nrm2 = float(np.real(np.vdot(psi, metric.eta @ psi)))
-        if nrm2 <= 0.0:
-            raise ValueError("state has non-positive metric norm")
-        out.append(metric.sqrt_eta @ psi / np.sqrt(nrm2))
-    overlap = complex(np.vdot(out[0], out[1]))
-    return out[0], out[1], float(abs(overlap))
+        nrm2 = np.real(_vdots(psi, metric.eta @ psi))
+        _reject_rows(nrm2 <= 0.0, ValueError("state has non-positive metric norm"))
+        out.append(metric.sqrt_eta @ psi / np.sqrt(nrm2)[..., None])
+    overlap = _vdots(out[0], out[1])
+    return out[0], out[1], _abs(overlap)
 
 
 def aligned_hamiltonian(metric: Metric, omega: float, initial, final) -> QuasiHamiltonian:
@@ -200,35 +212,40 @@ def aligned_hamiltonian(metric: Metric, omega: float, initial, final) -> QuasiHa
     aligned with it by two decoupled phase rotations so the pair takes the
     normal form (|a'|, -i b'), and the flat fastest drive (omega/2 times the
     Pauli-X form) is conjugated back.  The propagated state then reaches
-    ``final`` (as a ray) at tau = (2/omega) * arccos|a'|.
+    ``final`` (as a ray) at tau = (2/omega) * arccos|a'|.  A metric of
+    ``(n, 2, 2)`` stacks gives a stack of drives, each equal to the single
+    call bit for bit; the first pair that fails a gate raises.
     """
     return _aligned_drive(metric, omega, initial, final)[0]
 
 
-def _aligned_drive(metric: Metric, omega: float, initial, final) -> tuple[QuasiHamiltonian, float]:
+def _aligned_drive(metric: Metric, omega: float, initial, final):
     """``aligned_hamiltonian`` together with the flat overlap |a'| of the pair."""
     omega = positive_finite("omega", omega)
     mapped_i, mapped_f, a_abs = map_boundary_states(metric, initial, final)
-    a_complex = complex(np.vdot(mapped_i, mapped_f))
+    a_complex = _vdots(mapped_i, mapped_f)
     u0 = mapped_i
-    w = mapped_f - a_complex * u0
+    w = mapped_f - a_complex[..., None] * u0
     # second orthogonalization pass: near the degenerate limit the pair is
     # almost parallel and a single subtraction leaves an O(eps/|b'|) shadow
     # of u0 in the complement, which the residual gate below would reject
-    w = w - complex(np.vdot(u0, w)) * u0
-    b_abs = float(np.linalg.norm(w))
-    if b_abs < 1e-8:
-        raise AlignmentError("mapped boundary states are parallel; no aligned drive exists")
-    u1 = w / b_abs
+    w = w - _vdots(u0, w)[..., None] * u0
+    b_abs = _norm(w)
+    parallel = AlignmentError("mapped boundary states are parallel; no aligned drive exists")
+    _reject_rows(b_abs < 1e-8, parallel)
+    u1 = w / np.asarray(b_abs)[..., None]
     # decoupled phase solves: rotate u0 by arg(a') and u1 by a quarter turn
-    if a_abs > 0.0:
-        u0 = u0 * np.exp(1j * np.angle(a_complex))
+    turned = u0 * np.exp(1j * np.angle(a_complex))[..., None]
+    u0 = np.where(np.asarray(a_abs > 0.0)[..., None], turned, u0)
     u1 = 1j * u1
-    frame = np.column_stack([u0, u1])
-    coords = dagger(frame) @ mapped_f
-    residual = float(np.linalg.norm(coords - np.array([a_abs, -1j * b_abs])))
-    if residual > _ALIGN_RESIDUAL_TOL:
-        raise AlignmentError(f"phase alignment residual {residual:.3e} exceeds tolerance")
+    frame = np.stack([u0, u1], axis=-1)
+    coords = (dagger(frame) @ mapped_f[..., None])[..., 0]
+    residual = _norm(coords - np.array([a_abs, -1j * b_abs]).T)
+    _reject_rows(
+        residual > _ALIGN_RESIDUAL_TOL,
+        lambda r: AlignmentError(f"phase alignment residual {r:.3e} exceeds tolerance"),
+        residual,
+    )
     h = 0.5 * omega * (frame @ PAULI_X @ dagger(frame))
     h = 0.5 * (h + dagger(h))
     return quasi_hamiltonian(h, metric, omega), a_abs
@@ -240,7 +257,7 @@ def dissipative_factor(f: float) -> float:
     return float(np.exp(-(1.0 / f + f)) / f)
 
 
-def revelation_probability(metric: Metric, omega: float) -> float:
+def revelation_probability(metric: Metric, omega: float):
     """Squared norm of the evolved reference state at arrival under the
     shifted (trace-contracting) realization of the aligned drive, for the
     canonical orthogonal boundary pair (1,0) -> (0,1).
@@ -248,35 +265,42 @@ def revelation_probability(metric: Metric, omega: float) -> float:
     The shift makes the one-sided evolution a genuine sub-normalized process,
     so the returned value is the probability that the system is revealed at
     the target.  At a root diagonal of 1 it tends to exp(-2) as the root
-    degenerates, matching ``dissipative_factor(1.0)``.
+    degenerates, matching ``dissipative_factor(1.0)``.  A metric of
+    ``(n, 2, 2)`` stacks gives one probability per metric.
     """
-    _, _, _, arrived = _canonical_arrival(metric, omega)
-    return float(np.real(np.vdot(arrived, arrived)))
+    return _float_or_array(_survival(_canonical_arrival(metric, omega)[3]))
 
 
-def _canonical_arrival(
-    metric: Metric, omega: float
-) -> tuple[OpenSplit, float, float, np.ndarray]:
+def _survival(arrived):
+    """Squared norm of an arrived state, or of each row of a stack, squared
+    through libm ``pow`` as the dissipation report has always squared it."""
+    return _square(_norm(arrived))
+
+
+def _canonical_arrival(metric: Metric, omega: float):
     """The aligned canonical problem (1,0) -> (0,1) under ``metric``.
 
     Returns the open split of the aligned drive, the flat overlap |a'|, the
     arrival time tau = (2/omega) * arccos|a'| and the reference state evolved
-    to tau under the shifted (trace-contracting) generator.
+    to tau under the shifted (trace-contracting) generator; a metric of
+    ``(n, 2, 2)`` stacks gives each of them stacked.
     """
     qh, a_abs = _aligned_drive(metric, omega, _E0, _E1)
-    tau = (2.0 / omega) * float(np.arccos(np.clip(a_abs, 0.0, 1.0)))
+    tau = (2.0 / omega) * np.arccos(np.clip(a_abs, 0.0, 1.0))
     split = split_generator(qh.operator)
     # the shift of shifted_generator, from the split computed once here
-    shifted = qh.operator - 1j * split.rate_max * np.eye(2)
-    return split, a_abs, tau, propagator(shifted, tau) @ _E0
+    shifted = qh.operator - _col(1j * split.rate_max) * np.eye(2)
+    return split, a_abs, _float_or_array(tau), propagator(shifted, tau) @ _E0
 
 
-def energy_gap_squared(hermitian_part) -> float:
-    """(Tr M)^2 - 4 det M for a Hermitian matrix: the squared eigenvalue gap."""
-    m = as_operator(hermitian_part, dim=2)
-    tr = complex(np.trace(m))
-    det = complex(np.linalg.det(m))
-    return float((tr * tr - 4.0 * det).real)
+def energy_gap_squared(hermitian_part):
+    """(Tr M)^2 - 4 det M for a Hermitian matrix: the squared eigenvalue gap.
+
+    An ``(n, 2, 2)`` stack gives one value per matrix.
+    """
+    m = as_operator(hermitian_part, dim=2, stack=True)
+    tr = m[..., 0, 0] + m[..., 1, 1]
+    return _float_or_array((_cmul(tr, tr) - 4.0 * np.linalg.det(m)).real)
 
 
 def dissipation_scan(f_grid, omega: float, proximity: float = 1e-6) -> list[DissipationScanRow]:
@@ -286,30 +310,35 @@ def dissipation_scan(f_grid, omega: float, proximity: float = 1e-6) -> list[Diss
     squared gap of the coherent part, the flat overlap |a'| and the travel
     time tau of the aligned canonical problem evaluated at the caller-set
     ``proximity`` (the offset of |offdiag|^2 below f along real offdiag).
+
+    The grid is computed in one stacked pass: the metrics of every row are
+    ``(n, 2, 2)`` stacks, and the boundary mapping, the aligned frame, the
+    ``quasi_hamiltonian`` gates, the open split, the propagation and the gap
+    each run once over them.  Every row equals the single-metric chain
+    (``metric_from_sqrt``, ``revelation_probability``, ``aligned_hamiltonian``,
+    ``split_generator``, ``energy_gap_squared``) bit for bit, and a failing
+    grid raises the error of its first failing row, from the earliest gate
+    that row fails, as a loop over the rows would.
     """
     omega = positive_finite("omega", omega)
     proximity = positive_finite("proximity", proximity)
-    rows = []
-    for f in np.asarray(f_grid, dtype=float).reshape(-1):
-        rows.append(_scan_row(float(f), omega, proximity))
-    return rows
+    fs = np.asarray(f_grid, dtype=float).reshape(-1)
+    columns = _first_failing_row(lambda n: _scan_columns(fs[:n], omega, proximity), len(fs))
+    return [DissipationScanRow(*row) for row in zip(fs.tolist(), *(c.tolist() for c in columns))]
 
 
-def _scan_row(f: float, omega: float, proximity: float) -> DissipationScanRow:
-    if proximity >= f:
-        raise ValueError(f"proximity {proximity:.3g} must be smaller than f {f:.3g}")
+def _scan_columns(f: np.ndarray, omega: float, proximity: float):
+    """d_factor, finite_factor, gap_sq, a_prime and tau over the grid ``f``."""
+    _reject_rows(
+        proximity >= f,
+        lambda x: ValueError(f"proximity {proximity:.3g} must be smaller than f {x:.3g}"),
+        f,
+    )
     metric = metric_from_sqrt(f, np.sqrt(f - proximity))
     split, a_abs, tau, arrived = _canonical_arrival(metric, omega)
     gap_sq = energy_gap_squared(split.coherent)
     # finite-proximity revelation probability under the shifted realization;
     # cross-checks the closed-form d_factor at f = 1, where both tend to
     # exp(-2) as the proximity shrinks
-    finite = float(np.linalg.norm(arrived) ** 2)
-    return DissipationScanRow(
-        f=f,
-        d_factor=dissipative_factor(f),
-        finite_factor=finite,
-        gap_sq=gap_sq,
-        a_prime=a_abs,
-        tau=tau,
-    )
+    # dissipative_factor over the grid
+    return np.exp(-(1.0 / f + f)) / f, _survival(arrived), gap_sq, a_abs, tau

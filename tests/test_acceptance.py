@@ -3,7 +3,8 @@
 One test per criterion, tolerances pinned in the bodies, so ``pytest -v``
 emits exactly one pass/fail line for each.  Every body also prints an
 ``ACCEPTANCE nn <tag>: PASS`` / ``FAIL`` line (visible with ``-s`` and in
-failure reports).  The module is self-contained.  It takes 3-6 s on a
+failure reports); a criterion with a wall-clock budget appends
+``(elapsed/budget s)``.  The module is self-contained.  It takes 3-6 s on a
 2-core x86 machine (Python 3.11, numpy 2.4); criterion 02 takes about 1 s and
 criterion 03 1-2 s.
 
@@ -49,13 +50,21 @@ E1 = np.array([0.0, 1.0], dtype=complex)
 
 
 @contextmanager
-def _verdict(tag: str):
+def _verdict(tag: str, budget: float | None = None):
+    """Print the criterion's PASS/FAIL line; with the wall-clock budget its
+    body asserts, the line also shows elapsed/budget in seconds."""
+    start = time.perf_counter()
+
+    def line(verdict):
+        timing = "" if budget is None else f" ({time.perf_counter() - start:.3f}/{budget:g} s)"
+        return f"ACCEPTANCE {tag}: {verdict}{timing}"
+
     try:
         yield
     except BaseException:
-        print(f"ACCEPTANCE {tag}: FAIL")
+        print(line("FAIL"))
         raise
-    print(f"ACCEPTANCE {tag}: PASS")
+    print(line("PASS"))
 
 
 def _bloch_target(theta: float, alpha: float, beta: float) -> np.ndarray:
@@ -168,7 +177,7 @@ def _trace_family_stats():
 
 
 def test_criterion_01_orthogonal_transfer_time():
-    with _verdict("01 orthogonal-transfer-time"):
+    with _verdict("01 orthogonal-transfer-time", budget=1.0):
         start = time.perf_counter()
         tau = minimal_time(E0, E1, 1.0)
         assert abs(tau - np.pi) <= 1e-10
@@ -180,7 +189,7 @@ def test_criterion_01_orthogonal_transfer_time():
 
 
 def test_criterion_02_no_drive_beats_minimal_time():
-    with _verdict("02 no-drive-beats-minimal-time"):
+    with _verdict("02 no-drive-beats-minimal-time", budget=30.0):
         start = time.perf_counter()
         found, worst_beat = _optimality_sweep()
         assert len(found) > 0, "the sweep must produce some passages"
@@ -189,7 +198,7 @@ def test_criterion_02_no_drive_beats_minimal_time():
 
 
 def test_criterion_03_trace_derivative_law():
-    with _verdict("03 trace-derivative-law"):
+    with _verdict("03 trace-derivative-law", budget=10.0):
         start = time.perf_counter()
         worst_law, both_sides, _, _ = _trace_family_stats()
         elapsed = time.perf_counter() - start
@@ -206,7 +215,7 @@ def test_criterion_04_shifted_trajectory_factor():
 
 
 def test_criterion_05_dissipative_factor_peak():
-    with _verdict("05 dissipative-factor-peak"):
+    with _verdict("05 dissipative-factor-peak", budget=1.0):
         start = time.perf_counter()
         assert abs(dissipative_factor(1.0) - np.exp(-2.0)) <= 1e-12
         res = minimize_scalar(
@@ -234,7 +243,7 @@ def test_criterion_05_dissipative_factor_peak():
 
 
 def test_criterion_06_energy_divergence_near_degeneracy():
-    with _verdict("06 energy-divergence"):
+    with _verdict("06 energy-divergence", budget=5.0):
         start = time.perf_counter()
         gaps = []
         for delta in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5):
@@ -247,7 +256,7 @@ def test_criterion_06_energy_divergence_near_degeneracy():
 
 
 def test_criterion_07_dilation_exactness():
-    with _verdict("07 dilation-exactness"):
+    with _verdict("07 dilation-exactness", budget=10.0):
         start = time.perf_counter()
         rng = np.random.default_rng(271828)
         worst_embed = 0.0
@@ -302,7 +311,7 @@ def test_criterion_08_visibility_collapse_tradeoff():
 
 
 def test_criterion_09_discrimination_povm_audit():
-    with _verdict("09 discrimination-povm-audit"):
+    with _verdict("09 discrimination-povm-audit", budget=1.0):
         start = time.perf_counter()
         for k in range(1, 65):
             theta = k * np.pi / 64.0

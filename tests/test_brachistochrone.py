@@ -151,6 +151,34 @@ def test_transfer_bundle():
 # -------------------------------------------------------- first_passage_scan
 
 
+def _transfer_fields(r):
+    return [r.tau, r.overlap, r.drive.shift, r.drive.phase, r.drive.matrix]
+
+
+def test_transfer_over_a_target_stack_equals_single_calls_bit_for_bit():
+    rng = np.random.default_rng(31)
+    thetas = np.concatenate([rng.uniform(1e-3, np.pi, 400), [np.pi, 2e-9, 1e-10]])
+    alphas, betas = rng.uniform(-np.pi, np.pi, size=(2, thetas.size))
+    alphas[:5] = alphas[-3:] = 0.0  # real leading amplitudes, as on the CLI's circle
+    targets = np.stack([_target(*args) for args in zip(thetas, alphas, betas)])
+    got = _transfer_fields(transfer(targets, 1.7))
+    want = [_transfer_fields(transfer(v, 1.7)) for v in targets]
+    assert got[4].shape == (thetas.size, 2, 2)
+    for k, column in enumerate(got):
+        assert np.asarray(column).tobytes() == np.array([w[k] for w in want]).tobytes()
+
+
+def test_transfer_stack_raises_for_first_failing_row():
+    good, unnormalized, missed = _target(1.0), 1.5 * _target(1.0), _target(1e-8)
+    with pytest.raises(ValueError, match="misses the target by 5.000e-09") as exc:
+        transfer(np.stack([good, missed, unnormalized]), 1.0)
+    assert exc.value.row == 1
+    with pytest.raises(ValueError, match="must be normalized"):
+        transfer(np.stack([good, unnormalized, missed]), 1.0)
+    with pytest.raises(ValueError, match="trivial target"):
+        transfer(np.stack([good, E0, missed]), 1.0)
+
+
 def test_first_passage_orthogonal_half_period():
     t = first_passage_scan(0.5 * PAULI_X, E0, E1, t_max=4.0, steps=2000)
     assert t is not None

@@ -257,6 +257,88 @@ def test_dissipation_points_validation(capsys):
     assert code == 2
 
 
+# the stderr a loop over the rows gives: the first failing row in grid order,
+# from the earliest check that row fails
+SWEEP_ERRORS = [
+    (
+        "dissipation --f-min 0.5 --f-max 6 --points 4096 --proximity 1e-7",
+        "ValueError: metric matrix is singular",
+    ),
+    (
+        "dissipation --f-min 1e-7 --f-max 2 --points 16 --proximity 1e-6",
+        "ValueError: proximity 1e-06 must be smaller than f 1e-07",
+    ),
+    (
+        "brachy --theta-min 1e-8 --theta-max 1e-7 --points 8",
+        "ValueError: the minimal-time drive misses the target by 5.000e-09",
+    ),
+    (
+        "dissipation --f-min 0.5 --f-max 3 --points 64 --proximity 1e-9",
+        "AlignmentError: mapped boundary states are parallel; no aligned drive exists",
+    ),
+    # the last row fails the first check, but row 0 fails a later one first
+    (
+        "dissipation --f-min 6 --f-max 1e-7 --points 64 --proximity 1e-7",
+        "AlignmentError: mapped boundary states are parallel; no aligned drive exists",
+    ),
+    (
+        "brachy --theta-min 3 --theta-max 1e-8 --points 8",
+        "ValueError: the minimal-time drive misses the target by 5.000e-09",
+    ),
+]
+
+
+@pytest.mark.parametrize("line, message", SWEEP_ERRORS)
+def test_sweep_error_is_the_first_failing_row(capsys, line, message):
+    argv = line.split()
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == f"tachys {argv[0]}: error: {message}\n"
+
+
+def test_nonfinite_report_value_exits_one_before_writing(capsys, monkeypatch, tmp_path):
+    handlers = {
+        "table": lambda args: ({"theta": [1.0, 2.0], "tau": [0.5, np.nan]}, None),
+        "summary": lambda args: ({"theta": 1.0}, {"norm_factor": np.inf}),
+    }
+    for case, handler in handlers.items():
+        monkeypatch.setitem(cli._COMMANDS, "efficiency", handler)
+        target = tmp_path / "report.csv"
+        for dest in ([], ["--output", str(target)]):
+            code, out, err = run_cli(capsys, ["efficiency", "--theta", "1.0", *dest])
+            assert (code, out) == (1, "")
+            want = "column tau is nan in row 1" if case == "table" else "summary norm_factor is inf"
+            assert err == f"tachys efficiency: error: NonFiniteReportError: {want}\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["brachy", "--theta-min", "0.1", "--theta-max", "1.0"],
+        ["povm", "--theta-min", "0.1", "--theta-max", "1.0"],
+        ["dissipation", "--f-min", "0.5", "--f-max", "1.0"],
+        ["dilation"],
+    ],
+)
+def test_sweep_points_are_capped_before_the_grid_is_built(capsys, monkeypatch, argv):
+    flag = "--t-points" if argv[0] == "dilation" else "--points"
+
+    class GridBuilt(Exception):
+        pass
+
+    def linspace(*args, **kwargs):
+        raise GridBuilt
+
+    monkeypatch.setattr(cli.np, "linspace", linspace)
+    code, out, err = run_cli_expecting_exit(capsys, argv + [flag, str(cli.MAX_POINTS + 1)])
+    assert (code, out) == (2, "")
+    assert f"sweep takes at most {cli.MAX_POINTS} points, got {cli.MAX_POINTS + 1}" in err
+    # the cap itself is allowed: the grid is the next step
+    with pytest.raises(GridBuilt):
+        cli.main(argv + [flag, str(cli.MAX_POINTS)])
+
+
 # ----------------------------------------------------------------- dilation
 
 

@@ -1,5 +1,7 @@
 """Non-Hermitian open dynamics: trace motion, shifts, aligned drives."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -413,3 +415,82 @@ def test_dissipation_scan_validation():
             dissipation_scan([1.0], bad)
         with pytest.raises(ValueError, match="proximity"):
             dissipation_scan([1.0], 1.0, proximity=bad)
+
+
+def _scalar_row(f, omega, proximity):
+    """One dissipation row from the single-metric public calls."""
+    if proximity >= f:
+        raise ValueError(f"proximity {proximity:.3g} must be smaller than f {f:.3g}")
+    m = metric_from_sqrt(f, np.sqrt(f - proximity))
+    finite = revelation_probability(m, omega)
+    qh = aligned_hamiltonian(m, omega, E0, E1)
+    gap_sq = energy_gap_squared(split_generator(qh.operator).coherent)
+    _, _, a_prime = map_boundary_states(m, E0, E1)
+    tau = (2.0 / omega) * float(np.arccos(np.clip(a_prime, 0.0, 1.0)))
+    return [f, dissipative_factor(f), finite, gap_sq, a_prime, tau]
+
+
+def _scalar_scan(grid, omega, proximity):
+    """The rows of a loop over the grid, or the error of its first failing row."""
+    rows = []
+    for f in grid:
+        try:
+            rows.append(_scalar_row(float(f), omega, proximity))
+        except (ValueError, RuntimeError) as exc:
+            return type(exc), str(exc)
+    return rows
+
+
+def test_dissipation_scan_rows_equal_scalar_chain_bit_for_bit():
+    rng = np.random.default_rng(21)
+    outcomes = set()
+    for _ in range(12):
+        lo = float(np.exp(rng.uniform(np.log(1e-3), np.log(1.0))))
+        grid = np.linspace(lo, float(rng.uniform(1.0, 6.0)), int(rng.integers(2, 120)))
+        omega = float(np.exp(rng.uniform(np.log(0.5), np.log(2.0))))
+        proximity = float(np.exp(rng.uniform(np.log(1e-8), np.log(1e-2))))
+        want = _scalar_scan(grid, omega, proximity)
+        if isinstance(want, tuple):
+            with pytest.raises(want[0]) as exc:
+                dissipation_scan(grid, omega, proximity=proximity)
+            assert str(exc.value) == want[1]
+            outcomes.add("error")
+            continue
+        rows = dissipation_scan(grid, omega, proximity=proximity)
+        got = [[r.f, r.d_factor, r.finite_factor, r.gap_sq, r.a_prime, r.tau] for r in rows]
+        # repr round-trips every double and tells -0.0 from 0.0
+        assert json.dumps(got) == json.dumps(want)
+        outcomes.add("rows")
+    assert outcomes == {"rows", "error"}
+
+
+def test_dissipation_scan_raises_for_first_failing_row():
+    # at proximity 1e-7, f = 2.2863... fails the singular-metric check and
+    # f = 5.9 the alignment check, deep in the chain, while f = 1e-8 fails
+    # the first check; grid order decides
+    singular, parallel = 2.286324786324786, 5.9
+    assert _scalar_scan([singular], 1.0, 1e-7)[1] == "metric matrix is singular"
+    assert _scalar_scan([parallel], 1.0, 1e-7)[0] is AlignmentError
+    for grid in ([1.0, singular, 1e-8], [1e-8, singular, 1.0], [parallel, 1e-8], [1.0, singular, parallel]):
+        kind, message = _scalar_scan(grid, 1.0, 1e-7)
+        with pytest.raises(kind) as exc:
+            dissipation_scan(grid, 1.0, proximity=1e-7)
+        assert str(exc.value) == message
+    assert dissipation_scan([], 1.0) == []
+
+
+def test_stacked_metric_chain_equals_single_metric_calls():
+    rng = np.random.default_rng(22)
+    f = rng.uniform(0.8, 2.5, size=40)
+    g = rng.uniform(0.1, 0.9, size=40) * np.sqrt(f) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=40))
+    stacked = metric_from_sqrt(f, g)
+    singles = [metric_from_sqrt(a, b) for a, b in zip(f, g)]
+    qh = aligned_hamiltonian(stacked, 1.3, E0, E1)
+    for k, m in enumerate(singles):
+        for name in ("eta", "sqrt_eta", "inv_sqrt_eta"):
+            assert getattr(stacked, name)[k].tobytes() == getattr(m, name).tobytes()
+        assert qh.operator[k].tobytes() == aligned_hamiltonian(m, 1.3, E0, E1).operator.tobytes()
+    assert revelation_probability(stacked, 1.3).tolist() == [revelation_probability(m, 1.3) for m in singles]
+    split = split_generator(qh.operator)
+    assert split.rate_max.tolist() == [split_generator(x).rate_max for x in qh.operator]
+    assert energy_gap_squared(split.coherent).tolist() == [energy_gap_squared(x) for x in split.coherent]

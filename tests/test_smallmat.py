@@ -17,7 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tachys.smallmat import (
+    _EP_RADIUS,
     MetricDegeneracyError,
+    _pauli_split,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -32,6 +34,7 @@ from tachys.smallmat import (
     normalize,
     positive_finite,
     propagator,
+    row_norms,
     spectral_gap,
     states_equal,
 )
@@ -130,6 +133,82 @@ def test_propagator_time_array_stacks_scalar_calls_bit_for_bit():
         stack = propagator(gen, ts)
         assert stack.shape == (ts.size,) + gen.shape
         assert np.array_equal(stack, np.stack([propagator(gen, float(t)) for t in ts]))
+
+
+def _random_generators(rng, n):
+    return rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+
+
+def _bytes_equal(stack, singles):
+    return np.asarray(stack).tobytes() == np.asarray(singles).tobytes()
+
+
+def test_propagator_generator_stack_matches_scalar_calls_bit_for_bit():
+    rng = np.random.default_rng(12)
+    general = _random_generators(rng, 300)
+    hermitian = 0.5 * (general + dagger(general))
+    nilpotent = np.zeros((4, 2, 2), dtype=complex)
+    nilpotent[:, 0, 1] = [1.0, -2.5, 1j, 0.3 - 0.7j]
+    stack = np.concatenate(
+        [
+            hermitian,
+            general,  # complex r
+            hermitian + (rng.normal(size=300) + 1j * rng.normal(size=300))[:, None, None] * np.eye(2),
+            nilpotent,
+            nilpotent + 0.7j * np.eye(2),
+            # |r| just below and just above the exceptional-point radius
+            np.array([s * PAULI_Z for s in (0.5, 0.99, 1.01, 2.0)]) * _EP_RADIUS,
+            np.array([0.3 * np.eye(2) + s * _EP_RADIUS * PAULI_X for s in (0.9, 1.1)]),
+        ]
+    )
+    ts = rng.uniform(-4.0, 6.0, size=len(stack))
+    got = propagator(stack, ts)
+    assert got.shape == stack.shape
+    assert _bytes_equal(got, [propagator(m, float(t)) for m, t in zip(stack, ts)])
+    # n = 1 is a stack too, and a time-array call on one generator agrees
+    assert _bytes_equal(propagator(stack[:1], ts[:1]), propagator(stack[0], ts[0])[None])
+    assert _bytes_equal(propagator(np.repeat(general[:1], 5, axis=0), ts[:5]), propagator(general[0], ts[:5]))
+
+
+def test_propagator_stack_needs_one_time_per_2x2_generator():
+    with pytest.raises(ValueError, match="one time each"):
+        propagator(np.stack([PAULI_X, PAULI_Z]), 0.5)
+    with pytest.raises(ValueError, match="one time each"):
+        propagator(np.stack([PAULI_X, PAULI_Z]), np.zeros(3))
+    with pytest.raises(ValueError, match="one time each"):
+        propagator(np.zeros((2, 4, 4)), np.zeros(2))
+    bad = np.stack([PAULI_X, PAULI_Z, PAULI_Y])
+    bad[1, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite") as exc:
+        propagator(bad, np.zeros(3))
+    assert exc.value.row == 1
+
+
+def test_stacked_products_round_as_the_scalar_products():
+    # numpy's complex array multiply fuses its products: on this data it
+    # rounds differently from the scalar product, so a stacked eigvals2 or
+    # Pauli split built on it would not match the single-matrix calls
+    rng = np.random.default_rng(13)
+    m = _random_generators(rng, 2000)
+    fused = m[:, 0, 0] * m[:, 1, 1]
+    assert np.any(fused != [a * b for a, b in zip(m[:, 0, 0].tolist(), m[:, 1, 1].tolist())])
+    hi, lo = eigvals2(m)
+    assert _bytes_equal(np.stack([hi, lo], axis=-1), [eigvals2(x) for x in m])
+    a0, r, pauli = _pauli_split(m)
+    singles = [_pauli_split(x) for x in m]
+    assert _bytes_equal(a0, [s[0] for s in singles])
+    assert _bytes_equal(r, [s[1] for s in singles])
+    assert _bytes_equal(pauli, [s[2] for s in singles])
+
+
+def test_row_norms_equal_numpy_norm_of_each_row():
+    rng = np.random.default_rng(14)
+    for shape in ((500, 2), (500, 4), (500, 2, 2), (0, 2)):
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert _bytes_equal(row_norms(x), [np.linalg.norm(row) for row in x])
+    # a dagger is laid out column-major; its norm still matches
+    m = _random_generators(rng, 500)
+    assert _bytes_equal(frobenius(dagger(m) - m), [np.linalg.norm(dagger(x) - x) for x in m])
 
 
 def test_propagator_rejects_non_hermitian_4x4():
