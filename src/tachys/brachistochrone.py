@@ -93,11 +93,6 @@ def minimal_time(initial, final, omega: float):
     return _float_or_array((2.0 / omega) * np.arccos(np.clip(_abs(overlap), 0.0, 1.0)))
 
 
-def _drive_matrix(omega: float, shift, phase) -> np.ndarray:
-    off = 0.5 * omega * np.exp(-1j * phase)
-    return _matrix2(shift, off, np.conj(off), shift)
-
-
 def optimal_hamiltonian(target, omega: float) -> OptimalHamiltonianSpec:
     """Minimal-time Hermitian drive taking (1, 0) to ``target``; see ``transfer``."""
     return transfer(target, omega).drive
@@ -149,7 +144,8 @@ def _transfer(v: np.ndarray, omega: float) -> BrachistochroneResult:
     tau = minimal_time(_REFERENCE, v, omega)
     phase = (arg_b - arg_a + np.pi / 2.0 + np.pi) % (2.0 * np.pi) - np.pi
     phase = _where(phase == -np.pi, np.pi, phase)
-    ham = _drive_matrix(omega, shift, phase)
+    off = 0.5 * omega * np.exp(-1j * phase)
+    ham = _matrix2(shift, off, np.conj(off), shift)
     residual = _norm(propagator(ham, tau) @ _REFERENCE - v)
     _reject_rows(
         np.logical_not(residual <= _PROPAGATION_TOL),

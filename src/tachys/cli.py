@@ -180,7 +180,7 @@ def _cmd_povm(args):
     effect = dict(zip(povm.labels, povm.effects))
     psi0, psi1 = basis.psi0, basis.psi1
     # inconclusive_probability normalizes its state; |psi1| is 1 only to rounding
-    unit_psi1 = psi1 / smallmat.row_norms(psi1)[:, None]
+    unit_psi1 = smallmat.normalize(psi1, stack=True)
 
     def sandwich(label, psi):
         # <psi|E|psi> row by row

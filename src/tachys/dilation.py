@@ -55,7 +55,6 @@ class DilationModel:
     hamiltonian: np.ndarray
     norm_factor: float
     eigenbasis: np.ndarray
-    basis_note: str
 
 
 def build_dilation(h, metric: Metric, omega: float) -> DilationModel:
@@ -123,11 +122,6 @@ def build_dilation(h, metric: Metric, omega: float) -> DilationModel:
         hamiltonian=big,
         norm_factor=norm_factor,
         eigenbasis=basis,
-        basis_note=(
-            "4x4 blocks and stored metric are written in the orthonormal eigenbasis of the "
-            "flat generator (columns of `eigenbasis`, gap-upper state first); the metric is "
-            "rescaled to unit determinant"
-        ),
     )
 
 

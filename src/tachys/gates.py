@@ -17,7 +17,6 @@ from .smallmat import _float_or_array, as_state, dagger, normalize, positive_fin
 
 __all__ = [
     "DegenerateBasisError",
-    "ChannelDecompositionError",
     "BlochBasis",
     "Povm",
     "NotGateReport",
@@ -32,21 +31,12 @@ __all__ = [
 ]
 
 POVM_TOL = 1e-12
-DECOMPOSITION_TOL = 1e-8
 
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
 class DegenerateBasisError(ValueError):
     """The two working states coincide; the construction is undefined."""
-
-
-class ChannelDecompositionError(RuntimeError):
-    """Channel output does not split over the working-state projectors."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
 
 
 def _circle_state(polar) -> np.ndarray:
@@ -236,9 +226,7 @@ def _trace_out_control(rho4: np.ndarray) -> np.ndarray:
     return rho4[:2, :2] + rho4[2:, 2:]
 
 
-def control_u_channel(
-    basis: BlochBasis, e_basis_polar: float, strict: bool = False
-) -> ControlUReport:
+def control_u_channel(basis: BlochBasis, e_basis_polar: float) -> ControlUReport:
     """Control-U channel with the control basis on the working great circle.
 
     The orthogonal control pair sits at Bloch polar angles ``e_basis_polar``
@@ -247,8 +235,7 @@ def control_u_channel(
     and the input is traced out after the controlled action.  The report
     carries the overlaps p, q, both sides of the angular triangle bound, the
     channel images of the working projectors, and the residual of the claimed
-    two-projector decomposition of those images.  With ``strict`` the residual
-    must clear DECOMPOSITION_TOL or a ChannelDecompositionError is raised.
+    two-projector decomposition of those images.
     """
     alpha = float(e_basis_polar)
     if not np.isfinite(alpha):
@@ -272,11 +259,6 @@ def control_u_channel(
     res1 = float(np.linalg.norm(out1 - (p * proj0 + (1.0 - p) * proj1)))
     res0 = float(np.linalg.norm(out0 - ((1.0 - q) * proj0 + q * proj1)))
     residual = max(res1, res0)
-    if strict and residual > DECOMPOSITION_TOL:
-        raise ChannelDecompositionError(
-            f"channel output misses the two-projector decomposition by {residual:.3e}",
-            residual=residual,
-        )
 
     lhs = float(np.pi / 2.0)
     rhs = float(

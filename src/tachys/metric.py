@@ -57,20 +57,13 @@ DEFECT_TOL = 1e-10
 class Metric:
     """A positive-definite metric with cached square root and inverse root.
 
-    ``diag_scale`` / ``sqrt_diag`` / ``sqrt_offdiag`` record which
-    parameterization produced the metric (None when not applicable):
-    ``diag_metric(scale)`` yields eta = diag(1, scale**2); ``metric_from_sqrt``
-    yields the metric whose Hermitian root is [[1, offdiag], [conj, diag]].
-    ``metric_from_sqrt`` over arrays gives ``(n, 2, 2)`` stacks of matrices
-    and arrays of its two parameters, one metric per row.
+    ``metric_from_sqrt`` over arrays gives ``(n, 2, 2)`` stacks of the three
+    matrices, one metric per row.
     """
 
     eta: np.ndarray
     sqrt_eta: np.ndarray
     inv_sqrt_eta: np.ndarray
-    diag_scale: float | None = None
-    sqrt_diag: float | None = None
-    sqrt_offdiag: complex | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,12 +84,10 @@ class QuasiHamiltonian:
 def diag_metric(scale: float) -> Metric:
     """Metric diag(1, scale**2) together with its roots."""
     s = positive_finite("diagonal metric scale", scale)
-    eta = np.diag([1.0 + 0j, s * s])
     return Metric(
-        eta=eta,
+        eta=np.diag([1.0 + 0j, s * s]),
         sqrt_eta=np.diag([1.0 + 0j, s]),
         inv_sqrt_eta=np.diag([1.0 + 0j, 1.0 / s]),
-        diag_scale=s,
     )
 
 
@@ -126,9 +117,7 @@ def metric_from_sqrt(diag, offdiag) -> Metric:
     root = _matrix2(1.0, g, np.conj(g), f)
     eta = root @ root
     inv_root = _matrix2(f, -g, -np.conj(g), 1.0) / margin[..., None, None]
-    if f.ndim == 0:
-        f, g = float(f), complex(g)
-    return Metric(eta=eta, sqrt_eta=root, inv_sqrt_eta=inv_root, sqrt_diag=f, sqrt_offdiag=g)
+    return Metric(eta=eta, sqrt_eta=root, inv_sqrt_eta=inv_root)
 
 
 def metric_from_matrix(eta) -> Metric:
@@ -168,11 +157,12 @@ def quasi_hamiltonian(h, metric: Metric, omega: float) -> QuasiHamiltonian:
     # constructions.  For well-conditioned metrics cond/2 ~ 1 and the gates
     # collapse to the tight absolute tolerances.
     cond = 0.5 * frobenius(metric.sqrt_eta) * frobenius(metric.inv_sqrt_eta)
-    defect_gate = DEFECT_TOL * _max(1.0, frobenius(op)) * cond * cond
+    op_norm = frobenius(op)
+    defect_gate = DEFECT_TOL * _max(1.0, op_norm) * cond * cond
     defect = pseudo_hermiticity_defect(op, metric.eta)
     _reject_rows(defect > defect_gate, ValueError("constructed operator violates metric-Hermiticity"))
     l_op = eigvals2(op)
-    spectrum_gate = _max(1e-10 * max(1.0, omega), 50.0 * np.finfo(float).eps * frobenius(op) * cond)
+    spectrum_gate = _max(1e-10 * max(1.0, omega), 50.0 * np.finfo(float).eps * op_norm * cond)
     spread = _max(_abs(l_op[0] - l_h[0]), _abs(l_op[1] - l_h[1]))
     foreign = ValueError("constructed operator does not share the generator spectrum")
     _reject_rows(spread > spectrum_gate, foreign)
@@ -189,11 +179,7 @@ def pseudo_hermiticity_defect(operator, eta):
     em = as_operator(eta, dim=2, stack=True)
     det = np.linalg.det(em)
     _reject_rows(_abs(det) < 1e-300, ValueError("metric matrix is singular"))
-    try:
-        inv = np.linalg.inv(em)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - det check above
-        raise ValueError("metric matrix is singular") from exc
-    return frobenius(dagger(op) - em @ op @ inv)
+    return frobenius(dagger(op) - em @ op @ np.linalg.inv(em))
 
 
 def state_angle(u, v) -> float:
@@ -233,25 +219,23 @@ def transition_defect(times, etas, hams) -> float:
     central differences and the residual
     ``ham^dag - (eta @ ham @ eta^-1 - 1j * eta @ d(eta^-1)/dt)`` is measured in
     Frobenius norm; the maximum over interior samples is returned.  At least
-    three samples are required, and every metric sample must be invertible.
+    three finite, strictly increasing sample times are required, and every
+    metric sample must be invertible.
     """
     ts = np.asarray(times, dtype=float).reshape(-1)
     if ts.shape[0] < 3:
         raise ValueError("transition_defect needs at least three samples")
+    if not np.isfinite(ts).all():
+        raise ValueError("sample times must be finite")
     if np.any(np.diff(ts) <= 0.0):
         raise ValueError("sample times must be strictly increasing")
-    es = [as_operator(e, dim=2) for e in etas]
-    hs = [as_operator(h, dim=2) for h in hams]
-    if len(es) != ts.shape[0] or len(hs) != ts.shape[0]:
+    es = as_operator(etas, dim=2, stack=True)
+    hs = as_operator(hams, dim=2, stack=True)
+    if len(es) != len(ts) or len(hs) != len(ts):
         raise ValueError("times, etas and hams must have matching lengths")
-    invs = []
-    for e in es:
-        if abs(np.linalg.det(e)) < 1e-300:
-            raise ValueError("metric sample is singular")
-        invs.append(np.linalg.inv(e))
-    worst = 0.0
-    for j in range(1, ts.shape[0] - 1):
-        dinv = (invs[j + 1] - invs[j - 1]) / (ts[j + 1] - ts[j - 1])
-        balance = es[j] @ hs[j] @ invs[j] - 1j * (es[j] @ dinv)
-        worst = max(worst, frobenius(dagger(hs[j]) - balance))
-    return worst
+    _reject_rows(_abs(np.linalg.det(es)) < 1e-300, ValueError("metric sample is singular"))
+    invs = np.linalg.inv(es)
+    dinv = (invs[2:] - invs[:-2]) / (ts[2:] - ts[:-2])[:, None, None]
+    e, h = es[1:-1], hs[1:-1]
+    balance = e @ h @ invs[1:-1] - 1j * (e @ dinv)
+    return float(frobenius(dagger(h) - balance).max())

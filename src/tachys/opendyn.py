@@ -268,13 +268,7 @@ def revelation_probability(metric: Metric, omega: float):
     degenerates, matching ``dissipative_factor(1.0)``.  A metric of
     ``(n, 2, 2)`` stacks gives one probability per metric.
     """
-    return _float_or_array(_survival(_canonical_arrival(metric, omega)[3]))
-
-
-def _survival(arrived):
-    """Squared norm of an arrived state, or of each row of a stack, squared
-    through libm ``pow`` as the dissipation report has always squared it."""
-    return _square(_norm(arrived))
+    return _float_or_array(_square(_norm(_canonical_arrival(metric, omega)[3])))
 
 
 def _canonical_arrival(metric: Metric, omega: float):
@@ -340,5 +334,5 @@ def _scan_columns(f: np.ndarray, omega: float, proximity: float):
     # finite-proximity revelation probability under the shifted realization;
     # cross-checks the closed-form d_factor at f = 1, where both tend to
     # exp(-2) as the proximity shrinks
-    # dissipative_factor over the grid
-    return np.exp(-(1.0 / f + f)) / f, _survival(arrived), gap_sq, a_abs, tau
+    finite_factor = _square(_norm(arrived))
+    return np.exp(-(1.0 / f + f)) / f, finite_factor, gap_sq, a_abs, tau

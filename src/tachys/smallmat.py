@@ -190,10 +190,10 @@ def dagger(mat: np.ndarray) -> np.ndarray:
     return np.conj(mat).swapaxes(-1, -2)
 
 
-def is_hermitian(mat, tol: float = HERMITICITY_TOL):
-    """Whether ``||mat - mat^dag||_F <= tol``; a stack gives one bool per matrix."""
+def is_hermitian(mat):
+    """Whether ``||mat - mat^dag||_F <= HERMITICITY_TOL``; a stack gives one bool per matrix."""
     m = np.asarray(mat, dtype=complex)
-    ok = frobenius(m - dagger(m)) <= tol
+    ok = frobenius(m - dagger(m)) <= HERMITICITY_TOL
     return ok if m.ndim == 3 else bool(ok)
 
 
@@ -233,9 +233,9 @@ def fidelity(u, v) -> float:
     return float(abs(np.vdot(a, b)) / (na * nb))
 
 
-def states_equal(u, v, tol: float = STATE_EQUALITY_TOL) -> bool:
-    """Equality up to a global phase: fidelity >= 1 - tol."""
-    return fidelity(u, v) >= 1.0 - tol
+def states_equal(u, v) -> bool:
+    """Equality up to a global phase: fidelity >= 1 - STATE_EQUALITY_TOL."""
+    return fidelity(u, v) >= 1.0 - STATE_EQUALITY_TOL
 
 
 def _matrix2(m00, m01, m10, m11) -> np.ndarray:
@@ -313,6 +313,7 @@ def propagator(ham, t) -> np.ndarray:
     not ``ham`` is Hermitian, defective generators at an exceptional point
     included.  4x4 generators must be Hermitian and go through an
     eigendecomposition; a non-Hermitian 4x4 generator raises ValueError.
+    A NaN or infinite time raises ValueError naming the first such value.
     """
     m = as_operator(ham, stack=True)
     t = np.asarray(t, dtype=float)
@@ -320,6 +321,7 @@ def propagator(ham, t) -> np.ndarray:
         raise ValueError(f"a generator stack needs 2x2 matrices and one time each, got t {t.shape}")
     if t.ndim > 1:
         raise ValueError(f"t must be a scalar or a 1-d array, got shape {t.shape}")
+    _reject_rows(~np.isfinite(t), lambda x: ValueError(f"t must be finite, got {float(x)!r}"), t)
     t = t if t.ndim else float(t)
     if m.shape[-1] == 2:
         a0, r, pauli_part = _pauli_split(m)

@@ -78,7 +78,6 @@ def test_diag_metric():
     assert np.allclose(m.eta, np.diag([1.0, 9.0]))
     assert np.allclose(m.sqrt_eta, np.diag([1.0, 3.0]))
     assert np.allclose(m.inv_sqrt_eta, np.diag([1.0, 1.0 / 3.0]))
-    assert m.diag_scale == 3.0
     with pytest.raises(ValueError):
         diag_metric(0.0)
     with pytest.raises(ValueError):
@@ -258,6 +257,9 @@ def test_transition_defect_input_validation():
         transition_defect([0.0, 1.0], eye[:2], h3[:2])
     with pytest.raises(ValueError, match="increasing"):
         transition_defect([0.0, 0.0, 1.0], eye, h3)
+    for bad in ([0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0]):
+        with pytest.raises(ValueError, match="finite"):
+            transition_defect(bad, eye, [0.5 * PAULI_X] * 3)
     with pytest.raises(ValueError, match="length"):
         transition_defect([0.0, 0.5, 1.0], eye, h3[:2])
     with pytest.raises(ValueError, match="singular"):

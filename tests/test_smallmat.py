@@ -223,6 +223,21 @@ def test_propagator_rejects_2d_time_grid():
         propagator(0.5 * PAULI_X, np.zeros((2, 2)))
 
 
+def test_propagator_rejects_non_finite_times():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"t must be finite, got {bad!r}"):
+            propagator(0.5 * PAULI_X, bad)
+        with pytest.raises(ValueError, match=f"got {bad!r}"):
+            propagator(np.eye(4), bad)
+    # an array names its first non-finite time
+    with pytest.raises(ValueError, match="got inf") as exc:
+        propagator(0.5 * PAULI_X, [0.0, 1.0, np.inf, np.nan])
+    assert exc.value.row == 2
+    with pytest.raises(ValueError, match="got -inf") as exc:
+        propagator(np.stack([PAULI_X, PAULI_Z]), [-np.inf, 0.5])
+    assert exc.value.row == 0
+
+
 def test_import_loads_no_scipy():
     code = "import sys, tachys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run(
@@ -395,7 +410,8 @@ def test_fidelity_is_phase_insensitive():
 def test_states_equal_tolerance():
     u = np.array([1.0, 0.0])
     v = np.array([np.cos(1e-6), np.sin(1e-6)])
-    assert states_equal(u, v, tol=1e-11)
+    assert states_equal(u, v)
+    assert fidelity(u, v) >= 1.0 - 1e-11
     assert not states_equal(u, [0.0, 1.0])
 
 
