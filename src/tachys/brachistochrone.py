@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,7 @@ from .smallmat import (
     _matrix2,
     _norm,
     _pauli_split,
+    _pauli_vector,
     _reject_rows,
     _vdots,
     _where,
@@ -52,6 +55,10 @@ PASSAGE_FIDELITY = 1.0 - 1e-8
 
 #: propagation residual accepted when validating the constructed drive
 _PROPAGATION_TOL = 1e-9
+
+#: |Im(n.n)| allowed, relative to sum |n_k|^2, for a drive to take the
+#: real-spectrum closed form
+_REAL_SPECTRUM_TOL = 16.0 * sys.float_info.epsilon
 
 #: bisection window below which first-passage refinement stops
 _REFINE_TOL = 1e-12
@@ -168,52 +175,93 @@ def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -
     The evolution arrives at a peak of the normalized fidelity
     |<final|psi(t)>| / |psi(t)| that clears PASSAGE_FIDELITY; the earliest
     such peak is returned, 0.0 when the initial state already clears it, and
-    None when no peak in [0, t_max] does.  Both paths use the identity+Pauli
-    split ham = a0 I + n.sigma, whose phase e^{-i a0 t} cancels in the
-    normalized fidelity.
+    t_max when no peak in [0, t_max] clears it but the fidelity at t_max
+    does; otherwise None.  Both paths use the identity+Pauli split
+    ham = a0 I + n.sigma, whose phase e^{-i a0 t} cancels in the normalized
+    fidelity, and psi(t) = cos(r t) u - i sin(r t)/r (n.sigma) u with
+    r^2 = n.n, exact for defective generators too.
 
-    Hermitian drives need no grid.  With alpha = <v|u>, beta = <v|(n.sigma)u>
-    and r = |n| the amplitude is c+ e^{irt} + c- e^{-irt}, where
-    c+ = (alpha - beta/r)/2 and c- = (alpha + beta/r)/2, so every peak has
-    height |c+| + |c-| and the first one lies at
-    (-arg(c+ conj(c-)) mod 2 pi) / (2 r).  When that is past t_max, t_max is
-    returned if the fidelity there clears the threshold.
+    Drives with a real spectrum need no grid: Hermitian drives (symmetrized
+    first), metric-Hermitian drives and exceptional points, whose n.n is real
+    and >= 0 (an imaginary part up to 16 eps sum |n_k|^2 counts as
+    rounding).  With w = (n.sigma) u, c = cos(r t) and s = sin(r t)/r are
+    real, so the squared fidelity is a ratio of two real quadratic forms in
+    (c, s).  Its stationary points solve one homogeneous quadratic, the
+    larger of the two is the peak, and tan(r t) = r s / c gives its first
+    time, in [0, pi / r); every peak of a periodic evolution has that
+    height.  At an exceptional point (r = 0) the peak lies at t = s / c, or
+    never.
 
-    Other drives sample psi(t) = cos(r t) u - i sin(r t)/r (n.sigma) u, exact
-    for defective generators too, on a uniform grid of ``steps`` points;
-    ``steps`` sets only this grid (it is validated on both paths).  Candidate
-    peaks are visited in time order and each is refined to about 1e-12 in t by
-    bisection on the analytic slope of the normalized fidelity, from
+    Complex or negative n.n (broken PT symmetry) keeps a grid: psi(t) is
+    sampled on ``steps`` uniform points (``steps`` sets only this grid, and
+    must be an integer >= 1000 on both paths), and candidate peaks are
+    visited in time order, each refined to about 1e-12 in t by bisection on
+    the analytic slope of the normalized fidelity, from
     d psi/dt = -i (n.sigma) psi.  Where the growth of psi(t) overflows on the
     grid, ValueError names the earliest grid time whose state is not finite.
     """
     m = as_operator(ham, dim=2)
     t_max = positive_finite("t_max", t_max)
-    steps = int(steps)
-    if steps < 1000:
-        raise ValueError("at least 1000 scan steps are required")
+    steps = _scan_steps(steps)
     u = normalize(as_state(initial, dim=2))
     v = normalize(as_state(final, dim=2))
     if is_hermitian(m):
-        return _hermitian_passage(0.5 * (m + dagger(m)), u, v, t_max)
+        m = 0.5 * (m + dagger(m))
+    _, nx, ny, nz = _pauli_vector(m)
+    nn = nx * nx + ny * ny + nz * nz
+    scale = abs(nx) ** 2 + abs(ny) ** 2 + abs(nz) ** 2
+    if nn.real >= 0.0 and abs(nn.imag) <= _REAL_SPECTRUM_TOL * scale:
+        return _real_spectrum_passage(nx, ny, nz, math.sqrt(nn.real), u, v, t_max)
     return _general_passage(m, u, v, t_max, steps)
 
 
-def _hermitian_passage(h: np.ndarray, u: np.ndarray, v: np.ndarray, t_max: float) -> float | None:
-    """Closed-form first passage under the Hermitian 2x2 drive ``h``."""
-    alpha = complex(np.vdot(v, u))
+def _scan_steps(steps) -> int:
+    """``steps`` as an int; ValueError unless it is an integer >= 1000."""
+    try:
+        n = operator.index(steps)
+    except TypeError:
+        x = float(steps)
+        if not (math.isfinite(x) and x.is_integer()):
+            raise ValueError(f"steps must be an integer, got {steps!r}") from None
+        n = int(x)
+    if n < 1000:
+        raise ValueError("at least 1000 scan steps are required")
+    return n
+
+
+def _real_spectrum_passage(nx, ny, nz, r: float, u, v, t_max: float) -> float | None:
+    """Closed-form first passage under a drive with Pauli part n.sigma, n.n = r^2."""
+    u0, u1 = u.tolist()
+    v0, v1 = np.conj(v).tolist()
+    w0, w1 = nz * u0 + (nx - 1j * ny) * u1, (nx + 1j * ny) * u0 - nz * u1
+    alpha, beta = v0 * u0 + v1 * u1, v0 * w0 + v1 * w1
     if abs(alpha) >= PASSAGE_FIDELITY:
         return 0.0
-    _, r, pauli_part = _pauli_split(h)
-    r = float(r.real)
-    if r == 0.0:
-        return None
-    beta = complex(np.vdot(v, pauli_part @ u)) / r
-    c_plus, c_minus = 0.5 * (alpha - beta), 0.5 * (alpha + beta)
-    t = min(t_max, (-cmath.phase(c_plus * c_minus.conjugate())) % (2.0 * math.pi) / (2.0 * r))
-    if abs(c_plus * cmath.exp(1j * r * t) + c_minus * cmath.exp(-1j * r * t)) >= PASSAGE_FIDELITY:
-        return t
-    return None
+    # psi = c u - i s w, so |<v|psi>|^2 = a c^2 + 2 e c s + b s^2 and
+    # |psi|^2 = ap c^2 + 2 ep c s + bp s^2, all six coefficients real
+    a, e, b = abs(alpha) ** 2, (alpha.conjugate() * beta).imag, abs(beta) ** 2
+    ap = abs(u0) ** 2 + abs(u1) ** 2
+    ep = (u0.conjugate() * w0 + u1.conjugate() * w1).imag
+    bp = abs(w0) ** 2 + abs(w1) ** 2
+
+    def fidelity2(c: float, s: float) -> float:
+        overlap2 = a * c * c + 2.0 * e * c * s + b * s * s
+        return overlap2 / (ap * c * c + 2.0 * ep * c * s + bp * s * s)
+
+    # the ratio is stationary where q2 s^2 + q1 s c + q0 c^2 = 0; its roots
+    # (c : s) stay homogeneous, so c = 0 (tan(r t) infinite) is one too
+    q2, q1, q0 = b * ep - e * bp, b * ap - a * bp, e * ap - a * ep
+    k = -0.5 * (q1 + math.copysign(math.sqrt(max(q1 * q1 - 4.0 * q2 * q0, 0.0)), q1))
+    roots = [(c / h, s / h) for c, s in ((q2, k), (k, q0)) if (h := math.hypot(c, s)) > 0.0]
+    t = t_max
+    if roots:
+        c, s = max(roots, key=lambda cs: fidelity2(*cs))
+        if r > 0.0:
+            t = min(t, (math.atan2(r * s, c) % math.pi) / r)
+        elif c * s > 0.0:
+            t = min(t, s / c)
+    c, s = (math.cos(r * t), math.sin(r * t) / r) if r > 0.0 else (1.0, t)
+    return t if math.sqrt(fidelity2(c, s)) >= PASSAGE_FIDELITY else None
 
 
 def _general_passage(

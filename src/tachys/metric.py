@@ -97,7 +97,8 @@ def metric_from_sqrt(diag, offdiag) -> Metric:
     The root must stay positive definite, which requires real ``diag`` and a
     determinant margin ``diag - |offdiag|**2`` above DEGENERACY_MARGIN; below
     it the construction is rejected (that margin going to zero is exactly the
-    degenerate limit where travel times collapse).  ``diag`` and ``offdiag``
+    degenerate limit where travel times collapse); a root too large to square
+    in floating point raises ValueError.  ``diag`` and ``offdiag``
     may also be 1-d arrays of one length n: the metric then holds ``(n, 2, 2)``
     stacks whose slices equal the single calls bit for bit, and the first
     rejected pair raises.
@@ -115,7 +116,12 @@ def metric_from_sqrt(diag, offdiag) -> Metric:
         margin,
     )
     root = _matrix2(1.0, g, np.conj(g), f)
-    eta = root @ root
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = root @ root
+    _reject_rows(
+        ~np.isfinite(eta).all(axis=(-2, -1)),
+        ValueError("metric overflows: the square of its root is not finite"),
+    )
     inv_root = _matrix2(f, -g, -np.conj(g), 1.0) / margin[..., None, None]
     return Metric(eta=eta, sqrt_eta=root, inv_sqrt_eta=inv_root)
 

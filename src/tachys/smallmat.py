@@ -247,10 +247,19 @@ def _matrix2(m00, m01, m10, m11) -> np.ndarray:
 
 def _square(x):
     """``x ** 2`` elementwise as a Python or numpy float squares: through libm
-    ``pow``, which rounds differently from ``x * x`` in about 1 value in 1000."""
+    ``pow``, which rounds differently from ``x * x`` in about 1 value in 1000.
+    A square past the float range is inf."""
     if isinstance(x, float):
-        return math.pow(x, 2.0)
-    return np.reshape([math.pow(v, 2.0) for v in np.ravel(x).tolist()], np.shape(x))
+        return _pow2(x)
+    return np.reshape([_pow2(v) for v in np.ravel(x).tolist()], np.shape(x))
+
+
+def _pow2(v: float) -> float:
+    """``math.pow(v, 2.0)``; inf where that raises because the square overflows."""
+    try:
+        return math.pow(v, 2.0)
+    except OverflowError:
+        return math.inf
 
 
 def _cmul(a, b):
@@ -279,14 +288,17 @@ def _pauli_split(m: np.ndarray):
     and zero at an exceptional point, where n.sigma is nilpotent.  An
     ``(n, 2, 2)`` stack gives ``(n,)`` arrays and an ``(n, 2, 2)`` stack.
     """
-    # one matrix gives Python complex scalars: rounded as numpy's, and faster
-    (m00, m01), (m10, m11) = m.tolist() if m.ndim == 2 else m.transpose(1, 2, 0)
-    a0 = 0.5 * (m00 + m11)
-    ax = 0.5 * (m01 + m10)
-    ay = 0.5j * (m01 - m10)
-    az = 0.5 * (m00 - m11)
+    a0, ax, ay, az = _pauli_vector(m)
     r = np.sqrt(_cmul(ax, ax) + _cmul(ay, ay) + _cmul(az, az) + 0j)
     return a0, r, _col(ax) * PAULI_X + _col(ay) * PAULI_Y + _col(az) * PAULI_Z
+
+
+def _pauli_vector(m: np.ndarray):
+    """(a0, nx, ny, nz) with ``m = a0 I + nx X + ny Y + nz Z``; Python complex
+    scalars for one matrix, ``(n,)`` arrays for an ``(n, 2, 2)`` stack."""
+    # one matrix gives Python complex scalars: rounded as numpy's, and faster
+    (m00, m01), (m10, m11) = m.tolist() if m.ndim == 2 else m.transpose(1, 2, 0)
+    return 0.5 * (m00 + m11), 0.5 * (m01 + m10), 0.5j * (m01 - m10), 0.5 * (m00 - m11)
 
 
 def _cos_sinc(r, t):

@@ -1,6 +1,8 @@
-"""The public surface: every export resolves, and every float argument of
-every public entry point rejects NaN, infinities and, where it is documented
-as positive, zero and negative values with a ValueError (or a subclass)."""
+"""The public surface: every export resolves, every float argument of every
+public entry point rejects NaN, infinities and, where it is documented as
+positive, zero and negative values with a ValueError (or a subclass), and
+every integer argument rejects NaN, infinities, non-integral and
+out-of-domain values the same way."""
 
 import inspect
 import sys
@@ -72,6 +74,32 @@ def test_float_arguments_reject_non_finite_and_out_of_domain_values(name, arg):
             call(bad)
 
 
+#: public entry point -> integer argument -> call with that argument set to x;
+#: each call succeeds at x = 1000
+INT_CALLS = {
+    "first_passage_scan": {
+        "steps": lambda x: brachistochrone.first_passage_scan(H, E0, E1, 1.0, steps=x),
+    },
+}
+
+#: values every integer argument rejects: non-finite, non-integral, too small
+BAD_INTS = {"steps": [np.nan, np.inf, -np.inf, 999, 1000.5]}
+
+
+@pytest.mark.parametrize(
+    "name, arg",
+    [pytest.param(name, arg, id=f"{name}-{arg}") for name, args in INT_CALLS.items() for arg in args],
+)
+def test_integer_arguments_reject_non_finite_non_integral_and_out_of_domain_values(name, arg):
+    call = INT_CALLS[name][arg]
+    call(1000)
+    call(1000.0)
+    call(np.int64(1000))
+    for bad in BAD_INTS[arg]:
+        with pytest.raises(ValueError):
+            call(bad)
+
+
 def test_every_float_parameter_of_a_public_function_is_exercised():
     for name in tachys.__all__:
         fn = getattr(tachys, name)
@@ -80,6 +108,8 @@ def test_every_float_parameter_of_a_public_function_is_exercised():
         params = inspect.signature(fn).parameters.values()
         floats = {p.name for p in params if p.annotation in ("float", "float | None")}
         assert floats <= set(CALLS.get(name, ())), name
+        ints = {p.name for p in params if p.annotation in ("int", "int | None")}
+        assert ints <= set(INT_CALLS.get(name, ())), name
 
 
 def test_every_export_resolves_and_comes_from_its_module_exports():

@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tachys import brachistochrone
 from tachys.brachistochrone import (
     PASSAGE_FIDELITY,
     first_passage_scan,
@@ -286,8 +287,10 @@ def test_general_passage_overflow_raises_naming_first_bad_time():
 
 
 def _expm_passage(h, u, v, t_max, steps=2000):
-    """Reference first passage: a grid stepped by expm(-i h dt), then slope
-    bisection (d/dt |<v|psi>|^2 from expm and h) at each candidate peak."""
+    """Reference first passage: a grid of the normalized fidelity
+    |<v|psi>| / |psi| stepped by expm(-i h dt), then slope bisection (the
+    sign of d/dt |<v|psi>|^2 / |psi|^2, from expm and h) at each candidate
+    peak; ``v`` is a unit vector."""
     ts = np.linspace(0.0, t_max, steps)
     psi = np.empty((steps, 2), dtype=complex)
     psi[0] = u
@@ -297,7 +300,7 @@ def _expm_passage(h, u, v, t_max, steps=2000):
         psi[filled : filled + k] = psi[:k] @ power.T
         filled += k
         power = power @ power
-    fid = np.abs(psi @ np.conj(v))
+    fid = np.abs(psi @ np.conj(v)) / np.linalg.norm(psi, axis=1)
     if fid[0] >= PASSAGE_FIDELITY:
         return 0.0
 
@@ -306,7 +309,10 @@ def _expm_passage(h, u, v, t_max, steps=2000):
 
     def slope(t):
         phi = state(t)
-        return (np.conj(np.vdot(v, phi)) * np.vdot(v, -1j * (h @ phi))).real
+        dphi = -1j * (h @ phi)
+        g = np.vdot(v, phi)
+        growth = np.vdot(phi, dphi).real
+        return (np.conj(g) * np.vdot(v, dphi)).real * np.vdot(phi, phi).real - abs(g) ** 2 * growth
 
     slack = 2.0 * (ts[1] - ts[0]) * np.linalg.norm(h, 2)
     for j in range(1, steps):
@@ -321,7 +327,8 @@ def _expm_passage(h, u, v, t_max, steps=2000):
             else:
                 hi = mid
         t = 0.5 * (lo + hi)
-        if abs(np.vdot(v, state(t))) >= PASSAGE_FIDELITY:
+        phi = state(t)
+        if abs(np.vdot(v, phi)) / np.linalg.norm(phi) >= PASSAGE_FIDELITY:
             return t
     return None
 
@@ -420,3 +427,121 @@ def test_general_passage_meets_aligned_closed_form():
 
 def test_passage_threshold_is_tight():
     assert PASSAGE_FIDELITY == 1.0 - 1e-8
+
+
+# ------------------------------- metric-Hermitian passages near degeneracy
+
+#: first passage of the aligned drive of ``_fast_passage_case(k)``, k = 0..23,
+#: from a 40-digit mpmath root of the slope of its normalized fidelity (the
+#: drive's entries taken exactly as aligned_hamiltonian builds them; the
+#: ideal (2/omega) atan2(|b'|, |a'|) of the exact parameters agrees to 1e-16)
+FAST_PASSAGE_TAU = (
+    2.0460441649149052516e-7, 4.2240423822746317678e-7, 7.8398321346322611197e-7,
+    1.3895637804504486344e-6, 2.4056900304331751074e-6, 4.1114166452406575735e-6,
+    6.975830097743765615e-6, 1.1788815734956928321e-5, 1.9881558467881928051e-5,
+    3.3497221193825805126e-5, 5.6410513814752739094e-5, 9.4953910969453057406e-5,
+    1.5969511807808078519e-4, 2.6813013162320127063e-4, 4.489088970627952895e-4,
+    7.482930810066218801e-4, 1.2397755927579531212e-3, 2.0381787318893655229e-3,
+    3.3204186188373264564e-3, 5.3571557575670770802e-3, 8.563923387478023352e-3,
+    1.358936142106577405e-2, 2.1478213475843313611e-2, 3.3998218806312593332e-2,
+)
+
+
+def _fast_passage_case(k):
+    """(drive, target, omega): an aligned drive whose metric root
+    [[1, g], [conj g, f]] has 1 - |g|^2/f = 10^(-6 + 5k/23), in [1e-6, 1e-1]."""
+    x = 10.0 ** (-6.0 + 5.0 * k / 23.0)
+    f, omega = 0.8 + 0.07 * k, 0.4 + 0.11 * k
+    g = np.sqrt(f * (1.0 - x)) * np.exp(0.9j * k)
+    v = _target(0.2 + 0.12 * k, alpha=0.5 * k, beta=-0.3 * k)
+    return aligned_hamiltonian(metric_from_sqrt(f, g), omega, E0, v).operator, v, omega
+
+
+@pytest.mark.parametrize("k", range(len(FAST_PASSAGE_TAU)))
+def test_near_degenerate_aligned_passage_matches_mpmath(k):
+    # the near-degenerate metric shrinks the passage to 2e-7 ... 3.4e-2, for
+    # periods 2 pi / omega of 16 ... 2.1; the drive is far from normal
+    ham, v, omega = _fast_passage_case(k)
+    t = first_passage_scan(ham, E0, v, t_max=1.02 * 2.0 * np.pi / omega, steps=1500)
+    assert t is not None
+    assert abs(t - FAST_PASSAGE_TAU[k]) <= 1e-12
+
+
+# ------------------------------------------- dispatch and the grid that stays
+
+
+def _count_grid_calls(monkeypatch):
+    calls = []
+    grid = brachistochrone._general_passage
+
+    def counted(*args):
+        calls.append(args)
+        return grid(*args)
+
+    monkeypatch.setattr(brachistochrone, "_general_passage", counted)
+    return calls
+
+
+def test_complex_spectrum_passage_matches_expm_grid_scan(monkeypatch):
+    # broken-PT drives 0.5 a, a a random complex matrix: targets on the orbit
+    # of the initial state (a passage at t0 at the latest) and random targets
+    calls = _count_grid_calls(monkeypatch)
+    rng = np.random.default_rng(2718)
+    hits = 0
+    for kind in ("on_orbit", "random") * 15:
+        ham = 0.5 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        u = _random_state(rng)
+        t_max = rng.uniform(1.0, 4.0)
+        if kind == "on_orbit":
+            v = scipy.linalg.expm(-1j * rng.uniform(0.1, 0.9) * t_max * ham) @ u
+            v = v / np.linalg.norm(v)
+        else:
+            v = _random_state(rng)
+        want = _expm_passage(ham, u, v, t_max)
+        got = first_passage_scan(ham, u, v, t_max)
+        assert (got is None) == (want is None), (ham, u, v, t_max, got, want)
+        if got is not None:
+            hits += 1
+            assert abs(got - want) <= 1e-9
+    assert len(calls) == 30
+    assert 15 <= hits < 30
+
+
+@pytest.mark.parametrize("ratio", [0.5, 2.0], ids=["inside", "outside"])
+def test_dispatch_boundary_paths_agree(monkeypatch, ratio):
+    # the Pauli part of a metric-Hermitian drive turned by (1 + i delta): n.n
+    # gains an imaginary part 2 delta n.n, set to ``ratio`` times the closed
+    # form's tolerance 16 eps sum |n_k|^2; just inside it takes the closed
+    # form, just outside the grid, and both find the same passage
+    v = _target(1.7, alpha=0.4, beta=-1.1)
+    base = aligned_hamiltonian(metric_from_sqrt(1.6, 0.7 + 0.3j), 1.3, E0, v).operator
+    a0 = 0.5 * np.trace(base)
+    pauli = base - a0 * np.eye(2)
+    nx, ny, nz = 0.5 * (pauli[0, 1] + pauli[1, 0]), 0.5j * (pauli[0, 1] - pauli[1, 0]), pauli[0, 0]
+    nn = (nx * nx + ny * ny + nz * nz).real
+    scale = abs(nx) ** 2 + abs(ny) ** 2 + abs(nz) ** 2
+    delta = ratio * 16.0 * np.finfo(float).eps * scale / (2.0 * nn)
+    calls = _count_grid_calls(monkeypatch)
+    t_max = 1.02 * 2.0 * np.pi / 1.3
+    want = first_passage_scan(base, E0, v, t_max)
+    assert calls == []
+    got = first_passage_scan(a0 * np.eye(2) + (1.0 + 1j * delta) * pauli, E0, v, t_max)
+    assert len(calls) == (ratio > 1.0)
+    assert want is not None and got is not None
+    assert abs(got - want) <= 1e-9
+
+
+def test_exceptional_point_passage_is_the_earliest_maximum():
+    # at r = 0 psi(t) = u - i t (n.sigma) u: the normalized fidelity has one
+    # maximum on t > 0, reached only when it lies in (0, t_max]
+    s, t0 = 0.7, 1.3
+    ham = np.array([[1j * s, s], [s, -1j * s]])
+    v = scipy.linalg.expm(-1j * t0 * ham) @ E0
+    v = v / np.linalg.norm(v)
+    t = first_passage_scan(ham, E0, v, t_max=4.0)
+    assert abs(t - t0) <= 1e-9
+    # a window that ends before t0 returns None, unless t_max is close
+    # enough for the fidelity there to clear the threshold
+    assert first_passage_scan(ham, E0, v, t_max=0.9 * t0) is None
+    edge = first_passage_scan(ham, E0, v, t_max=t0 - 1e-6)
+    assert edge == t0 - 1e-6

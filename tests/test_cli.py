@@ -1,5 +1,6 @@
 """End-to-end checks of the report-emitting command line."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -207,6 +208,45 @@ def test_nonfinite_float_flag_is_usage_error(capsys, argv, flag, text):
     assert lines[0].startswith(f"usage: tachys {argv[0]} ")
     assert lines[-1] == f"tachys {argv[0]}: error: argument {flag}: expected a finite number, got {text!r}"
     assert all(line.startswith(" ") for line in lines[1:-1])
+
+
+def _float_flags():
+    """(subcommand, flag, required flags) for every float flag of the parser."""
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, sub in subparsers.choices.items():
+        options = [a for a in sub._actions if a.option_strings]
+        required = [a.option_strings[0] for a in options if a.required]
+        for action in options:
+            if action.type is cli._finite_float:
+                yield command, action.option_strings[0], required
+
+
+FLOAT_FLAGS = list(_float_flags())
+
+
+def test_float_flags_are_read_from_the_parser():
+    flags = {(command, flag) for command, flag, _ in FLOAT_FLAGS}
+    assert len(flags) == len(FLOAT_FLAGS) == 20
+    assert {command for command, _ in flags} == set(README_INVOCATIONS)
+    assert ("dilation", "--t-max") in flags and ("controlu", "--e-polar") in flags
+
+
+@pytest.mark.parametrize(
+    "command, flag, required",
+    [pytest.param(*case, id=f"{case[0]}{case[1]}") for case in FLOAT_FLAGS],
+)
+def test_every_float_flag_rejects_non_finite_values(capsys, command, flag, required):
+    for text in ("nan", "inf", "-inf"):
+        argv = [command] + [f"{r}=1.0" for r in required if r != flag] + [f"{flag}={text}"]
+        code, out, err = run_cli_expecting_exit(capsys, argv)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert lines[0].startswith(f"usage: tachys {command} ")
+        assert lines[-1] == (
+            f"tachys {command}: error: argument {flag}: expected a finite number, got {text!r}"
+        )
+        assert all(line.startswith(" ") for line in lines[1:-1])
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -73,6 +73,20 @@ def test_metric_from_sqrt_rejects_degenerate():
     assert exc.value.eigenvalue == pytest.approx(0.0, abs=1e-15)
 
 
+def test_metric_from_sqrt_rejects_a_root_too_large_to_square():
+    # the root passes the finite and margin gates, but eta = root @ root
+    # overflows; the error is typed and no numpy warning leaks (pytest makes
+    # RuntimeWarning an error)
+    with pytest.raises(ValueError, match="not finite"):
+        metric_from_sqrt(1e200, 1.0)
+    with pytest.raises(ValueError, match="not finite") as exc:
+        metric_from_sqrt(np.array([2.0, 1e300, 3.0]), np.array([1.0, 1e149, 1.0]))
+    assert exc.value.row == 1
+    # |offdiag|^2 past the float range is an infinitely negative margin
+    with pytest.raises(MetricDegeneracyError):
+        metric_from_sqrt(2.0, 1e200)
+
+
 def test_diag_metric():
     m = diag_metric(3.0)
     assert np.allclose(m.eta, np.diag([1.0, 9.0]))
