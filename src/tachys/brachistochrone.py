@@ -94,8 +94,8 @@ def minimal_time(initial, final, omega: float):
     Either state may be an ``(n, 2)`` stack of states, giving ``(n,)`` times.
     """
     omega = positive_finite("omega", omega)
-    u = normalize(as_state(initial, dim=2, stack=True), stack=True)
-    v = normalize(as_state(final, dim=2, stack=True), stack=True)
+    u = normalize(as_state(initial, dim=2, stack=True))
+    v = normalize(as_state(final, dim=2, stack=True))
     overlap = _vdots(u, v)
     return _float_or_array((2.0 / omega) * np.arccos(np.clip(_abs(overlap), 0.0, 1.0)))
 

@@ -5,9 +5,10 @@ with 17 significant digits, LF line endings, and the generating configuration
 echoed into the report next to the schema version, so the same invocation
 yields byte-identical output.  Files are written atomically (temp file plus
 rename).  Exit status: 0 on success, 1 when the numerics reject the request
-(domain errors carry the originating error type) or a report value is not
-finite, 2 on bad usage, which includes a float flag that is not a finite
-number and a sweep of more than MAX_POINTS points.
+(domain errors carry the originating error type), a report value is not
+finite or the output file cannot be written, 2 on bad usage, which includes
+a float flag that is not a finite number and a sweep of more than MAX_POINTS
+points.
 """
 
 from __future__ import annotations
@@ -141,22 +142,17 @@ def _cmd_brachy(args):
 def _cmd_dissipation(args):
     grid = _sweep(args.f_min, args.f_max, args.points)
     scan = opendyn.dissipation_scan(grid, args.omega, proximity=args.proximity)
-    table = {
-        name: [getattr(r, name) for r in scan]
-        for name in ("f", "d_factor", "finite_factor", "gap_sq", "a_prime", "tau")
-    }
-    return table, None
+    return {name: scan[name] for name in scan.dtype.names}, None
 
 
 def _cmd_dilation(args):
     m = metric.diag_metric(args.scale)
     h = 0.5 * args.omega * smallmat.PAULI_X
     model = dilation.build_dilation(h, m, args.omega)
-    qh = metric.quasi_hamiltonian(h, m, args.omega)
     psi0 = np.array([1.0, 0.0], dtype=complex)
     ts = _sweep(0.0, args.t_max, args.t_points)
     evolved, observed = dilation.evolve_dilated(model, psi0, ts)
-    direct = smallmat.propagator(qh.operator, ts) @ psi0
+    direct = smallmat.propagator(model.generator.operator, ts) @ psi0
     table = {
         "t": ts,
         "embedding_error": smallmat.row_norms(observed - direct),
@@ -180,7 +176,7 @@ def _cmd_povm(args):
     effect = dict(zip(povm.labels, povm.effects))
     psi0, psi1 = basis.psi0, basis.psi1
     # inconclusive_probability normalizes its state; |psi1| is 1 only to rounding
-    unit_psi1 = smallmat.normalize(psi1, stack=True)
+    unit_psi1 = smallmat.normalize(psi1)
 
     def sandwich(label, psi):
         # <psi|E|psi> row by row
@@ -330,7 +326,7 @@ def main(argv=None) -> int:
         _write_text(args.output, text)
     except _UsageError as exc:
         parser.error(str(exc))
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError, OSError) as exc:
         print(
             f"tachys {args.command}: error: {type(exc).__name__}: {exc}",
             file=sys.stderr,

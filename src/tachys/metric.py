@@ -20,6 +20,7 @@ from .smallmat import (
     _max,
     _reject_rows,
     _square,
+    _where,
     as_operator,
     as_state,
     dagger,
@@ -82,13 +83,8 @@ class QuasiHamiltonian:
 
 
 def diag_metric(scale: float) -> Metric:
-    """Metric diag(1, scale**2) together with its roots."""
-    s = positive_finite("diagonal metric scale", scale)
-    return Metric(
-        eta=np.diag([1.0 + 0j, s * s]),
-        sqrt_eta=np.diag([1.0 + 0j, s]),
-        inv_sqrt_eta=np.diag([1.0 + 0j, 1.0 / s]),
-    )
+    """Metric diag(1, scale**2): ``metric_from_sqrt`` of the root diag(1, scale)."""
+    return metric_from_sqrt(positive_finite("diagonal metric scale", scale), 0.0)
 
 
 def metric_from_sqrt(diag, offdiag) -> Metric:
@@ -123,6 +119,9 @@ def metric_from_sqrt(diag, offdiag) -> Metric:
         ValueError("metric overflows: the square of its root is not finite"),
     )
     inv_root = _matrix2(f, -g, -np.conj(g), 1.0) / margin[..., None, None]
+    # complex division multiplies by 1/margin, so f/f of a diagonal root can
+    # round to 1 - 2**-53; a diagonal root inverts to diag(1, 1/f) exactly
+    inv_root[..., 0, 0] = _where(g == 0, 1.0, inv_root[..., 0, 0])
     return Metric(eta=eta, sqrt_eta=root, inv_sqrt_eta=inv_root)
 
 

@@ -43,7 +43,6 @@ __all__ = [
     "AlignmentError",
     "OpenSplit",
     "EvolutionTrace",
-    "DissipationScanRow",
     "split_generator",
     "evolve_semigroup",
     "shifted_generator",
@@ -91,16 +90,6 @@ class EvolutionTrace:
     rhos: np.ndarray
     trace_values: np.ndarray
     k_values: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class DissipationScanRow:
-    f: float
-    d_factor: float
-    finite_factor: float
-    gap_sq: float
-    a_prime: float
-    tau: float
 
 
 def split_generator(ham) -> OpenSplit:
@@ -297,13 +286,15 @@ def energy_gap_squared(hermitian_part):
     return _float_or_array((_cmul(tr, tr) - 4.0 * np.linalg.det(m)).real)
 
 
-def dissipation_scan(f_grid, omega: float, proximity: float = 1e-6) -> list[DissipationScanRow]:
+def dissipation_scan(f_grid, omega: float, proximity: float = 1e-6) -> np.recarray:
     """Sweep the metric root diagonal and report the degenerate-limit numbers.
 
-    For each ``f`` the row carries the limit revelation probability, plus the
-    squared gap of the coherent part, the flat overlap |a'| and the travel
-    time tau of the aligned canonical problem evaluated at the caller-set
-    ``proximity`` (the offset of |offdiag|^2 below f along real offdiag).
+    Returns a record array, one row per ``f`` (``scan.tau`` is a column,
+    ``scan[k].tau`` a value), with the fields ``f``; ``d_factor``, the limit
+    revelation probability; and, for the aligned canonical problem at the
+    caller-set ``proximity`` (the offset of |offdiag|^2 below f along real
+    offdiag), ``finite_factor``, ``gap_sq`` of the coherent part, the flat
+    overlap ``a_prime`` = |a'| and the travel time ``tau``.
 
     The grid is computed in one stacked pass: the metrics of every row are
     ``(n, 2, 2)`` stacks, and the boundary mapping, the aligned frame, the
@@ -318,7 +309,7 @@ def dissipation_scan(f_grid, omega: float, proximity: float = 1e-6) -> list[Diss
     proximity = positive_finite("proximity", proximity)
     fs = np.asarray(f_grid, dtype=float).reshape(-1)
     columns = _first_failing_row(lambda n: _scan_columns(fs[:n], omega, proximity), len(fs))
-    return [DissipationScanRow(*row) for row in zip(fs.tolist(), *(c.tolist() for c in columns))]
+    return np.rec.fromarrays([fs, *columns], names="f,d_factor,finite_factor,gap_sq,a_prime,tau")
 
 
 def _scan_columns(f: np.ndarray, omega: float, proximity: float):

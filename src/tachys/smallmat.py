@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "HERMITICITY_TOL",
     "POSDEF_FLOOR",
-    "STATE_EQUALITY_TOL",
     "PAULI_X",
     "PAULI_Y",
     "PAULI_Z",
@@ -28,17 +27,14 @@ __all__ = [
     "normalize",
     "positive_finite",
     "fidelity",
-    "states_equal",
     "propagator",
     "row_norms",
     "hermitian_sqrt",
     "eigvals2",
-    "spectral_gap",
 ]
 
 HERMITICITY_TOL = 1e-10
 POSDEF_FLOOR = 1e-12
-STATE_EQUALITY_TOL = 1e-10
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -197,9 +193,9 @@ def is_hermitian(mat):
     return ok if m.ndim == 3 else bool(ok)
 
 
-def normalize(vec, stack: bool = False) -> np.ndarray:
-    """``vec`` over its norm; with ``stack``, each row of an ``(n, d)`` stack."""
-    v = as_state(vec, stack=stack)
+def normalize(vec) -> np.ndarray:
+    """``vec`` over its norm; a 2-d ``vec`` is an ``(n, d)`` stack, normalized row by row."""
+    v = as_state(vec, stack=True)
     n = _norm(v)
     _reject_rows(n == 0.0, ValueError("cannot normalize the zero vector"))
     return v / (n if v.ndim == 1 else n[:, None])
@@ -231,11 +227,6 @@ def fidelity(u, v) -> float:
     if na == 0.0 or nb == 0.0:
         raise ValueError("fidelity of the zero vector is undefined")
     return float(abs(np.vdot(a, b)) / (na * nb))
-
-
-def states_equal(u, v) -> bool:
-    """Equality up to a global phase: fidelity >= 1 - STATE_EQUALITY_TOL."""
-    return fidelity(u, v) >= 1.0 - STATE_EQUALITY_TOL
 
 
 def _matrix2(m00, m01, m10, m11) -> np.ndarray:
@@ -382,9 +373,3 @@ def eigvals2(mat):
     if m.ndim == 3:
         return np.where(swap, lo, hi), np.where(swap, hi, lo)
     return (complex(lo), complex(hi)) if swap else (complex(hi), complex(lo))
-
-
-def spectral_gap(mat):
-    """Difference of the two ``eigvals2`` eigenvalues (largest minus smallest)."""
-    hi, lo = eigvals2(mat)
-    return hi - lo

@@ -5,6 +5,8 @@ every integer argument rejects NaN, infinities, non-integral and
 out-of-domain values the same way."""
 
 import inspect
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -118,3 +120,18 @@ def test_every_export_resolves_and_comes_from_its_module_exports():
     for name in tachys.__all__:
         home = sys.modules[getattr(tachys, name).__module__]
         assert name in home.__all__, (name, home.__name__)
+
+
+def test_runtime_imports_numpy_only():
+    # tachys promises a numpy-only runtime; the test oracles must not leak into it
+    code = "import sys, tachys, tachys.cli; print(' '.join(sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    loaded = {name.split(".")[0] for name in proc.stdout.split()}
+    assert "numpy" in loaded
+    assert loaded & {"scipy", "mpmath", "sympy", "hypothesis", "pytest"} == set()

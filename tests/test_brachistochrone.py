@@ -16,7 +16,7 @@ from tachys.brachistochrone import (
 )
 from tachys.metric import diag_metric, metric_from_sqrt, quasi_hamiltonian
 from tachys.opendyn import aligned_hamiltonian
-from tachys.smallmat import PAULI_X, PAULI_Y, PAULI_Z, propagator, states_equal
+from tachys.smallmat import PAULI_X, PAULI_Y, PAULI_Z, fidelity, propagator
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)
@@ -146,7 +146,7 @@ def test_transfer_bundle():
     res = transfer(v, 1.5)
     assert res.tau == pytest.approx(0.9 / 1.5, rel=1e-12)
     assert res.overlap == pytest.approx(complex(v[0]))
-    assert states_equal(propagator(res.drive.matrix, res.tau) @ E0, v)
+    assert fidelity(propagator(res.drive.matrix, res.tau) @ E0, v) >= 1.0 - 1e-10
 
 
 # -------------------------------------------------------- first_passage_scan

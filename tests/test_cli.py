@@ -336,6 +336,19 @@ def test_sweep_error_is_the_first_failing_row(capsys, line, message):
     assert err == f"tachys {argv[0]}: error: {message}\n"
 
 
+def test_unwritable_output_exits_one_with_one_line(capsys, tmp_path):
+    (tmp_path / "d").mkdir()
+    cases = {tmp_path / "missing" / "x.csv": "FileNotFoundError", tmp_path / "d": "IsADirectoryError"}
+    for target, kind in cases.items():
+        code, out, err = run_cli(capsys, ["efficiency", "--theta", "1", "--output", str(target)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"tachys efficiency: error: {kind}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+    # no .tachys-* temporary file is left next to either target
+    assert [p.name for p in tmp_path.iterdir()] == ["d"]
+    assert list((tmp_path / "d").iterdir()) == []
+
+
 def test_nonfinite_report_value_exits_one_before_writing(capsys, monkeypatch, tmp_path):
     handlers = {
         "table": lambda args: ({"theta": [1.0, 2.0], "tau": [0.5, np.nan]}, None),
@@ -393,6 +406,19 @@ def test_dilation_report_embedding_and_summary(capsys):
     assert float(comments["summary.unitarity_defect"]) < 1e-10
     assert float(comments["summary.hermiticity_defect"]) < 1e-12
     assert float(comments["summary.visibility_ratio"]) == pytest.approx(1.0 / 16.0)
+
+
+@pytest.mark.parametrize(
+    "scale, message",
+    [
+        ("1e-13", "MetricDegeneracyError: metric square root is degenerate: diag - |offdiag|^2 = 1.000e-13"),
+        ("1e200", "ValueError: metric overflows: the square of its root is not finite"),
+    ],
+)
+def test_dilation_scale_is_checked_by_the_metric_root(capsys, scale, message):
+    code, out, err = run_cli(capsys, ["dilation", "--scale", scale])
+    assert (code, out) == (1, "")
+    assert err == f"tachys dilation: error: {message}\n"
 
 
 def test_dilation_json_summary_block(capsys):

@@ -5,8 +5,8 @@ import pytest
 import scipy.linalg
 
 from tachys.dilation import build_dilation, evolve_dilated, visibility_ratio
-from tachys.metric import Metric, diag_metric, metric_from_matrix, metric_from_sqrt
-from tachys.smallmat import MetricDegeneracyError, PAULI_X, dagger
+from tachys.metric import Metric, diag_metric, metric_from_matrix, metric_from_sqrt, quasi_hamiltonian
+from tachys.smallmat import MetricDegeneracyError, PAULI_X, PAULI_Y, PAULI_Z, dagger
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)
@@ -140,6 +140,24 @@ def test_build_dilation_input_checks():
     for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="omega"):
             build_dilation(H_HALF_X, metric, bad)
+
+
+def test_build_dilation_keeps_the_dressed_generator_bit_for_bit():
+    # criterion 07's family of drives and metrics
+    rng = np.random.default_rng(271828)
+    for _ in range(50):
+        omega = rng.uniform(0.5, 2.5)
+        n = rng.normal(size=3)
+        n /= np.linalg.norm(n)
+        h = 0.5 * omega * (n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z)
+        f = rng.uniform(0.8, 2.5)
+        g = rng.uniform(0.1, 0.7) * np.sqrt(f) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        m = metric_from_sqrt(f, g)
+        generator = build_dilation(h, m, omega).generator
+        want = quasi_hamiltonian(h, m, omega)
+        assert generator.operator.tobytes() == want.operator.tobytes()
+        assert generator.h.tobytes() == want.h.tobytes()
+        assert generator.metric is m and generator.omega == want.omega
 
 
 def test_evolve_dilated_rejects_non_finite_times():

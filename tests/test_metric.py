@@ -98,6 +98,16 @@ def test_diag_metric():
         diag_metric(-1.0)
 
 
+def test_diag_metric_equals_the_explicit_diagonal_value_for_value():
+    # diag_metric builds its root with metric_from_sqrt; == ignores the sign
+    # of the zero off-diagonal entries, which is all that may differ
+    for s in np.logspace(-6.0, 6.0, 2001):
+        m = diag_metric(s)
+        assert (m.eta == np.diag([1.0, s * s])).all()
+        assert (m.sqrt_eta == np.diag([1.0, s])).all()
+        assert (m.inv_sqrt_eta == np.diag([1.0, 1.0 / s])).all()
+
+
 def test_metric_from_matrix_round_trip():
     m0 = metric_from_sqrt(2.0, 1.0)
     m1 = metric_from_matrix(m0.eta)

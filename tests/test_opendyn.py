@@ -388,6 +388,16 @@ def test_dissipation_scan_rows():
         assert r.gap_sq > 1e10  # proximity 1e-6 sits deep in the divergence
 
 
+def test_dissipation_scan_is_a_record_array():
+    scan = dissipation_scan([0.5, 1.0, 2.0, 3.0], 1.0, proximity=1e-6)
+    assert scan.dtype.names == ("f", "d_factor", "finite_factor", "gap_sq", "a_prime", "tau")
+    assert len(scan) == 4
+    assert scan.f.tolist() == [0.5, 1.0, 2.0, 3.0]
+    for k in range(len(scan)):
+        assert scan[k].tau == scan.tau[k]
+        assert [scan[k][name] for name in scan.dtype.names] == [scan[name][k] for name in scan.dtype.names]
+
+
 def test_dissipation_scan_finite_factor_cross_checks_limit_at_unit_diag():
     row = dissipation_scan([1.0], 1.0, proximity=1e-6)[0]
     assert row.finite_factor == pytest.approx(EXP_MINUS_2, abs=1e-8)
@@ -476,7 +486,7 @@ def test_dissipation_scan_raises_for_first_failing_row():
         with pytest.raises(kind) as exc:
             dissipation_scan(grid, 1.0, proximity=1e-7)
         assert str(exc.value) == message
-    assert dissipation_scan([], 1.0) == []
+    assert len(dissipation_scan([], 1.0)) == 0
 
 
 def test_stacked_metric_chain_equals_single_metric_calls():
