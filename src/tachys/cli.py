@@ -51,15 +51,18 @@ def _write_text(path: str | None, text: str) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=".tachys-", dir=directory)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(prefix=".tachys-", dir=directory)
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        # name the path given, not the temporary file written beside it
+        raise type(exc)(exc.errno, exc.strerror, path) from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _render(command: str, config: dict, table: dict, summary: dict | None, fmt: str) -> str:

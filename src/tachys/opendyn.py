@@ -18,11 +18,12 @@ import numpy as np
 
 from .metric import Metric, QuasiHamiltonian, metric_from_sqrt, quasi_hamiltonian
 from .smallmat import (
+    _EP_RADIUS,
     PAULI_X,
     _abs,
     _cmul,
-    _cos_sinc,
     _col,
+    _damped_sinh_cosh,
     _first_failing_row,
     _float_or_array,
     _norm,
@@ -109,17 +110,23 @@ def evolve_semigroup(ham, rho0, times) -> EvolutionTrace:
 
     ``rho0`` must be a density matrix (Hermitian, positive semidefinite, unit
     trace) and ``times`` a non-empty array of finite times.  With the
-    identity+Pauli split ham = a0 I + N, c = cos(r t), s = sin(r t)/r and
-    B = -i N rho0, the trajectory has the closed form
+    identity+Pauli split ham = a0 I + N, r = w + ik the root of N^2, alpha =
+    Im(a0), e = e^{alpha t}, B = -i N rho0 and X = B/r, the trajectory is four
+    real time coefficients times four fixed matrices,
 
-        rho(t) = e^{2 Im(a0) t} (|c|^2 rho0 + s c* B + c s* B^dag + |s|^2 N rho0 N^dag),
+        rho(t) = c0 rho0 + c1 (X + X^dag) + c2 i(X - X^dag) + c3 N rho0 N^dag/|r|^2,
 
-    so every state is four time coefficients times four fixed matrices, and
-    every trace the same coefficients times their four traces.  The form is
-    exact up to rounding, defective generators at an exceptional point
-    included (s -> t as r -> 0); no stepping error is involved.  Where the
-    growth e^{Im(a0) t} |c| or |s| overflows, ValueError names the earliest
-    time whose state is not finite.
+    c0 = (e cos wt)^2 + (e sinh kt)^2,  c1 = (e sin wt)(e cos wt),
+    c2 = (e sinh kt)(e cosh kt),        c3 = (e sin wt)^2 + (e sinh kt)^2,
+
+    and every trace the same coefficients times the four traces.  Sums of
+    squares replace differences such as cosh 2kt - cos 2wt, and e sinh kt
+    comes from expm1, so nothing cancels near an exceptional point; at one
+    (|r| below _EP_RADIUS) cos rt -> 1 and sin(rt)/r -> t.  The form is exact
+    up to rounding and involves no stepping error.  The damping e meets the
+    growth of cosh kt inside one exponential, so a state is non-finite only
+    where the exact state overflows; ValueError then names the earliest such
+    time, and likewise the earliest time whose ``k_values`` entry overflows.
     """
     m = as_operator(ham, dim=2)
     rho = as_operator(rho0, dim=2)
@@ -136,32 +143,58 @@ def evolve_semigroup(ham, rho0, times) -> EvolutionTrace:
     if not np.all(np.isfinite(ts)):
         raise ValueError("times must be finite")
     a0, r, pauli_part = _pauli_split(m)
+    n = ts.shape[0]
+    coeffs = np.empty((4, n))
+    c0, c1, c2, c3 = coeffs
+    # three scratch rows, ending as e cos wt, e sin wt and e cosh kt
+    ecos, esin, ecosh = np.empty((3, n))
     with np.errstate(over="ignore", invalid="ignore"):
-        cosf, sincf = _cos_sinc(r, ts)
-        # |e^{-i a0 t}| = e^{Im(a0) t} goes onto c and s before they are squared,
-        # as it goes onto the propagator, so |c|^2 overflows no earlier than U does
-        modulus = np.exp(a0.imag * ts)
-        cosf *= modulus
-        sincf *= modulus
-        coeffs = np.empty((ts.shape[0], 4), dtype=complex)
-        coeffs[:, 0] = cosf.real**2 + cosf.imag**2
-        np.multiply(sincf, np.conj(cosf), out=coeffs[:, 1])
-        np.conj(coeffs[:, 1], out=coeffs[:, 2])
-        coeffs[:, 3] = sincf.real**2 + sincf.imag**2
-        b = -1j * (pauli_part @ rho)
-        # rows rho0, B, B^dag, N rho0 N^dag; B^dag is written out as i rho0 N^dag so
-        # a rho0 Hermitian only to tolerance is conjugated exactly as given
-        basis = np.stack([rho, b, 1j * (rho @ dagger(pauli_part)), pauli_part @ rho @ dagger(pauli_part)])
-        rhos = (coeffs @ basis.reshape(4, 4)).reshape(-1, 2, 2)
-        traces = np.real(coeffs @ (basis[:, 0, 0] + basis[:, 1, 1]))
+        np.multiply(ts, a0.imag, out=ecosh)
+        if abs(r) < _EP_RADIUS:
+            # exceptional point: cos rt -> 1, sin(rt)/r -> t and sinh kt -> 0; X is B
+            r = 1.0
+            np.exp(ecosh, out=ecos)
+            np.multiply(ecos, ts, out=esin)
+            c2.fill(0.0)
+        else:
+            np.multiply(ts, r.real, out=ecos)
+            np.sin(ecos, out=esin)
+            np.cos(ecos, out=ecos)
+            np.exp(ecosh, out=c3)
+            np.multiply(ecos, c3, out=ecos)
+            np.multiply(esin, c3, out=esin)
+            np.multiply(ts, r.imag, out=c3)
+            _damped_sinh_cosh(ecosh, c3, (c2, ecosh))
+        np.multiply(ecos, esin, out=c1)
+        np.square(esin, out=c3)
+        np.square(c2, out=esin)
+        np.add(c3, esin, out=c3)
+        np.square(ecos, out=c0)
+        np.add(c0, esin, out=c0)
+        np.multiply(c2, ecosh, out=c2)
+        x = -1j * (pauli_part @ rho) / r
+        # B^dag is written out as i rho0 N^dag, so a rho0 Hermitian only to
+        # tolerance is conjugated exactly as given
+        x_dag = 1j * (rho @ dagger(pauli_part)) / np.conj(r)
+        nrn = pauli_part @ rho @ dagger(pauli_part) / abs(r) ** 2
+        basis = np.stack([rho, x + x_dag, 1j * (x - x_dag), nrn])
+        rhos = np.empty((n, 2, 2), dtype=complex)
+        # real coefficients: one real product writes the real and imaginary parts
+        np.matmul(coeffs.T, basis.reshape(4, 4).view(float), out=rhos.reshape(n, 4).view(float))
+        traces = np.real(basis[:, 0, 0] + basis[:, 1, 1]) @ coeffs
+        k_values = np.exp(-2.0 * split_generator(m).rate_max * ts)
     # each trace sums all four coefficients of its state (inf * 0 is NaN), so
     # the n traces show every overflow the (n, 2, 2) stack would
-    blown = ~np.isfinite(traces)
+    _reject_first_time(ts, traces, "the trajectory overflows: rho(t)")
+    _reject_first_time(ts, k_values, "k_values overflow: k(t)")
+    return EvolutionTrace(times=ts, rhos=rhos, trace_values=traces, k_values=k_values)
+
+
+def _reject_first_time(ts: np.ndarray, values: np.ndarray, what: str) -> None:
+    """ValueError naming the earliest time in ``ts`` whose value is not finite."""
+    blown = ~np.isfinite(values)
     if blown.any():
-        t_bad = float(ts[blown].min())
-        raise ValueError(f"the trajectory overflows: rho(t) is first not finite at t = {t_bad!r}")
-    rate = split_generator(m).rate_max
-    return EvolutionTrace(times=ts, rhos=rhos, trace_values=traces, k_values=np.exp(-2.0 * rate * ts))
+        raise ValueError(f"{what} is first not finite at t = {float(ts[blown].min())!r}")
 
 
 def shifted_generator(ham) -> tuple[np.ndarray, float]:

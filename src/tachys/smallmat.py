@@ -45,6 +45,10 @@ _SUPPORTED_DIMS = (2, 4)
 #: |r| below which sin(r t)/r is taken as t (the generator is at an exceptional point)
 _EP_RADIUS = 1e-150
 
+#: |Im(r) t| past which ``propagator`` damps cosh(Im(r) t) before forming it;
+#: cosh overflows past 710.5, and sin(r t)/r may be larger still
+_COSH_LIMIT = 700.0
+
 
 class MetricDegeneracyError(ValueError):
     """A required positive-definite operator is singular or indefinite.
@@ -304,6 +308,54 @@ def _cos_sinc(r, t):
     return np.where(exceptional, 1.0 + 0j, cosf), np.where(exceptional, t + 0j, sincf)
 
 
+def _damped_sinh_cosh(at, kt, out) -> None:
+    """e^{at} sinh(kt) and e^{at} cosh(kt) of float arrays, written to the pair ``out``.
+
+    With E = e^{at + |kt|} and q = expm1(-2|kt|) in [-1, 0], e^{at} sinh|kt|
+    is -E q / 2 and e^{at} cosh kt is E (2 + q) / 2: nothing cancels as
+    kt -> 0, and the growth meets the damping inside one exponential, so a
+    value is non-finite only where e^{at} cosh kt itself overflows.  The
+    cosh array of ``out`` may be ``at``; the sinh array must not be ``kt``.
+    """
+    sinh, cosh = out
+    np.abs(kt, out=sinh)
+    np.add(at, sinh, out=cosh)
+    np.exp(cosh, out=cosh)
+    np.multiply(sinh, -2.0, out=sinh)
+    np.expm1(sinh, out=sinh)
+    np.multiply(sinh, cosh, out=sinh)
+    np.multiply(sinh, -0.5, out=sinh)
+    np.subtract(cosh, sinh, out=cosh)
+    np.copysign(sinh, kt, out=sinh)
+
+
+def _damped_factors(a0, r, t):
+    """exp(-i a0 t), cos(r t) and sin(r t)/r for ``propagator``.
+
+    Where |Im(r) t| passes _COSH_LIMIT, cosh(Im r t) nears the float range
+    and would overflow before e^{Im(a0) t} damps it.  There the damping moves
+    from the phase onto cos and sin, whose hyperbolic parts come from
+    ``_damped_sinh_cosh``; every other entry keeps the plain form.
+    """
+    kt = r.imag * t
+    damped = abs(kt) > _COSH_LIMIT
+    if not _any(damped):
+        return (np.exp(-1j * a0 * t), *_cos_sinc(r, t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase, cosf, sincf = np.exp(-1j * a0 * t), *_cos_sinc(r, t)
+        # [j, ...] keeps a scalar t's rows as 0-d arrays the ufuncs can write to
+        hyperbolic = np.empty((2, *np.shape(kt)))
+        esinh, ecosh = hyperbolic[0, ...], hyperbolic[1, ...]
+        _damped_sinh_cosh(a0.imag * t, kt, (esinh, ecosh))
+        wt = r.real * t
+        cos_w, sin_w = np.cos(wt), np.sin(wt)
+        return (
+            _where(damped, np.exp(-1j * a0.real * t), phase),
+            _where(damped, cos_w * ecosh - 1j * sin_w * esinh, cosf),
+            _where(damped, (sin_w * ecosh + 1j * cos_w * esinh) / r, sincf),
+        )
+
+
 def propagator(ham, t) -> np.ndarray:
     """Time-evolution operator ``exp(-1j * ham * t)``.
 
@@ -314,8 +366,14 @@ def propagator(ham, t) -> np.ndarray:
     ``propagator(ham[k], t[k])`` bit for bit.  2x2 generators use the
     closed-form identity+Pauli decomposition, exact up to rounding whether or
     not ``ham`` is Hermitian, defective generators at an exceptional point
-    included.  4x4 generators must be Hermitian and go through an
-    eigendecomposition; a non-Hermitian 4x4 generator raises ValueError.
+    included.  Where |Im(r) t| passes 700 (r the root of the Pauli part's
+    n.n), cosh(Im r t) nears the float range, so those entries put the
+    damping e^{Im(a0) t} onto cos and sin through the overflow-free
+    e^{at} sinh/cosh; they are then non-finite only where the exact operator
+    overflows (diag(0, -2i) at t = 800 gives diag(1, e^-1600)).  Every other
+    entry, real r included, keeps the plain form.  4x4 generators must be
+    Hermitian and go through an eigendecomposition; a non-Hermitian 4x4
+    generator raises ValueError.
     A NaN or infinite time raises ValueError naming the first such value.
     """
     m = as_operator(ham, stack=True)
@@ -328,9 +386,9 @@ def propagator(ham, t) -> np.ndarray:
     t = t if t.ndim else float(t)
     if m.shape[-1] == 2:
         a0, r, pauli_part = _pauli_split(m)
-        cosf, sincf = _cos_sinc(r, t)
+        phase, cosf, sincf = _damped_factors(a0, r, t)
         rotation = _col(cosf) * np.eye(2) - _col(1j * sincf) * pauli_part
-        return _col(np.exp(-1j * a0 * t)) * rotation
+        return _col(phase) * rotation
     if not is_hermitian(m):
         raise ValueError("4x4 generators must be Hermitian")
     w, v = np.linalg.eigh(0.5 * (m + dagger(m)))

@@ -1,6 +1,7 @@
 """End-to-end checks of the report-emitting command line."""
 
 import argparse
+import errno
 import json
 import os
 import subprocess
@@ -338,12 +339,16 @@ def test_sweep_error_is_the_first_failing_row(capsys, line, message):
 
 def test_unwritable_output_exits_one_with_one_line(capsys, tmp_path):
     (tmp_path / "d").mkdir()
-    cases = {tmp_path / "missing" / "x.csv": "FileNotFoundError", tmp_path / "d": "IsADirectoryError"}
-    for target, kind in cases.items():
+    cases = {
+        tmp_path / "missing" / "x.csv": ("FileNotFoundError", errno.ENOENT),
+        tmp_path / "d": ("IsADirectoryError", errno.EISDIR),
+    }
+    for target, (kind, number) in cases.items():
         code, out, err = run_cli(capsys, ["efficiency", "--theta", "1", "--output", str(target)])
         assert (code, out) == (1, "")
-        assert err.startswith(f"tachys efficiency: error: {kind}: ")
-        assert err.count("\n") == 1 and err.endswith("\n")
+        # the line names the path given, not the temporary file beside it
+        want = f"[Errno {number}] {os.strerror(number)}: {str(target)!r}"
+        assert err == f"tachys efficiency: error: {kind}: {want}\n"
     # no .tachys-* temporary file is left next to either target
     assert [p.name for p in tmp_path.iterdir()] == ["d"]
     assert list((tmp_path / "d").iterdir()) == []

@@ -1,6 +1,7 @@
 """Non-Hermitian open dynamics: trace motion, shifts, aligned drives."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +202,64 @@ def test_evolve_semigroup_overflow_raises_naming_first_bad_time():
     assert np.all(np.isfinite(evolve_semigroup(GENERATOR, rho0, ts[ts < t_bad]).rhos))
     with pytest.raises(ValueError, match="overflows"):
         evolve_semigroup(GENERATOR, rho0, [t_bad])
+
+
+def test_evolve_semigroup_decay_past_cosh_overflow_stays_finite():
+    # diag(0, -2i): cosh(t) passes the float range near t = 710, but the state
+    # only loses its decaying level, rho(t) = diag(1/2, e^{-4t}/2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = evolve_semigroup(np.diag([0.0, -2j]), 0.5 * np.eye(2), [700.0, 800.0])
+    assert np.abs(trace.trace_values - 0.5).max() <= 1e-12
+    assert np.abs(trace.rhos - np.diag([0.5, 0.0])).max() <= 1e-12
+
+
+def test_evolve_semigroup_k_values_overflow_raises_naming_first_bad_time():
+    # the trace decays, but k(t) = e^{2t} passes the float range before t = 400
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"k\(t\) is first not finite at t = 400\.0"):
+            evolve_semigroup(np.diag([-1j, -2j]), 0.5 * np.eye(2), [0.0, 100.0, 400.0])
+        trace = evolve_semigroup(np.diag([-1j, -2j]), 0.5 * np.eye(2), [0.0, 100.0])
+    assert trace.k_values[1] == pytest.approx(np.exp(200.0), rel=1e-14)
+
+
+#: rho(t) = (rho00, rho11, Re rho01, Im rho01) of ``_near_ep_generator(d)``
+#: from RHO_NEAR_EP, for each (d, t) of NEAR_EP_TIMES, from a 40-digit mpmath
+#: expm of the generator's entries taken exactly; |Im r| t runs from 1e-12 to 1e-3
+NEAR_EP_TIMES = ((2.0**-40, (1e-6, 1e-3, 1.0, 850.0)), (2.0**-50, (1e-4, 0.1, 100.0, 2.7e4)))
+NEAR_EP_RHO = (
+    (0.60000074880044848009, 0.39999954920045092228, 0.2499999995000000005, 0.10000014980044970575),
+    (0.60074924850030257076, 0.3995496508998983959, 0.24999950000049999967, 0.10015024969930030697),
+    (1.7964035976046713136, 0.39920079946695590893, 0.24950049966683326625, 0.69860139906815424878),
+    (59511.570705587232377, 59325.196851832280889, 0.045670881013183593597, 59418.310705228081377),
+    (0.6000748844850110794, 0.39995492450900712123, 0.249999950000005, 0.10001498449700110585),
+    (0.67936411358909414531, 0.35942810718952064611, 0.24995000499966668329, 0.11947610238984068491),
+    (3746.1844338005320697, 3647.7729972796815458, 0.20468268826949542831, 3696.6512232388712375),
+    (1.1589507161815758005e-15, 1.1588362582352004361e-15, 8.8315714305015939977e-25, 1.158893485795335317e-15),
+)
+RHO_NEAR_EP = np.array([[0.6, 0.25 + 0.1j], [0.25 - 0.1j, 0.4]])
+
+
+def _near_ep_generator(d):
+    """[[i gamma, s], [s, -i gamma]] with s = 0.75 and gamma = s + d, shifted by
+    0.3 - 1e-3 i: r = i k with k^2 = gamma^2 - s^2 (exact in floats), so
+    k = 1.2e-6 for d = 2^-40 and 3.7e-8 for d = 2^-50, while N stays of order 1."""
+    gamma = 0.75 + d
+    return np.array([[1j * gamma, 0.75], [0.75, -1j * gamma]]) + (0.3 - 1e-3j) * np.eye(2)
+
+
+def test_evolve_semigroup_matches_mpmath_near_exceptional_point():
+    # c2 = e^2 sinh(kt) cosh(kt) multiplies i(X - X^dag) with X = B/r of order
+    # 1/k; (e^{(a+k)t} - e^{(a-k)t})/2 would cancel and miss by up to 1e-9
+    want = iter(NEAR_EP_RHO)
+    for d, times in NEAR_EP_TIMES:
+        trace = evolve_semigroup(_near_ep_generator(d), RHO_NEAR_EP, times)
+        for rho, trace_value in zip(trace.rhos, trace.trace_values):
+            p00, p11, re01, im01 = next(want)
+            exact = np.array([[p00, re01 + 1j * im01], [re01 - 1j * im01, p11]])
+            assert np.linalg.norm(rho - exact) <= 1e-12 * np.linalg.norm(exact)
+            assert abs(trace_value - (p00 + p11)) <= 1e-12 * (p00 + p11)
 
 
 # -------------------------------------------------------------------- shift

@@ -10,6 +10,7 @@ test.
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,26 @@ def test_propagator_stack_needs_one_time_per_2x2_generator():
     with pytest.raises(ValueError, match="non-finite") as exc:
         propagator(bad, np.zeros(3))
     assert exc.value.row == 1
+
+
+def test_propagator_damps_a_large_imaginary_root_before_it_overflows():
+    # r = i (plus a real part for levels 1, -2i): cosh(t) alone passes the
+    # float range near t = 710, but one level only rotates and the other
+    # decays as e^{-2t}, so every exact result is bounded
+    v = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / np.sqrt(2.0)
+    ts = np.array([1.0, 800.0, 650.0, 1500.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for levels in ([0.0, -2j], [1.0, -2j], [0.3, 0.3 - 2j]):
+            for basis in (np.eye(2), v):
+                m = basis @ np.diag(levels) @ dagger(basis)
+                for t in (800.0, 1500.0):
+                    want = basis @ np.diag(np.exp(-1j * np.array(levels) * t)) @ dagger(basis)
+                    assert np.abs(propagator(m, t) - want).max() <= 1e-12
+                # rows past the limit match the scalar calls bit for bit too
+                singles = [propagator(m, t) for t in ts]
+                assert _bytes_equal(propagator(m, ts), singles)
+                assert _bytes_equal(propagator(np.stack([m] * len(ts)), ts), singles)
 
 
 def test_stacked_products_round_as_the_scalar_products():
