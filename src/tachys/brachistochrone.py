@@ -20,21 +20,19 @@ import numpy as np
 
 from .smallmat import (
     _EP_RADIUS,
+    HERMITICITY_TOL,
     _abs,
     _cos_sinc,
     _first_failing_row,
     _float_or_array,
     _matrix2,
     _norm,
-    _pauli_split,
-    _pauli_vector,
     _reject_rows,
+    _unit2,
     _vdots,
     _where,
     as_operator,
     as_state,
-    dagger,
-    is_hermitian,
     normalize,
     positive_finite,
     propagator,
@@ -199,20 +197,38 @@ def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -
     the analytic slope of the normalized fidelity, from
     d psi/dt = -i (n.sigma) psi.  Where the growth of psi(t) overflows on the
     grid, ValueError names the earliest grid time whose state is not finite.
+
+    The arguments are checked in order (ham, t_max, steps, initial, final),
+    each once, and the first bad one raises ValueError.  Past those checks
+    the real-spectrum path is Python scalar arithmetic, with no numpy call:
+    the drive and the states are read once each, the Hermiticity test is
+    ||ham - ham^dag||_F <= HERMITICITY_TOL from the entries, and each state is
+    normalized as ``normalize`` does it, bit for bit (its squared norm rounded
+    as numpy's fused dot rounds it, then a multiply by the reciprocal norm, as
+    numpy's complex division does), rescaled by a power of two first where
+    its norm leaves [2**-511, 2**511].
     """
     m = as_operator(ham, dim=2)
     t_max = positive_finite("t_max", t_max)
     steps = _scan_steps(steps)
-    u = normalize(as_state(initial, dim=2))
-    v = normalize(as_state(final, dim=2))
-    if is_hermitian(m):
-        m = 0.5 * (m + dagger(m))
-    _, nx, ny, nz = _pauli_vector(m)
+    u = _unit2(as_state(initial, dim=2))
+    v = _unit2(as_state(final, dim=2))
+    (m00, m01), (m10, m11) = m.tolist()
+    # ||m - m^dag||_F^2: the off-diagonal pair each give |m01 - conj m10|^2,
+    # each diagonal entry (2 Im m_kk)^2
+    d = m01 - m10.conjugate()
+    skew2 = 2.0 * (d.real * d.real + d.imag * d.imag) + 4.0 * (m00.imag**2 + m11.imag**2)
+    if math.sqrt(skew2) <= HERMITICITY_TOL:
+        # the Pauli vector of the symmetrized drive (m + m^dag) / 2, real
+        h01 = 0.5 * (m01 + m10.conjugate())
+        nx, ny, nz = h01.real, 0.0 - h01.imag, 0.5 * (m00.real - m11.real)
+        return _real_spectrum_passage(nx, ny, nz, math.sqrt(nx * nx + ny * ny + nz * nz), u, v, t_max)
+    nx, ny, nz = 0.5 * (m01 + m10), 0.5j * (m01 - m10), 0.5 * (m00 - m11)
     nn = nx * nx + ny * ny + nz * nz
     scale = abs(nx) ** 2 + abs(ny) ** 2 + abs(nz) ** 2
     if nn.real >= 0.0 and abs(nn.imag) <= _REAL_SPECTRUM_TOL * scale:
         return _real_spectrum_passage(nx, ny, nz, math.sqrt(nn.real), u, v, t_max)
-    return _general_passage(m, u, v, t_max, steps)
+    return _general_passage(nx, ny, nz, float(np.linalg.norm(m)), u, v, t_max, steps)
 
 
 def _scan_steps(steps) -> int:
@@ -230,9 +246,10 @@ def _scan_steps(steps) -> int:
 
 
 def _real_spectrum_passage(nx, ny, nz, r: float, u, v, t_max: float) -> float | None:
-    """Closed-form first passage under a drive with Pauli part n.sigma, n.n = r^2."""
-    u0, u1 = u.tolist()
-    v0, v1 = np.conj(v).tolist()
+    """Closed-form first passage under a drive with Pauli part n.sigma, n.n = r^2,
+    between the unit states ``u`` and ``v`` given as pairs of complex scalars."""
+    u0, u1 = u
+    v0, v1 = v[0].conjugate(), v[1].conjugate()
     w0, w1 = nz * u0 + (nx - 1j * ny) * u1, (nx + 1j * ny) * u0 - nz * u1
     alpha, beta = v0 * u0 + v1 * u1, v0 * w0 + v1 * w1
     if abs(alpha) >= PASSAGE_FIDELITY:
@@ -264,16 +281,15 @@ def _real_spectrum_passage(nx, ny, nz, r: float, u, v, t_max: float) -> float | 
     return t if math.sqrt(fidelity2(c, s)) >= PASSAGE_FIDELITY else None
 
 
-def _general_passage(
-    m: np.ndarray, u: np.ndarray, v: np.ndarray, t_max: float, steps: int
-) -> float | None:
-    """Grid scan plus slope bisection for a 2x2 drive that is not Hermitian."""
-    _, r, pauli_part = _pauli_split(m)
-    # plain complex scalars keep each bisection step cheap
-    r = complex(r)
-    n00, n01, n10, n11 = (complex(x) for x in pauli_part.ravel())
-    u0, u1, su0, su1 = (complex(x) for x in (*u, *(pauli_part @ u)))
-    w0, w1 = (complex(x) for x in np.conj(v))
+def _general_passage(nx, ny, nz, size: float, u, v, t_max: float, steps: int) -> float | None:
+    """Grid scan plus slope bisection for a drive with Pauli part n.sigma whose
+    n.n is complex or negative; ``size`` is the drive's Frobenius norm, and
+    ``u`` and ``v`` are unit states given as pairs of complex scalars."""
+    r = complex(np.sqrt(nx * nx + ny * ny + nz * nz + 0j))
+    n00, n01, n10, n11 = nz, nx - 1j * ny, nx + 1j * ny, -nz
+    u0, u1 = u
+    su0, su1 = n00 * u0 + n01 * u1, n10 * u0 + n11 * u1
+    w0, w1 = v[0].conjugate(), v[1].conjugate()
     ts = np.linspace(0.0, t_max, steps)
     with np.errstate(over="ignore", invalid="ignore"):
         cosf, sincf = _cos_sinc(r, ts)
@@ -304,7 +320,7 @@ def _general_passage(
         growth = (p0.conjugate() * d0 + p1.conjugate() * d1).real
         return (g.conjugate() * dg).real * norm2 > abs(g) ** 2 * growth
 
-    slack = 2.0 * (t_max / (steps - 1)) * max(float(np.linalg.norm(m)), 1e-30)
+    slack = 2.0 * (t_max / (steps - 1)) * max(size, 1e-30)
     # grid peaks: no lower than either neighbour; the last sample needs only the left one
     climbs = fid[1:] >= fid[:-1]
     tops = np.append(fid[1:-1] >= fid[2:], True)

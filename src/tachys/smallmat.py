@@ -8,6 +8,7 @@ their fidelity is 1 up to tolerance).
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -48,6 +49,10 @@ _EP_RADIUS = 1e-150
 #: |Im(r) t| past which ``propagator`` damps cosh(Im(r) t) before forming it;
 #: cosh overflows past 710.5, and sin(r t)/r may be larger still
 _COSH_LIMIT = 700.0
+
+#: state norms outside this range are rescaled by a power of two before use:
+#: below it the squared entries lose bits or vanish, above it they overflow
+_NORM_MIN, _NORM_MAX = 2.0**-511, 2.0**511
 
 
 class MetricDegeneracyError(ValueError):
@@ -142,8 +147,8 @@ def as_operator(mat, dim: int | None = None, stack: bool = False) -> np.ndarray:
         raise ValueError(f"unsupported dimension {m.shape[-1]}; expected one of {_SUPPORTED_DIMS}")
     if dim is not None and m.shape[-1] != dim:
         raise ValueError(f"expected a {dim}x{dim} matrix, got {m.shape[-1]}x{m.shape[-1]}")
-    finite = np.isfinite(m.view(float))
-    if not finite.all():
+    if not _all_finite(m):
+        finite = np.isfinite(m.view(float))
         _reject_rows(~finite.all(axis=(-2, -1)), ValueError("matrix has non-finite entries"))
     return m
 
@@ -160,10 +165,18 @@ def as_state(vec, dim: int | None = None, stack: bool = False) -> np.ndarray:
         raise ValueError(f"unsupported state dimension {v.shape[-1]}")
     if dim is not None and v.shape[-1] != dim:
         raise ValueError(f"expected a length-{dim} state, got length {v.shape[-1]}")
-    finite = np.isfinite(v.view(float))
-    if not finite.all():
+    if not _all_finite(v):
+        finite = np.isfinite(v.view(float))
         _reject_rows(~finite.all(axis=-1), ValueError("state has non-finite entries"))
     return v
+
+
+def _all_finite(x: np.ndarray) -> bool:
+    """Whether every entry of a complex array is finite.  Up to 16 entries a
+    Python pass is used: it is about 3x faster than a ufunc and its reduction."""
+    if x.size <= 16:
+        return all(map(cmath.isfinite, x.ravel().tolist()))
+    return bool(np.isfinite(x.view(float)).all())
 
 
 def row_norms(x) -> np.ndarray:
@@ -198,11 +211,60 @@ def is_hermitian(mat):
 
 
 def normalize(vec) -> np.ndarray:
-    """``vec`` over its norm; a 2-d ``vec`` is an ``(n, d)`` stack, normalized row by row."""
-    v = as_state(vec, stack=True)
-    n = _norm(v)
+    """``vec`` over its norm; a 2-d ``vec`` is an ``(n, d)`` stack, normalized row by row.
+
+    A state whose norm leaves [2**-511, 2**511] (its squared entries would
+    lose bits, vanish or overflow) is first scaled by the power of two that
+    takes its largest entry into [0.5, 1); the scaling is exact, so
+    ``normalize([1e300, 1e300])`` and ``normalize([1e-170, 1e-170])`` give
+    (1, 1)/sqrt(2).  Every other state keeps the plain quotient, bit for bit.
+    """
+    v, n = _rescaled(as_state(vec, stack=True))
     _reject_rows(n == 0.0, ValueError("cannot normalize the zero vector"))
     return v / (n if v.ndim == 1 else n[:, None])
+
+
+def _rescaled(v: np.ndarray):
+    """``v`` and its norm, each state whose norm is outside [_NORM_MIN, _NORM_MAX]
+    first scaled by the power of two that takes its largest entry into
+    [0.5, 1), without rounding; other states as they are."""
+    with np.errstate(over="ignore"):
+        n = _norm(v)
+    off = np.logical_not((n >= _NORM_MIN) & (n <= _NORM_MAX))
+    if not _any(off):
+        return v, n
+    parts = v.view(float)
+    e = np.frexp(np.abs(parts).max(axis=-1))[1]
+    scaled = np.ldexp(parts, -e if v.ndim == 1 else -e[:, None]).view(complex)
+    v = scaled if v.ndim == 1 else np.where(off[:, None], scaled, v)
+    return v, _norm(v)
+
+
+def _unit2(state: np.ndarray) -> tuple[complex, complex]:
+    """``normalize`` of one validated 2-state, bit for bit, as a pair of Python
+    complex scalars: the state is read once, the rest is scalar arithmetic."""
+    x0, x1 = state.tolist()
+    a, b, c, d = x0.real, x0.imag, x1.real, x1.imag
+    if not _NORM_MIN**2 <= (a * a + c * c) + (b * b + d * d) <= _NORM_MAX**2:
+        big = max(abs(a), abs(b), abs(c), abs(d))
+        if big == 0.0:
+            raise ValueError("cannot normalize the zero vector")
+        e = -math.frexp(big)[1]
+        a, b, c, d = math.ldexp(a, e), math.ldexp(b, e), math.ldexp(c, e), math.ldexp(d, e)
+    # np.linalg.norm's BLAS dot fuses its second product into the sum:
+    # |x|^2 = fma(c, c, a a) + fma(d, d, b b), each fma rounded once by fsum
+    k = 1.0 / math.sqrt(math.fsum((a * a, *_exact_square(c))) + math.fsum((b * b, *_exact_square(d))))
+    # x / |x| rounded, signed zeros included, as numpy's complex-by-real division
+    return complex((a + b * 0.0) * k, (b - a * 0.0) * k), complex((c + d * 0.0) * k, (d - c * 0.0) * k)
+
+
+def _exact_square(x: float) -> tuple[float, float]:
+    """(h, l) with h = fl(x x) and h + l = x x exactly (Dekker), for |x| < 2**511."""
+    t = 134217729.0 * x
+    hi = t - (t - x)
+    lo = x - hi
+    h = x * x
+    return h, ((hi * hi - h) + 2.0 * hi * lo) + lo * lo
 
 
 def _norm(x):
@@ -223,11 +285,13 @@ def _vdots(u, v):
 
 
 def fidelity(u, v) -> float:
-    """Phase-insensitive overlap |<u|v>| of two (not necessarily unit) states."""
-    a = as_state(u)
-    b = as_state(v)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
+    """Phase-insensitive overlap |<u|v>| of two (not necessarily unit) states.
+
+    A state whose norm leaves [2**-511, 2**511] is first scaled by a power of
+    two, as in ``normalize``, so ``fidelity([1e300, 0], [1, 0])`` is 1.
+    """
+    a, na = _rescaled(as_state(u))
+    b, nb = _rescaled(as_state(v))
     if na == 0.0 or nb == 0.0:
         raise ValueError("fidelity of the zero vector is undefined")
     return float(abs(np.vdot(a, b)) / (na * nb))
@@ -333,12 +397,18 @@ def _damped_factors(a0, r, t):
     """exp(-i a0 t), cos(r t) and sin(r t)/r for ``propagator``.
 
     Where |Im(r) t| passes _COSH_LIMIT, cosh(Im r t) nears the float range
-    and would overflow before e^{Im(a0) t} damps it.  There the damping moves
-    from the phase onto cos and sin, whose hyperbolic parts come from
-    ``_damped_sinh_cosh``; every other entry keeps the plain form.
+    and would overflow before e^{Im(a0) t} damps it; below |r| = 1 the
+    1/|r| of sin(r t)/r counts too, so there the test is
+    |Im(r) t| - ln|r| > _COSH_LIMIT.  There the damping moves from the phase
+    onto cos and sin, whose hyperbolic parts come from ``_damped_sinh_cosh``;
+    every other entry keeps the plain form.
     """
     kt = r.imag * t
     damped = abs(kt) > _COSH_LIMIT
+    size = abs(r)
+    small = (size < 1.0) & (size >= _EP_RADIUS)
+    if _any(small):
+        damped = damped | (abs(kt) - np.log(_where(small, size, 1.0)) > _COSH_LIMIT)
     if not _any(damped):
         return (np.exp(-1j * a0 * t), *_cos_sinc(r, t))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -369,11 +439,13 @@ def propagator(ham, t) -> np.ndarray:
     included.  Where |Im(r) t| passes 700 (r the root of the Pauli part's
     n.n), cosh(Im r t) nears the float range, so those entries put the
     damping e^{Im(a0) t} onto cos and sin through the overflow-free
-    e^{at} sinh/cosh; they are then non-finite only where the exact operator
-    overflows (diag(0, -2i) at t = 800 gives diag(1, e^-1600)).  Every other
-    entry, real r included, keeps the plain form.  4x4 generators must be
-    Hermitian and go through an eigendecomposition; a non-Hermitian 4x4
-    generator raises ValueError.
+    e^{at} sinh/cosh; below |r| = 1 the gate is |Im(r) t| - ln|r| > 700,
+    since sin(r t)/r carries a further 1/|r|.  Those entries are then
+    non-finite only where the exact operator overflows (diag(0, -2i) at
+    t = 800 gives diag(1, e^-1600), diag(0, -2e-10 i) at t = 6.9e12 gives
+    diag(1, e^-1380)).  Every other entry, real r included, keeps the plain
+    form.  4x4 generators must be Hermitian and go through an
+    eigendecomposition; a non-Hermitian 4x4 generator raises ValueError.
     A NaN or infinite time raises ValueError naming the first such value.
     """
     m = as_operator(ham, stack=True)

@@ -1,5 +1,8 @@
 """Fastest fixed-gap drives: closed form, propagation checks, passage scan."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -16,7 +19,15 @@ from tachys.brachistochrone import (
 )
 from tachys.metric import diag_metric, metric_from_sqrt, quasi_hamiltonian
 from tachys.opendyn import aligned_hamiltonian
-from tachys.smallmat import PAULI_X, PAULI_Y, PAULI_Z, fidelity, propagator
+from tachys.smallmat import (
+    HERMITICITY_TOL,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    fidelity,
+    is_hermitian,
+    propagator,
+)
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)
@@ -267,6 +278,107 @@ def test_first_passage_validation():
     # steps sets only the general path's grid, but a Hermitian drive checks it too
     with pytest.raises(ValueError, match="steps"):
         first_passage_scan(0.5 * PAULI_X, E0, E1, t_max=1.0, steps=999)
+
+
+#: one bad value per argument of first_passage_scan, in the order the
+#: arguments are checked, each with the message it raises
+_BAD_ARGUMENTS = {
+    "ham": [
+        (np.array([[np.nan, 0.5], [0.5, 0.0]]), "matrix has non-finite entries"),
+        (np.array([[0.0, 0.5], [complex(0.5, np.inf), 0.0]]), "matrix has non-finite entries"),
+        (np.array([[0.0, -np.inf], [0.5, 0.0]]), "matrix has non-finite entries"),
+        (np.eye(4), "expected a 2x2 matrix, got 4x4"),
+    ],
+    "t_max": [(np.nan, "t_max must be a positive finite real, got nan")],
+    "steps": [(999, "at least 1000 scan steps are required")],
+    "initial": [
+        (np.array([np.nan, 1.0]), "state has non-finite entries"),
+        (np.array([1.0, complex(0.0, -np.inf)]), "state has non-finite entries"),
+        (np.array([np.inf, 0.0]), "state has non-finite entries"),
+        (np.array([1.0, 0.0, 0.0]), "unsupported state dimension 3"),
+        (np.array([0.0, 0.0]), "cannot normalize the zero vector"),
+    ],
+}
+_BAD_ARGUMENTS["final"] = _BAD_ARGUMENTS["initial"]
+_GOOD_ARGUMENTS = {"ham": 0.5 * PAULI_X, "t_max": 4.0, "steps": 2000, "initial": E0, "final": E1}
+
+
+@pytest.mark.parametrize(
+    "name, bad, message",
+    [(name, bad, message) for name, cases in _BAD_ARGUMENTS.items() for bad, message in cases],
+)
+def test_first_passage_rejects_bad_arguments(name, bad, message):
+    args = dict(_GOOD_ARGUMENTS, **{name: bad})
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        first_passage_scan(**args)
+
+
+def test_first_passage_reports_the_earliest_bad_argument():
+    names = list(_GOOD_ARGUMENTS)
+    for i, first in enumerate(names):
+        for later in names[i + 1 :]:
+            for bad, message in _BAD_ARGUMENTS[first]:
+                for worse, _ in _BAD_ARGUMENTS[later]:
+                    args = dict(_GOOD_ARGUMENTS, **{first: bad, later: worse})
+                    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                        first_passage_scan(**args)
+
+
+def test_first_passage_normalizes_states_whose_squares_leave_the_float_range():
+    # |initial|^2 overflows or vanishes; a power-of-two rescaling keeps the ray
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e300, 1e200, 1e-170, 1e-310):
+            for initial, final in ((scale * E0, E1), (E0, scale * E1), (scale * E0, scale * E1)):
+                t = first_passage_scan(0.5 * PAULI_X, initial, final, t_max=4.0)
+                assert t == pytest.approx(np.pi, abs=1e-8)
+        assert minimal_time([1e300, 0.0], [1.0, 0.0], 1.0) == 0.0
+        assert minimal_time([1e-170, 0.0], [0.0, 1e300], 1.0) == pytest.approx(np.pi, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "size", [0.5e-10, (1.0 - 1e-4) * 1e-10, (1.0 + 1e-4) * 1e-10, 2e-10],
+    ids=["inside", "just_inside", "just_outside", "outside"],
+)
+def test_hermiticity_gate_matches_is_hermitian(monkeypatch, size):
+    # a Hermitian drive plus an anti-Hermitian part K with ||ham - ham^dag||_F
+    # = 2 ||K||_F = ``size``, K's Pauli vector not orthogonal to the drive's:
+    # inside the tolerance the drive is symmetrized and takes the closed form,
+    # outside n.n turns complex and the grid runs; the scalar gate of
+    # first_passage_scan agrees with is_hermitian on both sides
+    rng = np.random.default_rng(88)
+    v = _target(1.7, alpha=0.4, beta=-1.1)
+    for _ in range(20):
+        h = _axis_drive(rng.normal(size=3), 0.6) + rng.normal() * np.eye(2)
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        k = (a - a.conj().T) + 1j * h
+        ham = h + 0.5 * size * k / np.linalg.norm(k)
+        assert is_hermitian(ham) == (size < HERMITICITY_TOL)
+        calls = _count_grid_calls(monkeypatch)
+        t = first_passage_scan(ham, E0, v, t_max=2.0 * np.pi / 0.6)
+        assert len(calls) == (not is_hermitian(ham))
+        want = first_passage_scan(h, E0, v, t_max=2.0 * np.pi / 0.6)
+        assert (t is None) == (want is None)
+        if t is not None:
+            assert abs(t - want) <= 1e-9
+
+
+def test_real_spectrum_passage_makes_no_numpy_call_past_the_entry_checks(monkeypatch):
+    # past as_operator and as_state, which validate in smallmat, the scan of
+    # a Hermitian or metric-Hermitian drive reaches no numpy name of its module
+    v = _target(1.7, alpha=0.4, beta=-1.1)
+    drives = [
+        np.array([[0.3, 0.4 - 0.2j], [0.4 + 0.2j, -0.3]]),
+        aligned_hamiltonian(metric_from_sqrt(1.6, 0.7 + 0.3j), 1.3, E0, v).operator,
+    ]
+    want = [first_passage_scan(h, E0, v, t_max=8.0) for h in drives]
+
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy.{name} called")
+
+    monkeypatch.setattr(brachistochrone, "np", NoNumpy())
+    assert [first_passage_scan(h, E0, v, t_max=8.0) for h in drives] == want
 
 
 def test_general_passage_overflow_raises_naming_first_bad_time():

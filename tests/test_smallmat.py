@@ -21,6 +21,7 @@ from tachys.smallmat import (
     _EP_RADIUS,
     MetricDegeneracyError,
     _pauli_split,
+    _unit2,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -201,6 +202,20 @@ def test_propagator_damps_a_large_imaginary_root_before_it_overflows():
                 singles = [propagator(m, t) for t in ts]
                 assert _bytes_equal(propagator(m, ts), singles)
                 assert _bytes_equal(propagator(np.stack([m] * len(ts)), ts), singles)
+
+
+def test_propagator_damps_a_tiny_imaginary_root_before_it_overflows():
+    # r = 1e-10 i: at t = 6.9e12, |Im r t| = 690 is under the cosh limit, but
+    # sin(r t)/r = sinh(690) / 1e-10 is not; the exact operator is
+    # diag(1, e^-1380), and past the limit (t = 7.1e12) it is diag(1, e^-1420)
+    m = np.diag([0.0, -2e-10j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (6.9e12, 7.1e12):
+            got = propagator(m, t)
+            assert np.abs(got - np.diag([1.0, 0.0])).max() <= 1e-12
+        ts = np.array([1.0, 6.9e12, 7.1e12])
+        assert _bytes_equal(propagator(m, ts), [propagator(m, t) for t in ts])
 
 
 def test_stacked_products_round_as_the_scalar_products():
@@ -416,6 +431,64 @@ def test_normalize_and_zero_vector():
     assert np.linalg.norm(v) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         normalize([0.0, 0.0])
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e200, 1e-170, 1e-200, 1e-310, 5e-324])
+def test_normalize_rescales_states_whose_squares_leave_the_float_range(scale):
+    # |x|^2 overflows (or vanishes, or is subnormal) although |x| does not;
+    # a power-of-two rescaling first keeps the direction
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = normalize([scale, scale])
+        assert np.abs(got - np.sqrt(0.5)).max() <= 1e-15
+        assert np.abs(normalize([scale, 1j * scale]) - [np.sqrt(0.5), 1j * np.sqrt(0.5)]).max() <= 1e-15
+        stack = normalize([[scale, scale], [3.0, 4.0], [0.0, scale]])
+    assert np.abs(stack[0] - np.sqrt(0.5)).max() <= 1e-15
+    assert stack[1].tobytes() == normalize([3.0, 4.0]).tobytes()
+    assert np.abs(stack[2] - [0.0, 1.0]).max() <= 1e-15
+    with pytest.raises(ValueError, match="zero vector") as exc:
+        normalize([[scale, scale], [0.0, 0.0]])
+    assert exc.value.row == 1
+
+
+def test_normalize_keeps_ordinary_states_bit_for_bit():
+    # states in the ordinary range are not rescaled: the plain quotient stays
+    rng = np.random.default_rng(15)
+    scales = 10.0 ** rng.uniform(-150, 150, size=(400, 1))
+    x = (rng.normal(size=(400, 2)) + 1j * rng.normal(size=(400, 2))) * scales
+    want = [v / np.linalg.norm(v) for v in x]
+    assert _bytes_equal(normalize(x), want)
+    assert _bytes_equal([normalize(v) for v in x], want)
+
+
+def test_unit2_is_normalize_bit_for_bit():
+    # the scalar normalization of first_passage_scan, against normalize: every
+    # entry, signed zeros included, on random, signed-zero and extreme states
+    rng = np.random.default_rng(16)
+    states = list((rng.normal(size=(3000, 2)) + 1j * rng.normal(size=(3000, 2))) * 10.0 ** rng.uniform(-200, 200, size=(3000, 1)))
+    zeros = [0.0, -0.0, 1.5, -0.25]
+    states += [np.array([complex(a, b), complex(c, d)]) for a in zeros for b in zeros for c in zeros for d in zeros if a or b or c or d]
+    states += [np.array(x, dtype=complex) for x in ([1e300, 1e300], [1e-170, 1e-170j], [5e-324, 0.0], [1.7e308, -1.7e308j])]
+    for v in states:
+        got = np.array(_unit2(as_state(v, dim=2)))
+        assert got.tobytes() == normalize(v).tobytes(), v
+    with pytest.raises(ValueError, match="cannot normalize the zero vector"):
+        _unit2(as_state([0.0, -0.0], dim=2))
+
+
+def test_fidelity_rescales_states_whose_squares_leave_the_float_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fidelity([1e300, 0.0], [1.0, 0.0]) == 1.0
+        assert fidelity([1e200, 0.0], [1e200, 0.0]) == 1.0
+        assert fidelity([1e-170, 1e-170], [1.0, 0.0]) == pytest.approx(np.sqrt(0.5), abs=1e-15)
+        assert fidelity([1e-320, 0.0], [1e300, 1e300j]) == pytest.approx(np.sqrt(0.5), abs=1e-15)
+    # ordinary states keep their bits
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        a, b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        want = float(abs(np.vdot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b)))
+        assert fidelity(a, b) == want
 
 
 def test_fidelity_is_phase_insensitive():
