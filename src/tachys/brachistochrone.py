@@ -58,6 +58,11 @@ _PROPAGATION_TOL = 1e-9
 #: real-spectrum closed form
 _REAL_SPECTRUM_TOL = 16.0 * sys.float_info.epsilon
 
+#: largest Pauli vector n, as the sum of |Re n_k| and |Im n_k|, that a scan
+#: takes as it is: the discriminant of the closed form's quadratic grows as
+#: |n|^4 and would overflow soon past it
+_PAULI_MAX = 2.0**252
+
 #: bisection window below which first-passage refinement stops
 _REFINE_TOL = 1e-12
 
@@ -206,7 +211,10 @@ def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -
     normalized as ``normalize`` does it, bit for bit (its squared norm rounded
     as numpy's fused dot rounds it, then a multiply by the reciprocal norm, as
     numpy's complex division does), rescaled by a power of two first where
-    its norm leaves [2**-511, 2**511].
+    its norm leaves [2**-511, 2**511].  A drive whose Pauli vector has
+    sum_k |Re n_k| + |Im n_k| past 2**252 is scanned as n 2**-e over
+    [0, t_max 2**e], 2**-e taking that sum into [1, 2), and the time found is
+    scaled back by 2**-e; ValueError is raised where t_max 2**e overflows.
     """
     m = as_operator(ham, dim=2)
     t_max = positive_finite("t_max", t_max)
@@ -217,18 +225,35 @@ def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -
     # ||m - m^dag||_F^2: the off-diagonal pair each give |m01 - conj m10|^2,
     # each diagonal entry (2 Im m_kk)^2
     d = m01 - m10.conjugate()
-    skew2 = 2.0 * (d.real * d.real + d.imag * d.imag) + 4.0 * (m00.imag**2 + m11.imag**2)
-    if math.sqrt(skew2) <= HERMITICITY_TOL:
+    skew2 = 2.0 * (d.real * d.real + d.imag * d.imag)
+    skew2 += 4.0 * (m00.imag * m00.imag + m11.imag * m11.imag)
+    hermitian = math.sqrt(skew2) <= HERMITICITY_TOL
+    if hermitian:
         # the Pauli vector of the symmetrized drive (m + m^dag) / 2, real
         h01 = 0.5 * (m01 + m10.conjugate())
         nx, ny, nz = h01.real, 0.0 - h01.imag, 0.5 * (m00.real - m11.real)
-        return _real_spectrum_passage(nx, ny, nz, math.sqrt(nx * nx + ny * ny + nz * nz), u, v, t_max)
-    nx, ny, nz = 0.5 * (m01 + m10), 0.5j * (m01 - m10), 0.5 * (m00 - m11)
-    nn = nx * nx + ny * ny + nz * nz
-    scale = abs(nx) ** 2 + abs(ny) ** 2 + abs(nz) ** 2
-    if nn.real >= 0.0 and abs(nn.imag) <= _REAL_SPECTRUM_TOL * scale:
-        return _real_spectrum_passage(nx, ny, nz, math.sqrt(nn.real), u, v, t_max)
-    return _general_passage(nx, ny, nz, float(np.linalg.norm(m)), u, v, t_max, steps)
+        n1 = abs(nx) + abs(ny) + abs(nz)
+    else:
+        nx, ny, nz = 0.5 * (m01 + m10), 0.5j * (m01 - m10), 0.5 * (m00 - m11)
+        n1 = abs(nx.real) + abs(nx.imag) + abs(ny.real) + abs(ny.imag) + abs(nz.real) + abs(nz.imag)
+    e = 0
+    if not n1 <= _PAULI_MAX:
+        # the passage time scales as 1/|n|: solve for n 2**-e over [0, t_max 2**e]
+        e = math.frexp(n1)[1] - 1
+        if not math.isfinite(n1) or t_max > math.ldexp(sys.float_info.max, -e):
+            raise ValueError(f"t_max = {t_max!r} times the drive leaves the float range")
+        nx, ny, nz, t_max = nx * 2.0**-e, ny * 2.0**-e, nz * 2.0**-e, math.ldexp(t_max, e)
+    if hermitian:
+        t = _real_spectrum_passage(nx, ny, nz, math.sqrt(nx * nx + ny * ny + nz * nz), u, v, t_max)
+    else:
+        nn = nx * nx + ny * ny + nz * nz
+        scale = abs(nx) ** 2 + abs(ny) ** 2 + abs(nz) ** 2
+        if nn.real >= 0.0 and abs(nn.imag) <= _REAL_SPECTRUM_TOL * scale:
+            t = _real_spectrum_passage(nx, ny, nz, math.sqrt(nn.real), u, v, t_max)
+        else:
+            size = float(np.linalg.norm(m * 2.0**-e))
+            t = _general_passage(nx, ny, nz, size, u, v, t_max, steps, e)
+    return t if t is None or not e else math.ldexp(t, -e)
 
 
 def _scan_steps(steps) -> int:
@@ -281,10 +306,13 @@ def _real_spectrum_passage(nx, ny, nz, r: float, u, v, t_max: float) -> float | 
     return t if math.sqrt(fidelity2(c, s)) >= PASSAGE_FIDELITY else None
 
 
-def _general_passage(nx, ny, nz, size: float, u, v, t_max: float, steps: int) -> float | None:
+def _general_passage(nx, ny, nz, size: float, u, v, t_max: float, steps: int,
+                     e: int) -> float | None:
     """Grid scan plus slope bisection for a drive with Pauli part n.sigma whose
     n.n is complex or negative; ``size`` is the drive's Frobenius norm, and
-    ``u`` and ``v`` are unit states given as pairs of complex scalars."""
+    ``u`` and ``v`` are unit states given as pairs of complex scalars.  The
+    drive is the caller's scaled by 2**-e and ``t_max`` its by 2**e, so an
+    overflow names its grid time scaled back by 2**-e."""
     r = complex(np.sqrt(nx * nx + ny * ny + nz * nz + 0j))
     n00, n01, n10, n11 = nz, nx - 1j * ny, nx + 1j * ny, -nz
     u0, u1 = u
@@ -298,7 +326,7 @@ def _general_passage(nx, ny, nz, size: float, u, v, t_max: float, steps: int) ->
         fid = np.abs(w0 * psi0 + w1 * psi1) / np.hypot(np.abs(psi0), np.abs(psi1))
     finite = np.isfinite(fid)
     if not finite.all():
-        t_bad = float(ts[~finite][0])
+        t_bad = math.ldexp(float(ts[~finite][0]), -e)
         raise ValueError(f"the evolution overflows: psi(t) is first not finite at t = {t_bad!r}")
     if fid[0] >= PASSAGE_FIDELITY:
         return 0.0

@@ -14,15 +14,12 @@ points.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 import tempfile
 
 import numpy as np
-
-from . import brachistochrone, dilation, gates, metric, opendyn, smallmat
 
 SCHEMA = "tachys-report/1"
 
@@ -78,6 +75,8 @@ def _render(command: str, config: dict, table: dict, summary: dict | None, fmt: 
             raise NonFiniteReportError(f"summary {key} is {value!r}")
     rows = list(zip(*(v.tolist() for v in values)))
     if fmt == "json":
+        import json
+
         report = {"schema": SCHEMA, "command": command, "config": config}
         if summary is not None:
             report["summary"] = summary
@@ -123,9 +122,12 @@ def _theta_grid(args) -> np.ndarray:
 
 
 # ---------------------------------------------------------------- commands
+# each command imports the modules it calls, so a report loads no others
 
 
 def _cmd_brachy(args):
+    from . import brachistochrone, gates
+
     grid = _theta_grid(args)
     result = brachistochrone.transfer(gates.BlochBasis(grid).psi1, args.omega)
     h01 = result.drive.matrix[:, 0, 1]
@@ -143,12 +145,16 @@ def _cmd_brachy(args):
 
 
 def _cmd_dissipation(args):
+    from . import opendyn
+
     grid = _sweep(args.f_min, args.f_max, args.points)
     scan = opendyn.dissipation_scan(grid, args.omega, proximity=args.proximity)
     return {name: scan[name] for name in scan.dtype.names}, None
 
 
 def _cmd_dilation(args):
+    from . import dilation, metric, smallmat
+
     m = metric.diag_metric(args.scale)
     h = 0.5 * args.omega * smallmat.PAULI_X
     model = dilation.build_dilation(h, m, args.omega)
@@ -173,6 +179,8 @@ def _cmd_dilation(args):
 
 
 def _cmd_povm(args):
+    from . import gates, smallmat
+
     grid = _theta_grid(args)
     basis = gates.BlochBasis(grid)
     povm = gates.discrimination_povm(basis)
@@ -199,6 +207,8 @@ def _cmd_povm(args):
 
 
 def _cmd_notgate(args):
+    from . import gates
+
     report = gates.not_gate_roundtrip(gates.BlochBasis(args.theta), args.omega)
     table = {
         name: getattr(report, name)
@@ -208,6 +218,8 @@ def _cmd_notgate(args):
 
 
 def _cmd_controlu(args):
+    from . import gates
+
     report = gates.control_u_channel(gates.BlochBasis(args.theta), args.e_polar)
     table = {
         "theta": report.theta,
@@ -223,6 +235,8 @@ def _cmd_controlu(args):
 
 
 def _cmd_efficiency(args):
+    from . import gates
+
     report = gates.efficiency_bound(gates.BlochBasis(args.theta), args.omega)
     bound = 2.0 * report.epsilon / report.delta_e
     table = {

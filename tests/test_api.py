@@ -1,8 +1,9 @@
-"""The public surface: every export resolves, every float argument of every
-public entry point rejects NaN, infinities and, where it is documented as
-positive, zero and negative values with a ValueError (or a subclass), and
-every integer argument rejects NaN, infinities, non-integral and
-out-of-domain values the same way."""
+"""The public surface: every export resolves to its home module's object
+(``import tachys`` loads ``smallmat`` only, the rest on first use), every
+float argument of every public entry point rejects NaN, infinities and,
+where it is documented as positive, zero and negative values with a
+ValueError (or a subclass), and every integer argument rejects NaN,
+infinities, non-integral and out-of-domain values the same way."""
 
 import inspect
 import os
@@ -120,18 +121,46 @@ def test_every_export_resolves_and_comes_from_its_module_exports():
     for name in tachys.__all__:
         home = sys.modules[getattr(tachys, name).__module__]
         assert name in home.__all__, (name, home.__name__)
+        # the package resolves each export on first use to its home's object
+        assert [m for m in MODULES if name in m.__all__] == [home], name
+        assert getattr(tachys, name) is getattr(home, name), name
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        tachys.no_such_name
+
+
+def _fresh(code):
+    """stdout of ``code`` run in a new interpreter that fails on RuntimeWarning."""
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_tachys_loads_smallmat_only():
+    code = "import sys, tachys; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'tachys'))"
+    assert _fresh(code).split() == ["tachys", "tachys.smallmat"]
+
+
+def test_star_import_and_dir_list_every_export_before_any_is_loaded():
+    code = (
+        "import tachys; listed = set(dir(tachys)); ns = {}; exec('from tachys import *', ns); "
+        "names = set(tachys.__all__); "
+        "print(sorted(names - listed), sorted(names ^ (set(ns) - {'__builtins__'})))"
+    )
+    assert _fresh(code).strip() == "[] []"
 
 
 def test_runtime_imports_numpy_only():
-    # tachys promises a numpy-only runtime; the test oracles must not leak into it
-    code = "import sys, tachys, tachys.cli; print(' '.join(sys.modules))"
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    # tachys promises a numpy-only runtime; the test oracles must not leak
+    # into it.  The package loads its modules on first use, so each is named
+    code = (
+        "import sys, tachys, tachys.cli, tachys.smallmat, tachys.brachistochrone, tachys.metric, "
+        "tachys.opendyn, tachys.dilation, tachys.gates; print(' '.join(sys.modules))"
     )
-    loaded = {name.split(".")[0] for name in proc.stdout.split()}
+    loaded = {name.split(".")[0] for name in _fresh(code).split()}
     assert "numpy" in loaded
     assert loaded & {"scipy", "mpmath", "sympy", "hypothesis", "pytest"} == set()

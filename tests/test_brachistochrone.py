@@ -336,6 +336,41 @@ def test_first_passage_normalizes_states_whose_squares_leave_the_float_range():
         assert minimal_time([1e-170, 0.0], [0.0, 1e300], 1.0) == pytest.approx(np.pi, abs=1e-15)
 
 
+def _pauli_parts(ham):
+    """Real and imaginary parts of the Pauli vector n of ``ham`` = a0 I + n.sigma."""
+    (m00, m01), (m10, m11) = ham
+    n = np.array([0.5 * (m01 + m10), 0.5j * (m01 - m10), 0.5 * (m00 - m11)])
+    return np.concatenate([n.real, n.imag])
+
+
+def test_first_passage_scales_drives_with_huge_pauli_vectors_exactly():
+    # the passage time scales as 1/|n|: a drive whose Pauli parts sum past
+    # 2**252 is scanned as n 2**-e over [0, t_max 2**e] with that sum taken
+    # into [1, 2), so 2**520 h, h's sum in [1, 2), is h over 2**520 t_max, bit
+    # for bit; one Hermitian and one metric-Hermitian drive
+    v = _target(2.1, alpha=0.3, beta=-0.8)
+    aligned = aligned_hamiltonian(metric_from_sqrt(1.7, 0.4 * np.exp(0.9j)), 1.3, E0, v).operator
+    aligned = aligned * 2.0 ** -(np.frexp(np.abs(_pauli_parts(aligned)).sum())[1] - 1)
+    assert not is_hermitian(aligned)
+    for ham, target, t_max in ((PAULI_X, E1, 2.0), (aligned, v, 2.0 * np.pi)):
+        assert 1.0 <= np.abs(_pauli_parts(ham)).sum() < 2.0
+        want = first_passage_scan(ham, E0, target, 2.0**520 * t_max)
+        assert want is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert first_passage_scan(2.0**520 * ham, E0, target, t_max) == want / 2.0**520
+    assert first_passage_scan(1e155 * PAULI_X, E0, E1, 1.0) == pytest.approx(0.5 * np.pi / 1e155)
+    # past 2**256 the quadratic's discriminant overflowed and the closed form
+    # answered None for a drive that reaches its target at t = 1.3
+    h = 0.3 * PAULI_X + 0.5 * PAULI_Y + 0.2 * PAULI_Z
+    orbit = propagator(h, 1.3) @ E0
+    for k in (255, 260, 400, 1000):
+        t = first_passage_scan(2.0**k * h, E0, orbit, 100.0 / 2.0**k)
+        assert t is not None and t * 2.0**k == pytest.approx(1.3, abs=1e-9)
+    with pytest.raises(ValueError, match="leaves the float range"):
+        first_passage_scan(2.0**520 * PAULI_X, E0, E1, 1e200)
+
+
 @pytest.mark.parametrize(
     "size", [0.5e-10, (1.0 - 1e-4) * 1e-10, (1.0 + 1e-4) * 1e-10, 2e-10],
     ids=["inside", "just_inside", "just_outside", "outside"],

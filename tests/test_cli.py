@@ -557,11 +557,44 @@ README_INVOCATIONS = {
 GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens"
 
 
+#: the tachys modules each README report loads: its command imports only
+#: what it calls (and what that imports in turn)
+REPORT_MODULES = {
+    "brachy": {"brachistochrone", "gates"},
+    "dissipation": {"metric", "opendyn"},
+    "dilation": {"dilation", "metric"},
+    "povm": {"gates"},
+    "notgate": {"gates"},
+    "controlu": {"gates"},
+    "efficiency": {"gates"},
+}
+
+
 @pytest.mark.parametrize("name", sorted(README_INVOCATIONS))
 def test_readme_report_is_byte_identical_to_golden(capsys, name):
     code, out, err = run_cli(capsys, README_INVOCATIONS[name].split())
     assert code == 0 and err == ""
     assert out.encode() == (GOLDENS / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(README_INVOCATIONS))
+def test_readme_report_from_python_m_loads_only_its_modules(name):
+    # a fresh ``python -m tachys.cli``: -W error turns runpy's "found in
+    # sys.modules" RuntimeWarning into a failure, and -X importtime logs each
+    # module the process imports, one "import time: self | cumulative | name"
+    # line per module
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-X", "importtime", "-m", "tachys.cli",
+         *README_INVOCATIONS[name].split()],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (GOLDENS / f"{name}.csv").read_bytes()
+    lines = proc.stderr.decode().splitlines()
+    imported = {line.rpartition("|")[2].strip() for line in lines if line.startswith("import time:")}
+    loaded = {module for module in imported if module.split(".")[0] == "tachys"}
+    assert loaded == {"tachys", "tachys.smallmat"} | {f"tachys.{m}" for m in REPORT_MODULES[name]}
 
 
 
