@@ -28,6 +28,8 @@ _LAZY = {
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
 
+__all__ = ["MetricDegeneracyError", "fidelity", "propagator", *_HOME]
+
 
 def __getattr__(name):
     module = _HOME.get(name)
@@ -41,53 +43,3 @@ def __getattr__(name):
 def __dir__():
     return sorted({*globals(), *__all__})
 
-
-__all__ = [
-    "AlignmentError",
-    "BlochBasis",
-    "BrachistochroneResult",
-    "ControlUReport",
-    "DegenerateBasisError",
-    "DilationModel",
-    "EfficiencyReport",
-    "EvolutionTrace",
-    "Metric",
-    "MetricDegeneracyError",
-    "NotGateReport",
-    "OpenSplit",
-    "OptimalHamiltonianSpec",
-    "Povm",
-    "QuasiHamiltonian",
-    "aligned_hamiltonian",
-    "build_dilation",
-    "cloning_defect",
-    "control_u_channel",
-    "diag_metric",
-    "dissipation_scan",
-    "dissipative_factor",
-    "discrimination_povm",
-    "efficiency_bound",
-    "energy_gap_squared",
-    "evolve_dilated",
-    "evolve_semigroup",
-    "fidelity",
-    "first_passage_scan",
-    "inconclusive_probability",
-    "map_boundary_states",
-    "metric_angle",
-    "metric_from_matrix",
-    "metric_from_sqrt",
-    "minimal_time",
-    "not_gate_roundtrip",
-    "optimal_hamiltonian",
-    "propagator",
-    "pseudo_hermiticity_defect",
-    "quasi_hamiltonian",
-    "revelation_probability",
-    "shifted_generator",
-    "split_generator",
-    "state_angle",
-    "transfer",
-    "transition_defect",
-    "visibility_ratio",
-]

@@ -59,8 +59,9 @@ _PROPAGATION_TOL = 1e-9
 _REAL_SPECTRUM_TOL = 16.0 * sys.float_info.epsilon
 
 #: largest Pauli vector n, as the sum of |Re n_k| and |Im n_k|, that a scan
-#: takes as it is: the discriminant of the closed form's quadratic grows as
-#: |n|^4 and would overflow soon past it
+#: takes as it is, and the reciprocal of the smallest: the discriminant of the
+#: closed form's quadratic goes as |n|^4 and would overflow or underflow soon
+#: past them
 _PAULI_MAX = 2.0**252
 
 #: bisection window below which first-passage refinement stops
@@ -212,9 +213,10 @@ def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -
     as numpy's fused dot rounds it, then a multiply by the reciprocal norm, as
     numpy's complex division does), rescaled by a power of two first where
     its norm leaves [2**-511, 2**511].  A drive whose Pauli vector has
-    sum_k |Re n_k| + |Im n_k| past 2**252 is scanned as n 2**-e over
-    [0, t_max 2**e], 2**-e taking that sum into [1, 2), and the time found is
-    scaled back by 2**-e; ValueError is raised where t_max 2**e overflows.
+    sum_k |Re n_k| + |Im n_k| outside [2**-252, 2**252] (and not 0) is
+    scanned as n 2**-e over [0, t_max 2**e], 2**-e taking that sum into
+    [1, 2), and the time found is scaled back by 2**-e; ValueError is raised
+    where t_max 2**e leaves the range of normal floats.
     """
     m = as_operator(ham, dim=2)
     t_max = positive_finite("t_max", t_max)
@@ -227,32 +229,31 @@ def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -
     d = m01 - m10.conjugate()
     skew2 = 2.0 * (d.real * d.real + d.imag * d.imag)
     skew2 += 4.0 * (m00.imag * m00.imag + m11.imag * m11.imag)
-    hermitian = math.sqrt(skew2) <= HERMITICITY_TOL
-    if hermitian:
-        # the Pauli vector of the symmetrized drive (m + m^dag) / 2, real
-        h01 = 0.5 * (m01 + m10.conjugate())
-        nx, ny, nz = h01.real, 0.0 - h01.imag, 0.5 * (m00.real - m11.real)
-        n1 = abs(nx) + abs(ny) + abs(nz)
-    else:
-        nx, ny, nz = 0.5 * (m01 + m10), 0.5j * (m01 - m10), 0.5 * (m00 - m11)
-        n1 = abs(nx.real) + abs(nx.imag) + abs(ny.real) + abs(ny.imag) + abs(nz.real) + abs(nz.imag)
+    if math.sqrt(skew2) <= HERMITICITY_TOL:
+        # the symmetrized drive (m + m^dag) / 2, whose n.n has imaginary part 0
+        m01 = 0.5 * (m01 + m10.conjugate())
+        m10, m00, m11 = m01.conjugate(), m00.real, m11.real
+    nx, ny, nz = 0.5 * (m01 + m10), 0.5j * (m01 - m10), 0.5 * (m00 - m11)
+    n1 = abs(nx.real) + abs(nx.imag) + abs(ny.real) + abs(ny.imag) + abs(nz.real) + abs(nz.imag)
     e = 0
-    if not n1 <= _PAULI_MAX:
+    if n1 and not 1.0 / _PAULI_MAX <= n1 <= _PAULI_MAX:
         # the passage time scales as 1/|n|: solve for n 2**-e over [0, t_max 2**e]
         e = math.frexp(n1)[1] - 1
-        if not math.isfinite(n1) or t_max > math.ldexp(sys.float_info.max, -e):
+        if not (math.isfinite(n1) and -1021 <= math.frexp(t_max)[1] + e <= 1024):
             raise ValueError(f"t_max = {t_max!r} times the drive leaves the float range")
-        nx, ny, nz, t_max = nx * 2.0**-e, ny * 2.0**-e, nz * 2.0**-e, math.ldexp(t_max, e)
-    if hermitian:
-        t = _real_spectrum_passage(nx, ny, nz, math.sqrt(nx * nx + ny * ny + nz * nz), u, v, t_max)
+        nx, ny, nz = (complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in (nx, ny, nz))
+        t_max = math.ldexp(t_max, e)
+    u0, u1 = u
+    w = nz * u0 + (nx - 1j * ny) * u1, (nx + 1j * ny) * u0 - nz * u1
+    v = v[0].conjugate(), v[1].conjugate()
+    nn = nx * nx + ny * ny + nz * nz
+    # Im(n.n) is 0 for every symmetrized drive, and 0 needs no scale
+    scale = abs(nx) ** 2 + abs(ny) ** 2 + abs(nz) ** 2 if nn.imag else 0.0
+    if nn.real >= 0.0 and abs(nn.imag) <= _REAL_SPECTRUM_TOL * scale:
+        t = _real_spectrum_passage(math.sqrt(nn.real), u, w, v, t_max)
     else:
-        nn = nx * nx + ny * ny + nz * nz
-        scale = abs(nx) ** 2 + abs(ny) ** 2 + abs(nz) ** 2
-        if nn.real >= 0.0 and abs(nn.imag) <= _REAL_SPECTRUM_TOL * scale:
-            t = _real_spectrum_passage(nx, ny, nz, math.sqrt(nn.real), u, v, t_max)
-        else:
-            size = float(np.linalg.norm(m * 2.0**-e))
-            t = _general_passage(nx, ny, nz, size, u, v, t_max, steps, e)
+        size = float(np.linalg.norm(np.ldexp(m.view(float), -e).view(complex)))
+        t = _general_passage(nx, ny, nz, size, u, w, v, t_max, steps, e)
     return t if t is None or not e else math.ldexp(t, -e)
 
 
@@ -270,12 +271,13 @@ def _scan_steps(steps) -> int:
     return n
 
 
-def _real_spectrum_passage(nx, ny, nz, r: float, u, v, t_max: float) -> float | None:
+def _real_spectrum_passage(r: float, u, w, v, t_max: float) -> float | None:
     """Closed-form first passage under a drive with Pauli part n.sigma, n.n = r^2,
-    between the unit states ``u`` and ``v`` given as pairs of complex scalars."""
+    from the unit state ``u``, with w = (n.sigma) u and ``v`` the conjugate of
+    the unit target, each a pair of complex scalars."""
     u0, u1 = u
-    v0, v1 = v[0].conjugate(), v[1].conjugate()
-    w0, w1 = nz * u0 + (nx - 1j * ny) * u1, (nx + 1j * ny) * u0 - nz * u1
+    w0, w1 = w
+    v0, v1 = v
     alpha, beta = v0 * u0 + v1 * u1, v0 * w0 + v1 * w1
     if abs(alpha) >= PASSAGE_FIDELITY:
         return 0.0
@@ -306,24 +308,25 @@ def _real_spectrum_passage(nx, ny, nz, r: float, u, v, t_max: float) -> float | 
     return t if math.sqrt(fidelity2(c, s)) >= PASSAGE_FIDELITY else None
 
 
-def _general_passage(nx, ny, nz, size: float, u, v, t_max: float, steps: int,
+def _general_passage(nx, ny, nz, size: float, u, w, v, t_max: float, steps: int,
                      e: int) -> float | None:
     """Grid scan plus slope bisection for a drive with Pauli part n.sigma whose
     n.n is complex or negative; ``size`` is the drive's Frobenius norm, and
-    ``u`` and ``v`` are unit states given as pairs of complex scalars.  The
-    drive is the caller's scaled by 2**-e and ``t_max`` its by 2**e, so an
-    overflow names its grid time scaled back by 2**-e."""
+    ``u``, w = (n.sigma) u and ``v``, the conjugate of the unit target, are
+    pairs of complex scalars.  The drive is the caller's scaled by 2**-e and
+    ``t_max`` its by 2**e, so an overflow names its grid time scaled back by
+    2**-e."""
     r = complex(np.sqrt(nx * nx + ny * ny + nz * nz + 0j))
     n00, n01, n10, n11 = nz, nx - 1j * ny, nx + 1j * ny, -nz
     u0, u1 = u
-    su0, su1 = n00 * u0 + n01 * u1, n10 * u0 + n11 * u1
-    w0, w1 = v[0].conjugate(), v[1].conjugate()
+    w0, w1 = w
+    v0, v1 = v
     ts = np.linspace(0.0, t_max, steps)
     with np.errstate(over="ignore", invalid="ignore"):
         cosf, sincf = _cos_sinc(r, ts)
-        psi0 = cosf * u0 - 1j * sincf * su0
-        psi1 = cosf * u1 - 1j * sincf * su1
-        fid = np.abs(w0 * psi0 + w1 * psi1) / np.hypot(np.abs(psi0), np.abs(psi1))
+        psi0 = cosf * u0 - 1j * sincf * w0
+        psi1 = cosf * u1 - 1j * sincf * w1
+        fid = np.abs(v0 * psi0 + v1 * psi1) / np.hypot(np.abs(psi0), np.abs(psi1))
     finite = np.isfinite(fid)
     if not finite.all():
         t_bad = math.ldexp(float(ts[~finite][0]), -e)
@@ -334,7 +337,7 @@ def _general_passage(nx, ny, nz, size: float, u, v, t_max: float, steps: int,
 
     def state(t: float) -> tuple[complex, complex]:
         c, s = (1.0, t) if exceptional else (cmath.cos(r * t), cmath.sin(r * t) / r)
-        return c * u0 - 1j * s * su0, c * u1 - 1j * s * su1
+        return c * u0 - 1j * s * w0, c * u1 - 1j * s * w1
 
     def rising(t: float) -> bool:
         # with g = <v|psi> and psi' = -i (n.sigma) psi, d/dt |g|^2 / |psi|^2 has
@@ -342,8 +345,8 @@ def _general_passage(nx, ny, nz, size: float, u, v, t_max: float, steps: int,
         p0, p1 = state(t)
         d0 = -1j * (n00 * p0 + n01 * p1)
         d1 = -1j * (n10 * p0 + n11 * p1)
-        g = w0 * p0 + w1 * p1
-        dg = w0 * d0 + w1 * d1
+        g = v0 * p0 + v1 * p1
+        dg = v0 * d0 + v1 * d1
         norm2 = abs(p0) ** 2 + abs(p1) ** 2
         growth = (p0.conjugate() * d0 + p1.conjugate() * d1).real
         return (g.conjugate() * dg).real * norm2 > abs(g) ** 2 * growth
@@ -362,6 +365,6 @@ def _general_passage(nx, ny, nz, size: float, u, v, t_max: float, steps: int,
                 hi = mid
         t = 0.5 * (lo + hi)
         p0, p1 = state(t)
-        if abs(w0 * p0 + w1 * p1) / math.hypot(abs(p0), abs(p1)) >= PASSAGE_FIDELITY:
+        if abs(v0 * p0 + v1 * p1) / math.hypot(abs(p0), abs(p1)) >= PASSAGE_FIDELITY:
             return t
     return None

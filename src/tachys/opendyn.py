@@ -290,23 +290,24 @@ def revelation_probability(metric: Metric, omega: float):
     degenerates, matching ``dissipative_factor(1.0)``.  A metric of
     ``(n, 2, 2)`` stacks gives one probability per metric.
     """
-    return _float_or_array(_square(_norm(_canonical_arrival(metric, omega)[3])))
+    return _float_or_array(_canonical_arrival(metric, omega)[3])
 
 
 def _canonical_arrival(metric: Metric, omega: float):
     """The aligned canonical problem (1,0) -> (0,1) under ``metric``.
 
     Returns the open split of the aligned drive, the flat overlap |a'|, the
-    arrival time tau = (2/omega) * arccos|a'| and the reference state evolved
-    to tau under the shifted (trace-contracting) generator; a metric of
-    ``(n, 2, 2)`` stacks gives each of them stacked.
+    arrival time tau = (2/omega) * arccos|a'| and the revelation probability,
+    the squared norm of the reference state evolved to tau under the shifted
+    (trace-contracting) generator; a metric of ``(n, 2, 2)`` stacks gives each
+    of them stacked.
     """
     qh, a_abs = _aligned_drive(metric, omega, _E0, _E1)
     tau = (2.0 / omega) * np.arccos(np.clip(a_abs, 0.0, 1.0))
     split = split_generator(qh.operator)
     # the shift of shifted_generator, from the split computed once here
     shifted = qh.operator - _col(1j * split.rate_max) * np.eye(2)
-    return split, a_abs, _float_or_array(tau), propagator(shifted, tau) @ _E0
+    return split, a_abs, _float_or_array(tau), _square(_norm(propagator(shifted, tau) @ _E0))
 
 
 def energy_gap_squared(hermitian_part):
@@ -327,7 +328,10 @@ def dissipation_scan(f_grid, omega: float, proximity: float = 1e-6) -> np.recarr
     revelation probability; and, for the aligned canonical problem at the
     caller-set ``proximity`` (the offset of |offdiag|^2 below f along real
     offdiag), ``finite_factor``, ``gap_sq`` of the coherent part, the flat
-    overlap ``a_prime`` = |a'| and the travel time ``tau``.
+    overlap ``a_prime`` = |a'| and the travel time ``tau``.  As the proximity
+    tends to 0, ``finite_factor`` tends to (1/f) e^{-(sqrt f + 1/sqrt f)}, not
+    to ``d_factor`` = (1/f) e^{-(f + 1/f)}: the two agree only at f = 1, where
+    both are e^{-2} (at f = 2 the limits are 0.0599 and 0.0410).
 
     The grid is computed in one stacked pass: the metrics of every row are
     ``(n, 2, 2)`` stacks, and the boundary mapping, the aligned frame, the
@@ -353,10 +357,8 @@ def _scan_columns(f: np.ndarray, omega: float, proximity: float):
         f,
     )
     metric = metric_from_sqrt(f, np.sqrt(f - proximity))
-    split, a_abs, tau, arrived = _canonical_arrival(metric, omega)
+    split, a_abs, tau, finite_factor = _canonical_arrival(metric, omega)
     gap_sq = energy_gap_squared(split.coherent)
-    # finite-proximity revelation probability under the shifted realization;
-    # cross-checks the closed-form d_factor at f = 1, where both tend to
-    # exp(-2) as the proximity shrinks
-    finite_factor = _square(_norm(arrived))
+    # finite_factor tends to (1/f) e^{-(sqrt f + 1/sqrt f)} as the proximity
+    # shrinks, and d_factor is (1/f) e^{-(f + 1/f)}: the two meet only at f = 1
     return np.exp(-(1.0 / f + f)) / f, finite_factor, gap_sq, a_abs, tau

@@ -197,8 +197,12 @@ def test_first_passage_orthogonal_half_period():
     assert t == pytest.approx(np.pi, abs=1e-8)
 
 
-def test_first_passage_immediate_arrival():
+def test_first_passage_immediate_arrival(monkeypatch):
     assert first_passage_scan(0.5 * PAULI_X, E0, E0, t_max=1.0, steps=1000) == 0.0
+    # a broken-PT drive (n.n = -3) answers from the first grid sample
+    calls = _count_grid_calls(monkeypatch)
+    assert first_passage_scan(np.array([[2j, 1.0], [1.0, -2j]]), E0, E0, t_max=1.0) == 0.0
+    assert len(calls) == 1
 
 
 def test_first_passage_unreachable_target_returns_none():
@@ -367,8 +371,17 @@ def test_first_passage_scales_drives_with_huge_pauli_vectors_exactly():
     for k in (255, 260, 400, 1000):
         t = first_passage_scan(2.0**k * h, E0, orbit, 100.0 / 2.0**k)
         assert t is not None and t * 2.0**k == pytest.approx(1.3, abs=1e-9)
+    # below 2**-252 the quadratic's coefficients underflowed: the closed form
+    # answered None (and raised ZeroDivisionError at 2**-1000); a tiny drive
+    # is scanned scaled up as a huge one is scaled down, bit for bit
+    want = first_passage_scan(h, E0, orbit, 100.0)
+    assert want == pytest.approx(1.3, abs=1e-9)
+    for k in (253, 300, 400, 1000):
+        assert first_passage_scan(2.0**-k * h, E0, orbit, 100.0 * 2.0**k) == want * 2.0**k
     with pytest.raises(ValueError, match="leaves the float range"):
         first_passage_scan(2.0**520 * PAULI_X, E0, E1, 1e200)
+    with pytest.raises(ValueError, match="leaves the float range"):
+        first_passage_scan(2.0**-520 * PAULI_X, E0, E1, 1e-200)
 
 
 @pytest.mark.parametrize(

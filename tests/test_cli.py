@@ -238,7 +238,7 @@ def test_float_flags_are_read_from_the_parser():
     [pytest.param(*case, id=f"{case[0]}{case[1]}") for case in FLOAT_FLAGS],
 )
 def test_every_float_flag_rejects_non_finite_values(capsys, command, flag, required):
-    for text in ("nan", "inf", "-inf"):
+    for text in ("nan", "inf", "-inf", "abc"):
         argv = [command] + [f"{r}=1.0" for r in required if r != flag] + [f"{flag}={text}"]
         code, out, err = run_cli_expecting_exit(capsys, argv)
         assert code == 2 and out == ""

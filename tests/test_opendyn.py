@@ -462,6 +462,28 @@ def test_dissipation_scan_finite_factor_cross_checks_limit_at_unit_diag():
     assert row.finite_factor == pytest.approx(EXP_MINUS_2, abs=1e-8)
 
 
+def test_dissipation_scan_finite_factor_small_proximity_limit():
+    # as the proximity p shrinks, finite_factor tends to (1/f) e^{-(sqrt f + 1/sqrt f)},
+    # not to d_factor = (1/f) e^{-(f + 1/f)}; the two meet only at f = 1
+    f = 2.0
+    row = dissipation_scan([f], 1.0, proximity=1e-4)[0]
+    limit = np.exp(-(np.sqrt(f) + 1.0 / np.sqrt(f))) / f
+    assert limit == pytest.approx(0.059937, rel=1e-4)
+    assert row.finite_factor == pytest.approx(limit, rel=1e-3)
+    assert row.d_factor == dissipative_factor(f) == pytest.approx(0.041042, rel=1e-4)
+    assert row.finite_factor >= 1.4 * row.d_factor
+    # at p = 1e-2 the columns match the closed forms of the canonical problem:
+    # with g = sqrt(f - p), tau = (2/omega) atan2(p, g (1 + f)) and
+    # finite_factor = ((1 + g^2)/(g^2 + f^2)) e^{-(1 + f) sqrt((1 + f)^2 - 4p) tau omega / (2p)}
+    p, omega = 1e-2, 1.0
+    row = dissipation_scan([f], omega, proximity=p)[0]
+    g2 = f - p
+    angle = np.arctan2(p, np.sqrt(g2) * (1.0 + f))
+    exponent = (1.0 + f) * np.sqrt((1.0 + f) ** 2 - 4.0 * p) * angle / p
+    assert row.tau == pytest.approx(2.0 * angle / omega, rel=1e-9)
+    assert row.finite_factor == pytest.approx((1.0 + g2) / (g2 + f * f) * np.exp(-exponent), rel=1e-9)
+
+
 def test_dissipation_scan_finite_factor_matches_shifted_survival():
     # dual route: k(tau) times the unshifted survival probability
     for f in (0.5, 1.3, 3.0):
