@@ -208,15 +208,17 @@ def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -
     each once, and the first bad one raises ValueError.  Past those checks
     the real-spectrum path is Python scalar arithmetic, with no numpy call:
     the drive and the states are read once each, the Hermiticity test is
-    ||ham - ham^dag||_F <= HERMITICITY_TOL from the entries, and each state is
-    normalized as ``normalize`` does it, bit for bit (its squared norm rounded
-    as numpy's fused dot rounds it, then a multiply by the reciprocal norm, as
-    numpy's complex division does), rescaled by a power of two first where
-    its norm leaves [2**-511, 2**511].  A drive whose Pauli vector has
-    sum_k |Re n_k| + |Im n_k| outside [2**-252, 2**252] (and not 0) is
-    scanned as n 2**-e over [0, t_max 2**e], 2**-e taking that sum into
-    [1, 2), and the time found is scaled back by 2**-e; ValueError is raised
-    where t_max 2**e leaves the range of normal floats.
+    ||ham - ham^dag||_F <= HERMITICITY_TOL min(1, ||ham||_F) from the entries
+    (relative below a unit norm, so scaling a drive down never makes it
+    Hermitian), and each state is normalized as ``normalize`` does it, bit
+    for bit (its squared norm rounded as numpy's fused dot rounds it, then a
+    multiply by the reciprocal norm, as numpy's complex division does),
+    rescaled by a power of two first where its norm leaves [2**-511, 2**511].
+    A drive whose Pauli vector has sum_k |Re n_k| + |Im n_k| outside
+    [2**-252, 2**252] (and not 0) is scanned as n 2**-e over [0, t_max 2**e],
+    2**-e taking that sum into [1, 2), and the time found is scaled back by
+    2**-e; ValueError is raised where t_max 2**e leaves the range of normal
+    floats.
     """
     m = as_operator(ham, dim=2)
     t_max = positive_finite("t_max", t_max)
@@ -224,12 +226,13 @@ def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -
     u = _unit2(as_state(initial, dim=2))
     v = _unit2(as_state(final, dim=2))
     (m00, m01), (m10, m11) = m.tolist()
-    # ||m - m^dag||_F^2: the off-diagonal pair each give |m01 - conj m10|^2,
-    # each diagonal entry (2 Im m_kk)^2
+    # ||m - m^dag||_F: the off-diagonal pair each give |m01 - conj m10|, each
+    # diagonal entry 2 Im m_kk; hypot neither overflows nor underflows
     d = m01 - m10.conjugate()
-    skew2 = 2.0 * (d.real * d.real + d.imag * d.imag)
-    skew2 += 4.0 * (m00.imag * m00.imag + m11.imag * m11.imag)
-    if math.sqrt(skew2) <= HERMITICITY_TOL:
+    skew = math.hypot(d.real, d.imag, d.real, d.imag, 2.0 * m00.imag, 2.0 * m11.imag)
+    if not skew or skew <= HERMITICITY_TOL * min(
+        1.0, math.hypot(abs(m00), abs(m01), abs(m10), abs(m11))
+    ):
         # the symmetrized drive (m + m^dag) / 2, whose n.n has imaginary part 0
         m01 = 0.5 * (m01 + m10.conjugate())
         m10, m00, m11 = m01.conjugate(), m00.real, m11.real
@@ -359,6 +362,9 @@ def _general_passage(nx, ny, nz, size: float, u, w, v, t_max: float, steps: int,
         lo, hi = float(ts[j - 1]), float(ts[min(j + 1, steps - 1)])
         while hi - lo > _REFINE_TOL:
             mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                # past t ~ 8192 adjacent floats lie more than _REFINE_TOL apart
+                break
             if rising(mid):
                 lo = mid
             else:

@@ -1,6 +1,9 @@
 """Fastest fixed-gap drives: closed form, propagation checks, passage scan."""
 
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -390,25 +393,74 @@ def test_first_passage_scales_drives_with_huge_pauli_vectors_exactly():
 )
 def test_hermiticity_gate_matches_is_hermitian(monkeypatch, size):
     # a Hermitian drive plus an anti-Hermitian part K with ||ham - ham^dag||_F
-    # = 2 ||K||_F = ``size``, K's Pauli vector not orthogonal to the drive's:
-    # inside the tolerance the drive is symmetrized and takes the closed form,
-    # outside n.n turns complex and the grid runs; the scalar gate of
-    # first_passage_scan agrees with is_hermitian on both sides
+    # = 2 ||K||_F = ``size`` min(1, ||h||_F), K's Pauli vector not orthogonal
+    # to the drive's: inside the tolerance the drive is symmetrized and takes
+    # the closed form, outside n.n turns complex and the grid runs.  The gate
+    # of first_passage_scan is HERMITICITY_TOL min(1, ||ham||_F): it agrees
+    # with is_hermitian for drives of norm 1 or more (about half of these),
+    # and is relative below
     rng = np.random.default_rng(88)
     v = _target(1.7, alpha=0.4, beta=-1.1)
+    large = 0
     for _ in range(20):
         h = _axis_drive(rng.normal(size=3), 0.6) + rng.normal() * np.eye(2)
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         k = (a - a.conj().T) + 1j * h
-        ham = h + 0.5 * size * k / np.linalg.norm(k)
-        assert is_hermitian(ham) == (size < HERMITICITY_TOL)
+        scale = min(1.0, np.linalg.norm(h))
+        ham = h + 0.5 * size * scale * k / np.linalg.norm(k)
+        hermitian = size < HERMITICITY_TOL
+        skew = np.linalg.norm(ham - ham.conj().T)
+        assert (skew <= HERMITICITY_TOL * min(1.0, np.linalg.norm(ham))) == hermitian
+        if scale == 1.0:
+            large += 1
+            assert is_hermitian(ham) == hermitian
         calls = _count_grid_calls(monkeypatch)
         t = first_passage_scan(ham, E0, v, t_max=2.0 * np.pi / 0.6)
-        assert len(calls) == (not is_hermitian(ham))
+        assert len(calls) == (not hermitian)
         want = first_passage_scan(h, E0, v, t_max=2.0 * np.pi / 0.6)
         assert (t is None) == (want is None)
         if t is not None:
             assert abs(t - want) <= 1e-9
+    assert 0 < large < 20
+
+
+def test_hermiticity_gate_is_relative_for_tiny_drives():
+    # with the absolute gate ||ham - ham^dag||_F <= 1e-10, a metric-Hermitian
+    # drive scaled below about 1e-10 was symmetrized and scanned as its
+    # Hermitian part, which misses the target (None); the passage time scales
+    # as 1/s, so s ham reaches it at t / s
+    v = _target(1.7, alpha=0.4, beta=-1.1)
+    ham = aligned_hamiltonian(metric_from_sqrt(1.6, 0.7 + 0.3j), 1.3, E0, v).operator
+    t = first_passage_scan(ham, E0, v, t_max=8.0)
+    assert t is not None and not is_hermitian(ham)
+    for s in (1e-10, 1e-11, 1e-12):
+        scaled = first_passage_scan(s * ham, E0, v, t_max=8.0 / s)
+        assert scaled is not None
+        assert abs(scaled * s / t - 1.0) <= 1e-12
+
+
+def test_general_passage_bisection_ends_where_floats_are_sparse():
+    # past t ~ 8192 adjacent floats lie more than the 1e-12 refinement window
+    # apart, so a midpoint can round to an end of its window: the bisection
+    # then never shrank it and the scan never returned.  The call runs in a
+    # subprocess with a timeout, so a regression fails instead of hanging.
+    # This broken-PT drive's normalized fidelity peaks at 0.69 (a 2e6-point
+    # propagator grid over [0, 1e5]), so no passage exists
+    code = (
+        "import numpy as np\n"
+        "from tachys.brachistochrone import first_passage_scan\n"
+        "ham = np.array([[1e-3j, 1.0], [0.9, 0.3]])\n"
+        "print(first_passage_scan(ham, [1, 0], [0.6, 0.8], 1e5))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "None"
 
 
 def test_real_spectrum_passage_makes_no_numpy_call_past_the_entry_checks(monkeypatch):

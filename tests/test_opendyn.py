@@ -1,12 +1,14 @@
 """Non-Hermitian open dynamics: trace motion, shifts, aligned drives."""
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from tachys import opendyn
 from tachys.metric import diag_metric, metric_from_matrix, metric_from_sqrt, pseudo_hermiticity_defect, quasi_hamiltonian
 from tachys.opendyn import (
     AlignmentError,
@@ -28,6 +30,16 @@ E1 = np.array([0.0, 1.0], dtype=complex)
 EXP_MINUS_2 = 0.1353352832366127  # e^-2
 
 GENERATOR = np.array([[1.0 + 0.5j, 2.0], [0.5, -1.0j]], dtype=complex)
+
+
+#: a grid of four blocks of 12,293 and 12,290 samples, past three boundaries
+LONG = 3 * opendyn._BLOCK + 17
+
+
+def _block_edges(n):
+    """The block boundaries ``evolve_semigroup`` uses for ``n`` samples."""
+    size = -(-n // -(-n // opendyn._BLOCK))
+    return list(range(0, n, size)) + [n]
 
 
 # ------------------------------------------------------------ generator split
@@ -144,11 +156,14 @@ def _random_density(rng):
 
 def test_evolve_semigroup_matches_propagator_sandwich():
     # the closed form against U(t) rho0 U(t)^dag built from the propagator
-    # stack; the last case reaches a trace of ~6e135 at t = 1e3, where
-    # |cos(r t)|^2 alone would overflow unless the damping reaches c and s
-    # before they are squared
+    # stack; an exceptional-point generator runs over an unsorted grid of
+    # four blocks, and the last case reaches a trace of ~6e135 at t = 1e3,
+    # where |cos(r t)|^2 alone would overflow unless the damping reaches c
+    # and s before they are squared
     rng = np.random.default_rng(2024)
     cases = [(m, _random_density(rng), np.linspace(0.0, 4.0, 257)) for m in _generator_family(rng)]
+    ep = np.array([[0.9j, 0.9], [0.9, -0.9j]]) + (0.2 - 0.05j) * np.eye(2)
+    cases.append((ep, _random_density(rng), rng.permutation(np.linspace(0.0, 8.0, LONG))))
     rho_mixed = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]], dtype=complex)
     cases.append((GENERATOR, rho_mixed, np.linspace(0.0, 1e3, 11)))
     for m, rho0, ts in cases:
@@ -260,6 +275,67 @@ def test_evolve_semigroup_matches_mpmath_near_exceptional_point():
             exact = np.array([[p00, re01 + 1j * im01], [re01 - 1j * im01, p11]])
             assert np.linalg.norm(rho - exact) <= 1e-12 * np.linalg.norm(exact)
             assert abs(trace_value - (p00 + p11)) <= 1e-12 * (p00 + p11)
+
+
+# ------------------------------------------------------ blocked evaluation
+
+
+def test_evolve_semigroup_long_call_equals_calls_over_its_slices():
+    # a sample's state and k(t) do not depend on the block it falls in: the
+    # long call equals calls over each of its blocks and over slices that
+    # straddle the boundaries, bit for bit, on sorted and unsorted grids
+    # (a one-sample call is left out: numpy multiplies a single row through
+    # another kernel, which may round the last bit differently)
+    rng = np.random.default_rng(15)
+    edges = _block_edges(LONG)
+    assert len(edges) == 5
+    straddling = [(e - 1000, e + 1000) for e in edges[1:-1]]
+    for m in list(_generator_family(rng))[:10]:
+        rho0 = _random_density(rng)
+        for ts in (np.linspace(0.0, 6.0, LONG), rng.permutation(np.linspace(-1.0, 6.0, LONG))):
+            trace = evolve_semigroup(m, rho0, ts)
+            for lo, hi in list(zip(edges, edges[1:])) + straddling:
+                part = evolve_semigroup(m, rho0, ts[lo:hi])
+                assert part.rhos.tobytes() == trace.rhos[lo:hi].tobytes()
+                assert part.k_values.tobytes() == trace.k_values[lo:hi].tobytes()
+                np.testing.assert_array_max_ulp(part.trace_values, trace.trace_values[lo:hi], 4)
+
+
+def test_evolve_semigroup_names_the_earliest_blow_up_in_a_late_block():
+    # GENERATOR's trace passes the float range near t = 2.3e3: the first
+    # non-finite sample in array order (t = 4500, block 3) is not the
+    # earliest time (t = 3000, the last block), and the error names the latter
+    rng = np.random.default_rng(16)
+    rho0 = np.array([[0.6, 0.25 + 0.1j], [0.25 - 0.1j, 0.4]], dtype=complex)
+    ts = rng.uniform(0.0, 1e3, LONG)
+    ts[30_000], ts[LONG - 100] = 4500.0, 3000.0
+    assert _block_edges(LONG)[2] <= 30_000 < _block_edges(LONG)[3] <= LONG - 100
+    with pytest.raises(ValueError, match=r"overflows: rho\(t\) is first not finite at t = 3000\.0"):
+        evolve_semigroup(GENERATOR, rho0, ts)
+    # k(t) = e^{2t} of diag(-i, -2i) passes the float range before t = 400
+    kts = 0.01 * ts
+    kts[30_000], kts[LONG - 100] = 450.0, 400.0
+    with pytest.raises(ValueError, match=r"k\(t\) is first not finite at t = 400\.0"):
+        evolve_semigroup(np.diag([-1j, -2j]), 0.5 * np.eye(2), kts)
+
+
+def test_evolve_semigroup_scratch_stays_fixed_in_size():
+    # the returned arrays are 80 B per sample; what the call allocates beyond
+    # them is the blocks' scratch (7 rows of 2^14 floats, 896 KiB), not a
+    # multiple of the grid (64 B per sample, 16 MiB at 2^18 samples, before
+    # the evaluation was blocked)
+    ts = np.linspace(0.0, 6.0, 2**18)
+    rho0 = np.array([[0.6, 0.25 + 0.1j], [0.25 - 0.1j, 0.4]], dtype=complex)
+    evolve_semigroup(GENERATOR, rho0, ts[:10])
+    tracemalloc.start()
+    try:
+        trace = evolve_semigroup(GENERATOR, rho0, ts)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held >= 80 * ts.size
+    assert peak - held < 2 * 2**20
+    assert trace.rhos.shape == (ts.size, 2, 2)
 
 
 # -------------------------------------------------------------------- shift
