@@ -20,12 +20,12 @@ import numpy as np
 
 from .smallmat import (
     _EP_RADIUS,
-    HERMITICITY_TOL,
     _abs,
     _cos_sinc,
     _first_failing_row,
     _float_or_array,
     _matrix2,
+    _negligible,
     _norm,
     _reject_rows,
     _unit2,
@@ -166,11 +166,8 @@ def _transfer(v: np.ndarray, omega: float) -> BrachistochroneResult:
     overlap = _vdots(_REFERENCE, v)
     if v.ndim == 1:
         shift, phase, overlap = float(shift), float(phase), complex(overlap)
-    return BrachistochroneResult(
-        tau=tau,
-        overlap=overlap,
-        drive=OptimalHamiltonianSpec(omega=omega, shift=shift, phase=phase, matrix=ham),
-    )
+    drive = OptimalHamiltonianSpec(omega=omega, shift=shift, phase=phase, matrix=ham)
+    return BrachistochroneResult(tau=tau, overlap=overlap, drive=drive)
 
 
 def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -> float | None:
@@ -208,17 +205,15 @@ def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -
     each once, and the first bad one raises ValueError.  Past those checks
     the real-spectrum path is Python scalar arithmetic, with no numpy call:
     the drive and the states are read once each, the Hermiticity test is
-    ||ham - ham^dag||_F <= HERMITICITY_TOL min(1, ||ham||_F) from the entries
-    (relative below a unit norm, so scaling a drive down never makes it
-    Hermitian), and each state is normalized as ``normalize`` does it, bit
-    for bit (its squared norm rounded as numpy's fused dot rounds it, then a
-    multiply by the reciprocal norm, as numpy's complex division does),
-    rescaled by a power of two first where its norm leaves [2**-511, 2**511].
-    A drive whose Pauli vector has sum_k |Re n_k| + |Im n_k| outside
-    [2**-252, 2**252] (and not 0) is scanned as n 2**-e over [0, t_max 2**e],
-    2**-e taking that sum into [1, 2), and the time found is scaled back by
-    2**-e; ValueError is raised where t_max 2**e leaves the range of normal
-    floats.
+    ``is_hermitian``'s with both norms from ``math.hypot`` of the entries,
+    and each state is normalized as ``normalize`` does it, bit for bit (its
+    squared norm rounded as numpy's fused dot rounds it, then a multiply by
+    the reciprocal norm, as numpy's complex division does), rescaled by a
+    power of two first where its norm leaves [2**-511, 2**511].  A drive
+    whose Pauli vector has sum_k |Re n_k| + |Im n_k| outside [2**-252,
+    2**252] (and not 0) is scanned as n 2**-e over [0, t_max 2**e], 2**-e
+    taking that sum into [1, 2), and the time found is scaled back by 2**-e;
+    ValueError is raised where t_max 2**e leaves the range of normal floats.
     """
     m = as_operator(ham, dim=2)
     t_max = positive_finite("t_max", t_max)
@@ -230,9 +225,7 @@ def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -
     # diagonal entry 2 Im m_kk; hypot neither overflows nor underflows
     d = m01 - m10.conjugate()
     skew = math.hypot(d.real, d.imag, d.real, d.imag, 2.0 * m00.imag, 2.0 * m11.imag)
-    if not skew or skew <= HERMITICITY_TOL * min(
-        1.0, math.hypot(abs(m00), abs(m01), abs(m10), abs(m11))
-    ):
+    if not skew or _negligible(skew, math.hypot(abs(m00), abs(m01), abs(m10), abs(m11))):
         # the symmetrized drive (m + m^dag) / 2, whose n.n has imaginary part 0
         m01 = 0.5 * (m01 + m10.conjugate())
         m10, m00, m11 = m01.conjugate(), m00.real, m11.real

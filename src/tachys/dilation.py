@@ -16,10 +16,12 @@ import numpy as np
 from .metric import Metric, QuasiHamiltonian, metric_from_matrix, quasi_hamiltonian
 from .smallmat import (
     MetricDegeneracyError,
+    _negligible,
     as_operator,
     as_state,
     dagger,
     frobenius,
+    is_hermitian,
     normalize,
     propagator,
 )
@@ -27,10 +29,6 @@ from .smallmat import (
 __all__ = ["DilationModel", "build_dilation", "evolve_dilated", "visibility_ratio"]
 
 _DET_FLOOR = 1e-12
-_TRACELESS_TOL = 1e-10
-_EIGENREL_TOL = 1e-10
-_UNITARITY_TOL = 1e-10
-_HERMITICITY_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,27 +59,25 @@ def build_dilation(h, metric: Metric, omega: float) -> DilationModel:
     Checks in order: ``h`` is traceless; the metric determinant clears the
     degeneracy floor before the unit-determinant rescale; then the gates of
     ``quasi_hamiltonian(h, metric, omega)`` (Hermitian ``h`` with gap ``omega``),
-    whose dressed generator the model keeps as ``generator``.
+    whose dressed generator the model keeps as ``generator``; then the two
+    eigenvalue relations of the root columns, the unitarity of the extended
+    vectors and the Hermiticity of the dilated generator B.  Their residuals
+    are sized by ||h||_F, the right-hand side ||root E||_F, ||I||_F = 2, ||B||_F.
     """
     hm = as_operator(h, dim=2)
-    if abs(complex(np.trace(hm))) > _TRACELESS_TOL:
+    if not _negligible(abs(complex(np.trace(hm))), frobenius(hm)):
         raise ValueError("build_dilation requires a traceless generator")
     det_eta = float(np.linalg.det(metric.eta).real)
     if det_eta <= _DET_FLOOR:
-        raise MetricDegeneracyError(
-            f"metric determinant {det_eta:.3e} is below the dilation floor",
-            eigenvalue=det_eta,
-        )
+        message = f"metric determinant {det_eta:.3e} is below the dilation floor"
+        raise MetricDegeneracyError(message, eigenvalue=det_eta)
     generator = quasi_hamiltonian(hm, metric, omega)
     eta_unit = metric.eta / np.sqrt(det_eta)
 
     # orthonormal eigenbasis of h, gap-upper state first, phases pinned
-    w, vecs = np.linalg.eigh(0.5 * (hm + dagger(hm)))
-    basis = vecs[:, ::-1].copy()
-    for k in range(2):
-        col = basis[:, k]
-        anchor = col[np.argmax(np.abs(col))]
-        basis[:, k] = col * np.exp(-1j * np.angle(anchor))
+    basis = np.linalg.eigh(0.5 * (hm + dagger(hm)))[1][:, ::-1]
+    anchor = basis[np.argmax(np.abs(basis), axis=0), [0, 1]]
+    basis = basis * np.exp(-1j * np.angle(anchor))
 
     eta_e = dagger(basis) @ eta_unit @ basis
     eta_e = 0.5 * (eta_e + dagger(eta_e))
@@ -92,31 +88,27 @@ def build_dilation(h, metric: Metric, omega: float) -> DilationModel:
     energies = np.diag([level, -level]).astype(complex)
     op = m.inv_sqrt_eta @ energies @ m.sqrt_eta
 
-    if frobenius(op @ m.inv_sqrt_eta - m.inv_sqrt_eta @ energies) > _EIGENREL_TOL:
+    rhs = m.inv_sqrt_eta @ energies
+    if not _negligible(frobenius(op @ m.inv_sqrt_eta - rhs), frobenius(rhs)):
         raise ValueError("inverse-root columns fail the eigenvalue relation")
-    if frobenius(dagger(op) @ m.sqrt_eta - m.sqrt_eta @ energies) > _EIGENREL_TOL:
+    rhs = m.sqrt_eta @ energies
+    if not _negligible(frobenius(dagger(op) @ m.sqrt_eta - rhs), frobenius(rhs)):
         raise ValueError("root columns fail the adjoint eigenvalue relation")
 
     vmat = norm_factor * np.block([[m.inv_sqrt_eta, m.sqrt_eta], [m.sqrt_eta, -m.inv_sqrt_eta]])
-    if frobenius(dagger(vmat) @ vmat - np.eye(4)) > _UNITARITY_TOL:
+    if not _negligible(frobenius(dagger(vmat) @ vmat - np.eye(4)), 2.0):
         raise ValueError("extended-vector matrix failed its unitarity check")
 
     inv_eta = m.inv_sqrt_eta @ m.inv_sqrt_eta
     top = op @ inv_eta + eta_e @ op
     off = op - dagger(op)
     big = norm_factor**2 * np.block([[top, off], [-off, top]])
-    if frobenius(big - dagger(big)) > _HERMITICITY_TOL:
+    if not is_hermitian(big):
         raise ValueError("dilated generator failed its Hermiticity check")
     big = 0.5 * (big + dagger(big))
 
-    return DilationModel(
-        metric=m,
-        extended_vectors=vmat,
-        hamiltonian=big,
-        norm_factor=norm_factor,
-        eigenbasis=basis,
-        generator=generator,
-    )
+    return DilationModel(metric=m, extended_vectors=vmat, hamiltonian=big, norm_factor=norm_factor,
+                         eigenbasis=basis, generator=generator)
 
 
 def evolve_dilated(model: DilationModel, initial, t) -> tuple[np.ndarray, np.ndarray]:

@@ -18,6 +18,7 @@ from .smallmat import (
     _abs,
     _matrix2,
     _max,
+    _negligible,
     _reject_rows,
     _square,
     _where,
@@ -51,7 +52,6 @@ DEGENERACY_MARGIN = 1e-12
 NORM_FLOOR = 1e-14
 
 GAP_MATCH_TOL = 1e-8
-DEFECT_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,11 +138,14 @@ def quasi_hamiltonian(h, metric: Metric, omega: float) -> QuasiHamiltonian:
     """Dress a Hermitian generator with a metric.
 
     Returns the similarity image ``inv_sqrt_eta @ h @ sqrt_eta`` bundled with
-    its ingredients.  The generator must be Hermitian and its eigenvalue gap
-    must match ``omega``.  ``h`` may be an ``(n, 2, 2)`` stack, paired with a
-    metric of ``(n, 2, 2)`` stacks: every gate then runs once over the stack,
-    slice k equals the single call bit for bit, and the first failing slice
-    raises, from the earliest gate it fails.
+    its ingredients.  Sizes of the gates: ||h||_F for Hermiticity, ``omega``
+    for the gap (to GAP_MATCH_TOL) and for the spread of the image's spectrum
+    (which may also stay within its rounding 50 eps ||op||_F cond), and
+    ||op||_F cond^2 for the metric-Hermiticity defect, where cond is
+    ||sqrt_eta||_F ||inv_sqrt_eta||_F / 2.  ``h`` may be an ``(n, 2, 2)``
+    stack, paired with a metric of ``(n, 2, 2)`` stacks: every gate then runs
+    once over the stack, slice k equals the single call bit for bit, and the
+    first failing slice raises, from the earliest gate it fails.
     """
     hm = as_operator(h, dim=2, stack=True)
     not_hermitian = ValueError("quasi_hamiltonian requires a Hermitian generator")
@@ -151,26 +154,23 @@ def quasi_hamiltonian(h, metric: Metric, omega: float) -> QuasiHamiltonian:
     l_h = eigvals2(hm)
     gap = l_h[0] - l_h[1]
     _reject_rows(
-        _abs(gap - omega) > GAP_MATCH_TOL * max(1.0, omega),
+        np.logical_not(_negligible(_abs(gap - omega), omega, GAP_MATCH_TOL)),
         lambda g: ValueError(f"generator gap {g.real:.12g} does not match omega {omega:.12g}"),
         gap,
     )
     op = metric.inv_sqrt_eta @ hm @ metric.sqrt_eta
-    # validation gates scale with the conditioning of the similarity: near the
-    # degenerate-metric limit the raw residuals are dominated by roundoff that
-    # double precision cannot avoid, so an absolute gate would reject exact
-    # constructions.  For well-conditioned metrics cond/2 ~ 1 and the gates
-    # collapse to the tight absolute tolerances.
+    # the sizes grow with the conditioning of the similarity: near the
+    # degenerate-metric limit its roundoff dominates the residuals
     cond = 0.5 * frobenius(metric.sqrt_eta) * frobenius(metric.inv_sqrt_eta)
     op_norm = frobenius(op)
-    defect_gate = DEFECT_TOL * _max(1.0, op_norm) * cond * cond
     defect = pseudo_hermiticity_defect(op, metric.eta)
-    _reject_rows(defect > defect_gate, ValueError("constructed operator violates metric-Hermiticity"))
+    violates = ValueError("constructed operator violates metric-Hermiticity")
+    _reject_rows(np.logical_not(_negligible(defect, op_norm * cond * cond)), violates)
     l_op = eigvals2(op)
-    spectrum_gate = _max(1e-10 * max(1.0, omega), 50.0 * np.finfo(float).eps * op_norm * cond)
+    rounding = 50.0 * np.finfo(float).eps * op_norm * cond
     spread = _max(_abs(l_op[0] - l_h[0]), _abs(l_op[1] - l_h[1]))
     foreign = ValueError("constructed operator does not share the generator spectrum")
-    _reject_rows(spread > spectrum_gate, foreign)
+    _reject_rows(np.logical_not(_negligible(spread, omega) | (spread <= rounding)), foreign)
     return QuasiHamiltonian(h=hm, metric=metric, operator=op, omega=omega)
 
 

@@ -4,6 +4,10 @@ Everything in this module is pure: matrices are plain complex128 ndarrays
 with value semantics, pure states are 1-d complex128 ndarrays.  State
 comparison is phase-insensitive throughout (two states are "the same" when
 their fidelity is 1 up to tolerance).
+
+Every residual gate on an operator has one rule, ``_negligible``: at most
+HERMITICITY_TOL (or its own tolerance) times the Frobenius size of what it
+checks, both norms true across the float range, whatever the energy unit.
 """
 
 from __future__ import annotations
@@ -193,9 +197,11 @@ def row_norms(x) -> np.ndarray:
 
 
 def frobenius(mat):
-    """Frobenius norm; a float for one matrix, an array for an ``(n, d, d)`` stack."""
-    m = np.asarray(mat)
-    return row_norms(m) if m.ndim == 3 else float(np.linalg.norm(m))
+    """Frobenius norm, true across the float range (``_rescaled``); per matrix of a stack."""
+    m = np.asarray(mat, dtype=complex)
+    flat = m.reshape(len(m), math.prod(m.shape[1:])) if m.ndim == 3 else m.ravel(order="K")
+    _, n, e = _rescaled(flat)
+    return n if e is None else _float_or_array(np.ldexp(n, e))
 
 
 def dagger(mat: np.ndarray) -> np.ndarray:
@@ -203,10 +209,15 @@ def dagger(mat: np.ndarray) -> np.ndarray:
     return np.conj(mat).swapaxes(-1, -2)
 
 
+def _negligible(residual, size, tol=HERMITICITY_TOL):
+    """The rule of every gate: ``residual <= tol * size``, elementwise; NaN fails."""
+    return residual <= tol * size
+
+
 def is_hermitian(mat):
-    """Whether ``||mat - mat^dag||_F <= HERMITICITY_TOL``; a stack gives one bool per matrix."""
+    """Whether ||mat - mat^dag||_F is negligible next to ||mat||_F; one bool per stacked matrix."""
     m = np.asarray(mat, dtype=complex)
-    ok = frobenius(m - dagger(m)) <= HERMITICITY_TOL
+    ok = _negligible(frobenius(m - dagger(m)), frobenius(m))
     return ok if m.ndim == 3 else bool(ok)
 
 
@@ -219,25 +230,30 @@ def normalize(vec) -> np.ndarray:
     ``normalize([1e300, 1e300])`` and ``normalize([1e-170, 1e-170])`` give
     (1, 1)/sqrt(2).  Every other state keeps the plain quotient, bit for bit.
     """
-    v, n = _rescaled(as_state(vec, stack=True))
+    v, n, _ = _rescaled(as_state(vec, stack=True))
     _reject_rows(n == 0.0, ValueError("cannot normalize the zero vector"))
     return v / (n if v.ndim == 1 else n[:, None])
 
 
 def _rescaled(v: np.ndarray):
-    """``v`` and its norm, each state whose norm is outside [_NORM_MIN, _NORM_MAX]
-    first scaled by the power of two that takes its largest entry into
-    [0.5, 1), without rounding; other states as they are."""
+    """``v 2**-e``, its norm and ``e``: e takes the largest entry of each state
+    whose norm leaves [_NORM_MIN, _NORM_MAX] into [0.5, 1), so the scaling does
+    not round, and is 0 for the others; None when no state is scaled."""
+    if v.ndim == 1:
+        # one state: its largest part decides, in Python; 0 needs no scaling
+        parts = v.view(float).tolist()
+        big = max(map(abs, parts), default=0.0)
+        if not big or _NORM_MIN <= big <= _NORM_MAX / len(parts):
+            return v, _norm(v) if big else 0.0, None
     with np.errstate(over="ignore"):
         n = _norm(v)
     off = np.logical_not((n >= _NORM_MIN) & (n <= _NORM_MAX))
     if not _any(off):
-        return v, n
+        return v, n, None
     parts = v.view(float)
-    e = np.frexp(np.abs(parts).max(axis=-1))[1]
-    scaled = np.ldexp(parts, -e if v.ndim == 1 else -e[:, None]).view(complex)
-    v = scaled if v.ndim == 1 else np.where(off[:, None], scaled, v)
-    return v, _norm(v)
+    e = np.where(off, np.frexp(np.abs(parts).max(axis=-1))[1], 0)
+    v = np.ldexp(parts, -e[..., None]).view(complex)
+    return v, _norm(v), e
 
 
 def _unit2(state: np.ndarray) -> tuple[complex, complex]:
@@ -290,8 +306,8 @@ def fidelity(u, v) -> float:
     A state whose norm leaves [2**-511, 2**511] is first scaled by a power of
     two, as in ``normalize``, so ``fidelity([1e300, 0], [1, 0])`` is 1.
     """
-    a, na = _rescaled(as_state(u))
-    b, nb = _rescaled(as_state(v))
+    a, na, _ = _rescaled(as_state(u))
+    b, nb, _ = _rescaled(as_state(v))
     if na == 0.0 or nb == 0.0:
         raise ValueError("fidelity of the zero vector is undefined")
     return float(abs(np.vdot(a, b)) / (na * nb))
@@ -444,8 +460,8 @@ def propagator(ham, t) -> np.ndarray:
     non-finite only where the exact operator overflows (diag(0, -2i) at
     t = 800 gives diag(1, e^-1600), diag(0, -2e-10 i) at t = 6.9e12 gives
     diag(1, e^-1380)).  Every other entry, real r included, keeps the plain
-    form.  4x4 generators must be Hermitian and go through an
-    eigendecomposition; a non-Hermitian 4x4 generator raises ValueError.
+    form.  4x4 generators must pass ``is_hermitian``, however small, and go
+    through an eigendecomposition; any other 4x4 generator raises ValueError.
     A NaN or infinite time raises ValueError naming the first such value.
     """
     m = as_operator(ham, stack=True)
@@ -470,8 +486,9 @@ def propagator(ham, t) -> np.ndarray:
 def hermitian_sqrt(mat) -> np.ndarray:
     """Principal square root of a Hermitian positive-definite matrix.
 
-    Raises MetricDegeneracyError (carrying the offending eigenvalue) when the
-    smallest eigenvalue does not clear the positive-definiteness floor.
+    ValueError unless ``mat`` passes ``is_hermitian``; MetricDegeneracyError
+    (carrying the offending eigenvalue) when the smallest eigenvalue does not
+    clear the positive-definiteness floor.
     """
     p = as_operator(mat)
     if not is_hermitian(p):
@@ -479,10 +496,8 @@ def hermitian_sqrt(mat) -> np.ndarray:
     w, v = np.linalg.eigh(0.5 * (p + dagger(p)))
     wmin = float(w.min())
     if wmin <= POSDEF_FLOOR:
-        raise MetricDegeneracyError(
-            f"matrix is not positive definite: smallest eigenvalue {wmin:.3e}",
-            eigenvalue=wmin,
-        )
+        message = f"matrix is not positive definite: smallest eigenvalue {wmin:.3e}"
+        raise MetricDegeneracyError(message, eigenvalue=wmin)
     s = (v * np.sqrt(w)) @ dagger(v)
     return 0.5 * (s + dagger(s))
 

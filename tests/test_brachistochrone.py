@@ -393,35 +393,30 @@ def test_first_passage_scales_drives_with_huge_pauli_vectors_exactly():
 )
 def test_hermiticity_gate_matches_is_hermitian(monkeypatch, size):
     # a Hermitian drive plus an anti-Hermitian part K with ||ham - ham^dag||_F
-    # = 2 ||K||_F = ``size`` min(1, ||h||_F), K's Pauli vector not orthogonal
-    # to the drive's: inside the tolerance the drive is symmetrized and takes
-    # the closed form, outside n.n turns complex and the grid runs.  The gate
-    # of first_passage_scan is HERMITICITY_TOL min(1, ||ham||_F): it agrees
-    # with is_hermitian for drives of norm 1 or more (about half of these),
-    # and is relative below
+    # = 2 ||K||_F = ``size`` ||h||_F, K's Pauli vector not orthogonal to the
+    # drive's: inside the tolerance the drive is symmetrized and takes the
+    # closed form, outside n.n turns complex and the grid runs.  The scan's
+    # gate is is_hermitian's for every drive, scaled by 2**-300 and 2**300 too
     rng = np.random.default_rng(88)
     v = _target(1.7, alpha=0.4, beta=-1.1)
-    large = 0
+    calls = _count_grid_calls(monkeypatch)
     for _ in range(20):
         h = _axis_drive(rng.normal(size=3), 0.6) + rng.normal() * np.eye(2)
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         k = (a - a.conj().T) + 1j * h
-        scale = min(1.0, np.linalg.norm(h))
-        ham = h + 0.5 * size * scale * k / np.linalg.norm(k)
+        ham = h + 0.5 * size * np.linalg.norm(h) * k / np.linalg.norm(k)
         hermitian = size < HERMITICITY_TOL
         skew = np.linalg.norm(ham - ham.conj().T)
-        assert (skew <= HERMITICITY_TOL * min(1.0, np.linalg.norm(ham))) == hermitian
-        if scale == 1.0:
-            large += 1
-            assert is_hermitian(ham) == hermitian
-        calls = _count_grid_calls(monkeypatch)
-        t = first_passage_scan(ham, E0, v, t_max=2.0 * np.pi / 0.6)
-        assert len(calls) == (not hermitian)
+        assert (skew <= HERMITICITY_TOL * np.linalg.norm(ham)) == hermitian
         want = first_passage_scan(h, E0, v, t_max=2.0 * np.pi / 0.6)
-        assert (t is None) == (want is None)
-        if t is not None:
-            assert abs(t - want) <= 1e-9
-    assert 0 < large < 20
+        for s in (1.0, 2.0**-300, 2.0**300):
+            assert is_hermitian(s * ham) == hermitian
+            calls.clear()
+            t = first_passage_scan(s * ham, E0, v, t_max=2.0 * np.pi / 0.6 / s)
+            assert len(calls) == (not hermitian)
+            assert (t is None) == (want is None)
+            if t is not None:
+                assert abs(t * s - want) <= 1e-9
 
 
 def test_hermiticity_gate_is_relative_for_tiny_drives():

@@ -426,6 +426,28 @@ def test_dilation_scale_is_checked_by_the_metric_root(capsys, scale, message):
     assert err == f"tachys dilation: error: {message}\n"
 
 
+@pytest.mark.parametrize("omega", ["1e5", "1e8"])
+def test_dilation_report_holds_at_large_gaps(capsys, omega):
+    # absolute gates rejected both: the Hermiticity residual of the dilated
+    # generator and the eigenvalue residuals grow with omega, as their
+    # rounding does.  The embedding error is the rounding of the phase omega t
+    code, out, err = run_cli(capsys, ["dilation", "--omega", omega, "--t-points", "3"])
+    assert (code, err) == (0, "")
+    comments, _, rows = parse_csv(out)
+    assert max(r["embedding_error"] for r in rows) <= 1e-15 * float(omega) * rows[-1]["t"]
+    assert float(comments["summary.unitarity_defect"]) < 1e-15
+
+
+def test_dilation_rejects_a_metric_whose_extended_vectors_lose_unitarity(capsys):
+    # at --scale 1e4 the unitarity residual of the extended vectors is 9.3e-9,
+    # about eps cond^2 with cond = 1e4 the condition number of the metric
+    # root: a real loss, not a false alarm, so the report still fails.  Its
+    # margin is not reported yet
+    code, out, err = run_cli(capsys, ["dilation", "--scale", "1e4", "--t-points", "3"])
+    assert (code, out) == (1, "")
+    assert err == "tachys dilation: error: ValueError: extended-vector matrix failed its unitarity check\n"
+
+
 def test_dilation_json_summary_block(capsys):
     code, out, _ = run_cli(capsys, ["dilation", "--t-points", "5", "--format", "json"])
     assert code == 0

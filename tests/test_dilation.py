@@ -126,6 +126,25 @@ def test_random_embeddings_are_exact():
             assert np.linalg.norm(observed - direct) < 1e-8
 
 
+@pytest.mark.parametrize("omega", [1e-6, 1e5, 1e8, 2.0**-40, 2.0**40])
+def test_dilation_of_a_scaled_drive_is_the_unit_model_on_a_scaled_clock(omega):
+    # the dilation of omega h is the dilation of h with time t / omega: each
+    # gate compares its residual with the size of what it checks, so none
+    # rejects the scaled model (absolute gates rejected omega = 1e5 and 1e8).
+    # Bound: 1e-13 on every entry of the evolved states over t in [0, 7]
+    metric = metric_from_sqrt(1.5, 0.4 - 0.2j)
+    unit = build_dilation(H_HALF_X, metric, 1.0)
+    model = build_dilation(omega * H_HALF_X, metric, omega)
+    assert np.linalg.norm(model.hamiltonian / omega - unit.hamiltonian) <= 1e-14
+    assert np.abs(model.extended_vectors - unit.extended_vectors).max() <= 1e-15
+    psi0 = np.array([0.6, 0.8j])
+    ts = np.linspace(0.0, 7.0, 15)
+    big, observed = evolve_dilated(model, psi0, ts / omega)
+    want_big, want_observed = evolve_dilated(unit, psi0, ts)
+    assert np.abs(big - want_big).max() <= 1e-13
+    assert np.abs(observed - want_observed).max() <= 1e-13
+
+
 # ---------------------------------------------------------------- validation
 
 

@@ -18,7 +18,7 @@ from tachys.metric import (
     state_angle,
     transition_defect,
 )
-from tachys.smallmat import PAULI_X, dagger, propagator
+from tachys.smallmat import PAULI_X, PAULI_Z, dagger, propagator
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)
@@ -151,6 +151,78 @@ def test_quasi_hamiltonian_rejects_bad_inputs():
     for bad in (-1.0, np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="omega"):
             quasi_hamiltonian(0.5 * PAULI_X, m, bad)
+
+
+def test_quasi_hamiltonian_gates_have_no_unit_floor():
+    # with max(1, omega) as the size, a zero generator passed as an
+    # omega = 1e-9 drive, and a 1e-12 gap matched omega = 5e-9
+    m = diag_metric(2.0)
+    with pytest.raises(ValueError, match="gap 0 does not match omega 1e-09"):
+        quasi_hamiltonian(np.zeros((2, 2)), m, 1e-9)
+    with pytest.raises(ValueError, match="gap 1e-12 does not match omega 5e-09"):
+        quasi_hamiltonian(0.5e-12 * PAULI_Z, m, 5e-9)
+
+
+H_TILTED = np.array([[0.3, 0.5 - 0.1j], [0.5 + 0.1j, -0.3]], dtype=complex)
+
+
+def _gate_cases(side):
+    """(h, metric, omega factor, message) just inside (side -1) or just outside
+    (side +1) each gate of quasi_hamiltonian, in the order they run."""
+    near = 1.0 + side * 1e-3
+    m = metric_from_sqrt(2.0, 1.0)
+    anti = 1j * np.array([[0.2, 0.7 + 0.4j], [0.7 - 0.4j, -0.5]])
+    # ||h - h^dag||_F = near 1e-10 ||h||_F
+    skewed = H_TILTED + 0.5 * near * 1e-10 * np.linalg.norm(H_TILTED) * anti / np.linalg.norm(anti)
+    # the defect grows linearly with a Hermitian error eps X in eta; this eps
+    # puts it at 1e-10 ||op||_F cond^2
+    op = m.inv_sqrt_eta @ H_TILTED @ m.sqrt_eta
+    cond = 0.5 * np.linalg.norm(m.sqrt_eta) * np.linalg.norm(m.inv_sqrt_eta)
+    unit_defect = pseudo_hermiticity_defect(op, m.eta + 1e-9 * PAULI_X) / 1e-9
+    eps = 1e-10 * np.linalg.norm(op) * cond * cond / unit_defect
+    bad_eta = Metric(eta=m.eta + near * eps * PAULI_X, sqrt_eta=m.sqrt_eta, inv_sqrt_eta=m.inv_sqrt_eta)
+    # a root pair off by the factor 1 + d moves both eigenvalues +-omega/2 by d omega/2
+    off_root = Metric(eta=m.eta, sqrt_eta=m.sqrt_eta, inv_sqrt_eta=(1.0 + near * 2e-10) * m.inv_sqrt_eta)
+    return [
+        (skewed, m, 1.0, "Hermitian generator"),
+        (H_TILTED, m, 1.0 + near * 1e-8, "does not match omega"),
+        (H_TILTED, bad_eta, 1.0, "violates metric-Hermiticity"),
+        (H_TILTED, off_root, 1.0, "does not share the generator spectrum"),
+    ]
+
+
+@pytest.mark.parametrize("side", [-1, 1], ids=["inside", "outside"])
+def test_quasi_hamiltonian_gates_are_relative_at_every_scale(side):
+    # every gate compares a residual with HERMITICITY_TOL (or GAP_MATCH_TOL)
+    # times the size of what it checks, so (2**-k h, 2**-k omega) gets the
+    # verdict of (h, omega) for |k| <= 500; past that the quadratic of
+    # eigvals2 underflows or overflows, and no claim is made
+    gap = 2.0 * np.sqrt(0.09 + 0.26)
+    for h, m, factor, message in _gate_cases(side):
+        for k in range(-500, 501):
+            s = 2.0**-k
+            if side < 0:
+                quasi_hamiltonian(s * h, m, s * gap * factor)
+            else:
+                with pytest.raises(ValueError, match=message):
+                    quasi_hamiltonian(s * h, m, s * gap * factor)
+
+
+def test_quasi_hamiltonian_rejects_non_hermitian_generators_at_every_scale():
+    rng = np.random.default_rng(1)
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    herm = 0.5 * (a + dagger(a))
+    gap = float(np.ptp(np.linalg.eigvalsh(herm)))
+    m = metric_from_sqrt(2.0, 1.0)
+    for k in range(1001):
+        s = 2.0**-k
+        with pytest.raises(ValueError, match="requires a Hermitian generator"):
+            quasi_hamiltonian(s * a, m, s * gap)
+        try:
+            quasi_hamiltonian(s * herm, m, s * gap)
+        except ValueError as exc:
+            # beyond 2**-500 the quadratic of eigvals2 underflows
+            assert k > 500 and "Hermitian" not in str(exc)
 
 
 @settings(max_examples=40, deadline=None)

@@ -513,3 +513,63 @@ def test_states_equal_tolerance():
 def test_is_hermitian():
     assert is_hermitian(PAULI_Y)
     assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("k", [-540, -1000, 512, 300])
+def test_frobenius_is_true_across_the_float_range(k):
+    # sum |m_ij|^2 underflows at 2**-540 (0.0) and overflows at 2**512 (inf);
+    # a power-of-two rescaling first gives the true norm, exactly scaled
+    rng = np.random.default_rng(18)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    stack = _random_generators(rng, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert frobenius(2.0**k * a) == 2.0**k * frobenius(a)
+        got = frobenius(np.stack([2.0**k * stack[0], stack[1], np.zeros((2, 2))]))
+    assert got.tolist() == [2.0**k * frobenius(stack[0]), frobenius(stack[1]), 0.0]
+
+
+def test_frobenius_keeps_ordinary_matrices_bit_for_bit():
+    rng = np.random.default_rng(19)
+    m = _random_generators(rng, 400) * 10.0 ** rng.uniform(-150, 150, size=(400, 1, 1))
+    want = [np.linalg.norm(x) for x in m]
+    assert _bytes_equal(frobenius(m), want)
+    assert _bytes_equal([frobenius(x) for x in m], want)
+
+
+def test_non_hermitian_generators_raise_at_every_scale():
+    # the gate is relative to ||m||_F: a generator far from Hermitian stays
+    # so at every scale 2**-k, and its Hermitian part passes at every scale;
+    # with an absolute gate, 1e-12 a was exponentiated as its Hermitian part
+    # and the 2x2 square root raised MetricDegeneracyError instead
+    rng = np.random.default_rng(1)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    p = b @ dagger(b) + np.eye(2)
+    scales = 2.0 ** -np.arange(1001)
+    for s in scales:
+        with pytest.raises(ValueError, match="4x4 generators must be Hermitian"):
+            propagator(s * a, 1.0)
+        propagator(s * 0.5 * (a + dagger(a)), 1.0)
+        with pytest.raises(ValueError, match="requires a Hermitian matrix") as exc:
+            hermitian_sqrt(s * b)
+        assert type(exc.value) is ValueError
+        try:
+            hermitian_sqrt(s * p)
+        except MetricDegeneracyError:
+            pass  # the positive-definiteness floor is absolute; the gate passed
+    # a stack gives one verdict per row, each the single call's
+    stack = np.concatenate([s * np.stack([a, 0.5 * (a + dagger(a))]) for s in scales])
+    verdicts = is_hermitian(stack)
+    assert verdicts.tolist() == [is_hermitian(m) for m in stack] == [False, True] * len(scales)
+
+
+@pytest.mark.parametrize("k", [0, 300, -300, 900])
+@pytest.mark.parametrize("size, hermitian", [((1.0 - 1e-4) * 1e-10, True), ((1.0 + 1e-4) * 1e-10, False)])
+def test_is_hermitian_gate_is_relative_to_the_matrix(k, size, hermitian):
+    # ||m - m^dag||_F = size ||m||_F on either side of the tolerance, at 2**-k
+    rng = np.random.default_rng(20)
+    h = _hermitian_from(rng.normal(size=4))
+    skew = 1j * _hermitian_from(rng.normal(size=4))
+    m = h + 0.5 * size * np.linalg.norm(h) * skew / np.linalg.norm(skew)
+    assert is_hermitian(2.0**-k * m) is hermitian
