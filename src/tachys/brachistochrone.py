@@ -27,11 +27,12 @@ from .smallmat import (
     _matrix2,
     _negligible,
     _norm,
+    _operator2,
     _reject_rows,
+    _state2,
     _unit2,
     _vdots,
     _where,
-    as_operator,
     as_state,
     normalize,
     positive_finite,
@@ -202,30 +203,35 @@ def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -
     grid, ValueError names the earliest grid time whose state is not finite.
 
     The arguments are checked in order (ham, t_max, steps, initial, final),
-    each once, and the first bad one raises ValueError.  Past those checks
-    the real-spectrum path is Python scalar arithmetic, with no numpy call:
-    the drive and the states are read once each, the Hermiticity test is
-    ``is_hermitian``'s with both norms from ``math.hypot`` of the entries,
-    and each state is normalized as ``normalize`` does it, bit for bit (its
-    squared norm rounded as numpy's fused dot rounds it, then a multiply by
-    the reciprocal norm, as numpy's complex division does), rescaled by a
-    power of two first where its norm leaves [2**-511, 2**511].  A drive
+    each once, and the first bad one raises ValueError; a bad array raises
+    what ``as_operator(ham, dim=2)``, ``as_state(x, dim=2)`` or ``normalize``
+    would.  The drive and each state are read once, by one ``np.asarray``
+    (no copy) and one ``tolist``, into Python complex scalars; from there the
+    real-spectrum path is Python scalar arithmetic and makes no numpy call:
+    the Hermiticity test is ``is_hermitian``'s with both norms from
+    ``math.hypot`` of the entries (the drive's norm also sizes the grid's
+    candidate slack on the broken-PT path), and each state is normalized as
+    ``normalize`` does it, bit for bit (its squared norm rounded as numpy's
+    fused dot rounds it, then a multiply by the reciprocal norm, as numpy's
+    complex division does), rescaled by a power of two first where its norm
+    leaves [2**-511, 2**511].  A drive
     whose Pauli vector has sum_k |Re n_k| + |Im n_k| outside [2**-252,
     2**252] (and not 0) is scanned as n 2**-e over [0, t_max 2**e], 2**-e
     taking that sum into [1, 2), and the time found is scaled back by 2**-e;
     ValueError is raised where t_max 2**e leaves the range of normal floats.
     """
-    m = as_operator(ham, dim=2)
+    m00, m01, m10, m11 = _operator2(ham)
     t_max = positive_finite("t_max", t_max)
     steps = _scan_steps(steps)
-    u = _unit2(as_state(initial, dim=2))
-    v = _unit2(as_state(final, dim=2))
-    (m00, m01), (m10, m11) = m.tolist()
+    u = _unit2(*_state2(initial))
+    v = _unit2(*_state2(final))
     # ||m - m^dag||_F: the off-diagonal pair each give |m01 - conj m10|, each
     # diagonal entry 2 Im m_kk; hypot neither overflows nor underflows
     d = m01 - m10.conjugate()
     skew = math.hypot(d.real, d.imag, d.real, d.imag, 2.0 * m00.imag, 2.0 * m11.imag)
-    if not skew or _negligible(skew, math.hypot(abs(m00), abs(m01), abs(m10), abs(m11))):
+    # ||m||_F, needed only for a drive that is not exactly Hermitian
+    size = math.hypot(abs(m00), abs(m01), abs(m10), abs(m11)) if skew else 0.0
+    if _negligible(skew, size):
         # the symmetrized drive (m + m^dag) / 2, whose n.n has imaginary part 0
         m01 = 0.5 * (m01 + m10.conjugate())
         m10, m00, m11 = m01.conjugate(), m00.real, m11.real
@@ -248,8 +254,8 @@ def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -
     if nn.real >= 0.0 and abs(nn.imag) <= _REAL_SPECTRUM_TOL * scale:
         t = _real_spectrum_passage(math.sqrt(nn.real), u, w, v, t_max)
     else:
-        size = float(np.linalg.norm(np.ldexp(m.view(float), -e).view(complex)))
-        t = _general_passage(nx, ny, nz, size, u, w, v, t_max, steps, e)
+        # a drive that takes the grid is not exactly Hermitian, so size is its norm
+        t = _general_passage(nx, ny, nz, math.ldexp(size, -e), u, w, v, t_max, steps, e)
     return t if t is None or not e else math.ldexp(t, -e)
 
 
@@ -283,25 +289,36 @@ def _real_spectrum_passage(r: float, u, w, v, t_max: float) -> float | None:
     ap = abs(u0) ** 2 + abs(u1) ** 2
     ep = (u0.conjugate() * w0 + u1.conjugate() * w1).imag
     bp = abs(w0) ** 2 + abs(w1) ** 2
-
-    def fidelity2(c: float, s: float) -> float:
-        overlap2 = a * c * c + 2.0 * e * c * s + b * s * s
-        return overlap2 / (ap * c * c + 2.0 * ep * c * s + bp * s * s)
-
+    forms = a, e, b, ap, ep, bp
     # the ratio is stationary where q2 s^2 + q1 s c + q0 c^2 = 0; its roots
-    # (c : s) stay homogeneous, so c = 0 (tan(r t) infinite) is one too
+    # (c : s) = (q2 : k) and (k : q0) stay homogeneous, so c = 0 (tan(r t)
+    # infinite) is one too.  A root (0 : 0) is none; of two, the second is
+    # the peak only where its fidelity is strictly the larger
     q2, q1, q0 = b * ep - e * bp, b * ap - a * bp, e * ap - a * ep
     k = -0.5 * (q1 + math.copysign(math.sqrt(max(q1 * q1 - 4.0 * q2 * q0, 0.0)), q1))
-    roots = [(c / h, s / h) for c, s in ((q2, k), (k, q0)) if (h := math.hypot(c, s)) > 0.0]
+    h1, h2 = math.hypot(q2, k), math.hypot(k, q0)
+    root = (q2 / h1, k / h1) if h1 > 0.0 else None
+    if h2 > 0.0:
+        c, s = k / h2, q0 / h2
+        if root is None or _fidelity2(forms, c, s) > _fidelity2(forms, *root):
+            root = c, s
     t = t_max
-    if roots:
-        c, s = max(roots, key=lambda cs: fidelity2(*cs))
+    if root is not None:
+        c, s = root
         if r > 0.0:
             t = min(t, (math.atan2(r * s, c) % math.pi) / r)
         elif c * s > 0.0:
             t = min(t, s / c)
     c, s = (math.cos(r * t), math.sin(r * t) / r) if r > 0.0 else (1.0, t)
-    return t if math.sqrt(fidelity2(c, s)) >= PASSAGE_FIDELITY else None
+    return t if math.sqrt(_fidelity2(forms, c, s)) >= PASSAGE_FIDELITY else None
+
+
+def _fidelity2(forms, c: float, s: float) -> float:
+    """The squared normalized fidelity at (c, s), the ratio of the quadratic
+    forms (a, e, b) over (ap, ep, bp) of ``_real_spectrum_passage``."""
+    a, e, b, ap, ep, bp = forms
+    overlap2 = a * c * c + 2.0 * e * c * s + b * s * s
+    return overlap2 / (ap * c * c + 2.0 * ep * c * s + bp * s * s)
 
 
 def _general_passage(nx, ny, nz, size: float, u, w, v, t_max: float, steps: int,

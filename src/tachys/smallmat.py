@@ -58,6 +58,11 @@ _COSH_LIMIT = 700.0
 #: below it the squared entries lose bits or vanish, above it they overflow
 _NORM_MIN, _NORM_MAX = 2.0**-511, 2.0**511
 
+#: ``eigvals2`` rescales a matrix whose largest entry part leaves this range:
+#: inside it the squared trace and 4 det (at most 24 times that part squared)
+#: stay normal floats, with 2**255 to spare for the smaller entries
+_EIG_MIN, _EIG_MAX = 2.0**-256, 2.0**256
+
 
 class MetricDegeneracyError(ValueError):
     """A required positive-definite operator is singular or indefinite.
@@ -139,21 +144,20 @@ def _first_failing_row(run, n: int):
     raise error
 
 
+_MATRIX_NOT_FINITE = "matrix has non-finite entries"
+_STATE_NOT_FINITE = "state has non-finite entries"
+
+
 def as_operator(mat, dim: int | None = None, stack: bool = False) -> np.ndarray:
     """Coerce ``mat`` to a square complex128 matrix of dimension 2 or 4.
 
     With ``stack``, an ``(n, d, d)`` stack of such matrices is accepted too.
     """
     m = np.array(mat, dtype=complex)
-    if m.ndim not in ((2, 3) if stack else (2,)) or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[-1] not in _SUPPORTED_DIMS:
-        raise ValueError(f"unsupported dimension {m.shape[-1]}; expected one of {_SUPPORTED_DIMS}")
-    if dim is not None and m.shape[-1] != dim:
-        raise ValueError(f"expected a {dim}x{dim} matrix, got {m.shape[-1]}x{m.shape[-1]}")
+    _check_operator_shape(m.shape, dim, stack)
     if not _all_finite(m):
         finite = np.isfinite(m.view(float))
-        _reject_rows(~finite.all(axis=(-2, -1)), ValueError("matrix has non-finite entries"))
+        _reject_rows(~finite.all(axis=(-2, -1)), ValueError(_MATRIX_NOT_FINITE))
     return m
 
 
@@ -165,14 +169,56 @@ def as_state(vec, dim: int | None = None, stack: bool = False) -> np.ndarray:
     v = np.array(vec, dtype=complex)
     if not (stack and v.ndim == 2):
         v = v.reshape(-1)
-    if v.shape[-1] not in _SUPPORTED_DIMS:
-        raise ValueError(f"unsupported state dimension {v.shape[-1]}")
-    if dim is not None and v.shape[-1] != dim:
-        raise ValueError(f"expected a length-{dim} state, got length {v.shape[-1]}")
+    _check_state_length(v.shape[-1], dim)
     if not _all_finite(v):
         finite = np.isfinite(v.view(float))
-        _reject_rows(~finite.all(axis=-1), ValueError("state has non-finite entries"))
+        _reject_rows(~finite.all(axis=-1), ValueError(_STATE_NOT_FINITE))
     return v
+
+
+def _check_operator_shape(shape: tuple, dim: int | None, stack: bool = False) -> None:
+    """ValueError unless ``shape`` is that of a square matrix of a supported
+    dimension (``dim`` if given), or with ``stack`` of a stack of them."""
+    if len(shape) not in ((2, 3) if stack else (2,)) or shape[-1] != shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {shape}")
+    if shape[-1] not in _SUPPORTED_DIMS:
+        raise ValueError(f"unsupported dimension {shape[-1]}; expected one of {_SUPPORTED_DIMS}")
+    if dim is not None and shape[-1] != dim:
+        raise ValueError(f"expected a {dim}x{dim} matrix, got {shape[-1]}x{shape[-1]}")
+
+
+def _check_state_length(n: int, dim: int | None) -> None:
+    """ValueError unless ``n`` is a supported state length (``dim`` if given)."""
+    if n not in _SUPPORTED_DIMS:
+        raise ValueError(f"unsupported state dimension {n}")
+    if dim is not None and n != dim:
+        raise ValueError(f"expected a length-{dim} state, got length {n}")
+
+
+def _operator2(mat) -> tuple[complex, complex, complex, complex]:
+    """The entries m00, m01, m10, m11 of one 2x2 matrix as Python complex
+    scalars, raising the error type and message of ``as_operator(mat, dim=2)``
+    (without its ``row`` mark): the matrix is read once, without a copy."""
+    m = np.asarray(mat, dtype=complex)
+    if m.shape != (2, 2):
+        _check_operator_shape(m.shape, 2)
+    (m00, m01), (m10, m11) = m.tolist()
+    if not (cmath.isfinite(m00) and cmath.isfinite(m01) and cmath.isfinite(m10) and cmath.isfinite(m11)):
+        raise ValueError(_MATRIX_NOT_FINITE)
+    return m00, m01, m10, m11
+
+
+def _state2(vec) -> tuple[complex, complex]:
+    """The entries of one 2-state as Python complex scalars, raising the error
+    type and message of ``as_state(vec, dim=2)`` (without its ``row`` mark):
+    the state is read once, without a copy."""
+    v = np.asarray(vec, dtype=complex)
+    if v.size != 2:
+        _check_state_length(v.size, 2)
+    x0, x1 = v.tolist() if v.ndim == 1 else v.reshape(2).tolist()
+    if not (cmath.isfinite(x0) and cmath.isfinite(x1)):
+        raise ValueError(_STATE_NOT_FINITE)
+    return x0, x1
 
 
 def _all_finite(x: np.ndarray) -> bool:
@@ -256,10 +302,9 @@ def _rescaled(v: np.ndarray):
     return v, _norm(v), e
 
 
-def _unit2(state: np.ndarray) -> tuple[complex, complex]:
-    """``normalize`` of one validated 2-state, bit for bit, as a pair of Python
-    complex scalars: the state is read once, the rest is scalar arithmetic."""
-    x0, x1 = state.tolist()
+def _unit2(x0: complex, x1: complex) -> tuple[complex, complex]:
+    """``normalize`` of the 2-state (x0, x1), bit for bit, as a pair of Python
+    complex scalars, in scalar arithmetic alone."""
     a, b, c, d = x0.real, x0.imag, x1.real, x1.imag
     if not _NORM_MIN**2 <= (a * a + c * c) + (b * b + d * d) <= _NORM_MAX**2:
         big = max(abs(a), abs(b), abs(c), abs(d))
@@ -268,19 +313,20 @@ def _unit2(state: np.ndarray) -> tuple[complex, complex]:
         e = -math.frexp(big)[1]
         a, b, c, d = math.ldexp(a, e), math.ldexp(b, e), math.ldexp(c, e), math.ldexp(d, e)
     # np.linalg.norm's BLAS dot fuses its second product into the sum:
-    # |x|^2 = fma(c, c, a a) + fma(d, d, b b), each fma rounded once by fsum
-    k = 1.0 / math.sqrt(math.fsum((a * a, *_exact_square(c))) + math.fsum((b * b, *_exact_square(d))))
+    # |x|^2 = fma(c, c, a a) + fma(d, d, b b)
+    k = 1.0 / math.sqrt(_fma_square(c, a * a) + _fma_square(d, b * b))
     # x / |x| rounded, signed zeros included, as numpy's complex-by-real division
     return complex((a + b * 0.0) * k, (b - a * 0.0) * k), complex((c + d * 0.0) * k, (d - c * 0.0) * k)
 
 
-def _exact_square(x: float) -> tuple[float, float]:
-    """(h, l) with h = fl(x x) and h + l = x x exactly (Dekker), for |x| < 2**511."""
+def _fma_square(x: float, p: float) -> float:
+    """fma(x, x, p), x x + p rounded once, for |x| < 2**511: x x is split
+    exactly as h + l (Dekker) and ``fsum`` rounds p + h + l once."""
     t = 134217729.0 * x
     hi = t - (t - x)
     lo = x - hi
     h = x * x
-    return h, ((hi * hi - h) + 2.0 * hi * lo) + lo * lo
+    return math.fsum((p, h, ((hi * hi - h) + 2.0 * hi * lo) + lo * lo))
 
 
 def _norm(x):
@@ -506,9 +552,18 @@ def eigvals2(mat):
     """Eigenvalues of a 2x2 matrix by the quadratic formula.
 
     Ordered by descending real part, ties broken by descending imaginary part.
-    An ``(n, 2, 2)`` stack gives two ``(n,)`` arrays.
+    An ``(n, 2, 2)`` stack gives two ``(n,)`` arrays.  A matrix whose largest
+    entry part leaves [2**-256, 2**256] is first scaled by the power of two
+    that takes that part into [0.5, 1), and its eigenvalues are scaled back,
+    so the squared trace and the determinant neither overflow nor lose bits
+    below the normal floats: ``eigvals2(2**k h)`` is ``2**k eigvals2(h)``
+    for |k| up to 1000.  Every other matrix keeps the plain formula, bit for
+    bit.
     """
     m = as_operator(mat, dim=2, stack=True)
+    e = _eig_exponents(m)
+    if e is not None:
+        m = np.ldexp(m.view(float), -_col(e)).view(complex)
     (m00, m01), (m10, m11) = m.tolist() if m.ndim == 2 else m.transpose(1, 2, 0)
     tr = m00 + m11
     det = _cmul(m00, m11) - _cmul(m01, m10)
@@ -516,5 +571,24 @@ def eigvals2(mat):
     hi, lo = (tr + disc) / 2.0, (tr - disc) / 2.0
     swap = (lo.real > hi.real) | ((lo.real == hi.real) & (lo.imag > hi.imag))
     if m.ndim == 3:
-        return np.where(swap, lo, hi), np.where(swap, hi, lo)
-    return (complex(lo), complex(hi)) if swap else (complex(hi), complex(lo))
+        hi, lo = np.where(swap, lo, hi), np.where(swap, hi, lo)
+        if e is not None:
+            hi, lo = (np.ldexp(z.view(float).reshape(-1, 2), e[:, None]).view(complex)[:, 0] for z in (hi, lo))
+        return hi, lo
+    hi, lo = (complex(lo), complex(hi)) if swap else (complex(hi), complex(lo))
+    if e is not None:
+        hi, lo = (complex(math.ldexp(z.real, e), math.ldexp(z.imag, e)) for z in (hi, lo))
+    return hi, lo
+
+
+def _eig_exponents(m: np.ndarray):
+    """None when no matrix of ``m`` (one, or a stack) has its largest entry
+    part outside [_EIG_MIN, _EIG_MAX]; otherwise the exponent e that
+    ``frexp`` gives that part, an int for one matrix and an array for a
+    stack, with 0 for the matrices inside the range."""
+    if m.ndim == 2:
+        big = max(map(abs, m.view(float).ravel().tolist()))
+        return None if _EIG_MIN <= big <= _EIG_MAX else math.frexp(big)[1]
+    big = np.abs(m.view(float)).max(axis=(-2, -1), initial=0.0)
+    inside = (big >= _EIG_MIN) & (big <= _EIG_MAX)
+    return None if inside.all() else np.where(inside, 0, np.frexp(big)[1])

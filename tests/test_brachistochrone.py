@@ -12,7 +12,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tachys import brachistochrone
+from tachys import brachistochrone, smallmat
 from tachys.brachistochrone import (
     PASSAGE_FIDELITY,
     first_passage_scan,
@@ -458,22 +458,35 @@ def test_general_passage_bisection_ends_where_floats_are_sparse():
     assert proc.stdout.strip() == "None"
 
 
-def test_real_spectrum_passage_makes_no_numpy_call_past_the_entry_checks(monkeypatch):
-    # past as_operator and as_state, which validate in smallmat, the scan of
-    # a Hermitian or metric-Hermitian drive reaches no numpy name of its module
+def test_real_spectrum_passage_makes_no_numpy_call(monkeypatch):
+    # the scan of a Hermitian or metric-Hermitian drive reaches no numpy name
+    # of brachistochrone, and of smallmat only np.asarray, once per array
+    # argument, in the scalar readers that check and read it
     v = _target(1.7, alpha=0.4, beta=-1.1)
     drives = [
         np.array([[0.3, 0.4 - 0.2j], [0.4 + 0.2j, -0.3]]),
         aligned_hamiltonian(metric_from_sqrt(1.6, 0.7 + 0.3j), 1.3, E0, v).operator,
+        [[0.3, 0.4 - 0.2j], [0.4 + 0.2j, -0.3]],
     ]
     want = [first_passage_scan(h, E0, v, t_max=8.0) for h in drives]
+    reads = []
 
     class NoNumpy:
         def __getattr__(self, name):
             raise AssertionError(f"numpy.{name} called")
 
+    class OnlyAsarray:
+        def asarray(self, *args, **kwargs):
+            reads.append(args)
+            return np.asarray(*args, **kwargs)
+
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy.{name} called")
+
     monkeypatch.setattr(brachistochrone, "np", NoNumpy())
+    monkeypatch.setattr(smallmat, "np", OnlyAsarray())
     assert [first_passage_scan(h, E0, v, t_max=8.0) for h in drives] == want
+    assert len(reads) == 3 * len(drives)
 
 
 def test_general_passage_overflow_raises_naming_first_bad_time():
@@ -610,6 +623,56 @@ def test_hermitian_passage_edge_cases():
     assert first is not None and 0.0 < first < 2.0 * np.pi / 1.8
     assert first_passage_scan(h, u, v, t_max=10.0 * np.pi / 1.8) == first
     assert abs(first - _expm_passage(h, u, v, 10.0 * np.pi / 1.8, steps=10_000)) <= 1e-9
+
+
+def _pinned_family():
+    """(drive, initial, target, t_max): a Hermitian drive on a random axis,
+    one whose orbit runs through the target and a metric-Hermitian drive,
+    three of each; every one also scaled by 2**300 and 2**-300 (over a
+    window scaled by the reciprocal), and with the initial state scaled by
+    1e300 and the target by 1e-170."""
+    rng = np.random.default_rng(1717)
+    cases = []
+    for kind in ("hermitian", "tilted", "metric") * 3:
+        omega = rng.uniform(0.3, 3.0)
+        u, v = _random_state(rng), _random_state(rng)
+        if kind == "metric":
+            u = E0
+            f = rng.uniform(0.8, 2.5)
+            g = rng.uniform(0.15, 0.7) * np.sqrt(f) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+            h = aligned_hamiltonian(metric_from_sqrt(f, g), omega, E0, v).operator
+        else:
+            axis = rng.normal(size=3)
+            if kind == "tilted":
+                gap = _bloch(u) - _bloch(v)
+                axis -= axis @ gap / (gap @ gap) * gap
+            h = _axis_drive(axis, 0.5 * omega) + rng.normal() * np.eye(2)
+        t_max = 1.02 * 2.0 * np.pi / omega
+        cases.append((h, u, v, t_max))
+        cases += [(h * 2.0**k, u, v, t_max * 2.0**-k) for k in (300, -300)]
+        cases.append((h, 1e300 * u, 1e-170 * v, t_max))
+    return cases
+
+
+#: float.hex of the passages of ``_pinned_family``, from the scan as it read
+#: its arguments through as_operator and as_state: the scalar readers change
+#: no bit
+PINNED_PASSAGE_HEX = (
+    None, None, None, None,
+    "0x1.46180faa882a2p+0", "0x1.46180faa882a2p-300", "0x1.46180faa882a2p+300", "0x1.46180faa882a2p+0",
+    "0x1.2624adde1ac3ep-2", "0x1.2624adde1ac3ep-302", "0x1.2624adde1ac3ep+298", "0x1.2624adde1ac3ep-2",
+    None, None, None, None,
+    "0x1.3c2ecac5db93ep+2", "0x1.3c2ecac5db93ep-298", "0x1.3c2ecac5db93ep+302", "0x1.3c2ecac5db93ep+2",
+    "0x1.22b3a2fd6c004p-1", "0x1.22b3a2fd6c009p-301", "0x1.22b3a2fd6c009p+299", "0x1.22b3a2fd6c004p-1",
+    None, None, None, None,
+    "0x1.060f94b16de07p+1", "0x1.060f94b16de07p-299", "0x1.060f94b16de07p+301", "0x1.060f94b16de06p+1",
+    "0x1.7f74adf7ca2b2p+0", "0x1.7f74adf7ca2b1p-300", "0x1.7f74adf7ca2b1p+300", "0x1.7f74adf7ca2b0p+0",
+)
+
+
+def test_real_spectrum_passages_keep_their_bits():
+    got = [first_passage_scan(h, u, v, t_max) for h, u, v, t_max in _pinned_family()]
+    assert [None if t is None else t.hex() for t in got] == list(PINNED_PASSAGE_HEX)
 
 
 def test_general_passage_meets_aligned_closed_form():

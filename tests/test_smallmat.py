@@ -7,6 +7,7 @@ literals below were produced by those oracle routes, not by the code under
 test.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -20,7 +21,9 @@ from hypothesis import strategies as st
 from tachys.smallmat import (
     _EP_RADIUS,
     MetricDegeneracyError,
+    _operator2,
     _pauli_split,
+    _state2,
     _unit2,
     PAULI_X,
     PAULI_Y,
@@ -387,6 +390,26 @@ def test_eigvals2_trace_det_identities(reals):
     assert abs(hi * lo - det) < 1e-11 * max(1.0, abs(det))
 
 
+def test_eigvals2_scales_by_powers_of_two_across_the_float_range():
+    # past |k| ~ 511 the squared trace and determinant used to underflow or
+    # overflow: at 2**-540 a double root, at 2**515 NaN.  A matrix whose
+    # largest entry part leaves [2**-256, 2**256] is rescaled, so the roots
+    # of 2**k h are those of h times 2**k, bit for bit, single and stacked
+    rng = np.random.default_rng(540)
+    for _ in range(4):
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        for h in (0.5 * (a + dagger(a)), a):
+            base = eigvals2(h)
+            ks = list(range(-1000, 1001, 3)) + [-540, -522, -511, -510, 509, 510, 511, 515]
+            want = [[complex(math.ldexp(z.real, k), math.ldexp(z.imag, k)) for z in base] for k in ks]
+            got = [list(eigvals2(h * 2.0**k)) for k in ks]
+            assert got == want
+            hi, lo = eigvals2(np.stack([h * 2.0**k for k in ks]))
+            assert np.stack([hi, lo], axis=-1).tobytes() == np.array(want).tobytes()
+    assert eigvals2(np.zeros((2, 2))) == (0j, 0j)
+    assert [x.shape for x in eigvals2(np.zeros((0, 2, 2)))] == [(0,), (0,)]
+
+
 def test_eigvals2_ordering():
     hi, lo = eigvals2(np.diag([-2.0, 5.0]))
     assert (hi, lo) == (5.0 + 0j, -2.0 + 0j)
@@ -474,10 +497,68 @@ def test_unit2_is_normalize_bit_for_bit():
     states += [np.array([complex(a, b), complex(c, d)]) for a in zeros for b in zeros for c in zeros for d in zeros if a or b or c or d]
     states += [np.array(x, dtype=complex) for x in ([1e300, 1e300], [1e-170, 1e-170j], [5e-324, 0.0], [1.7e308, -1.7e308j])]
     for v in states:
-        got = np.array(_unit2(as_state(v, dim=2)))
+        got = np.array(_unit2(*_state2(v)))
         assert got.tobytes() == normalize(v).tobytes(), v
     with pytest.raises(ValueError, match="cannot normalize the zero vector"):
-        _unit2(as_state([0.0, -0.0], dim=2))
+        _unit2(*_state2([0.0, -0.0]))
+
+
+def _outcome(read, x):
+    """What ``read(x)`` gives: the exception's type and message, or the
+    entries' parts as float.hex strings, signed zeros included."""
+    try:
+        entries = read(x)
+    except Exception as exc:  # the type itself is compared
+        return type(exc), str(exc)
+    return [part.hex() for z in entries for part in (z.real, z.imag)]
+
+
+def _with_entry(shape, k, bad):
+    """Ones of ``shape``, with the k-th entry (in C order) set to ``bad``."""
+    x = np.ones(shape, dtype=complex)
+    x.flat[k] = bad
+    return x
+
+
+_NON_FINITE = (np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, np.inf), complex(0.5, -np.inf))
+
+#: inputs on which the scalar readers must act as as_operator / as_state do
+#: with dim=2: raise the same error, or give the same entries
+_OPERATOR_INPUTS = [
+    np.eye(4), np.eye(3), np.ones((2, 1)), np.ones((1, 2, 2)), np.ones(4), [], 5, True, 2.5j,
+    [[1, 0], [0, 1]], [[True, False], [1j, -0.0]], [[1, 2], [3]], "ab",
+    np.array([[0.5, -0.0], [0.25j, 3.0]]), np.arange(8.0).reshape(2, 4)[:, ::2],
+    np.array([[1, 2], [3, 4]], dtype=np.int8), [[1, np.nan], [0, 1]], [[1, 0], [0, np.inf]],
+] + [_with_entry((2, 2), k, bad) for k in range(4) for bad in _NON_FINITE]
+# a bad shape is reported before a non-finite entry
+_OPERATOR_INPUTS += [_with_entry((4, 4), 5, np.nan), _with_entry((3, 3), 0, np.inf), _with_entry((2, 1), 1, -np.inf)]
+_STATE_INPUTS = [
+    np.ones(3), np.ones(4), np.zeros(2), [0.0, -0.0], np.ones((2, 1)), np.ones((1, 2)), np.ones((2, 2)),
+    [], 5, True, 2.5j, [1, 0], [True, 1j], [[1], [2, 3]], "ab", np.eye(2)[:, 1],
+    np.array([1, 2], dtype=np.int8), [np.nan, 1], [1, -np.inf],
+] + [_with_entry(2, k, bad) for k in range(2) for bad in _NON_FINITE]
+_STATE_INPUTS += [_with_entry(3, 1, np.nan), _with_entry(4, 0, np.inf), _with_entry((2, 1), 1, -np.inf)]
+
+
+@pytest.mark.parametrize("x", _OPERATOR_INPUTS)
+def test_operator_reader_acts_as_as_operator(x):
+    want = _outcome(lambda y: as_operator(y, dim=2).ravel().tolist(), x)
+    assert _outcome(_operator2, x) == want
+
+
+@pytest.mark.parametrize("x", _STATE_INPUTS)
+def test_state_reader_acts_as_as_state(x):
+    want = _outcome(lambda y: as_state(y, dim=2).tolist(), x)
+    assert _outcome(_state2, x) == want
+    # and the zero state fails in _unit2 as in normalize
+    if isinstance(want, list):
+        assert _outcome(lambda y: _unit2(*_state2(y)), x) == _outcome(lambda y: normalize(as_state(y, dim=2)), x)
+
+
+def test_readers_give_python_complex_scalars():
+    m = np.array([[0.5, 1j], [-1j, 0.25]], dtype=np.complex64)
+    for entries in (_operator2(m), _state2([1, 0.5]), _state2(np.ones((1, 2)))):
+        assert {type(z) for z in entries} == {complex}
 
 
 def test_fidelity_rescales_states_whose_squares_leave_the_float_range():
