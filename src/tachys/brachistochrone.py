@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +23,11 @@ from .smallmat import (
     _cos_sinc,
     _first_failing_row,
     _float_or_array,
+    _is_hermitian2,
     _matrix2,
-    _negligible,
     _norm,
     _operator2,
+    _pauli_root,
     _reject_rows,
     _state2,
     _unit2,
@@ -54,10 +54,6 @@ PASSAGE_FIDELITY = 1.0 - 1e-8
 
 #: propagation residual accepted when validating the constructed drive
 _PROPAGATION_TOL = 1e-9
-
-#: |Im(n.n)| allowed, relative to sum |n_k|^2, for a drive to take the
-#: real-spectrum closed form
-_REAL_SPECTRUM_TOL = 16.0 * sys.float_info.epsilon
 
 #: largest Pauli vector n, as the sum of |Re n_k| and |Im n_k|, that a scan
 #: takes as it is, and the reciprocal of the smallest: the discriminant of the
@@ -186,7 +182,8 @@ def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -
     Drives with a real spectrum need no grid: Hermitian drives (symmetrized
     first), metric-Hermitian drives and exceptional points, whose n.n is real
     and >= 0 (an imaginary part up to 16 eps sum |n_k|^2 counts as
-    rounding).  With w = (n.sigma) u, c = cos(r t) and s = sin(r t)/r are
+    rounding: the rule of ``_pauli_root``, which ``evolve_semigroup`` shares).
+    With w = (n.sigma) u, c = cos(r t) and s = sin(r t)/r are
     real, so the squared fidelity is a ratio of two real quadratic forms in
     (c, s).  Its stationary points solve one homogeneous quadratic, the
     larger of the two is the peak, and tan(r t) = r s / c gives its first
@@ -208,9 +205,12 @@ def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -
     would.  The drive and each state are read once, by one ``np.asarray``
     (no copy) and one ``tolist``, into Python complex scalars; from there the
     real-spectrum path is Python scalar arithmetic and makes no numpy call:
-    the Hermiticity test is ``is_hermitian``'s with both norms from
-    ``math.hypot`` of the entries (the drive's norm also sizes the grid's
-    candidate slack on the broken-PT path), and each state is normalized as
+    the Hermiticity test is ``is_hermitian``'s in scalar form
+    (``_is_hermitian2``, which ``evolve_semigroup`` shares for rho0): both
+    norms from ``math.hypot`` of the entry parts, the entries first scaled by
+    a power of two where the norm leaves [2**-511, 2**511], so a skew that
+    overflows is not taken for Hermitian (the drive's norm also sizes the
+    grid's candidate slack on the broken-PT path), and each state is normalized as
     ``normalize`` does it, bit for bit (its squared norm rounded as numpy's
     fused dot rounds it, then a multiply by the reciprocal norm, as numpy's
     complex division does), rescaled by a power of two first where its norm
@@ -225,13 +225,8 @@ def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -
     steps = _scan_steps(steps)
     u = _unit2(*_state2(initial))
     v = _unit2(*_state2(final))
-    # ||m - m^dag||_F: the off-diagonal pair each give |m01 - conj m10|, each
-    # diagonal entry 2 Im m_kk; hypot neither overflows nor underflows
-    d = m01 - m10.conjugate()
-    skew = math.hypot(d.real, d.imag, d.real, d.imag, 2.0 * m00.imag, 2.0 * m11.imag)
-    # ||m||_F, needed only for a drive that is not exactly Hermitian
-    size = math.hypot(abs(m00), abs(m01), abs(m10), abs(m11)) if skew else 0.0
-    if _negligible(skew, size):
+    hermitian, size = _is_hermitian2(m00, m01, m10, m11)
+    if hermitian:
         # the symmetrized drive (m + m^dag) / 2, whose n.n has imaginary part 0
         m01 = 0.5 * (m01 + m10.conjugate())
         m10, m00, m11 = m01.conjugate(), m00.real, m11.real
@@ -248,14 +243,13 @@ def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -
     u0, u1 = u
     w = nz * u0 + (nx - 1j * ny) * u1, (nx + 1j * ny) * u0 - nz * u1
     v = v[0].conjugate(), v[1].conjugate()
-    nn = nx * nx + ny * ny + nz * nz
-    # Im(n.n) is 0 for every symmetrized drive, and 0 needs no scale
-    scale = abs(nx) ** 2 + abs(ny) ** 2 + abs(nz) ** 2 if nn.imag else 0.0
-    if nn.real >= 0.0 and abs(nn.imag) <= _REAL_SPECTRUM_TOL * scale:
-        t = _real_spectrum_passage(math.sqrt(nn.real), u, w, v, t_max)
+    r = _pauli_root(nx, ny, nz)
+    if not r.imag:
+        # a real spectrum by the rule of _pauli_root: r is a float
+        t = _real_spectrum_passage(r.real, u, w, v, t_max)
     else:
         # a drive that takes the grid is not exactly Hermitian, so size is its norm
-        t = _general_passage(nx, ny, nz, math.ldexp(size, -e), u, w, v, t_max, steps, e)
+        t = _general_passage(r, nx, ny, nz, math.ldexp(size, -e), u, w, v, t_max, steps, e)
     return t if t is None or not e else math.ldexp(t, -e)
 
 
@@ -321,15 +315,14 @@ def _fidelity2(forms, c: float, s: float) -> float:
     return overlap2 / (ap * c * c + 2.0 * ep * c * s + bp * s * s)
 
 
-def _general_passage(nx, ny, nz, size: float, u, w, v, t_max: float, steps: int,
+def _general_passage(r: complex, nx, ny, nz, size: float, u, w, v, t_max: float, steps: int,
                      e: int) -> float | None:
     """Grid scan plus slope bisection for a drive with Pauli part n.sigma whose
-    n.n is complex or negative; ``size`` is the drive's Frobenius norm, and
+    n.n = r^2 is complex or negative; ``size`` is the drive's Frobenius norm, and
     ``u``, w = (n.sigma) u and ``v``, the conjugate of the unit target, are
     pairs of complex scalars.  The drive is the caller's scaled by 2**-e and
     ``t_max`` its by 2**e, so an overflow names its grid time scaled back by
     2**-e."""
-    r = complex(np.sqrt(nx * nx + ny * ny + nz * nz + 0j))
     n00, n01, n10, n11 = nz, nx - 1j * ny, nx + 1j * ny, -nz
     u0, u1 = u
     w0, w1 = w

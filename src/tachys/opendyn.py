@@ -12,6 +12,7 @@ root parameter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +25,15 @@ from .smallmat import (
     _cmul,
     _col,
     _damped_sinh_cosh,
+    _eigvals2,
     _first_failing_row,
     _float_or_array,
+    _is_hermitian2,
+    _matrix2,
     _norm,
-    _pauli_split,
+    _operator2,
+    _pauli_root,
+    _pauli_vector,
     _reject_rows,
     _square,
     _vdots,
@@ -35,7 +41,6 @@ from .smallmat import (
     as_state,
     dagger,
     eigvals2,
-    is_hermitian,
     positive_finite,
     propagator,
 )
@@ -132,26 +137,45 @@ def evolve_semigroup(ham, rho0, times) -> EvolutionTrace:
     where the exact state overflows; ValueError then names the earliest such
     time, and likewise the earliest time whose ``k_values`` entry overflows.
 
-    The evaluation is blocked, with O(_BLOCK) scratch and 80 B/sample
-    returned: the times run in equal blocks of at most _BLOCK samples, which
-    reuse one set of seven scratch rows, and each block writes its states,
-    traces and ``k_values`` straight into the returned arrays.
+    r follows the real-spectrum rule of ``first_passage_scan``
+    (``_pauli_root``): where Re(N^2) >= 0 and |Im(N^2)| is at most
+    16 eps sum |n_k|^2, as for a Hermitian or metric-Hermitian generator, r
+    is real and k = 0, and the coefficients skip the hyperbolic terms, which
+    add exact zeros at k = 0.
+
+    The set-up runs on Python scalars, with no numpy call: ``ham`` and
+    ``rho0`` are each read once, raising what ``as_operator(x, dim=2)``
+    would, in the order ham, rho0, times; rho0 is checked by the scalar form
+    of ``is_hermitian`` (``_is_hermitian2``) and by its smaller eigenvalue
+    and trace; the rate of ``k_values`` is the drift's top eigenvalue from
+    ``eigvals2``'s own scalar formula, bit for bit.  The evaluation is
+    blocked, with O(_BLOCK) scratch and 80 B/sample returned: the times run
+    in equal blocks of at most _BLOCK samples, which reuse one set of seven
+    scratch rows, and each block writes its states, traces and ``k_values``
+    straight into the returned arrays.
     """
-    m = as_operator(ham, dim=2)
-    rho = as_operator(rho0, dim=2)
-    if not is_hermitian(rho):
+    m00, m01, m10, m11 = _operator2(ham)
+    rho = p00, p01, p10, p11 = _operator2(rho0)
+    if not _is_hermitian2(*rho)[0]:
         raise ValueError("rho0 must be Hermitian")
-    evs = np.linalg.eigvalsh(0.5 * (rho + dagger(rho)))
-    if float(evs.min()) < -1e-10:
-        raise ValueError(f"rho0 must be positive semidefinite (min eigenvalue {evs.min():.3e})")
-    if abs(float(np.trace(rho).real) - 1.0) > 1e-8:
+    # the smaller eigenvalue of the Hermitian part (rho0 + rho0^dag) / 2
+    off = 0.5 * (p01 + p10.conjugate())
+    low = 0.5 * (p00.real + p11.real) - math.hypot(0.5 * (p00.real - p11.real), off.real, off.imag)
+    if low < -1e-10:
+        raise ValueError(f"rho0 must be positive semidefinite (min eigenvalue {low:.3e})")
+    if abs(p00.real + p11.real - 1.0) > 1e-8:
         raise ValueError("rho0 must have unit trace")
     ts = np.asarray(times, dtype=float).reshape(-1)
     if ts.shape[0] == 0:
         raise ValueError("times must be non-empty")
     if not np.all(np.isfinite(ts)):
         raise ValueError("times must be finite")
-    a0, r, pauli_part = _pauli_split(m)
+    a0, nx, ny, nz = _pauli_vector(m00, m01, m10, m11)
+    r = _pauli_root(nx, ny, nz)
+    exceptional = math.hypot(r.real, r.imag) < _EP_RADIUS
+    # exceptional point: cos rt -> 1, sin(rt)/r -> t and sinh kt -> 0; X is B
+    basis_re = _semigroup_basis(rho, (nz, nx - 1j * ny, nx + 1j * ny, -nz), 1.0 if exceptional else r)
+    k_rate = -2.0 * _drift_rate_max(m00, m01, m10, m11)
     n = ts.shape[0]
     # equal blocks, so that none is short; n <= _BLOCK is one block
     size = -(-n // -(-n // _BLOCK))
@@ -159,22 +183,10 @@ def evolve_semigroup(ham, rho0, times) -> EvolutionTrace:
     rhos = np.empty((n, 2, 2), dtype=complex)
     traces = np.empty(n)
     k_values = np.empty(n)
+    flat = rhos.reshape(n, 4).view(float)
     with np.errstate(over="ignore", invalid="ignore"):
-        exceptional = abs(r) < _EP_RADIUS
-        if exceptional:
-            # exceptional point: cos rt -> 1, sin(rt)/r -> t and sinh kt -> 0; X is B
-            r = 1.0
-        x = -1j * (pauli_part @ rho) / r
-        # B^dag is written out as i rho0 N^dag, so a rho0 Hermitian only to
-        # tolerance is conjugated exactly as given
-        x_dag = 1j * (rho @ dagger(pauli_part)) / np.conj(r)
-        nrn = pauli_part @ rho @ dagger(pauli_part) / abs(r) ** 2
-        basis = np.stack([rho, x + x_dag, 1j * (x - x_dag), nrn])
         # real coefficients: one real product writes the real and imaginary parts
-        basis_re = basis.reshape(4, 4).view(float)
-        basis_traces = np.real(basis[:, 0, 0] + basis[:, 1, 1])
-        k_rate = -2.0 * split_generator(m).rate_max
-        flat = rhos.reshape(n, 4).view(float)
+        basis_traces = basis_re[:, 0] + basis_re[:, 6]
         for lo in range(0, n, size):
             hi = min(lo + size, n)
             # a C-contiguous (7, hi - lo) view: c0..c3, then three scratch rows
@@ -191,19 +203,53 @@ def evolve_semigroup(ham, rho0, times) -> EvolutionTrace:
     return EvolutionTrace(times=ts, rhos=rhos, trace_values=traces, k_values=k_values)
 
 
+def _semigroup_basis(rho, n, r) -> np.ndarray:
+    """rho0, X + X^dag, i(X - X^dag) and N rho0 N^dag / |r|^2 of
+    ``evolve_semigroup`` as the rows of a ``(4, 8)`` float array, each the real
+    and imaginary parts of its four entries; ``rho`` and ``n`` hold the entries
+    of rho0 and N in row order, Python complex scalars."""
+    p00, p01, p10, p11 = rho
+    n00, n01, n10, n11 = n
+    c00, c01, c10, c11 = n00.conjugate(), n01.conjugate(), n10.conjugate(), n11.conjugate()
+    nr = n00 * p00 + n01 * p10, n00 * p01 + n01 * p11, n10 * p00 + n11 * p10, n10 * p01 + n11 * p11
+    # B^dag is written out as i rho0 N^dag, so a rho0 Hermitian only to
+    # tolerance is conjugated exactly as given
+    rn = p00 * c00 + p01 * c01, p00 * c10 + p01 * c11, p10 * c00 + p11 * c01, p10 * c10 + p11 * c11
+    nrn = nr[0] * c00 + nr[1] * c01, nr[0] * c10 + nr[1] * c11, nr[2] * c00 + nr[3] * c01, nr[2] * c10 + nr[3] * c11
+    q = -1j / r
+    x = [q * z for z in nr]
+    x_dag = [q.conjugate() * z for z in rn]
+    r2 = r.real * r.real + r.imag * r.imag
+    basis = [
+        rho,
+        [a + b for a, b in zip(x, x_dag)],
+        [1j * (a - b) for a, b in zip(x, x_dag)],
+        [z / r2 for z in nrn],
+    ]
+    return np.array(basis, dtype=complex).view(float)
+
+
+def _drift_rate_max(m00, m01, m10, m11) -> float:
+    """The top eigenvalue of the drift (m - m^dag) / 2i of the matrix of these
+    Python complex entries, by ``eigvals2``'s formula: ``split_generator``'s
+    ``rate_max``, bit for bit."""
+    d01 = (m01 - m10.conjugate()) / 2j
+    d10 = (m10 - m01.conjugate()) / 2j
+    return _eigvals2((m00 - m00.conjugate()) / 2j, d01, d10, (m11 - m11.conjugate()) / 2j)[0].real
+
+
 def _semigroup_coefficients(ts: np.ndarray, alpha: float, r, rows: np.ndarray) -> None:
     """c0..c3 of ``evolve_semigroup`` at the times ``ts``, written to rows[:4].
 
-    ``rows`` is a ``(7, len(ts))`` array whose last three rows are scratch,
-    ending as e cos wt, e sin wt and e cosh kt; ``r`` is None at an
-    exceptional point.
+    ``rows`` is a ``(7, len(ts))`` array whose last three rows are scratch;
+    ``r`` is None at an exceptional point.  The hyperbolic terms are added
+    only where k = Im r is not 0: at k = 0 they add exact zeros.
     """
     c0, c1, c2, c3, ecos, esin, ecosh = rows
     np.multiply(ts, alpha, out=ecosh)
     if r is None:
         np.exp(ecosh, out=ecos)
         np.multiply(ecos, ts, out=esin)
-        c2.fill(0.0)
     else:
         np.multiply(ts, r.real, out=ecos)
         np.sin(ecos, out=esin)
@@ -211,13 +257,17 @@ def _semigroup_coefficients(ts: np.ndarray, alpha: float, r, rows: np.ndarray) -
         np.exp(ecosh, out=c3)
         np.multiply(ecos, c3, out=ecos)
         np.multiply(esin, c3, out=esin)
-        np.multiply(ts, r.imag, out=c3)
-        _damped_sinh_cosh(ecosh, c3, (c2, ecosh))
     np.multiply(ecos, esin, out=c1)
     np.square(esin, out=c3)
+    np.square(ecos, out=c0)
+    if r is None or not r.imag:
+        c2.fill(0.0)
+        return
+    # e sinh kt into c2 and e cosh kt into the row of alpha t
+    np.multiply(ts, r.imag, out=esin)
+    _damped_sinh_cosh(ecosh, esin, (c2, ecosh))
     np.square(c2, out=esin)
     np.add(c3, esin, out=c3)
-    np.square(ecos, out=c0)
     np.add(c0, esin, out=c0)
     np.multiply(c2, ecosh, out=c2)
 
@@ -233,11 +283,18 @@ def shifted_generator(ham) -> tuple[np.ndarray, float]:
     """Trace-taming shift: returns (ham - 1j*rate_max*I, rate_max).
 
     The shifted generator's own drift has top eigenvalue zero, so its
-    semigroup never pushes the trace above one.
+    semigroup never pushes the trace above one.  ``ham`` is read once into
+    Python scalars, raising what ``as_operator(ham, dim=2)`` would, and the
+    rate and the matrix carry the bits of ``split_generator`` and of the
+    array expression ham - 1j * rate * I.
     """
-    m = as_operator(ham, dim=2)
-    rate = split_generator(m).rate_max
-    return m - 1j * rate * np.eye(2), rate
+    m00, m01, m10, m11 = _operator2(ham)
+    rate = _drift_rate_max(m00, m01, m10, m11)
+    # 1j * rate times the entries of I as complex numbers, rounded as numpy's
+    # complex product rounds them, signed zeros included
+    shift = 1j * rate
+    on, off = shift * (1.0 + 0j), shift * 0j
+    return _matrix2(m00 - on, m01 - off, m10 - off, m11 - on), rate
 
 
 def map_boundary_states(metric: Metric, initial, final):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 import numpy as np
 
@@ -57,6 +58,11 @@ _COSH_LIMIT = 700.0
 #: state norms outside this range are rescaled by a power of two before use:
 #: below it the squared entries lose bits or vanish, above it they overflow
 _NORM_MIN, _NORM_MAX = 2.0**-511, 2.0**511
+_NORM2_MIN, _NORM2_MAX = _NORM_MIN**2, _NORM_MAX**2
+
+#: |Im(n.n)| allowed, relative to sum |n_k|^2, for n.n to count as real
+#: (``_pauli_root``)
+_REAL_SPECTRUM_TOL = 16.0 * sys.float_info.epsilon
 
 #: ``eigvals2`` rescales a matrix whose largest entry part leaves this range:
 #: inside it the squared trace and 4 det (at most 24 times that part squared)
@@ -267,6 +273,31 @@ def is_hermitian(mat):
     return ok if m.ndim == 3 else bool(ok)
 
 
+def _is_hermitian2(m00: complex, m01: complex, m10: complex, m11: complex) -> tuple[bool, float]:
+    """``is_hermitian`` of the 2x2 matrix [[m00, m01], [m10, m11]] of Python
+    complex scalars, in scalar arithmetic, and its Frobenius norm (0.0 for an
+    exactly Hermitian matrix, whose verdict needs no size; inf past the float
+    range).  Both norms come from ``math.hypot`` of the entry parts, which
+    neither raises nor overflows before its result does.  A matrix whose norm
+    leaves [2**-511, 2**511] is first scaled, as ``frobenius`` scales it, by
+    the power of two that takes its largest entry part into [0.5, 1), so a
+    skew that overflows cannot pass as inf <= inf, and the tolerance times
+    the norm does not underflow."""
+    # ||m - m^dag||_F: the off-diagonal pair each give |m01 - conj m10|, each
+    # diagonal entry 2 Im m_kk
+    d = m01 - m10.conjugate()
+    skew = math.hypot(d.real, d.imag, d.real, d.imag, 2.0 * m00.imag, 2.0 * m11.imag)
+    if not skew:
+        return True, 0.0
+    size = math.hypot(m00.real, m00.imag, m01.real, m01.imag, m10.real, m10.imag, m11.real, m11.imag)
+    if _NORM_MIN <= size <= _NORM_MAX:
+        return _negligible(skew, size), size
+    entries = m00, m01, m10, m11
+    e = -math.frexp(max(max(abs(z.real), abs(z.imag)) for z in entries))[1]
+    # the scaled norm lies in [0.5, 2 sqrt 2], so this call does not rescale
+    return _is_hermitian2(*(complex(math.ldexp(z.real, e), math.ldexp(z.imag, e)) for z in entries))[0], size
+
+
 def normalize(vec) -> np.ndarray:
     """``vec`` over its norm; a 2-d ``vec`` is an ``(n, d)`` stack, normalized row by row.
 
@@ -306,7 +337,7 @@ def _unit2(x0: complex, x1: complex) -> tuple[complex, complex]:
     """``normalize`` of the 2-state (x0, x1), bit for bit, as a pair of Python
     complex scalars, in scalar arithmetic alone."""
     a, b, c, d = x0.real, x0.imag, x1.real, x1.imag
-    if not _NORM_MIN**2 <= (a * a + c * c) + (b * b + d * d) <= _NORM_MAX**2:
+    if not _NORM2_MIN <= (a * a + c * c) + (b * b + d * d) <= _NORM2_MAX:
         big = max(abs(a), abs(b), abs(c), abs(d))
         if big == 0.0:
             raise ValueError("cannot normalize the zero vector")
@@ -409,17 +440,36 @@ def _pauli_split(m: np.ndarray):
     and zero at an exceptional point, where n.sigma is nilpotent.  An
     ``(n, 2, 2)`` stack gives ``(n,)`` arrays and an ``(n, 2, 2)`` stack.
     """
-    a0, ax, ay, az = _pauli_vector(m)
+    # one matrix gives Python complex scalars: rounded as numpy's, and faster
+    (m00, m01), (m10, m11) = m.tolist() if m.ndim == 2 else m.transpose(1, 2, 0)
+    a0, ax, ay, az = _pauli_vector(m00, m01, m10, m11)
     r = np.sqrt(_cmul(ax, ax) + _cmul(ay, ay) + _cmul(az, az) + 0j)
     return a0, r, _col(ax) * PAULI_X + _col(ay) * PAULI_Y + _col(az) * PAULI_Z
 
 
-def _pauli_vector(m: np.ndarray):
-    """(a0, nx, ny, nz) with ``m = a0 I + nx X + ny Y + nz Z``; Python complex
-    scalars for one matrix, ``(n,)`` arrays for an ``(n, 2, 2)`` stack."""
-    # one matrix gives Python complex scalars: rounded as numpy's, and faster
-    (m00, m01), (m10, m11) = m.tolist() if m.ndim == 2 else m.transpose(1, 2, 0)
+def _pauli_vector(m00, m01, m10, m11):
+    """(a0, nx, ny, nz) with [[m00, m01], [m10, m11]] = a0 I + nx X + ny Y + nz Z,
+    of scalar entries or elementwise of ``(n,)`` arrays."""
     return 0.5 * (m00 + m11), 0.5 * (m01 + m10), 0.5j * (m01 - m10), 0.5 * (m00 - m11)
+
+
+def _pauli_root(nx: complex, ny: complex, nz: complex) -> complex | float:
+    """The principal root r of n.n for the Pauli vector (nx, ny, nz) of Python
+    complex scalars, under the real-spectrum rule.
+
+    n.n counts as real when Re(n.n) >= 0 and |Im(n.n)| <= 16 eps sum |n_k|^2,
+    the rounding of a real spectrum (a Hermitian or metric-Hermitian drive, an
+    exceptional point); r is then the float sqrt(Re n.n), so k = Im r is 0.
+    Otherwise r is the complex root (``np.sqrt`` of n.n), whose k is not 0
+    where it does not underflow.
+    """
+    nn = nx * nx + ny * ny + nz * nz
+    # Im(n.n) is 0 for every symmetrized drive, and 0 needs no scale; |n|^2
+    # is inf, not an OverflowError, past the float range
+    n = math.hypot(nx.real, nx.imag, ny.real, ny.imag, nz.real, nz.imag) if nn.imag else 0.0
+    if nn.real >= 0.0 and abs(nn.imag) <= _REAL_SPECTRUM_TOL * (n * n):
+        return math.sqrt(nn.real)
+    return complex(np.sqrt(nn + 0j))
 
 
 def _cos_sinc(r, t):
@@ -561,34 +611,53 @@ def eigvals2(mat):
     bit.
     """
     m = as_operator(mat, dim=2, stack=True)
+    if m.ndim == 2:
+        (m00, m01), (m10, m11) = m.tolist()
+        return _eigvals2(m00, m01, m10, m11)
     e = _eig_exponents(m)
     if e is not None:
         m = np.ldexp(m.view(float), -_col(e)).view(complex)
-    (m00, m01), (m10, m11) = m.tolist() if m.ndim == 2 else m.transpose(1, 2, 0)
-    tr = m00 + m11
-    det = _cmul(m00, m11) - _cmul(m01, m10)
-    disc = np.sqrt(_cmul(tr, tr) - 4.0 * det + 0j)
-    hi, lo = (tr + disc) / 2.0, (tr - disc) / 2.0
-    swap = (lo.real > hi.real) | ((lo.real == hi.real) & (lo.imag > hi.imag))
-    if m.ndim == 3:
-        hi, lo = np.where(swap, lo, hi), np.where(swap, hi, lo)
-        if e is not None:
-            hi, lo = (np.ldexp(z.view(float).reshape(-1, 2), e[:, None]).view(complex)[:, 0] for z in (hi, lo))
-        return hi, lo
-    hi, lo = (complex(lo), complex(hi)) if swap else (complex(hi), complex(lo))
+    (m00, m01), (m10, m11) = m.transpose(1, 2, 0)
+    hi, lo, swap = _eig_roots(m00, m01, m10, m11)
+    hi, lo = np.where(swap, lo, hi), np.where(swap, hi, lo)
     if e is not None:
+        hi, lo = (np.ldexp(z.view(float).reshape(-1, 2), e[:, None]).view(complex)[:, 0] for z in (hi, lo))
+    return hi, lo
+
+
+def _eigvals2(m00: complex, m01: complex, m10: complex, m11: complex) -> tuple[complex, complex]:
+    """``eigvals2`` of the matrix [[m00, m01], [m10, m11]] of Python complex
+    scalars, as a pair of them: the same rescaling and formula, bit for bit."""
+    big = max(abs(m00.real), abs(m00.imag), abs(m01.real), abs(m01.imag),
+              abs(m10.real), abs(m10.imag), abs(m11.real), abs(m11.imag))
+    e = 0 if _EIG_MIN <= big <= _EIG_MAX else math.frexp(big)[1]
+    if e:
+        m00, m01, m10, m11 = (complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in (m00, m01, m10, m11))
+    hi, lo, swap = _eig_roots(m00, m01, m10, m11)
+    if swap:
+        hi, lo = lo, hi
+    if e:
         hi, lo = (complex(math.ldexp(z.real, e), math.ldexp(z.imag, e)) for z in (hi, lo))
     return hi, lo
 
 
+def _eig_roots(m00, m01, m10, m11):
+    """(tr + disc) / 2 and (tr - disc) / 2, disc the root of tr^2 - 4 det, and
+    whether the second sorts first; of scalar entries or elementwise of arrays."""
+    tr = m00 + m11
+    det = _cmul(m00, m11) - _cmul(m01, m10)
+    disc = np.sqrt(_cmul(tr, tr) - 4.0 * det + 0j)
+    if not isinstance(disc, np.ndarray):
+        # a Python complex rounds as numpy's scalar, and its arithmetic is faster
+        disc = complex(disc)
+    hi, lo = (tr + disc) / 2.0, (tr - disc) / 2.0
+    return hi, lo, (lo.real > hi.real) | ((lo.real == hi.real) & (lo.imag > hi.imag))
+
+
 def _eig_exponents(m: np.ndarray):
-    """None when no matrix of ``m`` (one, or a stack) has its largest entry
-    part outside [_EIG_MIN, _EIG_MAX]; otherwise the exponent e that
-    ``frexp`` gives that part, an int for one matrix and an array for a
-    stack, with 0 for the matrices inside the range."""
-    if m.ndim == 2:
-        big = max(map(abs, m.view(float).ravel().tolist()))
-        return None if _EIG_MIN <= big <= _EIG_MAX else math.frexp(big)[1]
+    """None when no matrix of the stack ``m`` has its largest entry part
+    outside [_EIG_MIN, _EIG_MAX]; otherwise the exponent e that ``frexp``
+    gives each matrix's largest part, 0 for the matrices inside the range."""
     big = np.abs(m.view(float)).max(axis=(-2, -1), initial=0.0)
     inside = (big >= _EIG_MIN) & (big <= _EIG_MAX)
     return None if inside.all() else np.where(inside, 0, np.frexp(big)[1])

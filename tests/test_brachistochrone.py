@@ -396,7 +396,7 @@ def test_hermiticity_gate_matches_is_hermitian(monkeypatch, size):
     # = 2 ||K||_F = ``size`` ||h||_F, K's Pauli vector not orthogonal to the
     # drive's: inside the tolerance the drive is symmetrized and takes the
     # closed form, outside n.n turns complex and the grid runs.  The scan's
-    # gate is is_hermitian's for every drive, scaled by 2**-300 and 2**300 too
+    # gate is is_hermitian's for every drive, scaled by 2**+-300 and 2**+-1000 too
     rng = np.random.default_rng(88)
     v = _target(1.7, alpha=0.4, beta=-1.1)
     calls = _count_grid_calls(monkeypatch)
@@ -409,7 +409,7 @@ def test_hermiticity_gate_matches_is_hermitian(monkeypatch, size):
         skew = np.linalg.norm(ham - ham.conj().T)
         assert (skew <= HERMITICITY_TOL * np.linalg.norm(ham)) == hermitian
         want = first_passage_scan(h, E0, v, t_max=2.0 * np.pi / 0.6)
-        for s in (1.0, 2.0**-300, 2.0**300):
+        for s in (1.0, 2.0**-300, 2.0**300, 2.0**-1000, 2.0**1000):
             assert is_hermitian(s * ham) == hermitian
             calls.clear()
             t = first_passage_scan(s * ham, E0, v, t_max=2.0 * np.pi / 0.6 / s)
@@ -432,6 +432,55 @@ def test_hermiticity_gate_is_relative_for_tiny_drives():
         scaled = first_passage_scan(s * ham, E0, v, t_max=8.0 / s)
         assert scaled is not None
         assert abs(scaled * s / t - 1.0) <= 1e-12
+
+
+def test_first_passage_rejects_a_drive_whose_skew_overflows():
+    # |m01| and the skew of these finite drives pass the float range: abs(m01)
+    # raised OverflowError, and a skew and norm of inf passed as inf <= inf;
+    # now the gate rescales them, they are not Hermitian, and their Pauli
+    # vectors leave the float range
+    for ham in ([[0, 1.5e308 + 1.5e308j], [0, 0]], [[0.0, 1e308], [-1e308, 0.0]]):
+        with pytest.raises(ValueError, match="leaves the float range"):
+            first_passage_scan(ham, E0, E1, t_max=1.0)
+
+
+#: a drive [[0.3, 1.5 + i d], [0.5 + i d, 0.3]] far from Hermitian: its Pauli
+#: vector n = (1 + i d, i/2, 0) has n.n = 0.75 + 2 i d exactly and sum |n_k|^2
+#: = 1.25, so d = 10 eps (1 -+ 2**-8) lies just inside and just outside the
+#: real-spectrum rule |Im n.n| <= 16 eps sum |n_k|^2.  For each, psi(t) from
+#: (1, 0) at t = 2.5 and t = 1000 (Re psi0, Im psi0, Re psi1, Im psi1), from a
+#: 40-digit mpmath expm of the drive's entries taken exactly
+RULE_BOUNDARY_TARGETS = {
+    "inside": (
+        (-0.40967385799868257969, 0.38165071584319607392, -0.32607470016471354199, -0.35001710953719950678),
+        (-0.010914642533444464949, 0.49383018612014506511, -0.50187763671137849629, -0.011092507409880654086),
+    ),
+    "outside": (
+        (-0.40967385799868260798, 0.38165071584319604356, -0.32607470016471354979, -0.35001710953719949952),
+        (-0.010914642533461877328, 0.49383018612014468026, -0.50187763671137862239, -0.011092507409874948832),
+    ),
+}
+
+
+def _rule_boundary_drive(side):
+    d = 10 * sys.float_info.epsilon * (1 - 2**-8 if side == "inside" else 1 + 2**-8)
+    return np.array([[0.3, complex(1.5, d)], [complex(0.5, d), 0.3]])
+
+
+@pytest.mark.parametrize("side", ["inside", "outside"])
+def test_real_spectrum_rule_boundary_in_the_scan(monkeypatch, side):
+    # just inside the rule the drive takes the closed form, just outside the
+    # grid; both find the mpmath orbit's passages: at 2.5, and for the state at
+    # t = 1000 at its first image 1000 - 275 pi / w (w = sqrt 0.75, the ray's
+    # period pi / w), the k t ~ 3e-12 the rule drops being far below 1e-8
+    calls = _count_grid_calls(monkeypatch)
+    ham = _rule_boundary_drive(side)
+    assert not is_hermitian(ham)
+    for t_star, (a, b, c, d) in zip((2.5, 1000.0), RULE_BOUNDARY_TARGETS[side]):
+        t = first_passage_scan(ham, E0, [complex(a, b), complex(c, d)], t_max=1e3)
+        want = t_star - (0 if t_star < 3 else 275) * np.pi / np.sqrt(0.75)
+        assert abs(t - want) <= 1e-9
+    assert len(calls) == (0 if side == "inside" else 2)
 
 
 def test_general_passage_bisection_ends_where_floats_are_sparse():

@@ -1,6 +1,7 @@
 """Non-Hermitian open dynamics: trace motion, shifts, aligned drives."""
 
 import json
+import sys
 import tracemalloc
 import warnings
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from tachys import opendyn
+from tachys import opendyn, smallmat
 from tachys.metric import diag_metric, metric_from_matrix, metric_from_sqrt, pseudo_hermiticity_defect, quasi_hamiltonian
 from tachys.opendyn import (
     AlignmentError,
@@ -336,6 +337,235 @@ def test_evolve_semigroup_scratch_stays_fixed_in_size():
     assert held >= 80 * ts.size
     assert peak - held < 2 * 2**20
     assert trace.rhos.shape == (ts.size, 2, 2)
+
+
+# ------------------------------------------------ real-spectrum rule and set-up
+
+
+def _rule_boundary_drive(side):
+    """[[0.3, 1.5 + i d], [0.5 + i d, 0.3]]: N = (1 + i d) X + (i/2) Y has
+    N^2 = 0.75 + 2 i d exactly and sum |n_k|^2 = 1.25, so d = 10 eps (1 -+ 2**-8)
+    lies just inside and just outside the real-spectrum rule."""
+    d = 10 * sys.float_info.epsilon * (1 - 2**-8 if side == "inside" else 1 + 2**-8)
+    return np.array([[0.3, complex(1.5, d)], [complex(0.5, d), 0.3]])
+
+
+#: rho(t) = (rho00, rho11, Re rho01, Im rho01) of ``_rule_boundary_drive`` from
+#: RHO_NEAR_EP at each of RULE_BOUNDARY_TIMES, from a 40-digit mpmath expm of
+#: the drive's entries taken exactly
+RULE_BOUNDARY_TIMES = (0.5, 3.0, 100.0, 1000.0)
+RULE_BOUNDARY_RHO = {
+    "inside": (
+        (0.57370149744568986039, 0.40876616751810413193, 0.25000000000000108059, -0.067154764613328126806),
+        (0.91379571492823975163, 0.29540142835725785447, 0.2500000000000081096, 0.19984133560537364105),
+        (1.2444616715906786705, 0.18517944280325457614, 0.25000000000026523401, -0.021182986924323037992),
+        (1.2023856092150965939, 0.19920479692977566513, 0.25000000000265412334, 0.097575514928955674204),
+    ),
+    "outside": (
+        (0.57370149744568986525, 0.40876616751810413609, 0.25000000000000108907, -0.067154764613328127824),
+        (0.9137957149282398081, 0.29540142835725787034, 0.2500000000000081732, 0.1998413356053736395),
+        (1.2444616715906804072, 0.1851794428032551537, 0.25000000000026731427, -0.021182986924323043526),
+        (1.2023856092151139454, 0.1992047969297814461, 0.25000000000267494, 0.097575514928955669833),
+    ),
+}
+
+
+@pytest.mark.parametrize("side", ["inside", "outside"])
+def test_evolve_semigroup_real_spectrum_rule_boundary(monkeypatch, side):
+    # just inside the rule r is real and the coefficients skip the hyperbolic
+    # terms; just outside they keep them.  The rule drops k = Im r, at most
+    # 8 eps sum |n_k|^2 / |r| (3.2e-15 here), which moves rho(t) by about
+    # 2 k t relative; the bound allows that on top of the rounding of w t
+    calls = []
+    damped = opendyn._damped_sinh_cosh
+    monkeypatch.setattr(opendyn, "_damped_sinh_cosh", lambda *args: calls.append(1) or damped(*args))
+    trace = evolve_semigroup(_rule_boundary_drive(side), RHO_NEAR_EP, RULE_BOUNDARY_TIMES)
+    assert len(calls) == (side == "outside")
+    eps = sys.float_info.epsilon
+    k_max = 8 * eps * 1.25 / np.sqrt(0.75)
+    for t, rho, trace_value, (p00, p11, re01, im01) in zip(
+        RULE_BOUNDARY_TIMES, trace.rhos, trace.trace_values, RULE_BOUNDARY_RHO[side]
+    ):
+        tol = 1e-13 + 4 * eps * t + (2 * k_max * t if side == "inside" else 0.0)
+        exact = np.array([[p00, re01 + 1j * im01], [re01 - 1j * im01, p11]])
+        assert np.linalg.norm(rho - exact) <= tol * np.linalg.norm(exact)
+        assert abs(trace_value - (p00 + p11)) <= tol * (p00 + p11)
+
+
+#: each bad argument, or set of them, and the ValueError message it raises:
+#: ``ham``, then ``rho0``, then ``times`` (entries holding NaN or +-inf are
+#: added below, for ``ham`` and ``rho0`` alike)
+SEMIGROUP_ERRORS = [
+    ((np.eye(3), None, None), "unsupported dimension 3; expected one of (2, 4)"),
+    ((np.eye(4), None, None), "expected a 2x2 matrix, got 4x4"),
+    ((np.zeros((1, 2, 2)), None, None), "expected a square matrix, got shape (1, 2, 2)"),
+    (([1.0, 2.0, 3.0, 4.0], None, None), "expected a square matrix, got shape (4,)"),
+    ((None, np.eye(3), None), "unsupported dimension 3; expected one of (2, 4)"),
+    ((None, np.eye(4), None), "expected a 2x2 matrix, got 4x4"),
+    ((None, 1.0, None), "expected a square matrix, got shape ()"),
+    ((None, [[0.5, 0.5], [0.0, 0.5]], None), "rho0 must be Hermitian"),
+    ((None, [[1.5, 0.9], [0.9, -0.5]], None), "rho0 must be positive semidefinite (min eigenvalue -8.454e-01)"),
+    ((None, [[0.5, 0.6j], [-0.6j, 0.5]], None), "rho0 must be positive semidefinite (min eigenvalue -1.000e-01)"),
+    ((None, 0.45 * np.eye(2), None), "rho0 must have unit trace"),
+    ((None, None, []), "times must be non-empty"),
+    ((None, None, [0.0, np.nan]), "times must be finite"),
+    ((None, None, [np.inf]), "times must be finite"),
+    ((None, None, [[0.0], [-np.inf]]), "times must be finite"),
+    # N rho0 N^dag / |r|^2 overflows past |r| ~ 1.3e154, even at t = 0
+    ((1e200 * GENERATOR, None, [0.0, 1e-200]), "the trajectory overflows: rho(t) is first not finite at t = 0.0"),
+    ((np.eye(3), [[0.5, 0.5], [0.0, 0.5]], []), "unsupported dimension 3; expected one of (2, 4)"),
+    (([[np.nan, 0.0], [0.0, 0.0]], np.eye(4), []), "matrix has non-finite entries"),
+    ((None, [[0.5, 0.5], [0.0, 0.5]], [np.nan]), "rho0 must be Hermitian"),
+]
+
+
+def _non_finite_entries(m):
+    """``m`` with NaN, inf or -inf in each real and imaginary entry part."""
+    for j in range(8):
+        for x in (np.nan, np.inf, -np.inf):
+            bad = np.array(m, dtype=complex)
+            bad.view(float).reshape(8)[j] = x
+            yield bad
+
+
+def test_semigroup_set_up_raises_as_before():
+    # every bad argument raises the ValueError and message it raised when the
+    # set-up ran through as_operator, is_hermitian and eigvalsh, in the order
+    # ham, rho0, times; shifted_generator raises as as_operator(ham, dim=2)
+    rho0 = RHO_NEAR_EP
+    cases = list(SEMIGROUP_ERRORS)
+    cases += [((bad, None, None), "matrix has non-finite entries") for bad in _non_finite_entries(GENERATOR)]
+    cases += [((None, bad, None), "matrix has non-finite entries") for bad in _non_finite_entries(rho0)]
+    for (ham, rho, times), message in cases:
+        args = (GENERATOR if ham is None else ham, rho0 if rho is None else rho, [0.0, 1.0] if times is None else times)
+        with pytest.raises(ValueError) as exc:
+            evolve_semigroup(*args)
+        assert type(exc.value) is ValueError and str(exc.value) == message
+        if rho is None and times is None:
+            with pytest.raises(ValueError) as exc:
+                shifted_generator(ham)
+            assert type(exc.value) is ValueError and str(exc.value) == message
+
+
+def test_semigroup_rho0_gate_rejects_an_overflowing_skew():
+    # ||rho0 - rho0^dag||_F and ||rho0||_F of this finite rho0 overflow: as
+    # inf <= 1e-10 inf it passed for Hermitian and failed later on positivity
+    with pytest.raises(ValueError, match="^rho0 must be Hermitian$"):
+        evolve_semigroup(GENERATOR, [[0.5, 1.5e308 + 1.5e308j], [0.0, 0.5]], [0.0, 1.0])
+
+
+def test_semigroup_set_up_makes_no_linalg_call(monkeypatch):
+    # evolve_semigroup and shifted_generator set up on Python scalars: no
+    # numpy.linalg name, and none of as_operator, is_hermitian, eigvals2 or
+    # split_generator is reached
+    rng = np.random.default_rng(17)
+    gens = list(_generator_family(rng))[:10]
+    ts = np.linspace(0.0, 4.0, 33)
+    want = [(evolve_semigroup(m, RHO_NEAR_EP, ts).rhos, shifted_generator(m)) for m in gens]
+
+    class Forbidden:
+        def __init__(self, name):
+            self.name = name
+
+        def __getattr__(self, attr):
+            raise AssertionError(f"{self.name}.{attr} reached")
+
+        def __call__(self, *args, **kwargs):
+            raise AssertionError(f"{self.name} called")
+
+    monkeypatch.setattr(np, "linalg", Forbidden("numpy.linalg"))
+    for module in (opendyn, smallmat):
+        for name in ("as_operator", "is_hermitian", "eigvals2", "split_generator"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, Forbidden(name))
+    for m, (rhos, (shifted, rate)) in zip(gens, want):
+        assert evolve_semigroup(m, RHO_NEAR_EP, ts).rhos.tobytes() == rhos.tobytes()
+        got_shifted, got_rate = shifted_generator(m)
+        assert got_shifted.tobytes() == shifted.tobytes() and got_rate == rate
+
+
+def _bits_family():
+    """(generator, clock): metric-Hermitian, general, Hermitian, decaying,
+    exceptional-point and 2**+-300-scaled generators, each with the factor
+    by which its k_values times are scaled."""
+    rng = np.random.default_rng(18)
+    family = []
+    for _ in range(2):
+        f = rng.uniform(0.8, 2.5)
+        g = rng.uniform(0.15, 0.7) * np.sqrt(f) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        n = rng.normal(size=3)
+        pauli = (n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z) / np.linalg.norm(n)
+        family.append((quasi_hamiltonian(0.5 * pauli, metric_from_sqrt(f, g), 1.0).operator, 1.0))
+    for _ in range(2):
+        family.append((0.5 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))), 1.0))
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    family.append((0.5 * (a + dagger(a)), 1.0))
+    family.append((np.diag([-1j, -2j]), 1.0))
+    family.append((np.array([[0.6j, 0.6], [0.6, -0.6j]]) + (0.2 - 0.3j) * np.eye(2), 1.0))
+    family += [(2.0**300 * a, 2.0**-300), (2.0**-300 * a, 2.0**300)]
+    return family
+
+
+#: per generator of ``_bits_family``: ``float.hex`` of shifted_generator's rate,
+#: of k_values at 0.75 and 3.5 (times the clock), and of the real and
+#: imaginary parts of the shifted matrix, row by row, as split_generator and
+#: ham - 1j * rate * I computed them with numpy arrays
+SHIFT_BITS = (
+    (
+        '0x1.03f4ea9d3f0acp-1', '0x1.de20f106ce019p-2', '0x1.d4b3721950683p-6',
+        '0x1.e1ec24aaebee9p-3', '-0x1.378ef5627a500p-5', '-0x1.611a5b0aa85f0p-1', '-0x1.8c1dd890f1c2ep-2',
+        '-0x1.48f4c3bdaf43dp-2', '0x1.005db9f9b4e40p-1', '-0x1.e1ec24aaebee7p-3', '-0x1.f470e5e456708p-1',
+    ),
+    (
+        '0x1.7268334ec9ad4p-2', '0x1.2998868132174p-1', '0x1.459b08c1dcc5dp-4',
+        '0x1.9597b89356a78p-4', '-0x1.426670cbe9b0ap-1', '0x1.6911915a378e7p-1', '0x1.e49ff4eff3f65p-2',
+        '0x1.5c0366902086cp-2', '-0x1.38fcc5de75312p-3', '-0x1.9597b89356a7dp-4', '-0x1.800e1416ffe54p-4',
+    ),
+    (
+        '0x1.8bb2ec502634cp-1', '0x1.413e30b6dc656p-2', '0x1.2511b6ba01d9fp-8',
+        '0x1.09154cbc6eebcp-2', '-0x1.e0b99d5f52088p-3', '-0x1.1e42a064baf98p-3', '-0x1.0d42a40eabe0dp-2',
+        '0x1.179a4cd51694fp-1', '-0x1.46901559e0677p-10', '0x1.0377ebcae061dp-2', '-0x1.2696bfd6fc968p-1',
+    ),
+    (
+        '0x1.d299ed3bd74e1p-2', '0x1.027b6e90a80b4p-1', '0x1.5165474d26358p-5',
+        '0x1.412a3de781c81p-7', '-0x1.7286bced6aad5p-2', '0x1.0f85d86524d37p-7', '-0x1.f6405797a05a1p-6',
+        '-0x1.896de321a9b2dp-2', '-0x1.e342b368ba357p-8', '0x1.02d332683b53ap-4', '-0x1.b80dd2469584cp-4',
+    ),
+    (
+        '0x0.0p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0',
+        '-0x1.51346c90ca5a8p-1', '0x0.0p+0', '0x1.1609465a65119p-2', '0x1.1be0b29b06548p-4',
+        '0x1.1609465a65119p-2', '-0x1.1be0b29b06548p-4', '0x1.cc1cd32a09cc2p-5', '0x0.0p+0',
+    ),
+    (
+        '-0x1.0000000000000p+0', '0x1.1ed3fe64fc541p+2', '0x1.122885aaeddaap+10',
+        '-0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+        '0x0.0p+0', '0x0.0p+0', '-0x0.0p+0', '-0x1.0000000000000p+0',
+    ),
+    (
+        '0x1.3333333333334p-2', '0x1.4677327472ea8p-1', '0x1.f594df288122fp-4',
+        '0x1.999999999999ap-3', '-0x1.0000000000000p-54', '0x1.3333333333333p-1', '0x0.0p+0',
+        '0x1.3333333333333p-1', '0x0.0p+0', '0x1.999999999999ap-3', '-0x1.3333333333333p+0',
+    ),
+    (
+        '0x1.b0bc44c7f32f3p+299', '0x1.2035f896ed501p-2', '0x1.6141efcbd344cp-9',
+        '-0x1.51346c90ca5a8p+299', '-0x1.093c66ca4a200p+300', '0x1.649ea2b039094p+299', '0x1.cc61983eb2197p+299',
+        '-0x1.3a5571574fdecp+297', '0x1.85696b97f0845p+299', '0x1.cc1cd32a09cc2p+295', '-0x1.ad9809809304bp+299',
+    ),
+    (
+        '0x1.b0bc44c7f32f3p-301', '0x1.2035f896ed501p-2', '0x1.6141efcbd344cp-9',
+        '-0x1.51346c90ca5a8p-301', '-0x1.093c66ca4a200p-300', '0x1.649ea2b039094p-301', '0x1.cc61983eb2197p-301',
+        '-0x1.3a5571574fdecp-303', '0x1.85696b97f0845p-301', '0x1.cc1cd32a09cc2p-305', '-0x1.ad9809809304bp-301',
+    ),
+)
+
+
+def test_k_values_and_the_shifted_generator_keep_their_bits():
+    rho0 = RHO_NEAR_EP
+    for (m, clock), want in zip(_bits_family(), SHIFT_BITS, strict=True):
+        shifted, rate = shifted_generator(m)
+        k = evolve_semigroup(m, rho0, np.array([0.75, 3.5]) * clock).k_values
+        assert [x.hex() for x in [rate, *k, *shifted.view(float).ravel()]] == list(want)
+        assert split_generator(m).rate_max == rate
 
 
 # -------------------------------------------------------------------- shift

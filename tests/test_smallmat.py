@@ -21,7 +21,10 @@ from hypothesis import strategies as st
 from tachys.smallmat import (
     _EP_RADIUS,
     MetricDegeneracyError,
+    _eigvals2,
+    _is_hermitian2,
     _operator2,
+    _pauli_root,
     _pauli_split,
     _state2,
     _unit2,
@@ -654,3 +657,70 @@ def test_is_hermitian_gate_is_relative_to_the_matrix(k, size, hermitian):
     skew = 1j * _hermitian_from(rng.normal(size=4))
     m = h + 0.5 * size * np.linalg.norm(h) * skew / np.linalg.norm(skew)
     assert is_hermitian(2.0**-k * m) is hermitian
+
+
+def test_scalar_hermiticity_gate_is_is_hermitians_across_the_float_range():
+    # _is_hermitian2 gives is_hermitian's verdict on the entries, on both
+    # sides of the tolerance, at every scale 2**k with |k| <= 1000, and the
+    # Frobenius norm with it (0.0 for an exactly Hermitian matrix)
+    rng = np.random.default_rng(21)
+    for _ in range(10):
+        h = _hermitian_from(rng.normal(size=4))
+        skew = 1j * _hermitian_from(rng.normal(size=4))
+        for size in (0.0, (1.0 - 1e-4) * 1e-10, (1.0 + 1e-4) * 1e-10, 1.0):
+            m = h + 0.5 * size * np.linalg.norm(h) * skew / np.linalg.norm(skew)
+            for k in range(-1000, 1001, 50):
+                s = 2.0**k * m
+                hermitian, norm = _is_hermitian2(*s.ravel().tolist())
+                assert hermitian is is_hermitian(s) is (size < 1e-10)
+                assert norm == (0.0 if size == 0.0 else pytest.approx(frobenius(s), rel=1e-15))
+
+
+def test_scalar_hermiticity_gate_rejects_an_overflowing_skew():
+    # the skew of these finite matrices overflows: m01 - conj(m10) or a norm
+    # passes the float range, and inf <= 1e-10 * inf passed them as Hermitian
+    for m in (
+        [[0.0, 1.5e308 + 1.5e308j], [0.0, 0.0]],
+        [[0.5, 1e308], [-1e308, 0.5]],
+        [[1.7e308j, 0.0], [0.0, 1.7e308]],
+    ):
+        entries = np.array(m, dtype=complex)
+        hermitian, norm = _is_hermitian2(*entries.ravel().tolist())
+        assert hermitian is False and norm == math.hypot(*entries.view(float).ravel())
+    # at the top of the float range (||m||_F = 3.2e308 overflows) the gate
+    # still sizes the skew 2 Im m00 by the norm: 2e298 passes, 4e298 does not
+    m = [[1.7e308, 1e308 + 1e308j], [1e308 - 1e308j, -1.7e308]]
+    assert _is_hermitian2(*np.array(m, dtype=complex).ravel().tolist()) == (True, 0.0)
+    m[0][0] += 1e298j
+    assert _is_hermitian2(*np.array(m, dtype=complex).ravel().tolist()) == (True, math.inf)
+    m[0][0] += 1e298j
+    assert _is_hermitian2(*np.array(m, dtype=complex).ravel().tolist()) == (False, math.inf)
+
+
+def test_pauli_root_counts_rounding_of_a_real_spectrum_as_real():
+    # n = (1 + i d, i / 2, 0): n.n = 0.75 + 2 i d exactly and sum |n_k|^2 =
+    # 1.25, so the rule takes 2 d <= 16 eps 1.25, d <= 10 eps, as rounding
+    eps = sys.float_info.epsilon
+    inside = _pauli_root(complex(1.0, 10 * eps * (1 - 2**-8)), 0.5j, 0j)
+    assert type(inside) is float and inside == math.sqrt(0.75)
+    outside = _pauli_root(complex(1.0, 10 * eps * (1 + 2**-8)), 0.5j, 0j)
+    assert type(outside) is complex and outside.imag > 0.0
+    assert outside == complex(np.sqrt(complex(0.75, 20 * eps * (1 + 2**-8))))
+    # Re(n.n) < 0 (broken PT) is complex however small Im(n.n) is
+    assert _pauli_root(0.5 + 0j, 1j, 0j) == 1j * math.sqrt(0.75)
+    assert _pauli_root(0j, 0j, 0j) == 0.0
+
+
+def test_scalar_eigenvalues_are_eigvals2s_bit_for_bit():
+    # _eigvals2 is eigvals2's own formula on Python scalars, its rescaling
+    # included: the same complex pair, signed zeros and all
+    rng = np.random.default_rng(22)
+    mats = [np.zeros((2, 2)), -np.zeros((2, 2)) + 0j, np.diag([1.0, 1.0]), PAULI_Y]
+    for _ in range(200):
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        mats += [a, 0.5 * (a + dagger(a)), (a - dagger(a)) / 2j, a * 2.0 ** int(rng.integers(-1000, 1000))]
+    for m in mats:
+        want = eigvals2(m)
+        got = _eigvals2(*np.asarray(m, dtype=complex).ravel().tolist())
+        assert [type(z) for z in got] == [complex, complex]
+        assert [(z.real.hex(), z.imag.hex()) for z in got] == [(z.real.hex(), z.imag.hex()) for z in want]
