@@ -28,6 +28,8 @@ from .smallmat import (
     _norm,
     _operator2,
     _pauli_root,
+    _pauli_scale,
+    _pauli_vector,
     _reject_rows,
     _state2,
     _unit2,
@@ -54,12 +56,6 @@ PASSAGE_FIDELITY = 1.0 - 1e-8
 
 #: propagation residual accepted when validating the constructed drive
 _PROPAGATION_TOL = 1e-9
-
-#: largest Pauli vector n, as the sum of |Re n_k| and |Im n_k|, that a scan
-#: takes as it is, and the reciprocal of the smallest: the discriminant of the
-#: closed form's quadratic goes as |n|^4 and would overflow or underflow soon
-#: past them
-_PAULI_MAX = 2.0**252
 
 #: bisection window below which first-passage refinement stops
 _REFINE_TOL = 1e-12
@@ -214,11 +210,11 @@ def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -
     ``normalize`` does it, bit for bit (its squared norm rounded as numpy's
     fused dot rounds it, then a multiply by the reciprocal norm, as numpy's
     complex division does), rescaled by a power of two first where its norm
-    leaves [2**-511, 2**511].  A drive
-    whose Pauli vector has sum_k |Re n_k| + |Im n_k| outside [2**-252,
-    2**252] (and not 0) is scanned as n 2**-e over [0, t_max 2**e], 2**-e
-    taking that sum into [1, 2), and the time found is scaled back by 2**-e;
-    ValueError is raised where t_max 2**e leaves the range of normal floats.
+    leaves [2**-511, 2**511].  The drive takes the range step of every 2x2
+    kernel, ``_pauli_scale``: a Pauli vector n whose sum_k |Re n_k| + |Im n_k|
+    leaves [2**-252, 2**252] is scanned as n 2**-e over [0, t_max 2**e] and
+    the time found scaled back; ValueError where t_max 2**e leaves the normal
+    floats, or that sum the float range.
     """
     m00, m01, m10, m11 = _operator2(ham)
     t_max = positive_finite("t_max", t_max)
@@ -230,15 +226,12 @@ def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -
         # the symmetrized drive (m + m^dag) / 2, whose n.n has imaginary part 0
         m01 = 0.5 * (m01 + m10.conjugate())
         m10, m00, m11 = m01.conjugate(), m00.real, m11.real
-    nx, ny, nz = 0.5 * (m01 + m10), 0.5j * (m01 - m10), 0.5 * (m00 - m11)
-    n1 = abs(nx.real) + abs(nx.imag) + abs(ny.real) + abs(ny.imag) + abs(nz.real) + abs(nz.imag)
-    e = 0
-    if n1 and not 1.0 / _PAULI_MAX <= n1 <= _PAULI_MAX:
-        # the passage time scales as 1/|n|: solve for n 2**-e over [0, t_max 2**e]
-        e = math.frexp(n1)[1] - 1
-        if not (math.isfinite(n1) and -1021 <= math.frexp(t_max)[1] + e <= 1024):
+    # the passage time scales as 1/|n|: solve for n 2**-e over [0, t_max 2**e]
+    _, nx, ny, nz = _pauli_vector(m00, m01, m10, m11)
+    e, nx, ny, nz = _pauli_scale(nx, ny, nz)
+    if e:
+        if not -1021 <= math.frexp(t_max)[1] + e <= 1024:
             raise ValueError(f"t_max = {t_max!r} times the drive leaves the float range")
-        nx, ny, nz = (complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in (nx, ny, nz))
         t_max = math.ldexp(t_max, e)
     u0, u1 = u
     w = nz * u0 + (nx - 1j * ny) * u1, (nx + 1j * ny) * u0 - nz * u1

@@ -15,6 +15,7 @@ import numpy as np
 
 from .metric import Metric, QuasiHamiltonian, metric_from_matrix, quasi_hamiltonian
 from .smallmat import (
+    POSDEF_FLOOR,
     MetricDegeneracyError,
     _negligible,
     as_operator,
@@ -27,8 +28,6 @@ from .smallmat import (
 )
 
 __all__ = ["DilationModel", "build_dilation", "evolve_dilated", "visibility_ratio"]
-
-_DET_FLOOR = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,8 +55,8 @@ class DilationModel:
 def build_dilation(h, metric: Metric, omega: float) -> DilationModel:
     """Assemble the four-level Hermitian model for (h, metric).
 
-    Checks in order: ``h`` is traceless; the metric determinant clears the
-    degeneracy floor before the unit-determinant rescale; then the gates of
+    Checks in order: ``h`` is traceless; the metric determinant is not
+    negligible, at POSDEF_FLOOR, next to ||eta||_F^2; then the gates of
     ``quasi_hamiltonian(h, metric, omega)`` (Hermitian ``h`` with gap ``omega``),
     whose dressed generator the model keeps as ``generator``; then the two
     eigenvalue relations of the root columns, the unitarity of the extended
@@ -68,7 +67,8 @@ def build_dilation(h, metric: Metric, omega: float) -> DilationModel:
     if not _negligible(abs(complex(np.trace(hm))), frobenius(hm)):
         raise ValueError("build_dilation requires a traceless generator")
     det_eta = float(np.linalg.det(metric.eta).real)
-    if det_eta <= _DET_FLOOR:
+    size = frobenius(metric.eta)
+    if _negligible(det_eta, size * size, POSDEF_FLOOR):
         message = f"metric determinant {det_eta:.3e} is below the dilation floor"
         raise MetricDegeneracyError(message, eigenvalue=det_eta)
     generator = quasi_hamiltonian(hm, metric, omega)

@@ -9,6 +9,7 @@ and computes metric-deformed angles between states.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,7 @@ __all__ = [
 #: below this margin the metric square root is treated as singular
 DEGENERACY_MARGIN = 1e-12
 
-#: metric norms smaller than this make angles meaningless
+#: metric norms <u|eta|u> at most this times ||eta||_F make angles meaningless
 NORM_FLOOR = 1e-14
 
 GAP_MATCH_TOL = 1e-8
@@ -94,8 +95,10 @@ def metric_from_sqrt(diag, offdiag) -> Metric:
     determinant margin ``diag - |offdiag|**2`` above DEGENERACY_MARGIN; below
     it the construction is rejected (that margin going to zero is exactly the
     degenerate limit where travel times collapse); a root too large to square
-    in floating point raises ValueError.  ``diag`` and ``offdiag``
-    may also be 1-d arrays of one length n: the metric then holds ``(n, 2, 2)``
+    in floating point raises ValueError.  This floor alone is absolute: the
+    root's (0, 0) entry 1 fixes its scale, and a huge ``diag`` (``dilation
+    --scale 1e200``) keeps its overflow error.  ``diag`` and ``offdiag`` may
+    also be 1-d arrays of one length n: the metric then holds ``(n, 2, 2)``
     stacks whose slices equal the single calls bit for bit, and the first
     rejected pair raises.
     """
@@ -178,13 +181,20 @@ def pseudo_hermiticity_defect(operator, eta):
     """Frobenius distance ||op^dag - eta @ op @ eta^-1||_F.
 
     Zero exactly when ``operator`` is Hermitian in the ``eta`` inner product.
-    Stacks of operators and metrics give one distance per slice.
+    Stacks of operators and metrics give one distance per slice; a
+    ``_singular`` metric raises.
     """
     op = as_operator(operator, dim=2, stack=True)
     em = as_operator(eta, dim=2, stack=True)
-    det = np.linalg.det(em)
-    _reject_rows(_abs(det) < 1e-300, ValueError("metric matrix is singular"))
+    _reject_rows(_singular(em), ValueError("metric matrix is singular"))
     return frobenius(dagger(op) - em @ op @ np.linalg.inv(em))
+
+
+def _singular(eta):
+    """Whether |det eta| is negligible, at the smallest normal float, next to
+    ||eta||_F^2: a vanishing determinant at any scale; one bool per metric."""
+    size = frobenius(eta)
+    return _negligible(_abs(np.linalg.det(eta)), size * size, sys.float_info.min)
 
 
 def state_angle(u, v) -> float:
@@ -198,15 +208,16 @@ def metric_angle(u, v, metric: Metric) -> float:
     """Angle between states in the metric inner product.
 
     arccos sqrt( <u|eta|v><v|eta|u> / (<u|eta|u><v|eta|v>) ), radicand clipped
-    to [0, 1].  Raises MetricDegeneracyError when either metric norm collapses
-    below NORM_FLOOR (the degenerate "shortcut" limit).
+    to [0, 1].  Raises MetricDegeneracyError when either metric norm is
+    negligible, at NORM_FLOOR, next to ||eta||_F (the degenerate "shortcut" limit).
     """
     a = as_state(u, dim=2)
     b = as_state(v, dim=2)
     eta = metric.eta
     nu = float(np.real(np.vdot(a, eta @ a)))
     nv = float(np.real(np.vdot(b, eta @ b)))
-    if nu < NORM_FLOOR or nv < NORM_FLOOR:
+    size = frobenius(eta)
+    if _negligible(nu, size, NORM_FLOOR) or _negligible(nv, size, NORM_FLOOR):
         raise MetricDegeneracyError(
             f"metric norm collapsed ({min(nu, nv):.3e}); angle undefined",
             eigenvalue=min(nu, nv),
@@ -225,7 +236,7 @@ def transition_defect(times, etas, hams) -> float:
     ``ham^dag - (eta @ ham @ eta^-1 - 1j * eta @ d(eta^-1)/dt)`` is measured in
     Frobenius norm; the maximum over interior samples is returned.  At least
     three finite, strictly increasing sample times are required, and every
-    metric sample must be invertible.
+    metric sample must be invertible (not ``_singular``).
     """
     ts = np.asarray(times, dtype=float).reshape(-1)
     if ts.shape[0] < 3:
@@ -238,7 +249,7 @@ def transition_defect(times, etas, hams) -> float:
     hs = as_operator(hams, dim=2, stack=True)
     if len(es) != len(ts) or len(hs) != len(ts):
         raise ValueError("times, etas and hams must have matching lengths")
-    _reject_rows(_abs(np.linalg.det(es)) < 1e-300, ValueError("metric sample is singular"))
+    _reject_rows(_singular(es), ValueError("metric sample is singular"))
     invs = np.linalg.inv(es)
     dinv = (invs[2:] - invs[:-2]) / (ts[2:] - ts[:-2])[:, None, None]
     e, h = es[1:-1], hs[1:-1]

@@ -33,6 +33,7 @@ from .smallmat import (
     _norm,
     _operator2,
     _pauli_root,
+    _pauli_scale,
     _pauli_vector,
     _reject_rows,
     _square,
@@ -143,6 +144,13 @@ def evolve_semigroup(ham, rho0, times) -> EvolutionTrace:
     is real and k = 0, and the coefficients skip the hyperbolic terms, which
     add exact zeros at k = 0.
 
+    The size of ``ham`` is s = sum_k |Re n_k| + |Im n_k| of its Pauli vector.
+    Before anything reads |n| or |r| (the rule, the exceptional-point radius,
+    X and N rho0 N^dag/|r|^2), N takes the range step ``_pauli_scale`` and
+    turns on its clock, so the basis overflows only where the state does and
+    ``evolve_semigroup(2**k ham, rho0, 2**-k times)`` keeps every bit; an s
+    past the float range raises ValueError.
+
     The set-up runs on Python scalars, with no numpy call: ``ham`` and
     ``rho0`` are each read once, raising what ``as_operator(x, dim=2)``
     would, in the order ham, rho0, times; rho0 is checked by the scalar form
@@ -171,6 +179,7 @@ def evolve_semigroup(ham, rho0, times) -> EvolutionTrace:
     if not np.all(np.isfinite(ts)):
         raise ValueError("times must be finite")
     a0, nx, ny, nz = _pauli_vector(m00, m01, m10, m11)
+    e, nx, ny, nz = _pauli_scale(nx, ny, nz)
     r = _pauli_root(nx, ny, nz)
     exceptional = math.hypot(r.real, r.imag) < _EP_RADIUS
     # exceptional point: cos rt -> 1, sin(rt)/r -> t and sinh kt -> 0; X is B
@@ -191,7 +200,7 @@ def evolve_semigroup(ham, rho0, times) -> EvolutionTrace:
             hi = min(lo + size, n)
             # a C-contiguous (7, hi - lo) view: c0..c3, then three scratch rows
             rows = scratch[: 7 * (hi - lo)].reshape(7, hi - lo)
-            _semigroup_coefficients(ts[lo:hi], a0.imag, None if exceptional else r, rows)
+            _semigroup_coefficients(ts[lo:hi], a0.imag, None if exceptional else r, e, rows)
             np.matmul(rows[:4].T, basis_re, out=flat[lo:hi])
             np.matmul(basis_traces, rows[:4], out=traces[lo:hi])
             np.multiply(k_rate, ts[lo:hi], out=k_values[lo:hi])
@@ -238,15 +247,19 @@ def _drift_rate_max(m00, m01, m10, m11) -> float:
     return _eigvals2((m00 - m00.conjugate()) / 2j, d01, d10, (m11 - m11.conjugate()) / 2j)[0].real
 
 
-def _semigroup_coefficients(ts: np.ndarray, alpha: float, r, rows: np.ndarray) -> None:
+def _semigroup_coefficients(ts: np.ndarray, alpha: float, r, e: int, rows: np.ndarray) -> None:
     """c0..c3 of ``evolve_semigroup`` at the times ``ts``, written to rows[:4].
 
     ``rows`` is a ``(7, len(ts))`` array whose last three rows are scratch;
-    ``r`` is None at an exceptional point.  The hyperbolic terms are added
-    only where k = Im r is not 0: at k = 0 they add exact zeros.
+    ``r`` is the root of the Pauli vector scaled by 2**-e, on the clock
+    ts 2**e, and None at an exceptional point.  The hyperbolic terms are
+    added only where k = Im r is not 0: at k = 0 they add exact zeros.
     """
     c0, c1, c2, c3, ecos, esin, ecosh = rows
     np.multiply(ts, alpha, out=ecosh)
+    if e:
+        # c2 is written last, after the clock's last use
+        ts = np.ldexp(ts, e, out=c2)
     if r is None:
         np.exp(ecosh, out=ecos)
         np.multiply(ecos, ts, out=esin)

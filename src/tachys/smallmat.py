@@ -7,7 +7,8 @@ their fidelity is 1 up to tolerance).
 
 Every residual gate on an operator has one rule, ``_negligible``: at most
 HERMITICITY_TOL (or its own tolerance) times the Frobenius size of what it
-checks, both norms true across the float range, whatever the energy unit.
+checks, both norms true across the float range, whatever the energy unit;
+so does every floor.  Every 2x2 kernel takes one range step, ``_pauli_scale``.
 """
 
 from __future__ import annotations
@@ -64,10 +65,13 @@ _NORM2_MIN, _NORM2_MAX = _NORM_MIN**2, _NORM_MAX**2
 #: (``_pauli_root``)
 _REAL_SPECTRUM_TOL = 16.0 * sys.float_info.epsilon
 
-#: ``eigvals2`` rescales a matrix whose largest entry part leaves this range:
-#: inside it the squared trace and 4 det (at most 24 times that part squared)
-#: stay normal floats, with 2**255 to spare for the smaller entries
-_EIG_MIN, _EIG_MAX = 2.0**-256, 2.0**256
+#: the range a 2x2 kernel takes as it is; outside it, a matrix's largest
+#: entry part (``eigvals2``) or a Pauli vector's sum_k |Re n_k| + |Im n_k|
+#: (``_pauli_scale``) is first scaled by a power of two.  Inside it the
+#: squared trace and 4 det (at most 24 times the largest part squared) stay
+#: normal floats, and so does the discriminant of the first-passage
+#: quadratic, which goes as |n|^4
+_SCALE_MIN, _SCALE_MAX = 2.0**-252, 2.0**252
 
 
 class MetricDegeneracyError(ValueError):
@@ -151,6 +155,7 @@ def _first_failing_row(run, n: int):
 
 
 _MATRIX_NOT_FINITE = "matrix has non-finite entries"
+_PAULI_NOT_FINITE = "the generator's Pauli vector leaves the float range"
 _STATE_NOT_FINITE = "state has non-finite entries"
 
 
@@ -262,14 +267,18 @@ def dagger(mat: np.ndarray) -> np.ndarray:
 
 
 def _negligible(residual, size, tol=HERMITICITY_TOL):
-    """The rule of every gate: ``residual <= tol * size``, elementwise; NaN fails."""
+    """The rule of every gate: ``residual <= tol * size``, elementwise; NaN fails.
+    A floor raises where its eigenvalue, determinant or norm is negligible."""
     return residual <= tol * size
 
 
 def is_hermitian(mat):
-    """Whether ||mat - mat^dag||_F is negligible next to ||mat||_F; one bool per stacked matrix."""
+    """Whether ||mat - mat^dag||_F is negligible next to ||mat||_F; one bool per stacked matrix.
+    Both norms are of the matrix as ``frobenius`` rescales it, so an overflowing skew fails."""
     m = np.asarray(mat, dtype=complex)
-    ok = _negligible(frobenius(m - dagger(m)), frobenius(m))
+    scaled, size, _ = _rescaled(m.reshape(len(m), math.prod(m.shape[1:])) if m.ndim == 3 else m.reshape(-1))
+    scaled = scaled.reshape(m.shape)
+    ok = _negligible(frobenius(scaled - dagger(scaled)), size)
     return ok if m.ndim == 3 else bool(ok)
 
 
@@ -295,7 +304,7 @@ def _is_hermitian2(m00: complex, m01: complex, m10: complex, m11: complex) -> tu
     entries = m00, m01, m10, m11
     e = -math.frexp(max(max(abs(z.real), abs(z.imag)) for z in entries))[1]
     # the scaled norm lies in [0.5, 2 sqrt 2], so this call does not rescale
-    return _is_hermitian2(*(complex(math.ldexp(z.real, e), math.ldexp(z.imag, e)) for z in entries))[0], size
+    return _is_hermitian2(*(_ldexp(z, e) for z in entries))[0], size
 
 
 def normalize(vec) -> np.ndarray:
@@ -434,23 +443,65 @@ def _col(x):
 
 
 def _pauli_split(m: np.ndarray):
-    """Split a 2x2 generator as ``a0 * I + n.sigma``; returns (a0, r, n.sigma).
+    """Split a 2x2 generator as ``a0 * I + 2**e n.sigma``; returns (a0, e, r, n.sigma).
 
-    ``r`` is the principal root of n.n, complex for non-Hermitian generators
-    and zero at an exceptional point, where n.sigma is nilpotent.  An
+    n is the Pauli vector after the range step ``_pauli_scale``, and ``r``
+    the principal root of its n.n, complex for non-Hermitian generators and
+    zero at an exceptional point, where n.sigma is nilpotent.  An
     ``(n, 2, 2)`` stack gives ``(n,)`` arrays and an ``(n, 2, 2)`` stack.
     """
-    # one matrix gives Python complex scalars: rounded as numpy's, and faster
-    (m00, m01), (m10, m11) = m.tolist() if m.ndim == 2 else m.transpose(1, 2, 0)
-    a0, ax, ay, az = _pauli_vector(m00, m01, m10, m11)
+    if m.ndim == 2:
+        # one matrix gives Python complex scalars: rounded as numpy's, and faster
+        a0, *n = _pauli_vector(*m.ravel().tolist())
+        e, ax, ay, az = _pauli_scale(*n)
+    else:
+        # a stack whose Pauli vector passes the float range raises, not first warns
+        with np.errstate(over="ignore", invalid="ignore"):
+            a0, *n = _pauli_vector(*m.reshape(-1, 4).T)
+            e, ax, ay, az = _pauli_scale(*n)
     r = np.sqrt(_cmul(ax, ax) + _cmul(ay, ay) + _cmul(az, az) + 0j)
-    return a0, r, _col(ax) * PAULI_X + _col(ay) * PAULI_Y + _col(az) * PAULI_Z
+    return a0, e, r, _col(ax) * PAULI_X + _col(ay) * PAULI_Y + _col(az) * PAULI_Z
 
 
 def _pauli_vector(m00, m01, m10, m11):
     """(a0, nx, ny, nz) with [[m00, m01], [m10, m11]] = a0 I + nx X + ny Y + nz Z,
     of scalar entries or elementwise of ``(n,)`` arrays."""
     return 0.5 * (m00 + m11), 0.5 * (m01 + m10), 0.5j * (m01 - m10), 0.5 * (m00 - m11)
+
+
+def _pauli_scale(nx, ny, nz):
+    """The range step of every 2x2 kernel: (e, n 2**-e) for a Pauli vector n
+    of Python scalars, or elementwise of ``(n,)`` arrays.
+
+    Where s = sum_k |Re n_k| + |Im n_k| leaves [2**-252, 2**252] (and is not
+    0), e takes s into [1, 2); elsewhere e is 0 and n is kept, bit for bit.
+    The kernel then turns n 2**-e on the clock t 2**e, so whatever reads |n|
+    or |r| sees a size near 1, and 2**k n on 2**-k t gives the bits of n on
+    t.  ValueError where s passes the float range.
+    """
+    s = abs(nx.real) + abs(nx.imag) + abs(ny.real) + abs(ny.imag) + abs(nz.real) + abs(nz.imag)
+    if isinstance(s, float):
+        # scalars: Python arithmetic alone, no numpy name
+        if not s or _SCALE_MIN <= s <= _SCALE_MAX:
+            return 0, nx, ny, nz
+        if not s < math.inf:
+            raise ValueError(_PAULI_NOT_FINITE)
+        e = math.frexp(s)[1] - 1
+    else:
+        off = (s != 0.0) & np.logical_not((s >= _SCALE_MIN) & (s <= _SCALE_MAX))
+        if not off.any():
+            return 0, nx, ny, nz
+        _reject_rows(np.logical_not(s < math.inf), ValueError(_PAULI_NOT_FINITE))
+        e = np.where(off, np.frexp(s)[1] - 1, 0)
+    return e, _ldexp(nx, -e), _ldexp(ny, -e), _ldexp(nz, -e)
+
+
+def _ldexp(z, e):
+    """z 2**e of a Python complex (or float) and an int ``e``, or elementwise
+    of a complex array and an int array, each part scaled exactly."""
+    if isinstance(e, int):
+        return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
+    return np.ldexp(z.view(float).reshape(*z.shape, 2), np.expand_dims(e, -1)).view(complex)[..., 0]
 
 
 def _pauli_root(nx: complex, ny: complex, nz: complex) -> complex | float:
@@ -505,31 +556,32 @@ def _damped_sinh_cosh(at, kt, out) -> None:
     np.copysign(sinh, kt, out=sinh)
 
 
-def _damped_factors(a0, r, t):
-    """exp(-i a0 t), cos(r t) and sin(r t)/r for ``propagator``.
+def _damped_factors(a0, r, t, tr):
+    """exp(-i a0 t), cos(r tr) and sin(r tr)/r for ``propagator``; r and tr
+    are the root and clock of the scaled Pauli vector.
 
-    Where |Im(r) t| passes _COSH_LIMIT, cosh(Im r t) nears the float range
+    Where |Im(r) tr| passes _COSH_LIMIT, cosh(Im r tr) nears the float range
     and would overflow before e^{Im(a0) t} damps it; below |r| = 1 the
-    1/|r| of sin(r t)/r counts too, so there the test is
-    |Im(r) t| - ln|r| > _COSH_LIMIT.  There the damping moves from the phase
+    1/|r| of sin(r tr)/r counts too, so there the test is
+    |Im(r) tr| - ln|r| > _COSH_LIMIT.  There the damping moves from the phase
     onto cos and sin, whose hyperbolic parts come from ``_damped_sinh_cosh``;
     every other entry keeps the plain form.
     """
-    kt = r.imag * t
+    kt = r.imag * tr
     damped = abs(kt) > _COSH_LIMIT
     size = abs(r)
     small = (size < 1.0) & (size >= _EP_RADIUS)
     if _any(small):
         damped = damped | (abs(kt) - np.log(_where(small, size, 1.0)) > _COSH_LIMIT)
     if not _any(damped):
-        return (np.exp(-1j * a0 * t), *_cos_sinc(r, t))
+        return (np.exp(-1j * a0 * t), *_cos_sinc(r, tr))
     with np.errstate(over="ignore", invalid="ignore"):
-        phase, cosf, sincf = np.exp(-1j * a0 * t), *_cos_sinc(r, t)
+        phase, cosf, sincf = np.exp(-1j * a0 * t), *_cos_sinc(r, tr)
         # [j, ...] keeps a scalar t's rows as 0-d arrays the ufuncs can write to
         hyperbolic = np.empty((2, *np.shape(kt)))
         esinh, ecosh = hyperbolic[0, ...], hyperbolic[1, ...]
         _damped_sinh_cosh(a0.imag * t, kt, (esinh, ecosh))
-        wt = r.real * t
+        wt = r.real * tr
         cos_w, sin_w = np.cos(wt), np.sin(wt)
         return (
             _where(damped, np.exp(-1j * a0.real * t), phase),
@@ -548,9 +600,13 @@ def propagator(ham, t) -> np.ndarray:
     ``propagator(ham[k], t[k])`` bit for bit.  2x2 generators use the
     closed-form identity+Pauli decomposition, exact up to rounding whether or
     not ``ham`` is Hermitian, defective generators at an exceptional point
-    included.  Where |Im(r) t| passes 700 (r the root of the Pauli part's
-    n.n), cosh(Im r t) nears the float range, so those entries put the
-    damping e^{Im(a0) t} onto cos and sin through the overflow-free
+    included.  Their size is s = sum_k |Re n_k| + |Im n_k| of the Pauli
+    vector n of ham = a0 I + n.sigma: before anything reads |n| or |r|, n
+    takes the range step ``_pauli_scale``, so ``propagator(2**k ham, 2**-k t)``
+    is ``propagator(ham, t)`` bit for bit, and an s past the float range
+    raises ValueError.  Where |Im(r) t| passes 700 (r the root of the scaled
+    n.n, t its clock), cosh(Im r t) nears the float range, so those entries
+    put the damping e^{Im(a0) t} onto cos and sin through the overflow-free
     e^{at} sinh/cosh; below |r| = 1 the gate is |Im(r) t| - ln|r| > 700,
     since sin(r t)/r carries a further 1/|r|.  Those entries are then
     non-finite only where the exact operator overflows (diag(0, -2i) at
@@ -569,8 +625,10 @@ def propagator(ham, t) -> np.ndarray:
     _reject_rows(~np.isfinite(t), lambda x: ValueError(f"t must be finite, got {float(x)!r}"), t)
     t = t if t.ndim else float(t)
     if m.shape[-1] == 2:
-        a0, r, pauli_part = _pauli_split(m)
-        phase, cosf, sincf = _damped_factors(a0, r, t)
+        a0, e, r, pauli_part = _pauli_split(m)
+        # n 2**-e turns on the clock t 2**e
+        tr = t * 2.0**e if isinstance(t, float) else np.ldexp(t, e)
+        phase, cosf, sincf = _damped_factors(a0, r, t, tr)
         rotation = _col(cosf) * np.eye(2) - _col(1j * sincf) * pauli_part
         return _col(phase) * rotation
     if not is_hermitian(m):
@@ -583,15 +641,16 @@ def hermitian_sqrt(mat) -> np.ndarray:
     """Principal square root of a Hermitian positive-definite matrix.
 
     ValueError unless ``mat`` passes ``is_hermitian``; MetricDegeneracyError
-    (carrying the offending eigenvalue) when the smallest eigenvalue does not
-    clear the positive-definiteness floor.
+    (carrying the offending eigenvalue) when the smallest eigenvalue is
+    negligible, at POSDEF_FLOOR, next to ||mat||_F (``_negligible``), so
+    2**k mat gets the verdict of mat and a zero matrix raises.
     """
     p = as_operator(mat)
     if not is_hermitian(p):
         raise ValueError("hermitian_sqrt requires a Hermitian matrix")
     w, v = np.linalg.eigh(0.5 * (p + dagger(p)))
     wmin = float(w.min())
-    if wmin <= POSDEF_FLOOR:
+    if _negligible(wmin, frobenius(p), POSDEF_FLOOR):
         message = f"matrix is not positive definite: smallest eigenvalue {wmin:.3e}"
         raise MetricDegeneracyError(message, eigenvalue=wmin)
     s = (v * np.sqrt(w)) @ dagger(v)
@@ -603,7 +662,7 @@ def eigvals2(mat):
 
     Ordered by descending real part, ties broken by descending imaginary part.
     An ``(n, 2, 2)`` stack gives two ``(n,)`` arrays.  A matrix whose largest
-    entry part leaves [2**-256, 2**256] is first scaled by the power of two
+    entry part leaves [2**-252, 2**252] is first scaled by the power of two
     that takes that part into [0.5, 1), and its eigenvalues are scaled back,
     so the squared trace and the determinant neither overflow nor lose bits
     below the normal floats: ``eigvals2(2**k h)`` is ``2**k eigvals2(h)``
@@ -621,7 +680,7 @@ def eigvals2(mat):
     hi, lo, swap = _eig_roots(m00, m01, m10, m11)
     hi, lo = np.where(swap, lo, hi), np.where(swap, hi, lo)
     if e is not None:
-        hi, lo = (np.ldexp(z.view(float).reshape(-1, 2), e[:, None]).view(complex)[:, 0] for z in (hi, lo))
+        hi, lo = _ldexp(hi, e), _ldexp(lo, e)
     return hi, lo
 
 
@@ -630,14 +689,14 @@ def _eigvals2(m00: complex, m01: complex, m10: complex, m11: complex) -> tuple[c
     scalars, as a pair of them: the same rescaling and formula, bit for bit."""
     big = max(abs(m00.real), abs(m00.imag), abs(m01.real), abs(m01.imag),
               abs(m10.real), abs(m10.imag), abs(m11.real), abs(m11.imag))
-    e = 0 if _EIG_MIN <= big <= _EIG_MAX else math.frexp(big)[1]
+    e = 0 if _SCALE_MIN <= big <= _SCALE_MAX else math.frexp(big)[1]
     if e:
-        m00, m01, m10, m11 = (complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in (m00, m01, m10, m11))
+        m00, m01, m10, m11 = (_ldexp(z, -e) for z in (m00, m01, m10, m11))
     hi, lo, swap = _eig_roots(m00, m01, m10, m11)
     if swap:
         hi, lo = lo, hi
     if e:
-        hi, lo = (complex(math.ldexp(z.real, e), math.ldexp(z.imag, e)) for z in (hi, lo))
+        hi, lo = _ldexp(hi, e), _ldexp(lo, e)
     return hi, lo
 
 
@@ -656,8 +715,8 @@ def _eig_roots(m00, m01, m10, m11):
 
 def _eig_exponents(m: np.ndarray):
     """None when no matrix of the stack ``m`` has its largest entry part
-    outside [_EIG_MIN, _EIG_MAX]; otherwise the exponent e that ``frexp``
+    outside [_SCALE_MIN, _SCALE_MAX]; otherwise the exponent e that ``frexp``
     gives each matrix's largest part, 0 for the matrices inside the range."""
     big = np.abs(m.view(float)).max(axis=(-2, -1), initial=0.0)
-    inside = (big >= _EIG_MIN) & (big <= _EIG_MAX)
+    inside = (big >= _SCALE_MIN) & (big <= _SCALE_MAX)
     return None if inside.all() else np.where(inside, 0, np.frexp(big)[1])

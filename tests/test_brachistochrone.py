@@ -27,7 +27,9 @@ from tachys.smallmat import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    _is_hermitian2,
     fidelity,
+    hermitian_sqrt,
     is_hermitian,
     propagator,
 )
@@ -417,6 +419,16 @@ def test_hermiticity_gate_matches_is_hermitian(monkeypatch, size):
             assert (t is None) == (want is None)
             if t is not None:
                 assert abs(t * s - want) <= 1e-9
+    # at the overflow end, where ||m - m^dag||_F and ||m||_F are both inf
+    # unscaled: neither gate passes this finite matrix, singly or stacked
+    # (is_hermitian passed it as inf <= 1e-10 inf), and hermitian_sqrt raises
+    # its Hermiticity error
+    m = np.array([[0.5, 1.5e308 * (1.0 + 1.0j)], [0.0, 0.5]])
+    assert _is_hermitian2(*m.ravel().tolist())[0] is False
+    assert is_hermitian(m) is False
+    assert is_hermitian(np.stack([ham, m, ham.conj().T + ham])).tolist() == [hermitian, False, True]
+    with pytest.raises(ValueError, match="^hermitian_sqrt requires a Hermitian matrix$"):
+        hermitian_sqrt(m)
 
 
 def test_hermiticity_gate_is_relative_for_tiny_drives():

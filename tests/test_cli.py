@@ -168,6 +168,23 @@ def test_brachy_tiny_angle_drive_turns_toward_target(capsys):
         assert row["h01_re"] == 1.0 and row["h01_im"] == 0.0
 
 
+def test_brachy_report_is_covariant_under_the_gap(capsys):
+    # omega only sets the clock: the propagation check of omega 1e-155 and
+    # 1e155 drives used to square n past the float range and exit 1 (missing
+    # the target by 1.241e-01, by nan); at omega = 2**k the report is the
+    # omega = 1 report with tau over 2**k and shift and h01 times 2**k, exactly
+    (unit,) = json_rows(capsys, ["brachy", "--theta", "1", "--omega", "1"])
+    for omega in ("1e-155", "1e155"):
+        (row,) = json_rows(capsys, ["brachy", "--theta", "1", "--omega", omega])
+        assert row["tau"] * float(omega) == pytest.approx(unit["tau"], rel=1e-15)
+    for k in (520, -520):
+        (row,) = json_rows(capsys, ["brachy", "--theta", "1", "--omega", repr(2.0**k)])
+        assert row["tau"] == unit["tau"] * 2.0**-k
+        for name in ("shift", "h01_re", "h01_im"):
+            assert row[name] == unit[name] * 2.0**k
+        assert (row["overlap"], row["phase"]) == (unit["overlap"], unit["phase"])
+
+
 # -------------------------------------------------------------- exit status
 
 

@@ -18,7 +18,8 @@ from tachys.metric import (
     state_angle,
     transition_defect,
 )
-from tachys.smallmat import PAULI_X, PAULI_Z, dagger, propagator
+from tachys.dilation import build_dilation
+from tachys.smallmat import PAULI_X, PAULI_Z, dagger, hermitian_sqrt, propagator
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)
@@ -279,7 +280,7 @@ def test_metric_angle_equals_flat_angle_of_mapped_states():
 
 @settings(max_examples=50, deadline=None)
 @given(
-    scale=st.floats(min_value=1e-3, max_value=1e3),
+    scale=st.floats(min_value=2.0**-500, max_value=2.0**500),
     f=st.floats(min_value=0.3, max_value=3.0),
     g=st.floats(min_value=-0.5, max_value=0.5),
 )
@@ -340,6 +341,55 @@ def test_transition_defect_analytic_ramp():
     hams = [np.diag([0.7, -0.7]).astype(complex)] * len(ts)
     defect = transition_defect(ts, etas, hams)
     assert defect == pytest.approx(1.0 / (1.0 + ts[1]), abs=1e-5)
+
+
+#: condition number 2.6; at 1e-12 its smallest eigenvalue, 7.9e-13, fell
+#: below the absolute positive-definiteness floor 1e-12
+ETA_GOOD = np.array([[2.0, 0.5], [0.5, 1.0]], dtype=complex)
+ETA_DEGENERATE = np.diag([1.0, 0.0]).astype(complex)
+
+
+def _floor_verdicts(eta, metric):
+    """What each of the five positive-definiteness and singularity floors
+    makes of ``eta`` (``metric`` its Metric): None where the call passes,
+    else the type and message it raises."""
+    calls = (
+        lambda: hermitian_sqrt(eta),
+        lambda: build_dilation(0.5 * PAULI_X, metric, 1.0),
+        lambda: pseudo_hermiticity_defect(PAULI_X, eta),
+        lambda: transition_defect([0.0, 0.5, 1.0], [eta] * 3, [PAULI_X] * 3),
+        lambda: metric_angle(E0, E1, metric),
+    )
+    verdicts = []
+    for call in calls:
+        try:
+            call()
+        except ValueError as exc:
+            verdicts.append((type(exc), str(exc)))
+        else:
+            verdicts.append(None)
+    return verdicts
+
+
+def test_floors_are_relative_to_their_matrix():
+    # a metric counts only up to a positive factor: every floor gives s eta
+    # the verdict of eta, s = 2**k for |k| <= 500 and the unit-free scales
+    # that used to fail (hermitian_sqrt at 1e-12, build_dilation at 1e-7);
+    # a degenerate eta raises the same type and message at every scale
+    scales = [2.0**k for k in range(-500, 501, 7)] + [2.0**-500, 2.0**500, 1e-12, 1e-7, 1e7]
+    assert _floor_verdicts(ETA_GOOD, metric_from_matrix(ETA_GOOD)) == [None] * 5
+    degenerate = _floor_verdicts(ETA_DEGENERATE, Metric(ETA_DEGENERATE, ETA_DEGENERATE, np.eye(2, dtype=complex)))
+    assert degenerate == [
+        (MetricDegeneracyError, "matrix is not positive definite: smallest eigenvalue 0.000e+00"),
+        (MetricDegeneracyError, "metric determinant 0.000e+00 is below the dilation floor"),
+        (ValueError, "metric matrix is singular"),
+        (ValueError, "metric sample is singular"),
+        (MetricDegeneracyError, "metric norm collapsed (0.000e+00); angle undefined"),
+    ]
+    for s in scales:
+        assert _floor_verdicts(s * ETA_GOOD, metric_from_matrix(s * ETA_GOOD)) == [None] * 5, s
+        eta = s * ETA_DEGENERATE
+        assert _floor_verdicts(eta, Metric(eta, np.sqrt(s) * ETA_DEGENERATE, np.eye(2, dtype=complex))) == degenerate, s
 
 
 def test_transition_defect_input_validation():

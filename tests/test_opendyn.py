@@ -411,8 +411,6 @@ SEMIGROUP_ERRORS = [
     ((None, None, [0.0, np.nan]), "times must be finite"),
     ((None, None, [np.inf]), "times must be finite"),
     ((None, None, [[0.0], [-np.inf]]), "times must be finite"),
-    # N rho0 N^dag / |r|^2 overflows past |r| ~ 1.3e154, even at t = 0
-    ((1e200 * GENERATOR, None, [0.0, 1e-200]), "the trajectory overflows: rho(t) is first not finite at t = 0.0"),
     ((np.eye(3), [[0.5, 0.5], [0.0, 0.5]], []), "unsupported dimension 3; expected one of (2, 4)"),
     (([[np.nan, 0.0], [0.0, 0.0]], np.eye(4), []), "matrix has non-finite entries"),
     ((None, [[0.5, 0.5], [0.0, 0.5]], [np.nan]), "rho0 must be Hermitian"),
@@ -447,6 +445,51 @@ def test_semigroup_set_up_raises_as_before():
             assert type(exc.value) is ValueError and str(exc.value) == message
 
 
+def test_semigroup_of_a_huge_generator_runs_on_a_rescaled_clock():
+    # X = B/r and N rho0 N^dag / |r|^2 overflowed past |r| ~ 1.3e154, so the
+    # 1e200-scaled generator raised "rho(t) is first not finite at t = 0.0";
+    # formed from N and r scaled by a power of two, its run is the unit run
+    # on the clock 1e-200 t
+    ts = np.linspace(0.0, 1.5, 7)
+    big = evolve_semigroup(1e200 * GENERATOR, RHO_NEAR_EP, 1e-200 * ts)
+    unit = evolve_semigroup(GENERATOR, RHO_NEAR_EP, ts)
+    assert big.rhos[0].tobytes() == RHO_NEAR_EP.astype(complex).tobytes()
+    for got, want in zip(big.rhos, unit.rhos):
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    assert np.allclose(big.trace_values, unit.trace_values, rtol=1e-13, atol=0.0)
+    assert np.allclose(big.k_values, unit.k_values, rtol=1e-13, atol=0.0)
+
+
+def _scale_family():
+    """Hermitian, metric-Hermitian, broken-PT and near-exceptional generators,
+    each with its Pauli parts summing to about 1."""
+    rng = np.random.default_rng(19)
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    metric = metric_from_sqrt(1.7, 0.4 + 0.2j)
+    return [
+        0.25 * (a + dagger(a)),
+        quasi_hamiltonian(0.5 * PAULI_Y, metric, 1.0).operator,
+        0.5 * GENERATOR,
+        # n.n = 2**-30: |r| = 2**-15 next to |n| ~ 1
+        np.array([[0.2 + 0.1j, 1.0], [2.0**-30, 0.2 + 0.1j]]),
+    ]
+
+
+def test_semigroup_is_covariant_under_scale():
+    # the range step: 2**k ham on the clock 2**-k t gives the bits of ham on
+    # t, rhos, traces and k_values alike, for |k| up to 1000
+    ts = np.array([0.0, 0.3, 1.1, 2.5])
+    ks = list(range(-1000, 1001, 37)) + [-253, -252, 252, 253, 1000]
+    for ham in _scale_family():
+        want = evolve_semigroup(ham, RHO_NEAR_EP, ts)
+        for k in ks:
+            # the scaled arguments are exact: no entry falls below the normal floats
+            assert (2.0**k * ham * 2.0**-k).tobytes() == ham.tobytes()
+            got = evolve_semigroup(2.0**k * ham, RHO_NEAR_EP, 2.0**-k * ts)
+            for name in ("rhos", "trace_values", "k_values"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (k, name)
+
+
 def test_semigroup_rho0_gate_rejects_an_overflowing_skew():
     # ||rho0 - rho0^dag||_F and ||rho0||_F of this finite rho0 overflow: as
     # inf <= 1e-10 inf it passed for Hermitian and failed later on positivity
@@ -460,6 +503,8 @@ def test_semigroup_set_up_makes_no_linalg_call(monkeypatch):
     # split_generator is reached
     rng = np.random.default_rng(17)
     gens = list(_generator_family(rng))[:10]
+    # the range step runs on Python scalars too
+    gens += [2.0**-300 * gens[1], 2.0**-700 * gens[2]]
     ts = np.linspace(0.0, 4.0, 33)
     want = [(evolve_semigroup(m, RHO_NEAR_EP, ts).rhos, shifted_generator(m)) for m in gens]
 

@@ -190,6 +190,54 @@ def test_propagator_stack_needs_one_time_per_2x2_generator():
     assert exc.value.row == 1
 
 
+def _scale_family():
+    """Hermitian, metric-Hermitian (S^-1 h S under the metric root S),
+    broken-PT and near-exceptional 2x2 generators, each with its Pauli parts
+    summing to about 1."""
+    rng = np.random.default_rng(19)
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    root = np.array([[1.0, 0.4 + 0.2j], [0.4 - 0.2j, 1.7]])
+    return [
+        0.25 * (a + dagger(a)),
+        np.linalg.solve(root, 0.5 * PAULI_Y @ root),
+        0.5 * np.array([[1.0 + 0.5j, 2.0], [0.5, -1.0j]]),
+        # n.n = 2**-30: |r| = 2**-15 next to |n| ~ 1
+        np.array([[0.2 + 0.1j, 1.0], [2.0**-30, 0.2 + 0.1j]]),
+    ]
+
+
+def test_propagator_is_covariant_under_scale():
+    # a drive's size only sets the clock: with the range step, 2**k ham on
+    # the clock 2**-k t gives the bits of ham on t for |k| up to 1000, in
+    # single, time-array and generator-stack calls.  Before it, n.n lost
+    # bits, vanished or overflowed past |k| ~ 500, and 1e-200 times the
+    # broken-PT generator was taken for an exceptional point
+    ts = np.array([0.0, 0.3, 1.1, 2.5])
+    ks = list(range(-1000, 1001, 37)) + [-253, -252, 252, 253, 1000]
+    for ham in _scale_family():
+        want = propagator(ham, ts)
+        for k in ks:
+            # the scaled arguments are exact: no entry falls below the normal floats
+            assert (2.0**k * ham * 2.0**-k).tobytes() == ham.tobytes()
+            scaled, clock = 2.0**k * ham, 2.0**-k * ts
+            assert _bytes_equal([propagator(scaled, t) for t in clock], want), k
+            assert _bytes_equal(propagator(scaled, clock), want), k
+            assert _bytes_equal(propagator(np.stack([scaled] * len(ts)), clock), want), k
+        # one stack of every scale, each row of it the unit call
+        stack = np.stack([2.0**k * ham for k in ks])
+        got = propagator(stack, np.array([2.0**-k * ts[2] for k in ks]))
+        assert _bytes_equal(got, [want[2]] * len(ks))
+    # a Pauli vector that sums past the float range raises, where the
+    # parent returned a NaN matrix
+    huge = np.array([[0.8e308, 1e308], [0.8e308, -0.8e308]])
+    for ham in (huge, [[0.0, 1e308], [1e308, 0.0]]):
+        with pytest.raises(ValueError, match="^the generator's Pauli vector leaves the float range$"):
+            propagator(ham, 1.0)
+    with pytest.raises(ValueError, match="Pauli vector leaves the float range") as exc:
+        propagator(np.stack([PAULI_X, huge, [[0.0, 1e308], [1e308, 0.0]]]), np.ones(3))
+    assert exc.value.row == 1
+
+
 def test_propagator_damps_a_large_imaginary_root_before_it_overflows():
     # r = i (plus a real part for levels 1, -2i): cosh(t) alone passes the
     # float range near t = 710, but one level only rotates and the other
@@ -234,11 +282,12 @@ def test_stacked_products_round_as_the_scalar_products():
     assert np.any(fused != [a * b for a, b in zip(m[:, 0, 0].tolist(), m[:, 1, 1].tolist())])
     hi, lo = eigvals2(m)
     assert _bytes_equal(np.stack([hi, lo], axis=-1), [eigvals2(x) for x in m])
-    a0, r, pauli = _pauli_split(m)
+    a0, e, r, pauli = _pauli_split(m)
     singles = [_pauli_split(x) for x in m]
     assert _bytes_equal(a0, [s[0] for s in singles])
-    assert _bytes_equal(r, [s[1] for s in singles])
-    assert _bytes_equal(pauli, [s[2] for s in singles])
+    assert e == 0 and all(s[1] == 0 for s in singles)
+    assert _bytes_equal(r, [s[2] for s in singles])
+    assert _bytes_equal(pauli, [s[3] for s in singles])
 
 
 def test_row_norms_equal_numpy_norm_of_each_row():
@@ -396,7 +445,7 @@ def test_eigvals2_trace_det_identities(reals):
 def test_eigvals2_scales_by_powers_of_two_across_the_float_range():
     # past |k| ~ 511 the squared trace and determinant used to underflow or
     # overflow: at 2**-540 a double root, at 2**515 NaN.  A matrix whose
-    # largest entry part leaves [2**-256, 2**256] is rescaled, so the roots
+    # largest entry part leaves [2**-252, 2**252] is rescaled, so the roots
     # of 2**k h are those of h times 2**k, bit for bit, single and stacked
     rng = np.random.default_rng(540)
     for _ in range(4):
@@ -638,10 +687,7 @@ def test_non_hermitian_generators_raise_at_every_scale():
         with pytest.raises(ValueError, match="requires a Hermitian matrix") as exc:
             hermitian_sqrt(s * b)
         assert type(exc.value) is ValueError
-        try:
-            hermitian_sqrt(s * p)
-        except MetricDegeneracyError:
-            pass  # the positive-definiteness floor is absolute; the gate passed
+        hermitian_sqrt(s * p)
     # a stack gives one verdict per row, each the single call's
     stack = np.concatenate([s * np.stack([a, 0.5 * (a + dagger(a))]) for s in scales])
     verdicts = is_hermitian(stack)
