@@ -203,18 +203,17 @@ def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -
     real-spectrum path is Python scalar arithmetic and makes no numpy call:
     the Hermiticity test is ``is_hermitian``'s in scalar form
     (``_is_hermitian2``, which ``evolve_semigroup`` shares for rho0): both
-    norms from ``math.hypot`` of the entry parts, the entries first scaled by
-    a power of two where the norm leaves [2**-511, 2**511], so a skew that
+    norms from ``math.hypot`` of the entry parts, the verdict taken on the
+    entries as the range step of ``smallmat`` scales them, so a skew that
     overflows is not taken for Hermitian (the drive's norm also sizes the
-    grid's candidate slack on the broken-PT path), and each state is normalized as
-    ``normalize`` does it, bit for bit (its squared norm rounded as numpy's
-    fused dot rounds it, then a multiply by the reciprocal norm, as numpy's
-    complex division does), rescaled by a power of two first where its norm
-    leaves [2**-511, 2**511].  The drive takes the range step of every 2x2
-    kernel, ``_pauli_scale``: a Pauli vector n whose sum_k |Re n_k| + |Im n_k|
-    leaves [2**-252, 2**252] is scanned as n 2**-e over [0, t_max 2**e] and
-    the time found scaled back; ValueError where t_max 2**e leaves the normal
-    floats, or that sum the float range.
+    grid's candidate slack on the broken-PT path), and each state is
+    normalized as ``normalize`` does it, bit for bit, range step included
+    (its squared norm rounded as numpy's fused dot rounds it, then a multiply
+    by the reciprocal norm, as numpy's complex division does).  The drive's
+    Pauli vector n takes the same step, ``_pauli_scale``: where its
+    sum_k |Re n_k| + |Im n_k| leaves [2**-252, 2**252], it is scanned as
+    n 2**-e over [0, t_max 2**e] and the time found scaled back; ValueError
+    where t_max 2**e leaves the normal floats, or that sum the float range.
     """
     m00, m01, m10, m11 = _operator2(ham)
     t_max = positive_finite("t_max", t_max)
@@ -223,8 +222,9 @@ def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -
     v = _unit2(*_state2(final))
     hermitian, size = _is_hermitian2(m00, m01, m10, m11)
     if hermitian:
-        # the symmetrized drive (m + m^dag) / 2, whose n.n has imaginary part 0
-        m01 = 0.5 * (m01 + m10.conjugate())
+        # the symmetrized drive (m + m^dag) / 2, halved before it is summed,
+        # whose n.n has imaginary part 0
+        m01 = 0.5 * m01 + 0.5 * m10.conjugate()
         m10, m00, m11 = m01.conjugate(), m00.real, m11.real
     # the passage time scales as 1/|n|: solve for n 2**-e over [0, t_max 2**e]
     _, nx, ny, nz = _pauli_vector(m00, m01, m10, m11)

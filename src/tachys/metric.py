@@ -21,6 +21,7 @@ from .smallmat import (
     _max,
     _negligible,
     _reject_rows,
+    _rescaled,
     _square,
     _where,
     as_operator,
@@ -49,7 +50,7 @@ __all__ = [
 #: below this margin the metric square root is treated as singular
 DEGENERACY_MARGIN = 1e-12
 
-#: metric norms <u|eta|u> at most this times ||eta||_F make angles meaningless
+#: metric norms <u|eta|u> at most this times ||eta||_F |u|^2 make angles meaningless
 NORM_FLOOR = 1e-14
 
 GAP_MATCH_TOL = 1e-8
@@ -208,16 +209,18 @@ def metric_angle(u, v, metric: Metric) -> float:
     """Angle between states in the metric inner product.
 
     arccos sqrt( <u|eta|v><v|eta|u> / (<u|eta|u><v|eta|v>) ), radicand clipped
-    to [0, 1].  Raises MetricDegeneracyError when either metric norm is
-    negligible, at NORM_FLOOR, next to ||eta||_F (the degenerate "shortcut" limit).
+    to [0, 1].  Each state is first scaled as in ``normalize``, so the angle
+    of 2**k u is that of u.  Raises MetricDegeneracyError when either metric
+    norm <u|eta|u> is negligible, at NORM_FLOOR, next to ||eta||_F |u|^2 (the
+    degenerate "shortcut" limit, or a zero state).
     """
-    a = as_state(u, dim=2)
-    b = as_state(v, dim=2)
+    a, na, _ = _rescaled(as_state(u, dim=2))
+    b, nb, _ = _rescaled(as_state(v, dim=2))
     eta = metric.eta
     nu = float(np.real(np.vdot(a, eta @ a)))
     nv = float(np.real(np.vdot(b, eta @ b)))
     size = frobenius(eta)
-    if _negligible(nu, size, NORM_FLOOR) or _negligible(nv, size, NORM_FLOOR):
+    if _negligible(nu, size * na * na, NORM_FLOOR) or _negligible(nv, size * nb * nb, NORM_FLOOR):
         raise MetricDegeneracyError(
             f"metric norm collapsed ({min(nu, nv):.3e}); angle undefined",
             eigenvalue=min(nu, nv),

@@ -8,7 +8,9 @@ their fidelity is 1 up to tolerance).
 Every residual gate on an operator has one rule, ``_negligible``: at most
 HERMITICITY_TOL (or its own tolerance) times the Frobenius size of what it
 checks, both norms true across the float range, whatever the energy unit;
-so does every floor.  Every 2x2 kernel takes one range step, ``_pauli_scale``.
+so does every floor.  Every kernel takes one range step, ``_exponent``: a
+size (a largest entry part, or a Pauli vector's sum_k |Re n_k| + |Im n_k|)
+outside [2**-252, 2**252] is first scaled by a power of two, which is exact.
 """
 
 from __future__ import annotations
@@ -56,21 +58,13 @@ _EP_RADIUS = 1e-150
 #: cosh overflows past 710.5, and sin(r t)/r may be larger still
 _COSH_LIMIT = 700.0
 
-#: state norms outside this range are rescaled by a power of two before use:
-#: below it the squared entries lose bits or vanish, above it they overflow
-_NORM_MIN, _NORM_MAX = 2.0**-511, 2.0**511
-_NORM2_MIN, _NORM2_MAX = _NORM_MIN**2, _NORM_MAX**2
-
 #: |Im(n.n)| allowed, relative to sum |n_k|^2, for n.n to count as real
 #: (``_pauli_root``)
 _REAL_SPECTRUM_TOL = 16.0 * sys.float_info.epsilon
 
-#: the range a 2x2 kernel takes as it is; outside it, a matrix's largest
-#: entry part (``eigvals2``) or a Pauli vector's sum_k |Re n_k| + |Im n_k|
-#: (``_pauli_scale``) is first scaled by a power of two.  Inside it the
-#: squared trace and 4 det (at most 24 times the largest part squared) stay
-#: normal floats, and so does the discriminant of the first-passage
-#: quadratic, which goes as |n|^4
+#: the sizes ``_exponent`` keeps: inside, a squared norm (at most 32 times the
+#: largest part squared), a 2x2 matrix's squared trace and 4 det (at most 24
+#: times it) and the first-passage discriminant (as |n|^4) stay normal floats
 _SCALE_MIN, _SCALE_MAX = 2.0**-252, 2.0**252
 
 
@@ -128,6 +122,15 @@ def _where(cond, x, y):
 def _max(a, b):
     """Python's ``max(a, b)``, elementwise for arrays: ``b`` only where it is greater."""
     return _where(b > a, b, a)
+
+
+def _exponent(size):
+    """The range step: 0 where ``size`` lies in [2**-252, 2**252] (or is 0,
+    inf or NaN), elsewhere the e that takes it into [0.5, 1) as size 2**-e.
+    Of a Python float with no numpy name, or elementwise of an array."""
+    if isinstance(size, float):
+        return 0 if _SCALE_MIN <= size <= _SCALE_MAX else math.frexp(size)[1]
+    return np.where((size >= _SCALE_MIN) & (size <= _SCALE_MAX), 0, np.frexp(size)[1])
 
 
 def _first_failing_row(run, n: int):
@@ -255,9 +258,7 @@ def row_norms(x) -> np.ndarray:
 
 def frobenius(mat):
     """Frobenius norm, true across the float range (``_rescaled``); per matrix of a stack."""
-    m = np.asarray(mat, dtype=complex)
-    flat = m.reshape(len(m), math.prod(m.shape[1:])) if m.ndim == 3 else m.ravel(order="K")
-    _, n, e = _rescaled(flat)
+    _, n, e = _rescaled(np.asarray(mat, dtype=complex), 2)
     return n if e is None else _float_or_array(np.ldexp(n, e))
 
 
@@ -275,9 +276,8 @@ def _negligible(residual, size, tol=HERMITICITY_TOL):
 def is_hermitian(mat):
     """Whether ||mat - mat^dag||_F is negligible next to ||mat||_F; one bool per stacked matrix.
     Both norms are of the matrix as ``frobenius`` rescales it, so an overflowing skew fails."""
-    m = np.asarray(mat, dtype=complex)
-    scaled, size, _ = _rescaled(m.reshape(len(m), math.prod(m.shape[1:])) if m.ndim == 3 else m.reshape(-1))
-    scaled = scaled.reshape(m.shape)
+    m = np.ascontiguousarray(mat, dtype=complex)
+    scaled, size, _ = _rescaled(m, 2)
     ok = _negligible(frobenius(scaled - dagger(scaled)), size)
     return ok if m.ndim == 3 else bool(ok)
 
@@ -287,11 +287,10 @@ def _is_hermitian2(m00: complex, m01: complex, m10: complex, m11: complex) -> tu
     complex scalars, in scalar arithmetic, and its Frobenius norm (0.0 for an
     exactly Hermitian matrix, whose verdict needs no size; inf past the float
     range).  Both norms come from ``math.hypot`` of the entry parts, which
-    neither raises nor overflows before its result does.  A matrix whose norm
-    leaves [2**-511, 2**511] is first scaled, as ``frobenius`` scales it, by
-    the power of two that takes its largest entry part into [0.5, 1), so a
-    skew that overflows cannot pass as inf <= inf, and the tolerance times
-    the norm does not underflow."""
+    neither raises nor overflows before its result does.  The verdict is
+    taken, as ``is_hermitian`` takes it, on the entries scaled by the range
+    step of their largest part, so a skew that overflows cannot pass as
+    inf <= inf, and the tolerance times the norm does not underflow."""
     # ||m - m^dag||_F: the off-diagonal pair each give |m01 - conj m10|, each
     # diagonal entry 2 Im m_kk
     d = m01 - m10.conjugate()
@@ -299,59 +298,64 @@ def _is_hermitian2(m00: complex, m01: complex, m10: complex, m11: complex) -> tu
     if not skew:
         return True, 0.0
     size = math.hypot(m00.real, m00.imag, m01.real, m01.imag, m10.real, m10.imag, m11.real, m11.imag)
-    if _NORM_MIN <= size <= _NORM_MAX:
+    e = _exponent(max(abs(m00.real), abs(m00.imag), abs(m01.real), abs(m01.imag),
+                      abs(m10.real), abs(m10.imag), abs(m11.real), abs(m11.imag)))
+    if not e:
         return _negligible(skew, size), size
-    entries = m00, m01, m10, m11
-    e = -math.frexp(max(max(abs(z.real), abs(z.imag)) for z in entries))[1]
-    # the scaled norm lies in [0.5, 2 sqrt 2], so this call does not rescale
-    return _is_hermitian2(*(_ldexp(z, e) for z in entries))[0], size
+    # scaled, the norm lies in [0.5, 2 sqrt 2] and the skew is at most twice it
+    m00, m01, m10, m11 = (_ldexp(z, -e) for z in (m00, m01, m10, m11))
+    d = m01 - m10.conjugate()
+    skew = math.hypot(d.real, d.imag, d.real, d.imag, 2.0 * m00.imag, 2.0 * m11.imag)
+    scaled = math.hypot(m00.real, m00.imag, m01.real, m01.imag, m10.real, m10.imag, m11.real, m11.imag)
+    return _negligible(skew, scaled), size
 
 
 def normalize(vec) -> np.ndarray:
     """``vec`` over its norm; a 2-d ``vec`` is an ``(n, d)`` stack, normalized row by row.
 
-    A state whose norm leaves [2**-511, 2**511] (its squared entries would
-    lose bits, vanish or overflow) is first scaled by the power of two that
-    takes its largest entry into [0.5, 1); the scaling is exact, so
-    ``normalize([1e300, 1e300])`` and ``normalize([1e-170, 1e-170])`` give
-    (1, 1)/sqrt(2).  Every other state keeps the plain quotient, bit for bit.
+    A state whose largest entry part leaves the range of ``_exponent`` (its
+    squares could lose bits, vanish or overflow) is first scaled into it,
+    exactly, so ``normalize([1e300, 1e300])`` and ``normalize([1e-170,
+    1e-170])`` give (1, 1)/sqrt(2); a quotient of normal floats keeps its bits.
     """
     v, n, _ = _rescaled(as_state(vec, stack=True))
     _reject_rows(n == 0.0, ValueError("cannot normalize the zero vector"))
     return v / (n if v.ndim == 1 else n[:, None])
 
 
-def _rescaled(v: np.ndarray):
-    """``v 2**-e``, its norm and ``e``: e takes the largest entry of each state
-    whose norm leaves [_NORM_MIN, _NORM_MAX] into [0.5, 1), so the scaling does
-    not round, and is 0 for the others; None when no state is scaled."""
-    if v.ndim == 1:
-        # one state: its largest part decides, in Python; 0 needs no scaling
-        parts = v.view(float).tolist()
-        big = max(map(abs, parts), default=0.0)
-        if not big or _NORM_MIN <= big <= _NORM_MAX / len(parts):
-            return v, _norm(v) if big else 0.0, None
-    with np.errstate(over="ignore"):
-        n = _norm(v)
-    off = np.logical_not((n >= _NORM_MIN) & (n <= _NORM_MAX))
-    if not _any(off):
-        return v, n, None
-    parts = v.view(float)
-    e = np.where(off, np.frexp(np.abs(parts).max(axis=-1))[1], 0)
-    v = np.ldexp(parts, -e[..., None]).view(complex)
-    return v, _norm(v), e
+def _rescaled(x: np.ndarray, rank: int = 1):
+    """``x 2**-e``, the norm of each item (a state for ``rank`` 1, a matrix for
+    2) of one or a stack, and e, ``_exponent`` of each item's largest entry
+    part; None when none is scaled.  One item is flattened in memory order,
+    as ``np.linalg.norm`` does, so its scaled copy is right for a C-contiguous x."""
+    if x.ndim == rank:
+        # one item: its largest part decides, in Python; 0 needs no norm
+        flat = x.ravel(order="K")
+        parts = flat.view(float)
+        big = max(map(abs, parts.tolist()))
+        e = _exponent(big)
+        if not e:
+            return x, _norm(flat) if big else 0.0, None
+    else:
+        flat = x.reshape(len(x), math.prod(x.shape[1:]))
+        parts = flat.view(float)
+        e = _exponent(np.abs(parts).max(axis=-1))
+        if not e.any():
+            return x, _norm(flat), None
+    flat = np.ldexp(parts, -np.expand_dims(e, -1)).view(complex)
+    return flat.reshape(x.shape), _norm(flat), e
 
 
 def _unit2(x0: complex, x1: complex) -> tuple[complex, complex]:
     """``normalize`` of the 2-state (x0, x1), bit for bit, as a pair of Python
     complex scalars, in scalar arithmetic alone."""
     a, b, c, d = x0.real, x0.imag, x1.real, x1.imag
-    if not _NORM2_MIN <= (a * a + c * c) + (b * b + d * d) <= _NORM2_MAX:
-        big = max(abs(a), abs(b), abs(c), abs(d))
-        if big == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        e = -math.frexp(big)[1]
-        a, b, c, d = math.ldexp(a, e), math.ldexp(b, e), math.ldexp(c, e), math.ldexp(d, e)
+    big = max(abs(a), abs(b), abs(c), abs(d))
+    if not big:
+        raise ValueError("cannot normalize the zero vector")
+    e = _exponent(big)
+    if e:
+        a, b, c, d = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(c, -e), math.ldexp(d, -e)
     # np.linalg.norm's BLAS dot fuses its second product into the sum:
     # |x|^2 = fma(c, c, a a) + fma(d, d, b b)
     k = 1.0 / math.sqrt(_fma_square(c, a * a) + _fma_square(d, b * b))
@@ -389,8 +393,8 @@ def _vdots(u, v):
 def fidelity(u, v) -> float:
     """Phase-insensitive overlap |<u|v>| of two (not necessarily unit) states.
 
-    A state whose norm leaves [2**-511, 2**511] is first scaled by a power of
-    two, as in ``normalize``, so ``fidelity([1e300, 0], [1, 0])`` is 1.
+    Each state is first scaled as in ``normalize``, so
+    ``fidelity([1e300, 0], [1, 0])`` is 1.
     """
     a, na, _ = _rescaled(as_state(u))
     b, nb, _ = _rescaled(as_state(v))
@@ -465,16 +469,18 @@ def _pauli_split(m: np.ndarray):
 
 def _pauli_vector(m00, m01, m10, m11):
     """(a0, nx, ny, nz) with [[m00, m01], [m10, m11]] = a0 I + nx X + ny Y + nz Z,
-    of scalar entries or elementwise of ``(n,)`` arrays."""
-    return 0.5 * (m00 + m11), 0.5 * (m01 + m10), 0.5j * (m01 - m10), 0.5 * (m00 - m11)
+    of scalar entries or elementwise of ``(n,)`` arrays; halving before summing, a finite n is finite."""
+    m00, m01, m10, m11 = 0.5 * m00, 0.5 * m01, 0.5 * m10, 0.5 * m11
+    return m00 + m11, m01 + m10, 1j * (m01 - m10), m00 - m11
 
 
 def _pauli_scale(nx, ny, nz):
     """The range step of every 2x2 kernel: (e, n 2**-e) for a Pauli vector n
     of Python scalars, or elementwise of ``(n,)`` arrays.
 
-    Where s = sum_k |Re n_k| + |Im n_k| leaves [2**-252, 2**252] (and is not
-    0), e takes s into [1, 2); elsewhere e is 0 and n is kept, bit for bit.
+    Where s = sum_k |Re n_k| + |Im n_k| leaves the range of ``_exponent``,
+    e takes s into [1, 2), one octave above the other kernels' target;
+    elsewhere e is 0 and n is kept, bit for bit.
     The kernel then turns n 2**-e on the clock t 2**e, so whatever reads |n|
     or |r| sees a size near 1, and 2**k n on 2**-k t gives the bits of n on
     t.  ValueError where s passes the float range.
@@ -482,17 +488,18 @@ def _pauli_scale(nx, ny, nz):
     s = abs(nx.real) + abs(nx.imag) + abs(ny.real) + abs(ny.imag) + abs(nz.real) + abs(nz.imag)
     if isinstance(s, float):
         # scalars: Python arithmetic alone, no numpy name
-        if not s or _SCALE_MIN <= s <= _SCALE_MAX:
-            return 0, nx, ny, nz
         if not s < math.inf:
             raise ValueError(_PAULI_NOT_FINITE)
-        e = math.frexp(s)[1] - 1
-    else:
-        off = (s != 0.0) & np.logical_not((s >= _SCALE_MIN) & (s <= _SCALE_MAX))
-        if not off.any():
+        e = _exponent(s)
+        if not e:
             return 0, nx, ny, nz
+    else:
         _reject_rows(np.logical_not(s < math.inf), ValueError(_PAULI_NOT_FINITE))
-        e = np.where(off, np.frexp(s)[1] - 1, 0)
+        e = _exponent(s)
+        if not e.any():
+            return 0, nx, ny, nz
+    # s 2**-e in [1, 2), an octave above _exponent's, where passages' bits are pinned
+    e = e - (e != 0)
     return e, _ldexp(nx, -e), _ldexp(ny, -e), _ldexp(nz, -e)
 
 
@@ -633,7 +640,7 @@ def propagator(ham, t) -> np.ndarray:
         return _col(phase) * rotation
     if not is_hermitian(m):
         raise ValueError("4x4 generators must be Hermitian")
-    w, v = np.linalg.eigh(0.5 * (m + dagger(m)))
+    w, v = np.linalg.eigh(0.5 * m + 0.5 * dagger(m))
     return (v * np.exp(-1j * w * _col(t))) @ dagger(v)
 
 
@@ -648,13 +655,13 @@ def hermitian_sqrt(mat) -> np.ndarray:
     p = as_operator(mat)
     if not is_hermitian(p):
         raise ValueError("hermitian_sqrt requires a Hermitian matrix")
-    w, v = np.linalg.eigh(0.5 * (p + dagger(p)))
+    w, v = np.linalg.eigh(0.5 * p + 0.5 * dagger(p))  # halving first: p + p^dag may overflow
     wmin = float(w.min())
     if _negligible(wmin, frobenius(p), POSDEF_FLOOR):
         message = f"matrix is not positive definite: smallest eigenvalue {wmin:.3e}"
         raise MetricDegeneracyError(message, eigenvalue=wmin)
     s = (v * np.sqrt(w)) @ dagger(v)
-    return 0.5 * (s + dagger(s))
+    return 0.5 * s + 0.5 * dagger(s)
 
 
 def eigvals2(mat):
@@ -662,24 +669,24 @@ def eigvals2(mat):
 
     Ordered by descending real part, ties broken by descending imaginary part.
     An ``(n, 2, 2)`` stack gives two ``(n,)`` arrays.  A matrix whose largest
-    entry part leaves [2**-252, 2**252] is first scaled by the power of two
-    that takes that part into [0.5, 1), and its eigenvalues are scaled back,
-    so the squared trace and the determinant neither overflow nor lose bits
-    below the normal floats: ``eigvals2(2**k h)`` is ``2**k eigvals2(h)``
-    for |k| up to 1000.  Every other matrix keeps the plain formula, bit for
-    bit.
+    entry part leaves the range of ``_exponent`` is first scaled into it, and
+    its eigenvalues are scaled back, so the squared trace and the determinant
+    neither overflow nor lose bits below the normal floats:
+    ``eigvals2(2**k h)`` is ``2**k eigvals2(h)`` for |k| up to 1000.  Every
+    other matrix keeps the plain formula, bit for bit.
     """
     m = as_operator(mat, dim=2, stack=True)
     if m.ndim == 2:
         (m00, m01), (m10, m11) = m.tolist()
         return _eigvals2(m00, m01, m10, m11)
-    e = _eig_exponents(m)
-    if e is not None:
+    e = _exponent(np.abs(m.view(float)).max(axis=(-2, -1), initial=0.0))
+    scaled = e.any()
+    if scaled:
         m = np.ldexp(m.view(float), -_col(e)).view(complex)
     (m00, m01), (m10, m11) = m.transpose(1, 2, 0)
     hi, lo, swap = _eig_roots(m00, m01, m10, m11)
     hi, lo = np.where(swap, lo, hi), np.where(swap, hi, lo)
-    if e is not None:
+    if scaled:
         hi, lo = _ldexp(hi, e), _ldexp(lo, e)
     return hi, lo
 
@@ -689,7 +696,7 @@ def _eigvals2(m00: complex, m01: complex, m10: complex, m11: complex) -> tuple[c
     scalars, as a pair of them: the same rescaling and formula, bit for bit."""
     big = max(abs(m00.real), abs(m00.imag), abs(m01.real), abs(m01.imag),
               abs(m10.real), abs(m10.imag), abs(m11.real), abs(m11.imag))
-    e = 0 if _SCALE_MIN <= big <= _SCALE_MAX else math.frexp(big)[1]
+    e = _exponent(big)
     if e:
         m00, m01, m10, m11 = (_ldexp(z, -e) for z in (m00, m01, m10, m11))
     hi, lo, swap = _eig_roots(m00, m01, m10, m11)
@@ -711,12 +718,3 @@ def _eig_roots(m00, m01, m10, m11):
         disc = complex(disc)
     hi, lo = (tr + disc) / 2.0, (tr - disc) / 2.0
     return hi, lo, (lo.real > hi.real) | ((lo.real == hi.real) & (lo.imag > hi.imag))
-
-
-def _eig_exponents(m: np.ndarray):
-    """None when no matrix of the stack ``m`` has its largest entry part
-    outside [_SCALE_MIN, _SCALE_MAX]; otherwise the exponent e that ``frexp``
-    gives each matrix's largest part, 0 for the matrices inside the range."""
-    big = np.abs(m.view(float)).max(axis=(-2, -1), initial=0.0)
-    inside = (big >= _SCALE_MIN) & (big <= _SCALE_MAX)
-    return None if inside.all() else np.where(inside, 0, np.frexp(big)[1])

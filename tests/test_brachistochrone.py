@@ -369,6 +369,11 @@ def test_first_passage_scales_drives_with_huge_pauli_vectors_exactly():
             warnings.simplefilter("error")
             assert first_passage_scan(2.0**520 * ham, E0, target, t_max) == want / 2.0**520
     assert first_passage_scan(1e155 * PAULI_X, E0, E1, 1.0) == pytest.approx(0.5 * np.pi / 1e155)
+    # the symmetrization and the Pauli vector halve each entry before they
+    # sum, so a Hermitian drive at the top of the float range is scanned
+    # too: 0.5 (m01 + conj m10) overflowed for 2**1023 X
+    top = first_passage_scan(2.0**1023 * PAULI_X, E0, E1, 2.0**-1022)
+    assert top == 2.0**-1023 * first_passage_scan(PAULI_X, E0, E1, 2.0)
     # past 2**256 the quadratic's discriminant overflowed and the closed form
     # answered None for a drive that reaches its target at t = 1.3
     h = 0.3 * PAULI_X + 0.5 * PAULI_Y + 0.2 * PAULI_Z
@@ -449,11 +454,13 @@ def test_hermiticity_gate_is_relative_for_tiny_drives():
 def test_first_passage_rejects_a_drive_whose_skew_overflows():
     # |m01| and the skew of these finite drives pass the float range: abs(m01)
     # raised OverflowError, and a skew and norm of inf passed as inf <= inf;
-    # now the gate rescales them, they are not Hermitian, and their Pauli
-    # vectors leave the float range
-    for ham in ([[0, 1.5e308 + 1.5e308j], [0, 0]], [[0.0, 1e308], [-1e308, 0.0]]):
-        with pytest.raises(ValueError, match="leaves the float range"):
-            first_passage_scan(ham, E0, E1, t_max=1.0)
+    # now the gate rescales them and they are not Hermitian.  The first one's
+    # Pauli vector leaves the float range; the second's, 1e308 i Y, is
+    # finite, and its evolution e^{1e308 Y t} overflows on the first grid step
+    with pytest.raises(ValueError, match="leaves the float range"):
+        first_passage_scan([[0, 1.5e308 + 1.5e308j], [0, 0]], E0, E1, t_max=1.0)
+    with pytest.raises(ValueError, match="^the evolution overflows: psi"):
+        first_passage_scan([[0.0, 1e308], [-1e308, 0.0]], E0, E1, t_max=1.0)
 
 
 #: a drive [[0.3, 1.5 + i d], [0.5 + i d, 0.3]] far from Hermitian: its Pauli

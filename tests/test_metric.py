@@ -308,6 +308,22 @@ def test_metric_angle_shrinks_toward_degeneracy():
     assert angles[-1] < 0.05
 
 
+def test_metric_angle_floor_is_relative_to_the_states():
+    # the floor sizes <u|eta|u> by ||eta||_F |u|^2: a short state is not a
+    # collapsed metric norm (1e-8 E0 raised "metric norm collapsed
+    # (1.000e-16)"), and 2**k u has the angle of u, bit for bit
+    assert metric_angle(1e-8 * E0, E1, diag_metric(1.0)) == np.pi / 2.0
+    m = metric_from_sqrt(1.6, 0.7 + 0.3j)
+    rng = np.random.default_rng(24)
+    u, v = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    want = metric_angle(u, v, m)
+    for k in range(-500, 501):
+        assert metric_angle(2.0**k * u, v, m) == want == metric_angle(u, 2.0**k * v, m), k
+    # a zero state raises as before
+    with pytest.raises(MetricDegeneracyError, match=r"^metric norm collapsed \(0\.000e\+00\); angle undefined$"):
+        metric_angle([0.0, 0.0], E1, m)
+
+
 def test_metric_angle_norm_collapse_raises():
     m = Metric(eta=np.diag([1.0, 0.0]).astype(complex), sqrt_eta=np.diag([1.0, 0.0]).astype(complex), inv_sqrt_eta=np.eye(2, dtype=complex))
     with pytest.raises(MetricDegeneracyError):

@@ -149,6 +149,11 @@ def _bytes_equal(stack, singles):
     return np.asarray(stack).tobytes() == np.asarray(singles).tobytes()
 
 
+#: exponents k at the edges of the range step's [2**-252, 2**252], and where
+#: a squared norm reaches the ends of the normal floats (2**-1022, 2**1022)
+EDGE_KS = (-512, -511, -253, -252, 252, 253, 300, 511, 512)
+
+
 def test_propagator_generator_stack_matches_scalar_calls_bit_for_bit():
     rng = np.random.default_rng(12)
     general = _random_generators(rng, 300)
@@ -230,9 +235,15 @@ def test_propagator_is_covariant_under_scale():
     # a Pauli vector that sums past the float range raises, where the
     # parent returned a NaN matrix
     huge = np.array([[0.8e308, 1e308], [0.8e308, -0.8e308]])
-    for ham in (huge, [[0.0, 1e308], [1e308, 0.0]]):
-        with pytest.raises(ValueError, match="^the generator's Pauli vector leaves the float range$"):
-            propagator(ham, 1.0)
+    with pytest.raises(ValueError, match="^the generator's Pauli vector leaves the float range$"):
+        propagator(huge, 1.0)
+    # the entries are halved before they are summed, so a finite Pauli vector
+    # is not taken for an overflow: 2**1023 X on the clock 2**-1023 is X on
+    # 1, and 1e308 X gives its finite unitary
+    edge = [[0.0, 2.0**1023], [2.0**1023, 0.0]]
+    assert propagator(edge, 2.0**-1023).tobytes() == propagator(PAULI_X, 1.0).tobytes()
+    got = propagator([[0.0, 1e308], [1e308, 0.0]], 1.0)
+    assert np.abs(got - (math.cos(1e308) * np.eye(2) - 1j * math.sin(1e308) * PAULI_X)).max() <= 1e-15
     with pytest.raises(ValueError, match="Pauli vector leaves the float range") as exc:
         propagator(np.stack([PAULI_X, huge, [[0.0, 1e308], [1e308, 0.0]]]), np.ones(3))
     assert exc.value.row == 1
@@ -412,6 +423,15 @@ def test_hermitian_sqrt_rejects_indefinite():
     assert exc.value.eigenvalue == pytest.approx(-0.5)
 
 
+def test_hermitian_sqrt_of_entries_near_the_float_range():
+    # the Hermitian part is halved before it is summed: p + p^dag overflowed
+    # past about 9e307 and the root was taken of inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = hermitian_sqrt(np.diag([1e308, 1e308]))
+    assert np.abs(got - 1e154 * np.eye(2)).max() <= 1e-15 * 1e154
+
+
 def test_hermitian_sqrt_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         hermitian_sqrt(np.array([[1.0, 1.0], [0.0, 1.0]]))
@@ -512,10 +532,16 @@ def test_normalize_and_zero_vector():
         normalize([0.0, 0.0])
 
 
-@pytest.mark.parametrize("scale", [1e300, 1e200, 1e-170, 1e-200, 1e-310, 5e-324])
+@pytest.mark.parametrize("scale", [1e300, 1e200, 1e-170, 1e-200, 1e-310, 5e-324] + [2.0**k for k in EDGE_KS])
 def test_normalize_rescales_states_whose_squares_leave_the_float_range(scale):
     # |x|^2 overflows (or vanishes, or is subnormal) although |x| does not;
-    # a power-of-two rescaling first keeps the direction
+    # a power-of-two rescaling first keeps the direction.  At the edges of
+    # the range a scaled state gives the unscaled one's bits
+    if scale in [2.0**k for k in EDGE_KS]:
+        rng = np.random.default_rng(23)
+        x = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+        assert _bytes_equal(normalize(scale * x), normalize(x))
+        assert _bytes_equal([normalize(scale * v) for v in x], normalize(x))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = normalize([scale, scale])
@@ -551,6 +577,12 @@ def test_unit2_is_normalize_bit_for_bit():
     for v in states:
         got = np.array(_unit2(*_state2(v)))
         assert got.tobytes() == normalize(v).tobytes(), v
+    # at the edges of the range a scaled state gives the unscaled one's bits
+    for v in states[:50]:
+        v = v / np.abs(v.view(float)).max()
+        want = _unit2(*_state2(v))
+        for k in EDGE_KS:
+            assert np.array(_unit2(*_state2(2.0**k * v))).tobytes() == np.array(want).tobytes(), k
     with pytest.raises(ValueError, match="cannot normalize the zero vector"):
         _unit2(*_state2([0.0, -0.0]))
 
@@ -648,7 +680,7 @@ def test_is_hermitian():
     assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-@pytest.mark.parametrize("k", [-540, -1000, 512, 300])
+@pytest.mark.parametrize("k", sorted({-540, -1000, *EDGE_KS}))
 def test_frobenius_is_true_across_the_float_range(k):
     # sum |m_ij|^2 underflows at 2**-540 (0.0) and overflows at 2**512 (inf);
     # a power-of-two rescaling first gives the true norm, exactly scaled
@@ -715,11 +747,15 @@ def test_scalar_hermiticity_gate_is_is_hermitians_across_the_float_range():
         skew = 1j * _hermitian_from(rng.normal(size=4))
         for size in (0.0, (1.0 - 1e-4) * 1e-10, (1.0 + 1e-4) * 1e-10, 1.0):
             m = h + 0.5 * size * np.linalg.norm(h) * skew / np.linalg.norm(skew)
-            for k in range(-1000, 1001, 50):
+            unit = _is_hermitian2(*m.ravel().tolist())
+            for k in [*range(-1000, 1001, 50), *EDGE_KS]:
                 s = 2.0**k * m
                 hermitian, norm = _is_hermitian2(*s.ravel().tolist())
                 assert hermitian is is_hermitian(s) is (size < 1e-10)
                 assert norm == (0.0 if size == 0.0 else pytest.approx(frobenius(s), rel=1e-15))
+                if k in EDGE_KS:
+                    # the unscaled verdict, and its norm scaled exactly
+                    assert (hermitian, norm) == (unit[0], math.ldexp(unit[1], k))
 
 
 def test_scalar_hermiticity_gate_rejects_an_overflowing_skew():
