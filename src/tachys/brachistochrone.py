@@ -26,12 +26,12 @@ from .smallmat import (
     _is_hermitian2,
     _matrix2,
     _norm,
-    _operator2,
+    _operator_entries,
     _pauli_root,
     _pauli_scale,
     _pauli_vector,
     _reject_rows,
-    _state2,
+    _state_entries,
     _unit2,
     _vdots,
     _where,
@@ -199,7 +199,10 @@ def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -
     each once, and the first bad one raises ValueError; a bad array raises
     what ``as_operator(ham, dim=2)``, ``as_state(x, dim=2)`` or ``normalize``
     would.  The drive and each state are read once, by one ``np.asarray``
-    (no copy) and one ``tolist``, into Python complex scalars; from there the
+    (no copy) and one ``tolist``, into Python complex scalars, and one pass
+    over the parts of each checks, sizes and gates or normalizes it: a norm
+    inside [2**-250, 2**251] shows the parts finite and needing no range
+    step, and only a norm outside takes the full checks.  From there the
     real-spectrum path is Python scalar arithmetic and makes no numpy call:
     the Hermiticity test is ``is_hermitian``'s in scalar form
     (``_is_hermitian2``, which ``evolve_semigroup`` shares for rho0): both
@@ -215,12 +218,12 @@ def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -
     n 2**-e over [0, t_max 2**e] and the time found scaled back; ValueError
     where t_max 2**e leaves the normal floats, or that sum the float range.
     """
-    m00, m01, m10, m11 = _operator2(ham)
+    m00, m01, m10, m11 = _operator_entries(ham)
+    hermitian, size = _is_hermitian2(m00, m01, m10, m11)
     t_max = positive_finite("t_max", t_max)
     steps = _scan_steps(steps)
-    u = _unit2(*_state2(initial))
-    v = _unit2(*_state2(final))
-    hermitian, size = _is_hermitian2(m00, m01, m10, m11)
+    u = _unit2(*_state_entries(initial))
+    v = _unit2(*_state_entries(final))
     if hermitian:
         # the symmetrized drive (m + m^dag) / 2, halved before it is summed,
         # whose n.n has imaginary part 0

@@ -32,6 +32,7 @@ from .smallmat import (
     _matrix2,
     _norm,
     _operator2,
+    _operator_entries,
     _pauli_root,
     _pauli_scale,
     _pauli_vector,
@@ -133,10 +134,16 @@ def evolve_semigroup(ham, rho0, times) -> EvolutionTrace:
     squares replace differences such as cosh 2kt - cos 2wt, and e sinh kt
     comes from expm1, so nothing cancels near an exceptional point; at one
     (|r| below _EP_RADIUS) cos rt -> 1 and sin(rt)/r -> t.  The form is exact
-    up to rounding and involves no stepping error.  The damping e meets the
+    up to rounding and involves no stepping error.  The rotation costs one
+    ``tan`` per sample: with u = tan wt, cos^2 wt = 1/(1 + u^2),
+    sin^2 wt = u^2 cos^2 wt and sin wt cos wt = u cos^2 wt.  Each rotation
+    term is multiplied by e twice, (c e) e, and the damping e meets the
     growth of cosh kt inside one exponential, so a state is non-finite only
     where the exact state overflows; ValueError then names the earliest such
     time, and likewise the earliest time whose ``k_values`` entry overflows.
+    Where alpha is exactly 0, as for every Hermitian generator (and a
+    metric-Hermitian one whose trace rounds to a real number), e is 1 and
+    its ``exp`` and products are skipped.
 
     r follows the real-spectrum rule of ``first_passage_scan``
     (``_pauli_root``): where Re(N^2) >= 0 and |Im(N^2)| is at most
@@ -163,7 +170,7 @@ def evolve_semigroup(ham, rho0, times) -> EvolutionTrace:
     straight into the returned arrays.
     """
     m00, m01, m10, m11 = _operator2(ham)
-    rho = p00, p01, p10, p11 = _operator2(rho0)
+    rho = p00, p01, p10, p11 = _operator_entries(rho0)
     if not _is_hermitian2(*rho)[0]:
         raise ValueError("rho0 must be Hermitian")
     # the smaller eigenvalue of the Hermitian part (rho0 + rho0^dag) / 2
@@ -252,37 +259,54 @@ def _semigroup_coefficients(ts: np.ndarray, alpha: float, r, e: int, rows: np.nd
 
     ``rows`` is a ``(7, len(ts))`` array whose last three rows are scratch;
     ``r`` is the root of the Pauli vector scaled by 2**-e, on the clock
-    ts 2**e, and None at an exceptional point.  The hyperbolic terms are
-    added only where k = Im r is not 0: at k = 0 they add exact zeros.
+    ts 2**e, and None at an exceptional point.  The rotation terms come
+    from u = tan wt, whose square stays finite (|tan| of a float stays below
+    2**61), and take e^{alpha t} only where alpha is not 0.  The hyperbolic
+    terms are added only where k = Im r is not 0: at k = 0 they add exact
+    zeros.
     """
-    c0, c1, c2, c3, ecos, esin, ecosh = rows
-    np.multiply(ts, alpha, out=ecosh)
+    c0, c1, c2, c3, u, v, at = rows
+    if alpha or r is None or r.imag:
+        np.multiply(ts, alpha, out=at)
     if e:
         # c2 is written last, after the clock's last use
         ts = np.ldexp(ts, e, out=c2)
     if r is None:
-        np.exp(ecosh, out=ecos)
-        np.multiply(ecos, ts, out=esin)
+        # cos rt -> 1 and sin(rt)/r -> t: e and e t
+        np.exp(at, out=u)
+        np.multiply(u, ts, out=v)
+        np.multiply(u, v, out=c1)
+        np.square(v, out=c3)
+        np.square(u, out=c0)
     else:
-        np.multiply(ts, r.real, out=ecos)
-        np.sin(ecos, out=esin)
-        np.cos(ecos, out=ecos)
-        np.exp(ecosh, out=c3)
-        np.multiply(ecos, c3, out=ecos)
-        np.multiply(esin, c3, out=esin)
-    np.multiply(ecos, esin, out=c1)
-    np.square(esin, out=c3)
-    np.square(ecos, out=c0)
+        # cos^2 = 1/(1 + u^2), sin^2 = u^2 cos^2 and sin cos = u cos^2
+        np.multiply(ts, r.real, out=u)
+        np.tan(u, out=u)
+        np.square(u, out=v)
+        np.add(v, 1.0, out=c0)
+        if alpha:
+            # (c e) e, e = e^{alpha t}, from e cos^2 = e / (1 + u^2)
+            np.exp(at, out=c1)
+            np.divide(c1, c0, out=c0)
+            np.multiply(v, c0, out=c3)
+            np.multiply(u, c0, out=v)
+            np.multiply(c0, c1, out=c0)
+            np.multiply(c3, c1, out=c3)
+            np.multiply(v, c1, out=c1)
+        else:
+            np.reciprocal(c0, out=c0)
+            np.multiply(v, c0, out=c3)
+            np.multiply(u, c0, out=c1)
     if r is None or not r.imag:
         c2.fill(0.0)
         return
     # e sinh kt into c2 and e cosh kt into the row of alpha t
-    np.multiply(ts, r.imag, out=esin)
-    _damped_sinh_cosh(ecosh, esin, (c2, ecosh))
-    np.square(c2, out=esin)
-    np.add(c3, esin, out=c3)
-    np.add(c0, esin, out=c0)
-    np.multiply(c2, ecosh, out=c2)
+    np.multiply(ts, r.imag, out=u)
+    _damped_sinh_cosh(at, u, (c2, at))
+    np.square(c2, out=v)
+    np.add(c3, v, out=c3)
+    np.add(c0, v, out=c0)
+    np.multiply(c2, at, out=c2)
 
 
 def _reject_first_time(ts: np.ndarray, values: np.ndarray, what: str) -> None:

@@ -67,6 +67,12 @@ _REAL_SPECTRUM_TOL = 16.0 * sys.float_info.epsilon
 #: times it) and the first-passage discriminant (as |n|^4) stay normal floats
 _SCALE_MIN, _SCALE_MAX = 2.0**-252, 2.0**252
 
+#: the pretest of the scalar readers: the parts of a norm in this range (a
+#: state's four, a 2x2 matrix's eight) are finite and the largest lies in
+#: [_SCALE_MIN, _SCALE_MAX], so they need no range step (the factors hold
+#: sqrt 8 and the norm's rounding)
+_NORM_MIN, _NORM_MAX = 4.0 * _SCALE_MIN, 0.5 * _SCALE_MAX
+
 
 class MetricDegeneracyError(ValueError):
     """A required positive-definite operator is singular or indefinite.
@@ -213,26 +219,30 @@ def _operator2(mat) -> tuple[complex, complex, complex, complex]:
     """The entries m00, m01, m10, m11 of one 2x2 matrix as Python complex
     scalars, raising the error type and message of ``as_operator(mat, dim=2)``
     (without its ``row`` mark): the matrix is read once, without a copy."""
-    m = np.asarray(mat, dtype=complex)
-    if m.shape != (2, 2):
-        _check_operator_shape(m.shape, 2)
-    (m00, m01), (m10, m11) = m.tolist()
+    m00, m01, m10, m11 = _operator_entries(mat)
     if not (cmath.isfinite(m00) and cmath.isfinite(m01) and cmath.isfinite(m10) and cmath.isfinite(m11)):
         raise ValueError(_MATRIX_NOT_FINITE)
     return m00, m01, m10, m11
 
 
-def _state2(vec) -> tuple[complex, complex]:
+def _operator_entries(mat) -> tuple[complex, complex, complex, complex]:
+    """``_operator2`` without its finiteness check, which ``_is_hermitian2``
+    makes in its pass over the entries."""
+    m = np.asarray(mat, dtype=complex)
+    if m.shape != (2, 2):
+        _check_operator_shape(m.shape, 2)
+    (m00, m01), (m10, m11) = m.tolist()
+    return m00, m01, m10, m11
+
+
+def _state_entries(vec) -> list[complex]:
     """The entries of one 2-state as Python complex scalars, raising the error
-    type and message of ``as_state(vec, dim=2)`` (without its ``row`` mark):
-    the state is read once, without a copy."""
+    type and message of ``as_state(vec, dim=2)`` for a bad length: the state
+    is read once, without a copy.  ``_unit2`` checks the entries."""
     v = np.asarray(vec, dtype=complex)
     if v.size != 2:
         _check_state_length(v.size, 2)
-    x0, x1 = v.tolist() if v.ndim == 1 else v.reshape(2).tolist()
-    if not (cmath.isfinite(x0) and cmath.isfinite(x1)):
-        raise ValueError(_STATE_NOT_FINITE)
-    return x0, x1
+    return v.tolist() if v.ndim == 1 else v.reshape(2).tolist()
 
 
 def _all_finite(x: np.ndarray) -> bool:
@@ -290,14 +300,28 @@ def _is_hermitian2(m00: complex, m01: complex, m10: complex, m11: complex) -> tu
     neither raises nor overflows before its result does.  The verdict is
     taken, as ``is_hermitian`` takes it, on the entries scaled by the range
     step of their largest part, so a skew that overflows cannot pass as
-    inf <= inf, and the tolerance times the norm does not underflow."""
+    inf <= inf, and the tolerance times the norm does not underflow.
+
+    The entries may be unchecked (``_operator_entries``): the pass that sizes
+    them also checks them, and one that is not finite raises what
+    ``as_operator`` raises.  A skew of 0 leaves only the real diagonal to
+    check; otherwise a norm in [_NORM_MIN, _NORM_MAX] shows every entry
+    finite and in range, and only a norm outside takes the checks and the
+    largest part."""
     # ||m - m^dag||_F: the off-diagonal pair each give |m01 - conj m10|, each
     # diagonal entry 2 Im m_kk
     d = m01 - m10.conjugate()
     skew = math.hypot(d.real, d.imag, d.real, d.imag, 2.0 * m00.imag, 2.0 * m11.imag)
     if not skew:
+        # a skew of 0 shows m01, m10 and the imaginary diagonal finite
+        if not (math.isfinite(m00.real) and math.isfinite(m11.real)):
+            raise ValueError(_MATRIX_NOT_FINITE)
         return True, 0.0
     size = math.hypot(m00.real, m00.imag, m01.real, m01.imag, m10.real, m10.imag, m11.real, m11.imag)
+    if _NORM_MIN <= size <= _NORM_MAX:
+        return _negligible(skew, size), size
+    if not (cmath.isfinite(m00) and cmath.isfinite(m01) and cmath.isfinite(m10) and cmath.isfinite(m11)):
+        raise ValueError(_MATRIX_NOT_FINITE)
     e = _exponent(max(abs(m00.real), abs(m00.imag), abs(m01.real), abs(m01.imag),
                       abs(m10.real), abs(m10.imag), abs(m11.real), abs(m11.imag)))
     if not e:
@@ -347,15 +371,23 @@ def _rescaled(x: np.ndarray, rank: int = 1):
 
 
 def _unit2(x0: complex, x1: complex) -> tuple[complex, complex]:
-    """``normalize`` of the 2-state (x0, x1), bit for bit, as a pair of Python
-    complex scalars, in scalar arithmetic alone."""
+    """``normalize(as_state([x0, x1]))`` of Python complex scalars, bit for
+    bit and error for error, as a pair of Python complex scalars, in scalar
+    arithmetic alone.  The entries may be unchecked (``_state_entries``):
+    one pretest checks and sizes them, since a norm in [_NORM_MIN, _NORM_MAX]
+    shows them finite and in range.  Only a norm outside takes the full
+    checks: an entry that is not finite, then the zero state, raise, and the
+    largest part gives the range step."""
     a, b, c, d = x0.real, x0.imag, x1.real, x1.imag
-    big = max(abs(a), abs(b), abs(c), abs(d))
-    if not big:
-        raise ValueError("cannot normalize the zero vector")
-    e = _exponent(big)
-    if e:
-        a, b, c, d = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(c, -e), math.ldexp(d, -e)
+    if not _NORM_MIN <= math.hypot(a, b, c, d) <= _NORM_MAX:
+        if not (cmath.isfinite(x0) and cmath.isfinite(x1)):
+            raise ValueError(_STATE_NOT_FINITE)
+        big = max(abs(a), abs(b), abs(c), abs(d))
+        if not big:
+            raise ValueError("cannot normalize the zero vector")
+        e = _exponent(big)
+        if e:
+            a, b, c, d = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(c, -e), math.ldexp(d, -e)
     # np.linalg.norm's BLAS dot fuses its second product into the sum:
     # |x|^2 = fma(c, c, a a) + fma(d, d, b b)
     k = 1.0 / math.sqrt(_fma_square(c, a * a) + _fma_square(d, b * b))

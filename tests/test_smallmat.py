@@ -24,9 +24,10 @@ from tachys.smallmat import (
     _eigvals2,
     _is_hermitian2,
     _operator2,
+    _operator_entries,
     _pauli_root,
     _pauli_split,
-    _state2,
+    _state_entries,
     _unit2,
     PAULI_X,
     PAULI_Y,
@@ -575,16 +576,16 @@ def test_unit2_is_normalize_bit_for_bit():
     states += [np.array([complex(a, b), complex(c, d)]) for a in zeros for b in zeros for c in zeros for d in zeros if a or b or c or d]
     states += [np.array(x, dtype=complex) for x in ([1e300, 1e300], [1e-170, 1e-170j], [5e-324, 0.0], [1.7e308, -1.7e308j])]
     for v in states:
-        got = np.array(_unit2(*_state2(v)))
+        got = np.array(_unit2(*_state_entries(v)))
         assert got.tobytes() == normalize(v).tobytes(), v
     # at the edges of the range a scaled state gives the unscaled one's bits
     for v in states[:50]:
         v = v / np.abs(v.view(float)).max()
-        want = _unit2(*_state2(v))
+        want = _unit2(*_state_entries(v))
         for k in EDGE_KS:
-            assert np.array(_unit2(*_state2(2.0**k * v))).tobytes() == np.array(want).tobytes(), k
+            assert np.array(_unit2(*_state_entries(2.0**k * v))).tobytes() == np.array(want).tobytes(), k
     with pytest.raises(ValueError, match="cannot normalize the zero vector"):
-        _unit2(*_state2([0.0, -0.0]))
+        _unit2(*_state_entries([0.0, -0.0]))
 
 
 def _outcome(read, x):
@@ -624,24 +625,62 @@ _STATE_INPUTS = [
 _STATE_INPUTS += [_with_entry(3, 1, np.nan), _with_entry(4, 0, np.inf), _with_entry((2, 1), 1, -np.inf)]
 
 
+def _verdict(gate, x):
+    """``gate(x)``, or the type and message of the exception it raises."""
+    try:
+        return gate(x)
+    except Exception as exc:  # the type itself is compared
+        return type(exc), str(exc)
+
+
 @pytest.mark.parametrize("x", _OPERATOR_INPUTS)
 def test_operator_reader_acts_as_as_operator(x):
     want = _outcome(lambda y: as_operator(y, dim=2).ravel().tolist(), x)
     assert _outcome(_operator2, x) == want
+    # the unchecked read and the Hermiticity gate's one pass raise the same,
+    # or give is_hermitian's verdict
+    want = _verdict(lambda y: is_hermitian(as_operator(y, dim=2)), x)
+    assert _verdict(lambda y: _is_hermitian2(*_operator_entries(y))[0], x) == want
 
 
 @pytest.mark.parametrize("x", _STATE_INPUTS)
 def test_state_reader_acts_as_as_state(x):
     want = _outcome(lambda y: as_state(y, dim=2).tolist(), x)
-    assert _outcome(_state2, x) == want
-    # and the zero state fails in _unit2 as in normalize
     if isinstance(want, list):
-        assert _outcome(lambda y: _unit2(*_state2(y)), x) == _outcome(lambda y: normalize(as_state(y, dim=2)), x)
+        assert _outcome(_state_entries, x) == want
+    # the unchecked read and _unit2's one pass raise what as_state, then
+    # normalize, raise, or give normalize's bits
+    assert _outcome(lambda y: _unit2(*_state_entries(y)), x) == _outcome(lambda y: normalize(as_state(y, dim=2)), x)
+
+
+def test_one_pass_readers_keep_bits_and_errors_across_the_float_range():
+    # parts at scales 2**-600..2**600, mixed octaves, zeros and non-finite
+    # parts: the pretest sends each outside its range to the full checks,
+    # and every result keeps the bits (or the error) of the checked path
+    rng = np.random.default_rng(23)
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 2.0**-252, 2.0**252, 2.0**-250, 2.0**251]
+    for k in range(4000):
+        parts = rng.normal(size=8) * 2.0 ** (rng.uniform(-600.0, 600.0) + 3.0 * rng.integers(-1, 2, size=8))
+        if k % 5 == 0:
+            parts[rng.integers(0, 8, size=2)] = rng.choice(specials, size=2)
+        entries = parts.view(complex)
+        state = entries[:2]
+        want = _outcome(lambda y: normalize(as_state(y, dim=2)), state)
+        assert _outcome(lambda y: _unit2(*_state_entries(y)), state) == want
+        m = entries.reshape(2, 2)
+        if k % 3 == 0:
+            m = np.array([[m[0, 0].real, m[0, 1]], [m[0, 1].conjugate(), m[1, 1].real]])
+        want = _verdict(lambda y: (is_hermitian(as_operator(y, dim=2)), math.hypot(*y.view(float).ravel())), m)
+        got = _verdict(lambda y: _is_hermitian2(*_operator_entries(y)), m)
+        if isinstance(got, tuple) and got[0] is True and got[1] == 0.0:
+            # an exactly Hermitian matrix's verdict needs no norm
+            want = (want[0], 0.0) if isinstance(want[0], bool) else want
+        assert got == want, m
 
 
 def test_readers_give_python_complex_scalars():
     m = np.array([[0.5, 1j], [-1j, 0.25]], dtype=np.complex64)
-    for entries in (_operator2(m), _state2([1, 0.5]), _state2(np.ones((1, 2)))):
+    for entries in (_operator2(m), _operator_entries(m), _state_entries([1, 0.5]), _state_entries(np.ones((1, 2)))):
         assert {type(z) for z in entries} == {complex}
 
 
