@@ -198,21 +198,12 @@ def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -
     The arguments are checked in order (ham, t_max, steps, initial, final),
     each once, and the first bad one raises ValueError; a bad array raises
     what ``as_operator(ham, dim=2)``, ``as_state(x, dim=2)`` or ``normalize``
-    would.  The drive and each state are read once, by one ``np.asarray``
-    (no copy) and one ``tolist``, into Python complex scalars, and one pass
-    over the parts of each checks, sizes and gates or normalizes it: a norm
-    inside [2**-250, 2**251] shows the parts finite and needing no range
-    step, and only a norm outside takes the full checks.  From there the
-    real-spectrum path is Python scalar arithmetic and makes no numpy call:
-    the Hermiticity test is ``is_hermitian``'s in scalar form
-    (``_is_hermitian2``, which ``evolve_semigroup`` shares for rho0): both
-    norms from ``math.hypot`` of the entry parts, the verdict taken on the
-    entries as the range step of ``smallmat`` scales them, so a skew that
-    overflows is not taken for Hermitian (the drive's norm also sizes the
-    grid's candidate slack on the broken-PT path), and each state is
-    normalized as ``normalize`` does it, bit for bit, range step included
-    (its squared norm rounded as numpy's fused dot rounds it, then a multiply
-    by the reciprocal norm, as numpy's complex division does).  The drive's
+    would.  The drive and each state are read once into Python complex
+    scalars, gated by ``_is_hermitian2`` and normalized by ``_unit2``, which
+    give ``is_hermitian``'s verdict and ``normalize``'s bits; where a norm
+    lies inside [2**-250, 2**251], as for every ordinary input, they and the
+    real-spectrum path are Python scalar arithmetic with no numpy call.  The
+    drive's norm also sizes the grid's candidate slack.  The drive's
     Pauli vector n takes the same step, ``_pauli_scale``: where its
     sum_k |Re n_k| + |Im n_k| leaves [2**-252, 2**252], it is scanned as
     n 2**-e over [0, t_max 2**e] and the time found scaled back; ValueError

@@ -17,6 +17,7 @@ from .metric import Metric, QuasiHamiltonian, metric_from_matrix, quasi_hamilton
 from .smallmat import (
     POSDEF_FLOOR,
     MetricDegeneracyError,
+    _hermitian_part,
     _negligible,
     as_operator,
     as_state,
@@ -75,12 +76,12 @@ def build_dilation(h, metric: Metric, omega: float) -> DilationModel:
     eta_unit = metric.eta / np.sqrt(det_eta)
 
     # orthonormal eigenbasis of h, gap-upper state first, phases pinned
-    basis = np.linalg.eigh(0.5 * (hm + dagger(hm)))[1][:, ::-1]
+    basis = np.linalg.eigh(_hermitian_part(hm))[1][:, ::-1]
     anchor = basis[np.argmax(np.abs(basis), axis=0), [0, 1]]
     basis = basis * np.exp(-1j * np.angle(anchor))
 
     eta_e = dagger(basis) @ eta_unit @ basis
-    eta_e = 0.5 * (eta_e + dagger(eta_e))
+    eta_e = _hermitian_part(eta_e)
     m = metric_from_matrix(eta_e)
     norm_factor = float(1.0 / np.sqrt(np.trace(eta_e).real))
 
@@ -105,7 +106,7 @@ def build_dilation(h, metric: Metric, omega: float) -> DilationModel:
     big = norm_factor**2 * np.block([[top, off], [-off, top]])
     if not is_hermitian(big):
         raise ValueError("dilated generator failed its Hermiticity check")
-    big = 0.5 * (big + dagger(big))
+    big = _hermitian_part(big)
 
     return DilationModel(metric=m, extended_vectors=vmat, hamiltonian=big, norm_factor=norm_factor,
                          eigenbasis=basis, generator=generator)

@@ -17,6 +17,7 @@ import numpy as np
 from .smallmat import (
     MetricDegeneracyError,
     _abs,
+    _hermitian_part,
     _matrix2,
     _max,
     _negligible,
@@ -134,7 +135,7 @@ def metric_from_matrix(eta) -> Metric:
     m = as_operator(eta, dim=2)
     root = hermitian_sqrt(m)
     inv_root = np.linalg.inv(root)
-    inv_root = 0.5 * (inv_root + dagger(inv_root))
+    inv_root = _hermitian_part(inv_root)
     return Metric(eta=m, sqrt_eta=root, inv_sqrt_eta=inv_root)
 
 

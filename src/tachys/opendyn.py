@@ -28,6 +28,7 @@ from .smallmat import (
     _eigvals2,
     _first_failing_row,
     _float_or_array,
+    _hermitian_part,
     _is_hermitian2,
     _matrix2,
     _norm,
@@ -107,11 +108,13 @@ class EvolutionTrace:
 def split_generator(ham) -> OpenSplit:
     """Split a generator into Hermitian and anti-Hermitian parts.
 
-    An ``(n, 2, 2)`` stack gives stacked parts and ``(n,)`` rate arrays.
+    Both halve before they sum, coherent = ``_hermitian_part(ham)`` and
+    drift = (0.5 ham - 0.5 ham^dag) / i, so a finite generator has a finite
+    split.  An ``(n, 2, 2)`` stack gives stacked parts and ``(n,)`` rate arrays.
     """
     m = as_operator(ham, dim=2, stack=True)
-    coherent = 0.5 * (m + dagger(m))
-    drift = (m - dagger(m)) / 2j
+    coherent = _hermitian_part(m)
+    drift = (0.5 * m - 0.5 * dagger(m)) / 1j
     hi, lo = eigvals2(drift)
     return OpenSplit(coherent=coherent, drift=drift, rate_max=np.real(hi), rate_min=np.real(lo))
 
@@ -160,21 +163,23 @@ def evolve_semigroup(ham, rho0, times) -> EvolutionTrace:
 
     The set-up runs on Python scalars, with no numpy call: ``ham`` and
     ``rho0`` are each read once, raising what ``as_operator(x, dim=2)``
-    would, in the order ham, rho0, times; rho0 is checked by the scalar form
-    of ``is_hermitian`` (``_is_hermitian2``) and by its smaller eigenvalue
-    and trace; the rate of ``k_values`` is the drift's top eigenvalue from
-    ``eigvals2``'s own scalar formula, bit for bit.  The evaluation is
-    blocked, with O(_BLOCK) scratch and 80 B/sample returned: the times run
-    in equal blocks of at most _BLOCK samples, which reuse one set of seven
-    scratch rows, and each block writes its states, traces and ``k_values``
-    straight into the returned arrays.
+    would, in the order ham, rho0, times; rho0 is checked by
+    ``_is_hermitian2`` (``is_hermitian``'s verdict, in scalar arithmetic
+    for a rho0 of ordinary size) and by its smaller eigenvalue and trace;
+    the rate of ``k_values`` is the drift's top eigenvalue from
+    ``eigvals2``'s own scalar formula, bit for bit, and k(t) is formed as
+    e^{-2 (rate t)}, so it overflows only where it exceeds the float range.
+    The evaluation is blocked, with O(_BLOCK) scratch and 80 B/sample
+    returned: the times run in equal blocks of at most _BLOCK samples, which
+    reuse one set of seven scratch rows, and each block writes its states,
+    traces and ``k_values`` straight into the returned arrays.
     """
     m00, m01, m10, m11 = _operator2(ham)
     rho = p00, p01, p10, p11 = _operator_entries(rho0)
     if not _is_hermitian2(*rho)[0]:
         raise ValueError("rho0 must be Hermitian")
     # the smaller eigenvalue of the Hermitian part (rho0 + rho0^dag) / 2
-    off = 0.5 * (p01 + p10.conjugate())
+    off = 0.5 * p01 + 0.5 * p10.conjugate()
     low = 0.5 * (p00.real + p11.real) - math.hypot(0.5 * (p00.real - p11.real), off.real, off.imag)
     if low < -1e-10:
         raise ValueError(f"rho0 must be positive semidefinite (min eigenvalue {low:.3e})")
@@ -191,7 +196,7 @@ def evolve_semigroup(ham, rho0, times) -> EvolutionTrace:
     exceptional = math.hypot(r.real, r.imag) < _EP_RADIUS
     # exceptional point: cos rt -> 1, sin(rt)/r -> t and sinh kt -> 0; X is B
     basis_re = _semigroup_basis(rho, (nz, nx - 1j * ny, nx + 1j * ny, -nz), 1.0 if exceptional else r)
-    k_rate = -2.0 * _drift_rate_max(m00, m01, m10, m11)
+    rate = _drift_rate_max(m00, m01, m10, m11)
     n = ts.shape[0]
     # equal blocks, so that none is short; n <= _BLOCK is one block
     size = -(-n // -(-n // _BLOCK))
@@ -210,8 +215,11 @@ def evolve_semigroup(ham, rho0, times) -> EvolutionTrace:
             _semigroup_coefficients(ts[lo:hi], a0.imag, None if exceptional else r, e, rows)
             np.matmul(rows[:4].T, basis_re, out=flat[lo:hi])
             np.matmul(basis_traces, rows[:4], out=traces[lo:hi])
-            np.multiply(k_rate, ts[lo:hi], out=k_values[lo:hi])
-            np.exp(k_values[lo:hi], out=k_values[lo:hi])
+            # rate t, then doubled (exactly): -2 rate alone may overflow
+            k = k_values[lo:hi]
+            np.multiply(ts[lo:hi], rate, out=k)
+            np.multiply(k, -2.0, out=k)
+            np.exp(k, out=k)
     # each trace sums all four coefficients of its state (inf * 0 is NaN), so
     # the n traces show every overflow the (n, 2, 2) stack would
     _reject_first_time(ts, traces, "the trajectory overflows: rho(t)")
@@ -246,12 +254,13 @@ def _semigroup_basis(rho, n, r) -> np.ndarray:
 
 
 def _drift_rate_max(m00, m01, m10, m11) -> float:
-    """The top eigenvalue of the drift (m - m^dag) / 2i of the matrix of these
-    Python complex entries, by ``eigvals2``'s formula: ``split_generator``'s
+    """The top eigenvalue of the drift (0.5 m - 0.5 m^dag) / i of the matrix of
+    these Python complex entries, by ``eigvals2``'s formula: ``split_generator``'s
     ``rate_max``, bit for bit."""
-    d01 = (m01 - m10.conjugate()) / 2j
-    d10 = (m10 - m01.conjugate()) / 2j
-    return _eigvals2((m00 - m00.conjugate()) / 2j, d01, d10, (m11 - m11.conjugate()) / 2j)[0].real
+    m00, m01, m10, m11 = 0.5 * m00, 0.5 * m01, 0.5 * m10, 0.5 * m11
+    d01 = (m01 - m10.conjugate()) / 1j
+    d10 = (m10 - m01.conjugate()) / 1j
+    return _eigvals2((m00 - m00.conjugate()) / 1j, d01, d10, (m11 - m11.conjugate()) / 1j)[0].real
 
 
 def _semigroup_coefficients(ts: np.ndarray, alpha: float, r, e: int, rows: np.ndarray) -> None:
@@ -394,8 +403,7 @@ def _aligned_drive(metric: Metric, omega: float, initial, final):
         lambda r: AlignmentError(f"phase alignment residual {r:.3e} exceeds tolerance"),
         residual,
     )
-    h = 0.5 * omega * (frame @ PAULI_X @ dagger(frame))
-    h = 0.5 * (h + dagger(h))
+    h = _hermitian_part(0.5 * omega * (frame @ PAULI_X @ dagger(frame)))
     return quasi_hamiltonian(h, metric, omega), a_abs
 
 

@@ -11,6 +11,8 @@ checks, both norms true across the float range, whatever the energy unit;
 so does every floor.  Every kernel takes one range step, ``_exponent``: a
 size (a largest entry part, or a Pauli vector's sum_k |Re n_k| + |Im n_k|)
 outside [2**-252, 2**252] is first scaled by a power of two, which is exact.
+Every Hermitian part is ``_hermitian_part``, 0.5 m + 0.5 m^dag, halved
+before it is summed so that a finite matrix has a finite part.
 """
 
 from __future__ import annotations
@@ -277,6 +279,12 @@ def dagger(mat: np.ndarray) -> np.ndarray:
     return np.conj(mat).swapaxes(-1, -2)
 
 
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m^dag) / 2 of a matrix or a stack, halved before it is summed, so a
+    finite m gives a finite part; for normal floats the bits of the sum halved."""
+    return 0.5 * m + 0.5 * dagger(m)
+
+
 def _negligible(residual, size, tol=HERMITICITY_TOL):
     """The rule of every gate: ``residual <= tol * size``, elementwise; NaN fails.
     A floor raises where its eigenvalue, determinant or norm is negligible."""
@@ -293,45 +301,23 @@ def is_hermitian(mat):
 
 
 def _is_hermitian2(m00: complex, m01: complex, m10: complex, m11: complex) -> tuple[bool, float]:
-    """``is_hermitian`` of the 2x2 matrix [[m00, m01], [m10, m11]] of Python
-    complex scalars, in scalar arithmetic, and its Frobenius norm (0.0 for an
-    exactly Hermitian matrix, whose verdict needs no size; inf past the float
-    range).  Both norms come from ``math.hypot`` of the entry parts, which
-    neither raises nor overflows before its result does.  The verdict is
-    taken, as ``is_hermitian`` takes it, on the entries scaled by the range
-    step of their largest part, so a skew that overflows cannot pass as
-    inf <= inf, and the tolerance times the norm does not underflow.
-
-    The entries may be unchecked (``_operator_entries``): the pass that sizes
-    them also checks them, and one that is not finite raises what
-    ``as_operator`` raises.  A skew of 0 leaves only the real diagonal to
-    check; otherwise a norm in [_NORM_MIN, _NORM_MAX] shows every entry
-    finite and in range, and only a norm outside takes the checks and the
-    largest part."""
+    """``is_hermitian(as_operator([[m00, m01], [m10, m11]]))`` of Python complex
+    scalars, which may be unchecked (``_operator_entries``), and the
+    Frobenius norm, ``math.hypot`` of the entry parts (0.0 for an exactly
+    Hermitian matrix, whose verdict needs no size).  In scalar arithmetic
+    where the skew is 0 and the real diagonal finite, or where the norm lies
+    in [_NORM_MIN, _NORM_MAX], which shows every entry finite and in range;
+    every other matrix goes to ``is_hermitian`` itself."""
     # ||m - m^dag||_F: the off-diagonal pair each give |m01 - conj m10|, each
-    # diagonal entry 2 Im m_kk
+    # diagonal entry 2 Im m_kk; a skew of 0 shows m01, m10 and Im m_kk finite
     d = m01 - m10.conjugate()
     skew = math.hypot(d.real, d.imag, d.real, d.imag, 2.0 * m00.imag, 2.0 * m11.imag)
-    if not skew:
-        # a skew of 0 shows m01, m10 and the imaginary diagonal finite
-        if not (math.isfinite(m00.real) and math.isfinite(m11.real)):
-            raise ValueError(_MATRIX_NOT_FINITE)
+    if not skew and math.isfinite(m00.real) and math.isfinite(m11.real):
         return True, 0.0
     size = math.hypot(m00.real, m00.imag, m01.real, m01.imag, m10.real, m10.imag, m11.real, m11.imag)
     if _NORM_MIN <= size <= _NORM_MAX:
         return _negligible(skew, size), size
-    if not (cmath.isfinite(m00) and cmath.isfinite(m01) and cmath.isfinite(m10) and cmath.isfinite(m11)):
-        raise ValueError(_MATRIX_NOT_FINITE)
-    e = _exponent(max(abs(m00.real), abs(m00.imag), abs(m01.real), abs(m01.imag),
-                      abs(m10.real), abs(m10.imag), abs(m11.real), abs(m11.imag)))
-    if not e:
-        return _negligible(skew, size), size
-    # scaled, the norm lies in [0.5, 2 sqrt 2] and the skew is at most twice it
-    m00, m01, m10, m11 = (_ldexp(z, -e) for z in (m00, m01, m10, m11))
-    d = m01 - m10.conjugate()
-    skew = math.hypot(d.real, d.imag, d.real, d.imag, 2.0 * m00.imag, 2.0 * m11.imag)
-    scaled = math.hypot(m00.real, m00.imag, m01.real, m01.imag, m10.real, m10.imag, m11.real, m11.imag)
-    return _negligible(skew, scaled), size
+    return is_hermitian(as_operator([[m00, m01], [m10, m11]])), size
 
 
 def normalize(vec) -> np.ndarray:
@@ -371,23 +357,15 @@ def _rescaled(x: np.ndarray, rank: int = 1):
 
 
 def _unit2(x0: complex, x1: complex) -> tuple[complex, complex]:
-    """``normalize(as_state([x0, x1]))`` of Python complex scalars, bit for
-    bit and error for error, as a pair of Python complex scalars, in scalar
-    arithmetic alone.  The entries may be unchecked (``_state_entries``):
-    one pretest checks and sizes them, since a norm in [_NORM_MIN, _NORM_MAX]
-    shows them finite and in range.  Only a norm outside takes the full
-    checks: an entry that is not finite, then the zero state, raise, and the
-    largest part gives the range step."""
+    """``normalize([x0, x1])`` of Python complex scalars, which may be
+    unchecked (``_state_entries``), bit for bit and error for error, as a
+    pair of them: in scalar arithmetic where the norm lies in
+    [_NORM_MIN, _NORM_MAX], which shows the entries finite and in range;
+    every other state goes to ``normalize`` itself."""
     a, b, c, d = x0.real, x0.imag, x1.real, x1.imag
     if not _NORM_MIN <= math.hypot(a, b, c, d) <= _NORM_MAX:
-        if not (cmath.isfinite(x0) and cmath.isfinite(x1)):
-            raise ValueError(_STATE_NOT_FINITE)
-        big = max(abs(a), abs(b), abs(c), abs(d))
-        if not big:
-            raise ValueError("cannot normalize the zero vector")
-        e = _exponent(big)
-        if e:
-            a, b, c, d = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(c, -e), math.ldexp(d, -e)
+        y0, y1 = normalize([x0, x1]).tolist()
+        return y0, y1
     # np.linalg.norm's BLAS dot fuses its second product into the sum:
     # |x|^2 = fma(c, c, a a) + fma(d, d, b b)
     k = 1.0 / math.sqrt(_fma_square(c, a * a) + _fma_square(d, b * b))
@@ -672,7 +650,7 @@ def propagator(ham, t) -> np.ndarray:
         return _col(phase) * rotation
     if not is_hermitian(m):
         raise ValueError("4x4 generators must be Hermitian")
-    w, v = np.linalg.eigh(0.5 * m + 0.5 * dagger(m))
+    w, v = np.linalg.eigh(_hermitian_part(m))
     return (v * np.exp(-1j * w * _col(t))) @ dagger(v)
 
 
@@ -687,13 +665,12 @@ def hermitian_sqrt(mat) -> np.ndarray:
     p = as_operator(mat)
     if not is_hermitian(p):
         raise ValueError("hermitian_sqrt requires a Hermitian matrix")
-    w, v = np.linalg.eigh(0.5 * p + 0.5 * dagger(p))  # halving first: p + p^dag may overflow
+    w, v = np.linalg.eigh(_hermitian_part(p))
     wmin = float(w.min())
     if _negligible(wmin, frobenius(p), POSDEF_FLOOR):
         message = f"matrix is not positive definite: smallest eigenvalue {wmin:.3e}"
         raise MetricDegeneracyError(message, eigenvalue=wmin)
-    s = (v * np.sqrt(w)) @ dagger(v)
-    return 0.5 * s + 0.5 * dagger(s)
+    return _hermitian_part((v * np.sqrt(w)) @ dagger(v))
 
 
 def eigvals2(mat):

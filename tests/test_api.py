@@ -5,8 +5,10 @@ where it is documented as positive, zero and negative values with a
 ValueError (or a subclass), and every integer argument rejects NaN,
 infinities, non-integral and out-of-domain values the same way."""
 
+import ast
 import inspect
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -154,6 +156,11 @@ def test_star_import_and_dir_list_every_export_before_any_is_loaded():
     assert _fresh(code).strip() == "[] []"
 
 
+def test_dir_lists_every_export_sorted():
+    listed = dir(tachys)
+    assert listed == sorted(listed) and set(tachys.__all__) <= set(listed)
+
+
 def test_runtime_imports_numpy_only():
     # tachys promises a numpy-only runtime; the test oracles must not leak
     # into it.  The package loads its modules on first use, so each is named
@@ -164,3 +171,49 @@ def test_runtime_imports_numpy_only():
     loaded = {name.split(".")[0] for name in _fresh(code).split()}
     assert "numpy" in loaded
     assert loaded & {"scipy", "mpmath", "sympy", "hypothesis", "pytest"} == set()
+
+
+#: every numpy.linalg call site of the package, as (module, top-level
+#: function or class, linalg name); a new site must be added here on purpose
+LINALG_SITES = {
+    ("dilation", "build_dilation", "det"),
+    ("dilation", "build_dilation", "eigh"),
+    ("gates", "Povm", "eigvalsh"),
+    ("gates", "Povm", "norm"),
+    ("gates", "control_u_channel", "norm"),
+    ("gates", "not_gate_roundtrip", "norm"),
+    ("metric", "_singular", "det"),
+    ("metric", "metric_from_matrix", "inv"),
+    ("metric", "pseudo_hermiticity_defect", "inv"),
+    ("metric", "transition_defect", "inv"),
+    ("opendyn", "energy_gap_squared", "det"),
+    ("smallmat", "_norm", "norm"),
+    ("smallmat", "hermitian_sqrt", "eigh"),
+    ("smallmat", "propagator", "eigh"),
+}
+
+
+def _linalg_sites(path):
+    """(module, top-level definition, name) of each ``<x>.linalg.<name>`` in
+    the source at ``path``; an import of numpy.linalg counts as name "import"."""
+    tree = ast.parse(path.read_text())
+    sites = set()
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg":
+                sites.add((path.stem, owner, node.attr))
+            elif isinstance(node, ast.ImportFrom) and (
+                node.module == "numpy.linalg" or (node.module == "numpy" and any(a.name == "linalg" for a in node.names))
+            ):
+                sites.add((path.stem, owner, "import"))
+            elif isinstance(node, ast.Import) and any(a.name.startswith("numpy.linalg") for a in node.names):
+                sites.add((path.stem, owner, "import"))
+    return sites
+
+
+def test_numpy_linalg_is_called_only_at_the_listed_sites():
+    sites = set()
+    for path in sorted(pathlib.Path(tachys.__file__).parent.glob("*.py")):
+        sites |= _linalg_sites(path)
+    assert sites == LINALG_SITES

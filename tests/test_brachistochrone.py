@@ -1,5 +1,6 @@
 """Fastest fixed-gap drives: closed form, propagation checks, passage scan."""
 
+import math
 import os
 import re
 import subprocess
@@ -524,6 +525,20 @@ def test_general_passage_bisection_ends_where_floats_are_sparse():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "None"
+
+
+def test_general_passage_past_t_8192_ends_its_bisection_at_float_spacing():
+    # a broken-PT drive slowed by 2**-14 reaches its target at 1.3 2**14,
+    # where floats lie 3.6e-12 apart: the bisection stops where its midpoint
+    # rounds to an end, within float spacing of the unit drive's time
+    s, t0, k = 0.7, 1.3, 14
+    ham = np.array([[1.5j * s, s], [s, -1.5j * s]])
+    v = scipy.linalg.expm(-1j * t0 * ham) @ E0
+    v = v / np.linalg.norm(v)
+    unit = first_passage_scan(ham, E0, v, t_max=4.0, steps=2000)
+    slow = first_passage_scan(2.0**-k * ham, E0, v, t_max=4.0 * 2.0**k, steps=2000)
+    assert abs(unit - t0) <= 1e-12
+    assert abs(math.ldexp(slow, -k) - unit) <= 1e-12
 
 
 def test_real_spectrum_passage_makes_no_numpy_call(monkeypatch):

@@ -497,6 +497,74 @@ def test_semigroup_rho0_gate_rejects_an_overflowing_skew():
         evolve_semigroup(GENERATOR, [[0.5, 1.5e308 + 1.5e308j], [0.0, 0.5]], [0.0, 1.0])
 
 
+#: finite generators whose m + m^dag, m - m^dag or -2 rate_max overflowed
+HUGE_SYMMETRIC = np.array([[0.0, 1e308], [1e308, 0.0]], dtype=complex)
+HUGE_SKEW = np.array([[0.0, 1e308], [-1e308, 0.0]], dtype=complex)
+#: 1e308 2**-HUGE_K is about 1.1
+HUGE_K = 1023
+
+
+def _unit(m):
+    return np.ldexp(m.view(float), -HUGE_K).view(complex)
+
+
+def _split(m):
+    s = split_generator(m)
+    return s.coherent, s.drift, s.rate_max, s.rate_min
+
+
+def _semigroup(m, ts):
+    r = evolve_semigroup(m, np.diag([1.0, 0.0]), ts)
+    return r.rhos, r.trace_values, r.k_values
+
+
+#: (call, the same call at unit scale, the power of two between them); each
+#: raised or returned a non-finite number before the Hermitian part, the
+#: drift and the rate of k_values halved before they summed
+HUGE_CASES = {
+    # m + m^dag overflowed: the coherent part was inf
+    "split_symmetric": (lambda: _split(HUGE_SYMMETRIC), lambda: _split(_unit(HUGE_SYMMETRIC)), HUGE_K),
+    # m - m^dag overflowed: the drift and both rates were inf
+    "split_skew": (lambda: _split(HUGE_SKEW), lambda: _split(_unit(HUGE_SKEW)), HUGE_K),
+    # the twin of the drift: a NaN matrix and a NaN rate, with no error
+    "shifted_skew": (lambda: shifted_generator(HUGE_SKEW), lambda: shifted_generator(_unit(HUGE_SKEW)), HUGE_K),
+    # the rate was inf and -2 rate overflows: "k(t) ... at t = 0.0", though k(0) = 1
+    "semigroup_skew": (
+        lambda: _semigroup(HUGE_SKEW, np.ldexp([0.0, 0.5, 1.0], -HUGE_K)),
+        lambda: _semigroup(_unit(HUGE_SKEW), [0.0, 0.5, 1.0]),
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", HUGE_CASES)
+def test_huge_generators_split_and_run_as_their_unit_scale(case):
+    call, unit_call, k = HUGE_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, want = call(), unit_call()
+    for g, w in zip(got, want, strict=True):
+        g, w = np.asarray(g), np.asarray(w)
+        assert np.all(np.isfinite(g)) and g.dtype == w.dtype
+        parts = w.view(float) if w.dtype == complex else w
+        assert g.tobytes() == np.ldexp(parts, k).tobytes()
+
+
+def test_k_values_of_a_huge_rate_start_at_one():
+    # 1e308 1e-308 rounds to 1 - 2**-53: the unit run on [0, 1] up to that
+    got = _semigroup(HUGE_SKEW, [0.0, 1e-308])
+    want = _semigroup(np.array([[0.0, 1.0], [-1.0, 0.0]]), [0.0, 1.0])
+    for g, w in zip(got, want, strict=True):
+        assert np.allclose(g, w, rtol=4e-16, atol=0.0)
+    assert got[2].tolist() == [1.0, np.exp(-2.0 * (1e308 * 1e-308))]
+
+
+def test_rho0_positivity_error_names_a_finite_eigenvalue():
+    # 0.5 (rho01 + conj rho10) overflowed, so the error named -inf
+    with pytest.raises(ValueError, match=r"^rho0 must be positive semidefinite \(min eigenvalue -1\.000e\+308\)$"):
+        evolve_semigroup(GENERATOR, [[0.5, 1e308], [1e308, 0.5]], [0.0])
+
+
 def test_semigroup_set_up_makes_no_linalg_call(monkeypatch):
     # evolve_semigroup and shifted_generator set up on Python scalars: no
     # numpy.linalg name, and none of as_operator, is_hermitian, eigvals2 or

@@ -22,6 +22,8 @@ from tachys.smallmat import (
     _EP_RADIUS,
     MetricDegeneracyError,
     _eigvals2,
+    _first_failing_row,
+    _hermitian_part,
     _is_hermitian2,
     _operator2,
     _operator_entries,
@@ -312,6 +314,33 @@ def test_row_norms_equal_numpy_norm_of_each_row():
     assert _bytes_equal(frobenius(dagger(m) - m), [np.linalg.norm(dagger(x) - x) for x in m])
 
 
+def test_hermitian_part_halves_before_it_sums():
+    # on normal floats the bits of the sum halved; past half the float range
+    # still finite, where m + m^dag overflows
+    rng = np.random.default_rng(24)
+    for shape in ((2, 2), (4, 4), (50, 2, 2)):
+        m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert _bytes_equal(_hermitian_part(m), 0.5 * (m + dagger(m)))
+    m = np.array([[1.5e308, 1e308 - 1e308j], [1e308 + 1e308j, -1.5e308]])
+    assert _bytes_equal(_hermitian_part(m), m)
+
+
+def test_first_failing_row_raises_an_unmarked_error_as_it_is():
+    # an error with no row mark is not a row's: it leaves at once, even after
+    # a marked one sent the sweep back to its earlier rows
+    unmarked = ValueError("no row")
+    marked = ValueError("row 3")
+    marked.row = 3
+
+    def run(n):
+        raise marked if n == 10 else unmarked
+
+    with pytest.raises(ValueError) as exc:
+        _first_failing_row(run, 10)
+    assert exc.value is unmarked
+    assert _first_failing_row(lambda n: n, 10) == 10
+
+
 def test_propagator_rejects_non_hermitian_4x4():
     m = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
     m[0, 1] = 0.5
@@ -486,6 +515,12 @@ def test_eigvals2_scales_by_powers_of_two_across_the_float_range():
 def test_eigvals2_ordering():
     hi, lo = eigvals2(np.diag([-2.0, 5.0]))
     assert (hi, lo) == (5.0 + 0j, -2.0 + 0j)
+    # tr^2 - 4 det = -4 - 4e-17 i: the root's real part 2e-17 rounds away
+    # next to tr, so the real parts tie and the larger imaginary part, which
+    # (tr - disc) / 2 carries, sorts first
+    m = np.array([[1.0, 1.0], [-1.0 - 1e-17j, 1.0]])
+    assert eigvals2(m) == (1.0 + 1.0j, 1.0 - 1.0j)
+    assert [z.tolist() for z in eigvals2(m[None])] == [[1.0 + 1.0j], [1.0 - 1.0j]]
 
 
 def test_spectral_gap_pauli():
