@@ -20,6 +20,7 @@ import numpy as np
 from .smallmat import (
     _EP_RADIUS,
     _abs,
+    _angle,
     _cos_sinc,
     _first_failing_row,
     _float_or_array,
@@ -94,7 +95,7 @@ def minimal_time(initial, final, omega: float):
     u = normalize(as_state(initial, dim=2, stack=True))
     v = normalize(as_state(final, dim=2, stack=True))
     overlap = _vdots(u, v)
-    return _float_or_array((2.0 / omega) * np.arccos(np.clip(_abs(overlap), 0.0, 1.0)))
+    return _float_or_array((2.0 / omega) * _angle(_abs(overlap)))
 
 
 def optimal_hamiltonian(target, omega: float) -> OptimalHamiltonianSpec:

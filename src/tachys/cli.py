@@ -38,9 +38,8 @@ class NonFiniteReportError(ArithmeticError):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+    """A header value: a float to 17 significant digits, anything else as ``str``."""
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -63,7 +62,8 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _render(command: str, config: dict, table: dict, summary: dict | None, fmt: str) -> str:
-    """Zip the ``{column: values}`` table into rows; a scalar fills its column."""
+    """Zip the ``{column: values}`` table into rows; a scalar fills its column.  The
+    CSV body is one ``%.17g`` template per row, and ``'%.17g' % x`` is ``format(x, '.17g')``."""
     columns = list(table)
     values = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, float)) for v in table.values()))
     for name, column in zip(columns, values):
@@ -73,25 +73,20 @@ def _render(command: str, config: dict, table: dict, summary: dict | None, fmt: 
     for key, value in (summary or {}).items():
         if not math.isfinite(value):
             raise NonFiniteReportError(f"summary {key} is {value!r}")
-    rows = list(zip(*(v.tolist() for v in values)))
     if fmt == "json":
         import json
 
         report = {"schema": SCHEMA, "command": command, "config": config}
         if summary is not None:
             report["summary"] = summary
-        report["rows"] = [dict(zip(columns, row)) for row in rows]
+        report["rows"] = [dict(zip(columns, row)) for row in zip(*(v.tolist() for v in values))]
         return json.dumps(report, indent=2) + "\n"
-    lines = [f"# schema={SCHEMA}", f"# command={command}"]
-    for key in config:
-        lines.append(f"# {key}={_fmt(config[key])}")
-    if summary is not None:
-        for key in summary:
-            lines.append(f"# summary.{key}={_fmt(summary[key])}")
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    return "\n".join(lines) + "\n"
+    header = [("schema", SCHEMA), ("command", command), *config.items()]
+    header += [(f"summary.{k}", v) for k, v in (summary or {}).items()]
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    body = np.stack(values, axis=-1)
+    text = "".join(f"# {k}={_fmt(v)}\n" for k, v in header) + ",".join(columns) + "\n"
+    return text + (row * len(body)) % tuple(body.ravel().tolist())
 
 
 def _finite_float(text: str) -> float:
@@ -115,6 +110,8 @@ def _sweep(start: float, stop: float, points: int) -> np.ndarray:
 
 def _theta_grid(args) -> np.ndarray:
     if args.theta is not None:
+        if args.theta_min is not None or args.theta_max is not None:
+            raise _UsageError("--theta cannot be combined with --theta-min or --theta-max")
         return np.array([args.theta], dtype=float)
     if args.theta_min is None or args.theta_max is None:
         raise _UsageError("provide either --theta or both --theta-min and --theta-max")
@@ -221,16 +218,9 @@ def _cmd_controlu(args):
     from . import gates
 
     report = gates.control_u_channel(gates.BlochBasis(args.theta), args.e_polar)
-    table = {
-        "theta": report.theta,
-        "e_polar": report.e_polar,
-        "p": report.p,
-        "q": report.q,
-        "bound_lhs": report.bound_lhs,
-        "bound_rhs": report.bound_rhs,
-        "slack": report.bound_rhs - report.bound_lhs,
-        "decomposition_residual": report.decomposition_residual,
-    }
+    table = {name: getattr(report, name) for name in ("theta", "e_polar", "p", "q", "bound_lhs", "bound_rhs")}
+    table["slack"] = report.bound_rhs - report.bound_lhs
+    table["decomposition_residual"] = report.decomposition_residual
     return table, None
 
 

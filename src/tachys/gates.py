@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .smallmat import _float_or_array, as_state, dagger, normalize, positive_finite
+from .smallmat import _angle, _float_or_array, _norm, as_state, dagger, frobenius, normalize, positive_finite
 
 __all__ = [
     "DegenerateBasisError",
@@ -197,7 +197,7 @@ def not_gate_roundtrip(basis: BlochBasis, omega: float) -> NotGateReport:
     omega = positive_finite("omega", omega)
     gate = _not_gate(basis.theta)
     forward = gate @ basis.psi0
-    forward_residual = float(np.linalg.norm(forward - basis.psi1))
+    forward_residual = _norm(forward - basis.psi1)
     back = gate @ basis.psi1
     fid = float(abs(np.vdot(basis.psi0, back)))
     return NotGateReport(
@@ -256,16 +256,12 @@ def control_u_channel(basis: BlochBasis, e_basis_polar: float) -> ControlUReport
     q = float(abs(np.vdot(basis.psi0, e0)) ** 2)
     proj0 = _projector(basis.psi0)
     proj1 = _projector(basis.psi1)
-    res1 = float(np.linalg.norm(out1 - (p * proj0 + (1.0 - p) * proj1)))
-    res0 = float(np.linalg.norm(out0 - ((1.0 - q) * proj0 + q * proj1)))
+    res1 = frobenius(out1 - (p * proj0 + (1.0 - p) * proj1))
+    res0 = frobenius(out0 - ((1.0 - q) * proj0 + q * proj1))
     residual = max(res1, res0)
 
     lhs = float(np.pi / 2.0)
-    rhs = float(
-        np.arccos(np.clip(np.sqrt(p), 0.0, 1.0))
-        + np.arccos(np.clip(basis.overlap, 0.0, 1.0))
-        + np.arccos(np.clip(np.sqrt(q), 0.0, 1.0))
-    )
+    rhs = float(_angle(np.sqrt(p)) + _angle(basis.overlap) + _angle(np.sqrt(q)))
     return ControlUReport(
         theta=float(basis.theta),
         e_polar=alpha,
@@ -287,5 +283,5 @@ def efficiency_bound(basis: BlochBasis, omega: float) -> EfficiencyReport:
     the minimal-time transfer; the optimal drive saturates the bound.
     """
     omega = positive_finite("omega", omega)
-    epsilon = float(np.arccos(np.clip(basis.overlap, 0.0, 1.0)))
+    epsilon = float(_angle(basis.overlap))
     return EfficiencyReport(delta_t=(2.0 / omega) * epsilon, delta_e=omega, epsilon=epsilon)

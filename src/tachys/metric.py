@@ -17,6 +17,7 @@ import numpy as np
 from .smallmat import (
     MetricDegeneracyError,
     _abs,
+    _angle,
     _hermitian_part,
     _matrix2,
     _max,
@@ -203,7 +204,7 @@ def state_angle(u, v) -> float:
     """Fubini-Study angle arccos |<u|v>| between unit states."""
     a = as_state(u, dim=2)
     b = as_state(v, dim=2)
-    return float(np.arccos(np.clip(abs(np.vdot(a, b)), 0.0, 1.0)))
+    return float(_angle(abs(np.vdot(a, b))))
 
 
 def metric_angle(u, v, metric: Metric) -> float:

@@ -22,6 +22,7 @@ from .smallmat import (
     _EP_RADIUS,
     PAULI_X,
     _abs,
+    _angle,
     _cmul,
     _col,
     _damped_sinh_cosh,
@@ -409,8 +410,12 @@ def _aligned_drive(metric: Metric, omega: float, initial, final):
 
 def dissipative_factor(f: float) -> float:
     """Degenerate-limit revelation probability (1/f) * exp(-(1/f + f))."""
-    f = positive_finite("f", f)
-    return float(np.exp(-(1.0 / f + f)) / f)
+    return float(_dissipative_factor(positive_finite("f", f)))
+
+
+def _dissipative_factor(f):
+    """(1/f) exp(-(1/f + f)) of a float, or elementwise of an array of them."""
+    return np.exp(-(1.0 / f + f)) / f
 
 
 def revelation_probability(metric: Metric, omega: float):
@@ -437,7 +442,7 @@ def _canonical_arrival(metric: Metric, omega: float):
     of them stacked.
     """
     qh, a_abs = _aligned_drive(metric, omega, _E0, _E1)
-    tau = (2.0 / omega) * np.arccos(np.clip(a_abs, 0.0, 1.0))
+    tau = (2.0 / omega) * _angle(a_abs)
     split = split_generator(qh.operator)
     # the shift of shifted_generator, from the split computed once here
     shifted = qh.operator - _col(1j * split.rate_max) * np.eye(2)
@@ -495,4 +500,4 @@ def _scan_columns(f: np.ndarray, omega: float, proximity: float):
     gap_sq = energy_gap_squared(split.coherent)
     # finite_factor tends to (1/f) e^{-(sqrt f + 1/sqrt f)} as the proximity
     # shrinks, and d_factor is (1/f) e^{-(f + 1/f)}: the two meet only at f = 1
-    return np.exp(-(1.0 / f + f)) / f, finite_factor, gap_sq, a_abs, tau
+    return _dissipative_factor(f), finite_factor, gap_sq, a_abs, tau

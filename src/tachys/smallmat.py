@@ -393,6 +393,12 @@ def _float_or_array(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _angle(x):
+    """The Fubini-Study angle arccos x of an overlap modulus x, clipped to [0, 1]
+    first, so rounding past 1 gives 0; elementwise on an array."""
+    return np.arccos(np.clip(x, 0.0, 1.0))
+
+
 def _vdots(u, v):
     """``np.vdot`` of each pair of rows of two (broadcast) state stacks, bit for bit."""
     if u.ndim == v.ndim == 1:

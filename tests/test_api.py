@@ -180,8 +180,6 @@ LINALG_SITES = {
     ("dilation", "build_dilation", "eigh"),
     ("gates", "Povm", "eigvalsh"),
     ("gates", "Povm", "norm"),
-    ("gates", "control_u_channel", "norm"),
-    ("gates", "not_gate_roundtrip", "norm"),
     ("metric", "_singular", "det"),
     ("metric", "metric_from_matrix", "inv"),
     ("metric", "pseudo_hermiticity_defect", "inv"),
@@ -192,28 +190,73 @@ LINALG_SITES = {
     ("smallmat", "propagator", "eigh"),
 }
 
+#: numpy functions whose last bits depend on the SIMD loops numpy dispatches
+#: to on the host CPU (ROADMAP item 8)
+HOST_SENSITIVE = {"arccos", "arcsin", "arctan", "arctan2", "angle", "exp", "expm1", "log", "cosh", "sinh", "tan"}
 
-def _linalg_sites(path):
+#: every ``np.<name>`` call site of the package for a name in HOST_SENSITIVE,
+#: as (module, top-level function or class, name); the report angle has one
+#: owner, ``smallmat._angle``
+HOST_SENSITIVE_SITES = {
+    ("brachistochrone", "_transfer", "angle"),
+    ("brachistochrone", "_transfer", "arcsin"),
+    ("brachistochrone", "_transfer", "exp"),
+    ("dilation", "build_dilation", "angle"),
+    ("dilation", "build_dilation", "exp"),
+    ("metric", "metric_angle", "arccos"),
+    ("opendyn", "_aligned_drive", "angle"),
+    ("opendyn", "_aligned_drive", "exp"),
+    ("opendyn", "_dissipative_factor", "exp"),
+    ("opendyn", "_semigroup_coefficients", "exp"),
+    ("opendyn", "_semigroup_coefficients", "tan"),
+    ("opendyn", "evolve_semigroup", "exp"),
+    ("smallmat", "_angle", "arccos"),
+    ("smallmat", "_damped_factors", "exp"),
+    ("smallmat", "_damped_factors", "log"),
+    ("smallmat", "_damped_sinh_cosh", "exp"),
+    ("smallmat", "_damped_sinh_cosh", "expm1"),
+    ("smallmat", "propagator", "exp"),
+}
+
+
+def _numpy_sites(path):
     """(module, top-level definition, name) of each ``<x>.linalg.<name>`` in
-    the source at ``path``; an import of numpy.linalg counts as name "import"."""
+    the source at ``path``, where an import of numpy.linalg counts as name
+    "import", and of each ``np.<name>`` or ``from numpy import <name>`` for a
+    name in HOST_SENSITIVE: two sets."""
     tree = ast.parse(path.read_text())
-    sites = set()
+    linalg, sensitive = set(), set()
     for top in tree.body:
         owner = getattr(top, "name", "<module>")
         for node in ast.walk(top):
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg":
-                sites.add((path.stem, owner, node.attr))
+                linalg.add((path.stem, owner, node.attr))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+                if node.attr in HOST_SENSITIVE:
+                    sensitive.add((path.stem, owner, node.attr))
             elif isinstance(node, ast.ImportFrom) and (
                 node.module == "numpy.linalg" or (node.module == "numpy" and any(a.name == "linalg" for a in node.names))
             ):
-                sites.add((path.stem, owner, "import"))
+                linalg.add((path.stem, owner, "import"))
             elif isinstance(node, ast.Import) and any(a.name.startswith("numpy.linalg") for a in node.names):
-                sites.add((path.stem, owner, "import"))
-    return sites
+                linalg.add((path.stem, owner, "import"))
+            if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                sensitive |= {(path.stem, owner, a.name) for a in node.names if a.name in HOST_SENSITIVE}
+    return linalg, sensitive
+
+
+def _package_sites():
+    linalg, sensitive = set(), set()
+    for path in sorted(pathlib.Path(tachys.__file__).parent.glob("*.py")):
+        found = _numpy_sites(path)
+        linalg |= found[0]
+        sensitive |= found[1]
+    return linalg, sensitive
 
 
 def test_numpy_linalg_is_called_only_at_the_listed_sites():
-    sites = set()
-    for path in sorted(pathlib.Path(tachys.__file__).parent.glob("*.py")):
-        sites |= _linalg_sites(path)
-    assert sites == LINALG_SITES
+    assert _package_sites()[0] == LINALG_SITES
+
+
+def test_host_sensitive_numpy_calls_are_only_at_the_listed_sites():
+    assert _package_sites()[1] == HOST_SENSITIVE_SITES

@@ -201,6 +201,22 @@ def test_underfilled_sweep_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["brachy", "povm"])
+@pytest.mark.parametrize(
+    "range_flags",
+    [
+        ["--theta-min", "0.1", "--theta-max", "2", "--points", "5"],
+        ["--theta-min", "0.1"],
+        ["--theta-max", "2"],
+    ],
+)
+def test_theta_with_a_theta_range_is_usage_error(capsys, command, range_flags):
+    # the report would echo range flags that the one-angle row never used
+    code, out, err = run_cli_expecting_exit(capsys, [command, "--theta", "1.0", *range_flags])
+    assert (code, out) == (2, "")
+    assert "--theta cannot be combined with --theta-min or --theta-max" in err
+
+
 @pytest.mark.parametrize(
     "argv, flag, text",
     [
@@ -412,6 +428,42 @@ def test_sweep_points_are_capped_before_the_grid_is_built(capsys, monkeypatch, a
     # the cap itself is allowed: the grid is the next step
     with pytest.raises(GridBuilt):
         cli.main(argv + [flag, str(cli.MAX_POINTS)])
+
+
+def per_value_rows(table):
+    """The CSV body as it was once written, one ``format`` call per value."""
+    values = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, float)) for v in table.values()))
+    return [",".join(format(x, ".17g") for x in row) for row in zip(*(v.tolist() for v in values))]
+
+
+EDGE_FLOATS = [
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.1, 1.0 / 3.0, 1e-5,
+    1e16, 1e21, 1.7976931348623157e308, -1.7976931348623157e308, 1.0, -2.5,
+]
+
+
+def test_row_template_equals_per_value_format():
+    rng = np.random.default_rng(23)
+    bits = rng.integers(0, 2**64, 3 * 4096, dtype=np.uint64, endpoint=False).view(float)
+    bits = bits[np.isfinite(bits)][: 3 * 4000].reshape(3, -1)
+    edge = np.array(EDGE_FLOATS)
+    tables = [
+        ({"x": edge, "minus_x": -edge[::-1], "scalar": 0.1}, {"third": 1.0 / 3.0}),
+        ({"a": bits[0], "b": bits[1], "c": bits[2]}, None),
+        ({"one": 5e-324}, None),
+    ]
+    args = cli.build_parser().parse_args(README_INVOCATIONS["dilation"].split())
+    tables.append(cli._COMMANDS["dilation"](args))
+    for table, summary in tables:
+        text = cli._render("dilation", {"t_points": 33}, table, summary, "csv")
+        want = per_value_rows(table)
+        lines = text.split("\n")
+        assert lines[-1] == ""
+        assert lines[-len(want) - 2] == ",".join(table)
+        assert lines[-len(want) - 1:-1] == want
+        if summary is not None:
+            for key, value in summary.items():
+                assert f"# summary.{key}={format(value, '.17g')}" in lines
 
 
 # ----------------------------------------------------------------- dilation
