@@ -21,6 +21,7 @@ from .smallmat import (
     _EP_RADIUS,
     _abs,
     _angle,
+    _cis,
     _cos_sinc,
     _first_failing_row,
     _float_or_array,
@@ -149,7 +150,7 @@ def _transfer(v: np.ndarray, omega: float) -> BrachistochroneResult:
     tau = minimal_time(_REFERENCE, v, omega)
     phase = (arg_b - arg_a + np.pi / 2.0 + np.pi) % (2.0 * np.pi) - np.pi
     phase = _where(phase == -np.pi, np.pi, phase)
-    off = 0.5 * omega * np.exp(-1j * phase)
+    off = 0.5 * omega * _cis(-phase)
     ham = _matrix2(shift, off, np.conj(off), shift)
     residual = _norm(propagator(ham, tau) @ _REFERENCE - v)
     _reject_rows(

@@ -112,6 +112,10 @@ def _theta_grid(args) -> np.ndarray:
     if args.theta is not None:
         if args.theta_min is not None or args.theta_max is not None:
             raise _UsageError("--theta cannot be combined with --theta-min or --theta-max")
+        if args.points is not None:
+            raise _UsageError("--theta cannot be combined with --points")
+    args.points = 64 if args.points is None else args.points  # one-angle reports echo it too
+    if args.theta is not None:
         return np.array([args.theta], dtype=float)
     if args.theta_min is None or args.theta_max is None:
         raise _UsageError("provide either --theta or both --theta-min and --theta-max")
@@ -278,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="working-pair polar angle in (0, pi]")
         p.add_argument("--theta-min", type=_finite_float, default=None)
         p.add_argument("--theta-max", type=_finite_float, default=None)
-        p.add_argument("--points", type=int, default=64)
+        p.add_argument("--points", type=int, default=None)
 
     p = sub.add_parser("brachy", help="minimal-time drive for a working pair")
     theta_options(p)

@@ -17,6 +17,7 @@ from .metric import Metric, QuasiHamiltonian, metric_from_matrix, quasi_hamilton
 from .smallmat import (
     POSDEF_FLOOR,
     MetricDegeneracyError,
+    _cis,
     _hermitian_part,
     _negligible,
     as_operator,
@@ -78,7 +79,7 @@ def build_dilation(h, metric: Metric, omega: float) -> DilationModel:
     # orthonormal eigenbasis of h, gap-upper state first, phases pinned
     basis = np.linalg.eigh(_hermitian_part(hm))[1][:, ::-1]
     anchor = basis[np.argmax(np.abs(basis), axis=0), [0, 1]]
-    basis = basis * np.exp(-1j * np.angle(anchor))
+    basis = basis * _cis(-np.angle(anchor))
 
     eta_e = dagger(basis) @ eta_unit @ basis
     eta_e = _hermitian_part(eta_e)

@@ -222,10 +222,6 @@ def cloning_defect(basis: BlochBasis) -> float:
     return float(abs(before - after))
 
 
-def _trace_out_control(rho4: np.ndarray) -> np.ndarray:
-    return rho4[:2, :2] + rho4[2:, 2:]
-
-
 def control_u_channel(basis: BlochBasis, e_basis_polar: float) -> ControlUReport:
     """Control-U channel with the control basis on the working great circle.
 
@@ -248,8 +244,8 @@ def control_u_channel(basis: BlochBasis, e_basis_polar: float) -> ControlUReport
     ancilla = _projector(e1)
     outputs = []
     for psi in (basis.psi1, basis.psi0):
-        big = np.kron(_projector(psi), ancilla)
-        outputs.append(_trace_out_control(vmat @ big @ dagger(vmat)))
+        rho4 = vmat @ np.kron(_projector(psi), ancilla) @ dagger(vmat)
+        outputs.append(rho4[:2, :2] + rho4[2:, 2:])  # the control traced out
     out1, out0 = outputs
 
     p = float(abs(np.vdot(basis.psi1, e1)) ** 2)

@@ -19,8 +19,8 @@ from .smallmat import (
     _abs,
     _angle,
     _hermitian_part,
+    _inverse,
     _matrix2,
-    _max,
     _negligible,
     _reject_rows,
     _rescaled,
@@ -124,7 +124,7 @@ def metric_from_sqrt(diag, offdiag) -> Metric:
         ~np.isfinite(eta).all(axis=(-2, -1)),
         ValueError("metric overflows: the square of its root is not finite"),
     )
-    inv_root = _matrix2(f, -g, -np.conj(g), 1.0) / margin[..., None, None]
+    inv_root = _inverse(root, margin)
     # complex division multiplies by 1/margin, so f/f of a diagonal root can
     # round to 1 - 2**-53; a diagonal root inverts to diag(1, 1/f) exactly
     inv_root[..., 0, 0] = _where(g == 0, 1.0, inv_root[..., 0, 0])
@@ -174,7 +174,8 @@ def quasi_hamiltonian(h, metric: Metric, omega: float) -> QuasiHamiltonian:
     _reject_rows(np.logical_not(_negligible(defect, op_norm * cond * cond)), violates)
     l_op = eigvals2(op)
     rounding = 50.0 * np.finfo(float).eps * op_norm * cond
-    spread = _max(_abs(l_op[0] - l_h[0]), _abs(l_op[1] - l_h[1]))
+    miss0, miss1 = _abs(l_op[0] - l_h[0]), _abs(l_op[1] - l_h[1])
+    spread = _where(miss1 > miss0, miss1, miss0)
     foreign = ValueError("constructed operator does not share the generator spectrum")
     _reject_rows(np.logical_not(_negligible(spread, omega) | (spread <= rounding)), foreign)
     return QuasiHamiltonian(h=hm, metric=metric, operator=op, omega=omega)
@@ -184,20 +185,21 @@ def pseudo_hermiticity_defect(operator, eta):
     """Frobenius distance ||op^dag - eta @ op @ eta^-1||_F.
 
     Zero exactly when ``operator`` is Hermitian in the ``eta`` inner product.
-    Stacks of operators and metrics give one distance per slice; a
-    ``_singular`` metric raises.
+    Stacks of operators and metrics give one distance per slice; a metric
+    that ``_determinant`` finds singular raises.
     """
     op = as_operator(operator, dim=2, stack=True)
     em = as_operator(eta, dim=2, stack=True)
-    _reject_rows(_singular(em), ValueError("metric matrix is singular"))
-    return frobenius(dagger(op) - em @ op @ np.linalg.inv(em))
+    return frobenius(dagger(op) - em @ op @ _inverse(em, _determinant(em, "metric matrix is singular")))
 
 
-def _singular(eta):
-    """Whether |det eta| is negligible, at the smallest normal float, next to
-    ||eta||_F^2: a vanishing determinant at any scale; one bool per metric."""
+def _determinant(eta, message: str):
+    """det eta of a metric, or of each of a stack; ValueError(``message``) for the first whose
+    |det| is negligible, at the smallest normal float, next to ||eta||_F^2, at any scale."""
+    det = np.linalg.det(eta)
     size = frobenius(eta)
-    return _negligible(_abs(np.linalg.det(eta)), size * size, sys.float_info.min)
+    _reject_rows(_negligible(_abs(det), size * size, sys.float_info.min), ValueError(message))
+    return det
 
 
 def state_angle(u, v) -> float:
@@ -210,11 +212,11 @@ def state_angle(u, v) -> float:
 def metric_angle(u, v, metric: Metric) -> float:
     """Angle between states in the metric inner product.
 
-    arccos sqrt( <u|eta|v><v|eta|u> / (<u|eta|u><v|eta|v>) ), radicand clipped
-    to [0, 1].  Each state is first scaled as in ``normalize``, so the angle
-    of 2**k u is that of u.  Raises MetricDegeneracyError when either metric
-    norm <u|eta|u> is negligible, at NORM_FLOOR, next to ||eta||_F |u|^2 (the
-    degenerate "shortcut" limit, or a zero state).
+    ``_angle`` of sqrt( <u|eta|v><v|eta|u> / (<u|eta|u><v|eta|v>) ), the root
+    clipped to [0, 1].  Each state is first scaled as in ``normalize``, so
+    the angle of 2**k u is that of u.  Raises MetricDegeneracyError when
+    either metric norm <u|eta|u> is negligible, at NORM_FLOOR, next to
+    ||eta||_F |u|^2 (the degenerate "shortcut" limit, or a zero state).
     """
     a, na, _ = _rescaled(as_state(u, dim=2))
     b, nb, _ = _rescaled(as_state(v, dim=2))
@@ -228,8 +230,7 @@ def metric_angle(u, v, metric: Metric) -> float:
             eigenvalue=min(nu, nv),
         )
     cross = abs(np.vdot(a, eta @ b)) ** 2
-    radicand = np.clip(cross / (nu * nv), 0.0, 1.0)
-    return float(np.arccos(np.sqrt(radicand)))
+    return float(_angle(np.sqrt(cross / (nu * nv))))
 
 
 def transition_defect(times, etas, hams) -> float:
@@ -241,7 +242,7 @@ def transition_defect(times, etas, hams) -> float:
     ``ham^dag - (eta @ ham @ eta^-1 - 1j * eta @ d(eta^-1)/dt)`` is measured in
     Frobenius norm; the maximum over interior samples is returned.  At least
     three finite, strictly increasing sample times are required, and every
-    metric sample must be invertible (not ``_singular``).
+    metric sample must be invertible (``_determinant``).
     """
     ts = np.asarray(times, dtype=float).reshape(-1)
     if ts.shape[0] < 3:
@@ -254,8 +255,7 @@ def transition_defect(times, etas, hams) -> float:
     hs = as_operator(hams, dim=2, stack=True)
     if len(es) != len(ts) or len(hs) != len(ts):
         raise ValueError("times, etas and hams must have matching lengths")
-    _reject_rows(_singular(es), ValueError("metric sample is singular"))
-    invs = np.linalg.inv(es)
+    invs = _inverse(es, _determinant(es, "metric sample is singular"))
     dinv = (invs[2:] - invs[:-2]) / (ts[2:] - ts[:-2])[:, None, None]
     e, h = es[1:-1], hs[1:-1]
     balance = e @ h @ invs[1:-1] - 1j * (e @ dinv)

@@ -23,6 +23,7 @@ from .smallmat import (
     PAULI_X,
     _abs,
     _angle,
+    _cis,
     _cmul,
     _col,
     _damped_sinh_cosh,
@@ -337,11 +338,7 @@ def shifted_generator(ham) -> tuple[np.ndarray, float]:
     """
     m00, m01, m10, m11 = _operator2(ham)
     rate = _drift_rate_max(m00, m01, m10, m11)
-    # 1j * rate times the entries of I as complex numbers, rounded as numpy's
-    # complex product rounds them, signed zeros included
-    shift = 1j * rate
-    on, off = shift * (1.0 + 0j), shift * 0j
-    return _matrix2(m00 - on, m01 - off, m10 - off, m11 - on), rate
+    return _matrix2(m00, m01, m10, m11) - 1j * rate * np.eye(2), rate
 
 
 def map_boundary_states(metric: Metric, initial, final):
@@ -393,7 +390,7 @@ def _aligned_drive(metric: Metric, omega: float, initial, final):
     _reject_rows(b_abs < 1e-8, parallel)
     u1 = w / np.asarray(b_abs)[..., None]
     # decoupled phase solves: rotate u0 by arg(a') and u1 by a quarter turn
-    turned = u0 * np.exp(1j * np.angle(a_complex))[..., None]
+    turned = u0 * _cis(np.angle(a_complex))[..., None]
     u0 = np.where(np.asarray(a_abs > 0.0)[..., None], turned, u0)
     u1 = 1j * u1
     frame = np.stack([u0, u1], axis=-1)

@@ -127,11 +127,6 @@ def _where(cond, x, y):
     return np.where(cond, x, y) if isinstance(cond, np.ndarray) else (x if cond else y)
 
 
-def _max(a, b):
-    """Python's ``max(a, b)``, elementwise for arrays: ``b`` only where it is greater."""
-    return _where(b > a, b, a)
-
-
 def _exponent(size):
     """The range step: 0 where ``size`` lies in [2**-252, 2**252] (or is 0,
     inf or NaN), elsewhere the e that takes it into [0.5, 1) as size 2**-e.
@@ -399,6 +394,11 @@ def _angle(x):
     return np.arccos(np.clip(x, 0.0, 1.0))
 
 
+def _cis(x):
+    """e^{ix} of a real x, or elementwise of an array: every phase factor."""
+    return np.exp(1j * x)
+
+
 def _vdots(u, v):
     """``np.vdot`` of each pair of rows of two (broadcast) state stacks, bit for bit."""
     if u.ndim == v.ndim == 1:
@@ -424,6 +424,11 @@ def _matrix2(m00, m01, m10, m11) -> np.ndarray:
     out = np.empty(np.broadcast(m00, m01, m10, m11).shape + (2, 2), dtype=complex)
     out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = m00, m01, m10, m11
     return out
+
+
+def _inverse(m, det):
+    """The inverse of a 2x2 matrix, or of each of a stack: its adjugate over its determinant ``det``."""
+    return _matrix2(m[..., 1, 1], -m[..., 0, 1], -m[..., 1, 0], m[..., 0, 0]) / _col(det)
 
 
 def _square(x):
@@ -607,7 +612,7 @@ def _damped_factors(a0, r, t, tr):
         wt = r.real * tr
         cos_w, sin_w = np.cos(wt), np.sin(wt)
         return (
-            _where(damped, np.exp(-1j * a0.real * t), phase),
+            _where(damped, _cis(-(a0.real * t)), phase),
             _where(damped, cos_w * ecosh - 1j * sin_w * esinh, cosf),
             _where(damped, (sin_w * ecosh + 1j * cos_w * esinh) / r, sincf),
         )
@@ -657,7 +662,7 @@ def propagator(ham, t) -> np.ndarray:
     if not is_hermitian(m):
         raise ValueError("4x4 generators must be Hermitian")
     w, v = np.linalg.eigh(_hermitian_part(m))
-    return (v * np.exp(-1j * w * _col(t))) @ dagger(v)
+    return (v * _cis(-(w * _col(t)))) @ dagger(v)
 
 
 def hermitian_sqrt(mat) -> np.ndarray:

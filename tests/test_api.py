@@ -180,10 +180,8 @@ LINALG_SITES = {
     ("dilation", "build_dilation", "eigh"),
     ("gates", "Povm", "eigvalsh"),
     ("gates", "Povm", "norm"),
-    ("metric", "_singular", "det"),
+    ("metric", "_determinant", "det"),
     ("metric", "metric_from_matrix", "inv"),
-    ("metric", "pseudo_hermiticity_defect", "inv"),
-    ("metric", "transition_defect", "inv"),
     ("opendyn", "energy_gap_squared", "det"),
     ("smallmat", "_norm", "norm"),
     ("smallmat", "hermitian_sqrt", "eigh"),
@@ -196,26 +194,22 @@ HOST_SENSITIVE = {"arccos", "arcsin", "arctan", "arctan2", "angle", "exp", "expm
 
 #: every ``np.<name>`` call site of the package for a name in HOST_SENSITIVE,
 #: as (module, top-level function or class, name); the report angle has one
-#: owner, ``smallmat._angle``
+#: owner, ``smallmat._angle``, and every phase factor e^{i phi} one, ``smallmat._cis``
 HOST_SENSITIVE_SITES = {
     ("brachistochrone", "_transfer", "angle"),
     ("brachistochrone", "_transfer", "arcsin"),
-    ("brachistochrone", "_transfer", "exp"),
     ("dilation", "build_dilation", "angle"),
-    ("dilation", "build_dilation", "exp"),
-    ("metric", "metric_angle", "arccos"),
     ("opendyn", "_aligned_drive", "angle"),
-    ("opendyn", "_aligned_drive", "exp"),
     ("opendyn", "_dissipative_factor", "exp"),
     ("opendyn", "_semigroup_coefficients", "exp"),
     ("opendyn", "_semigroup_coefficients", "tan"),
     ("opendyn", "evolve_semigroup", "exp"),
     ("smallmat", "_angle", "arccos"),
+    ("smallmat", "_cis", "exp"),
     ("smallmat", "_damped_factors", "exp"),
     ("smallmat", "_damped_factors", "log"),
     ("smallmat", "_damped_sinh_cosh", "exp"),
     ("smallmat", "_damped_sinh_cosh", "expm1"),
-    ("smallmat", "propagator", "exp"),
 }
 
 

@@ -1,6 +1,7 @@
 """Non-Hermitian open dynamics: trace motion, shifts, aligned drives."""
 
 import json
+import math
 import sys
 import tracemalloc
 import warnings
@@ -913,6 +914,30 @@ def test_dissipation_scan_finite_factor_matches_shifted_survival():
         psi = propagator(qh.operator, row.tau) @ E0
         expected = np.exp(-2.0 * rate * row.tau) * float(np.vdot(psi, psi).real)
         assert row.finite_factor == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("p", [1e-2, 1e-3, 1e-4])
+@pytest.mark.parametrize("omega", [0.5, 1.0, 2.0])
+def test_canonical_columns_match_their_closed_forms(p, omega):
+    # the canonical pair under the root [[1, g], [g, f]], g = sqrt(f - p),
+    # written with math alone: a_prime, rate_max and gap_sq are well
+    # conditioned (worst seen 2.2e-16, 1.1e-11 and 2.2e-11 relative), and the
+    # flat drive is +-(omega/2) sigma_y.  tau, finite_factor and
+    # revelation_probability read arccos near 1 and miss 1e-10 already at
+    # p = 1e-2, so they are not compared here.
+    fs = [0.05, 0.3, 2.0 / (1.0 + math.sqrt(5.0)), 1.0, 2.0, 5.9]
+    scan = dissipation_scan(fs, omega, proximity=p)
+    for row, f in zip(scan, fs):
+        g = math.sqrt(f - p)
+        a_prime = g * (1.0 + f) / math.sqrt((1.0 + g * g) * (g * g + f * f))
+        rate_max = omega * (1.0 + f) * math.sqrt((1.0 + f) ** 2 - 4.0 * p) / (4.0 * p)
+        gap_sq = omega**2 * ((1.0 + f) ** 2 - 2.0 * p) ** 2 / (4.0 * p * p)
+        assert row.a_prime == pytest.approx(a_prime, rel=1e-10, abs=0.0)
+        assert row.gap_sq == pytest.approx(gap_sq, rel=1e-10, abs=0.0)
+        qh = aligned_hamiltonian(metric_from_sqrt(f, g), omega, E0, E1)
+        assert split_generator(qh.operator).rate_max == pytest.approx(rate_max, rel=1e-10, abs=0.0)
+        flat = 0.5 * omega * PAULI_Y
+        assert min(np.abs(qh.h - flat).max(), np.abs(qh.h + flat).max()) <= 1e-10 * omega
 
 
 def test_dissipation_scan_validation():
