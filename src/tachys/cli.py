@@ -25,7 +25,7 @@ SCHEMA = "tachys-report/1"
 
 #: most rows a sweep may ask for (``--points``, ``--t-points``); a stacked
 #: sweep and its report take about 1.2 kB per row at their peak (a 65,536-row
-#: dissipation report peaks at 109 MB), so the cap allows about 1.2 GB
+#: dissipation report peaks at 111 MB as CSV and as JSON), so the cap allows about 1.2 GB
 MAX_POINTS = 2**20
 
 
@@ -35,11 +35,6 @@ class _UsageError(Exception):
 
 class NonFiniteReportError(ArithmeticError):
     """A report value is NaN or infinite; no report is written (exit 1)."""
-
-
-def _fmt(value) -> str:
-    """A header value: a float to 17 significant digits, anything else as ``str``."""
-    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -62,8 +57,9 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _render(command: str, config: dict, table: dict, summary: dict | None, fmt: str) -> str:
-    """Zip the ``{column: values}`` table into rows; a scalar fills its column.  The
-    CSV body is one ``%.17g`` template per row, and ``'%.17g' % x`` is ``format(x, '.17g')``."""
+    """Zip the ``{column: values}`` table into rows; a scalar fills its column.  Either
+    body is a header, one row template per row applied with one ``%``, and a footer:
+    ``'%.17g' % x`` is ``format(x, '.17g')``, and ``'%r' % x`` is the float ``json`` writes."""
     columns = list(table)
     values = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, float)) for v in table.values()))
     for name, column in zip(columns, values):
@@ -73,20 +69,24 @@ def _render(command: str, config: dict, table: dict, summary: dict | None, fmt: 
     for key, value in (summary or {}).items():
         if not math.isfinite(value):
             raise NonFiniteReportError(f"summary {key} is {value!r}")
+    body = np.stack(values, axis=-1)
     if fmt == "json":
         import json
 
-        report = {"schema": SCHEMA, "command": command, "config": config}
-        if summary is not None:
-            report["summary"] = summary
-        report["rows"] = [dict(zip(columns, row)) for row in zip(*(v.tolist() for v in values))]
-        return json.dumps(report, indent=2) + "\n"
-    header = [("schema", SCHEMA), ("command", command), *config.items()]
-    header += [(f"summary.{k}", v) for k, v in (summary or {}).items()]
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    body = np.stack(values, axis=-1)
-    text = "".join(f"# {k}={_fmt(v)}\n" for k, v in header) + ",".join(columns) + "\n"
-    return text + (row * len(body)) % tuple(body.ravel().tolist())
+        summary_item = {} if summary is None else {"summary": summary}
+        report = {"schema": SCHEMA, "command": command, "config": config, **summary_item, "rows": []}
+        # the report ends '"rows": []\n}': json.dumps breaks a list's brackets only around items
+        head = json.dumps(report, indent=2) + "\n"
+        head, sep, foot = (head[:-4] + "\n", ",\n", "\n  ]\n}\n") if len(body) else (head, "", "")
+        names = [json.dumps(name).replace("%", "%%") for name in columns]
+        row = "    {\n" + ",\n".join(f"      {name}: %r" for name in names) + "\n    }"
+    else:
+        header = [("schema", SCHEMA), ("command", command), *config.items()]
+        header += [(f"summary.{k}", v) for k, v in (summary or {}).items()]
+        head = "".join(f"# {k}={format(v, '.17g') if isinstance(v, float) else v}\n" for k, v in header)
+        head += ",".join(columns) + "\n"
+        sep, foot, row = "", "", ",".join(["%.17g"] * len(columns)) + "\n"
+    return head + sep.join([row] * len(body)) % tuple(body.ravel().tolist()) + foot
 
 
 def _finite_float(text: str) -> float:

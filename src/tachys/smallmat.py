@@ -370,12 +370,46 @@ def _unit2(x0: complex, x1: complex) -> tuple[complex, complex]:
 
 def _fma_square(x: float, p: float) -> float:
     """fma(x, x, p), x x + p rounded once, for |x| < 2**511: x x is split
-    exactly as h + l (Dekker) and ``fsum`` rounds p + h + l once."""
+    exactly as h + l (Dekker, ``_two_product`` inlined for the scalar readers'
+    speed) and ``fsum`` rounds p + h + l once."""
     t = 134217729.0 * x
     hi = t - (t - x)
     lo = x - hi
     h = x * x
     return math.fsum((p, h, ((hi * hi - h) + 2.0 * hi * lo) + lo * lo))
+
+
+def _two_product(x, y):
+    """(h, l) with h = x y rounded and h + l = x y exactly (Dekker), of Python
+    floats or elementwise of arrays: each factor is split into halves of 26
+    bits; exact for |x|, |y| < 2**995 where no partial product underflows."""
+    t, u = 134217729.0 * x, 134217729.0 * y
+    xh, yh = t - (t - x), u - (u - y)
+    xl, yl = x - xh, y - yh
+    h = x * y
+    return h, ((xh * yh - h) + xh * yl + xl * yh) + xl * yl
+
+
+def _dot2(*pairs):
+    """sum x y over the (x, y) pairs, as accurate as if summed in twice the
+    precision and rounded once: Ogita, Rump and Oishi's Dot2 over
+    ``_two_product``; of Python floats, or elementwise with their bits."""
+    p, s = _two_product(*pairs[0])
+    for x, y in pairs[1:]:
+        h, r = _two_product(x, y)
+        t = p + h
+        z = t - p
+        s = s + (((p - (t - z)) + (h - z)) + r)
+        p = t
+    return p + s
+
+
+def _det2(m00, m01, m10, m11):
+    """m00 m11 - m01 m10 of complex Python scalars, or elementwise of complex
+    arrays, as its real and imaginary parts, each one ``_dot2`` of four products."""
+    re = _dot2((m00.real, m11.real), (-m00.imag, m11.imag), (-m01.real, m10.real), (m01.imag, m10.imag))
+    im = _dot2((m00.real, m11.imag), (m00.imag, m11.real), (-m01.real, m10.imag), (-m01.imag, m10.real))
+    return re, im
 
 
 def _norm(x):

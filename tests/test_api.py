@@ -180,7 +180,6 @@ LINALG_SITES = {
     ("dilation", "build_dilation", "eigh"),
     ("gates", "Povm", "eigvalsh"),
     ("gates", "Povm", "norm"),
-    ("metric", "_determinant", "det"),
     ("metric", "metric_from_matrix", "inv"),
     ("opendyn", "energy_gap_squared", "det"),
     ("smallmat", "_norm", "norm"),

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -353,9 +354,12 @@ def test_dissipation_points_validation(capsys):
 # the stderr a loop over the rows gives: the first failing row in grid order,
 # from the earliest check that row fails
 SWEEP_ERRORS = [
+    # every metric of this sweep is invertible: its determinant is of order
+    # 1e-14, the proximity squared (LU rounded it to 0 from row 1330 on);
+    # row 2606 is the first to fail, at the alignment
     (
         "dissipation --f-min 0.5 --f-max 6 --points 4096 --proximity 1e-7",
-        "ValueError: metric matrix is singular",
+        "AlignmentError: mapped boundary states are parallel; no aligned drive exists",
     ),
     (
         "dissipation --f-min 1e-7 --f-max 2 --points 16 --proximity 1e-6",
@@ -461,6 +465,16 @@ EDGE_FLOATS = [
 ]
 
 
+def per_value_json(command, config, table, summary):
+    """The JSON report as it was once written: per-row dicts through ``json.dumps``."""
+    values = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, float)) for v in table.values()))
+    report = {"schema": cli.SCHEMA, "command": command, "config": config}
+    if summary is not None:
+        report["summary"] = summary
+    report["rows"] = [dict(zip(table, row)) for row in zip(*(v.tolist() for v in values))]
+    return json.dumps(report, indent=2) + "\n"
+
+
 def test_row_template_equals_per_value_format():
     rng = np.random.default_rng(23)
     bits = rng.integers(0, 2**64, 3 * 4096, dtype=np.uint64, endpoint=False).view(float)
@@ -470,11 +484,16 @@ def test_row_template_equals_per_value_format():
         ({"x": edge, "minus_x": -edge[::-1], "scalar": 0.1}, {"third": 1.0 / 3.0}),
         ({"a": bits[0], "b": bits[1], "c": bits[2]}, None),
         ({"one": 5e-324}, None),
+        # names json escapes, and a % the row template must not read as a field
+        ({'say "hi"': edge, "back\\slash": 1.5, "\u03b7_\u00e9": -edge, "100%": edge, "%r%%": 0.25}, {"k%s": 2.0}),
+        # no rows: json.dumps writes the empty list as []
+        ({"t": np.zeros(0), "scalar": 1.0}, {"third": 1.0 / 3.0}),
     ]
     args = cli.build_parser().parse_args(README_INVOCATIONS["dilation"].split())
     tables.append(cli._COMMANDS["dilation"](args))
+    config = {"t_points": 33, "format": "json"}
     for table, summary in tables:
-        text = cli._render("dilation", {"t_points": 33}, table, summary, "csv")
+        text = cli._render("dilation", config, table, summary, "csv")
         want = per_value_rows(table)
         lines = text.split("\n")
         assert lines[-1] == ""
@@ -483,6 +502,24 @@ def test_row_template_equals_per_value_format():
         if summary is not None:
             for key, value in summary.items():
                 assert f"# summary.{key}={format(value, '.17g')}" in lines
+        assert cli._render("dilation", config, table, summary, "json") == per_value_json("dilation", config, table, summary)
+
+
+def test_json_render_peak_memory_stays_near_the_csv_render():
+    # both bodies are one row template applied once; per-row dicts and their
+    # encoding took 4x the CSV render's peak on this table
+    rng = np.random.default_rng(26)
+    table = {f"c{k}": rng.standard_normal(4096) for k in range(8)}
+    peaks = {}
+    for fmt in ("csv", "json"):
+        cli._render("dissipation", {"points": 4096}, table, None, fmt)  # imports json once
+        tracemalloc.start()
+        try:
+            cli._render("dissipation", {"points": 4096}, table, None, fmt)
+            peaks[fmt] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["json"] <= 2 * peaks["csv"], peaks
 
 
 # ----------------------------------------------------------------- dilation

@@ -1,5 +1,8 @@
 """Metric construction, dressed generators, and angle geometry."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from tachys.metric import (
     state_angle,
     transition_defect,
 )
+from tachys.metric import _determinant
 from tachys.dilation import build_dilation
 from tachys.smallmat import PAULI_X, PAULI_Z, dagger, hermitian_sqrt, propagator
 
@@ -241,6 +245,47 @@ def test_pseudo_hermiticity_defect_zero_for_hermitian_flat():
     assert pseudo_hermiticity_defect(PAULI_X, np.eye(2)) == 0.0
     with pytest.raises(ValueError, match="singular"):
         pseudo_hermiticity_defect(PAULI_X, np.zeros((2, 2)))
+
+
+def _exact_det(m):
+    """The real and imaginary parts of m00 m11 - m01 m10 of a 2x2 complex
+    matrix in rational arithmetic, then the sums of the moduli of their
+    products, as Fractions."""
+    (a, b), (c, d) = (complex(x) for x in m[0]), (complex(x) for x in m[1])
+    F = Fraction
+    terms_re = [F(a.real) * F(d.real), -F(a.imag) * F(d.imag), -F(b.real) * F(c.real), F(b.imag) * F(c.imag)]
+    terms_im = [F(a.real) * F(d.imag), F(a.imag) * F(d.real), -F(b.real) * F(c.imag), -F(b.imag) * F(c.real)]
+    return sum(terms_re), sum(terms_im), sum(map(abs, terms_re)), sum(map(abs, terms_im))
+
+
+def test_near_degenerate_metric_is_not_singular():
+    # LU rounded det eta of this metric to 0, and pseudo_hermiticity_defect
+    # called it singular; the determinant of the rounded eta is 3.42e-14
+    eta = metric_from_sqrt(5.9, math.sqrt(5.9 - 1e-7)).eta
+    assert float(_exact_det(eta)[0]) == pytest.approx(3.42e-14, rel=1e-3)
+    assert math.isfinite(pseudo_hermiticity_defect(np.eye(2), eta))
+    assert _determinant(eta, "singular") == float(_exact_det(eta)[0])
+
+
+def test_determinant_is_dot2_accurate_and_stacks_keep_the_single_bits():
+    # Ogita, Rump and Oishi's bound on Dot2 over n = 4 products:
+    # |det - exact| <= u |exact| + gamma_4^2 sum |products|, u = 2**-53
+    u = Fraction(1, 2**53)
+    gamma2 = (4 * u / (1 - 4 * u)) ** 2
+    rng = np.random.default_rng(26)
+    mats = []
+    for _ in range(300):
+        f = float(np.exp(rng.uniform(-3.0, 3.0)))
+        g = math.sqrt(f - f * 10.0 ** rng.uniform(-11.0, -1.0)) * complex(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+        mats.append(metric_from_sqrt(f, g).eta * 2.0 ** int(rng.integers(-400, 401)))
+        mats.append((rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) * 2.0 ** int(rng.integers(-200, 201)))
+    dets = _determinant(np.array(mats), "singular")
+    for m, stacked in zip(mats, dets):
+        det = _determinant(m, "singular")
+        assert np.array(det, dtype=complex).tobytes() == stacked.tobytes()
+        re, im, size_re, size_im = _exact_det(m)
+        assert abs(Fraction(det.real) - re) <= u * abs(re) + gamma2 * size_re
+        assert abs(Fraction(det.imag) - im) <= u * abs(im) + gamma2 * size_im
 
 
 # ------------------------------------------------------------------- angles

@@ -1000,16 +1000,22 @@ def test_dissipation_scan_rows_equal_scalar_chain_bit_for_bit():
 
 
 def test_dissipation_scan_raises_for_first_failing_row():
-    # at proximity 1e-7, f = 2.2863... fails the singular-metric check and
-    # f = 5.9 the alignment check, deep in the chain, while f = 1e-8 fails
-    # the first check; grid order decides
-    singular, parallel = 2.286324786324786, 5.9
-    assert _scalar_scan([singular], 1.0, 1e-7)[1] == "metric matrix is singular"
-    assert _scalar_scan([parallel], 1.0, 1e-7)[0] is AlignmentError
-    for grid in ([1.0, singular, 1e-8], [1e-8, singular, 1.0], [parallel, 1e-8], [1.0, singular, parallel]):
-        kind, message = _scalar_scan(grid, 1.0, 1e-7)
+    # f = 1e-13 fails the first check; at proximity 1e-12, f = 0.05 fails the
+    # metric root's degeneracy check, the second, and f = 5.9 the alignment
+    # check, deep in the chain; grid order decides.  At proximity 1e-7 f = 1
+    # passes (f = 2.2863... once failed there as a singular metric, on LU's
+    # determinant 0 of a metric whose determinant is of order 1e-14)
+    degenerate, parallel, tiny = 0.05, 5.9, 1e-13
+    assert _scalar_scan([degenerate], 1.0, 1e-12)[0] is smallmat.MetricDegeneracyError
+    assert _scalar_scan([parallel], 1.0, 1e-12)[0] is AlignmentError
+    rows = _scalar_scan([1.0, 2.286324786324786], 1.0, 1e-7)
+    assert isinstance(rows, list) and len(rows) == 2
+    grids = ([parallel, degenerate, tiny], [tiny, degenerate, parallel], [degenerate, parallel, tiny], [parallel, tiny])
+    cases = [(grid, 1e-12) for grid in grids] + [([1.0, parallel, tiny], 1e-7)]
+    for grid, proximity in cases:
+        kind, message = _scalar_scan(grid, 1.0, proximity)
         with pytest.raises(kind) as exc:
-            dissipation_scan(grid, 1.0, proximity=1e-7)
+            dissipation_scan(grid, 1.0, proximity=proximity)
         assert str(exc.value) == message
     assert len(dissipation_scan([], 1.0)) == 0
 

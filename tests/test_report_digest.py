@@ -1,5 +1,6 @@
 """Smoke test of tools/report_digest.py, the byte-identity digest of CLI reports."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +10,9 @@ TOOL = ROOT / "tools" / "report_digest.py"
 COMMANDS = {"brachy", "dissipation", "dilation", "povm", "notgate", "controlu", "efficiency"}
 
 
-def _digest(*extra):
+def _digest(*extra, count=21):
     proc = subprocess.run(
-        [sys.executable, str(TOOL), "--seed", "7", "--count", "21", *extra],
+        [sys.executable, str(TOOL), "--seed", "7", "--count", str(count), *extra],
         capture_output=True,
         text=True,
         cwd=ROOT,
@@ -31,3 +32,20 @@ def test_report_digest_repeats_and_covers_every_command():
     assert {f[0].split()[0] for f in fields} == COMMANDS
     assert "0" in {f[1] for f in fields}
     assert "<tmp>/report" in first and "tachys-digest-" not in first
+
+
+def _tool_module():
+    spec = importlib.util.spec_from_file_location("report_digest", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_probes_run_one_child_per_configuration():
+    # one invocation per command; each configuration's child must run to the end
+    tool = _tool_module()
+    labels = [" ".join(f"{k}={v}" for k, v in config.items()) for config in tool.probe_configurations()]
+    header, *rows = _digest("--probes", count=7).splitlines()
+    assert header.split("\t") == ["configuration", *tool.COMMANDS, "moved"]
+    assert [row.split("\t")[0] for row in rows] == labels
+    assert all(len(row.split("\t")) == len(tool.COMMANDS) + 2 and row.endswith("/7") for row in rows)

@@ -13,6 +13,16 @@ encoded), tab-separated, with the temporary directory written as
 program, so ``diff`` of two runs, one with ``--src`` naming another
 checkout (its root or its ``src``), shows every invocation whose report,
 exit code or message moved.
+
+    python tools/report_digest.py --seed S --count N --probes [--src DIR]
+
+reruns the digest in one child process per host configuration this machine
+can emulate (``probe_configurations``: numpy dispatch targets switched off,
+forced OpenBLAS core types, glibc's non-FMA libm), each variable set for
+its child only, and prints how many invocations of each command moved
+against the digest of this process, one tab-separated line per
+configuration.  Moved invocations are findings, not failures: the exit code
+is 0 unless a child fails to run.
 """
 
 from __future__ import annotations
@@ -24,9 +34,12 @@ import io
 import json
 import math
 import os
+import platform
 import random
+import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 COMMANDS = ("brachy", "dissipation", "dilation", "povm", "notgate", "controlu", "efficiency")
@@ -136,13 +149,65 @@ def _import_main(src: str | None):
     return cli.main
 
 
+def probe_configurations() -> list[dict[str, str]]:
+    """The environment overrides of each host configuration this machine can emulate.
+
+    numpy ignores a dispatch target it does not know, and OpenBLAS cannot
+    run a core type the CPU lacks, so only targets numpy dispatches to and
+    this CPU has are switched off, and only core types it can run are forced.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1
+        from numpy.core import _multiarray_umath as umath
+
+    def has(*features):
+        return all(umath.__cpu_features__.get(f) for f in features)
+
+    present = {t for t in umath.__cpu_dispatch__ if has(t)}
+    avx512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+    offs = [" ".join(t for t in targets if t in present) for targets in (avx512, (*avx512, "X86_V3"))]
+    configs = [{"NPY_DISABLE_CPU_FEATURES": off} for off in dict.fromkeys(offs) if off]
+    for core, needs in (("Haswell", ("AVX2", "FMA3")), ("Zen", ("AVX2", "FMA3")), ("Prescott", ("SSE3",))):
+        if has(*needs):
+            configs.append({"OPENBLAS_CORETYPE": core})
+    if platform.libc_ver()[0] == "glibc":
+        configs.append({"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX"})
+    return configs
+
+
+def probe_table(default: list[str], seed: int, count: int, src: str | None) -> list[str]:
+    """A header and one line per configuration: its overrides, the moved
+    invocations of each command against ``default``, and moved of all.
+    Two children run at a time."""
+    command = [sys.executable, str(Path(__file__).resolve()), "--seed", str(seed), "--count", str(count)]
+    command += ["--src", src] if src else []
+
+    def probe(config):
+        label = " ".join(f"{k}={v}" for k, v in config.items())
+        proc = subprocess.run(command, capture_output=True, text=True, env={**os.environ, **config})
+        probed = proc.stdout.splitlines()
+        if proc.returncode or len(probed) != len(default):
+            raise SystemExit(f"report_digest: the child under {label} failed:\n{proc.stderr}")
+        moved = [old.split(" ", 1)[0] for old, new in zip(default, probed) if old != new]
+        counts = "\t".join(str(moved.count(c)) for c in COMMANDS)
+        return f"{label}\t{counts}\t{len(moved)}/{len(default)}"
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        rows = list(pool.map(probe, probe_configurations()))
+    return ["configuration\t" + "\t".join(COMMANDS) + "\tmoved", *rows]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--count", type=int, required=True)
     parser.add_argument("--src", default=None, help="checkout to import tachys from (default: this one)")
+    parser.add_argument("--probes", action="store_true",
+                        help="count the invocations each emulated host configuration moves")
     args = parser.parse_args(argv)
-    for line in digest_lines(_import_main(args.src), args.seed, args.count):
+    lines = digest_lines(_import_main(args.src), args.seed, args.count)
+    for line in probe_table(lines, args.seed, args.count, args.src) if args.probes else lines:
         print(line)
     return 0
 
