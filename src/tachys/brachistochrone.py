@@ -18,9 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .smallmat import (
+    _E0,
     _EP_RADIUS,
     _abs,
     _angle,
+    _arg,
+    _asin,
     _cis,
     _cos_sinc,
     _first_failing_row,
@@ -29,6 +32,7 @@ from .smallmat import (
     _matrix2,
     _norm,
     _operator_entries,
+    _pauli_entries,
     _pauli_root,
     _pauli_scale,
     _pauli_vector,
@@ -61,8 +65,6 @@ _PROPAGATION_TOL = 1e-9
 
 #: bisection window below which first-passage refinement stops
 _REFINE_TOL = 1e-12
-
-_REFERENCE = np.array([1.0, 0.0], dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,22 +145,22 @@ def _transfer(v: np.ndarray, omega: float) -> BrachistochroneResult:
     abs_a, abs_b = _abs(a), _abs(b)
     trivial = ValueError("trivial target: second component vanishes, travel time is zero")
     _reject_rows(abs_b == 0.0, trivial)
-    arg_a = _where(abs_a > 0.0, np.angle(a), 0.0)
-    arg_b = np.angle(b)
-    half_turn = np.arcsin(np.clip(abs_b, 0.0, 1.0))
+    arg_a = _where(abs_a > 0.0, _arg(a), 0.0)
+    arg_b = _arg(b)
+    half_turn = _asin(abs_b)
     shift = -omega * arg_a / (2.0 * half_turn)
-    tau = minimal_time(_REFERENCE, v, omega)
+    tau = minimal_time(_E0, v, omega)
     phase = (arg_b - arg_a + np.pi / 2.0 + np.pi) % (2.0 * np.pi) - np.pi
     phase = _where(phase == -np.pi, np.pi, phase)
     off = 0.5 * omega * _cis(-phase)
     ham = _matrix2(shift, off, np.conj(off), shift)
-    residual = _norm(propagator(ham, tau) @ _REFERENCE - v)
+    residual = _norm(propagator(ham, tau) @ _E0 - v)
     _reject_rows(
         np.logical_not(residual <= _PROPAGATION_TOL),
         lambda x: ValueError(f"the minimal-time drive misses the target by {x:.3e}"),
         residual,
     )
-    overlap = _vdots(_REFERENCE, v)
+    overlap = _vdots(_E0, v)
     if v.ndim == 1:
         shift, phase, overlap = float(shift), float(phase), complex(overlap)
     drive = OptimalHamiltonianSpec(omega=omega, shift=shift, phase=phase, matrix=ham)
@@ -230,7 +232,8 @@ def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -
             raise ValueError(f"t_max = {t_max!r} times the drive leaves the float range")
         t_max = math.ldexp(t_max, e)
     u0, u1 = u
-    w = nz * u0 + (nx - 1j * ny) * u1, (nx + 1j * ny) * u0 - nz * u1
+    n = n00, n01, n10, n11 = _pauli_entries(nx, ny, nz)
+    w = n00 * u0 + n01 * u1, n10 * u0 + n11 * u1
     v = v[0].conjugate(), v[1].conjugate()
     r = _pauli_root(nx, ny, nz)
     if not r.imag:
@@ -238,7 +241,7 @@ def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -
         t = _real_spectrum_passage(r.real, u, w, v, t_max)
     else:
         # a drive that takes the grid is not exactly Hermitian, so size is its norm
-        t = _general_passage(r, nx, ny, nz, math.ldexp(size, -e), u, w, v, t_max, steps, e)
+        t = _general_passage(r, n, math.ldexp(size, -e), u, w, v, t_max, steps, e)
     return t if t is None or not e else math.ldexp(t, -e)
 
 
@@ -304,15 +307,16 @@ def _fidelity2(forms, c: float, s: float) -> float:
     return overlap2 / (ap * c * c + 2.0 * ep * c * s + bp * s * s)
 
 
-def _general_passage(r: complex, nx, ny, nz, size: float, u, w, v, t_max: float, steps: int,
+def _general_passage(r: complex, n, size: float, u, w, v, t_max: float, steps: int,
                      e: int) -> float | None:
     """Grid scan plus slope bisection for a drive with Pauli part n.sigma whose
-    n.n = r^2 is complex or negative; ``size`` is the drive's Frobenius norm, and
+    n.n = r^2 is complex or negative; ``n`` holds the entries of n.sigma in row
+    order (``_pauli_entries``), ``size`` is the drive's Frobenius norm, and
     ``u``, w = (n.sigma) u and ``v``, the conjugate of the unit target, are
     pairs of complex scalars.  The drive is the caller's scaled by 2**-e and
     ``t_max`` its by 2**e, so an overflow names its grid time scaled back by
     2**-e."""
-    n00, n01, n10, n11 = nz, nx - 1j * ny, nx + 1j * ny, -nz
+    n00, n01, n10, n11 = n
     u0, u1 = u
     w0, w1 = w
     v0, v1 = v

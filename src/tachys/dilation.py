@@ -17,9 +17,11 @@ from .metric import Metric, QuasiHamiltonian, metric_from_matrix, quasi_hamilton
 from .smallmat import (
     POSDEF_FLOOR,
     MetricDegeneracyError,
+    _arg,
     _cis,
     _hermitian_part,
     _negligible,
+    _vdots,
     as_operator,
     as_state,
     dagger,
@@ -79,7 +81,7 @@ def build_dilation(h, metric: Metric, omega: float) -> DilationModel:
     # orthonormal eigenbasis of h, gap-upper state first, phases pinned
     basis = np.linalg.eigh(_hermitian_part(hm))[1][:, ::-1]
     anchor = basis[np.argmax(np.abs(basis), axis=0), [0, 1]]
-    basis = basis * _cis(-np.angle(anchor))
+    basis = basis * _cis(-_arg(anchor))
 
     eta_e = dagger(basis) @ eta_unit @ basis
     eta_e = _hermitian_part(eta_e)
@@ -141,7 +143,7 @@ def visibility_ratio(metric: Metric, state) -> float:
     """
     psi = as_state(state, dim=2)
     chi = metric.eta @ psi
-    denom = float(np.real(np.vdot(chi, chi)))
+    denom = float(np.real(_vdots(chi, chi)))
     if denom <= 0.0:
         raise ValueError("metric image of the state vanishes; ratio undefined")
-    return float(np.real(np.vdot(psi, psi)) / denom)
+    return float(np.real(_vdots(psi, psi)) / denom)

@@ -13,7 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .smallmat import _angle, _float_or_array, _norm, as_state, dagger, frobenius, normalize, positive_finite
+from .smallmat import (
+    _angle,
+    _cos_sin,
+    _float_or_array,
+    _norm,
+    _vdots,
+    as_state,
+    dagger,
+    frobenius,
+    normalize,
+    positive_finite,
+)
 
 __all__ = [
     "DegenerateBasisError",
@@ -44,15 +55,15 @@ def _circle_state(polar) -> np.ndarray:
 
     An array of angles gives the states stacked on the last axis.
     """
-    return np.stack([np.cos(0.5 * polar) + 0j, -1j * np.sin(0.5 * polar)], axis=-1)
+    c, s = _cos_sin(0.5 * np.asarray(polar, dtype=float))
+    return np.stack([c + 0j, -1j * s], axis=-1)
 
 
-def _not_gate(theta: float) -> np.ndarray:
-    """Minimal-time NOT of the working pair: the rotation taking (1, 0) to
-    ``_circle_state(theta)``."""
-    half = 0.5 * theta
-    c, s = np.cos(half), np.sin(half)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+def _not_gate(psi1: np.ndarray) -> np.ndarray:
+    """Minimal-time NOT of the working pair: the rotation taking (1, 0) to its
+    partner ``psi1`` = (cos(theta/2), -i sin(theta/2))."""
+    c, s = psi1
+    return np.array([[c, s], [s, c]])
 
 
 @dataclass(frozen=True)
@@ -89,7 +100,7 @@ class BlochBasis:
     def overlap(self) -> float:
         """<psi0|psi1> = cos(theta/2), real and non-negative here; an array of
         angles gives an array."""
-        return _float_or_array(np.cos(0.5 * np.asarray(self.theta, dtype=float)))
+        return _float_or_array(self.psi1[..., 0].real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,7 +194,7 @@ def inconclusive_probability(povm: Povm, state) -> float:
     """Probability of the inconclusive outcome on ``state``."""
     psi = normalize(as_state(state, dim=2))
     idx = povm.labels.index(INCONCLUSIVE)
-    return float(np.real(np.vdot(psi, povm.effects[idx] @ psi)))
+    return float(np.real(_vdots(psi, povm.effects[idx] @ psi)))
 
 
 def not_gate_roundtrip(basis: BlochBasis, omega: float) -> NotGateReport:
@@ -195,11 +206,12 @@ def not_gate_roundtrip(basis: BlochBasis, omega: float) -> NotGateReport:
     half-period condition.
     """
     omega = positive_finite("omega", omega)
-    gate = _not_gate(basis.theta)
+    psi1 = basis.psi1
+    gate = _not_gate(psi1)
     forward = gate @ basis.psi0
-    forward_residual = _norm(forward - basis.psi1)
-    back = gate @ basis.psi1
-    fid = float(abs(np.vdot(basis.psi0, back)))
+    forward_residual = _norm(forward - psi1)
+    back = gate @ psi1
+    fid = float(abs(_vdots(basis.psi0, back)))
     return NotGateReport(
         theta=float(basis.theta),
         omega=omega,
@@ -217,8 +229,8 @@ def cloning_defect(basis: BlochBasis) -> float:
     is computed from the four product states, not from the closed form.
     """
     psi0, psi1 = basis.psi0, basis.psi1
-    before = np.vdot(np.kron(psi1, psi1), np.kron(psi0, psi1))
-    after = np.vdot(np.kron(psi1, psi0), np.kron(psi0, psi1))
+    before = _vdots(np.kron(psi1, psi1), np.kron(psi0, psi1))
+    after = _vdots(np.kron(psi1, psi0), np.kron(psi0, psi1))
     return float(abs(before - after))
 
 
@@ -238,7 +250,7 @@ def control_u_channel(basis: BlochBasis, e_basis_polar: float) -> ControlUReport
         raise ValueError("e_basis_polar must be finite")
     e0 = _circle_state(alpha)
     e1 = _circle_state(alpha + np.pi)
-    gate = _not_gate(basis.theta)
+    gate = _not_gate(basis.psi1)
     vmat = np.kron(_projector(e1), gate) + np.kron(_projector(e0), np.eye(2))
 
     ancilla = _projector(e1)
@@ -248,8 +260,8 @@ def control_u_channel(basis: BlochBasis, e_basis_polar: float) -> ControlUReport
         outputs.append(rho4[:2, :2] + rho4[2:, 2:])  # the control traced out
     out1, out0 = outputs
 
-    p = float(abs(np.vdot(basis.psi1, e1)) ** 2)
-    q = float(abs(np.vdot(basis.psi0, e0)) ** 2)
+    p = float(abs(_vdots(basis.psi1, e1)) ** 2)
+    q = float(abs(_vdots(basis.psi0, e0)) ** 2)
     proj0 = _projector(basis.psi0)
     proj1 = _projector(basis.psi1)
     res1 = frobenius(out1 - (p * proj0 + (1.0 - p) * proj1))

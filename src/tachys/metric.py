@@ -26,6 +26,7 @@ from .smallmat import (
     _reject_rows,
     _rescaled,
     _square,
+    _vdots,
     _where,
     as_operator,
     as_state,
@@ -57,6 +58,9 @@ DEGENERACY_MARGIN = 1e-12
 NORM_FLOOR = 1e-14
 
 GAP_MATCH_TOL = 1e-8
+
+#: the float epsilon, 2**-52, that sizes quasi_hamiltonian's rounding allowance
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,7 +178,7 @@ def quasi_hamiltonian(h, metric: Metric, omega: float) -> QuasiHamiltonian:
     violates = ValueError("constructed operator violates metric-Hermiticity")
     _reject_rows(np.logical_not(_negligible(defect, op_norm * cond * cond)), violates)
     l_op = eigvals2(op)
-    rounding = 50.0 * np.finfo(float).eps * op_norm * cond
+    rounding = 50.0 * _EPS * op_norm * cond
     miss0, miss1 = _abs(l_op[0] - l_h[0]), _abs(l_op[1] - l_h[1])
     spread = _where(miss1 > miss0, miss1, miss0)
     foreign = ValueError("constructed operator does not share the generator spectrum")
@@ -213,7 +217,7 @@ def state_angle(u, v) -> float:
     """Fubini-Study angle arccos |<u|v>| between unit states."""
     a = as_state(u, dim=2)
     b = as_state(v, dim=2)
-    return float(_angle(abs(np.vdot(a, b))))
+    return float(_angle(abs(_vdots(a, b))))
 
 
 def metric_angle(u, v, metric: Metric) -> float:
@@ -228,15 +232,15 @@ def metric_angle(u, v, metric: Metric) -> float:
     a, na, _ = _rescaled(as_state(u, dim=2))
     b, nb, _ = _rescaled(as_state(v, dim=2))
     eta = metric.eta
-    nu = float(np.real(np.vdot(a, eta @ a)))
-    nv = float(np.real(np.vdot(b, eta @ b)))
+    nu = float(np.real(_vdots(a, eta @ a)))
+    nv = float(np.real(_vdots(b, eta @ b)))
     size = frobenius(eta)
     if _negligible(nu, size * na * na, NORM_FLOOR) or _negligible(nv, size * nb * nb, NORM_FLOOR):
         raise MetricDegeneracyError(
             f"metric norm collapsed ({min(nu, nv):.3e}); angle undefined",
             eigenvalue=min(nu, nv),
         )
-    cross = abs(np.vdot(a, eta @ b)) ** 2
+    cross = abs(_vdots(a, eta @ b)) ** 2
     return float(_angle(np.sqrt(cross / (nu * nv))))
 
 

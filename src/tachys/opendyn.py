@@ -19,15 +19,19 @@ import numpy as np
 
 from .metric import Metric, QuasiHamiltonian, metric_from_sqrt, quasi_hamiltonian
 from .smallmat import (
+    _E0,
+    _E1,
     _EP_RADIUS,
     PAULI_X,
     _abs,
     _angle,
+    _arg,
     _cis,
     _cmul,
     _col,
     _damped_sinh_cosh,
     _eigvals2,
+    _exp,
     _first_failing_row,
     _float_or_array,
     _hermitian_part,
@@ -36,11 +40,13 @@ from .smallmat import (
     _norm,
     _operator2,
     _operator_entries,
+    _pauli_entries,
     _pauli_root,
     _pauli_scale,
     _pauli_vector,
     _reject_rows,
     _square,
+    _tan,
     _vdots,
     as_operator,
     as_state,
@@ -64,9 +70,6 @@ __all__ = [
     "energy_gap_squared",
     "dissipation_scan",
 ]
-
-_E0 = np.array([1.0, 0.0], dtype=complex)
-_E1 = np.array([0.0, 1.0], dtype=complex)
 
 _ALIGN_RESIDUAL_TOL = 1e-10
 
@@ -98,7 +101,9 @@ class EvolutionTrace:
     """Sampled one-sided semigroup trajectory.
 
     ``k_values[j] = exp(-2 * rate_max * times[j])`` is the factor relating the
-    trajectory of the trace-shifted generator to this one.
+    trajectory of the trace-shifted generator to this one.  ``rhos``,
+    ``trace_values`` and ``k_values`` are disjoint C-contiguous views of one
+    buffer, so any one of them kept alone keeps all 80 B/sample alive.
     """
 
     times: np.ndarray
@@ -172,9 +177,10 @@ def evolve_semigroup(ham, rho0, times) -> EvolutionTrace:
     ``eigvals2``'s own scalar formula, bit for bit, and k(t) is formed as
     e^{-2 (rate t)}, so it overflows only where it exceeds the float range.
     The evaluation is blocked, with O(_BLOCK) scratch and 80 B/sample
-    returned: the times run in equal blocks of at most _BLOCK samples, which
-    reuse one set of seven scratch rows, and each block writes its states,
-    traces and ``k_values`` straight into the returned arrays.
+    returned in one allocation: the times run in equal blocks of at most
+    _BLOCK samples, which reuse one set of seven scratch rows, and each block
+    writes its states, traces and ``k_values`` straight into the returned
+    arrays.
     """
     m00, m01, m10, m11 = _operator2(ham)
     rho = p00, p01, p10, p11 = _operator_entries(rho0)
@@ -197,16 +203,18 @@ def evolve_semigroup(ham, rho0, times) -> EvolutionTrace:
     r = _pauli_root(nx, ny, nz)
     exceptional = math.hypot(r.real, r.imag) < _EP_RADIUS
     # exceptional point: cos rt -> 1, sin(rt)/r -> t and sinh kt -> 0; X is B
-    basis_re = _semigroup_basis(rho, (nz, nx - 1j * ny, nx + 1j * ny, -nz), 1.0 if exceptional else r)
+    basis_re = _semigroup_basis(rho, _pauli_entries(nx, ny, nz), 1.0 if exceptional else r)
     rate = _drift_rate_max(m00, m01, m10, m11)
     n = ts.shape[0]
     # equal blocks, so that none is short; n <= _BLOCK is one block
     size = -(-n // -(-n // _BLOCK))
     scratch = np.empty(7 * size)
-    rhos = np.empty((n, 2, 2), dtype=complex)
-    traces = np.empty(n)
-    k_values = np.empty(n)
-    flat = rhos.reshape(n, 4).view(float)
+    # one buffer for the three outputs: per sample eight floats of the state,
+    # then the n traces and the n k values
+    out = np.empty(10 * n)
+    flat = out[: 8 * n].reshape(n, 8)
+    rhos = flat.view(complex).reshape(n, 2, 2)
+    traces, k_values = out[8 * n : 9 * n], out[9 * n :]
     with np.errstate(over="ignore", invalid="ignore"):
         # real coefficients: one real product writes the real and imaginary parts
         basis_traces = basis_re[:, 0] + basis_re[:, 6]
@@ -221,7 +229,7 @@ def evolve_semigroup(ham, rho0, times) -> EvolutionTrace:
             k = k_values[lo:hi]
             np.multiply(ts[lo:hi], rate, out=k)
             np.multiply(k, -2.0, out=k)
-            np.exp(k, out=k)
+            _exp(k, out=k)
     # each trace sums all four coefficients of its state (inf * 0 is NaN), so
     # the n traces show every overflow the (n, 2, 2) stack would
     _reject_first_time(ts, traces, "the trajectory overflows: rho(t)")
@@ -284,7 +292,7 @@ def _semigroup_coefficients(ts: np.ndarray, alpha: float, r, e: int, rows: np.nd
         ts = np.ldexp(ts, e, out=c2)
     if r is None:
         # cos rt -> 1 and sin(rt)/r -> t: e and e t
-        np.exp(at, out=u)
+        _exp(at, out=u)
         np.multiply(u, ts, out=v)
         np.multiply(u, v, out=c1)
         np.square(v, out=c3)
@@ -292,12 +300,12 @@ def _semigroup_coefficients(ts: np.ndarray, alpha: float, r, e: int, rows: np.nd
     else:
         # cos^2 = 1/(1 + u^2), sin^2 = u^2 cos^2 and sin cos = u cos^2
         np.multiply(ts, r.real, out=u)
-        np.tan(u, out=u)
+        _tan(u, out=u)
         np.square(u, out=v)
         np.add(v, 1.0, out=c0)
         if alpha:
             # (c e) e, e = e^{alpha t}, from e cos^2 = e / (1 + u^2)
-            np.exp(at, out=c1)
+            _exp(at, out=c1)
             np.divide(c1, c0, out=c0)
             np.multiply(v, c0, out=c3)
             np.multiply(u, c0, out=v)
@@ -390,7 +398,7 @@ def _aligned_drive(metric: Metric, omega: float, initial, final):
     _reject_rows(b_abs < 1e-8, parallel)
     u1 = w / np.asarray(b_abs)[..., None]
     # decoupled phase solves: rotate u0 by arg(a') and u1 by a quarter turn
-    turned = u0 * _cis(np.angle(a_complex))[..., None]
+    turned = u0 * _cis(_arg(a_complex))[..., None]
     u0 = np.where(np.asarray(a_abs > 0.0)[..., None], turned, u0)
     u1 = 1j * u1
     frame = np.stack([u0, u1], axis=-1)
@@ -412,7 +420,7 @@ def dissipative_factor(f: float) -> float:
 
 def _dissipative_factor(f):
     """(1/f) exp(-(1/f + f)) of a float, or elementwise of an array of them."""
-    return np.exp(-(1.0 / f + f)) / f
+    return _exp(-(1.0 / f + f)) / f
 
 
 def revelation_probability(metric: Metric, omega: float):

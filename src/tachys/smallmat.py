@@ -13,6 +13,14 @@ size (a largest entry part, or a Pauli vector's sum_k |Re n_k| + |Im n_k|)
 outside [2**-252, 2**252] is first scaled by a power of two, which is exact.
 Every Hermitian part is ``_hermitian_part``, 0.5 m + 0.5 m^dag, halved
 before it is summed so that a finite matrix has a finite part.
+
+Every numpy function whose last bits depend on the host (its SIMD loops,
+glibc's libm, the BLAS kernel) has one owner here, which the other modules
+call: ``_exp`` (every exponential), ``_arg`` (every complex argument),
+``_cos_sin`` (every cosine and sine), ``_tan``, ``_angle``/``_asin`` (arccos
+and arcsin of a clipped modulus), ``_cis`` (every phase factor, through
+``_exp``) and ``_vdots`` (every complex dot); ``propagator``'s kernels keep
+its one ``log`` and ``expm1``.
 """
 
 from __future__ import annotations
@@ -50,6 +58,12 @@ POSDEF_FLOOR = 1e-12
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+#: the reference states (1, 0) and (0, 1), read-only
+_E0 = np.array([1.0, 0.0], dtype=complex)
+_E1 = np.array([0.0, 1.0], dtype=complex)
+_E0.flags.writeable = False
+_E1.flags.writeable = False
 
 _SUPPORTED_DIMS = (2, 4)
 
@@ -422,19 +436,48 @@ def _float_or_array(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _exp(x, out=None):
+    """e^x of a real or complex x, or elementwise of an array (into ``out``
+    where given): every exponential."""
+    return np.exp(x, out=out)
+
+
+def _arg(z):
+    """arg z of a complex z, or elementwise of an array: every complex argument."""
+    return np.angle(z)
+
+
+def _cos_sin(x):
+    """cos x and sin x of a real or complex x, or elementwise of an array: every
+    circular function."""
+    return np.cos(x), np.sin(x)
+
+
+def _tan(x, out=None):
+    """tan x of a real x, or elementwise of an array (into ``out`` where given)."""
+    return np.tan(x, out=out)
+
+
 def _angle(x):
     """The Fubini-Study angle arccos x of an overlap modulus x, clipped to [0, 1]
     first, so rounding past 1 gives 0; elementwise on an array."""
     return np.arccos(np.clip(x, 0.0, 1.0))
 
 
+def _asin(x):
+    """arcsin x of a sine modulus x, clipped to [0, 1] first as in ``_angle``;
+    elementwise on an array."""
+    return np.arcsin(np.clip(x, 0.0, 1.0))
+
+
 def _cis(x):
     """e^{ix} of a real x, or elementwise of an array: every phase factor."""
-    return np.exp(1j * x)
+    return _exp(1j * x)
 
 
 def _vdots(u, v):
-    """``np.vdot`` of each pair of rows of two (broadcast) state stacks, bit for bit."""
+    """``np.vdot`` of each pair of rows of two (broadcast) state stacks, bit for
+    bit: every complex dot."""
     if u.ndim == v.ndim == 1:
         return np.vdot(u, v)
     return (np.conj(u)[..., None, :] @ v[..., :, None])[..., 0, 0]
@@ -450,7 +493,7 @@ def fidelity(u, v) -> float:
     b, nb, _ = _rescaled(as_state(v))
     if na == 0.0 or nb == 0.0:
         raise ValueError("fidelity of the zero vector is undefined")
-    return float(abs(np.vdot(a, b)) / (na * nb))
+    return float(abs(_vdots(a, b)) / (na * nb))
 
 
 def _matrix2(m00, m01, m10, m11) -> np.ndarray:
@@ -529,6 +572,12 @@ def _pauli_vector(m00, m01, m10, m11):
     return m00 + m11, m01 + m10, 1j * (m01 - m10), m00 - m11
 
 
+def _pauli_entries(nx, ny, nz):
+    """The entries n00, n01, n10, n11 of n.sigma for the Pauli vector (nx, ny, nz),
+    of scalars or elementwise of arrays."""
+    return nz, nx - 1j * ny, nx + 1j * ny, -nz
+
+
 def _pauli_scale(nx, ny, nz):
     """The range step of every 2x2 kernel: (e, n 2**-e) for a Pauli vector n
     of Python scalars, or elementwise of ``(n,)`` arrays.
@@ -589,12 +638,11 @@ def _cos_sinc(r, t):
     """cos(r t) and sin(r t)/r, elementwise; sin(r t)/r -> t where |r| < _EP_RADIUS."""
     exceptional = abs(r) < _EP_RADIUS
     if not _any(exceptional):
-        phi = r * t
-        return np.cos(phi), np.sin(phi) / r
+        cosf, sinf = _cos_sin(r * t)
+        return cosf, sinf / r
     safe = np.where(exceptional, 1.0, r)
-    phi = safe * t
-    cosf, sincf = np.cos(phi), np.sin(phi) / safe
-    return np.where(exceptional, 1.0 + 0j, cosf), np.where(exceptional, t + 0j, sincf)
+    cosf, sinf = _cos_sin(safe * t)
+    return np.where(exceptional, 1.0 + 0j, cosf), np.where(exceptional, t + 0j, sinf / safe)
 
 
 def _damped_sinh_cosh(at, kt, out) -> None:
@@ -609,7 +657,7 @@ def _damped_sinh_cosh(at, kt, out) -> None:
     sinh, cosh = out
     np.abs(kt, out=sinh)
     np.add(at, sinh, out=cosh)
-    np.exp(cosh, out=cosh)
+    _exp(cosh, out=cosh)
     np.multiply(sinh, -2.0, out=sinh)
     np.expm1(sinh, out=sinh)
     np.multiply(sinh, cosh, out=sinh)
@@ -636,15 +684,15 @@ def _damped_factors(a0, r, t, tr):
     if _any(small):
         damped = damped | (abs(kt) - np.log(_where(small, size, 1.0)) > _COSH_LIMIT)
     if not _any(damped):
-        return (np.exp(-1j * a0 * t), *_cos_sinc(r, tr))
+        return (_exp(-1j * a0 * t), *_cos_sinc(r, tr))
     with np.errstate(over="ignore", invalid="ignore"):
-        phase, cosf, sincf = np.exp(-1j * a0 * t), *_cos_sinc(r, tr)
+        phase, cosf, sincf = _exp(-1j * a0 * t), *_cos_sinc(r, tr)
         # [j, ...] keeps a scalar t's rows as 0-d arrays the ufuncs can write to
         hyperbolic = np.empty((2, *np.shape(kt)))
         esinh, ecosh = hyperbolic[0, ...], hyperbolic[1, ...]
         _damped_sinh_cosh(a0.imag * t, kt, (esinh, ecosh))
         wt = r.real * tr
-        cos_w, sin_w = np.cos(wt), np.sin(wt)
+        cos_w, sin_w = _cos_sin(wt)
         return (
             _where(damped, _cis(-(a0.real * t)), phase),
             _where(damped, cos_w * ecosh - 1j * sin_w * esinh, cosf),

@@ -6,6 +6,7 @@ ValueError (or a subclass), and every integer argument rejects NaN,
 infinities, non-integral and out-of-domain values the same way."""
 
 import ast
+import collections
 import inspect
 import os
 import pathlib
@@ -187,28 +188,26 @@ LINALG_SITES = {
     ("smallmat", "propagator", "eigh"),
 }
 
-#: numpy functions whose last bits depend on the SIMD loops numpy dispatches
-#: to on the host CPU (ROADMAP item 8)
-HOST_SENSITIVE = {"arccos", "arcsin", "arctan", "arctan2", "angle", "exp", "expm1", "log", "cosh", "sinh", "tan"}
+#: numpy functions whose last bits depend on the host: on the SIMD loops numpy
+#: dispatches to on the host CPU (ROADMAP item 8), and for cos and sin on
+#: whether glibc's libm takes its FMA or its non-FMA variants (item 16)
+HOST_SENSITIVE = {
+    "arccos", "arcsin", "arctan", "arctan2", "angle", "cos", "cosh", "exp", "expm1", "log", "sin", "sinh", "tan",
+}
 
 #: every ``np.<name>`` call site of the package for a name in HOST_SENSITIVE,
-#: as (module, top-level function or class, name); the report angle has one
-#: owner, ``smallmat._angle``, and every phase factor e^{i phi} one, ``smallmat._cis``
+#: as (module, top-level function or class, name): each name has one owner in
+#: smallmat, which every other module calls
 HOST_SENSITIVE_SITES = {
-    ("brachistochrone", "_transfer", "angle"),
-    ("brachistochrone", "_transfer", "arcsin"),
-    ("dilation", "build_dilation", "angle"),
-    ("opendyn", "_aligned_drive", "angle"),
-    ("opendyn", "_dissipative_factor", "exp"),
-    ("opendyn", "_semigroup_coefficients", "exp"),
-    ("opendyn", "_semigroup_coefficients", "tan"),
-    ("opendyn", "evolve_semigroup", "exp"),
     ("smallmat", "_angle", "arccos"),
-    ("smallmat", "_cis", "exp"),
-    ("smallmat", "_damped_factors", "exp"),
+    ("smallmat", "_arg", "angle"),
+    ("smallmat", "_asin", "arcsin"),
+    ("smallmat", "_cos_sin", "cos"),
+    ("smallmat", "_cos_sin", "sin"),
     ("smallmat", "_damped_factors", "log"),
-    ("smallmat", "_damped_sinh_cosh", "exp"),
     ("smallmat", "_damped_sinh_cosh", "expm1"),
+    ("smallmat", "_exp", "exp"),
+    ("smallmat", "_tan", "tan"),
 }
 
 
@@ -253,3 +252,21 @@ def test_numpy_linalg_is_called_only_at_the_listed_sites():
 
 def test_host_sensitive_numpy_calls_are_only_at_the_listed_sites():
     assert _package_sites()[1] == HOST_SENSITIVE_SITES
+
+
+def test_each_host_sensitive_name_has_one_site():
+    # one owner per function, so a host-independent version replaces one site
+    counts = collections.Counter(name for _, _, name in _package_sites()[1])
+    assert {name: n for name, n in counts.items() if n != 1} == {}
+
+
+def test_complex_dot_is_only_smallmat_vdots():
+    # every complex dot of the package goes through smallmat._vdots
+    sites = []
+    for path in sorted(pathlib.Path(tachys.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                imported = isinstance(node, ast.ImportFrom) and any(a.name == "vdot" for a in node.names)
+                if imported or (isinstance(node, ast.Attribute) and node.attr == "vdot"):
+                    sites.append((path.stem, getattr(top, "name", "<module>")))
+    assert sites == [("smallmat", "_vdots")]

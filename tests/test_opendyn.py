@@ -340,6 +340,40 @@ def test_evolve_semigroup_scratch_stays_fixed_in_size():
     assert trace.rhos.shape == (ts.size, 2, 2)
 
 
+def _root_base(a):
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+def test_evolve_semigroup_returns_disjoint_views_of_one_buffer():
+    # rhos, trace_values and k_values are C-contiguous views of one buffer of
+    # 80 B per sample that overlap nowhere.  The nilpotent drive N = [[0, 1],
+    # [0, 0]] on dyadic times makes every state exact, rho(t) = (I - i N t)
+    # rho0 (I + i N^dag t), so each of the four blocks wrote exactly its own
+    # samples; k(t) = e^{-t} (drift rate 1/2) takes numpy's exp
+    ts = np.arange(LONG) / 1024.0 - 20.0
+    rho0 = np.array([[0.625, 0.25], [0.25, 0.375]], dtype=complex)
+    trace = evolve_semigroup(np.array([[0.0, 1.0], [0.0, 0.0]]), rho0, ts)
+    arrays = trace.rhos, trace.trace_values, trace.k_values
+    assert [(a.shape, a.dtype) for a in arrays] == [((LONG, 2, 2), complex), ((LONG,), float), ((LONG,), float)]
+    assert all(a.flags.c_contiguous for a in arrays)
+    base = _root_base(trace.rhos)
+    assert base.nbytes == 80 * LONG
+    assert _root_base(trace.trace_values) is base and _root_base(trace.k_values) is base
+    for j, a in enumerate(arrays):
+        for b in arrays[j + 1:]:
+            assert not np.shares_memory(a, b)
+    want = np.empty((LONG, 2, 2), dtype=complex)
+    want[:, 0, 0] = 0.625 + 0.375 * ts * ts
+    want[:, 0, 1] = 0.25 - 0.375j * ts
+    want[:, 1, 0] = 0.25 + 0.375j * ts
+    want[:, 1, 1] = 0.375
+    assert trace.rhos.tobytes() == want.tobytes()
+    assert trace.trace_values.tobytes() == (1.0 + 0.375 * ts * ts).tobytes()
+    assert trace.k_values.tobytes() == np.exp(-ts).tobytes()
+
+
 # ------------------------------------------------ real-spectrum rule and set-up
 
 
