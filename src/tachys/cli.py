@@ -169,10 +169,9 @@ def _cmd_dilation(args):
         "observed_norm": smallmat.row_norms(observed),
         "total_norm": smallmat.row_norms(evolved),
     }
-    vmat, big = model.extended_vectors, model.hamiltonian
     summary = {
-        "unitarity_defect": smallmat.frobenius(vmat.conj().T @ vmat - np.eye(4)),
-        "hermiticity_defect": smallmat.frobenius(big - big.conj().T),
+        "unitarity_defect": model.unitarity_defect,
+        "hermiticity_defect": model.hermiticity_defect,
         "norm_factor": model.norm_factor,
         "visibility_ratio": dilation.visibility_ratio(m, np.array([0.0, 1.0], dtype=complex)),
     }
@@ -180,29 +179,22 @@ def _cmd_dilation(args):
 
 
 def _cmd_povm(args):
-    from . import gates, smallmat
+    from . import gates
 
     grid = _theta_grid(args)
     basis = gates.BlochBasis(grid)
     povm = gates.discrimination_povm(basis)
     effect = dict(zip(povm.labels, povm.effects))
     psi0, psi1 = basis.psi0, basis.psi1
-    # inconclusive_probability normalizes its state; |psi1| is 1 only to rounding
-    unit_psi1 = smallmat.normalize(psi1)
-
-    def sandwich(label, psi):
-        # <psi|E|psi> row by row
-        return np.real(np.sum(np.conj(psi) * (effect[label] @ psi[..., None])[..., 0], axis=-1))
-
     table = {
         "theta": grid,
         "overlap": basis.overlap,
-        "p_inconclusive_psi0": sandwich(gates.INCONCLUSIVE, psi0),
-        "p_inconclusive_psi1": sandwich(gates.INCONCLUSIVE, unit_psi1),
-        "misid_0_on_psi1": sandwich("0", psi1),
-        "misid_1_on_psi0": sandwich("1", psi0),
-        "completeness_defect": povm.completeness_defect(),
-        "min_eigenvalue": povm.min_eigenvalue(),
+        "p_inconclusive_psi0": gates.inconclusive_probability(povm, psi0),
+        "p_inconclusive_psi1": gates.inconclusive_probability(povm, psi1),
+        "misid_0_on_psi1": gates._expectation(effect["0"], psi1),
+        "misid_1_on_psi0": gates._expectation(effect["1"], psi0),
+        "completeness_defect": povm.completeness_defect,
+        "min_eigenvalue": povm.min_eigenvalue,
     }
     return table, None
 
@@ -222,27 +214,16 @@ def _cmd_controlu(args):
     from . import gates
 
     report = gates.control_u_channel(gates.BlochBasis(args.theta), args.e_polar)
-    table = {name: getattr(report, name) for name in ("theta", "e_polar", "p", "q", "bound_lhs", "bound_rhs")}
-    table["slack"] = report.bound_rhs - report.bound_lhs
-    table["decomposition_residual"] = report.decomposition_residual
-    return table, None
+    columns = ("theta", "e_polar", "p", "q", "bound_lhs", "bound_rhs", "slack", "decomposition_residual")
+    return {name: getattr(report, name) for name in columns}, None
 
 
 def _cmd_efficiency(args):
     from . import gates
 
     report = gates.efficiency_bound(gates.BlochBasis(args.theta), args.omega)
-    bound = 2.0 * report.epsilon / report.delta_e
-    table = {
-        "theta": args.theta,
-        "omega": args.omega,
-        "epsilon": report.epsilon,
-        "delta_e": report.delta_e,
-        "delta_t": report.delta_t,
-        "bound_rhs": bound,
-        "slack": report.delta_t - bound,
-    }
-    return table, None
+    table = {name: getattr(report, name) for name in ("epsilon", "delta_e", "delta_t", "bound_rhs", "slack")}
+    return {"theta": args.theta, "omega": args.omega, **table}, None
 
 
 _COMMANDS = {

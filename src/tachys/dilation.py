@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import Metric, QuasiHamiltonian, metric_from_matrix, quasi_hamiltonian
+from .metric import Metric, QuasiHamiltonian, _single_eta, metric_from_matrix, quasi_hamiltonian
 from .smallmat import (
     POSDEF_FLOOR,
     MetricDegeneracyError,
@@ -46,6 +46,10 @@ class DilationModel:
     ``extended_vectors`` exactly unitary with ``norm_factor`` =
     1/sqrt(trace of the rescaled metric).  ``generator`` is the two-level
     drive ``quasi_hamiltonian(h, metric, omega)`` in the original basis.
+    ``unitarity_defect`` is ||V^dag V - I||_F of the extended vectors V, the
+    residual that ``build_dilation``'s unitarity check measures, and
+    ``hermiticity_defect`` is ||B - B^dag||_F of the stored, symmetrized
+    ``hamiltonian`` B.
     """
 
     metric: Metric
@@ -54,6 +58,8 @@ class DilationModel:
     norm_factor: float
     eigenbasis: np.ndarray
     generator: QuasiHamiltonian
+    unitarity_defect: float
+    hermiticity_defect: float
 
 
 def build_dilation(h, metric: Metric, omega: float) -> DilationModel:
@@ -100,7 +106,8 @@ def build_dilation(h, metric: Metric, omega: float) -> DilationModel:
         raise ValueError("root columns fail the adjoint eigenvalue relation")
 
     vmat = norm_factor * np.block([[m.inv_sqrt_eta, m.sqrt_eta], [m.sqrt_eta, -m.inv_sqrt_eta]])
-    if not _negligible(frobenius(dagger(vmat) @ vmat - np.eye(4)), 2.0):
+    unitarity_defect = frobenius(dagger(vmat) @ vmat - np.eye(4))
+    if not _negligible(unitarity_defect, 2.0):
         raise ValueError("extended-vector matrix failed its unitarity check")
 
     inv_eta = m.inv_sqrt_eta @ m.inv_sqrt_eta
@@ -112,7 +119,8 @@ def build_dilation(h, metric: Metric, omega: float) -> DilationModel:
     big = _hermitian_part(big)
 
     return DilationModel(metric=m, extended_vectors=vmat, hamiltonian=big, norm_factor=norm_factor,
-                         eigenbasis=basis, generator=generator)
+                         eigenbasis=basis, generator=generator, unitarity_defect=unitarity_defect,
+                         hermiticity_defect=frobenius(big - dagger(big)))
 
 
 def evolve_dilated(model: DilationModel, initial, t) -> tuple[np.ndarray, np.ndarray]:
@@ -139,10 +147,12 @@ def visibility_ratio(metric: Metric, state) -> float:
     """Norm ratio <psi|psi> / <chi|chi> with chi = eta @ psi.
 
     This is the weight of the observable two-level part inside the stacked
-    four-level vector; it collapses when the metric nearly loses rank.
+    four-level vector; it collapses when the metric nearly loses rank.  A
+    stacked metric raises ValueError.
     """
+    eta = _single_eta(metric)
     psi = as_state(state, dim=2)
-    chi = metric.eta @ psi
+    chi = eta @ psi
     denom = float(np.real(_vdots(chi, chi)))
     if denom <= 0.0:
         raise ValueError("metric image of the state vanishes; ratio undefined")

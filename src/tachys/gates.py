@@ -9,7 +9,7 @@ and the information-efficiency bound tying travel time to distinguishability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,8 +73,8 @@ class BlochBasis:
     ``theta`` may be a 1-d array of angles, one working pair each: every
     angle is validated, ``psi1`` stacks the partners as ``(n, 2)`` and
     ``overlap`` is an array; ``psi0`` stays the single shared reference.
-    ``discrimination_povm`` takes such a basis; the other functions here
-    take a single angle.
+    ``discrimination_povm`` takes such a basis, and ``inconclusive_probability``
+    the stacks it gives; the other functions here take a single angle.
     """
 
     theta: float
@@ -108,17 +108,22 @@ class Povm:
     """Effects summing to the identity, with per-outcome labels.
 
     Each effect is a 2x2 matrix, or an ``(n, 2, 2)`` stack for a basis with
-    n angles; the audits then return one value per angle.
+    n angles.  The two audits are computed once, when the POVM is built:
+    ``completeness_defect`` = ||sum of the effects - I||_F and
+    ``min_eigenvalue``, the lowest eigenvalue over all effects; each is a
+    float, or one value per angle for stacked effects.
     """
 
     effects: tuple
     labels: tuple
+    completeness_defect: float = field(init=False)
+    min_eigenvalue: float = field(init=False)
 
-    def completeness_defect(self) -> float:
-        return _float_or_array(np.linalg.norm(sum(self.effects) - np.eye(2), axis=(-2, -1)))
-
-    def min_eigenvalue(self) -> float:
-        return _float_or_array(np.linalg.eigvalsh(np.stack(self.effects)).min(axis=(0, -1)))
+    def __post_init__(self):
+        defect = np.linalg.norm(sum(self.effects) - np.eye(2), axis=(-2, -1))
+        lowest = np.linalg.eigvalsh(np.stack(self.effects)).min(axis=(0, -1))
+        object.__setattr__(self, "completeness_defect", _float_or_array(defect))
+        object.__setattr__(self, "min_eigenvalue", _float_or_array(lowest))
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,10 +141,11 @@ class ControlUReport:
 
     p and q are the overlaps |<psi1|e1>|^2 and |<psi0|e0>|^2; bound_lhs/rhs
     are the two sides of the angular triangle bound pi/2 <= arccos(sqrt p) +
-    arccos<psi0|psi1> + arccos(sqrt q); the outputs are the channel images of
-    the two working-state projectors, and ``decomposition_residual`` measures
-    how far those images are from mixtures of the working-state projectors
-    with weights p, q.
+    arccos<psi0|psi1> + arccos(sqrt q), and ``slack`` = bound_rhs - bound_lhs
+    is its margin, never negative beyond rounding; the outputs are the
+    channel images of the two working-state projectors, and
+    ``decomposition_residual`` measures how far those images are from
+    mixtures of the working-state projectors with weights p, q.
     """
 
     theta: float
@@ -148,6 +154,7 @@ class ControlUReport:
     q: float
     bound_lhs: float
     bound_rhs: float
+    slack: float
     output_psi1: np.ndarray
     output_psi0: np.ndarray
     decomposition_residual: float
@@ -155,9 +162,14 @@ class ControlUReport:
 
 @dataclass(frozen=True, eq=False)
 class EfficiencyReport:
+    """The bound delta_t >= bound_rhs = 2 epsilon / delta_e of ``efficiency_bound``
+    and its ``slack`` = delta_t - bound_rhs, 0 to rounding for the optimal drive."""
+
     delta_t: float
     delta_e: float
     epsilon: float
+    bound_rhs: float
+    slack: float
 
 
 def _projector(state: np.ndarray) -> np.ndarray:
@@ -183,18 +195,27 @@ def discrimination_povm(basis: BlochBasis) -> Povm:
     e2 = np.eye(2) - scale * (e0 + e1)
     effects = (scale * e0, scale * e1, e2)
     povm = Povm(effects=effects, labels=("0", "1", INCONCLUSIVE))
-    if np.any(povm.completeness_defect() > POVM_TOL):
+    if np.any(povm.completeness_defect > POVM_TOL):
         raise ValueError("effects do not sum to the identity")
-    if np.any(povm.min_eigenvalue() < -POVM_TOL):
+    if np.any(povm.min_eigenvalue < -POVM_TOL):
         raise ValueError("an effect has a negative eigenvalue")
     return povm
 
 
+def _expectation(effect, psi):
+    """<psi|effect|psi>, real part: of one state, or row by row of an ``(n, 2)``
+    stack and (broadcast) of an ``(n, 2, 2)`` effect stack."""
+    return np.real(_vdots(psi, (effect @ psi[..., None])[..., 0]))
+
+
 def inconclusive_probability(povm: Povm, state) -> float:
-    """Probability of the inconclusive outcome on ``state``."""
-    psi = normalize(as_state(state, dim=2))
-    idx = povm.labels.index(INCONCLUSIVE)
-    return float(np.real(_vdots(psi, povm.effects[idx] @ psi)))
+    """Probability of the inconclusive outcome on ``state``, taken as a unit vector.
+
+    A stacked POVM, an ``(n, 2)`` stack of states, or both give one value per
+    row, each that of the single call bit for bit.
+    """
+    psi = normalize(as_state(state, dim=2, stack=True))
+    return _float_or_array(_expectation(povm.effects[povm.labels.index(INCONCLUSIVE)], psi))
 
 
 def not_gate_roundtrip(basis: BlochBasis, omega: float) -> NotGateReport:
@@ -277,6 +298,7 @@ def control_u_channel(basis: BlochBasis, e_basis_polar: float) -> ControlUReport
         q=q,
         bound_lhs=lhs,
         bound_rhs=rhs,
+        slack=rhs - lhs,
         output_psi1=out1,
         output_psi0=out0,
         decomposition_residual=residual,
@@ -292,4 +314,7 @@ def efficiency_bound(basis: BlochBasis, omega: float) -> EfficiencyReport:
     """
     omega = positive_finite("omega", omega)
     epsilon = float(_angle(basis.overlap))
-    return EfficiencyReport(delta_t=(2.0 / omega) * epsilon, delta_e=omega, epsilon=epsilon)
+    # (2/omega) epsilon and 2 epsilon/omega round apart: slack is that rounding
+    delta_t, bound = (2.0 / omega) * epsilon, 2.0 * epsilon / omega
+    return EfficiencyReport(delta_t=delta_t, delta_e=omega, epsilon=epsilon,
+                            bound_rhs=bound, slack=delta_t - bound)

@@ -213,6 +213,13 @@ def _determinant(eta, message: str):
     return det
 
 
+def _single_eta(metric: Metric) -> np.ndarray:
+    """``metric.eta`` of one metric; ValueError for an ``(n, 2, 2)`` stack of them."""
+    if metric.eta.ndim != 2:
+        raise ValueError(f"metric must be a single 2x2 metric, got a stack of shape {metric.eta.shape}")
+    return metric.eta
+
+
 def state_angle(u, v) -> float:
     """Fubini-Study angle arccos |<u|v>| between unit states."""
     a = as_state(u, dim=2)
@@ -227,11 +234,12 @@ def metric_angle(u, v, metric: Metric) -> float:
     clipped to [0, 1].  Each state is first scaled as in ``normalize``, so
     the angle of 2**k u is that of u.  Raises MetricDegeneracyError when
     either metric norm <u|eta|u> is negligible, at NORM_FLOOR, next to
-    ||eta||_F |u|^2 (the degenerate "shortcut" limit, or a zero state).
+    ||eta||_F |u|^2 (the degenerate "shortcut" limit, or a zero state), and
+    ValueError for a stacked metric.
     """
+    eta = _single_eta(metric)
     a, na, _ = _rescaled(as_state(u, dim=2))
     b, nb, _ = _rescaled(as_state(v, dim=2))
-    eta = metric.eta
     nu = float(np.real(_vdots(a, eta @ a)))
     nv = float(np.real(_vdots(b, eta @ b)))
     size = frobenius(eta)

@@ -317,8 +317,8 @@ def test_criterion_09_discrimination_povm_audit():
             theta = k * np.pi / 64.0
             basis = BlochBasis(theta=theta)
             povm = discrimination_povm(basis)
-            assert povm.completeness_defect() <= 1e-12
-            assert povm.min_eigenvalue() >= -1e-12
+            assert povm.completeness_defect <= 1e-12
+            assert povm.min_eigenvalue >= -1e-12
             want = np.cos(0.5 * theta)
             assert abs(inconclusive_probability(povm, basis.psi0) - want) <= 1e-12
             assert abs(inconclusive_probability(povm, basis.psi1) - want) <= 1e-12

@@ -12,13 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tachys import cli
+from tachys import cli, gates
 from tachys.brachistochrone import transfer
 from tachys.dilation import build_dilation, evolve_dilated
 from tachys.gates import (
     BlochBasis,
     control_u_channel,
     discrimination_povm,
+    efficiency_bound,
     inconclusive_probability,
     not_gate_roundtrip,
 )
@@ -536,6 +537,9 @@ def test_dilation_report_embedding_and_summary(capsys):
     assert float(comments["summary.unitarity_defect"]) < 1e-10
     assert float(comments["summary.hermiticity_defect"]) < 1e-12
     assert float(comments["summary.visibility_ratio"]) == pytest.approx(1.0 / 16.0)
+    model = build_dilation(0.5 * PAULI_X, diag_metric(2.0), 1.0)
+    assert float(comments["summary.unitarity_defect"]) == model.unitarity_defect
+    assert float(comments["summary.hermiticity_defect"]) == model.hermiticity_defect
 
 
 @pytest.mark.parametrize(
@@ -561,6 +565,8 @@ def test_dilation_report_holds_at_large_gaps(capsys, omega):
     comments, _, rows = parse_csv(out)
     assert max(r["embedding_error"] for r in rows) <= 1e-15 * float(omega) * rows[-1]["t"]
     assert float(comments["summary.unitarity_defect"]) < 1e-15
+    model = build_dilation(0.5 * float(omega) * PAULI_X, diag_metric(2.0), float(omega))
+    assert float(comments["summary.unitarity_defect"]) == model.unitarity_defect
 
 
 def test_dilation_rejects_a_metric_whose_extended_vectors_lose_unitarity(capsys):
@@ -587,6 +593,30 @@ def test_dilation_json_summary_block(capsys):
 
 
 # -------------------------------------------------------- one-line commands
+
+
+def test_povm_sweep_audits_each_effect_stack_once(capsys, monkeypatch):
+    # the report reads the audits that discrimination_povm's self-checks
+    # computed: one eigvalsh over the 3n effects and one completeness norm
+    # per sweep, counted in gates, which owns them, and in cli
+    calls = []
+
+    class CountingLinalg:
+        def __getattr__(self, name):
+            calls.append(name)
+            return getattr(np.linalg, name)
+
+    class Numpy:
+        linalg = CountingLinalg()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(gates, "np", Numpy())
+    monkeypatch.setattr(cli, "np", Numpy())
+    code, _, _ = run_cli(capsys, ["povm", "--theta-min", "0.1", "--theta-max", "3.1", "--points", "4096"])
+    assert code == 0
+    assert sorted(calls) == ["eigvalsh", "norm"]
 
 
 def test_povm_sweep_reports_clean_audit(capsys):
@@ -618,6 +648,7 @@ def test_controlu_report_matches_library(capsys):
     _, _, rows = parse_csv(out)
     rep = control_u_channel(BlochBasis(1.3), 0.4)
     assert rows[0]["bound_rhs"] == rep.bound_rhs
+    assert rows[0]["slack"] == rep.slack
     assert rows[0]["slack"] >= -1e-12
     assert rows[0]["decomposition_residual"] == rep.decomposition_residual
 
@@ -628,6 +659,9 @@ def test_efficiency_report_saturation(capsys):
     _, _, rows = parse_csv(out)
     assert rows[0]["delta_t"] == pytest.approx(rows[0]["bound_rhs"], rel=1e-15)
     assert rows[0]["slack"] == pytest.approx(0.0, abs=1e-15)
+    rep = efficiency_bound(BlochBasis(2.0), 1.5)
+    assert rows[0]["bound_rhs"] == rep.bound_rhs
+    assert rows[0]["slack"] == rep.slack
 
 
 # ---------------------------------------------------- grids vs scalar calls
@@ -650,8 +684,8 @@ def test_povm_rows_equal_scalar_library_calls(capsys):
                     "p_inconclusive_psi1": inconclusive_probability(povm, basis.psi1),
                     "misid_0_on_psi1": float(np.real(np.vdot(basis.psi1, e0 @ basis.psi1))),
                     "misid_1_on_psi0": float(np.real(np.vdot(basis.psi0, e1 @ basis.psi0))),
-                    "completeness_defect": povm.completeness_defect(),
-                    "min_eigenvalue": povm.min_eigenvalue(),
+                    "completeness_defect": povm.completeness_defect,
+                    "min_eigenvalue": povm.min_eigenvalue,
                 }
             )
         assert_rows_bitwise_equal(rows, want)

@@ -6,7 +6,7 @@ import scipy.linalg
 
 from tachys.dilation import build_dilation, evolve_dilated, visibility_ratio
 from tachys.metric import Metric, diag_metric, metric_from_matrix, metric_from_sqrt, quasi_hamiltonian
-from tachys.smallmat import MetricDegeneracyError, PAULI_X, PAULI_Y, PAULI_Z, dagger
+from tachys.smallmat import MetricDegeneracyError, PAULI_X, PAULI_Y, PAULI_Z, dagger, frobenius
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)
@@ -117,9 +117,12 @@ def test_random_embeddings_are_exact():
         metric = metric_from_sqrt(f, g)
         model = build_dilation(h, metric, omega)
         op = metric.inv_sqrt_eta @ h @ metric.sqrt_eta
-        v = model.extended_vectors
+        v, big = model.extended_vectors, model.hamiltonian
         assert np.linalg.norm(dagger(v) @ v - np.eye(4)) < 1e-10
-        assert np.linalg.norm(model.hamiltonian - dagger(model.hamiltonian)) < 1e-12
+        assert np.linalg.norm(big - dagger(big)) < 1e-12
+        # the audits the model keeps, bit for bit those of the conj().T forms
+        assert model.unitarity_defect == frobenius(v.conj().T @ v - np.eye(4))
+        assert model.hermiticity_defect == frobenius(big - big.conj().T)
         for t in (0.3, 1.7):
             _, observed = evolve_dilated(model, E0, t)
             direct = scipy.linalg.expm(-1j * t * op) @ E0
@@ -219,6 +222,13 @@ def test_visibility_ratio_vanishing_image_raises():
     )
     with pytest.raises(ValueError, match="vanishes"):
         visibility_ratio(m, E1)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_visibility_ratio_rejects_a_stacked_metric(n):
+    stacked = metric_from_sqrt(np.linspace(2.0, 3.0, n), np.linspace(1.0, 0.5, n))
+    with pytest.raises(ValueError, match=rf"^metric must be a single 2x2 metric, got a stack of shape \({n}, 2, 2\)$"):
+        visibility_ratio(stacked, E0)
 
 
 def test_visibility_collapses_along_degenerating_rescaled_metrics():

@@ -55,8 +55,8 @@ def test_basis_orthogonal_at_half_turn():
 def test_povm_completeness_and_positivity_across_angles():
     for k in range(1, 65):
         povm = discrimination_povm(BlochBasis(theta=k * np.pi / 64.0))
-        assert povm.completeness_defect() < POVM_TOL
-        assert povm.min_eigenvalue() > -POVM_TOL
+        assert povm.completeness_defect < POVM_TOL
+        assert povm.min_eigenvalue > -POVM_TOL
 
 
 def test_povm_conclusive_outcomes_never_misidentify():
@@ -107,8 +107,8 @@ def test_povm_effect_stacks_match_single_angle_calls():
     rng = np.random.default_rng(9)
     grid = np.concatenate([rng.uniform(1e-3, np.pi, 400), [1e-9, np.pi]])
     stacked = discrimination_povm(BlochBasis(theta=grid))
-    defects = stacked.completeness_defect()
-    lowest = stacked.min_eigenvalue()
+    defects = stacked.completeness_defect
+    lowest = stacked.min_eigenvalue
     for k, theta in enumerate(grid):
         b = BlochBasis(theta=float(theta))
         povm = discrimination_povm(b)
@@ -116,8 +116,29 @@ def test_povm_effect_stacks_match_single_angle_calls():
         for single, stack in zip(povm.effects, stacked.effects):
             # bit for bit, signed zeros included
             assert np.array_equal(single.view(float), stack[k].view(float))
-        assert povm.completeness_defect() == defects[k]
-        assert povm.min_eigenvalue() == lowest[k]
+        assert povm.completeness_defect == defects[k]
+        assert povm.min_eigenvalue == lowest[k]
+
+
+def test_inconclusive_probability_of_stacks_equals_single_calls():
+    # a stacked POVM with one state or with a stack of states, and one POVM
+    # with a stack of states, give the single calls bit for bit
+    rng = np.random.default_rng(28)
+    grid = np.concatenate([rng.uniform(1e-3, np.pi, 200), [1e-9, np.pi]])
+    basis = BlochBasis(theta=grid)
+    stacked = discrimination_povm(basis)
+    states = rng.normal(size=(len(grid), 2)) + 1j * rng.normal(size=(len(grid), 2))
+    on_psi0 = inconclusive_probability(stacked, basis.psi0)
+    on_psi1 = inconclusive_probability(stacked, basis.psi1)
+    one = discrimination_povm(BlochBasis(theta=1.1))
+    on_states = inconclusive_probability(one, states)
+    assert on_psi0.shape == on_psi1.shape == on_states.shape == grid.shape
+    for k, theta in enumerate(grid):
+        b = BlochBasis(theta=float(theta))
+        povm = discrimination_povm(b)
+        assert on_psi0[k] == inconclusive_probability(povm, b.psi0)
+        assert on_psi1[k] == inconclusive_probability(povm, b.psi1)
+        assert on_states[k] == inconclusive_probability(one, states[k])
 
 
 def test_povm_outcome_probabilities_sum_to_one():
@@ -197,6 +218,7 @@ def test_control_u_bound_never_violated_random_sweep():
         alpha = rng.uniform(-np.pi, np.pi)
         rep = control_u_channel(BlochBasis(theta=theta), alpha)
         assert rep.bound_rhs >= rep.bound_lhs - 1e-12
+        assert rep.slack == rep.bound_rhs - rep.bound_lhs
 
 
 def test_control_u_outputs_are_unit_trace_states():
@@ -238,6 +260,9 @@ def test_efficiency_bound_saturates_for_minimal_transfers():
             b = BlochBasis(theta=theta)
             rep = efficiency_bound(b, omega)
             assert rep.delta_t == pytest.approx((2.0 / rep.delta_e) * rep.epsilon, rel=1e-15)
+            assert rep.bound_rhs == 2.0 * rep.epsilon / rep.delta_e
+            assert rep.slack == rep.delta_t - rep.bound_rhs
+            assert abs(rep.slack) <= 1e-15 * rep.delta_t
             # dual route: the angular distance clocked by the transfer itself
             assert rep.delta_t == pytest.approx(minimal_time(b.psi0, b.psi1, omega), abs=1e-12)
 

@@ -375,6 +375,13 @@ def test_metric_angle_norm_collapse_raises():
         metric_angle(E0, E1, m)
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_metric_angle_rejects_a_stacked_metric(n):
+    stacked = metric_from_sqrt(np.linspace(1.6, 2.4, n), np.linspace(0.7, 0.2, n) + 0.3j)
+    with pytest.raises(ValueError, match=rf"^metric must be a single 2x2 metric, got a stack of shape \({n}, 2, 2\)$"):
+        metric_angle(E0, [0.6, 0.8j], stacked)
+
+
 # ------------------------------------------------------- transition defect
 
 
