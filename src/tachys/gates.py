@@ -74,13 +74,18 @@ class BlochBasis:
     angle is validated, ``psi1`` stacks the partners as ``(n, 2)`` and
     ``overlap`` is an array; ``psi0`` stays the single shared reference.
     ``discrimination_povm`` takes such a basis, and ``inconclusive_probability``
-    the stacks it gives; the other functions here take a single angle.
+    the stacks it gives; the other functions here take a single angle and
+    raise ValueError, naming the shape of ``theta``, for an array of them,
+    even of one angle.  A ``theta`` of more than one dimension raises
+    ValueError too.
     """
 
     theta: float
 
     def __post_init__(self):
         th = np.asarray(self.theta, dtype=float)
+        if th.ndim > 1:
+            raise ValueError(f"theta must be a scalar or a 1-d array, got shape {th.shape}")
         if not np.all(np.isfinite(th)):
             raise ValueError("theta must be finite")
         if np.any(th == 0.0):
@@ -172,6 +177,13 @@ class EfficiencyReport:
     slack: float
 
 
+def _single_theta(basis: BlochBasis) -> float:
+    """``basis.theta`` of a basis of one angle; ValueError for an array of angles."""
+    if np.ndim(basis.theta):
+        raise ValueError(f"basis must hold a single angle, got theta of shape {np.shape(basis.theta)}")
+    return float(basis.theta)
+
+
 def _projector(state: np.ndarray) -> np.ndarray:
     """|state><state|, for a single state or a stack of them."""
     return state[..., :, None] * np.conj(state)[..., None, :]
@@ -226,6 +238,7 @@ def not_gate_roundtrip(basis: BlochBasis, omega: float) -> NotGateReport:
     which the same fixed-gap drive maps both working states across, by the
     half-period condition.
     """
+    theta = _single_theta(basis)
     omega = positive_finite("omega", omega)
     psi1 = basis.psi1
     gate = _not_gate(psi1)
@@ -234,7 +247,7 @@ def not_gate_roundtrip(basis: BlochBasis, omega: float) -> NotGateReport:
     back = gate @ psi1
     fid = float(abs(_vdots(basis.psi0, back)))
     return NotGateReport(
-        theta=float(basis.theta),
+        theta=theta,
         omega=omega,
         forward_residual=forward_residual,
         roundtrip_fidelity=fid,
@@ -249,6 +262,7 @@ def cloning_defect(basis: BlochBasis) -> float:
     numbers to agree before and after; the gap |a - a^2| with a = cos(theta/2)
     is computed from the four product states, not from the closed form.
     """
+    _single_theta(basis)
     psi0, psi1 = basis.psi0, basis.psi1
     before = _vdots(np.kron(psi1, psi1), np.kron(psi0, psi1))
     after = _vdots(np.kron(psi1, psi0), np.kron(psi0, psi1))
@@ -266,6 +280,7 @@ def control_u_channel(basis: BlochBasis, e_basis_polar: float) -> ControlUReport
     channel images of the working projectors, and the residual of the claimed
     two-projector decomposition of those images.
     """
+    theta = _single_theta(basis)
     alpha = float(e_basis_polar)
     if not np.isfinite(alpha):
         raise ValueError("e_basis_polar must be finite")
@@ -292,7 +307,7 @@ def control_u_channel(basis: BlochBasis, e_basis_polar: float) -> ControlUReport
     lhs = float(np.pi / 2.0)
     rhs = float(_angle(np.sqrt(p)) + _angle(basis.overlap) + _angle(np.sqrt(q)))
     return ControlUReport(
-        theta=float(basis.theta),
+        theta=theta,
         e_polar=alpha,
         p=p,
         q=q,
@@ -312,6 +327,7 @@ def efficiency_bound(basis: BlochBasis, omega: float) -> EfficiencyReport:
     working pair, delta_e = omega the energy spread of the drive, and delta_t
     the minimal-time transfer; the optimal drive saturates the bound.
     """
+    _single_theta(basis)
     omega = positive_finite("omega", omega)
     epsilon = float(_angle(basis.overlap))
     # (2/omega) epsilon and 2 epsilon/omega round apart: slack is that rounding

@@ -19,6 +19,7 @@ from .smallmat import (
     _abs,
     _angle,
     _det2,
+    _entries2,
     _hermitian_part,
     _inverse,
     _matrix2,
@@ -32,6 +33,7 @@ from .smallmat import (
     as_state,
     dagger,
     eigvals2,
+    fidelity,
     frobenius,
     hermitian_sqrt,
     is_hermitian,
@@ -203,8 +205,7 @@ def _determinant(eta, message: str):
     it is as accurate as if computed in twice the precision; ValueError(``message``) for the
     first whose |det| is negligible, at the smallest normal float, next to ||eta||_F^2."""
     scaled, size, e = _rescaled(eta, 2)
-    entries = scaled.ravel().tolist() if scaled.ndim == 2 else scaled.reshape(-1, 4).T
-    re, im = _det2(*entries)
+    re, im = _det2(*_entries2(scaled))
     if e is not None:
         with np.errstate(over="ignore"):
             re, im, size = np.ldexp(re, 2 * e), np.ldexp(im, 2 * e), np.ldexp(size, e)
@@ -221,10 +222,13 @@ def _single_eta(metric: Metric) -> np.ndarray:
 
 
 def state_angle(u, v) -> float:
-    """Fubini-Study angle arccos |<u|v>| between unit states."""
-    a = as_state(u, dim=2)
-    b = as_state(v, dim=2)
-    return float(_angle(abs(_vdots(a, b))))
+    """Fubini-Study angle arccos |<u|v>| between the rays of two 2-states.
+
+    ``_angle`` of ``fidelity``: each state is first scaled as in
+    ``normalize``, so the angle of 2**k u or c u is that of u, and a zero
+    state raises ValueError.
+    """
+    return float(_angle(fidelity(as_state(u, dim=2), as_state(v, dim=2))))
 
 
 def metric_angle(u, v, metric: Metric) -> float:

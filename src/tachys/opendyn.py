@@ -31,6 +31,7 @@ from .smallmat import (
     _col,
     _damped_sinh_cosh,
     _eigvals2,
+    _entries2,
     _exp,
     _first_failing_row,
     _float_or_array,
@@ -51,7 +52,6 @@ from .smallmat import (
     as_operator,
     as_state,
     dagger,
-    eigvals2,
     positive_finite,
     propagator,
 )
@@ -120,17 +120,26 @@ def split_generator(ham) -> OpenSplit:
     split.  An ``(n, 2, 2)`` stack gives stacked parts and ``(n,)`` rate arrays.
     """
     m = as_operator(ham, dim=2, stack=True)
-    coherent = _hermitian_part(m)
-    drift = (0.5 * m - 0.5 * dagger(m)) / 1j
-    hi, lo = eigvals2(drift)
-    return OpenSplit(coherent=coherent, drift=drift, rate_max=np.real(hi), rate_min=np.real(lo))
+    drift = _drift2(*_entries2(m))
+    hi, lo = _eigvals2(*drift)
+    return OpenSplit(coherent=_hermitian_part(m), drift=_matrix2(*drift), rate_max=np.real(hi), rate_min=np.real(lo))
+
+
+def _drift2(m00, m01, m10, m11):
+    """The entries of the drift (0.5 m - 0.5 m^dag) / i of [[m00, m01], [m10, m11]]:
+    of Python complex scalars, or elementwise of ``(n,)`` rows (``_entries2``)."""
+    # named, so numpy never multiplies a large temporary conjugate in place,
+    # as c * 0.5, which rounds a signed zero unlike 0.5 * c
+    c00, c01, c10, c11 = m00.conjugate(), m01.conjugate(), m10.conjugate(), m11.conjugate()
+    return ((0.5 * m00 - 0.5 * c00) / 1j, (0.5 * m01 - 0.5 * c10) / 1j,
+            (0.5 * m10 - 0.5 * c01) / 1j, (0.5 * m11 - 0.5 * c11) / 1j)
 
 
 def evolve_semigroup(ham, rho0, times) -> EvolutionTrace:
     """One-sided semigroup rho(t) = e^{-i ham t} rho0 e^{+i ham^dag t}.
 
     ``rho0`` must be a density matrix (Hermitian, positive semidefinite, unit
-    trace) and ``times`` a non-empty array of finite times.  With the
+    trace) and ``times`` a finite time or a non-empty 1-d array of them.  With the
     identity+Pauli split ham = a0 I + N, r = w + ik the root of N^2, alpha =
     Im(a0), e = e^{alpha t}, B = -i N rho0 and X = B/r, the trajectory is four
     real time coefficients times four fixed matrices,
@@ -173,9 +182,10 @@ def evolve_semigroup(ham, rho0, times) -> EvolutionTrace:
     would, in the order ham, rho0, times; rho0 is checked by
     ``_is_hermitian2`` (``is_hermitian``'s verdict, in scalar arithmetic
     for a rho0 of ordinary size) and by its smaller eigenvalue and trace;
-    the rate of ``k_values`` is the drift's top eigenvalue from
-    ``eigvals2``'s own scalar formula, bit for bit, and k(t) is formed as
-    e^{-2 (rate t)}, so it overflows only where it exceeds the float range.
+    the rate of ``k_values`` is ``split_generator``'s ``rate_max``, bit for
+    bit, and k(t) is e^{-2 (rate t)}, so it overflows only where it exceeds
+    the float range; a rate of exactly 0 (a Hermitian generator, most
+    trace-shifted ones) gives k = 1 with no ``exp``.
     The evaluation is blocked, with O(_BLOCK) scratch and 80 B/sample
     returned in one allocation: the times run in equal blocks of at most
     _BLOCK samples, which reuse one set of seven scratch rows, and each block
@@ -193,18 +203,21 @@ def evolve_semigroup(ham, rho0, times) -> EvolutionTrace:
         raise ValueError(f"rho0 must be positive semidefinite (min eigenvalue {low:.3e})")
     if abs(p00.real + p11.real - 1.0) > 1e-8:
         raise ValueError("rho0 must have unit trace")
-    ts = np.asarray(times, dtype=float).reshape(-1)
-    if ts.shape[0] == 0:
+    ts = np.asarray(times, dtype=float)
+    if ts.size == 0:
         raise ValueError("times must be non-empty")
     if not np.all(np.isfinite(ts)):
         raise ValueError("times must be finite")
+    if ts.ndim > 1:
+        raise ValueError(f"times must be a scalar or a 1-d array, got shape {ts.shape}")
+    ts = ts.reshape(-1)
     a0, nx, ny, nz = _pauli_vector(m00, m01, m10, m11)
     e, nx, ny, nz = _pauli_scale(nx, ny, nz)
     r = _pauli_root(nx, ny, nz)
     exceptional = math.hypot(r.real, r.imag) < _EP_RADIUS
     # exceptional point: cos rt -> 1, sin(rt)/r -> t and sinh kt -> 0; X is B
     basis_re = _semigroup_basis(rho, _pauli_entries(nx, ny, nz), 1.0 if exceptional else r)
-    rate = _drift_rate_max(m00, m01, m10, m11)
+    rate = _eigvals2(*_drift2(m00, m01, m10, m11))[0].real
     n = ts.shape[0]
     # equal blocks, so that none is short; n <= _BLOCK is one block
     size = -(-n // -(-n // _BLOCK))
@@ -225,11 +238,15 @@ def evolve_semigroup(ham, rho0, times) -> EvolutionTrace:
             _semigroup_coefficients(ts[lo:hi], a0.imag, None if exceptional else r, e, rows)
             np.matmul(rows[:4].T, basis_re, out=flat[lo:hi])
             np.matmul(basis_traces, rows[:4], out=traces[lo:hi])
-            # rate t, then doubled (exactly): -2 rate alone may overflow
             k = k_values[lo:hi]
-            np.multiply(ts[lo:hi], rate, out=k)
-            np.multiply(k, -2.0, out=k)
-            _exp(k, out=k)
+            if rate:
+                # rate t, then doubled (exactly): -2 rate alone may overflow
+                np.multiply(ts[lo:hi], rate, out=k)
+                np.multiply(k, -2.0, out=k)
+                _exp(k, out=k)
+            else:
+                # e^{-2 rate t} = e^{+-0} = 1 at every finite t
+                k.fill(1.0)
     # each trace sums all four coefficients of its state (inf * 0 is NaN), so
     # the n traces show every overflow the (n, 2, 2) stack would
     _reject_first_time(ts, traces, "the trajectory overflows: rho(t)")
@@ -261,16 +278,6 @@ def _semigroup_basis(rho, n, r) -> np.ndarray:
         [z / r2 for z in nrn],
     ]
     return np.array(basis, dtype=complex).view(float)
-
-
-def _drift_rate_max(m00, m01, m10, m11) -> float:
-    """The top eigenvalue of the drift (0.5 m - 0.5 m^dag) / i of the matrix of
-    these Python complex entries, by ``eigvals2``'s formula: ``split_generator``'s
-    ``rate_max``, bit for bit."""
-    m00, m01, m10, m11 = 0.5 * m00, 0.5 * m01, 0.5 * m10, 0.5 * m11
-    d01 = (m01 - m10.conjugate()) / 1j
-    d10 = (m10 - m01.conjugate()) / 1j
-    return _eigvals2((m00 - m00.conjugate()) / 1j, d01, d10, (m11 - m11.conjugate()) / 1j)[0].real
 
 
 def _semigroup_coefficients(ts: np.ndarray, alpha: float, r, e: int, rows: np.ndarray) -> None:
@@ -344,9 +351,14 @@ def shifted_generator(ham) -> tuple[np.ndarray, float]:
     rate and the matrix carry the bits of ``split_generator`` and of the
     array expression ham - 1j * rate * I.
     """
-    m00, m01, m10, m11 = _operator2(ham)
-    rate = _drift_rate_max(m00, m01, m10, m11)
-    return _matrix2(m00, m01, m10, m11) - 1j * rate * np.eye(2), rate
+    m = _operator2(ham)
+    rate = _eigvals2(*_drift2(*m))[0].real
+    return _shifted(_matrix2(*m), rate), rate
+
+
+def _shifted(m, rate):
+    """The trace-taming shift m - i rate I of a 2x2 generator, or of each of a stack with ``(n,)`` rates."""
+    return m - _col(1j * rate) * np.eye(2)
 
 
 def map_boundary_states(metric: Metric, initial, final):
@@ -450,7 +462,7 @@ def _canonical_arrival(metric: Metric, omega: float):
     tau = (2.0 / omega) * _angle(a_abs)
     split = split_generator(qh.operator)
     # the shift of shifted_generator, from the split computed once here
-    shifted = qh.operator - _col(1j * split.rate_max) * np.eye(2)
+    shifted = _shifted(qh.operator, split.rate_max)
     return split, a_abs, _float_or_array(tau), _square(_norm(propagator(shifted, tau) @ _E0))
 
 

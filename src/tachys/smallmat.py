@@ -12,7 +12,10 @@ so does every floor.  Every kernel takes one range step, ``_exponent``: a
 size (a largest entry part, or a Pauli vector's sum_k |Re n_k| + |Im n_k|)
 outside [2**-252, 2**252] is first scaled by a power of two, which is exact.
 Every Hermitian part is ``_hermitian_part``, 0.5 m + 0.5 m^dag, halved
-before it is summed so that a finite matrix has a finite part.
+before it is summed so that a finite matrix has a finite part.  Each 2x2
+rule runs on Python complex scalars for one matrix and elementwise on rows
+for a stack: ``_entries2`` is the one reader of a matrix's four entries, and
+``_eigvals2`` the one eigenvalue kernel.
 
 Every numpy function whose last bits depend on the host (its SIMD loops,
 glibc's libm, the BLAS kernel) has one owner here, which the other modules
@@ -184,7 +187,7 @@ def as_operator(mat, dim: int | None = None, stack: bool = False) -> np.ndarray:
 
     With ``stack``, an ``(n, d, d)`` stack of such matrices is accepted too.
     """
-    m = np.array(mat, dtype=complex)
+    m = np.array(mat, dtype=complex, order="C")
     _check_operator_shape(m.shape, dim, stack)
     if not _all_finite(m):
         finite = np.isfinite(m.view(float))
@@ -197,7 +200,7 @@ def as_state(vec, dim: int | None = None, stack: bool = False) -> np.ndarray:
 
     With ``stack``, a 2-d input is an ``(n, d)`` stack of states, one per row.
     """
-    v = np.array(vec, dtype=complex)
+    v = np.array(vec, dtype=complex, order="C")
     if not (stack and v.ndim == 2):
         v = v.reshape(-1)
     _check_state_length(v.shape[-1], dim)
@@ -236,14 +239,19 @@ def _operator2(mat) -> tuple[complex, complex, complex, complex]:
     return m00, m01, m10, m11
 
 
-def _operator_entries(mat) -> tuple[complex, complex, complex, complex]:
+def _operator_entries(mat) -> list[complex]:
     """``_operator2`` without its finiteness check, which ``_is_hermitian2``
     makes in its pass over the entries."""
     m = np.asarray(mat, dtype=complex)
     if m.shape != (2, 2):
         _check_operator_shape(m.shape, 2)
-    (m00, m01), (m10, m11) = m.tolist()
-    return m00, m01, m10, m11
+    return _entries2(m)
+
+
+def _entries2(m: np.ndarray):
+    """The entries m00, m01, m10, m11 of a 2x2 matrix as Python complex scalars,
+    or of an ``(n, 2, 2)`` stack as four contiguous ``(n,)`` rows, which ``_ldexp`` views as floats."""
+    return m.ravel().tolist() if m.ndim == 2 else np.ascontiguousarray(m.reshape(-1, 4).T)
 
 
 def _state_entries(vec) -> list[complex]:
@@ -505,7 +513,8 @@ def _matrix2(m00, m01, m10, m11) -> np.ndarray:
 
 def _inverse(m, det):
     """The inverse of a 2x2 matrix, or of each of a stack: its adjugate over its determinant ``det``."""
-    return _matrix2(m[..., 1, 1], -m[..., 0, 1], -m[..., 1, 0], m[..., 0, 0]) / _col(det)
+    m00, m01, m10, m11 = _entries2(m)
+    return _matrix2(m11, -m01, -m10, m00) / _col(det)
 
 
 def _square(x):
@@ -552,15 +561,8 @@ def _pauli_split(m: np.ndarray):
     zero at an exceptional point, where n.sigma is nilpotent.  An
     ``(n, 2, 2)`` stack gives ``(n,)`` arrays and an ``(n, 2, 2)`` stack.
     """
-    if m.ndim == 2:
-        # one matrix gives Python complex scalars: rounded as numpy's, and faster
-        a0, *n = _pauli_vector(*m.ravel().tolist())
-        e, ax, ay, az = _pauli_scale(*n)
-    else:
-        # a stack whose Pauli vector passes the float range raises, not first warns
-        with np.errstate(over="ignore", invalid="ignore"):
-            a0, *n = _pauli_vector(*m.reshape(-1, 4).T)
-            e, ax, ay, az = _pauli_scale(*n)
+    a0, *n = _pauli_vector(*_entries2(m))
+    e, ax, ay, az = _pauli_scale(*n)
     r = np.sqrt(_cmul(ax, ax) + _cmul(ay, ay) + _cmul(az, az) + 0j)
     return a0, e, r, _col(ax) * PAULI_X + _col(ay) * PAULI_Y + _col(az) * PAULI_Z
 
@@ -589,15 +591,18 @@ def _pauli_scale(nx, ny, nz):
     or |r| sees a size near 1, and 2**k n on 2**-k t gives the bits of n on
     t.  ValueError where s passes the float range.
     """
-    s = abs(nx.real) + abs(nx.imag) + abs(ny.real) + abs(ny.imag) + abs(nz.real) + abs(nz.imag)
-    if isinstance(s, float):
+    if isinstance(nx.real, float):
         # scalars: Python arithmetic alone, no numpy name
+        s = _pauli_size(nx, ny, nz)
         if not s < math.inf:
             raise ValueError(_PAULI_NOT_FINITE)
         e = _exponent(s)
         if not e:
             return 0, nx, ny, nz
     else:
+        # a stack whose Pauli vector passes the float range raises, not first warns
+        with np.errstate(over="ignore"):
+            s = _pauli_size(nx, ny, nz)
         _reject_rows(np.logical_not(s < math.inf), ValueError(_PAULI_NOT_FINITE))
         e = _exponent(s)
         if not e.any():
@@ -605,6 +610,11 @@ def _pauli_scale(nx, ny, nz):
     # s 2**-e in [1, 2), an octave above _exponent's, where passages' bits are pinned
     e = e - (e != 0)
     return e, _ldexp(nx, -e), _ldexp(ny, -e), _ldexp(nz, -e)
+
+
+def _pauli_size(nx, ny, nz):
+    """s = sum_k |Re n_k| + |Im n_k| of the Pauli vector (nx, ny, nz), of scalars or elementwise."""
+    return abs(nx.real) + abs(nx.imag) + abs(ny.real) + abs(ny.imag) + abs(nz.real) + abs(nz.imag)
 
 
 def _ldexp(z, e):
@@ -770,48 +780,27 @@ def eigvals2(mat):
     """Eigenvalues of a 2x2 matrix by the quadratic formula.
 
     Ordered by descending real part, ties broken by descending imaginary part.
-    An ``(n, 2, 2)`` stack gives two ``(n,)`` arrays.  A matrix whose largest
-    entry part leaves the range of ``_exponent`` is first scaled into it, and
-    its eigenvalues are scaled back, so the squared trace and the determinant
+    An ``(n, 2, 2)`` stack gives two ``(n,)`` arrays whose rows are the single
+    calls, bit for bit: both run ``_eigvals2``.  A matrix whose largest entry
+    part leaves the range of ``_exponent`` is first scaled into it, and its
+    eigenvalues are scaled back, so the squared trace and the determinant
     neither overflow nor lose bits below the normal floats:
     ``eigvals2(2**k h)`` is ``2**k eigvals2(h)`` for |k| up to 1000.  Every
     other matrix keeps the plain formula, bit for bit.
     """
-    m = as_operator(mat, dim=2, stack=True)
-    if m.ndim == 2:
-        (m00, m01), (m10, m11) = m.tolist()
-        return _eigvals2(m00, m01, m10, m11)
-    e = _exponent(np.abs(m.view(float)).max(axis=(-2, -1), initial=0.0))
-    scaled = e.any()
-    if scaled:
-        m = np.ldexp(m.view(float), -_col(e)).view(complex)
-    (m00, m01), (m10, m11) = m.transpose(1, 2, 0)
-    hi, lo, swap = _eig_roots(m00, m01, m10, m11)
-    hi, lo = np.where(swap, lo, hi), np.where(swap, hi, lo)
-    if scaled:
-        hi, lo = _ldexp(hi, e), _ldexp(lo, e)
-    return hi, lo
+    return _eigvals2(*_entries2(as_operator(mat, dim=2, stack=True)))
 
 
-def _eigvals2(m00: complex, m01: complex, m10: complex, m11: complex) -> tuple[complex, complex]:
-    """``eigvals2`` of the matrix [[m00, m01], [m10, m11]] of Python complex
-    scalars, as a pair of them: the same rescaling and formula, bit for bit."""
-    big = max(abs(m00.real), abs(m00.imag), abs(m01.real), abs(m01.imag),
-              abs(m10.real), abs(m10.imag), abs(m11.real), abs(m11.imag))
-    e = _exponent(big)
-    if e:
+def _eigvals2(m00, m01, m10, m11):
+    """``eigvals2`` of [[m00, m01], [m10, m11]], (tr +- disc) / 2 with disc the root of
+    tr^2 - 4 det: of Python complex scalars, as a pair of them, or elementwise of
+    contiguous ``(n,)`` rows (``_entries2``), as a pair of arrays."""
+    parts = (abs(m00.real), abs(m00.imag), abs(m01.real), abs(m01.imag),
+             abs(m10.real), abs(m10.imag), abs(m11.real), abs(m11.imag))
+    e = _exponent(np.maximum.reduce(parts) if isinstance(m00, np.ndarray) else max(parts))
+    scaled = _any(e)
+    if scaled:
         m00, m01, m10, m11 = (_ldexp(z, -e) for z in (m00, m01, m10, m11))
-    hi, lo, swap = _eig_roots(m00, m01, m10, m11)
-    if swap:
-        hi, lo = lo, hi
-    if e:
-        hi, lo = _ldexp(hi, e), _ldexp(lo, e)
-    return hi, lo
-
-
-def _eig_roots(m00, m01, m10, m11):
-    """(tr + disc) / 2 and (tr - disc) / 2, disc the root of tr^2 - 4 det, and
-    whether the second sorts first; of scalar entries or elementwise of arrays."""
     tr = m00 + m11
     det = _cmul(m00, m11) - _cmul(m01, m10)
     disc = np.sqrt(_cmul(tr, tr) - 4.0 * det + 0j)
@@ -819,4 +808,8 @@ def _eig_roots(m00, m01, m10, m11):
         # a Python complex rounds as numpy's scalar, and its arithmetic is faster
         disc = complex(disc)
     hi, lo = (tr + disc) / 2.0, (tr - disc) / 2.0
-    return hi, lo, (lo.real > hi.real) | ((lo.real == hi.real) & (lo.imag > hi.imag))
+    swap = (lo.real > hi.real) | ((lo.real == hi.real) & (lo.imag > hi.imag))
+    hi, lo = _where(swap, lo, hi), _where(swap, hi, lo)
+    if scaled:
+        hi, lo = _ldexp(hi, e), _ldexp(lo, e)
+    return hi, lo

@@ -106,6 +106,25 @@ def test_integer_arguments_reject_non_finite_non_integral_and_out_of_domain_valu
             call(bad)
 
 
+#: public entry point -> call with an argument of more array dimensions than
+#: it takes: a theta grid of two dimensions, a (3, 3) grid of times, or a
+#: basis of an angle array (even of one angle) where one angle is documented
+SHAPE_CALLS = {
+    "BlochBasis": lambda: gates.BlochBasis(np.ones((2, 2))),
+    "cloning_defect": lambda: gates.cloning_defect(gates.BlochBasis([1.0])),
+    "control_u_channel": lambda: gates.control_u_channel(gates.BlochBasis([1.0, 2.0, 3.0]), 1.0),
+    "efficiency_bound": lambda: gates.efficiency_bound(gates.BlochBasis([1.0]), 1.0),
+    "evolve_semigroup": lambda: opendyn.evolve_semigroup(H, RHO0, np.zeros((3, 3))),
+    "not_gate_roundtrip": lambda: gates.not_gate_roundtrip(gates.BlochBasis([1.0, 2.0, 3.0]), 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPE_CALLS))
+def test_extra_array_dimensions_raise_a_value_error_naming_the_shape(name):
+    with pytest.raises(ValueError, match=r"got (theta of )?shape \("):
+        SHAPE_CALLS[name]()
+
+
 def test_every_float_parameter_of_a_public_function_is_exercised():
     for name in tachys.__all__:
         fn = getattr(tachys, name)

@@ -103,6 +103,33 @@ def test_basis_over_an_angle_array_validates_every_angle():
         BlochBasis(theta=np.array([np.nan, 0.5]))
 
 
+def test_basis_rejects_a_theta_of_more_than_one_dimension():
+    with pytest.raises(ValueError, match=r"theta must be a scalar or a 1-d array, got shape \(2, 2\)"):
+        BlochBasis(theta=np.full((2, 2), 1.0))
+    with pytest.raises(ValueError, match=r"got shape \(1, 3\)"):
+        BlochBasis(theta=[[0.5, 1.0, 3.0]])
+
+
+#: the functions that take a single angle, each called on a basis
+SINGLE_ANGLE_CALLS = {
+    "not_gate_roundtrip": lambda b: not_gate_roundtrip(b, 1.0),
+    "efficiency_bound": lambda b: efficiency_bound(b, 1.0),
+    "cloning_defect": cloning_defect,
+    "control_u_channel": lambda b: control_u_channel(b, 0.4),
+}
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("name", sorted(SINGLE_ANGLE_CALLS))
+def test_single_angle_functions_reject_a_basis_of_an_angle_array(name, n):
+    # even one angle in an array is a stacked basis; the error names its shape
+    call = SINGLE_ANGLE_CALLS[name]
+    grid = np.linspace(0.5, 3.0, n)
+    with pytest.raises(ValueError, match=rf"basis must hold a single angle, got theta of shape \({n},\)"):
+        call(BlochBasis(theta=grid))
+    call(BlochBasis(theta=float(grid[0])))
+
+
 def test_povm_effect_stacks_match_single_angle_calls():
     rng = np.random.default_rng(9)
     grid = np.concatenate([rng.uniform(1e-3, np.pi, 400), [1e-9, np.pi]])

@@ -298,6 +298,24 @@ def test_state_angle_endpoints():
     assert state_angle(E0, mid) == pytest.approx(np.pi / 4.0)
 
 
+def test_state_angle_is_the_angle_of_the_rays():
+    # each state is scaled as normalize does: 2**k and non-unit multiples
+    # give the unit-state angle, and a zero state raises
+    u, v = np.array([1.0, 0.0]), np.array([0.6, 0.8])
+    want = math.acos(0.6)
+    assert state_angle(u, v) == pytest.approx(want, abs=1e-15)
+    for k in (-1000, -600, -300, -1, 1, 300, 600, 1000):
+        assert abs(state_angle(u * 2.0**k, v) - want) <= 1e-15
+        assert abs(state_angle(u, v * 2.0**k) - want) <= 1e-15
+    for c in (2.0, 1e-3, 3.7 - 1.1j, -1e250, 1e-250j):
+        assert abs(state_angle(c * u, v) - want) <= 1e-15
+        assert abs(state_angle(u, c * v) - want) <= 1e-15
+    with pytest.raises(ValueError, match="zero vector"):
+        state_angle([0.0, 0.0], v)
+    with pytest.raises(ValueError, match="zero vector"):
+        state_angle(u, np.zeros(2))
+
+
 def test_metric_angle_flat_reduces_to_state_angle():
     m = metric_from_matrix(np.eye(2))
     rng = np.random.default_rng(3)

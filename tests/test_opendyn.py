@@ -202,6 +202,15 @@ def test_evolve_semigroup_input_validation():
             evolve_semigroup(GENERATOR, 0.5 * np.eye(2), [0.0, bad, 1.0])
 
 
+def test_evolve_semigroup_rejects_times_of_more_than_one_dimension():
+    # a (3, 3) grid was flattened into 9 samples; propagator raises alike
+    rho0 = 0.5 * np.eye(2)
+    for shape in ((3, 3), (1, 2), (2, 1, 1)):
+        with pytest.raises(ValueError, match=rf"times must be a scalar or a 1-d array, got shape \({shape[0]}, "):
+            evolve_semigroup(GENERATOR, rho0, np.zeros(shape))
+    assert evolve_semigroup(GENERATOR, rho0, 0.5).times.shape == (1,)
+
+
 def test_evolve_semigroup_overflow_raises_naming_first_bad_time():
     # e^{Im(a0) t} |cos(r t)| of GENERATOR passes the float range near
     # t ~ 1.7e3; up to t = 1e3 the trajectory is finite and unchanged
@@ -724,6 +733,28 @@ def test_shifted_generator_tops_out_at_zero_rate():
     assert rate == pytest.approx(0.8106601717798212, abs=1e-14)
     assert split_generator(shifted).rate_max == pytest.approx(0.0, abs=1e-14)
     assert np.allclose(shifted, GENERATOR - 1j * rate * np.eye(2))
+
+
+def test_shifted_metric_hermitian_k_values_are_one_without_an_exp_pass(monkeypatch):
+    # the shifted drive's drift rate is exactly 0 here, so e^{-2 rate t} is 1
+    # at every time: one exp pass per block (that of e^{alpha t}), none for k
+    shifted, _ = shifted_generator(_dressed_half_gap(1.6, 0.7 + 0.3j).operator)
+    assert split_generator(shifted).rate_max == 0.0
+    rho0 = np.array([[0.5, 0.5j], [-0.5j, 0.5]], dtype=complex)
+    ts = np.linspace(-3.0, 9.0, 1001)
+    calls = []
+
+    class CountExp:
+        def __getattr__(self, name):
+            if name == "exp":
+                calls.append(name)
+            return getattr(np, name)
+
+    monkeypatch.setattr(opendyn, "np", CountExp())
+    monkeypatch.setattr(smallmat, "np", CountExp())
+    trace = evolve_semigroup(shifted, rho0, ts)
+    assert trace.k_values.tobytes() == np.ones(len(ts)).tobytes()
+    assert calls == ["exp"]
 
 
 def test_shifted_trace_never_exceeds_one():

@@ -132,7 +132,8 @@ def test_real_spectrum_semigroup_reaches_neither_sin_nor_cos(monkeypatch):
     # a Hermitian or metric-Hermitian generator reaches neither sin nor cos;
     # where alpha = Im a0 is exactly 0 (so for these three) it takes no exp
     # but that of k_values: per block one tan and one exp pass, and the
-    # states keep their bits
+    # states keep their bits; the Hermitian drive's drift rate is exactly 0,
+    # so its k_values are 1 and take no exp
     v = np.array([0.6, 0.8j])
     drives = [
         0.3 * PAULI_X + 0.5 * PAULI_Y + 0.2 * PAULI_Z,
@@ -154,12 +155,13 @@ def test_real_spectrum_semigroup_reaches_neither_sin_nor_cos(monkeypatch):
 
     monkeypatch.setattr(opendyn, "np", NoSinOrCos())
     monkeypatch.setattr(smallmat, "np", NoSinOrCos())
-    for h, w in zip(drives, want):
+    expected = [["tan", "tan"], ["exp", "exp", "tan", "tan"], ["exp", "exp", "tan", "tan"]]
+    for h, w, passes in zip(drives, want, expected, strict=True):
         calls.clear()
         got = evolve_semigroup(h, rho0, ts)
         assert got.rhos.tobytes() == w.rhos.tobytes()
         assert got.trace_values.tobytes() == w.trace_values.tobytes()
-        assert sorted(calls) == ["exp", "exp", "tan", "tan"]
+        assert sorted(calls) == passes
 
 
 def _dispatch_targets():

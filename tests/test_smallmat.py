@@ -713,6 +713,34 @@ def test_one_pass_readers_keep_bits_and_errors_across_the_float_range():
         assert got == want, m
 
 
+def test_strided_and_fortran_order_stacks_read_as_their_c_order_copies():
+    # past 16 entries the finiteness check views the copy as floats, which
+    # needs a contiguous last axis: every reader copies in C order, so a
+    # transposed or Fortran-order stack gives the bits of its C-order copy
+    from tachys.brachistochrone import minimal_time, transfer
+    from tachys.opendyn import split_generator
+
+    rng = np.random.default_rng(30)
+    strided = _random_generators(rng, 8).transpose(0, 2, 1)
+    c_order = np.ascontiguousarray(strided)
+    t = rng.uniform(-2.0, 2.0, 8)
+    assert _bytes_equal(as_operator(strided, stack=True), c_order)
+    assert as_operator(strided, stack=True).flags.c_contiguous
+    assert _bytes_equal(eigvals2(strided), eigvals2(c_order))
+    got, want = split_generator(strided), split_generator(c_order)
+    for field in ("coherent", "drift", "rate_max", "rate_min"):
+        assert _bytes_equal(getattr(got, field), getattr(want, field)), field
+    assert _bytes_equal(propagator(strided, t), propagator(c_order, t))
+    states = (rng.normal(size=(2, 9)) + 1j * rng.normal(size=(2, 9))).T
+    assert _bytes_equal(as_state(states, stack=True), np.ascontiguousarray(states))
+    targets = normalize(states)
+    fortran = np.asfortranarray(targets)
+    got, want = transfer(fortran, 1.3), transfer(targets, 1.3)
+    for x, y in ((got.tau, want.tau), (got.overlap, want.overlap), (got.drive.matrix, want.drive.matrix)):
+        assert _bytes_equal(x, y)
+    assert _bytes_equal(minimal_time(fortran, fortran[::-1], 1.3), minimal_time(targets, targets[::-1], 1.3))
+
+
 def test_readers_give_python_complex_scalars():
     m = np.array([[0.5, 1j], [-1j, 0.25]], dtype=np.complex64)
     for entries in (_operator2(m), _operator_entries(m), _state_entries([1, 0.5]), _state_entries(np.ones((1, 2)))):
