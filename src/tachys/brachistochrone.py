@@ -36,6 +36,7 @@ from .smallmat import (
     _pauli_root,
     _pauli_scale,
     _pauli_vector,
+    _real,
     _reject_rows,
     _state_entries,
     _unit2,
@@ -200,7 +201,8 @@ def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -
     grid, ValueError names the earliest grid time whose state is not finite.
 
     The arguments are checked in order (ham, t_max, steps, initial, final),
-    each once, and the first bad one raises ValueError; a bad array raises
+    each once, and the first bad one raises ValueError (TypeError, naming
+    it, for a str, complex or array ``t_max`` or ``steps``); a bad array raises
     what ``as_operator(ham, dim=2)``, ``as_state(x, dim=2)`` or ``normalize``
     would.  The drive and each state are read once into Python complex
     scalars, gated by ``_is_hermitian2`` and normalized by ``_unit2``, which
@@ -246,11 +248,12 @@ def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -
 
 
 def _scan_steps(steps) -> int:
-    """``steps`` as an int; ValueError unless it is an integer >= 1000."""
+    """``steps`` as an int; TypeError for a str, complex or array ``steps``
+    (``_real``), ValueError unless it is an integer >= 1000."""
     try:
         n = operator.index(steps)
     except TypeError:
-        x = float(steps)
+        x = _real("steps", steps)
         if not (math.isfinite(x) and x.is_integer()):
             raise ValueError(f"steps must be an integer, got {steps!r}") from None
         n = int(x)

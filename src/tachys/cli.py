@@ -116,7 +116,7 @@ def _theta_grid(args) -> np.ndarray:
             raise _UsageError("--theta cannot be combined with --points")
     args.points = 64 if args.points is None else args.points  # one-angle reports echo it too
     if args.theta is not None:
-        return np.array([args.theta], dtype=float)
+        return np.array([args.theta])
     if args.theta_min is None or args.theta_max is None:
         raise _UsageError("provide either --theta or both --theta-min and --theta-max")
     return _sweep(args.theta_min, args.theta_max, args.points)

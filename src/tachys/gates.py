@@ -18,6 +18,7 @@ from .smallmat import (
     _cos_sin,
     _float_or_array,
     _norm,
+    _reals,
     _vdots,
     as_state,
     dagger,
@@ -76,18 +77,15 @@ class BlochBasis:
     ``discrimination_povm`` takes such a basis, and ``inconclusive_probability``
     the stacks it gives; the other functions here take a single angle and
     raise ValueError, naming the shape of ``theta``, for an array of them,
-    even of one angle.  A ``theta`` of more than one dimension raises
-    ValueError too.
+    even of one angle.  ``theta`` is read by ``_reals``: a complex or str
+    ``theta`` raises TypeError, a non-finite angle ValueError naming it, and
+    a ``theta`` of more than one dimension ValueError naming its shape.
     """
 
     theta: float
 
     def __post_init__(self):
-        th = np.asarray(self.theta, dtype=float)
-        if th.ndim > 1:
-            raise ValueError(f"theta must be a scalar or a 1-d array, got shape {th.shape}")
-        if not np.all(np.isfinite(th)):
-            raise ValueError("theta must be finite")
+        th = _reals("theta", self.theta)
         if np.any(th == 0.0):
             raise DegenerateBasisError("theta = 0: the working states coincide")
         if np.any((th < 0.0) | (th > np.pi + 1e-12)):
@@ -278,12 +276,14 @@ def control_u_channel(basis: BlochBasis, e_basis_polar: float) -> ControlUReport
     and the input is traced out after the controlled action.  The report
     carries the overlaps p, q, both sides of the angular triangle bound, the
     channel images of the working projectors, and the residual of the claimed
-    two-projector decomposition of those images.
+    two-projector decomposition of those images.  ``e_basis_polar`` is read
+    by ``_reals``: TypeError for a complex or str value, ValueError naming a
+    non-finite value or the shape of an array.
     """
     theta = _single_theta(basis)
-    alpha = float(e_basis_polar)
-    if not np.isfinite(alpha):
-        raise ValueError("e_basis_polar must be finite")
+    alpha = _reals("e_basis_polar", e_basis_polar)
+    if np.ndim(alpha):
+        raise ValueError(f"e_basis_polar must be a single angle, got shape {alpha.shape}")
     e0 = _circle_state(alpha)
     e1 = _circle_state(alpha + np.pi)
     gate = _not_gate(basis.psi1)

@@ -24,6 +24,7 @@ from .smallmat import (
     _inverse,
     _matrix2,
     _negligible,
+    _reals,
     _reject_rows,
     _rescaled,
     _square,
@@ -110,12 +111,13 @@ def metric_from_sqrt(diag, offdiag) -> Metric:
     --scale 1e200``) keeps its overflow error.  ``diag`` and ``offdiag`` may
     also be 1-d arrays of one length n: the metric then holds ``(n, 2, 2)``
     stacks whose slices equal the single calls bit for bit, and the first
-    rejected pair raises.
+    rejected pair raises.  ``diag`` is read by ``_reals``: TypeError for a
+    complex or str value, ValueError naming its first non-finite value or
+    the shape of a 2-d one.
     """
-    f = np.asarray(diag, dtype=float)
+    f = _reals("diag", diag)
     g = np.asarray(offdiag, dtype=complex)
-    finite = np.isfinite(f) & np.isfinite(g.real) & np.isfinite(g.imag)
-    _reject_rows(~finite, ValueError("metric root parameters must be finite"))
+    _reject_rows(~np.isfinite(g), ValueError("metric root parameters must be finite"))
     margin = f - _square(_abs(g))
     _reject_rows(
         margin <= DEGENERACY_MARGIN,
@@ -265,13 +267,13 @@ def transition_defect(times, etas, hams) -> float:
     ``ham^dag - (eta @ ham @ eta^-1 - 1j * eta @ d(eta^-1)/dt)`` is measured in
     Frobenius norm; the maximum over interior samples is returned.  At least
     three finite, strictly increasing sample times are required, and every
-    metric sample must be invertible (``_determinant``).
+    metric sample must be invertible (``_determinant``).  ``times`` is read
+    by ``_reals``: TypeError for complex or str times, ValueError naming the
+    first non-finite time or the shape of a 2-d grid.
     """
-    ts = np.asarray(times, dtype=float).reshape(-1)
+    ts = np.reshape(_reals("times", times), -1)
     if ts.shape[0] < 3:
         raise ValueError("transition_defect needs at least three samples")
-    if not np.isfinite(ts).all():
-        raise ValueError("sample times must be finite")
     if np.any(np.diff(ts) <= 0.0):
         raise ValueError("sample times must be strictly increasing")
     es = as_operator(etas, dim=2, stack=True)

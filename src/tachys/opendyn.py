@@ -45,6 +45,7 @@ from .smallmat import (
     _pauli_root,
     _pauli_scale,
     _pauli_vector,
+    _reals,
     _reject_rows,
     _square,
     _tan,
@@ -139,7 +140,9 @@ def evolve_semigroup(ham, rho0, times) -> EvolutionTrace:
     """One-sided semigroup rho(t) = e^{-i ham t} rho0 e^{+i ham^dag t}.
 
     ``rho0`` must be a density matrix (Hermitian, positive semidefinite, unit
-    trace) and ``times`` a finite time or a non-empty 1-d array of them.  With the
+    trace) and ``times`` a finite time or a non-empty 1-d array of them, read
+    by ``_reals``: TypeError for complex or str times, ValueError naming the
+    first non-finite time or the shape of a grid of two dimensions.  With the
     identity+Pauli split ham = a0 I + N, r = w + ik the root of N^2, alpha =
     Im(a0), e = e^{alpha t}, B = -i N rho0 and X = B/r, the trajectory is four
     real time coefficients times four fixed matrices,
@@ -203,14 +206,9 @@ def evolve_semigroup(ham, rho0, times) -> EvolutionTrace:
         raise ValueError(f"rho0 must be positive semidefinite (min eigenvalue {low:.3e})")
     if abs(p00.real + p11.real - 1.0) > 1e-8:
         raise ValueError("rho0 must have unit trace")
-    ts = np.asarray(times, dtype=float)
+    ts = np.reshape(_reals("times", times), -1)
     if ts.size == 0:
         raise ValueError("times must be non-empty")
-    if not np.all(np.isfinite(ts)):
-        raise ValueError("times must be finite")
-    if ts.ndim > 1:
-        raise ValueError(f"times must be a scalar or a 1-d array, got shape {ts.shape}")
-    ts = ts.reshape(-1)
     a0, nx, ny, nz = _pauli_vector(m00, m01, m10, m11)
     e, nx, ny, nz = _pauli_scale(nx, ny, nz)
     r = _pauli_root(nx, ny, nz)
@@ -496,11 +494,13 @@ def dissipation_scan(f_grid, omega: float, proximity: float = 1e-6) -> np.recarr
     (``metric_from_sqrt``, ``revelation_probability``, ``aligned_hamiltonian``,
     ``split_generator``, ``energy_gap_squared``) bit for bit, and a failing
     grid raises the error of its first failing row, from the earliest gate
-    that row fails, as a loop over the rows would.
+    that row fails, as a loop over the rows would.  ``f_grid``, a scalar or a
+    1-d grid, is read by ``_reals``: TypeError for complex or str values,
+    ValueError naming the first non-finite one or the shape of a 2-d grid.
     """
     omega = positive_finite("omega", omega)
     proximity = positive_finite("proximity", proximity)
-    fs = np.asarray(f_grid, dtype=float).reshape(-1)
+    fs = np.reshape(_reals("f_grid", f_grid), -1)
     columns = _first_failing_row(lambda n: _scan_columns(fs[:n], omega, proximity), len(fs))
     return np.rec.fromarrays([fs, *columns], names="f,d_factor,finite_factor,gap_sq,a_prime,tau")
 

@@ -15,7 +15,8 @@ Every Hermitian part is ``_hermitian_part``, 0.5 m + 0.5 m^dag, halved
 before it is summed so that a finite matrix has a finite part.  Each 2x2
 rule runs on Python complex scalars for one matrix and elementwise on rows
 for a stack: ``_entries2`` is the one reader of a matrix's four entries, and
-``_eigvals2`` the one eigenvalue kernel.
+``_eigvals2`` the one eigenvalue kernel.  ``_reals`` reads every real scalar
+or grid argument.
 
 Every numpy function whose last bits depend on the host (its SIMD loops,
 glibc's libm, the BLAS kernel) has one owner here, which the other modules
@@ -106,17 +107,41 @@ class MetricDegeneracyError(ValueError):
 
 
 def positive_finite(name: str, x) -> float:
-    """``x`` as a float; ValueError naming ``name`` unless it is finite and > 0."""
-    x = float(x)
+    """``x`` as a float; TypeError naming ``name`` for a str, a complex value or
+    an array (``_real``), ValueError naming it unless it is finite and > 0."""
+    x = float(x) if isinstance(x, (float, int)) else _real(name, x)
     if not (math.isfinite(x) and x > 0.0):
         raise ValueError(f"{name} must be a positive finite real, got {x!r}")
     return x
 
 
+def _real(name: str, x) -> float:
+    """A real scalar ``x`` (a Python or numpy bool, int or float, or a 0-d array
+    of one) as a Python float; TypeError naming ``name`` for anything else:
+    a str, a complex value, an array of one or more dimensions."""
+    a = np.asarray(x)
+    if a.ndim or a.dtype.kind not in "biuf":
+        raise TypeError(f"{name} must be a real scalar, got {x!r}")
+    return float(a)
+
+
+def _reals(name: str, x):
+    """The one reader of a real scalar, as a Python float, or 1-d grid, as a float array (float64 uncopied).
+    Naming ``name``: TypeError unless bool, int or float, then ValueError at NaN/inf (row-marked) or a 2nd axis."""
+    a = np.asarray(x)
+    if a.dtype.kind not in "biuf":
+        raise TypeError(f"{name} must be real, got dtype {a.dtype}")
+    if not (np.isfinite(a).all() if a.ndim else math.isfinite(a)):
+        _reject_rows(~np.isfinite(a), lambda v: ValueError(f"{name} must be finite, got {float(v)!r}"), a)
+    if a.ndim > 1:
+        raise ValueError(f"{name} must be a scalar or a 1-d array, got shape {a.shape}")
+    return np.asarray(a, dtype=float) if a.ndim else float(a)
+
+
 def _reject_rows(bad, error, *values) -> None:
     """Raise ``error`` for the first row flagged in ``bad``.
 
-    ``bad`` is a boolean, or a 1-d mask over the rows of a stack.  ``error``
+    ``bad`` is a boolean, or a mask over the rows of a stack, read flat.  ``error``
     is an exception, or a function building one from each of ``values`` at
     that row; it records the row as ``row``, which ``_first_failing_row`` reads.
     """
@@ -734,16 +759,14 @@ def propagator(ham, t) -> np.ndarray:
     diag(1, e^-1380)).  Every other entry, real r included, keeps the plain
     form.  4x4 generators must pass ``is_hermitian``, however small, and go
     through an eigendecomposition; any other 4x4 generator raises ValueError.
-    A NaN or infinite time raises ValueError naming the first such value.
+    ``t`` is read by ``_reals``: a complex or str ``t`` raises TypeError, a
+    NaN or infinite time ValueError naming the first such value, and a ``t``
+    of more than one dimension ValueError naming its shape.
     """
     m = as_operator(ham, stack=True)
-    t = np.asarray(t, dtype=float)
-    if m.ndim == 3 and (m.shape[-1] != 2 or t.shape != m.shape[:1]):
-        raise ValueError(f"a generator stack needs 2x2 matrices and one time each, got t {t.shape}")
-    if t.ndim > 1:
-        raise ValueError(f"t must be a scalar or a 1-d array, got shape {t.shape}")
-    _reject_rows(~np.isfinite(t), lambda x: ValueError(f"t must be finite, got {float(x)!r}"), t)
-    t = t if t.ndim else float(t)
+    t = _reals("t", t)
+    if m.ndim == 3 and (m.shape[-1] != 2 or np.shape(t) != m.shape[:1]):
+        raise ValueError(f"a generator stack needs 2x2 matrices and one time each, got t {np.shape(t)}")
     if m.shape[-1] == 2:
         a0, e, r, pauli_part = _pauli_split(m)
         # n 2**-e turns on the clock t 2**e

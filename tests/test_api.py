@@ -3,15 +3,22 @@
 float argument of every public entry point rejects NaN, infinities and,
 where it is documented as positive, zero and negative values with a
 ValueError (or a subclass), and every integer argument rejects NaN,
-infinities, non-integral and out-of-domain values the same way."""
+infinities, non-integral and out-of-domain values the same way.  Every
+real-valued argument rejects a complex value, a complex array and a string
+with a TypeError naming it; one of more array dimensions than it takes
+raises a ValueError naming the shape (a TypeError naming the argument where
+it takes a single number).  Numeric arguments are coerced to float at one
+site, ``smallmat._reals``."""
 
 import ast
 import collections
+import dataclasses
 import inspect
 import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -125,16 +132,83 @@ def test_extra_array_dimensions_raise_a_value_error_naming_the_shape(name):
         SHAPE_CALLS[name]()
 
 
+#: every real-valued argument of CALLS (``offdiag`` is complex) -> call with
+#: that argument set to x, a grid passed whole
+REAL_CALLS = {
+    **{(name, arg): call for name, args in CALLS.items() for arg, call in args.items() if arg != "offdiag"},
+    ("dissipation_scan", "f_grid"): lambda x: opendyn.dissipation_scan(x, 1.0),
+    ("evolve_semigroup", "times"): lambda x: opendyn.evolve_semigroup(H, RHO0, x),
+    ("transition_defect", "times"): lambda x: metric.transition_defect(x, [np.eye(2)] * 3, [H] * 3),
+}
+
+#: the real arguments that take a scalar or a 1-d grid; the others take one number
+GRIDS = {"theta", "t", "times", "f_grid", "diag"}
+
+#: the readers of a real argument: ``reader(label, x)`` marks the parameter x real
+READERS = {"_reals", "positive_finite"}
+
+
+def _real_parameters(fn) -> set:
+    """The real parameters of a public function or dataclass: annotated
+    ``float`` (a function's), or handed, as ``x`` or ``self.x``, to a reader
+    or to a public function in the place of one of its real parameters."""
+    params = inspect.signature(fn).parameters
+    real = set()
+    if inspect.isfunction(fn):
+        real = {p.name for p in params.values() if p.annotation in ("float", "float | None")}
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(fn)))):
+        callee = getattr(node, "func", None)
+        callee = getattr(callee, "id", getattr(callee, "attr", None))
+        if callee in READERS:
+            values = node.args[1:2]
+        elif callee in tachys.__all__ and inspect.isfunction(getattr(tachys, callee)):
+            inner = getattr(tachys, callee)
+            taken = _real_parameters(inner)
+            values = [a for a, p in zip(node.args, inspect.signature(inner).parameters) if p in taken]
+            values += [k.value for k in node.keywords if k.arg in taken]
+        else:
+            continue
+        real |= {getattr(v, "id", getattr(v, "attr", None)) for v in values} & set(params)
+    return real
+
+
 def test_every_float_parameter_of_a_public_function_is_exercised():
+    found = set()
     for name in tachys.__all__:
         fn = getattr(tachys, name)
-        if not inspect.isfunction(fn):
-            continue
-        params = inspect.signature(fn).parameters.values()
-        floats = {p.name for p in params if p.annotation in ("float", "float | None")}
-        assert floats <= set(CALLS.get(name, ())), name
-        ints = {p.name for p in params if p.annotation in ("int", "int | None")}
-        assert ints <= set(INT_CALLS.get(name, ())), name
+        if inspect.isfunction(fn) or dataclasses.is_dataclass(fn):
+            found |= {(name, arg) for arg in _real_parameters(fn)}
+        if inspect.isfunction(fn):
+            params = inspect.signature(fn).parameters.values()
+            ints = {p.name for p in params if p.annotation in ("int", "int | None")}
+            assert ints <= set(INT_CALLS.get(name, ())), name
+    # t, times, f_grid, diag and theta carry no float annotation: their reader marks them
+    assert found == set(REAL_CALLS)
+
+
+@pytest.mark.parametrize("name, arg", sorted(REAL_CALLS), ids=[f"{n}-{a}" for n, a in sorted(REAL_CALLS)])
+def test_real_arguments_reject_complex_and_str_values_and_extra_dimensions(name, arg):
+    call = REAL_CALLS[name, arg]
+    call(np.array([1.0, 2.0, 3.0]) if arg in GRIDS else 1.0)
+    for bad in (np.array([1.0, 2.0, 3.0], dtype=complex), 1.0 + 0.0j, np.complex128(1.0), "1.0", "nan"):
+        with pytest.raises(TypeError, match=rf"\b{arg} must be"):
+            call(bad)
+    if arg in GRIDS:
+        with pytest.raises(ValueError, match=rf"\b{arg} must be a scalar or a 1-d array, got shape \(3, 3\)"):
+            call(np.ones((3, 3)))
+    elif arg == "e_basis_polar":
+        with pytest.raises(ValueError, match=r"\be_basis_polar must be a single angle, got shape \(1,\)"):
+            call([1.0])
+    else:
+        for bad in (np.ones(1), np.ones((3, 3))):
+            with pytest.raises(TypeError, match=rf"\b{arg} must be"):
+                call(bad)
+
+
+def test_integer_arguments_reject_str_complex_and_array_values():
+    for bad in ("2000", 2000.0 + 0.0j, np.array([2000])):
+        with pytest.raises(TypeError, match="steps must be"):
+            INT_CALLS["first_passage_scan"]["steps"](bad)
 
 
 def test_every_export_resolves_and_comes_from_its_module_exports():
@@ -289,3 +363,59 @@ def test_complex_dot_is_only_smallmat_vdots():
                 if imported or (isinstance(node, ast.Attribute) and node.attr == "vdot"):
                     sites.append((path.stem, getattr(top, "name", "<module>")))
     assert sites == [("smallmat", "_vdots")]
+
+
+#: the package's float coercions, ``np.asarray``/``np.array`` with a float
+#: dtype, as (module, top-level function): the reader of every real argument,
+#: the circle state of an angle it has read, and the report columns
+FLOAT_COERCION_SITES = [("cli", "_render"), ("gates", "_circle_state"), ("smallmat", "_reals")]
+
+FLOAT_DTYPES = {"float", "np.float64", "np.double", "'float'", "'float64'", "'f8'"}
+
+
+def test_real_arguments_are_coerced_only_by_the_reader():
+    sites = []
+    for path in sorted(pathlib.Path(tachys.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                if not (isinstance(func, ast.Attribute) and func.attr in ("array", "asarray")):
+                    continue
+                dtypes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "dtype"]
+                if any(ast.unparse(d) in FLOAT_DTYPES for d in dtypes):
+                    sites.append((path.stem, getattr(top, "name", "<module>")))
+    assert sites == FLOAT_COERCION_SITES
+
+
+#: math and cmath functions whose last bits come from the host's libm: glibc
+#: changes cos, sin, acos, atan2 and exp with its FMA switch (ROADMAP item 16)
+LIBM = {
+    "acos", "acosh", "asin", "asinh", "atan", "atan2", "atanh", "cbrt", "cos", "cosh", "erf", "erfc", "exp", "exp2",
+    "expm1", "gamma", "lgamma", "log", "log10", "log1p", "log2", "pow", "sin", "sinh", "tan", "tanh",
+}
+
+#: every ``math.<name>`` or ``cmath.<name>`` site of the package for a name in
+#: LIBM, as (module, top-level function, library, name); a new site must be
+#: added here on purpose (ROADMAP items 8 and 16)
+LIBM_SITES = {
+    ("brachistochrone", "_general_passage", "cmath", "cos"),
+    ("brachistochrone", "_general_passage", "cmath", "sin"),
+    ("brachistochrone", "_real_spectrum_passage", "math", "atan2"),
+    ("brachistochrone", "_real_spectrum_passage", "math", "cos"),
+    ("brachistochrone", "_real_spectrum_passage", "math", "sin"),
+    ("smallmat", "_pow2", "math", "pow"),
+}
+
+
+def test_libm_calls_are_only_at_the_listed_sites():
+    sites = set()
+    for path in sorted(pathlib.Path(tachys.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.attr in LIBM:
+                    if node.value.id in ("math", "cmath"):
+                        sites.add((path.stem, owner, node.value.id, node.attr))
+                elif isinstance(node, ast.ImportFrom) and node.module in ("math", "cmath"):
+                    sites |= {(path.stem, owner, node.module, a.name) for a in node.names if a.name in LIBM}
+    assert sites == LIBM_SITES

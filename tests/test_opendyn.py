@@ -452,9 +452,9 @@ SEMIGROUP_ERRORS = [
     ((None, [[0.5, 0.6j], [-0.6j, 0.5]], None), "rho0 must be positive semidefinite (min eigenvalue -1.000e-01)"),
     ((None, 0.45 * np.eye(2), None), "rho0 must have unit trace"),
     ((None, None, []), "times must be non-empty"),
-    ((None, None, [0.0, np.nan]), "times must be finite"),
-    ((None, None, [np.inf]), "times must be finite"),
-    ((None, None, [[0.0], [-np.inf]]), "times must be finite"),
+    ((None, None, [0.0, np.nan]), "times must be finite, got nan"),
+    ((None, None, [np.inf]), "times must be finite, got inf"),
+    ((None, None, [[0.0], [-np.inf]]), "times must be finite, got -inf"),
     ((np.eye(3), [[0.5, 0.5], [0.0, 0.5]], []), "unsupported dimension 3; expected one of (2, 4)"),
     (([[np.nan, 0.0], [0.0, 0.0]], np.eye(4), []), "matrix has non-finite entries"),
     ((None, [[0.5, 0.5], [0.0, 0.5]], [np.nan]), "rho0 must be Hermitian"),
