@@ -10,7 +10,6 @@ provides a scan that locates first-passage times for arbitrary drives.
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 from dataclasses import dataclass
@@ -19,7 +18,6 @@ import numpy as np
 
 from .smallmat import (
     _E0,
-    _EP_RADIUS,
     _abs,
     _angle,
     _arg,
@@ -32,6 +30,7 @@ from .smallmat import (
     _matrix2,
     _norm,
     _operator_entries,
+    _paired,
     _pauli_entries,
     _pauli_root,
     _pauli_scale,
@@ -93,11 +92,13 @@ class BrachistochroneResult:
 def minimal_time(initial, final, omega: float):
     """Shortest travel time (2/omega) * arccos|<initial|final>|.
 
-    Either state may be an ``(n, 2)`` stack of states, giving ``(n,)`` times.
+    Either state may be an ``(n, 2)`` stack of states, giving ``(n,)`` times;
+    two stacks must have one length.
     """
     omega = positive_finite("omega", omega)
-    u = normalize(as_state(initial, dim=2, stack=True))
-    v = normalize(as_state(final, dim=2, stack=True))
+    u = normalize(as_state(initial, stack=True))
+    v = normalize(as_state(final, stack=True))
+    _paired("initial", u, "final", v, 1)
     overlap = _vdots(u, v)
     return _float_or_array((2.0 / omega) * _angle(_abs(overlap)))
 
@@ -127,7 +128,7 @@ def transfer(target, omega: float) -> BrachistochroneResult:
     raises, from the earliest check it fails, as a loop over the rows would.
     """
     omega = positive_finite("omega", omega)
-    v = as_state(target, dim=2, stack=True)
+    v = as_state(target, stack=True)
     if v.ndim == 1:
         return _transfer(v, omega)
     return _first_failing_row(lambda n: _transfer(v[:n], omega), len(v))
@@ -203,10 +204,10 @@ def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -
     The arguments are checked in order (ham, t_max, steps, initial, final),
     each once, and the first bad one raises ValueError (TypeError, naming
     it, for a str, complex or array ``t_max`` or ``steps``); a bad array raises
-    what ``as_operator(ham, dim=2)``, ``as_state(x, dim=2)`` or ``normalize``
-    would.  The drive and each state are read once into Python complex
-    scalars, gated by ``_is_hermitian2`` and normalized by ``_unit2``, which
-    give ``is_hermitian``'s verdict and ``normalize``'s bits; where a norm
+    what ``as_operator(ham)``, ``as_state(x)`` or ``normalize`` would.  The
+    drive and each state are read once into Python complex scalars, gated
+    by ``_is_hermitian2`` and normalized by ``_unit2``, which give
+    ``is_hermitian``'s verdict and ``normalize``'s bits; where a norm
     lies inside [2**-250, 2**251], as for every ordinary input, they and the
     real-spectrum path are Python scalar arithmetic with no numpy call.  The
     drive's norm also sizes the grid's candidate slack.  The drive's
@@ -335,10 +336,11 @@ def _general_passage(r: complex, n, size: float, u, w, v, t_max: float, steps: i
         raise ValueError(f"the evolution overflows: psi(t) is first not finite at t = {t_bad!r}")
     if fid[0] >= PASSAGE_FIDELITY:
         return 0.0
-    exceptional = abs(r) < _EP_RADIUS
 
     def state(t: float) -> tuple[complex, complex]:
-        c, s = (1.0, t) if exceptional else (cmath.cos(r * t), cmath.sin(r * t) / r)
+        # the grid's factors, as Python complex scalars: their arithmetic is faster
+        c, s = _cos_sinc(r, t)
+        c, s = complex(c), complex(s)
         return c * u0 - 1j * s * w0, c * u1 - 1j * s * w1
 
     def rising(t: float) -> bool:

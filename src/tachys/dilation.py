@@ -19,8 +19,10 @@ from .smallmat import (
     MetricDegeneracyError,
     _arg,
     _cis,
+    _col,
     _hermitian_part,
     _negligible,
+    _reals,
     _vdots,
     as_operator,
     as_state,
@@ -28,7 +30,6 @@ from .smallmat import (
     frobenius,
     is_hermitian,
     normalize,
-    propagator,
 )
 
 __all__ = ["DilationModel", "build_dilation", "evolve_dilated", "visibility_ratio"]
@@ -73,7 +74,7 @@ def build_dilation(h, metric: Metric, omega: float) -> DilationModel:
     vectors and the Hermiticity of the dilated generator B.  Their residuals
     are sized by ||h||_F, the right-hand side ||root E||_F, ||I||_F = 2, ||B||_F.
     """
-    hm = as_operator(h, dim=2)
+    hm = as_operator(h)
     if not _negligible(abs(complex(np.trace(hm))), frobenius(hm)):
         raise ValueError("build_dilation requires a traceless generator")
     det_eta = float(np.linalg.det(metric.eta).real)
@@ -131,14 +132,19 @@ def evolve_dilated(model: DilationModel, initial, t) -> tuple[np.ndarray, np.nda
     (in the model's eigenbasis) and the observed two-level part converted
     back to the original basis; the observed part reproduces the two-level
     non-unitary evolution exactly while the four-vector norm stays constant.
-    ``t`` is a scalar or a 1-d array of times, as for ``propagator``; an
-    array gives ``(len(t), 4)`` and ``(len(t), 2)`` stacks whose rows equal
-    the scalar calls bit for bit.
+    ``t`` is a scalar or a 1-d array of times, read as ``propagator`` reads
+    it; an array gives ``(len(t), 4)`` and ``(len(t), 2)`` stacks whose rows
+    equal the scalar calls bit for bit.  exp(-i B t) of the model's
+    ``hamiltonian`` B comes from its ``eigh``; B must pass ``is_hermitian``.
     """
-    psi = normalize(as_state(initial, dim=2))
+    psi = normalize(as_state(initial))
+    t = _reals("t", t)
+    if not is_hermitian(model.hamiltonian):
+        raise ValueError("4x4 generators must be Hermitian")
+    w, v = np.linalg.eigh(_hermitian_part(model.hamiltonian))
     psi_e = dagger(model.eigenbasis) @ psi
     stacked = np.concatenate([psi_e, model.metric.eta @ psi_e])
-    evolved = propagator(model.hamiltonian, t) @ stacked
+    evolved = (v * _cis(-(w * _col(t)))) @ dagger(v) @ stacked
     observed = (model.eigenbasis @ evolved[..., :2, None])[..., 0]
     return evolved, observed
 
@@ -151,7 +157,7 @@ def visibility_ratio(metric: Metric, state) -> float:
     stacked metric raises ValueError.
     """
     eta = _single_eta(metric)
-    psi = as_state(state, dim=2)
+    psi = as_state(state)
     chi = eta @ psi
     denom = float(np.real(_vdots(chi, chi)))
     if denom <= 0.0:

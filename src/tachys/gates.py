@@ -18,6 +18,7 @@ from .smallmat import (
     _cos_sin,
     _float_or_array,
     _norm,
+    _paired,
     _reals,
     _vdots,
     as_state,
@@ -221,11 +222,13 @@ def _expectation(effect, psi):
 def inconclusive_probability(povm: Povm, state) -> float:
     """Probability of the inconclusive outcome on ``state``, taken as a unit vector.
 
-    A stacked POVM, an ``(n, 2)`` stack of states, or both give one value per
-    row, each that of the single call bit for bit.
+    A stacked POVM, an ``(n, 2)`` stack of states, or both (of one length n)
+    give one value per row, each that of the single call bit for bit.
     """
-    psi = normalize(as_state(state, dim=2, stack=True))
-    return _float_or_array(_expectation(povm.effects[povm.labels.index(INCONCLUSIVE)], psi))
+    psi = normalize(as_state(state, stack=True))
+    effect = povm.effects[povm.labels.index(INCONCLUSIVE)]
+    _paired("povm", effect, "state", psi, 2, 1)
+    return _float_or_array(_expectation(effect, psi))
 
 
 def not_gate_roundtrip(basis: BlochBasis, omega: float) -> NotGateReport:

@@ -24,6 +24,7 @@ from .smallmat import (
     _inverse,
     _matrix2,
     _negligible,
+    _paired,
     _reals,
     _reject_rows,
     _rescaled,
@@ -111,13 +112,15 @@ def metric_from_sqrt(diag, offdiag) -> Metric:
     --scale 1e200``) keeps its overflow error.  ``diag`` and ``offdiag`` may
     also be 1-d arrays of one length n: the metric then holds ``(n, 2, 2)``
     stacks whose slices equal the single calls bit for bit, and the first
-    rejected pair raises.  ``diag`` is read by ``_reals``: TypeError for a
-    complex or str value, ValueError naming its first non-finite value or
-    the shape of a 2-d one.
+    rejected pair raises; arrays of two lengths raise ValueError naming
+    both.  ``diag`` is read by ``_reals``: TypeError for a complex or str
+    value, ValueError naming its first non-finite value or the shape of a
+    2-d one.
     """
     f = _reals("diag", diag)
     g = np.asarray(offdiag, dtype=complex)
     _reject_rows(~np.isfinite(g), ValueError("metric root parameters must be finite"))
+    _paired("diag", f, "offdiag", g, 0)
     margin = f - _square(_abs(g))
     _reject_rows(
         margin <= DEGENERACY_MARGIN,
@@ -142,7 +145,7 @@ def metric_from_sqrt(diag, offdiag) -> Metric:
 
 def metric_from_matrix(eta) -> Metric:
     """Metric built from an explicit positive-definite matrix."""
-    m = as_operator(eta, dim=2)
+    m = as_operator(eta)
     root = hermitian_sqrt(m)
     inv_root = np.linalg.inv(root)
     inv_root = _hermitian_part(inv_root)
@@ -158,11 +161,13 @@ def quasi_hamiltonian(h, metric: Metric, omega: float) -> QuasiHamiltonian:
     (which may also stay within its rounding 50 eps ||op||_F cond), and
     ||op||_F cond^2 for the metric-Hermiticity defect, where cond is
     ||sqrt_eta||_F ||inv_sqrt_eta||_F / 2.  ``h`` may be an ``(n, 2, 2)``
-    stack, paired with a metric of ``(n, 2, 2)`` stacks: every gate then runs
-    once over the stack, slice k equals the single call bit for bit, and the
-    first failing slice raises, from the earliest gate it fails.
+    stack, paired with a metric of ``(n, 2, 2)`` stacks of the same n (or
+    ValueError naming both lengths): every gate then runs once over the
+    stack, slice k equals the single call bit for bit, and the first failing
+    slice raises, from the earliest gate it fails.
     """
-    hm = as_operator(h, dim=2, stack=True)
+    hm = as_operator(h, stack=True)
+    _paired("h", hm, "metric", metric.eta, 2)
     not_hermitian = ValueError("quasi_hamiltonian requires a Hermitian generator")
     _reject_rows(np.logical_not(is_hermitian(hm)), not_hermitian)
     omega = positive_finite("omega", omega)
@@ -194,11 +199,12 @@ def pseudo_hermiticity_defect(operator, eta):
     """Frobenius distance ||op^dag - eta @ op @ eta^-1||_F.
 
     Zero exactly when ``operator`` is Hermitian in the ``eta`` inner product.
-    Stacks of operators and metrics give one distance per slice; a metric
-    that ``_determinant`` finds singular raises.
+    Stacks of operators and metrics, of one length, give one distance per
+    slice; a metric that ``_determinant`` finds singular raises.
     """
-    op = as_operator(operator, dim=2, stack=True)
-    em = as_operator(eta, dim=2, stack=True)
+    op = as_operator(operator, stack=True)
+    em = as_operator(eta, stack=True)
+    _paired("operator", op, "eta", em, 2)
     return frobenius(dagger(op) - em @ op @ _inverse(em, _determinant(em, "metric matrix is singular")))
 
 
@@ -230,7 +236,7 @@ def state_angle(u, v) -> float:
     ``normalize``, so the angle of 2**k u or c u is that of u, and a zero
     state raises ValueError.
     """
-    return float(_angle(fidelity(as_state(u, dim=2), as_state(v, dim=2))))
+    return float(_angle(fidelity(u, v)))
 
 
 def metric_angle(u, v, metric: Metric) -> float:
@@ -244,8 +250,8 @@ def metric_angle(u, v, metric: Metric) -> float:
     ValueError for a stacked metric.
     """
     eta = _single_eta(metric)
-    a, na, _ = _rescaled(as_state(u, dim=2))
-    b, nb, _ = _rescaled(as_state(v, dim=2))
+    a, na, _ = _rescaled(as_state(u))
+    b, nb, _ = _rescaled(as_state(v))
     nu = float(np.real(_vdots(a, eta @ a)))
     nv = float(np.real(_vdots(b, eta @ b)))
     size = frobenius(eta)
@@ -276,8 +282,8 @@ def transition_defect(times, etas, hams) -> float:
         raise ValueError("transition_defect needs at least three samples")
     if np.any(np.diff(ts) <= 0.0):
         raise ValueError("sample times must be strictly increasing")
-    es = as_operator(etas, dim=2, stack=True)
-    hs = as_operator(hams, dim=2, stack=True)
+    es = as_operator(etas, stack=True)
+    hs = as_operator(hams, stack=True)
     if len(es) != len(ts) or len(hs) != len(ts):
         raise ValueError("times, etas and hams must have matching lengths")
     invs = _inverse(es, _determinant(es, "metric sample is singular"))

@@ -120,7 +120,7 @@ def split_generator(ham) -> OpenSplit:
     drift = (0.5 ham - 0.5 ham^dag) / i, so a finite generator has a finite
     split.  An ``(n, 2, 2)`` stack gives stacked parts and ``(n,)`` rate arrays.
     """
-    m = as_operator(ham, dim=2, stack=True)
+    m = as_operator(ham, stack=True)
     drift = _drift2(*_entries2(m))
     hi, lo = _eigvals2(*drift)
     return OpenSplit(coherent=_hermitian_part(m), drift=_matrix2(*drift), rate_max=np.real(hi), rate_min=np.real(lo))
@@ -181,7 +181,7 @@ def evolve_semigroup(ham, rho0, times) -> EvolutionTrace:
     past the float range raises ValueError.
 
     The set-up runs on Python scalars, with no numpy call: ``ham`` and
-    ``rho0`` are each read once, raising what ``as_operator(x, dim=2)``
+    ``rho0`` are each read once, raising what ``as_operator(x)``
     would, in the order ham, rho0, times; rho0 is checked by
     ``_is_hermitian2`` (``is_hermitian``'s verdict, in scalar arithmetic
     for a rho0 of ordinary size) and by its smaller eigenvalue and trace;
@@ -345,7 +345,7 @@ def shifted_generator(ham) -> tuple[np.ndarray, float]:
 
     The shifted generator's own drift has top eigenvalue zero, so its
     semigroup never pushes the trace above one.  ``ham`` is read once into
-    Python scalars, raising what ``as_operator(ham, dim=2)`` would, and the
+    Python scalars, raising what ``as_operator(ham)`` would, and the
     rate and the matrix carry the bits of ``split_generator`` and of the
     array expression ham - 1j * rate * I.
     """
@@ -367,8 +367,8 @@ def map_boundary_states(metric: Metric, initial, final):
     the travel time of the aligned problem.  A metric of ``(n, 2, 2)`` stacks
     gives ``(n, 2)`` images and ``(n,)`` moduli.
     """
-    u = as_state(initial, dim=2)
-    v = as_state(final, dim=2)
+    u = as_state(initial)
+    v = as_state(final)
     out = []
     for psi in (u, v):
         nrm2 = np.real(_vdots(psi, metric.eta @ psi))
@@ -469,7 +469,7 @@ def energy_gap_squared(hermitian_part):
 
     An ``(n, 2, 2)`` stack gives one value per matrix.
     """
-    m = as_operator(hermitian_part, dim=2, stack=True)
+    m = as_operator(hermitian_part, stack=True)
     tr = m[..., 0, 0] + m[..., 1, 1]
     return _float_or_array((_cmul(tr, tr) - 4.0 * np.linalg.det(m)).real)
 

@@ -1,9 +1,11 @@
-"""Dense complex linear algebra for 2x2 and 4x4 operators.
+"""Dense complex linear algebra for 2x2 operators and qubit states.
 
-Everything in this module is pure: matrices are plain complex128 ndarrays
-with value semantics, pure states are 1-d complex128 ndarrays.  State
-comparison is phase-insensitive throughout (two states are "the same" when
-their fidelity is 1 up to tolerance).
+Everything in this module is pure: matrices are plain 2x2 complex128 ndarrays
+with value semantics, pure states are 1-d complex128 ndarrays of length 2
+(``is_hermitian``, ``frobenius``, ``dagger``, ``_hermitian_part`` and
+``row_norms`` also take the dilation's 4x4 matrices).  State comparison is
+phase-insensitive throughout (two states are "the same" when their fidelity
+is 1 up to tolerance).
 
 Every residual gate on an operator has one rule, ``_negligible``: at most
 HERMITICITY_TOL (or its own tolerance) times the Frobenius size of what it
@@ -68,8 +70,6 @@ _E0 = np.array([1.0, 0.0], dtype=complex)
 _E1 = np.array([0.0, 1.0], dtype=complex)
 _E0.flags.writeable = False
 _E1.flags.writeable = False
-
-_SUPPORTED_DIMS = (2, 4)
 
 #: |r| below which sin(r t)/r is taken as t (the generator is at an exceptional point)
 _EP_RADIUS = 1e-150
@@ -136,6 +136,16 @@ def _reals(name: str, x):
     if a.ndim > 1:
         raise ValueError(f"{name} must be a scalar or a 1-d array, got shape {a.shape}")
     return np.asarray(a, dtype=float) if a.ndim else float(a)
+
+
+def _paired(name_a: str, a, name_b: str, b, rank: int, rank_b: int | None = None) -> None:
+    """ValueError naming both arguments and both lengths where ``a`` and ``b``
+    are stacks of different lengths.  Each is an array (or a Python scalar)
+    of one item of ``rank`` dimensions (``b`` of ``rank_b``, where given) or
+    a stack of them; one item pairs with any stack."""
+    ndim_a, ndim_b = getattr(a, "ndim", 0), getattr(b, "ndim", 0)
+    if ndim_a > rank and ndim_b > (rank if rank_b is None else rank_b) and len(a) != len(b):
+        raise ValueError(f"{name_a} and {name_b} must be stacks of one length, got {len(a)} and {len(b)}")
 
 
 def _reject_rows(bad, error, *values) -> None:
@@ -207,56 +217,53 @@ _PAULI_NOT_FINITE = "the generator's Pauli vector leaves the float range"
 _STATE_NOT_FINITE = "state has non-finite entries"
 
 
-def as_operator(mat, dim: int | None = None, stack: bool = False) -> np.ndarray:
-    """Coerce ``mat`` to a square complex128 matrix of dimension 2 or 4.
+def as_operator(mat, stack: bool = False) -> np.ndarray:
+    """Coerce ``mat`` to a 2x2 complex128 matrix.
 
-    With ``stack``, an ``(n, d, d)`` stack of such matrices is accepted too.
+    With ``stack``, an ``(n, 2, 2)`` stack of such matrices is accepted too.
     """
     m = np.array(mat, dtype=complex, order="C")
-    _check_operator_shape(m.shape, dim, stack)
+    _check_operator_shape(m.shape, stack)
     if not _all_finite(m):
         finite = np.isfinite(m.view(float))
         _reject_rows(~finite.all(axis=(-2, -1)), ValueError(_MATRIX_NOT_FINITE))
     return m
 
 
-def as_state(vec, dim: int | None = None, stack: bool = False) -> np.ndarray:
-    """Coerce ``vec`` to a complex128 vector of length 2 or 4.
+def as_state(vec, stack: bool = False) -> np.ndarray:
+    """Coerce ``vec``, a 1-d state of length 2, to complex128.
 
-    With ``stack``, a 2-d input is an ``(n, d)`` stack of states, one per row.
+    With ``stack``, a 2-d input is an ``(n, 2)`` stack of states, one per row.
     """
     v = np.array(vec, dtype=complex, order="C")
-    if not (stack and v.ndim == 2):
-        v = v.reshape(-1)
-    _check_state_length(v.shape[-1], dim)
+    _check_state_shape(v.shape, stack)
     if not _all_finite(v):
         finite = np.isfinite(v.view(float))
         _reject_rows(~finite.all(axis=-1), ValueError(_STATE_NOT_FINITE))
     return v
 
 
-def _check_operator_shape(shape: tuple, dim: int | None, stack: bool = False) -> None:
-    """ValueError unless ``shape`` is that of a square matrix of a supported
-    dimension (``dim`` if given), or with ``stack`` of a stack of them."""
+def _check_operator_shape(shape: tuple, stack: bool = False) -> None:
+    """ValueError unless ``shape`` is that of a 2x2 matrix, or with ``stack``
+    of a stack of them."""
     if len(shape) not in ((2, 3) if stack else (2,)) or shape[-1] != shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {shape}")
-    if shape[-1] not in _SUPPORTED_DIMS:
-        raise ValueError(f"unsupported dimension {shape[-1]}; expected one of {_SUPPORTED_DIMS}")
-    if dim is not None and shape[-1] != dim:
-        raise ValueError(f"expected a {dim}x{dim} matrix, got {shape[-1]}x{shape[-1]}")
+    if shape[-1] != 2:
+        raise ValueError(f"expected a 2x2 matrix, got {shape[-1]}x{shape[-1]}")
 
 
-def _check_state_length(n: int, dim: int | None) -> None:
-    """ValueError unless ``n`` is a supported state length (``dim`` if given)."""
-    if n not in _SUPPORTED_DIMS:
-        raise ValueError(f"unsupported state dimension {n}")
-    if dim is not None and n != dim:
-        raise ValueError(f"expected a length-{dim} state, got length {n}")
+def _check_state_shape(shape: tuple, stack: bool = False) -> None:
+    """ValueError unless ``shape`` is that of a 1-d state of length 2, or with
+    ``stack`` of an ``(n, 2)`` stack of them."""
+    if len(shape) not in ((1, 2) if stack else (1,)):
+        raise ValueError(f"expected a 1-d state{' or an (n, 2) stack' if stack else ''}, got shape {shape}")
+    if shape[-1] != 2:
+        raise ValueError(f"expected a length-2 state, got length {shape[-1]}")
 
 
 def _operator2(mat) -> tuple[complex, complex, complex, complex]:
     """The entries m00, m01, m10, m11 of one 2x2 matrix as Python complex
-    scalars, raising the error type and message of ``as_operator(mat, dim=2)``
+    scalars, raising the error type and message of ``as_operator(mat)``
     (without its ``row`` mark): the matrix is read once, without a copy."""
     m00, m01, m10, m11 = _operator_entries(mat)
     if not (cmath.isfinite(m00) and cmath.isfinite(m01) and cmath.isfinite(m10) and cmath.isfinite(m11)):
@@ -269,7 +276,7 @@ def _operator_entries(mat) -> list[complex]:
     makes in its pass over the entries."""
     m = np.asarray(mat, dtype=complex)
     if m.shape != (2, 2):
-        _check_operator_shape(m.shape, 2)
+        _check_operator_shape(m.shape)
     return _entries2(m)
 
 
@@ -281,12 +288,12 @@ def _entries2(m: np.ndarray):
 
 def _state_entries(vec) -> list[complex]:
     """The entries of one 2-state as Python complex scalars, raising the error
-    type and message of ``as_state(vec, dim=2)`` for a bad length: the state
-    is read once, without a copy.  ``_unit2`` checks the entries."""
+    type and message of ``as_state(vec)`` for a bad shape: the state is read
+    once, without a copy.  ``_unit2`` checks the entries."""
     v = np.asarray(vec, dtype=complex)
-    if v.size != 2:
-        _check_state_length(v.size, 2)
-    return v.tolist() if v.ndim == 1 else v.reshape(2).tolist()
+    if v.shape != (2,):
+        _check_state_shape(v.shape)
+    return v.tolist()
 
 
 def _all_finite(x: np.ndarray) -> bool:
@@ -363,7 +370,7 @@ def _is_hermitian2(m00: complex, m01: complex, m10: complex, m11: complex) -> tu
 
 
 def normalize(vec) -> np.ndarray:
-    """``vec`` over its norm; a 2-d ``vec`` is an ``(n, d)`` stack, normalized row by row.
+    """``vec`` over its norm; a 2-d ``vec`` is an ``(n, 2)`` stack, normalized row by row.
 
     A state whose largest entry part leaves the range of ``_exponent`` (its
     squares could lose bits, vanish or overflow) is first scaled into it,
@@ -460,7 +467,7 @@ def _det2(m00, m01, m10, m11):
 
 
 def _norm(x):
-    """``np.linalg.norm`` of one state as a float, or of each row of an ``(n, d)`` stack."""
+    """``np.linalg.norm`` of one vector as a float, or of each row of an ``(n, d)`` stack."""
     return row_norms(x) if x.ndim == 2 else float(np.linalg.norm(x))
 
 
@@ -736,10 +743,10 @@ def _damped_factors(a0, r, t, tr):
 
 
 def propagator(ham, t) -> np.ndarray:
-    """Time-evolution operator ``exp(-1j * ham * t)``.
+    """Time-evolution operator ``exp(-1j * ham * t)`` of a 2x2 generator.
 
-    ``t`` is a scalar, giving one ``(d, d)`` matrix, or a 1-d array of times,
-    giving a ``(len(t), d, d)`` stack whose slices equal the scalar calls bit
+    ``t`` is a scalar, giving one 2x2 matrix, or a 1-d array of times,
+    giving a ``(len(t), 2, 2)`` stack whose slices equal the scalar calls bit
     for bit.  ``ham`` may also be an ``(n, 2, 2)`` stack of generators with
     ``t`` an ``(n,)`` array of times; slice k then equals
     ``propagator(ham[k], t[k])`` bit for bit.  2x2 generators use the
@@ -757,31 +764,24 @@ def propagator(ham, t) -> np.ndarray:
     non-finite only where the exact operator overflows (diag(0, -2i) at
     t = 800 gives diag(1, e^-1600), diag(0, -2e-10 i) at t = 6.9e12 gives
     diag(1, e^-1380)).  Every other entry, real r included, keeps the plain
-    form.  4x4 generators must pass ``is_hermitian``, however small, and go
-    through an eigendecomposition; any other 4x4 generator raises ValueError.
-    ``t`` is read by ``_reals``: a complex or str ``t`` raises TypeError, a
-    NaN or infinite time ValueError naming the first such value, and a ``t``
-    of more than one dimension ValueError naming its shape.
+    form.  ``t`` is read by ``_reals``: a complex or str ``t`` raises
+    TypeError, a NaN or infinite time ValueError naming the first such value,
+    and a ``t`` of more than one dimension ValueError naming its shape.
     """
     m = as_operator(ham, stack=True)
     t = _reals("t", t)
-    if m.ndim == 3 and (m.shape[-1] != 2 or np.shape(t) != m.shape[:1]):
-        raise ValueError(f"a generator stack needs 2x2 matrices and one time each, got t {np.shape(t)}")
-    if m.shape[-1] == 2:
-        a0, e, r, pauli_part = _pauli_split(m)
-        # n 2**-e turns on the clock t 2**e
-        tr = t * 2.0**e if isinstance(t, float) else np.ldexp(t, e)
-        phase, cosf, sincf = _damped_factors(a0, r, t, tr)
-        rotation = _col(cosf) * np.eye(2) - _col(1j * sincf) * pauli_part
-        return _col(phase) * rotation
-    if not is_hermitian(m):
-        raise ValueError("4x4 generators must be Hermitian")
-    w, v = np.linalg.eigh(_hermitian_part(m))
-    return (v * _cis(-(w * _col(t)))) @ dagger(v)
+    if m.ndim == 3 and np.shape(t) != m.shape[:1]:
+        raise ValueError(f"a generator stack needs one time each, got t {np.shape(t)}")
+    a0, e, r, pauli_part = _pauli_split(m)
+    # n 2**-e turns on the clock t 2**e
+    tr = t * 2.0**e if isinstance(t, float) else np.ldexp(t, e)
+    phase, cosf, sincf = _damped_factors(a0, r, t, tr)
+    rotation = _col(cosf) * np.eye(2) - _col(1j * sincf) * pauli_part
+    return _col(phase) * rotation
 
 
 def hermitian_sqrt(mat) -> np.ndarray:
-    """Principal square root of a Hermitian positive-definite matrix.
+    """Principal square root of a Hermitian positive-definite 2x2 matrix.
 
     ValueError unless ``mat`` passes ``is_hermitian``; MetricDegeneracyError
     (carrying the offending eigenvalue) when the smallest eigenvalue is
@@ -811,7 +811,7 @@ def eigvals2(mat):
     ``eigvals2(2**k h)`` is ``2**k eigvals2(h)`` for |k| up to 1000.  Every
     other matrix keeps the plain formula, bit for bit.
     """
-    return _eigvals2(*_entries2(as_operator(mat, dim=2, stack=True)))
+    return _eigvals2(*_entries2(as_operator(mat, stack=True)))
 
 
 def _eigvals2(m00, m01, m10, m11):

@@ -132,6 +132,34 @@ def test_extra_array_dimensions_raise_a_value_error_naming_the_shape(name):
         SHAPE_CALLS[name]()
 
 
+#: public entry point -> (call pairing a stack of 2 with a stack of 3, the
+#: names of the two arguments): each raises a ValueError naming both, where
+#: numpy's broadcast error named neither
+PAIRED_CALLS = {
+    "minimal_time": (lambda: brachistochrone.minimal_time([E0, E1], [E0, E1, E0], 1.0), "initial", "final"),
+    "metric_from_sqrt": (lambda: metric.metric_from_sqrt([2.0, 3.0], [0.5, 0.5, 0.5]), "diag", "offdiag"),
+    "quasi_hamiltonian": (
+        lambda: metric.quasi_hamiltonian([H, H], metric.metric_from_sqrt([2.0] * 3, 0.5), 1.0), "h", "metric"
+    ),
+    "pseudo_hermiticity_defect": (
+        lambda: metric.pseudo_hermiticity_defect([H, H], metric.metric_from_sqrt([2.0] * 3, 0.5).eta), "operator", "eta"
+    ),
+    "inconclusive_probability": (
+        lambda: gates.inconclusive_probability(gates.discrimination_povm(gates.BlochBasis([1.0, 2.0])), [E0] * 3),
+        "povm",
+        "state",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIRED_CALLS))
+def test_paired_stacks_of_two_lengths_raise_a_value_error_naming_both(name):
+    call, first, second = PAIRED_CALLS[name]
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == f"{first} and {second} must be stacks of one length, got 2 and 3"
+
+
 #: every real-valued argument of CALLS (``offdiag`` is complex) -> call with
 #: that argument set to x, a grid passed whole
 REAL_CALLS = {
@@ -272,13 +300,13 @@ def test_runtime_imports_numpy_only():
 LINALG_SITES = {
     ("dilation", "build_dilation", "det"),
     ("dilation", "build_dilation", "eigh"),
+    ("dilation", "evolve_dilated", "eigh"),
     ("gates", "Povm", "eigvalsh"),
     ("gates", "Povm", "norm"),
     ("metric", "metric_from_matrix", "inv"),
     ("opendyn", "energy_gap_squared", "det"),
     ("smallmat", "_norm", "norm"),
     ("smallmat", "hermitian_sqrt", "eigh"),
-    ("smallmat", "propagator", "eigh"),
 }
 
 #: numpy functions whose last bits depend on the host: on the SIMD loops numpy
@@ -398,8 +426,6 @@ LIBM = {
 #: LIBM, as (module, top-level function, library, name); a new site must be
 #: added here on purpose (ROADMAP items 8 and 16)
 LIBM_SITES = {
-    ("brachistochrone", "_general_passage", "cmath", "cos"),
-    ("brachistochrone", "_general_passage", "cmath", "sin"),
     ("brachistochrone", "_real_spectrum_passage", "math", "atan2"),
     ("brachistochrone", "_real_spectrum_passage", "math", "cos"),
     ("brachistochrone", "_real_spectrum_passage", "math", "sin"),

@@ -305,7 +305,7 @@ _BAD_ARGUMENTS = {
         (np.array([np.nan, 1.0]), "state has non-finite entries"),
         (np.array([1.0, complex(0.0, -np.inf)]), "state has non-finite entries"),
         (np.array([np.inf, 0.0]), "state has non-finite entries"),
-        (np.array([1.0, 0.0, 0.0]), "unsupported state dimension 3"),
+        (np.array([1.0, 0.0, 0.0]), "expected a length-2 state, got length 3"),
         (np.array([0.0, 0.0]), "cannot normalize the zero vector"),
     ],
 }

@@ -1,12 +1,14 @@
 """Four-level Hermitian embedding of metric-dressed two-level dynamics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from tachys.dilation import build_dilation, evolve_dilated, visibility_ratio
 from tachys.metric import Metric, diag_metric, metric_from_matrix, metric_from_sqrt, quasi_hamiltonian
-from tachys.smallmat import MetricDegeneracyError, PAULI_X, PAULI_Y, PAULI_Z, dagger, frobenius
+from tachys.smallmat import MetricDegeneracyError, PAULI_X, PAULI_Y, PAULI_Z, dagger, frobenius, normalize
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)
@@ -20,6 +22,25 @@ def _rand_traceless_hermitian(rng):
         [[v[2], v[0] - 1j * v[1]], [v[0] + 1j * v[1], -v[2]]], dtype=complex
     )
     return h, 2.0 * float(np.linalg.norm(v))
+
+
+def _random_model(rng):
+    """A dilation of a random traceless drive under a random metric root."""
+    h, omega = _rand_traceless_hermitian(rng)
+    f = rng.uniform(1.0, 3.0)
+    g = rng.uniform(0.0, 0.6) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    return build_dilation(h, metric_from_sqrt(f, g), omega)
+
+
+def _taylor_expm(m, t, terms=60):
+    """Independent oracle: plain Taylor sum of exp(-1j*m*t)."""
+    acc = np.eye(m.shape[0], dtype=complex)
+    term = np.eye(m.shape[0], dtype=complex)
+    x = -1j * t * m
+    for k in range(1, terms):
+        term = term @ x / k
+        acc = acc + term
+    return acc
 
 
 # ----------------------------------------------------------------- structure
@@ -75,17 +96,45 @@ def test_embedding_reproduces_two_level_evolution_on_grid():
 
 
 def test_evolve_dilated_time_array_matches_scalar_calls():
+    # rows equal the scalar calls bit for bit: 200 times up to 40, one row,
+    # and 257 times through negative ones, for the README model and random ones
     rng = np.random.default_rng(4)
-    metric = metric_from_sqrt(1.5, 0.4 - 0.2j)
-    model = build_dilation(H_HALF_X, metric, 1.0)
+    models = [build_dilation(H_HALF_X, metric_from_sqrt(1.5, 0.4 - 0.2j), 1.0)]
+    models += [_random_model(rng) for _ in range(4)]
     psi0 = np.array([0.6, 0.8j])
-    ts = np.sort(rng.uniform(0.0, 40.0, 200))
-    evolved, observed = evolve_dilated(model, psi0, ts)
-    assert evolved.shape == (200, 4) and observed.shape == (200, 2)
-    for k, t in enumerate(ts):
-        big, small = evolve_dilated(model, psi0, float(t))
-        assert np.array_equal(big, evolved[k])
-        assert np.array_equal(small, observed[k])
+    grids = (np.sort(rng.uniform(0.0, 40.0, 200)), np.array([0.7]), np.linspace(-2.0, 5.0, 257))
+    for model in models:
+        for ts in grids:
+            evolved, observed = evolve_dilated(model, psi0, ts)
+            assert evolved.shape == (ts.size, 4) and observed.shape == (ts.size, 2)
+            for k, t in enumerate(ts):
+                big, small = evolve_dilated(model, psi0, float(t))
+                assert np.array_equal(big, evolved[k])
+                assert np.array_equal(small, observed[k])
+
+
+def test_dilated_evolution_matches_a_taylor_sum():
+    # the four-vector is exp(-i B t) applied to (psi; eta psi) in the model's
+    # eigenbasis, with exp(-i B t) unitary
+    rng = np.random.default_rng(7)
+    psi0 = np.array([0.6, 0.8j])
+    for _ in range(5):
+        model = _random_model(rng)
+        psi_e = dagger(model.eigenbasis) @ normalize(psi0)
+        stacked = np.concatenate([psi_e, model.metric.eta @ psi_e])
+        for t in (0.9, -1.7):
+            evolved, _ = evolve_dilated(model, psi0, t)
+            want = _taylor_expm(model.hamiltonian, t) @ stacked
+            assert np.linalg.norm(evolved - want) < 1e-11 * np.linalg.norm(stacked)
+            assert abs(np.linalg.norm(evolved) - np.linalg.norm(stacked)) < 1e-12 * np.linalg.norm(stacked)
+
+
+def test_evolve_dilated_rejects_a_non_hermitian_generator():
+    model = build_dilation(H_HALF_X, metric_from_sqrt(2.0, 1.0), 1.0)
+    big = model.hamiltonian.copy()
+    big[0, 1] += 0.5
+    with pytest.raises(ValueError, match="4x4 generators must be Hermitian"):
+        evolve_dilated(dataclasses.replace(model, hamiltonian=big), E0, 0.5)
 
 
 def test_four_vector_norm_is_conserved():
@@ -184,8 +233,9 @@ def test_build_dilation_keeps_the_dressed_generator_bit_for_bit():
 
 def test_evolve_dilated_rejects_non_finite_times():
     model = build_dilation(H_HALF_X, diag_metric(2.0), 1.0)
-    with pytest.raises(ValueError, match="t must be finite, got nan"):
-        evolve_dilated(model, E0, np.nan)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"t must be finite, got {bad!r}"):
+            evolve_dilated(model, E0, bad)
     with pytest.raises(ValueError, match="t must be finite, got inf"):
         evolve_dilated(model, E0, np.array([0.0, np.inf]))
 

@@ -440,11 +440,11 @@ def test_evolve_semigroup_real_spectrum_rule_boundary(monkeypatch, side):
 #: ``ham``, then ``rho0``, then ``times`` (entries holding NaN or +-inf are
 #: added below, for ``ham`` and ``rho0`` alike)
 SEMIGROUP_ERRORS = [
-    ((np.eye(3), None, None), "unsupported dimension 3; expected one of (2, 4)"),
+    ((np.eye(3), None, None), "expected a 2x2 matrix, got 3x3"),
     ((np.eye(4), None, None), "expected a 2x2 matrix, got 4x4"),
     ((np.zeros((1, 2, 2)), None, None), "expected a square matrix, got shape (1, 2, 2)"),
     (([1.0, 2.0, 3.0, 4.0], None, None), "expected a square matrix, got shape (4,)"),
-    ((None, np.eye(3), None), "unsupported dimension 3; expected one of (2, 4)"),
+    ((None, np.eye(3), None), "expected a 2x2 matrix, got 3x3"),
     ((None, np.eye(4), None), "expected a 2x2 matrix, got 4x4"),
     ((None, 1.0, None), "expected a square matrix, got shape ()"),
     ((None, [[0.5, 0.5], [0.0, 0.5]], None), "rho0 must be Hermitian"),
@@ -455,7 +455,7 @@ SEMIGROUP_ERRORS = [
     ((None, None, [0.0, np.nan]), "times must be finite, got nan"),
     ((None, None, [np.inf]), "times must be finite, got inf"),
     ((None, None, [[0.0], [-np.inf]]), "times must be finite, got -inf"),
-    ((np.eye(3), [[0.5, 0.5], [0.0, 0.5]], []), "unsupported dimension 3; expected one of (2, 4)"),
+    ((np.eye(3), [[0.5, 0.5], [0.0, 0.5]], []), "expected a 2x2 matrix, got 3x3"),
     (([[np.nan, 0.0], [0.0, 0.0]], np.eye(4), []), "matrix has non-finite entries"),
     ((None, [[0.5, 0.5], [0.0, 0.5]], [np.nan]), "rho0 must be Hermitian"),
 ]
@@ -473,7 +473,7 @@ def _non_finite_entries(m):
 def test_semigroup_set_up_raises_as_before():
     # every bad argument raises the ValueError and message it raised when the
     # set-up ran through as_operator, is_hermitian and eigvalsh, in the order
-    # ham, rho0, times; shifted_generator raises as as_operator(ham, dim=2)
+    # ham, rho0, times; shifted_generator raises as as_operator(ham)
     rho0 = RHO_NEAR_EP
     cases = list(SEMIGROUP_ERRORS)
     cases += [((bad, None, None), "matrix has non-finite entries") for bad in _non_finite_entries(GENERATOR)]

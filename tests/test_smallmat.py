@@ -1,4 +1,4 @@
-"""Dense 2x2/4x4 helpers checked against independent routes.
+"""Dense 2x2 helpers and qubit states checked against independent routes.
 
 The propagator is validated against a plain Taylor sum, the Hermitian square
 root against re-squaring and scipy's general sqrtm, and the closed-form
@@ -9,6 +9,7 @@ test.
 
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -124,23 +125,13 @@ def test_propagator_pauli_x_half_period():
     assert fidelity(u @ np.array([1.0, 0.0]), np.array([0.0, 1.0])) >= 1.0 - 1e-10
 
 
-def test_propagator_4x4_hermitian():
-    rng = np.random.default_rng(7)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    h = 0.5 * (a + dagger(a))
-    got = propagator(h, 0.9)
-    assert np.linalg.norm(got - _taylor_expm(h, 0.9, terms=60)) < 1e-11
-    assert np.linalg.norm(got @ dagger(got) - np.eye(4)) < UNITARITY_TOL
-
-
 def test_propagator_time_array_stacks_scalar_calls_bit_for_bit():
     rng = np.random.default_rng(11)
     general = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     ts = np.linspace(-2.0, 5.0, 257)
-    for gen in (general, a + dagger(a)):
+    for gen in (general, general + dagger(general)):
         stack = propagator(gen, ts)
-        assert stack.shape == (ts.size,) + gen.shape
+        assert stack.shape == (ts.size, 2, 2)
         assert np.array_equal(stack, np.stack([propagator(gen, float(t)) for t in ts]))
 
 
@@ -189,7 +180,7 @@ def test_propagator_stack_needs_one_time_per_2x2_generator():
         propagator(np.stack([PAULI_X, PAULI_Z]), 0.5)
     with pytest.raises(ValueError, match="one time each"):
         propagator(np.stack([PAULI_X, PAULI_Z]), np.zeros(3))
-    with pytest.raises(ValueError, match="one time each"):
+    with pytest.raises(ValueError, match="expected a 2x2 matrix, got 4x4"):
         propagator(np.zeros((2, 4, 4)), np.zeros(2))
     bad = np.stack([PAULI_X, PAULI_Z, PAULI_Y])
     bad[1, 0, 0] = np.nan
@@ -341,13 +332,6 @@ def test_first_failing_row_raises_an_unmarked_error_as_it_is():
     assert _first_failing_row(lambda n: n, 10) == 10
 
 
-def test_propagator_rejects_non_hermitian_4x4():
-    m = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
-    m[0, 1] = 0.5
-    with pytest.raises(ValueError, match="Hermitian"):
-        propagator(m, 0.5)
-
-
 def test_propagator_rejects_2d_time_grid():
     with pytest.raises(ValueError):
         propagator(0.5 * PAULI_X, np.zeros((2, 2)))
@@ -357,8 +341,6 @@ def test_propagator_rejects_non_finite_times():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match=f"t must be finite, got {bad!r}"):
             propagator(0.5 * PAULI_X, bad)
-        with pytest.raises(ValueError, match=f"got {bad!r}"):
-            propagator(np.eye(4), bad)
     # an array names its first non-finite time
     with pytest.raises(ValueError, match="got inf") as exc:
         propagator(0.5 * PAULI_X, [0.0, 1.0, np.inf, np.nan])
@@ -537,8 +519,8 @@ def test_as_operator_validation():
         as_operator(np.ones((3, 3)))
     with pytest.raises(ValueError):
         as_operator(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        as_operator(np.eye(2), dim=4)
+    with pytest.raises(ValueError, match="expected a 2x2 matrix, got 4x4"):
+        as_operator(np.eye(4))
     with pytest.raises(ValueError, match="non-finite"):
         as_operator([[np.nan, 0.0], [0.0, 1.0]])
 
@@ -547,10 +529,48 @@ def test_as_state_validation():
     assert as_state([1.0, 0.0]).dtype == np.complex128
     with pytest.raises(ValueError):
         as_state([1.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        as_state([1.0, 0.0], dim=4)
+    with pytest.raises(ValueError, match="expected a length-2 state, got length 4"):
+        as_state([1.0, 0.0, 0.0, 0.0])
+    # a state is 1-d, or with stack an (n, 2) stack: no other shape is flattened
+    for shape in ((2, 1), (1, 2), (1, 1, 2), (2, 2), ()):
+        with pytest.raises(ValueError, match=re.escape(f"expected a 1-d state, got shape {shape}")):
+            as_state(np.ones(shape))
+    for shape in ((1, 1, 2), ()):
+        with pytest.raises(ValueError, match=re.escape(f"expected a 1-d state or an (n, 2) stack, got shape {shape}")):
+            as_state(np.ones(shape), stack=True)
+    with pytest.raises(ValueError, match="expected a length-2 state, got length 1"):
+        as_state(np.ones((2, 1)), stack=True)
+    assert as_state(np.ones((1, 2)), stack=True).shape == (1, 2)
     with pytest.raises(ValueError, match="non-finite"):
         as_state([np.inf, 0.0])
+
+
+#: every reader of a 2x2 matrix or a length-2 state, as (name, call, input kind)
+_SIZED_CALLS = [
+    ("as_operator", as_operator, "matrix"),
+    ("as_operator stack", lambda x: as_operator(x, stack=True), "matrices"),
+    ("propagator", lambda x: propagator(x, 0.5), "matrix"),
+    ("propagator stack", lambda x: propagator(x, [0.5, 1.0]), "matrices"),
+    ("hermitian_sqrt", hermitian_sqrt, "matrix"),
+    ("as_state", as_state, "state"),
+    ("as_state stack", lambda x: as_state(x, stack=True), "states"),
+    ("fidelity first", lambda x: fidelity(x, [1.0, 0.0]), "state"),
+    ("fidelity second", lambda x: fidelity([1.0, 0.0], x), "state"),
+    ("normalize", normalize, "state"),
+    ("normalize stack", normalize, "states"),
+]
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("name, call, kind", _SIZED_CALLS, ids=[row[0] for row in _SIZED_CALLS])
+def test_a_wrong_size_raises_the_one_two_level_message(name, call, kind, k):
+    # smallmat is two-level only: a 3x3 or 4x4 matrix, or a state of length
+    # 3 or 4, raises the same message from every reader
+    x = {"matrix": np.eye(k), "matrices": np.stack([np.eye(k)] * 2), "state": np.ones(k), "states": np.ones((2, k))}[kind]
+    message = f"expected a 2x2 matrix, got {k}x{k}" if kind.startswith("matri") else f"expected a length-2 state, got length {k}"
+    with pytest.raises(ValueError) as exc:
+        call(x)
+    assert type(exc.value) is ValueError and str(exc.value) == message
 
 
 def test_positive_finite():
@@ -642,8 +662,8 @@ def _with_entry(shape, k, bad):
 
 _NON_FINITE = (np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, np.inf), complex(0.5, -np.inf))
 
-#: inputs on which the scalar readers must act as as_operator / as_state do
-#: with dim=2: raise the same error, or give the same entries
+#: inputs on which the scalar readers must act as as_operator / as_state do:
+#: raise the same error, or give the same entries
 _OPERATOR_INPUTS = [
     np.eye(4), np.eye(3), np.ones((2, 1)), np.ones((1, 2, 2)), np.ones(4), [], 5, True, 2.5j,
     [[1, 0], [0, 1]], [[True, False], [1j, -0.0]], [[1, 2], [3]], "ab",
@@ -670,22 +690,22 @@ def _verdict(gate, x):
 
 @pytest.mark.parametrize("x", _OPERATOR_INPUTS)
 def test_operator_reader_acts_as_as_operator(x):
-    want = _outcome(lambda y: as_operator(y, dim=2).ravel().tolist(), x)
+    want = _outcome(lambda y: as_operator(y).ravel().tolist(), x)
     assert _outcome(_operator2, x) == want
     # the unchecked read and the Hermiticity gate's one pass raise the same,
     # or give is_hermitian's verdict
-    want = _verdict(lambda y: is_hermitian(as_operator(y, dim=2)), x)
+    want = _verdict(lambda y: is_hermitian(as_operator(y)), x)
     assert _verdict(lambda y: _is_hermitian2(*_operator_entries(y))[0], x) == want
 
 
 @pytest.mark.parametrize("x", _STATE_INPUTS)
 def test_state_reader_acts_as_as_state(x):
-    want = _outcome(lambda y: as_state(y, dim=2).tolist(), x)
+    want = _outcome(lambda y: as_state(y).tolist(), x)
     if isinstance(want, list):
         assert _outcome(_state_entries, x) == want
     # the unchecked read and _unit2's one pass raise what as_state, then
     # normalize, raise, or give normalize's bits
-    assert _outcome(lambda y: _unit2(*_state_entries(y)), x) == _outcome(lambda y: normalize(as_state(y, dim=2)), x)
+    assert _outcome(lambda y: _unit2(*_state_entries(y)), x) == _outcome(lambda y: normalize(as_state(y)), x)
 
 
 def test_one_pass_readers_keep_bits_and_errors_across_the_float_range():
@@ -700,12 +720,12 @@ def test_one_pass_readers_keep_bits_and_errors_across_the_float_range():
             parts[rng.integers(0, 8, size=2)] = rng.choice(specials, size=2)
         entries = parts.view(complex)
         state = entries[:2]
-        want = _outcome(lambda y: normalize(as_state(y, dim=2)), state)
+        want = _outcome(lambda y: normalize(as_state(y)), state)
         assert _outcome(lambda y: _unit2(*_state_entries(y)), state) == want
         m = entries.reshape(2, 2)
         if k % 3 == 0:
             m = np.array([[m[0, 0].real, m[0, 1]], [m[0, 1].conjugate(), m[1, 1].real]])
-        want = _verdict(lambda y: (is_hermitian(as_operator(y, dim=2)), math.hypot(*y.view(float).ravel())), m)
+        want = _verdict(lambda y: (is_hermitian(as_operator(y)), math.hypot(*y.view(float).ravel())), m)
         got = _verdict(lambda y: _is_hermitian2(*_operator_entries(y)), m)
         if isinstance(got, tuple) and got[0] is True and got[1] == 0.0:
             # an exactly Hermitian matrix's verdict needs no norm
@@ -743,8 +763,11 @@ def test_strided_and_fortran_order_stacks_read_as_their_c_order_copies():
 
 def test_readers_give_python_complex_scalars():
     m = np.array([[0.5, 1j], [-1j, 0.25]], dtype=np.complex64)
-    for entries in (_operator2(m), _operator_entries(m), _state_entries([1, 0.5]), _state_entries(np.ones((1, 2)))):
+    for entries in (_operator2(m), _operator_entries(m), _state_entries([1, 0.5])):
         assert {type(z) for z in entries} == {complex}
+    # a (1, 2) array is no state: the reader raises as as_state does
+    with pytest.raises(ValueError, match=re.escape("expected a 1-d state, got shape (1, 2)")):
+        _state_entries(np.ones((1, 2)))
 
 
 def test_fidelity_rescales_states_whose_squares_leave_the_float_range():
@@ -815,9 +838,8 @@ def test_non_hermitian_generators_raise_at_every_scale():
     p = b @ dagger(b) + np.eye(2)
     scales = 2.0 ** -np.arange(1001)
     for s in scales:
-        with pytest.raises(ValueError, match="4x4 generators must be Hermitian"):
-            propagator(s * a, 1.0)
-        propagator(s * 0.5 * (a + dagger(a)), 1.0)
+        assert not is_hermitian(s * a)
+        assert is_hermitian(s * 0.5 * (a + dagger(a)))
         with pytest.raises(ValueError, match="requires a Hermitian matrix") as exc:
             hermitian_sqrt(s * b)
         assert type(exc.value) is ValueError
