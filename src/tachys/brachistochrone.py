@@ -96,8 +96,8 @@ def minimal_time(initial, final, omega: float):
     two stacks must have one length.
     """
     omega = positive_finite("omega", omega)
-    u = normalize(as_state(initial, stack=True))
-    v = normalize(as_state(final, stack=True))
+    u = normalize(initial)
+    v = normalize(final)
     _paired("initial", u, "final", v, 1)
     overlap = _vdots(u, v)
     return _float_or_array((2.0 / omega) * _angle(_abs(overlap)))

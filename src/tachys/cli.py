@@ -123,7 +123,8 @@ def _theta_grid(args) -> np.ndarray:
 
 
 # ---------------------------------------------------------------- commands
-# each command imports the modules it calls, so a report loads no others
+# each command imports the modules it calls, so a report loads no others; the
+# one-row reports at one angle (notgate, controlu, efficiency) share ``_gates_report``
 
 
 def _cmd_brachy(args):
@@ -199,31 +200,18 @@ def _cmd_povm(args):
     return table, None
 
 
-def _cmd_notgate(args):
-    from . import gates
+def _gates_report(function: str, flag: str, columns: tuple):
+    """The handler of a one-row ``gates`` report at one angle: ``theta``, the
+    flag's value, then ``columns`` of ``gates.<function>(BlochBasis(theta), value)``."""
 
-    report = gates.not_gate_roundtrip(gates.BlochBasis(args.theta), args.omega)
-    table = {
-        name: getattr(report, name)
-        for name in ("theta", "omega", "forward_residual", "roundtrip_fidelity", "tau_not")
-    }
-    return table, None
+    def handler(args):
+        from . import gates
 
+        value = getattr(args, flag)
+        report = getattr(gates, function)(gates.BlochBasis(args.theta), value)
+        return {"theta": args.theta, flag: value, **{name: getattr(report, name) for name in columns}}, None
 
-def _cmd_controlu(args):
-    from . import gates
-
-    report = gates.control_u_channel(gates.BlochBasis(args.theta), args.e_polar)
-    columns = ("theta", "e_polar", "p", "q", "bound_lhs", "bound_rhs", "slack", "decomposition_residual")
-    return {name: getattr(report, name) for name in columns}, None
-
-
-def _cmd_efficiency(args):
-    from . import gates
-
-    report = gates.efficiency_bound(gates.BlochBasis(args.theta), args.omega)
-    table = {name: getattr(report, name) for name in ("epsilon", "delta_e", "delta_t", "bound_rhs", "slack")}
-    return {"theta": args.theta, "omega": args.omega, **table}, None
+    return handler
 
 
 _COMMANDS = {
@@ -231,9 +219,11 @@ _COMMANDS = {
     "dissipation": _cmd_dissipation,
     "dilation": _cmd_dilation,
     "povm": _cmd_povm,
-    "notgate": _cmd_notgate,
-    "controlu": _cmd_controlu,
-    "efficiency": _cmd_efficiency,
+    "notgate": _gates_report("not_gate_roundtrip", "omega", ("forward_residual", "roundtrip_fidelity", "tau_not")),
+    "controlu": _gates_report(
+        "control_u_channel", "e_polar", ("p", "q", "bound_lhs", "bound_rhs", "slack", "decomposition_residual")
+    ),
+    "efficiency": _gates_report("efficiency_bound", "omega", ("epsilon", "delta_e", "delta_t", "bound_rhs", "slack")),
 }
 
 
@@ -265,6 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--theta-max", type=_finite_float, default=None)
         p.add_argument("--points", type=int, default=None)
 
+    def one_angle(name, help, flag, default, note=None):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--theta", type=_finite_float, required=True)
+        p.add_argument(flag, type=_finite_float, default=default, help=note)
+        common(p)
+
     p = sub.add_parser("brachy", help="minimal-time drive for a working pair")
     theta_options(p)
     p.add_argument("--omega", type=_finite_float, default=1.0)
@@ -289,21 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
     theta_options(p)
     common(p)
 
-    p = sub.add_parser("notgate", help="minimal-time NOT round trip")
-    p.add_argument("--theta", type=_finite_float, required=True)
-    p.add_argument("--omega", type=_finite_float, default=1.0)
-    common(p)
-
-    p = sub.add_parser("controlu", help="control-U channel report")
-    p.add_argument("--theta", type=_finite_float, required=True)
-    p.add_argument("--e-polar", type=_finite_float, default=0.0,
-                   help="Bloch polar angle of the lower control state")
-    common(p)
-
-    p = sub.add_parser("efficiency", help="time-energy-information bound")
-    p.add_argument("--theta", type=_finite_float, required=True)
-    p.add_argument("--omega", type=_finite_float, default=1.0)
-    common(p)
+    one_angle("notgate", "minimal-time NOT round trip", "--omega", 1.0)
+    one_angle("controlu", "control-U channel report", "--e-polar", 0.0,
+              "Bloch polar angle of the lower control state")
+    one_angle("efficiency", "time-energy-information bound", "--omega", 1.0)
 
     return parser
 

@@ -21,7 +21,6 @@ from .smallmat import (
     _paired,
     _reals,
     _vdots,
-    as_state,
     dagger,
     frobenius,
     normalize,
@@ -225,7 +224,7 @@ def inconclusive_probability(povm: Povm, state) -> float:
     A stacked POVM, an ``(n, 2)`` stack of states, or both (of one length n)
     give one value per row, each that of the single call bit for bit.
     """
-    psi = normalize(as_state(state, stack=True))
+    psi = normalize(state)
     effect = povm.effects[povm.labels.index(INCONCLUSIVE)]
     _paired("povm", effect, "state", psi, 2, 1)
     return _float_or_array(_expectation(effect, psi))

@@ -24,6 +24,7 @@ from .smallmat import (
     _inverse,
     _matrix2,
     _negligible,
+    _numeric,
     _paired,
     _reals,
     _reject_rows,
@@ -115,11 +116,15 @@ def metric_from_sqrt(diag, offdiag) -> Metric:
     rejected pair raises; arrays of two lengths raise ValueError naming
     both.  ``diag`` is read by ``_reals``: TypeError for a complex or str
     value, ValueError naming its first non-finite value or the shape of a
-    2-d one.
+    2-d one.  ``offdiag`` is read by ``_numeric``: TypeError naming it for a
+    str, None or other non-numeric value, ValueError for a non-finite value
+    or, naming its shape, for one of more than one dimension.
     """
     f = _reals("diag", diag)
-    g = np.asarray(offdiag, dtype=complex)
+    g = _numeric("offdiag", offdiag)
     _reject_rows(~np.isfinite(g), ValueError("metric root parameters must be finite"))
+    if g.ndim > 1:
+        raise ValueError(f"offdiag must be a scalar or a 1-d array, got shape {g.shape}")
     _paired("diag", f, "offdiag", g, 0)
     margin = f - _square(_abs(g))
     _reject_rows(

@@ -18,7 +18,8 @@ before it is summed so that a finite matrix has a finite part.  Each 2x2
 rule runs on Python complex scalars for one matrix and elementwise on rows
 for a stack: ``_entries2`` is the one reader of a matrix's four entries, and
 ``_eigvals2`` the one eigenvalue kernel.  ``_reals`` reads every real scalar
-or grid argument.
+or grid argument, and ``_numeric`` every matrix, state or complex parameter:
+each raises TypeError for a str, None or other non-numeric value.
 
 Every numpy function whose last bits depend on the host (its SIMD loops,
 glibc's libm, the BLAS kernel) has one owner here, which the other modules
@@ -217,12 +218,30 @@ _PAULI_NOT_FINITE = "the generator's Pauli vector leaves the float range"
 _STATE_NOT_FINITE = "state has non-finite entries"
 
 
+#: the dtype ``_numeric`` reads into; an array already of it is used as it is
+_COMPLEX = np.dtype(complex)
+
+
+def _numeric(what: str, x, copy: bool = False) -> np.ndarray:
+    """The one reader of a matrix, state or complex parameter: ``x`` after one ``np.asarray``
+    as a complex128 array (with ``copy``, a C-ordered copy); TypeError naming ``what``
+    unless its dtype is bool, int, float or complex (not a str, None or another object)."""
+    a = np.asarray(x)
+    if a.dtype is _COMPLEX and not copy:
+        return a
+    if a.dtype.kind not in "biufc":
+        raise TypeError(f"{what} must be numeric, got dtype {a.dtype}")
+    return a.astype(complex, order="C" if copy else "K")
+
+
 def as_operator(mat, stack: bool = False) -> np.ndarray:
-    """Coerce ``mat`` to a 2x2 complex128 matrix.
+    """Coerce ``mat`` to a 2x2 complex128 matrix, a C-ordered copy.
 
     With ``stack``, an ``(n, 2, 2)`` stack of such matrices is accepted too.
+    TypeError unless ``mat`` is numeric (``_numeric``); ValueError for a
+    shape that is not 2x2 (or a stack of 2x2) and for a non-finite entry.
     """
-    m = np.array(mat, dtype=complex, order="C")
+    m = _numeric("matrix", mat, copy=True)
     _check_operator_shape(m.shape, stack)
     if not _all_finite(m):
         finite = np.isfinite(m.view(float))
@@ -231,11 +250,14 @@ def as_operator(mat, stack: bool = False) -> np.ndarray:
 
 
 def as_state(vec, stack: bool = False) -> np.ndarray:
-    """Coerce ``vec``, a 1-d state of length 2, to complex128.
+    """Coerce ``vec``, a 1-d state of length 2, to complex128, a C-ordered copy.
 
     With ``stack``, a 2-d input is an ``(n, 2)`` stack of states, one per row.
+    TypeError unless ``vec`` is numeric (``_numeric``); ValueError for a
+    shape that is not a length-2 state (or a stack of them) and for a
+    non-finite entry.
     """
-    v = np.array(vec, dtype=complex, order="C")
+    v = _numeric("state", vec, copy=True)
     _check_state_shape(v.shape, stack)
     if not _all_finite(v):
         finite = np.isfinite(v.view(float))
@@ -274,7 +296,7 @@ def _operator2(mat) -> tuple[complex, complex, complex, complex]:
 def _operator_entries(mat) -> list[complex]:
     """``_operator2`` without its finiteness check, which ``_is_hermitian2``
     makes in its pass over the entries."""
-    m = np.asarray(mat, dtype=complex)
+    m = _numeric("matrix", mat)
     if m.shape != (2, 2):
         _check_operator_shape(m.shape)
     return _entries2(m)
@@ -290,7 +312,7 @@ def _state_entries(vec) -> list[complex]:
     """The entries of one 2-state as Python complex scalars, raising the error
     type and message of ``as_state(vec)`` for a bad shape: the state is read
     once, without a copy.  ``_unit2`` checks the entries."""
-    v = np.asarray(vec, dtype=complex)
+    v = _numeric("state", vec)
     if v.shape != (2,):
         _check_state_shape(v.shape)
     return v.tolist()
@@ -318,8 +340,9 @@ def row_norms(x) -> np.ndarray:
 
 
 def frobenius(mat):
-    """Frobenius norm, true across the float range (``_rescaled``); per matrix of a stack."""
-    _, n, e = _rescaled(np.asarray(mat, dtype=complex), 2)
+    """Frobenius norm, true across the float range (``_rescaled``); per matrix of a stack.
+    TypeError unless ``mat`` is numeric (``_numeric``)."""
+    _, n, e = _rescaled(_numeric("matrix", mat), 2)
     return n if e is None else _float_or_array(np.ldexp(n, e))
 
 
@@ -342,8 +365,9 @@ def _negligible(residual, size, tol=HERMITICITY_TOL):
 
 def is_hermitian(mat):
     """Whether ||mat - mat^dag||_F is negligible next to ||mat||_F; one bool per stacked matrix.
-    Both norms are of the matrix as ``frobenius`` rescales it, so an overflowing skew fails."""
-    m = np.ascontiguousarray(mat, dtype=complex)
+    Both norms are of the matrix as ``frobenius`` rescales it, so an overflowing skew fails.
+    TypeError unless ``mat`` is numeric (``_numeric``)."""
+    m = np.ascontiguousarray(_numeric("matrix", mat))
     scaled, size, _ = _rescaled(m, 2)
     ok = _negligible(frobenius(scaled - dagger(scaled)), size)
     return ok if m.ndim == 3 else bool(ok)

@@ -8,7 +8,9 @@ real-valued argument rejects a complex value, a complex array and a string
 with a TypeError naming it; one of more array dimensions than it takes
 raises a ValueError naming the shape (a TypeError naming the argument where
 it takes a single number).  Numeric arguments are coerced to float at one
-site, ``smallmat._reals``."""
+site, ``smallmat._reals``.  Every matrix, state or complex argument rejects
+a str array, a str and an object array with a TypeError, and is coerced to
+complex at one site, ``smallmat._numeric``."""
 
 import ast
 import collections
@@ -239,6 +241,79 @@ def test_integer_arguments_reject_str_complex_and_array_values():
             INT_CALLS["first_passage_scan"]["steps"](bad)
 
 
+POVM = gates.discrimination_povm(BASIS)
+ETA = METRIC.eta
+
+#: (public entry point, matrix, state or complex argument) -> (call with that
+#: argument set to x and every other argument valid, a value it accepts)
+NUMERIC_CALLS = {
+    ("aligned_hamiltonian", "final"): (lambda x: opendyn.aligned_hamiltonian(METRIC, 1.0, E0, x), E1),
+    ("aligned_hamiltonian", "initial"): (lambda x: opendyn.aligned_hamiltonian(METRIC, 1.0, x, E1), E0),
+    ("as_operator", "mat"): (smallmat.as_operator, H),
+    ("as_state", "vec"): (smallmat.as_state, E0),
+    ("build_dilation", "h"): (lambda x: dilation.build_dilation(x, metric.diag_metric(2.0), 1.0), H),
+    ("eigvals2", "mat"): (smallmat.eigvals2, H),
+    ("energy_gap_squared", "hermitian_part"): (opendyn.energy_gap_squared, H),
+    ("evolve_dilated", "initial"): (lambda x: dilation.evolve_dilated(MODEL, x, 1.0), E0),
+    ("evolve_semigroup", "ham"): (lambda x: opendyn.evolve_semigroup(x, RHO0, [0.0, 1.0]), H),
+    ("evolve_semigroup", "rho0"): (lambda x: opendyn.evolve_semigroup(H, x, [0.0, 1.0]), RHO0),
+    ("fidelity", "u"): (lambda x: smallmat.fidelity(x, E1), E0),
+    ("fidelity", "v"): (lambda x: smallmat.fidelity(E0, x), E1),
+    ("first_passage_scan", "final"): (lambda x: brachistochrone.first_passage_scan(H, E0, x, 5.0), E1),
+    ("first_passage_scan", "ham"): (lambda x: brachistochrone.first_passage_scan(x, E0, E1, 5.0), H),
+    ("first_passage_scan", "initial"): (lambda x: brachistochrone.first_passage_scan(H, x, E1, 5.0), E0),
+    ("frobenius", "mat"): (smallmat.frobenius, H),
+    ("hermitian_sqrt", "mat"): (smallmat.hermitian_sqrt, ETA),
+    ("inconclusive_probability", "state"): (lambda x: gates.inconclusive_probability(POVM, x), E0),
+    ("is_hermitian", "mat"): (smallmat.is_hermitian, H),
+    ("map_boundary_states", "final"): (lambda x: opendyn.map_boundary_states(METRIC, E0, x), E1),
+    ("map_boundary_states", "initial"): (lambda x: opendyn.map_boundary_states(METRIC, x, E1), E0),
+    ("metric_angle", "u"): (lambda x: metric.metric_angle(x, E1, METRIC), E0),
+    ("metric_angle", "v"): (lambda x: metric.metric_angle(E0, x, METRIC), E1),
+    ("metric_from_matrix", "eta"): (metric.metric_from_matrix, ETA),
+    ("metric_from_sqrt", "offdiag"): (lambda x: metric.metric_from_sqrt(2.0, x), 0.5),
+    ("minimal_time", "final"): (lambda x: brachistochrone.minimal_time(E0, x, 1.0), E1),
+    ("minimal_time", "initial"): (lambda x: brachistochrone.minimal_time(x, E1, 1.0), E0),
+    ("normalize", "vec"): (smallmat.normalize, E0),
+    ("optimal_hamiltonian", "target"): (lambda x: brachistochrone.optimal_hamiltonian(x, 1.0), E1),
+    ("propagator", "ham"): (lambda x: smallmat.propagator(x, 1.0), H),
+    ("pseudo_hermiticity_defect", "eta"): (lambda x: metric.pseudo_hermiticity_defect(H, x), ETA),
+    ("pseudo_hermiticity_defect", "operator"): (lambda x: metric.pseudo_hermiticity_defect(x, ETA), H),
+    ("quasi_hamiltonian", "h"): (lambda x: metric.quasi_hamiltonian(x, METRIC, 1.0), H),
+    ("shifted_generator", "ham"): (opendyn.shifted_generator, H),
+    ("split_generator", "ham"): (opendyn.split_generator, H),
+    ("state_angle", "u"): (lambda x: metric.state_angle(x, E1), E0),
+    ("state_angle", "v"): (lambda x: metric.state_angle(E0, x), E1),
+    ("transfer", "target"): (lambda x: brachistochrone.transfer(x, 1.0), E1),
+    ("transition_defect", "etas"): (lambda x: metric.transition_defect([0.0, 1.0, 2.0], x, [H] * 3), [ETA] * 3),
+    ("transition_defect", "hams"): (lambda x: metric.transition_defect([0.0, 1.0, 2.0], [ETA] * 3, x), [H] * 3),
+    ("visibility_ratio", "state"): (lambda x: dilation.visibility_ratio(METRIC, x), E1),
+}
+
+
+def _with_none(value):
+    """``value`` as an object array, its first entry None."""
+    bad = np.array(value, dtype=object)
+    bad.flat[0] = None
+    return bad
+
+
+@pytest.mark.parametrize("name, arg", sorted(NUMERIC_CALLS), ids=[f"{n}-{a}" for n, a in sorted(NUMERIC_CALLS)])
+def test_matrix_state_and_complex_arguments_reject_non_numeric_values(name, arg):
+    call, good = NUMERIC_CALLS[name, arg]
+    call(good)
+    what = "offdiag" if arg == "offdiag" else "(matrix|state)"
+    # numeric strings, which numpy's complex cast would parse, and None, which it reads as nan
+    for bad in (np.asarray(good).astype(str), "1", _with_none(good)):
+        with pytest.raises(TypeError, match=rf"^{what} must be numeric, got dtype (<U|object)"):
+            call(bad)
+
+
+def test_offdiag_of_two_dimensions_raises_a_value_error_naming_the_shape():
+    with pytest.raises(ValueError, match=r"^offdiag must be a scalar or a 1-d array, got shape \(2, 2\)$"):
+        metric.metric_from_sqrt(2.0, [[0.5, 0.5], [0.5, 0.5]])
+
+
 def test_every_export_resolves_and_comes_from_its_module_exports():
     for module in (*MODULES, tachys):
         assert [n for n in module.__all__ if not hasattr(module, n)] == [], module.__name__
@@ -401,7 +476,21 @@ FLOAT_COERCION_SITES = [("cli", "_render"), ("gates", "_circle_state"), ("smallm
 FLOAT_DTYPES = {"float", "np.float64", "np.double", "'float'", "'float64'", "'f8'"}
 
 
-def test_real_arguments_are_coerced_only_by_the_reader():
+#: the package's complex coercions, as above: constants and states it builds
+#: itself; every matrix, state or complex argument goes through ``_numeric``
+COMPLEX_COERCION_SITES = [
+    ("cli", "_cmd_dilation"),
+    ("cli", "_cmd_dilation"),
+    ("gates", "BlochBasis"),
+    ("opendyn", "_semigroup_basis"),
+    *[("smallmat", "<module>")] * 5,
+]
+
+COMPLEX_DTYPES = {"complex", "np.complex128", "np.cdouble", "'complex'", "'complex128'", "'c16'"}
+
+
+def _coercion_sites(dtype_names) -> list:
+    """(module, top-level name) of each ``np.array``/``np.asarray`` call with a dtype in ``dtype_names``."""
     sites = []
     for path in sorted(pathlib.Path(tachys.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -410,9 +499,17 @@ def test_real_arguments_are_coerced_only_by_the_reader():
                 if not (isinstance(func, ast.Attribute) and func.attr in ("array", "asarray")):
                     continue
                 dtypes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "dtype"]
-                if any(ast.unparse(d) in FLOAT_DTYPES for d in dtypes):
+                if any(ast.unparse(d) in dtype_names for d in dtypes):
                     sites.append((path.stem, getattr(top, "name", "<module>")))
-    assert sites == FLOAT_COERCION_SITES
+    return sites
+
+
+def test_real_arguments_are_coerced_only_by_the_reader():
+    assert _coercion_sites(FLOAT_DTYPES) == FLOAT_COERCION_SITES
+
+
+def test_matrix_and_state_arguments_are_coerced_only_by_the_reader():
+    assert _coercion_sites(COMPLEX_DTYPES) == COMPLEX_COERCION_SITES
 
 
 #: math and cmath functions whose last bits come from the host's libm: glibc

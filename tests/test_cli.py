@@ -633,35 +633,53 @@ def test_povm_sweep_reports_clean_audit(capsys):
         assert row["p_inconclusive_psi0"] == pytest.approx(row["overlap"], abs=1e-12)
 
 
+def one_angle_cases(seed, count=20):
+    """``count`` seeded (theta, omega, e_polar): theta in (0, pi], the first pi
+    itself, omega log-uniform in [1e-2, 1e2], e_polar uniform in [-pi, pi]."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        theta = np.pi if k == 0 else float(np.pi - rng.uniform(0.0, np.pi))
+        yield theta, float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2)))), float(rng.uniform(-np.pi, np.pi))
+
+
+def assert_one_angle_report(capsys, command, theta, flag, value, want):
+    """The CSV row and the JSON row of ``command --theta theta --flag value``
+    are ``theta``, ``value`` and then ``want``, column for column and bit for bit."""
+    argv = [command, f"--theta={theta!r}", f"--{flag.replace('_', '-')}={value!r}"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0 and err == ""
+    _, header, csv_rows = parse_csv(out)
+    want = {"theta": theta, flag: value, **want}
+    assert header == list(want)
+    for rows in (csv_rows, json_rows(capsys, argv)):
+        assert_rows_bitwise_equal(rows, [want])
+
+
 def test_notgate_report_matches_library(capsys):
-    code, out, _ = run_cli(capsys, ["notgate", "--theta", "1.1", "--omega", "2.0"])
-    assert code == 0
-    _, _, rows = parse_csv(out)
-    rep = not_gate_roundtrip(BlochBasis(1.1), 2.0)
-    assert rows[0]["roundtrip_fidelity"] == rep.roundtrip_fidelity
-    assert rows[0]["tau_not"] == rep.tau_not
+    for theta, omega, _ in one_angle_cases(1):
+        rep = not_gate_roundtrip(BlochBasis(theta), omega)
+        columns = ("forward_residual", "roundtrip_fidelity", "tau_not")
+        assert_one_angle_report(capsys, "notgate", theta, "omega", omega,
+                                {name: getattr(rep, name) for name in columns})
 
 
 def test_controlu_report_matches_library(capsys):
-    code, out, _ = run_cli(capsys, ["controlu", "--theta", "1.3", "--e-polar", "0.4"])
-    assert code == 0
-    _, _, rows = parse_csv(out)
-    rep = control_u_channel(BlochBasis(1.3), 0.4)
-    assert rows[0]["bound_rhs"] == rep.bound_rhs
-    assert rows[0]["slack"] == rep.slack
-    assert rows[0]["slack"] >= -1e-12
-    assert rows[0]["decomposition_residual"] == rep.decomposition_residual
+    for theta, _, e_polar in one_angle_cases(2):
+        rep = control_u_channel(BlochBasis(theta), e_polar)
+        columns = ("p", "q", "bound_lhs", "bound_rhs", "slack", "decomposition_residual")
+        assert_one_angle_report(capsys, "controlu", theta, "e_polar", e_polar,
+                                {name: getattr(rep, name) for name in columns})
+        assert rep.slack >= -1e-12
 
 
 def test_efficiency_report_saturation(capsys):
-    code, out, _ = run_cli(capsys, ["efficiency", "--theta", "2.0", "--omega", "1.5"])
-    assert code == 0
-    _, _, rows = parse_csv(out)
-    assert rows[0]["delta_t"] == pytest.approx(rows[0]["bound_rhs"], rel=1e-15)
-    assert rows[0]["slack"] == pytest.approx(0.0, abs=1e-15)
-    rep = efficiency_bound(BlochBasis(2.0), 1.5)
-    assert rows[0]["bound_rhs"] == rep.bound_rhs
-    assert rows[0]["slack"] == rep.slack
+    for theta, omega, _ in [(2.0, 1.5, None), *one_angle_cases(3)]:
+        rep = efficiency_bound(BlochBasis(theta), omega)
+        columns = ("epsilon", "delta_e", "delta_t", "bound_rhs", "slack")
+        assert_one_angle_report(capsys, "efficiency", theta, "omega", omega,
+                                {name: getattr(rep, name) for name in columns})
+        assert rep.delta_t == pytest.approx(rep.bound_rhs, rel=1e-15)
+        assert rep.slack == pytest.approx(0.0, abs=1e-15)
 
 
 # ---------------------------------------------------- grids vs scalar calls
