@@ -218,20 +218,14 @@ _PAULI_NOT_FINITE = "the generator's Pauli vector leaves the float range"
 _STATE_NOT_FINITE = "state has non-finite entries"
 
 
-#: the dtype ``_numeric`` reads into; an array already of it is used as it is
-_COMPLEX = np.dtype(complex)
-
-
 def _numeric(what: str, x, copy: bool = False) -> np.ndarray:
     """The one reader of a matrix, state or complex parameter: ``x`` after one ``np.asarray``
     as a complex128 array (with ``copy``, a C-ordered copy); TypeError naming ``what``
     unless its dtype is bool, int, float or complex (not a str, None or another object)."""
     a = np.asarray(x)
-    if a.dtype is _COMPLEX and not copy:
-        return a
     if a.dtype.kind not in "biufc":
         raise TypeError(f"{what} must be numeric, got dtype {a.dtype}")
-    return a.astype(complex, order="C" if copy else "K")
+    return a.astype(complex, order="C" if copy else "K", copy=copy)
 
 
 def as_operator(mat, stack: bool = False) -> np.ndarray:
@@ -332,8 +326,9 @@ def row_norms(x) -> np.ndarray:
     The norm of a complex array is sqrt(re.re + im.im) over its flattened
     entries, each dot one BLAS call; a stacked matmul makes the same call per
     row, where a reduction over the trailing axes would sum in another order.
+    TypeError unless ``x`` is numeric (``_numeric``).
     """
-    x = np.ascontiguousarray(x, dtype=complex)
+    x = np.ascontiguousarray(_numeric("state", x))
     flat = x.reshape(len(x), math.prod(x.shape[1:]))
     re, im = flat.real[:, None, :], flat.imag[:, None, :]
     return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])

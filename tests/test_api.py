@@ -280,6 +280,7 @@ NUMERIC_CALLS = {
     ("pseudo_hermiticity_defect", "eta"): (lambda x: metric.pseudo_hermiticity_defect(H, x), ETA),
     ("pseudo_hermiticity_defect", "operator"): (lambda x: metric.pseudo_hermiticity_defect(x, ETA), H),
     ("quasi_hamiltonian", "h"): (lambda x: metric.quasi_hamiltonian(x, METRIC, 1.0), H),
+    ("row_norms", "x"): (smallmat.row_norms, [E0, E1]),
     ("shifted_generator", "ham"): (opendyn.shifted_generator, H),
     ("split_generator", "ham"): (opendyn.split_generator, H),
     ("state_angle", "u"): (lambda x: metric.state_angle(x, E1), E0),
@@ -468,37 +469,47 @@ def test_complex_dot_is_only_smallmat_vdots():
     assert sites == [("smallmat", "_vdots")]
 
 
-#: the package's float coercions, ``np.asarray``/``np.array`` with a float
-#: dtype, as (module, top-level function): the reader of every real argument,
+#: the package's float coercions, ``COERCIONS`` calls with a float dtype,
+#: as (module, top-level function): the reader of every real argument,
 #: the circle state of an angle it has read, and the report columns
 FLOAT_COERCION_SITES = [("cli", "_render"), ("gates", "_circle_state"), ("smallmat", "_reals")]
 
 FLOAT_DTYPES = {"float", "np.float64", "np.double", "'float'", "'float64'", "'f8'"}
 
 
-#: the package's complex coercions, as above: constants and states it builds
-#: itself; every matrix, state or complex argument goes through ``_numeric``
+#: the package's complex coercions, as above: ``_numeric``, the reader of
+#: every matrix, state or complex argument, and constants and states the
+#: package builds itself
 COMPLEX_COERCION_SITES = [
     ("cli", "_cmd_dilation"),
     ("cli", "_cmd_dilation"),
+    ("dilation", "build_dilation"),
     ("gates", "BlochBasis"),
+    ("gates", "discrimination_povm"),
     ("opendyn", "_semigroup_basis"),
     *[("smallmat", "<module>")] * 5,
+    ("smallmat", "_numeric"),
 ]
 
 COMPLEX_DTYPES = {"complex", "np.complex128", "np.cdouble", "'complex'", "'complex128'", "'c16'"}
 
 
+#: the calls that coerce to a dtype: the position of their dtype argument
+COERCIONS = {"array": 1, "asarray": 1, "ascontiguousarray": 1, "astype": 0}
+
+
 def _coercion_sites(dtype_names) -> list:
-    """(module, top-level name) of each ``np.array``/``np.asarray`` call with a dtype in ``dtype_names``."""
+    """(module, top-level name) of each ``np.array``/``np.asarray``/``np.ascontiguousarray``
+    call or ``.astype`` with a dtype in ``dtype_names``."""
     sites = []
     for path in sorted(pathlib.Path(tachys.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             for node in ast.walk(top):
                 func = getattr(node, "func", None)
-                if not (isinstance(func, ast.Attribute) and func.attr in ("array", "asarray")):
+                if not (isinstance(func, ast.Attribute) and func.attr in COERCIONS):
                     continue
-                dtypes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "dtype"]
+                at = COERCIONS[func.attr]
+                dtypes = node.args[at : at + 1] + [k.value for k in node.keywords if k.arg == "dtype"]
                 if any(ast.unparse(d) in dtype_names for d in dtypes):
                     sites.append((path.stem, getattr(top, "name", "<module>")))
     return sites
