@@ -33,9 +33,9 @@ from .smallmat import (
     _paired,
     _pauli_entries,
     _pauli_root,
-    _pauli_scale,
     _pauli_vector,
     _real,
+    _reject_first_time,
     _reject_rows,
     _state_entries,
     _unit2,
@@ -211,7 +211,7 @@ def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -
     lies inside [2**-250, 2**251], as for every ordinary input, they and the
     real-spectrum path are Python scalar arithmetic with no numpy call.  The
     drive's norm also sizes the grid's candidate slack.  The drive's
-    Pauli vector n takes the same step, ``_pauli_scale``: where its
+    Pauli vector n takes the range step of ``_pauli_vector``: where its
     sum_k |Re n_k| + |Im n_k| leaves [2**-252, 2**252], it is scanned as
     n 2**-e over [0, t_max 2**e] and the time found scaled back; ValueError
     where t_max 2**e leaves the normal floats, or that sum the float range.
@@ -228,8 +228,7 @@ def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -
         m01 = 0.5 * m01 + 0.5 * m10.conjugate()
         m10, m00, m11 = m01.conjugate(), m00.real, m11.real
     # the passage time scales as 1/|n|: solve for n 2**-e over [0, t_max 2**e]
-    _, nx, ny, nz = _pauli_vector(m00, m01, m10, m11)
-    e, nx, ny, nz = _pauli_scale(nx, ny, nz)
+    _, e, nx, ny, nz = _pauli_vector(m00, m01, m10, m11)
     if e:
         if not -1021 <= math.frexp(t_max)[1] + e <= 1024:
             raise ValueError(f"t_max = {t_max!r} times the drive leaves the float range")
@@ -330,10 +329,7 @@ def _general_passage(r: complex, n, size: float, u, w, v, t_max: float, steps: i
         psi0 = cosf * u0 - 1j * sincf * w0
         psi1 = cosf * u1 - 1j * sincf * w1
         fid = np.abs(v0 * psi0 + v1 * psi1) / np.hypot(np.abs(psi0), np.abs(psi1))
-    finite = np.isfinite(fid)
-    if not finite.all():
-        t_bad = math.ldexp(float(ts[~finite][0]), -e)
-        raise ValueError(f"the evolution overflows: psi(t) is first not finite at t = {t_bad!r}")
+    _reject_first_time(np.ldexp(ts, -e) if e else ts, fid, "the evolution overflows: psi(t)")
     if fid[0] >= PASSAGE_FIDELITY:
         return 0.0
 

@@ -22,6 +22,7 @@ from .smallmat import (
     _col,
     _hermitian_part,
     _negligible,
+    _normalized,
     _reals,
     _vdots,
     as_operator,
@@ -29,7 +30,6 @@ from .smallmat import (
     dagger,
     frobenius,
     is_hermitian,
-    normalize,
 )
 
 __all__ = ["DilationModel", "build_dilation", "evolve_dilated", "visibility_ratio"]
@@ -137,7 +137,7 @@ def evolve_dilated(model: DilationModel, initial, t) -> tuple[np.ndarray, np.nda
     equal the scalar calls bit for bit.  exp(-i B t) of the model's
     ``hamiltonian`` B comes from its ``eigh``; B must pass ``is_hermitian``.
     """
-    psi = normalize(as_state(initial))
+    psi = _normalized(as_state(initial))
     t = _reals("t", t)
     if not is_hermitian(model.hamiltonian):
         raise ValueError("4x4 generators must be Hermitian")

@@ -43,9 +43,9 @@ from .smallmat import (
     _operator_entries,
     _pauli_entries,
     _pauli_root,
-    _pauli_scale,
     _pauli_vector,
     _reals,
+    _reject_first_time,
     _reject_rows,
     _square,
     _tan,
@@ -175,7 +175,7 @@ def evolve_semigroup(ham, rho0, times) -> EvolutionTrace:
 
     The size of ``ham`` is s = sum_k |Re n_k| + |Im n_k| of its Pauli vector.
     Before anything reads |n| or |r| (the rule, the exceptional-point radius,
-    X and N rho0 N^dag/|r|^2), N takes the range step ``_pauli_scale`` and
+    X and N rho0 N^dag/|r|^2), N takes the range step of ``_pauli_vector`` and
     turns on its clock, so the basis overflows only where the state does and
     ``evolve_semigroup(2**k ham, rho0, 2**-k times)`` keeps every bit; an s
     past the float range raises ValueError.
@@ -209,8 +209,7 @@ def evolve_semigroup(ham, rho0, times) -> EvolutionTrace:
     ts = np.reshape(_reals("times", times), -1)
     if ts.size == 0:
         raise ValueError("times must be non-empty")
-    a0, nx, ny, nz = _pauli_vector(m00, m01, m10, m11)
-    e, nx, ny, nz = _pauli_scale(nx, ny, nz)
+    a0, e, nx, ny, nz = _pauli_vector(m00, m01, m10, m11)
     r = _pauli_root(nx, ny, nz)
     exceptional = math.hypot(r.real, r.imag) < _EP_RADIUS
     # exceptional point: cos rt -> 1, sin(rt)/r -> t and sinh kt -> 0; X is B
@@ -331,13 +330,6 @@ def _semigroup_coefficients(ts: np.ndarray, alpha: float, r, e: int, rows: np.nd
     np.add(c3, v, out=c3)
     np.add(c0, v, out=c0)
     np.multiply(c2, at, out=c2)
-
-
-def _reject_first_time(ts: np.ndarray, values: np.ndarray, what: str) -> None:
-    """ValueError naming the earliest time in ``ts`` whose value is not finite."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        raise ValueError(f"{what} is first not finite at t = {float(ts[~finite].min())!r}")
 
 
 def shifted_generator(ham) -> tuple[np.ndarray, float]:

@@ -164,6 +164,14 @@ def _reject_rows(bad, error, *values) -> None:
     raise exc
 
 
+def _reject_first_time(ts: np.ndarray, values: np.ndarray, what: str) -> None:
+    """The earliest-overflow rule: ValueError "<what> is first not finite at t = <t>",
+    naming the earliest time t in ``ts`` whose value is not finite."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValueError(f"{what} is first not finite at t = {float(ts[~finite].min())!r}")
+
+
 def _any(flags) -> bool:
     """Whether any of a bool array is set; a scalar bool as it is (the faster test)."""
     return bool(flags.any() if isinstance(flags, np.ndarray) else flags)
@@ -259,11 +267,17 @@ def as_state(vec, stack: bool = False) -> np.ndarray:
     return v
 
 
+def _check_square(shape: tuple, stack: bool = True) -> None:
+    """ValueError naming ``shape`` unless it is that of a square matrix, or
+    with ``stack`` of an ``(n, k, k)`` stack of them."""
+    if len(shape) not in ((2, 3) if stack else (2,)) or shape[-1] != shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {shape}")
+
+
 def _check_operator_shape(shape: tuple, stack: bool = False) -> None:
     """ValueError unless ``shape`` is that of a 2x2 matrix, or with ``stack``
     of a stack of them."""
-    if len(shape) not in ((2, 3) if stack else (2,)) or shape[-1] != shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {shape}")
+    _check_square(shape, stack)
     if shape[-1] != 2:
         raise ValueError(f"expected a 2x2 matrix, got {shape[-1]}x{shape[-1]}")
 
@@ -336,8 +350,11 @@ def row_norms(x) -> np.ndarray:
 
 def frobenius(mat):
     """Frobenius norm, true across the float range (``_rescaled``); per matrix of a stack.
-    TypeError unless ``mat`` is numeric (``_numeric``)."""
-    _, n, e = _rescaled(_numeric("matrix", mat), 2)
+    TypeError unless ``mat`` is numeric (``_numeric``), ValueError naming its shape
+    unless it is a square matrix or an ``(n, k, k)`` stack of them (``_check_square``)."""
+    m = _numeric("matrix", mat)
+    _check_square(m.shape)
+    _, n, e = _rescaled(m, 2)
     return n if e is None else _float_or_array(np.ldexp(n, e))
 
 
@@ -361,9 +378,10 @@ def _negligible(residual, size, tol=HERMITICITY_TOL):
 def is_hermitian(mat):
     """Whether ||mat - mat^dag||_F is negligible next to ||mat||_F; one bool per stacked matrix.
     Both norms are of the matrix as ``frobenius`` rescales it, so an overflowing skew fails.
-    TypeError unless ``mat`` is numeric (``_numeric``)."""
-    m = np.ascontiguousarray(_numeric("matrix", mat))
-    scaled, size, _ = _rescaled(m, 2)
+    TypeError and ValueError as ``frobenius`` raises them."""
+    m = _numeric("matrix", mat)
+    _check_square(m.shape)
+    scaled, size, _ = _rescaled(np.ascontiguousarray(m), 2)
     ok = _negligible(frobenius(scaled - dagger(scaled)), size)
     return ok if m.ndim == 3 else bool(ok)
 
@@ -396,7 +414,12 @@ def normalize(vec) -> np.ndarray:
     exactly, so ``normalize([1e300, 1e300])`` and ``normalize([1e-170,
     1e-170])`` give (1, 1)/sqrt(2); a quotient of normal floats keeps its bits.
     """
-    v, n, _ = _rescaled(as_state(vec, stack=True))
+    return _normalized(as_state(vec, stack=True))
+
+
+def _normalized(v: np.ndarray) -> np.ndarray:
+    """``normalize`` of a state or ``(n, 2)`` stack already read by ``as_state``."""
+    v, n, _ = _rescaled(v)
     _reject_rows(n == 0.0, ValueError("cannot normalize the zero vector"))
     return v / (n if v.ndim == 1 else n[:, None])
 
@@ -405,7 +428,8 @@ def _rescaled(x: np.ndarray, rank: int = 1):
     """``x 2**-e``, the norm of each item (a state for ``rank`` 1, a matrix for
     2) of one or a stack, and e, ``_exponent`` of each item's largest entry
     part; None when none is scaled.  One item is flattened in memory order,
-    as ``np.linalg.norm`` does, so its scaled copy is right for a C-contiguous x."""
+    as ``np.linalg.norm`` does, so its scaled copy is right for a C-contiguous x;
+    a stack is read in C order, whatever its layout."""
     if x.ndim == rank:
         # one item: its largest part decides, in Python; 0 needs no norm
         flat = x.ravel(order="K")
@@ -415,7 +439,7 @@ def _rescaled(x: np.ndarray, rank: int = 1):
         if not e:
             return x, _norm(flat) if big else 0.0, None
     else:
-        flat = x.reshape(len(x), math.prod(x.shape[1:]))
+        flat = np.ascontiguousarray(x).reshape(len(x), math.prod(x.shape[1:]))
         parts = flat.view(float)
         e = _exponent(np.abs(parts).max(axis=-1))
         if not e.any():
@@ -607,41 +631,29 @@ def _col(x):
 def _pauli_split(m: np.ndarray):
     """Split a 2x2 generator as ``a0 * I + 2**e n.sigma``; returns (a0, e, r, n.sigma).
 
-    n is the Pauli vector after the range step ``_pauli_scale``, and ``r``
+    n is the Pauli vector after the range step of ``_pauli_vector``, and ``r``
     the principal root of its n.n, complex for non-Hermitian generators and
     zero at an exceptional point, where n.sigma is nilpotent.  An
     ``(n, 2, 2)`` stack gives ``(n,)`` arrays and an ``(n, 2, 2)`` stack.
     """
-    a0, *n = _pauli_vector(*_entries2(m))
-    e, ax, ay, az = _pauli_scale(*n)
+    a0, e, ax, ay, az = _pauli_vector(*_entries2(m))
     r = np.sqrt(_cmul(ax, ax) + _cmul(ay, ay) + _cmul(az, az) + 0j)
     return a0, e, r, _col(ax) * PAULI_X + _col(ay) * PAULI_Y + _col(az) * PAULI_Z
 
 
 def _pauli_vector(m00, m01, m10, m11):
-    """(a0, nx, ny, nz) with [[m00, m01], [m10, m11]] = a0 I + nx X + ny Y + nz Z,
-    of scalar entries or elementwise of ``(n,)`` arrays; halving before summing, a finite n is finite."""
-    m00, m01, m10, m11 = 0.5 * m00, 0.5 * m01, 0.5 * m10, 0.5 * m11
-    return m00 + m11, m01 + m10, 1j * (m01 - m10), m00 - m11
+    """(a0, e, nx, ny, nz) with [[m00, m01], [m10, m11]] = a0 I + 2**e (nx X + ny Y + nz Z),
+    of Python scalars or elementwise of ``(n,)`` rows; halving before summing, a finite n is finite.
 
-
-def _pauli_entries(nx, ny, nz):
-    """The entries n00, n01, n10, n11 of n.sigma for the Pauli vector (nx, ny, nz),
-    of scalars or elementwise of arrays."""
-    return nz, nx - 1j * ny, nx + 1j * ny, -nz
-
-
-def _pauli_scale(nx, ny, nz):
-    """The range step of every 2x2 kernel: (e, n 2**-e) for a Pauli vector n
-    of Python scalars, or elementwise of ``(n,)`` arrays.
-
-    Where s = sum_k |Re n_k| + |Im n_k| leaves the range of ``_exponent``,
-    e takes s into [1, 2), one octave above the other kernels' target;
-    elsewhere e is 0 and n is kept, bit for bit.
-    The kernel then turns n 2**-e on the clock t 2**e, so whatever reads |n|
-    or |r| sees a size near 1, and 2**k n on 2**-k t gives the bits of n on
-    t.  ValueError where s passes the float range.
+    n takes the range step of every 2x2 kernel: where s = sum_k |Re n_k| +
+    |Im n_k| leaves the range of ``_exponent``, e takes s into [1, 2), one
+    octave above the other kernels' target; elsewhere e is 0 and n is kept,
+    bit for bit.  The kernel then turns n 2**-e on the clock t 2**e, so
+    whatever reads |n| or |r| sees a size near 1, and 2**k n on 2**-k t gives
+    the bits of n on t.  ValueError where s passes the float range.
     """
+    m00, m01, m10, m11 = 0.5 * m00, 0.5 * m01, 0.5 * m10, 0.5 * m11
+    a0, nx, ny, nz = m00 + m11, m01 + m10, 1j * (m01 - m10), m00 - m11
     if isinstance(nx.real, float):
         # scalars: Python arithmetic alone, no numpy name
         s = _pauli_size(nx, ny, nz)
@@ -649,7 +661,7 @@ def _pauli_scale(nx, ny, nz):
             raise ValueError(_PAULI_NOT_FINITE)
         e = _exponent(s)
         if not e:
-            return 0, nx, ny, nz
+            return a0, 0, nx, ny, nz
     else:
         # a stack whose Pauli vector passes the float range raises, not first warns
         with np.errstate(over="ignore"):
@@ -657,10 +669,16 @@ def _pauli_scale(nx, ny, nz):
         _reject_rows(np.logical_not(s < math.inf), ValueError(_PAULI_NOT_FINITE))
         e = _exponent(s)
         if not e.any():
-            return 0, nx, ny, nz
+            return a0, 0, nx, ny, nz
     # s 2**-e in [1, 2), an octave above _exponent's, where passages' bits are pinned
     e = e - (e != 0)
-    return e, _ldexp(nx, -e), _ldexp(ny, -e), _ldexp(nz, -e)
+    return a0, e, _ldexp(nx, -e), _ldexp(ny, -e), _ldexp(nz, -e)
+
+
+def _pauli_entries(nx, ny, nz):
+    """The entries n00, n01, n10, n11 of n.sigma for the Pauli vector (nx, ny, nz),
+    of scalars or elementwise of arrays."""
+    return nz, nx - 1j * ny, nx + 1j * ny, -nz
 
 
 def _pauli_size(nx, ny, nz):
@@ -773,7 +791,7 @@ def propagator(ham, t) -> np.ndarray:
     not ``ham`` is Hermitian, defective generators at an exceptional point
     included.  Their size is s = sum_k |Re n_k| + |Im n_k| of the Pauli
     vector n of ham = a0 I + n.sigma: before anything reads |n| or |r|, n
-    takes the range step ``_pauli_scale``, so ``propagator(2**k ham, 2**-k t)``
+    takes the range step of ``_pauli_vector``, so ``propagator(2**k ham, 2**-k t)``
     is ``propagator(ham, t)`` bit for bit, and an s past the float range
     raises ValueError.  Where |Im(r) t| passes 700 (r the root of the scaled
     n.n, t its clock), cosh(Im r t) nears the float range, so those entries

@@ -116,9 +116,15 @@ def test_integer_arguments_reject_non_finite_non_integral_and_out_of_domain_valu
 
 
 #: public entry point -> call with an argument of more array dimensions than
-#: it takes: a theta grid of two dimensions, a (3, 3) grid of times, or a
-#: basis of an angle array (even of one angle) where one angle is documented
+#: it takes: a theta grid of two dimensions, a (3, 3) grid of times, a basis
+#: of an angle array (even of one angle) where one angle is documented, or a
+#: matrix that is neither square nor an (n, k, k) stack of square matrices
 SHAPE_CALLS = {
+    **{
+        f"{fn.__name__}-{'x'.join(map(str, shape)) or 'scalar'}": (lambda fn=fn, shape=shape: fn(np.ones(shape)))
+        for fn in (smallmat.frobenius, smallmat.is_hermitian)
+        for shape in ((), (3,), (2, 3), (2, 2, 2, 2))
+    },
     "BlochBasis": lambda: gates.BlochBasis(np.ones((2, 2))),
     "cloning_defect": lambda: gates.cloning_defect(gates.BlochBasis([1.0])),
     "control_u_channel": lambda: gates.control_u_channel(gates.BlochBasis([1.0, 2.0, 3.0]), 1.0),

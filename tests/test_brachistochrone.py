@@ -586,6 +586,19 @@ def test_general_passage_overflow_raises_naming_first_bad_time():
     assert first_passage_scan(ham, E0, E1, t_max=100.0) is None
 
 
+@pytest.mark.parametrize("k", [-300, 300])
+def test_general_passage_overflow_of_a_scaled_drive_names_the_time_scaled_back(k):
+    # 2**k ham over [0, 1000 2**-k] is scanned as ham over its own grid; the
+    # time named is the unscaled drive's times 2**-k, bit for bit
+    ham = np.array([[2j, 1.0], [1.0, -2j]])
+    with pytest.raises(ValueError, match="not finite at t = ") as exc:
+        first_passage_scan(ham, E0, E1, t_max=1000.0)
+    t_bad = float(str(exc.value).rpartition("= ")[2])
+    with pytest.raises(ValueError) as scaled:
+        first_passage_scan(2.0**k * ham, E0, E1, t_max=1000.0 * 2.0**-k)
+    assert str(scaled.value) == f"the evolution overflows: psi(t) is first not finite at t = {t_bad * 2.0**-k!r}"
+
+
 # ------------------------------------- Hermitian closed form vs expm oracle
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from tachys import smallmat
 from tachys.dilation import build_dilation, evolve_dilated, visibility_ratio
 from tachys.metric import Metric, diag_metric, metric_from_matrix, metric_from_sqrt, quasi_hamiltonian
 from tachys.smallmat import MetricDegeneracyError, PAULI_X, PAULI_Y, PAULI_Z, dagger, frobenius, normalize
@@ -229,6 +230,30 @@ def test_build_dilation_keeps_the_dressed_generator_bit_for_bit():
         assert generator.operator.tobytes() == want.operator.tobytes()
         assert generator.h.tobytes() == want.h.tobytes()
         assert generator.metric is m and generator.omega == want.omega
+
+
+def test_evolve_dilated_reads_its_state_once(monkeypatch):
+    model = build_dilation(H_HALF_X, diag_metric(2.0), 1.0)
+    ts = np.linspace(0.0, 3.0, 7)
+    before = evolve_dilated(model, [3.0, 4.0j], ts)
+    reads, numeric = [], smallmat._numeric
+
+    def counting(what, x, copy=False):
+        reads.append(what)
+        return numeric(what, x, copy)
+
+    monkeypatch.setattr(smallmat, "_numeric", counting)
+    after = evolve_dilated(model, [3.0, 4.0j], ts)
+    assert reads.count("state") == 1
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
+    # the errors of a bad shape and of the zero state
+    for bad, message in (
+        ([[1.0, 0.0]], r"^expected a 1-d state, got shape \(1, 2\)$"),
+        ([1.0, 0.0, 0.0], "^expected a length-2 state, got length 3$"),
+        ([0.0, 0.0], "^cannot normalize the zero vector$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            evolve_dilated(model, bad, ts)
 
 
 def test_evolve_dilated_rejects_non_finite_times():

@@ -1,4 +1,4 @@
-"""Smoke test of tools/report_digest.py, the byte-identity digest of CLI reports."""
+"""Smoke tests of tools/report_digest.py, the byte-identity digest of CLI reports and of library calls."""
 
 import importlib.util
 import subprocess
@@ -49,3 +49,13 @@ def test_probes_run_one_child_per_configuration():
     assert header.split("\t") == ["configuration", *tool.COMMANDS, "moved"]
     assert [row.split("\t")[0] for row in rows] == labels
     assert all(len(row.split("\t")) == len(tool.COMMANDS) + 2 and row.endswith("/7") for row in rows)
+
+
+def test_library_digest_repeats_and_runs_every_family():
+    tool = _tool_module()
+    first = _digest("--library", count=3)
+    # a second run, importing the package through --src, gives the same lines
+    assert _digest("--library", "--src", str(ROOT), count=3) == first
+    fields = [line.split("\t") for line in first.splitlines()]
+    assert [f[0] for f in fields] == list(tool.LIBRARY_FAMILIES)
+    assert all(len(f) == 3 and int(f[1]) >= 3 and len(f[2]) == 64 for f in fields)

@@ -23,6 +23,7 @@ from tachys.smallmat import (
     _EP_RADIUS,
     MetricDegeneracyError,
     _eigvals2,
+    _entries2,
     _first_failing_row,
     _hermitian_part,
     _is_hermitian2,
@@ -30,6 +31,7 @@ from tachys.smallmat import (
     _operator_entries,
     _pauli_root,
     _pauli_split,
+    _pauli_vector,
     _state_entries,
     _unit2,
     PAULI_X,
@@ -293,6 +295,15 @@ def test_stacked_products_round_as_the_scalar_products():
     assert e == 0 and all(s[1] == 0 for s in singles)
     assert _bytes_equal(r, [s[2] for s in singles])
     assert _bytes_equal(pauli, [s[3] for s in singles])
+    # the Pauli vector and its range step, in and past [2**-252, 2**252]
+    for k in (-300, 0, 300):
+        scaled = m * 2.0**k
+        a0, e, *n = _pauli_vector(*_entries2(scaled))
+        singles = [_pauli_vector(*_entries2(x)) for x in scaled]
+        assert _bytes_equal(a0, [s[0] for s in singles])
+        assert np.array_equal(np.broadcast_to(e, len(m)), [s[1] for s in singles])
+        assert np.all(e != 0) if k else e == 0
+        assert _bytes_equal(np.stack(n, axis=-1), [s[2:] for s in singles])
 
 
 def test_row_norms_equal_numpy_norm_of_each_row():
@@ -303,6 +314,10 @@ def test_row_norms_equal_numpy_norm_of_each_row():
     # a dagger is laid out column-major; its norm still matches
     m = _random_generators(rng, 500)
     assert _bytes_equal(frobenius(dagger(m) - m), [np.linalg.norm(dagger(x) - x) for x in m])
+    # a stack in Fortran order, or of strided views, has the norms of its C-ordered copy
+    strided = np.stack([m, m], axis=-1)[..., 0]
+    assert _bytes_equal(frobenius(np.asfortranarray(m)), frobenius(m))
+    assert _bytes_equal(frobenius(strided), frobenius(m))
 
 
 def test_hermitian_part_halves_before_it_sums():

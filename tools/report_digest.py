@@ -23,13 +23,27 @@ its child only, and prints how many invocations of each command moved
 against the digest of this process, one tab-separated line per
 configuration.  Moved invocations are findings, not failures: the exit code
 is 0 unless a child fails to run.
+
+    python tools/report_digest.py --library --seed S [--count N] [--src DIR]
+
+digests the library instead: one tab-separated line per call family
+(``LIBRARY_FAMILIES``) with its name, the number of calls and one sha256 over
+the bits of every result (an array's type, dtype, shape and bytes, a float's
+``float.hex``, a dataclass's fields in order, signbits included), the
+``type: message`` of every error raised and every warning issued.  Each
+family makes N seeded draws (default 200) of single calls and stacks of 1, 3
+and 64, at 2**k scales, with signed zeros and subnormals, in C order,
+Fortran order and as strided views, plus a fixed set of calls that raise.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
+import dataclasses
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -39,8 +53,12 @@ import random
 import subprocess
 import sys
 import tempfile
+import warnings
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+
+import numpy as np
 
 COMMANDS = ("brachy", "dissipation", "dilation", "povm", "notgate", "controlu", "efficiency")
 
@@ -137,16 +155,14 @@ def digest_lines(main, seed: int, count: int) -> list[str]:
     return lines
 
 
-def _import_main(src: str | None):
-    """``tachys.cli.main`` of the checkout ``src`` (its root or its ``src``), or of this one."""
+def _import(src: str | None, *modules: str) -> list:
+    """The modules ``tachys.<name>`` of the checkout ``src`` (its root or its ``src``), or of this one."""
     root = Path(src) if src else Path(__file__).resolve().parents[1]
     path = root / "src" if (root / "src" / "tachys").is_dir() else root
     if not (path / "tachys").is_dir():
         raise SystemExit(f"report_digest: no tachys package under {root}")
     sys.path.insert(0, str(path))
-    from tachys import cli
-
-    return cli.main
+    return [importlib.import_module(f"tachys.{m}") for m in modules]
 
 
 def probe_configurations() -> list[dict[str, str]]:
@@ -198,15 +214,347 @@ def probe_table(default: list[str], seed: int, count: int, src: str | None) -> l
     return ["configuration\t" + "\t".join(COMMANDS) + "\tmoved", *rows]
 
 
+# ------------------------------------------------------------ library digest
+
+#: the modules whose public names (``__all__``) the library families call
+LIBRARY_MODULES = ("smallmat", "brachistochrone", "metric", "opendyn", "dilation", "gates")
+
+#: one library call, ``name(*args)`` over those names; an argument that is a
+#: ``Call`` is evaluated first, and ``pick`` takes that item of the result
+Call = collections.namedtuple("Call", "name args pick")
+
+
+def call(name: str, *args, pick=None) -> Call:
+    return Call(name, args, pick)
+
+
+#: exponents k of the 2**k scales: most draws inside the range step's
+#: [2**-252, 2**252], the others past it, one into the subnormals
+_SCALES = (-1060, -300, -60, 0, 0, 0, 0, 0, 60, 300, 1000)
+
+#: entry parts that replace about one part in eight: signed zeros and subnormals
+_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310)
+
+_E0, _E1 = [1.0, 0.0], [0.0, 1.0]
+_H = [[0.0, 0.5], [0.5, 0.0]]
+_ROOT = call("metric_from_sqrt", 2.0, 0.5)
+_BASIS = call("BlochBasis", 1.0)
+
+#: matrix arguments that raise: text, None, non-finite entries, ragged rows, wrong shapes
+_BAD_MATRICES = (
+    [["1", "0"], ["0", "1"]], "1", [[None, 0.0], [0.0, 1.0]], [[math.nan, 0.0], [0.0, 1.0]],
+    [[0.0, math.inf], [0.0, 0.0]], [[1.0, 0.0], [0.0]], [[1.0] * 3] * 3, [1.0] * 3, [[[[1.0] * 2] * 2] * 2] * 2, 1.0,
+)
+#: state arguments that raise: text, None, a non-finite or zero state, wrong shapes
+_BAD_STATES = (["1", "0"], "1", [None, 1.0], [math.nan, 0.0], [0.0, 0.0], [1.0] * 3, [[[1.0] * 2] * 2] * 2, 1.0)
+#: real arguments that raise somewhere: non-finite, zero, negative, complex, text, two dimensions
+_BAD_REALS = (math.nan, -math.inf, 0.0, -1.0, 1.0 + 0.0j, "1.0", [[1.0] * 2] * 2)
+#: bases that raise somewhere: an angle of 0, outside (0, pi], an array of one, NaN
+_BAD_BASES = tuple(call("BlochBasis", theta) for theta in (0.0, -1.0, 4.0, [1.0], math.nan))
+_NOT_HERMITIAN = [[0.0, 1.0], [0.0, 0.0]]
+#: density matrices that raise: the bad matrices, then not Hermitian, not positive, trace 2
+_BAD_RHOS = (*_BAD_MATRICES, _NOT_HERMITIAN, [[1.5, 0.0], [0.0, -0.5]], [[1.0, 0.0], [0.0, 1.0]])
+
+
+class _Draw:
+    """The seeded inputs of one family; its name seeds it, so families draw independently."""
+
+    def __init__(self, seed: int, family: str):
+        self.rng = np.random.default_rng([seed, zlib.crc32(family.encode())])
+
+    def pick(self, options):
+        return options[int(self.rng.integers(len(options)))]
+
+    def n(self, single: bool = False):
+        """A stack length, 1, 3 or 64, or with ``single`` also None, a single item."""
+        return self.pick((None, 1, 3, 64) if single else (1, 3, 64))
+
+    def uniform(self, lo: float, hi: float, n=None):
+        x = self.rng.uniform(lo, hi, n)
+        return float(x) if n is None else x
+
+    def times(self, n=None, top=10.0):
+        """A time in [0, top], or a sorted grid of n."""
+        return self.uniform(0.0, top) if n is None else np.sort(self.uniform(0.0, top, n))
+
+    def _complex(self, n, *shape):
+        shape = shape if n is None else (n, *shape)
+        return self.rng.normal(size=shape) + 1j * self.rng.normal(size=shape)
+
+    def _sprinkle(self, x):
+        parts = x.view(float)
+        hit = self.rng.random(parts.shape) < 0.125
+        parts[hit] = self.rng.choice(_SPECIAL, size=int(hit.sum()))
+        return x
+
+    def _place(self, x, rank: int, scale: bool):
+        """x at 2**k scales, one per item of a stack, in C order, in Fortran order or as a strided view."""
+        if scale:
+            x = x * np.ldexp(1.0, self.rng.choice(_SCALES, size=x.shape[:-rank] + (1,) * rank))
+        layout = self.rng.integers(3)
+        if layout == 1:
+            return np.asfortranarray(x)
+        if layout == 2:
+            wide = np.zeros(x.shape + (2,), dtype=x.dtype)
+            wide[..., 0] = x
+            return wide[..., 0]
+        return x
+
+    def matrix(self, n=None, size=2, hermitian=False, scale=True, special=True):
+        """A random complex matrix, or an (n, size, size) stack, Hermitian on request."""
+        m = self._complex(n, size, size)
+        if special:
+            m = self._sprinkle(m)
+        if hermitian:
+            m = m + np.conj(np.swapaxes(m, -1, -2))
+        return self._place(m, 2, scale)
+
+    def positive(self):
+        """A Hermitian positive-definite matrix."""
+        a = self._complex(None, 2, 2)
+        p = a @ a.conj().T + 0.1 * np.eye(2)
+        return self._place(0.5 * (p + p.conj().T), 2, True)
+
+    def state(self, n=None, scale=True, special=True):
+        x = self._complex(n, 2)
+        return self._place(self._sprinkle(x) if special else x, 1, scale)
+
+    def unit(self, n=None):
+        x = self._complex(n, 2)
+        return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+    def density(self):
+        """A density matrix: a pure state mixed with I/2."""
+        v, p = self.unit(), self.uniform(0.0, 1.0)
+        return p * np.outer(v, v.conj()) + (1.0 - p) * 0.5 * np.eye(2)
+
+    def gapped(self, n=None, traceless=False):
+        """A Hermitian matrix, or a stack scaled to one gap, and that gap omega."""
+        h = self.matrix(n, hermitian=True, scale=False, special=False)
+        if traceless:
+            h = h - 0.5 * np.trace(h, axis1=-2, axis2=-1)[..., None, None] * np.eye(2)
+        w = np.linalg.eigvalsh(h)
+        gap = w[..., 1] - w[..., 0]
+        omega = float(np.ravel(gap)[0])
+        return h * (omega / gap)[..., None, None], omega
+
+    def metric(self, n=None):
+        """``metric_from_sqrt`` of a random root (a stack of n), about one in eight degenerate."""
+        f = self.uniform(1.0, 4.0, n)
+        g = np.sqrt(f) * self.uniform(0.0, 0.9, n) * np.exp(1j * self.uniform(0.0, 6.3, n))
+        if self.rng.random() < 0.125:
+            g = np.sqrt(f - 1e-13)
+        return call("metric_from_sqrt", f, g)
+
+    def metric_hermitian(self):
+        """A metric-Hermitian drive S^-1 h S, S a metric root."""
+        f, g = self.uniform(1.0, 4.0), self.uniform(0.0, 0.9) * np.exp(1j * self.uniform(0.0, 6.3))
+        s = np.array([[1.0, g], [np.conj(g), f]])
+        return np.linalg.solve(s, self.gapped()[0] @ s)
+
+    def basis(self, stack=False):
+        return call("BlochBasis", self.uniform(1e-3, math.pi, self.n(single=True) if stack else None))
+
+
+def _family(name: str, draw, valid: tuple = (), *bad):
+    """The family of ``name``: ``count`` draws, each ``draw(d)`` giving the arguments of one
+    call or a list of them; then ``valid`` with argument j replaced by each of ``values``,
+    for each (j, values) pair in ``bad``."""
+
+    def family(d: _Draw, count: int):
+        for _ in range(count):
+            drawn = draw(d)
+            yield from (call(name, *args) for args in (drawn if isinstance(drawn, list) else [drawn]))
+        for j, values in bad:
+            yield from (call(name, *valid[:j], v, *valid[j + 1 :]) for v in values)
+
+    return family
+
+
+def _propagator(d: _Draw) -> list:
+    # a single time, a time array, a generator stack with one time each
+    h, n = d.matrix(), d.n()
+    return [(h, d.times()), (h, d.times(d.n())), (d.matrix(n), d.times(n))]
+
+
+def _first_passage_scan(d: _Draw) -> list:
+    # Hermitian, metric-Hermitian and broken-PT drives, then one of them 2**k times on 2**-k t_max
+    u, v = d.state(), d.state()
+    t_max, steps = d.uniform(1.0, 20.0), int(d.rng.integers(1000, 2000))
+    drives = d.matrix(hermitian=True), d.metric_hermitian(), d.matrix(scale=False, special=False)
+    unscaled = d.pick((d.matrix(hermitian=True, scale=False), *drives[1:]))
+    k = d.pick((-300, 300))
+    return [(h, u, v, t_max, steps) for h in drives] + [(unscaled * 2.0**k, u, v, t_max * 2.0**-k, steps)]
+
+
+def _evolve_semigroup(d: _Draw) -> list:
+    # plain, shifted, at an exceptional point (n = c (1, 0, i), n.n = 0) and Hermitian
+    rho, ts, ham = d.density(), d.times(d.n(single=True)), d.matrix(scale=False)
+    c = complex(d.rng.normal(), d.rng.normal())
+    ep = [[1j * c, c], [c, -1j * c]]
+    return [(h, rho, ts) for h in (ham, call("shifted_generator", ham, pick=0), ep, d.matrix(hermitian=True))]
+
+
+def _quasi_hamiltonian(d: _Draw):
+    h, omega = d.gapped(d.n(single=True))
+    return h, d.metric(None if h.ndim == 2 else len(h)), omega
+
+
+def _inconclusive(d: _Draw):
+    # a POVM of one angle or a stack of n, and one state or a stack of n
+    n = d.n(single=True)
+    return call("discrimination_povm", call("BlochBasis", d.uniform(1e-3, math.pi, n))), d.state(d.pick((None, n)))
+
+
+def _dilation(d: _Draw):
+    h, omega = d.gapped(traceless=True)
+    return call("build_dilation", h, d.metric(), omega)
+
+
+#: name -> the calls of the family, a function of a ``_Draw`` and the count
+LIBRARY_FAMILIES = {
+    "propagator": _family("propagator", _propagator, (_H, 1.0), (0, _BAD_MATRICES), (1, _BAD_REALS)),
+    "eigvals2": _family("eigvals2", lambda d: (d.matrix(d.n(single=True)),), (), (0, _BAD_MATRICES)),
+    "normalize": _family("normalize", lambda d: (d.state(d.n(single=True)),), (), (0, _BAD_STATES)),
+    "is_hermitian": _family(
+        "is_hermitian", lambda d: (d.matrix(d.n(single=True), d.pick((2, 4)), d.rng.random() < 0.75),), (),
+        (0, _BAD_MATRICES),
+    ),
+    "frobenius": _family("frobenius", lambda d: (d.matrix(d.n(single=True), d.pick((2, 4))),), (), (0, _BAD_MATRICES)),
+    "hermitian_sqrt": _family("hermitian_sqrt", lambda d: (d.positive(),), (), (0, (*_BAD_MATRICES, _NOT_HERMITIAN))),
+    "first_passage_scan": _family(
+        "first_passage_scan", _first_passage_scan, (_H, _E0, _E1, 5.0, 1000),
+        (0, (*_BAD_MATRICES, [[2j, 1.0], [1.0, -2j]])), (1, _BAD_STATES), (2, _BAD_STATES), (3, (*_BAD_REALS, 1000.0)),
+        (4, (999, 1000.5, "2000")),
+    ),
+    "evolve_semigroup": _family(
+        "evolve_semigroup", _evolve_semigroup, (_H, [[1.0, 0.0], [0.0, 0.0]], [0.0, 1.0]),
+        (0, _BAD_MATRICES), (1, _BAD_RHOS), (2, (*_BAD_REALS, [], [0.0, math.nan])),
+    ),
+    "split_generator": _family("split_generator", lambda d: (d.matrix(d.n(single=True)),), (), (0, _BAD_MATRICES)),
+    "shifted_generator": _family("shifted_generator", lambda d: (d.matrix(),), (), (0, _BAD_MATRICES)),
+    "metric_from_sqrt": _family(
+        "metric_from_sqrt", lambda d: d.metric(d.n(single=True)).args, (2.0, 0.5),
+        (0, (*_BAD_REALS, 1e200, [2.0, 3.0])), (1, (*_BAD_REALS, -0.0, None, [[0.5, 0.5], [0.5, 0.5]])),
+    ),
+    "quasi_hamiltonian": _family(
+        "quasi_hamiltonian", _quasi_hamiltonian, (_H, _ROOT, 1.0), (0, (*_BAD_MATRICES, _NOT_HERMITIAN)),
+        (2, (*_BAD_REALS, 2.0)),
+    ),
+    "aligned_hamiltonian": _family(
+        "aligned_hamiltonian",
+        lambda d: (d.metric(d.n(single=True)), d.uniform(0.1, 5.0), d.state(scale=False), d.state(scale=False)),
+        (_ROOT, 1.0, _E0, _E1), (1, _BAD_REALS), (2, _BAD_STATES), (3, (*_BAD_STATES, [2.0, 0.0])),
+    ),
+    "dissipation_scan": _family(
+        "dissipation_scan", lambda d: (d.uniform(0.05, 6.0, d.n()), d.uniform(0.5, 2.0), 10.0 ** d.uniform(-6.0, -2.0)),
+        ([2.0], 1.0, 1e-6), (0, (*_BAD_REALS, [0.5, 2.0])), (2, (*_BAD_REALS, 3.0)),
+    ),
+    "transfer": _family(
+        "transfer", lambda d: (d.unit(d.n(single=True)), d.uniform(0.1, 5.0)), (_E1, 1.0),
+        (0, (*_BAD_STATES, _E0, [0.6, 0.6], [math.cos(5e-9), -1j * math.sin(5e-9)])), (1, _BAD_REALS),
+    ),
+    "build_dilation": _family(
+        "build_dilation", lambda d: _dilation(d).args, (_H, _ROOT, 1.0),
+        (0, (*_BAD_MATRICES, [[1.0, 0.5], [0.5, 0.0]])), (2, _BAD_REALS),
+    ),
+    "evolve_dilated": _family(
+        "evolve_dilated", lambda d: (_dilation(d), d.state(), d.times(d.n(single=True))),
+        (call("build_dilation", _H, _ROOT, 1.0), _E0, 1.0), (1, _BAD_STATES), (2, _BAD_REALS),
+    ),
+    "discrimination_povm": _family(
+        "discrimination_povm", lambda d: (d.basis(stack=True),), (), (0, _BAD_BASES),
+    ),
+    "inconclusive_probability": _family(
+        "inconclusive_probability", _inconclusive, (call("discrimination_povm", _BASIS), _E0), (1, _BAD_STATES),
+    ),
+    "not_gate_roundtrip": _family(
+        "not_gate_roundtrip", lambda d: (d.basis(), d.uniform(0.1, 5.0)), (_BASIS, 1.0),
+        (0, _BAD_BASES), (1, _BAD_REALS),
+    ),
+    "cloning_defect": _family("cloning_defect", lambda d: (d.basis(),), (), (0, _BAD_BASES)),
+    "control_u_channel": _family(
+        "control_u_channel", lambda d: (d.basis(), d.uniform(-math.pi, math.pi)), (_BASIS, 1.0),
+        (0, _BAD_BASES), (1, _BAD_REALS),
+    ),
+    "efficiency_bound": _family(
+        "efficiency_bound", lambda d: (d.basis(), d.uniform(0.1, 5.0)), (_BASIS, 1.0),
+        (0, _BAD_BASES), (1, _BAD_REALS),
+    ),
+}
+
+
+def _feed(h, x) -> None:
+    """Hash ``x``'s type and bits: arrays by dtype, shape and bytes, floats by ``float.hex``,
+    containers item by item and dataclasses field by field, in order."""
+    h.update(f"<{type(x).__name__}>".encode())
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        for f in dataclasses.fields(x):
+            h.update(f.name.encode())
+            _feed(h, getattr(x, f.name))
+    elif isinstance(x, (np.ndarray, np.generic)):
+        x = np.asarray(x)
+        h.update(f"{x.dtype.descr}{x.shape}".encode())
+        h.update(x.tobytes())
+    elif isinstance(x, complex):
+        h.update(f"{x.real.hex()},{x.imag.hex()}".encode())
+    elif isinstance(x, float):
+        h.update(x.hex().encode())
+    elif isinstance(x, (tuple, list)):
+        for item in x:
+            _feed(h, item)
+        h.update(b"</>")
+    else:
+        h.update(repr(x).encode())
+
+
+def _evaluate(api: dict, x):
+    if not isinstance(x, Call):
+        return x
+    out = api[x.name](*(_evaluate(api, a) for a in x.args))
+    return out if x.pick is None else out[x.pick]
+
+
+def library_lines(api: dict, seed: int, count: int) -> list[str]:
+    """One line per family of ``LIBRARY_FAMILIES``: its name, its number of calls and the
+    sha256 of every call's result or error and of the warnings it issued."""
+    lines = []
+    for name, family in LIBRARY_FAMILIES.items():
+        h, calls = hashlib.sha256(), 0
+        for c in family(_Draw(seed, name), count):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    _feed(h, _evaluate(api, c))
+                except Exception as exc:  # an error is a result too
+                    h.update(f"{type(exc).__name__}: {exc}".encode())
+            for w in caught:
+                h.update(f"{w.category.__name__}: {w.message}".encode())
+            calls += 1
+        lines.append(f"{name}\t{calls}\t{h.hexdigest()}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--count", type=int, required=True)
+    parser.add_argument("--count", type=int, default=None,
+                        help="invocations; with --library, draws per call family (default 200)")
     parser.add_argument("--src", default=None, help="checkout to import tachys from (default: this one)")
-    parser.add_argument("--probes", action="store_true",
-                        help="count the invocations each emulated host configuration moves")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--probes", action="store_true",
+                      help="count the invocations each emulated host configuration moves")
+    mode.add_argument("--library", action="store_true", help="digest seeded library calls, one line per call family")
     args = parser.parse_args(argv)
-    lines = digest_lines(_import_main(args.src), args.seed, args.count)
+    if args.library:
+        modules = _import(args.src, *LIBRARY_MODULES)
+        api = {name: getattr(m, name) for m in modules for name in m.__all__}
+        lines = library_lines(api, args.seed, 200 if args.count is None else args.count)
+    elif args.count is None:
+        parser.error("--count is required without --library")
+    else:
+        (cli,) = _import(args.src, "cli")
+        lines = digest_lines(cli.main, args.seed, args.count)
     for line in probe_table(lines, args.seed, args.count, args.src) if args.probes else lines:
         print(line)
     return 0
