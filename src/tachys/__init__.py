@@ -19,8 +19,7 @@ _LAZY = {
               "NotGateReport", "Povm", "cloning_defect", "control_u_channel", "discrimination_povm",
               "efficiency_bound", "inconclusive_probability", "not_gate_roundtrip"),
     "metric": ("Metric", "QuasiHamiltonian", "diag_metric", "metric_angle", "metric_from_matrix",
-               "metric_from_sqrt", "pseudo_hermiticity_defect", "quasi_hamiltonian", "state_angle",
-               "transition_defect"),
+               "metric_from_sqrt", "pseudo_hermiticity_defect", "quasi_hamiltonian", "state_angle"),
     "opendyn": ("AlignmentError", "EvolutionTrace", "OpenSplit", "aligned_hamiltonian",
                 "dissipation_scan", "dissipative_factor", "energy_gap_squared", "evolve_semigroup",
                 "map_boundary_states", "revelation_probability", "shifted_generator",

@@ -4,7 +4,9 @@ A metric ``eta`` redefines the inner product as <u|eta|v>.  An operator that
 is Hermitian with respect to such a metric ("quasi-Hermitian") is similar to
 an ordinary Hermitian generator via the metric square root; this module
 builds those pairs, measures how far an operator is from metric-Hermiticity,
-and computes metric-deformed angles between states.
+and computes metric-deformed angles between states.  The metric norm
+<psi|eta|psi> of a state has one reader, ``_metric_norm``, which first
+scales the state as ``normalize`` does, so 2**k psi gives the result of psi.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ __all__ = [
     "pseudo_hermiticity_defect",
     "state_angle",
     "metric_angle",
-    "transition_defect",
 ]
 
 #: below this margin the metric square root is treated as singular
@@ -210,20 +211,21 @@ def pseudo_hermiticity_defect(operator, eta):
     op = as_operator(operator, stack=True)
     em = as_operator(eta, stack=True)
     _paired("operator", op, "eta", em, 2)
-    return frobenius(dagger(op) - em @ op @ _inverse(em, _determinant(em, "metric matrix is singular")))
+    return frobenius(dagger(op) - em @ op @ _inverse(em, _determinant(em)))
 
 
-def _determinant(eta, message: str):
+def _determinant(eta):
     """det eta of a metric, or of each of a stack, from ``_det2`` after the range step, so
-    it is as accurate as if computed in twice the precision; ValueError(``message``) for the
-    first whose |det| is negligible, at the smallest normal float, next to ||eta||_F^2."""
+    it is as accurate as if computed in twice the precision; ValueError "metric matrix is
+    singular" for the first whose |det| is negligible, at the smallest normal float, next
+    to ||eta||_F^2.  ``pseudo_hermiticity_defect`` is its one caller."""
     scaled, size, e = _rescaled(eta, 2)
     re, im = _det2(*_entries2(scaled))
     if e is not None:
         with np.errstate(over="ignore"):
             re, im, size = np.ldexp(re, 2 * e), np.ldexp(im, 2 * e), np.ldexp(size, e)
     det = re + 1j * im
-    _reject_rows(_negligible(_abs(det), size * size, sys.float_info.min), ValueError(message))
+    _reject_rows(_negligible(_abs(det), size * size, sys.float_info.min), ValueError("metric matrix is singular"))
     return det
 
 
@@ -244,55 +246,32 @@ def state_angle(u, v) -> float:
     return float(_angle(fidelity(u, v)))
 
 
+def _metric_norm(psi: np.ndarray, eta: np.ndarray):
+    """A state read by ``as_state``, scaled as ``normalize`` scales it (``_rescaled``), its
+    norm and its metric norm Re <psi|eta|psi> in that scale, one per metric of a stack.
+    A state in range comes back as the same array, so its results keep their bits."""
+    a, n, _ = _rescaled(psi)
+    return a, n, np.real(_vdots(a, eta @ a))
+
+
 def metric_angle(u, v, metric: Metric) -> float:
     """Angle between states in the metric inner product.
 
     ``_angle`` of sqrt( <u|eta|v><v|eta|u> / (<u|eta|u><v|eta|v>) ), the root
-    clipped to [0, 1].  Each state is first scaled as in ``normalize``, so
-    the angle of 2**k u is that of u.  Raises MetricDegeneracyError when
-    either metric norm <u|eta|u> is negligible, at NORM_FLOOR, next to
-    ||eta||_F |u|^2 (the degenerate "shortcut" limit, or a zero state), and
-    ValueError for a stacked metric.
+    clipped to [0, 1], with each state and its metric norm read by
+    ``_metric_norm``, so the angle of 2**k u is that of u.
+    Raises MetricDegeneracyError when either metric norm <u|eta|u> is
+    negligible, at NORM_FLOOR, next to ||eta||_F |u|^2 (the degenerate
+    "shortcut" limit, or a zero state), and ValueError for a stacked metric.
     """
     eta = _single_eta(metric)
-    a, na, _ = _rescaled(as_state(u))
-    b, nb, _ = _rescaled(as_state(v))
-    nu = float(np.real(_vdots(a, eta @ a)))
-    nv = float(np.real(_vdots(b, eta @ b)))
+    a, na, nu = _metric_norm(as_state(u), eta)
+    b, nb, nv = _metric_norm(as_state(v), eta)
     size = frobenius(eta)
     if _negligible(nu, size * na * na, NORM_FLOOR) or _negligible(nv, size * nb * nb, NORM_FLOOR):
         raise MetricDegeneracyError(
             f"metric norm collapsed ({min(nu, nv):.3e}); angle undefined",
-            eigenvalue=min(nu, nv),
+            eigenvalue=float(min(nu, nv)),
         )
     cross = abs(_vdots(a, eta @ b)) ** 2
     return float(_angle(np.sqrt(cross / (nu * nv))))
-
-
-def transition_defect(times, etas, hams) -> float:
-    """How badly a time-dependent (metric, generator) pair violates the
-    norm-preservation balance law.
-
-    For each interior sample the derivative of the inverse metric is formed by
-    central differences and the residual
-    ``ham^dag - (eta @ ham @ eta^-1 - 1j * eta @ d(eta^-1)/dt)`` is measured in
-    Frobenius norm; the maximum over interior samples is returned.  At least
-    three finite, strictly increasing sample times are required, and every
-    metric sample must be invertible (``_determinant``).  ``times`` is read
-    by ``_reals``: TypeError for complex or str times, ValueError naming the
-    first non-finite time or the shape of a 2-d grid.
-    """
-    ts = np.reshape(_reals("times", times), -1)
-    if ts.shape[0] < 3:
-        raise ValueError("transition_defect needs at least three samples")
-    if np.any(np.diff(ts) <= 0.0):
-        raise ValueError("sample times must be strictly increasing")
-    es = as_operator(etas, stack=True)
-    hs = as_operator(hams, stack=True)
-    if len(es) != len(ts) or len(hs) != len(ts):
-        raise ValueError("times, etas and hams must have matching lengths")
-    invs = _inverse(es, _determinant(es, "metric sample is singular"))
-    dinv = (invs[2:] - invs[:-2]) / (ts[2:] - ts[:-2])[:, None, None]
-    e, h = es[1:-1], hs[1:-1]
-    balance = e @ h @ invs[1:-1] - 1j * (e @ dinv)
-    return float(frobenius(dagger(h) - balance).max())

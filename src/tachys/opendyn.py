@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import Metric, QuasiHamiltonian, metric_from_sqrt, quasi_hamiltonian
+from .metric import Metric, QuasiHamiltonian, _metric_norm, metric_from_sqrt, quasi_hamiltonian
 from .smallmat import (
     _E0,
     _E1,
@@ -354,20 +354,18 @@ def _shifted(m, rate):
 def map_boundary_states(metric: Metric, initial, final):
     """Metric-normalized images of a boundary pair in the flat frame.
 
-    Each state is sent to sqrt_eta @ psi / sqrt(<psi|eta|psi>); the returned
-    scalar is the modulus of the flat overlap of the two images, which sets
-    the travel time of the aligned problem.  A metric of ``(n, 2, 2)`` stacks
-    gives ``(n, 2)`` images and ``(n,)`` moduli.
+    Each state is sent to sqrt_eta @ psi / sqrt(<psi|eta|psi>), psi and its
+    metric norm read by ``metric._metric_norm``, so 2**k psi maps as psi; the
+    returned scalar is the modulus of the flat overlap of the two images,
+    which sets the travel time of the aligned problem.  A metric of
+    ``(n, 2, 2)`` stacks gives ``(n, 2)`` images and ``(n,)`` moduli.
     """
-    u = as_state(initial)
-    v = as_state(final)
     out = []
-    for psi in (u, v):
-        nrm2 = np.real(_vdots(psi, metric.eta @ psi))
+    for psi in (as_state(initial), as_state(final)):
+        a, _, nrm2 = _metric_norm(psi, metric.eta)
         _reject_rows(nrm2 <= 0.0, ValueError("state has non-positive metric norm"))
-        out.append(metric.sqrt_eta @ psi / np.sqrt(nrm2)[..., None])
-    overlap = _vdots(out[0], out[1])
-    return out[0], out[1], _abs(overlap)
+        out.append(metric.sqrt_eta @ a / np.sqrt(nrm2)[..., None])
+    return out[0], out[1], _abs(_vdots(*out))
 
 
 def aligned_hamiltonian(metric: Metric, omega: float, initial, final) -> QuasiHamiltonian:

@@ -382,7 +382,8 @@ def is_hermitian(mat):
     m = _numeric("matrix", mat)
     _check_square(m.shape)
     scaled, size, _ = _rescaled(np.ascontiguousarray(m), 2)
-    ok = _negligible(frobenius(scaled - dagger(scaled)), size)
+    _, skew, e = _rescaled(scaled - dagger(scaled), 2)
+    ok = _negligible(skew if e is None else np.ldexp(skew, e), size)
     return ok if m.ndim == 3 else bool(ok)
 
 

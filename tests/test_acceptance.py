@@ -1,4 +1,4 @@
-"""Acceptance gate: the twelve numbered guarantees the package ships under.
+"""Acceptance gate: the thirteen numbered guarantees the package ships under.
 
 One test per criterion, tolerances pinned in the bodies, so ``pytest -v``
 emits exactly one pass/fail line for each.  Every body also prints an
@@ -12,6 +12,12 @@ Criterion 5 pins the peak of the dissipative factor D(f) = (1/f) e^{-(1/f + f)}
 to its closed form: d/df ln D = -1/f + 1/f^2 - 1 = 0 gives f^2 + f - 1 = 0, so
 the only maximum is at f* = (sqrt(5) - 1)/2 = 1/phi, and since
 phi + 1/phi = sqrt(5) its height is D(f*) = phi e^{-sqrt(5)} = 0.17293211636...
+
+Criterion 13 checks the metric-invariant reading of the speed-up
+(Mostafazadeh, PRL 99, 130502, 2007): a metric-aligned drive of gap omega
+passes from x to y in (2/omega) times their angle in the metric geometry, so
+the passage is the Hermitian one measured with eta, however fast it looks in
+the Euclidean geometry, and the two readings meet at eta = I.
 """
 
 import math
@@ -33,7 +39,7 @@ from tachys.gates import (
     inconclusive_probability,
     not_gate_roundtrip,
 )
-from tachys.metric import metric_from_matrix, metric_from_sqrt, quasi_hamiltonian
+from tachys.metric import diag_metric, metric_angle, metric_from_matrix, metric_from_sqrt, quasi_hamiltonian, state_angle
 from tachys.opendyn import (
     aligned_hamiltonian,
     dissipative_factor,
@@ -386,3 +392,38 @@ def test_criterion_12_time_energy_efficiency_inequality():
                 report = efficiency_bound(basis, omega)
                 direct = minimal_time(basis.psi0, basis.psi1, omega)
                 assert abs(report.delta_t - direct) <= 1e-12
+
+
+def test_criterion_13_metric_invariant_passage_time():
+    with _verdict("13 metric-invariant-passage-time", budget=1.0):
+        start = time.perf_counter()
+        rng = np.random.default_rng(13)
+
+        def passage(m, omega, x, y):
+            h = aligned_hamiltonian(m, omega, x, y).operator
+            return first_passage_scan(h, x, y, t_max=1.5 * np.pi / omega, steps=2000)
+
+        def pair():
+            return rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+
+        # the passage time is the metric angle over omega/2, |g|^2 = f - p
+        for p in (1e-1, 1e-2):
+            for _ in range(40):
+                f = rng.uniform(0.5, 3.0)
+                m = metric_from_sqrt(f, math.sqrt(f - p) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+                (x, y), omega = pair(), rng.uniform(0.5, 2.0)
+                want = 2.0 / omega * metric_angle(x, y, m)
+                assert abs(passage(m, omega, x, y) - want) <= 1e-8 * want, (p, f)
+        # the same passage of the canonical pair looks far faster than pi/omega
+        for p, bound in ((1e-1, 0.1), (1e-2, 0.01), (1e-3, 0.001)):
+            for _ in range(40):
+                f = rng.uniform(0.5, 3.0)
+                assert passage(metric_from_sqrt(f, math.sqrt(f - p)), 1.0, E0, E1) < bound * np.pi, (p, f)
+        # at eta = I the two readings meet
+        flat = diag_metric(1.0)
+        for _ in range(40):
+            (x, y), omega = pair(), rng.uniform(0.5, 2.0)
+            angle = state_angle(x, y)
+            assert abs(metric_angle(x, y, flat) - angle) <= 1e-12
+            assert abs(passage(flat, omega, x, y) - 2.0 / omega * angle) <= 1e-12 * (2.0 / omega * angle)
+        assert time.perf_counter() - start < 1.0

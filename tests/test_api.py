@@ -67,9 +67,6 @@ CALLS = {
     "quasi_hamiltonian": {"omega": lambda x: metric.quasi_hamiltonian(H, METRIC, x)},
     "revelation_probability": {"omega": lambda x: opendyn.revelation_probability(METRIC, x)},
     "transfer": {"omega": lambda x: brachistochrone.transfer(E1, x)},
-    "transition_defect": {
-        "times": lambda x: metric.transition_defect([0.0, x, 2.0], [np.eye(2)] * 3, [H] * 3),
-    },
 }
 
 #: arguments documented as positive
@@ -174,7 +171,6 @@ REAL_CALLS = {
     **{(name, arg): call for name, args in CALLS.items() for arg, call in args.items() if arg != "offdiag"},
     ("dissipation_scan", "f_grid"): lambda x: opendyn.dissipation_scan(x, 1.0),
     ("evolve_semigroup", "times"): lambda x: opendyn.evolve_semigroup(H, RHO0, x),
-    ("transition_defect", "times"): lambda x: metric.transition_defect(x, [np.eye(2)] * 3, [H] * 3),
 }
 
 #: the real arguments that take a scalar or a 1-d grid; the others take one number
@@ -292,8 +288,6 @@ NUMERIC_CALLS = {
     ("state_angle", "u"): (lambda x: metric.state_angle(x, E1), E0),
     ("state_angle", "v"): (lambda x: metric.state_angle(E0, x), E1),
     ("transfer", "target"): (lambda x: brachistochrone.transfer(x, 1.0), E1),
-    ("transition_defect", "etas"): (lambda x: metric.transition_defect([0.0, 1.0, 2.0], x, [H] * 3), [ETA] * 3),
-    ("transition_defect", "hams"): (lambda x: metric.transition_defect([0.0, 1.0, 2.0], [ETA] * 3, x), [H] * 3),
     ("visibility_ratio", "state"): (lambda x: dilation.visibility_ratio(METRIC, x), E1),
 }
 

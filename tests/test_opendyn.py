@@ -796,6 +796,22 @@ def test_map_boundary_states_flat_is_identity():
     assert a == 0.0
 
 
+def test_scaled_states_map_as_their_rays():
+    # <psi|eta|psi> of 2**600 psi overflows and of 2**-600 psi underflows;
+    # read after the range step, each scaled state gives the bits of psi and
+    # no warning, for a single metric and a stack of them
+    u, v = np.array([1.0, 0.3j]), np.array([0.2, 1.0 + 0.0j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in (metric_from_sqrt(2.0, 0.5), metric_from_sqrt(np.array([2.0, 3.0]), np.array([0.5, 1.0j]))):
+            want = [np.asarray(x).tobytes() for x in map_boundary_states(m, u, v)]
+            drive = aligned_hamiltonian(m, 1.0, u, v).operator.tobytes()
+            for k in (600, -600):
+                for pair in ((2.0**k * u, v), (u, 2.0**k * v)):
+                    assert [np.asarray(x).tobytes() for x in map_boundary_states(m, *pair)] == want, k
+                assert aligned_hamiltonian(m, 1.0, 2.0**k * u, 2.0**k * v).operator.tobytes() == drive, k
+
+
 # ------------------------------------------------------------- aligned drive
 
 

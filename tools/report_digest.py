@@ -315,9 +315,8 @@ class _Draw:
         p = a @ a.conj().T + 0.1 * np.eye(2)
         return self._place(0.5 * (p + p.conj().T), 2, True)
 
-    def state(self, n=None, scale=True, special=True):
-        x = self._complex(n, 2)
-        return self._place(self._sprinkle(x) if special else x, 1, scale)
+    def state(self, n=None):
+        return self._place(self._sprinkle(self._complex(n, 2)), 1, True)
 
     def unit(self, n=None):
         x = self._complex(n, 2)
@@ -441,9 +440,16 @@ LIBRARY_FAMILIES = {
         "quasi_hamiltonian", _quasi_hamiltonian, (_H, _ROOT, 1.0), (0, (*_BAD_MATRICES, _NOT_HERMITIAN)),
         (2, (*_BAD_REALS, 2.0)),
     ),
+    "metric_angle": _family(
+        "metric_angle", lambda d: (d.state(), d.state(), d.metric()), (_E0, _E1, _ROOT),
+        (0, _BAD_STATES), (1, _BAD_STATES), (2, (call("metric_from_sqrt", [2.0, 3.0], [0.5, 0.5j]),)),
+    ),
+    "map_boundary_states": _family(
+        "map_boundary_states", lambda d: (d.metric(d.n(single=True)), d.state(), d.state()), (_ROOT, _E0, _E1),
+        (1, _BAD_STATES), (2, _BAD_STATES),
+    ),
     "aligned_hamiltonian": _family(
-        "aligned_hamiltonian",
-        lambda d: (d.metric(d.n(single=True)), d.uniform(0.1, 5.0), d.state(scale=False), d.state(scale=False)),
+        "aligned_hamiltonian", lambda d: (d.metric(d.n(single=True)), d.uniform(0.1, 5.0), d.state(), d.state()),
         (_ROOT, 1.0, _E0, _E1), (1, _BAD_REALS), (2, _BAD_STATES), (3, (*_BAD_STATES, [2.0, 0.0])),
     ),
     "dissipation_scan": _family(
