@@ -27,6 +27,7 @@ from .smallmat import (
     _first_failing_row,
     _float_or_array,
     _is_hermitian2,
+    _matmul,
     _matrix2,
     _norm,
     _operator_entries,
@@ -156,7 +157,7 @@ def _transfer(v: np.ndarray, omega: float) -> BrachistochroneResult:
     phase = _where(phase == -np.pi, np.pi, phase)
     off = 0.5 * omega * _cis(-phase)
     ham = _matrix2(shift, off, np.conj(off), shift)
-    residual = _norm(propagator(ham, tau) @ _E0 - v)
+    residual = _norm(_matmul(propagator(ham, tau), _E0) - v)
     _reject_rows(
         np.logical_not(residual <= _PROPAGATION_TOL),
         lambda x: ValueError(f"the minimal-time drive misses the target by {x:.3e}"),

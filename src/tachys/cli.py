@@ -163,7 +163,7 @@ def _cmd_dilation(args):
     psi0 = np.array([1.0, 0.0], dtype=complex)
     ts = _sweep(0.0, args.t_max, args.t_points)
     evolved, observed = dilation.evolve_dilated(model, psi0, ts)
-    direct = smallmat.propagator(model.generator.operator, ts) @ psi0
+    direct = smallmat._matmul(smallmat.propagator(model.generator.operator, ts), psi0)
     table = {
         "t": ts,
         "embedding_error": smallmat.row_norms(observed - direct),

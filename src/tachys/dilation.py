@@ -21,6 +21,7 @@ from .smallmat import (
     _cis,
     _col,
     _hermitian_part,
+    _matmul,
     _negligible,
     _normalized,
     _reals,
@@ -90,29 +91,29 @@ def build_dilation(h, metric: Metric, omega: float) -> DilationModel:
     anchor = basis[np.argmax(np.abs(basis), axis=0), [0, 1]]
     basis = basis * _cis(-_arg(anchor))
 
-    eta_e = dagger(basis) @ eta_unit @ basis
+    eta_e = _matmul(dagger(basis), eta_unit, basis)
     eta_e = _hermitian_part(eta_e)
     m = metric_from_matrix(eta_e)
     norm_factor = float(1.0 / np.sqrt(np.trace(eta_e).real))
 
     level = 0.5 * generator.omega
     energies = np.diag([level, -level]).astype(complex)
-    op = m.inv_sqrt_eta @ energies @ m.sqrt_eta
+    op = _matmul(m.inv_sqrt_eta, energies, m.sqrt_eta)
 
-    rhs = m.inv_sqrt_eta @ energies
-    if not _negligible(frobenius(op @ m.inv_sqrt_eta - rhs), frobenius(rhs)):
+    rhs = _matmul(m.inv_sqrt_eta, energies)
+    if not _negligible(frobenius(_matmul(op, m.inv_sqrt_eta) - rhs), frobenius(rhs)):
         raise ValueError("inverse-root columns fail the eigenvalue relation")
-    rhs = m.sqrt_eta @ energies
-    if not _negligible(frobenius(dagger(op) @ m.sqrt_eta - rhs), frobenius(rhs)):
+    rhs = _matmul(m.sqrt_eta, energies)
+    if not _negligible(frobenius(_matmul(dagger(op), m.sqrt_eta) - rhs), frobenius(rhs)):
         raise ValueError("root columns fail the adjoint eigenvalue relation")
 
     vmat = norm_factor * np.block([[m.inv_sqrt_eta, m.sqrt_eta], [m.sqrt_eta, -m.inv_sqrt_eta]])
-    unitarity_defect = frobenius(dagger(vmat) @ vmat - np.eye(4))
+    unitarity_defect = frobenius(_matmul(dagger(vmat), vmat) - np.eye(4))
     if not _negligible(unitarity_defect, 2.0):
         raise ValueError("extended-vector matrix failed its unitarity check")
 
-    inv_eta = m.inv_sqrt_eta @ m.inv_sqrt_eta
-    top = op @ inv_eta + eta_e @ op
+    inv_eta = _matmul(m.inv_sqrt_eta, m.inv_sqrt_eta)
+    top = _matmul(op, inv_eta) + _matmul(eta_e, op)
     off = op - dagger(op)
     big = norm_factor**2 * np.block([[top, off], [-off, top]])
     if not is_hermitian(big):
@@ -142,10 +143,10 @@ def evolve_dilated(model: DilationModel, initial, t) -> tuple[np.ndarray, np.nda
     if not is_hermitian(model.hamiltonian):
         raise ValueError("4x4 generators must be Hermitian")
     w, v = np.linalg.eigh(_hermitian_part(model.hamiltonian))
-    psi_e = dagger(model.eigenbasis) @ psi
-    stacked = np.concatenate([psi_e, model.metric.eta @ psi_e])
-    evolved = (v * _cis(-(w * _col(t)))) @ dagger(v) @ stacked
-    observed = (model.eigenbasis @ evolved[..., :2, None])[..., 0]
+    psi_e = _matmul(dagger(model.eigenbasis), psi)
+    stacked = np.concatenate([psi_e, _matmul(model.metric.eta, psi_e)])
+    evolved = _matmul(v * _cis(-(w * _col(t))), dagger(v), stacked)
+    observed = _matmul(model.eigenbasis, evolved[..., :2, None])[..., 0]
     return evolved, observed
 
 
@@ -158,7 +159,7 @@ def visibility_ratio(metric: Metric, state) -> float:
     """
     eta = _single_eta(metric)
     psi = as_state(state)
-    chi = eta @ psi
+    chi = _matmul(eta, psi)
     denom = float(np.real(_vdots(chi, chi)))
     if denom <= 0.0:
         raise ValueError("metric image of the state vanishes; ratio undefined")

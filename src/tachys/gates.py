@@ -17,6 +17,7 @@ from .smallmat import (
     _angle,
     _cos_sin,
     _float_or_array,
+    _matmul,
     _norm,
     _paired,
     _reals,
@@ -215,7 +216,7 @@ def discrimination_povm(basis: BlochBasis) -> Povm:
 def _expectation(effect, psi):
     """<psi|effect|psi>, real part: of one state, or row by row of an ``(n, 2)``
     stack and (broadcast) of an ``(n, 2, 2)`` effect stack."""
-    return np.real(_vdots(psi, (effect @ psi[..., None])[..., 0]))
+    return np.real(_vdots(psi, _matmul(effect, psi[..., None])[..., 0]))
 
 
 def inconclusive_probability(povm: Povm, state) -> float:
@@ -242,9 +243,9 @@ def not_gate_roundtrip(basis: BlochBasis, omega: float) -> NotGateReport:
     omega = positive_finite("omega", omega)
     psi1 = basis.psi1
     gate = _not_gate(psi1)
-    forward = gate @ basis.psi0
+    forward = _matmul(gate, basis.psi0)
     forward_residual = _norm(forward - psi1)
-    back = gate @ psi1
+    back = _matmul(gate, psi1)
     fid = float(abs(_vdots(basis.psi0, back)))
     return NotGateReport(
         theta=theta,
@@ -294,7 +295,7 @@ def control_u_channel(basis: BlochBasis, e_basis_polar: float) -> ControlUReport
     ancilla = _projector(e1)
     outputs = []
     for psi in (basis.psi1, basis.psi0):
-        rho4 = vmat @ np.kron(_projector(psi), ancilla) @ dagger(vmat)
+        rho4 = _matmul(vmat, np.kron(_projector(psi), ancilla), dagger(vmat))
         outputs.append(rho4[:2, :2] + rho4[2:, 2:])  # the control traced out
     out1, out0 = outputs
 

@@ -24,6 +24,7 @@ from .smallmat import (
     _entries2,
     _hermitian_part,
     _inverse,
+    _matmul,
     _matrix2,
     _negligible,
     _numeric,
@@ -137,7 +138,7 @@ def metric_from_sqrt(diag, offdiag) -> Metric:
     )
     root = _matrix2(1.0, g, np.conj(g), f)
     with np.errstate(over="ignore", invalid="ignore"):
-        eta = root @ root
+        eta = _matmul(root, root)
     _reject_rows(
         ~np.isfinite(eta).all(axis=(-2, -1)),
         ValueError("metric overflows: the square of its root is not finite"),
@@ -184,7 +185,7 @@ def quasi_hamiltonian(h, metric: Metric, omega: float) -> QuasiHamiltonian:
         lambda g: ValueError(f"generator gap {g.real:.12g} does not match omega {omega:.12g}"),
         gap,
     )
-    op = metric.inv_sqrt_eta @ hm @ metric.sqrt_eta
+    op = _matmul(metric.inv_sqrt_eta, hm, metric.sqrt_eta)
     # the sizes grow with the conditioning of the similarity: near the
     # degenerate-metric limit its roundoff dominates the residuals
     cond = 0.5 * frobenius(metric.sqrt_eta) * frobenius(metric.inv_sqrt_eta)
@@ -211,7 +212,7 @@ def pseudo_hermiticity_defect(operator, eta):
     op = as_operator(operator, stack=True)
     em = as_operator(eta, stack=True)
     _paired("operator", op, "eta", em, 2)
-    return frobenius(dagger(op) - em @ op @ _inverse(em, _determinant(em)))
+    return frobenius(dagger(op) - _matmul(em, op, _inverse(em, _determinant(em))))
 
 
 def _determinant(eta):
@@ -251,7 +252,7 @@ def _metric_norm(psi: np.ndarray, eta: np.ndarray):
     norm and its metric norm Re <psi|eta|psi> in that scale, one per metric of a stack.
     A state in range comes back as the same array, so its results keep their bits."""
     a, n, _ = _rescaled(psi)
-    return a, n, np.real(_vdots(a, eta @ a))
+    return a, n, np.real(_vdots(a, _matmul(eta, a)))
 
 
 def metric_angle(u, v, metric: Metric) -> float:
@@ -273,5 +274,5 @@ def metric_angle(u, v, metric: Metric) -> float:
             f"metric norm collapsed ({min(nu, nv):.3e}); angle undefined",
             eigenvalue=float(min(nu, nv)),
         )
-    cross = abs(_vdots(a, eta @ b)) ** 2
+    cross = abs(_vdots(a, _matmul(eta, b))) ** 2
     return float(_angle(np.sqrt(cross / (nu * nv))))

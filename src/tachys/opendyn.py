@@ -37,6 +37,7 @@ from .smallmat import (
     _float_or_array,
     _hermitian_part,
     _is_hermitian2,
+    _matmul,
     _matrix2,
     _norm,
     _operator2,
@@ -233,8 +234,8 @@ def evolve_semigroup(ham, rho0, times) -> EvolutionTrace:
             # a C-contiguous (7, hi - lo) view: c0..c3, then three scratch rows
             rows = scratch[: 7 * (hi - lo)].reshape(7, hi - lo)
             _semigroup_coefficients(ts[lo:hi], a0.imag, None if exceptional else r, e, rows)
-            np.matmul(rows[:4].T, basis_re, out=flat[lo:hi])
-            np.matmul(basis_traces, rows[:4], out=traces[lo:hi])
+            _matmul(rows[:4].T, basis_re, out=flat[lo:hi])
+            _matmul(basis_traces, rows[:4], out=traces[lo:hi])
             k = k_values[lo:hi]
             if rate:
                 # rate t, then doubled (exactly): -2 rate alone may overflow
@@ -364,7 +365,7 @@ def map_boundary_states(metric: Metric, initial, final):
     for psi in (as_state(initial), as_state(final)):
         a, _, nrm2 = _metric_norm(psi, metric.eta)
         _reject_rows(nrm2 <= 0.0, ValueError("state has non-positive metric norm"))
-        out.append(metric.sqrt_eta @ a / np.sqrt(nrm2)[..., None])
+        out.append(_matmul(metric.sqrt_eta, a) / np.sqrt(nrm2)[..., None])
     return out[0], out[1], _abs(_vdots(*out))
 
 
@@ -402,14 +403,14 @@ def _aligned_drive(metric: Metric, omega: float, initial, final):
     u0 = np.where(np.asarray(a_abs > 0.0)[..., None], turned, u0)
     u1 = 1j * u1
     frame = np.stack([u0, u1], axis=-1)
-    coords = (dagger(frame) @ mapped_f[..., None])[..., 0]
+    coords = _matmul(dagger(frame), mapped_f[..., None])[..., 0]
     residual = _norm(coords - np.array([a_abs, -1j * b_abs]).T)
     _reject_rows(
         residual > _ALIGN_RESIDUAL_TOL,
         lambda r: AlignmentError(f"phase alignment residual {r:.3e} exceeds tolerance"),
         residual,
     )
-    h = _hermitian_part(0.5 * omega * (frame @ PAULI_X @ dagger(frame)))
+    h = _hermitian_part(0.5 * omega * _matmul(frame, PAULI_X, dagger(frame)))
     return quasi_hamiltonian(h, metric, omega), a_abs
 
 
@@ -451,7 +452,7 @@ def _canonical_arrival(metric: Metric, omega: float):
     split = split_generator(qh.operator)
     # the shift of shifted_generator, from the split computed once here
     shifted = _shifted(qh.operator, split.rate_max)
-    return split, a_abs, _float_or_array(tau), _square(_norm(propagator(shifted, tau) @ _E0))
+    return split, a_abs, _float_or_array(tau), _square(_norm(_matmul(propagator(shifted, tau), _E0)))
 
 
 def energy_gap_squared(hermitian_part):

@@ -26,8 +26,8 @@ glibc's libm, the BLAS kernel) has one owner here, which the other modules
 call: ``_exp`` (every exponential), ``_arg`` (every complex argument),
 ``_cos_sin`` (every cosine and sine), ``_tan``, ``_angle``/``_asin`` (arccos
 and arcsin of a clipped modulus), ``_cis`` (every phase factor, through
-``_exp``) and ``_vdots`` (every complex dot); ``propagator``'s kernels keep
-its one ``log`` and ``expm1``.
+``_exp``), ``_vdots`` (every complex dot) and ``_matmul`` (every matrix
+product); ``propagator``'s kernels keep its one ``log`` and ``expm1``.
 """
 
 from __future__ import annotations
@@ -224,6 +224,7 @@ def _first_failing_row(run, n: int):
 _MATRIX_NOT_FINITE = "matrix has non-finite entries"
 _PAULI_NOT_FINITE = "the generator's Pauli vector leaves the float range"
 _STATE_NOT_FINITE = "state has non-finite entries"
+_U_OVERFLOWS = "the propagator overflows: U(t)"
 
 
 def _numeric(what: str, x, copy: bool = False) -> np.ndarray:
@@ -345,7 +346,7 @@ def row_norms(x) -> np.ndarray:
     x = np.ascontiguousarray(_numeric("state", x))
     flat = x.reshape(len(x), math.prod(x.shape[1:]))
     re, im = flat.real[:, None, :], flat.imag[:, None, :]
-    return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
+    return np.sqrt((_matmul(re, re.swapaxes(1, 2)) + _matmul(im, im.swapaxes(1, 2)))[:, 0, 0])
 
 
 def frobenius(mat):
@@ -559,12 +560,21 @@ def _cis(x):
     return _exp(1j * x)
 
 
+def _matmul(*factors, out=None):
+    """The product of two or more ``factors`` left to right, each ``np.matmul`` as ``@`` forms
+    it, the last into ``out`` where given: every matrix product, its bits the BLAS kernel's."""
+    product = factors[0]
+    for factor in factors[1:-1]:
+        product = np.matmul(product, factor)
+    return np.matmul(product, factors[-1], out=out)
+
+
 def _vdots(u, v):
     """``np.vdot`` of each pair of rows of two (broadcast) state stacks, bit for
     bit: every complex dot."""
     if u.ndim == v.ndim == 1:
         return np.vdot(u, v)
-    return (np.conj(u)[..., None, :] @ v[..., :, None])[..., 0, 0]
+    return _matmul(np.conj(u)[..., None, :], v[..., :, None])[..., 0, 0]
 
 
 def fidelity(u, v) -> float:
@@ -802,9 +812,11 @@ def propagator(ham, t) -> np.ndarray:
     non-finite only where the exact operator overflows (diag(0, -2i) at
     t = 800 gives diag(1, e^-1600), diag(0, -2e-10 i) at t = 6.9e12 gives
     diag(1, e^-1380)).  Every other entry, real r included, keeps the plain
-    form.  ``t`` is read by ``_reals``: a complex or str ``t`` raises
-    TypeError, a NaN or infinite time ValueError naming the first such value,
-    and a ``t`` of more than one dimension ValueError naming its shape.
+    form.  A result that is not finite raises ValueError, with no warning,
+    naming its earliest such time (a stack's first such row).  ``t`` is read
+    by ``_reals``: a complex or str ``t`` raises TypeError, a NaN or infinite
+    time ValueError naming the first such value, and a ``t`` of more than one
+    dimension ValueError naming its shape.
     """
     m = as_operator(ham, stack=True)
     t = _reals("t", t)
@@ -814,8 +826,14 @@ def propagator(ham, t) -> np.ndarray:
     # n 2**-e turns on the clock t 2**e
     tr = t * 2.0**e if isinstance(t, float) else np.ldexp(t, e)
     phase, cosf, sincf = _damped_factors(a0, r, t, tr)
-    rotation = _col(cosf) * np.eye(2) - _col(1j * sincf) * pauli_part
-    return _col(phase) * rotation
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = _col(phase) * (_col(cosf) * np.eye(2) - _col(1j * sincf) * pauli_part)
+        if not _all_finite(u):
+            flags = (u * 0.0).sum(axis=(-2, -1))  # NaN where a time's matrix is not finite: inf * 0 is NaN
+            if m.ndim == 2:
+                _reject_first_time(np.reshape(t, -1), np.reshape(flags, -1), _U_OVERFLOWS)
+            _reject_rows(np.isnan(flags), lambda x: ValueError(f"{_U_OVERFLOWS} is not finite at t = {float(x)!r}"), t)
+    return u
 
 
 def hermitian_sqrt(mat) -> np.ndarray:
@@ -834,7 +852,7 @@ def hermitian_sqrt(mat) -> np.ndarray:
     if _negligible(wmin, frobenius(p), POSDEF_FLOOR):
         message = f"matrix is not positive definite: smallest eigenvalue {wmin:.3e}"
         raise MetricDegeneracyError(message, eigenvalue=wmin)
-    return _hermitian_part((v * np.sqrt(w)) @ dagger(v))
+    return _hermitian_part(_matmul(v * np.sqrt(w), dagger(v)))
 
 
 def eigvals2(mat):

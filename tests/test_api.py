@@ -10,11 +10,14 @@ raises a ValueError naming the shape (a TypeError naming the argument where
 it takes a single number).  Numeric arguments are coerced to float at one
 site, ``smallmat._reals``.  Every matrix, state or complex argument rejects
 a str array, a str and an object array with a TypeError, and is coerced to
-complex at one site, ``smallmat._numeric``."""
+complex at one site, ``smallmat._numeric``.  One pass over the package's syntax
+trees (``_census``) finds every listed kind of call site, and every matrix product
+is ``smallmat._matmul``."""
 
 import ast
 import collections
 import dataclasses
+import functools
 import inspect
 import os
 import pathlib
@@ -408,67 +411,6 @@ HOST_SENSITIVE_SITES = {
 }
 
 
-def _numpy_sites(path):
-    """(module, top-level definition, name) of each ``<x>.linalg.<name>`` in
-    the source at ``path``, where an import of numpy.linalg counts as name
-    "import", and of each ``np.<name>`` or ``from numpy import <name>`` for a
-    name in HOST_SENSITIVE: two sets."""
-    tree = ast.parse(path.read_text())
-    linalg, sensitive = set(), set()
-    for top in tree.body:
-        owner = getattr(top, "name", "<module>")
-        for node in ast.walk(top):
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg":
-                linalg.add((path.stem, owner, node.attr))
-            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
-                if node.attr in HOST_SENSITIVE:
-                    sensitive.add((path.stem, owner, node.attr))
-            elif isinstance(node, ast.ImportFrom) and (
-                node.module == "numpy.linalg" or (node.module == "numpy" and any(a.name == "linalg" for a in node.names))
-            ):
-                linalg.add((path.stem, owner, "import"))
-            elif isinstance(node, ast.Import) and any(a.name.startswith("numpy.linalg") for a in node.names):
-                linalg.add((path.stem, owner, "import"))
-            if isinstance(node, ast.ImportFrom) and node.module == "numpy":
-                sensitive |= {(path.stem, owner, a.name) for a in node.names if a.name in HOST_SENSITIVE}
-    return linalg, sensitive
-
-
-def _package_sites():
-    linalg, sensitive = set(), set()
-    for path in sorted(pathlib.Path(tachys.__file__).parent.glob("*.py")):
-        found = _numpy_sites(path)
-        linalg |= found[0]
-        sensitive |= found[1]
-    return linalg, sensitive
-
-
-def test_numpy_linalg_is_called_only_at_the_listed_sites():
-    assert _package_sites()[0] == LINALG_SITES
-
-
-def test_host_sensitive_numpy_calls_are_only_at_the_listed_sites():
-    assert _package_sites()[1] == HOST_SENSITIVE_SITES
-
-
-def test_each_host_sensitive_name_has_one_site():
-    # one owner per function, so a host-independent version replaces one site
-    counts = collections.Counter(name for _, _, name in _package_sites()[1])
-    assert {name: n for name, n in counts.items() if n != 1} == {}
-
-
-def test_complex_dot_is_only_smallmat_vdots():
-    # every complex dot of the package goes through smallmat._vdots
-    sites = []
-    for path in sorted(pathlib.Path(tachys.__file__).parent.glob("*.py")):
-        for top in ast.parse(path.read_text()).body:
-            for node in ast.walk(top):
-                imported = isinstance(node, ast.ImportFrom) and any(a.name == "vdot" for a in node.names)
-                if imported or (isinstance(node, ast.Attribute) and node.attr == "vdot"):
-                    sites.append((path.stem, getattr(top, "name", "<module>")))
-    assert sites == [("smallmat", "_vdots")]
-
-
 #: the package's float coercions, ``COERCIONS`` calls with a float dtype,
 #: as (module, top-level function): the reader of every real argument,
 #: the circle state of an angle it has read, and the report columns
@@ -494,35 +436,6 @@ COMPLEX_COERCION_SITES = [
 COMPLEX_DTYPES = {"complex", "np.complex128", "np.cdouble", "'complex'", "'complex128'", "'c16'"}
 
 
-#: the calls that coerce to a dtype: the position of their dtype argument
-COERCIONS = {"array": 1, "asarray": 1, "ascontiguousarray": 1, "astype": 0}
-
-
-def _coercion_sites(dtype_names) -> list:
-    """(module, top-level name) of each ``np.array``/``np.asarray``/``np.ascontiguousarray``
-    call or ``.astype`` with a dtype in ``dtype_names``."""
-    sites = []
-    for path in sorted(pathlib.Path(tachys.__file__).parent.glob("*.py")):
-        for top in ast.parse(path.read_text()).body:
-            for node in ast.walk(top):
-                func = getattr(node, "func", None)
-                if not (isinstance(func, ast.Attribute) and func.attr in COERCIONS):
-                    continue
-                at = COERCIONS[func.attr]
-                dtypes = node.args[at : at + 1] + [k.value for k in node.keywords if k.arg == "dtype"]
-                if any(ast.unparse(d) in dtype_names for d in dtypes):
-                    sites.append((path.stem, getattr(top, "name", "<module>")))
-    return sites
-
-
-def test_real_arguments_are_coerced_only_by_the_reader():
-    assert _coercion_sites(FLOAT_DTYPES) == FLOAT_COERCION_SITES
-
-
-def test_matrix_and_state_arguments_are_coerced_only_by_the_reader():
-    assert _coercion_sites(COMPLEX_DTYPES) == COMPLEX_COERCION_SITES
-
-
 #: math and cmath functions whose last bits come from the host's libm: glibc
 #: changes cos, sin, acos, atan2 and exp with its FMA switch (ROADMAP item 16)
 LIBM = {
@@ -541,15 +454,98 @@ LIBM_SITES = {
 }
 
 
-def test_libm_calls_are_only_at_the_listed_sites():
-    sites = set()
+#: the numpy names that multiply matrices; with ``@``, each is a product site
+PRODUCTS = {"matmul", "dot", "einsum", "inner", "tensordot"}
+
+#: the calls that coerce to a dtype: the position of their dtype argument
+COERCIONS = {"array": 1, "asarray": 1, "ascontiguousarray": 1, "astype": 0}
+
+
+def _site_kinds(node):
+    """(kind, *name) of each site ``node`` is: a "linalg" name (an import of numpy.linalg
+    as "import"), a "sensitive" numpy name, a "libm" (library, name), a complex dot
+    ("vdot"), a "product" (``@`` or a PRODUCTS name) or a "float" or "complex" coercion."""
+    names = []
+    if isinstance(node, ast.Attribute):
+        base, names = getattr(node.value, "id", None), [node.attr]
+        if isinstance(node.value, ast.Attribute) and node.value.attr == "linalg":
+            yield "linalg", node.attr
+        elif base in ("np", "numpy") and node.attr in HOST_SENSITIVE:
+            yield "sensitive", node.attr
+        elif base in ("math", "cmath") and node.attr in LIBM:
+            yield "libm", base, node.attr
+    elif isinstance(node, ast.ImportFrom):
+        names = [a.name for a in node.names]
+        if node.module == "numpy.linalg" or (node.module == "numpy" and "linalg" in names):
+            yield "linalg", "import"
+        for name in names:
+            if node.module == "numpy" and name in HOST_SENSITIVE:
+                yield "sensitive", name
+            elif node.module in ("math", "cmath") and name in LIBM:
+                yield "libm", node.module, name
+    elif isinstance(node, ast.Import) and any(a.name.startswith("numpy.linalg") for a in node.names):
+        yield "linalg", "import"
+    elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+        yield "product", "@"
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in COERCIONS:
+        at = COERCIONS[node.func.attr]
+        dtypes = {ast.unparse(d) for d in node.args[at : at + 1] + [k.value for k in node.keywords if k.arg == "dtype"]}
+        if dtypes & FLOAT_DTYPES:
+            yield ("float",)
+        if dtypes & COMPLEX_DTYPES:
+            yield ("complex",)
+    if "vdot" in names:
+        yield ("vdot",)
+    yield from (("product", name) for name in names if name in PRODUCTS)
+
+
+@functools.cache
+def _census() -> dict:
+    """kind -> [(module, top-level function or class, *name)] of every site of ``_site_kinds``
+    in the package, in source order: one pass, each module parsed once."""
+    sites = collections.defaultdict(list)
     for path in sorted(pathlib.Path(tachys.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
-            owner = getattr(top, "name", "<module>")
             for node in ast.walk(top):
-                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.attr in LIBM:
-                    if node.value.id in ("math", "cmath"):
-                        sites.add((path.stem, owner, node.value.id, node.attr))
-                elif isinstance(node, ast.ImportFrom) and node.module in ("math", "cmath"):
-                    sites |= {(path.stem, owner, node.module, a.name) for a in node.names if a.name in LIBM}
-    assert sites == LIBM_SITES
+                for kind, *name in _site_kinds(node):
+                    sites[kind].append((path.stem, getattr(top, "name", "<module>"), *name))
+    return sites
+
+
+def test_numpy_linalg_is_called_only_at_the_listed_sites():
+    assert set(_census()["linalg"]) == LINALG_SITES
+
+
+def test_host_sensitive_numpy_calls_are_only_at_the_listed_sites():
+    assert set(_census()["sensitive"]) == HOST_SENSITIVE_SITES
+
+
+def test_each_host_sensitive_name_has_one_site():
+    # one owner per function, so a host-independent version replaces one site
+    counts = collections.Counter(name for _, _, name in set(_census()["sensitive"]))
+    assert {name: n for name, n in counts.items() if n != 1} == {}
+
+
+def test_libm_calls_are_only_at_the_listed_sites():
+    assert set(_census()["libm"]) == LIBM_SITES
+
+
+def test_complex_dot_is_only_smallmat_vdots():
+    # every complex dot of the package goes through smallmat._vdots
+    assert _census()["vdot"] == [("smallmat", "_vdots")]
+
+
+def test_every_matrix_product_is_smallmat_matmul():
+    # one owner, so a host-independent product replaces one function body (ROADMAP item 23)
+    products = _census()["product"]
+    outside = sorted({site[:2] for site in products} - {("smallmat", "_matmul")})
+    assert not outside, f"matrix products outside smallmat._matmul: {outside}"
+    assert ("smallmat", "_matmul", "matmul") in products
+
+
+def test_real_arguments_are_coerced_only_by_the_reader():
+    assert _census()["float"] == FLOAT_COERCION_SITES
+
+
+def test_matrix_and_state_arguments_are_coerced_only_by_the_reader():
+    assert _census()["complex"] == COMPLEX_COERCION_SITES

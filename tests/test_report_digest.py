@@ -1,9 +1,20 @@
-"""Smoke tests of tools/report_digest.py, the byte-identity digest of CLI reports and of library calls."""
+"""Smoke tests of tools/report_digest.py, the byte-identity digest of CLI reports and of library calls,
+and a census over its library call families: a call of finite arguments returns finite values or raises a
+typed error, with no numpy RuntimeWarning."""
 
+import dataclasses
+import importlib
 import importlib.util
+import itertools
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from tachys.opendyn import AlignmentError
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "report_digest.py"
@@ -59,3 +70,51 @@ def test_library_digest_repeats_and_runs_every_family():
     fields = [line.split("\t") for line in first.splitlines()]
     assert [f[0] for f in fields] == list(tool.LIBRARY_FAMILIES)
     assert all(len(f) == 3 and int(f[1]) >= 3 and len(f[2]) == 64 for f in fields)
+
+
+#: the errors a library call may raise for finite arguments
+TYPED_ERRORS = (ValueError, TypeError, AlignmentError)
+
+
+def _finite(x) -> bool:
+    """Whether every number in an argument tree (a ``Call``'s arguments, sequences, arrays) is
+    finite; text, None and ragged input are not."""
+    if type(x).__name__ == "Call":
+        return all(map(_finite, x.args))
+    try:
+        a = np.asarray(x)
+    except ValueError:
+        return False
+    return a.dtype.kind in "biufc" and bool(np.isfinite(a).all())
+
+
+def _finite_result(x) -> bool:
+    """Whether every float or complex number in a result (arrays, sequences, dataclass fields) is finite."""
+    if dataclasses.is_dataclass(x):
+        return all(_finite_result(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, (tuple, list)):
+        return all(map(_finite_result, x))
+    if isinstance(x, (float, complex, np.ndarray, np.generic)) and np.asarray(x).dtype.kind in "fc":
+        return bool(np.isfinite(x).all())
+    return True
+
+
+def test_library_calls_of_finite_arguments_return_finite_values_or_raise_a_typed_error():
+    # every family at two seeds: a RuntimeWarning, an untyped error or a NaN result breaks the rule
+    tool = _tool_module()
+    modules = [importlib.import_module(f"tachys.{m}") for m in tool.LIBRARY_MODULES]
+    api = {name: getattr(m, name) for m in modules for name in m.__all__}
+    for seed, (name, family) in itertools.product((1, 2), tool.LIBRARY_FAMILIES.items()):
+        for k, c in enumerate(family(tool._Draw(seed, name), 10)):
+            if not _finite(c):
+                continue
+            where = f"{name} at seed {seed}, call {k}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    result = tool._evaluate(api, c)
+                except TYPED_ERRORS:
+                    continue
+                except Exception as exc:
+                    pytest.fail(f"{where} raised {type(exc).__name__}: {exc}")
+            assert _finite_result(result), f"{where} returned a value that is not finite"

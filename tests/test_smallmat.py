@@ -27,6 +27,7 @@ from tachys.smallmat import (
     _first_failing_row,
     _hermitian_part,
     _is_hermitian2,
+    _matmul,
     _operator2,
     _operator_entries,
     _pauli_root,
@@ -277,6 +278,43 @@ def test_propagator_damps_a_tiny_imaginary_root_before_it_overflows():
             assert np.abs(got - np.diag([1.0, 0.0])).max() <= 1e-12
         ts = np.array([1.0, 6.9e12, 7.1e12])
         assert _bytes_equal(propagator(m, ts), [propagator(m, t) for t in ts])
+
+
+def test_propagator_raises_at_its_first_overflowing_time():
+    # levels 0 and 2i: the exact operator grows as e^{2t} and passes the float
+    # range near t = 355, under the damping gate (|Im r t| = t < 700); it
+    # raises with no warning, naming the earliest time, or a stack's row
+    m = np.array([[0.0, 1.0], [0.0, 2j]])
+    first = r"^the propagator overflows: U\(t\) is first not finite at t = 400\.0$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(propagator(m, [1.0, 300.0])).all()
+        for t in (400.0, [1.0, 400.0, 500.0], [500.0, 400.0, 1.0]):
+            with pytest.raises(ValueError, match=first):
+                propagator(m, t)
+        with pytest.raises(ValueError, match=r"^the propagator overflows: U\(t\) is not finite at t = 400\.0$") as exc:
+            propagator(np.stack([PAULI_X, m, m]), [1.0, 400.0, 300.0])
+    assert exc.value.row == 1
+
+
+def test_matmul_is_the_product_chain_bit_for_bit():
+    rng = np.random.default_rng(37)
+
+    def draw(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    # a 2x2, (n, 2, 2) stacks, a matrix on a state stack, a three-factor 4x4 chain
+    a, b, s, t, states = draw(2, 2), draw(2, 2), draw(50, 2, 2), draw(50, 2, 2), draw(50, 2)
+    x, y, z = draw(4, 4), draw(4, 4), draw(4, 4)
+    cases = [((a, b), a @ b), ((s, t), s @ t), ((a, states[..., None]), a @ states[..., None]), ((x, y, z), x @ y @ z)]
+    for factors, want in cases:
+        got = _matmul(*factors)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # the real (k, 4) . (4, 8) product of evolve_semigroup, written into out
+    rows, basis = rng.normal(size=(4, 9)), rng.normal(size=(4, 8))
+    out = np.empty((9, 8))
+    assert _matmul(rows.T, basis, out=out) is out
+    assert out.tobytes() == (rows.T @ basis).tobytes()
 
 
 def test_stacked_products_round_as_the_scalar_products():
