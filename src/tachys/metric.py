@@ -19,7 +19,6 @@ import numpy as np
 from .smallmat import (
     MetricDegeneracyError,
     _abs,
-    _angle,
     _det2,
     _entries2,
     _hermitian_part,
@@ -27,7 +26,10 @@ from .smallmat import (
     _matmul,
     _matrix2,
     _negligible,
+    _normalized,
     _numeric,
+    _pair,
+    _pair_angle,
     _paired,
     _reals,
     _reject_rows,
@@ -39,7 +41,6 @@ from .smallmat import (
     as_state,
     dagger,
     eigvals2,
-    fidelity,
     frobenius,
     hermitian_sqrt,
     is_hermitian,
@@ -114,13 +115,12 @@ def metric_from_sqrt(diag, offdiag) -> Metric:
     root's (0, 0) entry 1 fixes its scale, and a huge ``diag`` (``dilation
     --scale 1e200``) keeps its overflow error.  ``diag`` and ``offdiag`` may
     also be 1-d arrays of one length n: the metric then holds ``(n, 2, 2)``
-    stacks whose slices equal the single calls bit for bit, and the first
-    rejected pair raises; arrays of two lengths raise ValueError naming
-    both.  ``diag`` is read by ``_reals``: TypeError for a complex or str
-    value, ValueError naming its first non-finite value or the shape of a
-    2-d one.  ``offdiag`` is read by ``_numeric``: TypeError naming it for a
-    str, None or other non-numeric value, ValueError for a non-finite value
-    or, naming its shape, for one of more than one dimension.
+    stacks whose slices equal the single calls bit for bit, and the first failing pair of the
+    first gate any pair fails raises; arrays of two lengths raise ValueError naming both.
+    ``diag`` is read by ``_reals``: TypeError for a complex or str value, ValueError naming
+    its first non-finite value or the shape of a 2-d one.  ``offdiag`` is read by
+    ``_numeric``: TypeError naming it for a str, None or other non-numeric value, ValueError
+    for a non-finite value or, naming its shape, for one of more than one dimension.
     """
     f = _reals("diag", diag)
     g = _numeric("offdiag", offdiag)
@@ -170,8 +170,8 @@ def quasi_hamiltonian(h, metric: Metric, omega: float) -> QuasiHamiltonian:
     ||sqrt_eta||_F ||inv_sqrt_eta||_F / 2.  ``h`` may be an ``(n, 2, 2)``
     stack, paired with a metric of ``(n, 2, 2)`` stacks of the same n (or
     ValueError naming both lengths): every gate then runs once over the
-    stack, slice k equals the single call bit for bit, and the first failing
-    slice raises, from the earliest gate it fails.
+    stack, slice k equals the single call bit for bit, and the first failing slice of the
+    first gate any slice fails raises (``dissipation_scan`` raises what a row loop would).
     """
     hm = as_operator(h, stack=True)
     _paired("h", hm, "metric", metric.eta, 2)
@@ -207,7 +207,7 @@ def pseudo_hermiticity_defect(operator, eta):
 
     Zero exactly when ``operator`` is Hermitian in the ``eta`` inner product.
     Stacks of operators and metrics, of one length, give one distance per
-    slice; a metric that ``_determinant`` finds singular raises.
+    slice; a singular metric raises, and a stack the first failing row of the first gate any row fails.
     """
     op = as_operator(operator, stack=True)
     em = as_operator(eta, stack=True)
@@ -240,11 +240,12 @@ def _single_eta(metric: Metric) -> np.ndarray:
 def state_angle(u, v) -> float:
     """Fubini-Study angle arccos |<u|v>| between the rays of two 2-states.
 
-    ``_angle`` of ``fidelity``: each state is first scaled as in
-    ``normalize``, so the angle of 2**k u or c u is that of u, and a zero
-    state raises ValueError.
+    ``_pair_angle`` of the pair of unit states: each is read by ``as_state``
+    and scaled as ``normalize`` scales it, so the angle of 2**k u or c u is
+    that of u, and a zero state raises ValueError.
     """
-    return float(_angle(fidelity(u, v)))
+    a, _, b = _pair(_normalized(as_state(u)), _normalized(as_state(v)))
+    return float(_pair_angle(_abs(a), b))
 
 
 def _metric_norm(psi: np.ndarray, eta: np.ndarray):
@@ -255,12 +256,16 @@ def _metric_norm(psi: np.ndarray, eta: np.ndarray):
     return a, n, np.real(_vdots(a, _matmul(eta, a)))
 
 
+def _flat_image(metric: Metric, psi, norm2):
+    """S psi / sqrt(<psi|eta|psi>), the unit flat image of a state and its ``_metric_norm``, S the root."""
+    return _matmul(metric.sqrt_eta, psi) / np.sqrt(norm2)[..., None]
+
+
 def metric_angle(u, v, metric: Metric) -> float:
     """Angle between states in the metric inner product.
 
-    ``_angle`` of sqrt( <u|eta|v><v|eta|u> / (<u|eta|u><v|eta|v>) ), the root
-    clipped to [0, 1], with each state and its metric norm read by
-    ``_metric_norm``, so the angle of 2**k u is that of u.
+    ``_pair_angle`` of the ``_flat_image`` pair that ``aligned_hamiltonian`` aligns, each
+    state and its metric norm read by ``_metric_norm``, so the angle of 2**k u is u's.
     Raises MetricDegeneracyError when either metric norm <u|eta|u> is
     negligible, at NORM_FLOOR, next to ||eta||_F |u|^2 (the degenerate
     "shortcut" limit, or a zero state), and ValueError for a stacked metric.
@@ -274,5 +279,5 @@ def metric_angle(u, v, metric: Metric) -> float:
             f"metric norm collapsed ({min(nu, nv):.3e}); angle undefined",
             eigenvalue=float(min(nu, nv)),
         )
-    cross = abs(_vdots(a, _matmul(eta, b))) ** 2
-    return float(_angle(np.sqrt(cross / (nu * nv))))
+    overlap, _, sine = _pair(_flat_image(metric, a, nu), _flat_image(metric, b, nv))
+    return float(_pair_angle(_abs(overlap), sine))

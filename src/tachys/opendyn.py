@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import Metric, QuasiHamiltonian, _metric_norm, metric_from_sqrt, quasi_hamiltonian
+from .metric import Metric, QuasiHamiltonian, _flat_image, _metric_norm, metric_from_sqrt, quasi_hamiltonian
 from .smallmat import (
     _E0,
     _E1,
@@ -42,6 +42,7 @@ from .smallmat import (
     _norm,
     _operator2,
     _operator_entries,
+    _pair,
     _pauli_entries,
     _pauli_root,
     _pauli_vector,
@@ -358,14 +359,14 @@ def map_boundary_states(metric: Metric, initial, final):
     Each state is sent to sqrt_eta @ psi / sqrt(<psi|eta|psi>), psi and its
     metric norm read by ``metric._metric_norm``, so 2**k psi maps as psi; the
     returned scalar is the modulus of the flat overlap of the two images,
-    which sets the travel time of the aligned problem.  A metric of
-    ``(n, 2, 2)`` stacks gives ``(n, 2)`` images and ``(n,)`` moduli.
+    which sets the travel time of the aligned problem.  A metric of ``(n, 2, 2)`` stacks gives
+    ``(n, 2)`` images and ``(n,)`` moduli, and the first failing row of the first gate any row fails raises.
     """
     out = []
     for psi in (as_state(initial), as_state(final)):
         a, _, nrm2 = _metric_norm(psi, metric.eta)
         _reject_rows(nrm2 <= 0.0, ValueError("state has non-positive metric norm"))
-        out.append(_matmul(metric.sqrt_eta, a) / np.sqrt(nrm2)[..., None])
+        out.append(_flat_image(metric, a, nrm2))
     return out[0], out[1], _abs(_vdots(*out))
 
 
@@ -377,8 +378,8 @@ def aligned_hamiltonian(metric: Metric, omega: float, initial, final) -> QuasiHa
     normal form (|a'|, -i b'), and the flat fastest drive (omega/2 times the
     Pauli-X form) is conjugated back.  The propagated state then reaches
     ``final`` (as a ray) at tau = (2/omega) * arccos|a'|.  A metric of
-    ``(n, 2, 2)`` stacks gives a stack of drives, each equal to the single
-    call bit for bit; the first pair that fails a gate raises.
+    ``(n, 2, 2)`` stacks gives a stack of drives, each equal to the single call bit for bit,
+    and the first failing row of the first gate any row fails raises (not a row loop's error).
     """
     return _aligned_drive(metric, omega, initial, final)[0]
 
@@ -387,14 +388,8 @@ def _aligned_drive(metric: Metric, omega: float, initial, final):
     """``aligned_hamiltonian`` together with the flat overlap |a'| of the pair."""
     omega = positive_finite("omega", omega)
     mapped_i, mapped_f, a_abs = map_boundary_states(metric, initial, final)
-    a_complex = _vdots(mapped_i, mapped_f)
+    a_complex, w, b_abs = _pair(mapped_i, mapped_f)
     u0 = mapped_i
-    w = mapped_f - a_complex[..., None] * u0
-    # second orthogonalization pass: near the degenerate limit the pair is
-    # almost parallel and a single subtraction leaves an O(eps/|b'|) shadow
-    # of u0 in the complement, which the residual gate below would reject
-    w = w - _vdots(u0, w)[..., None] * u0
-    b_abs = _norm(w)
     parallel = AlignmentError("mapped boundary states are parallel; no aligned drive exists")
     _reject_rows(b_abs < 1e-8, parallel)
     u1 = w / np.asarray(b_abs)[..., None]

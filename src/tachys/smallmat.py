@@ -27,7 +27,8 @@ call: ``_exp`` (every exponential), ``_arg`` (every complex argument),
 ``_cos_sin`` (every cosine and sine), ``_tan``, ``_angle``/``_asin`` (arccos
 and arcsin of a clipped modulus), ``_cis`` (every phase factor, through
 ``_exp``), ``_vdots`` (every complex dot) and ``_matmul`` (every matrix
-product); ``propagator``'s kernels keep its one ``log`` and ``expm1``.
+product); ``propagator``'s kernels keep its one ``log`` and ``expm1``.  Every
+Gram-Schmidt pair of two unit rays is ``_pair``, and their angle ``_pair_angle``.
 """
 
 from __future__ import annotations
@@ -575,6 +576,24 @@ def _vdots(u, v):
     if u.ndim == v.ndim == 1:
         return np.vdot(u, v)
     return _matmul(np.conj(u)[..., None, :], v[..., :, None])[..., 0, 0]
+
+
+def _pair(u, v):
+    """<u|v>, the part w of v orthogonal to u and |w|: of two unit states, or per row of two stacks."""
+    a = _vdots(u, v)
+    w = v - a[..., None] * u
+    # second orthogonalization pass: near the degenerate limit the pair is almost parallel and a single
+    # subtraction leaves an O(eps/|w|) shadow of u in the complement, which a residual gate would reject
+    w = w - _vdots(u, w)[..., None] * u
+    return a, w, _norm(w)
+
+
+def _pair_angle(a, b):
+    """The angle of two unit rays from ``_pair``'s |<u|v>| and |w|: arcsin b where b < a,
+    else arccos a, so neither reads a value near 1; elementwise on arrays."""
+    if isinstance(b, np.ndarray):
+        return np.where(b < a, _asin(b), _angle(a))
+    return _asin(b) if b < a else _angle(a)
 
 
 def fidelity(u, v) -> float:

@@ -130,6 +130,11 @@ SHAPE_CALLS = {
     "control_u_channel": lambda: gates.control_u_channel(gates.BlochBasis([1.0, 2.0, 3.0]), 1.0),
     "efficiency_bound": lambda: gates.efficiency_bound(gates.BlochBasis([1.0]), 1.0),
     "evolve_semigroup": lambda: opendyn.evolve_semigroup(H, RHO0, np.zeros((3, 3))),
+    # the single-state entry points take no (3, 2) stack of states
+    "fidelity": lambda: smallmat.fidelity(np.ones((3, 2)), E1),
+    "metric_angle": lambda: metric.metric_angle(E0, np.ones((3, 2)), METRIC),
+    "state_angle": lambda: metric.state_angle(np.ones((3, 2)), E1),
+    "visibility_ratio": lambda: dilation.visibility_ratio(METRIC, np.ones((3, 2))),
     "not_gate_roundtrip": lambda: gates.not_gate_roundtrip(gates.BlochBasis([1.0, 2.0, 3.0]), 1.0),
 }
 

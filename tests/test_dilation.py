@@ -1,6 +1,7 @@
 """Four-level Hermitian embedding of metric-dressed two-level dynamics."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -297,6 +298,17 @@ def test_visibility_ratio_vanishing_image_raises():
     )
     with pytest.raises(ValueError, match="vanishes"):
         visibility_ratio(m, E1)
+
+
+def test_visibility_ratio_of_a_scaled_state_is_that_of_the_state():
+    # the state is scaled as normalize scales it: at 2**600 its norms overflowed to a NaN
+    # ratio, and at 2**-600 its image vanished
+    m, psi = metric_from_sqrt(2.0, 0.5), np.array([1.0, 0.3j])
+    want = visibility_ratio(m, psi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (-600, -300, 300, 600, 1000):
+            assert visibility_ratio(m, 2.0**k * psi).hex() == want.hex()
 
 
 @pytest.mark.parametrize("n", [1, 3])

@@ -315,6 +315,59 @@ def test_state_angle_is_the_angle_of_the_rays():
         state_angle(u, np.zeros(2))
 
 
+#: atan of eps (the float nearest the decimal), 50-digit mpmath values
+ATAN_EPS = {
+    1e-4: "0.00009999999966666667345884020684514654573449",
+    1e-6: "0.0000009999999999996666214147786925981772403118",
+    1e-8: "0.000000009999999999999999875892274967951392497372",
+}
+
+#: draws of criterion 13's family (f, g, x, y) at seed 5 whose metric angle missed its 50-digit
+#: mpmath value (the flat angle of S x and S y, S = [[1, g], [conj g, f]]) by more than 1e-8
+#: relative while it was the arccos of the overlap ratio: the one at p = 1e-2 and the
+#: four worst of 170 at p = 1e-3, float.hex parts
+NEAR_PARALLEL_METRIC_ANGLES = [
+    ("0x1.2a4eaf32c785cp+1", ("0x1.b9ab530815552p-3", "-0x1.820b4741d2546p+0"),
+     ("-0x1.e30de46ba95a4p-2", "-0x1.e291a60c4439fp-1", "0x1.273afa5b6070fp-2", "0x1.6532f89b19de1p+0"),
+     ("0x1.29c8190ddd97ep-1", "-0x1.03eaccb1ff053p-1", "-0x1.be71ed6e79770p-1", "0x1.b40c993437647p-2"),
+     "0.00008399337025171895161959935812804451862156"),
+    ("0x1.50f063926c790p+1", ("0x1.85456ff7fecddp+0", "-0x1.213dcb006aec9p-1"),
+     ("0x1.eba62663bc107p-1", "0x1.683231ac6ce9dp-1", "0x1.31d2d7bfa8e31p+0", "0x1.5ff6b18aa3da2p-1"),
+     ("0x1.332087ff72ca2p+0", "0x1.335748cac1d10p-1", "0x1.5760abdc09440p+0", "0x1.5ddcb994ffbafp-1"),
+     "0.000004878985048520924929943035667126363188929"),
+    ("0x1.1a74148faf0cap+1", ("0x1.3f2f9c415454ap+0", "0x1.9d238e715de20p-1"),
+     ("-0x1.ffca22f673c23p-2", "-0x1.400e62b504d87p-2", "-0x1.324d6a3762a7ap+0", "0x1.671264d4bcb2ep-1"),
+     ("0x1.0c806e06cb103p-3", "-0x1.687cef6dbc4fep-2", "-0x1.06413a717c984p-1", "-0x1.816e490b3c24bp-1"),
+     "0.000005156196427254632478557330938399810194334"),
+    ("0x1.c3d2c7e435ddfp+0", ("-0x1.eee615520a358p-4", "-0x1.529789eabc912p+0"),
+     ("-0x1.35eb54d621bedp+0", "-0x1.466b66d18dd0bp-2", "0x1.886710a30e391p-3", "-0x1.54daecaa66eb6p-1"),
+     ("0x1.9fce999cd9665p+0", "-0x1.a33dbdd2f7380p-2", "0x1.12495a5637842p-3", "0x1.4b9d4394b5cc1p+0"),
+     "0.00002440543645272227778610224371847736871556"),
+    ("0x1.79c3cfa912209p+1", ("0x1.581a6cafe127fp-1", "-0x1.94a885886bbb8p+0"),
+     ("-0x1.2401fbfd35dd0p-1", "-0x1.217eb28464365p+0", "-0x1.b1c1ddaa93defp-1", "-0x1.596ef24cd9bf7p-1"),
+     ("-0x1.34daeb704b02fp-1", "-0x1.570d027d07369p-2", "-0x1.0e623cec42438p-1", "-0x1.1819cc4e0a6c1p-4"),
+     "0.000008067460675909700110114976503839083828114"),
+]
+
+
+def _hex_state(parts):
+    re0, im0, re1, im1 = map(float.fromhex, parts)
+    return np.array([complex(re0, im0), complex(re1, im1)])
+
+
+def test_angles_of_near_parallel_rays_keep_their_digits():
+    # the arccos of an overlap near 1 loses them: at eps = 1e-8 the state angle read 0.0, and
+    # the metric angle below missed atan(3e-7) by 4e-4 relative
+    for eps, want in ATAN_EPS.items():
+        assert abs(state_angle([1.0, 0.0], [1.0, eps]) - float(want)) <= 4 * math.ulp(float(want))
+    want = float("0.0000002999999999999909864244335482530994066649")
+    assert abs(metric_angle([1.0, 0.0], [1.0, 1e-7], diag_metric(3.0)) - want) <= 4 * math.ulp(want)
+    for f, (g_re, g_im), x, y, angle in NEAR_PARALLEL_METRIC_ANGLES:
+        m = metric_from_sqrt(float.fromhex(f), complex(float.fromhex(g_re), float.fromhex(g_im)))
+        want = float(angle)
+        assert abs(metric_angle(_hex_state(x), _hex_state(y), m) - want) <= 1e-10 * want
+
+
 def test_metric_angle_flat_reduces_to_state_angle():
     m = metric_from_matrix(np.eye(2))
     rng = np.random.default_rng(3)
