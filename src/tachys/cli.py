@@ -166,9 +166,9 @@ def _cmd_dilation(args):
     direct = smallmat._matmul(smallmat.propagator(model.generator.operator, ts), psi0)
     table = {
         "t": ts,
-        "embedding_error": smallmat.row_norms(observed - direct),
-        "observed_norm": smallmat.row_norms(observed),
-        "total_norm": smallmat.row_norms(evolved),
+        "embedding_error": smallmat._norm(observed - direct),
+        "observed_norm": smallmat._norm(observed),
+        "total_norm": smallmat._norm(evolved),
     }
     summary = {
         "unitarity_defect": model.unitarity_defect,

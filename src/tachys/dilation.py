@@ -25,7 +25,7 @@ from .smallmat import (
     _negligible,
     _normalized,
     _reals,
-    _rescaled,
+    _stepped,
     _vdots,
     as_operator,
     as_state,
@@ -156,10 +156,10 @@ def visibility_ratio(metric: Metric, state) -> float:
 
     This is the weight of the observable two-level part inside the stacked
     four-level vector; it collapses when the metric nearly loses rank.  psi is first scaled as
-    ``normalize`` scales it (``_rescaled``), so 2**k psi gives psi's ratio.  A stacked metric raises ValueError.
+    ``normalize`` scales it (``_stepped``), so 2**k psi gives psi's ratio.  A stacked metric raises ValueError.
     """
     eta = _single_eta(metric)
-    psi, _, _ = _rescaled(as_state(state))
+    psi, _, _ = _stepped(as_state(state))
     chi = _matmul(eta, psi)
     denom = float(np.real(_vdots(chi, chi)))
     if denom <= 0.0:

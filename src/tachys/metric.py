@@ -23,6 +23,7 @@ from .smallmat import (
     _entries2,
     _hermitian_part,
     _inverse,
+    _ldexp,
     _matmul,
     _matrix2,
     _negligible,
@@ -35,6 +36,7 @@ from .smallmat import (
     _reject_rows,
     _rescaled,
     _square,
+    _stepped,
     _vdots,
     _where,
     as_operator,
@@ -208,26 +210,28 @@ def pseudo_hermiticity_defect(operator, eta):
     Zero exactly when ``operator`` is Hermitian in the ``eta`` inner product.
     Stacks of operators and metrics, of one length, give one distance per
     slice; a singular metric raises, and a stack the first failing row of the first gate any row fails.
+    Both take the range step first: eta @ op @ eta^-1 is the same in eta's scaled frame, and the
+    distance of op's is scaled back (``_ldexp``), so 2**k eta gives eta's distance bit for bit, and
+    2**k op 2**k times op's; ValueError where that passes the float range.
     """
     op = as_operator(operator, stack=True)
     em = as_operator(eta, stack=True)
     _paired("operator", op, "eta", em, 2)
-    return frobenius(dagger(op) - _matmul(em, op, _inverse(em, _determinant(em))))
+    op, _, e = _stepped(op, 2)
+    em, det = _determinant(em)
+    return _ldexp(frobenius(dagger(op) - _matmul(em, op, _inverse(em, det))), e)
 
 
 def _determinant(eta):
-    """det eta of a metric, or of each of a stack, from ``_det2`` after the range step, so
-    it is as accurate as if computed in twice the precision; ValueError "metric matrix is
-    singular" for the first whose |det| is negligible, at the smallest normal float, next
-    to ||eta||_F^2.  ``pseudo_hermiticity_defect`` is its one caller."""
-    scaled, size, e = _rescaled(eta, 2)
+    """A metric, or each of a stack, after the range step, and its det there from ``_det2``,
+    as accurate as if computed in twice the precision; ValueError "metric matrix is singular"
+    for the first whose |det| is negligible, at the smallest normal float, next to
+    ||eta||_F^2 in that frame.  ``pseudo_hermiticity_defect`` is its one caller."""
+    scaled, size, _ = _rescaled(eta, 2)
     re, im = _det2(*_entries2(scaled))
-    if e is not None:
-        with np.errstate(over="ignore"):
-            re, im, size = np.ldexp(re, 2 * e), np.ldexp(im, 2 * e), np.ldexp(size, e)
     det = re + 1j * im
     _reject_rows(_negligible(_abs(det), size * size, sys.float_info.min), ValueError("metric matrix is singular"))
-    return det
+    return scaled, det
 
 
 def _single_eta(metric: Metric) -> np.ndarray:

@@ -30,6 +30,7 @@ from .smallmat import (
     _cmul,
     _col,
     _damped_sinh_cosh,
+    _det2,
     _eigvals2,
     _entries2,
     _exp,
@@ -37,6 +38,7 @@ from .smallmat import (
     _float_or_array,
     _hermitian_part,
     _is_hermitian2,
+    _ldexp,
     _matmul,
     _matrix2,
     _norm,
@@ -50,8 +52,10 @@ from .smallmat import (
     _reject_first_time,
     _reject_rows,
     _square,
+    _stepped,
     _tan,
     _vdots,
+    _where,
     as_operator,
     as_state,
     dagger,
@@ -453,11 +457,19 @@ def _canonical_arrival(metric: Metric, omega: float):
 def energy_gap_squared(hermitian_part):
     """(Tr M)^2 - 4 det M for a Hermitian matrix: the squared eigenvalue gap.
 
-    An ``(n, 2, 2)`` stack gives one value per matrix.
+    An ``(n, 2, 2)`` stack gives one value per matrix.  M takes the range step
+    first and the gap is scaled back (``_ldexp``), so 2**k M gives 4**k times
+    M's gap; ValueError where that passes the float range.
     """
-    m = as_operator(hermitian_part, stack=True)
+    m, _, e = _stepped(as_operator(hermitian_part, stack=True), 2)
     tr = m[..., 0, 0] + m[..., 1, 1]
-    return _float_or_array((_cmul(tr, tr) - 4.0 * np.linalg.det(m)).real)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = np.linalg.det(m)
+    if not np.isfinite(det).all():
+        # LU divides by its pivot, and a subnormal pivot gives NaN: there the exact det
+        re, im = _det2(*_entries2(m))
+        det = _where(np.isfinite(det), det, re + 1j * im)
+    return _float_or_array(_ldexp((_cmul(tr, tr) - 4.0 * det).real, e if e is None else 2 * e))
 
 
 def dissipation_scan(f_grid, omega: float, proximity: float = 1e-6) -> np.recarray:

@@ -2,8 +2,8 @@
 
 Everything in this module is pure: matrices are plain 2x2 complex128 ndarrays
 with value semantics, pure states are 1-d complex128 ndarrays of length 2
-(``is_hermitian``, ``frobenius``, ``dagger``, ``_hermitian_part`` and
-``row_norms`` also take the dilation's 4x4 matrices).  State comparison is
+(``is_hermitian``, ``frobenius``, ``dagger`` and ``_hermitian_part`` also
+take the dilation's 4x4 matrices).  State comparison is
 phase-insensitive throughout (two states are "the same" when their fidelity
 is 1 up to tolerance).
 
@@ -12,7 +12,11 @@ HERMITICITY_TOL (or its own tolerance) times the Frobenius size of what it
 checks, both norms true across the float range, whatever the energy unit;
 so does every floor.  Every kernel takes one range step, ``_exponent``: a
 size (a largest entry part, or a Pauli vector's sum_k |Re n_k| + |Im n_k|)
-outside [2**-252, 2**252] is first scaled by a power of two, which is exact.
+outside [2**-252, 2**252] is first scaled by a power of two, which is exact
+(``_stepped``, and ``_rescaled`` with the norm).  ``_ldexp`` is the one way
+back: it scales a result, or ``propagator``'s clock, by the step's power of
+two, and raises ValueError where that leaves the float range.  Every norm,
+of one vector or of each row of a stack, is ``_norm``.
 Every Hermitian part is ``_hermitian_part``, 0.5 m + 0.5 m^dag, halved
 before it is summed so that a finite matrix has a finite part.  Each 2x2
 rule runs on Python complex scalars for one matrix and elementwise on rows
@@ -55,7 +59,6 @@ __all__ = [
     "positive_finite",
     "fidelity",
     "propagator",
-    "row_norms",
     "hermitian_sqrt",
     "eigvals2",
 ]
@@ -226,6 +229,7 @@ _MATRIX_NOT_FINITE = "matrix has non-finite entries"
 _PAULI_NOT_FINITE = "the generator's Pauli vector leaves the float range"
 _STATE_NOT_FINITE = "state has non-finite entries"
 _U_OVERFLOWS = "the propagator overflows: U(t)"
+_OUT_OF_RANGE = "the result leaves the float range"
 
 
 def _numeric(what: str, x, copy: bool = False) -> np.ndarray:
@@ -336,28 +340,15 @@ def _all_finite(x: np.ndarray) -> bool:
     return bool(np.isfinite(x.view(float)).all())
 
 
-def row_norms(x) -> np.ndarray:
-    """``np.linalg.norm`` of each ``x[k]``, bit for bit, in one pass.
-
-    The norm of a complex array is sqrt(re.re + im.im) over its flattened
-    entries, each dot one BLAS call; a stacked matmul makes the same call per
-    row, where a reduction over the trailing axes would sum in another order.
-    TypeError unless ``x`` is numeric (``_numeric``).
-    """
-    x = np.ascontiguousarray(_numeric("state", x))
-    flat = x.reshape(len(x), math.prod(x.shape[1:]))
-    re, im = flat.real[:, None, :], flat.imag[:, None, :]
-    return np.sqrt((_matmul(re, re.swapaxes(1, 2)) + _matmul(im, im.swapaxes(1, 2)))[:, 0, 0])
-
-
 def frobenius(mat):
     """Frobenius norm, true across the float range (``_rescaled``); per matrix of a stack.
     TypeError unless ``mat`` is numeric (``_numeric``), ValueError naming its shape
-    unless it is a square matrix or an ``(n, k, k)`` stack of them (``_check_square``)."""
+    unless it is a square matrix or an ``(n, k, k)`` stack of them (``_check_square``),
+    and ValueError where the norm itself passes the float range (``_ldexp``)."""
     m = _numeric("matrix", mat)
     _check_square(m.shape)
     _, n, e = _rescaled(m, 2)
-    return n if e is None else _float_or_array(np.ldexp(n, e))
+    return _ldexp(n, e)
 
 
 def dagger(mat: np.ndarray) -> np.ndarray:
@@ -385,7 +376,7 @@ def is_hermitian(mat):
     _check_square(m.shape)
     scaled, size, _ = _rescaled(np.ascontiguousarray(m), 2)
     _, skew, e = _rescaled(scaled - dagger(scaled), 2)
-    ok = _negligible(skew if e is None else np.ldexp(skew, e), size)
+    ok = _negligible(_ldexp(skew, e), size)
     return ok if m.ndim == 3 else bool(ok)
 
 
@@ -427,28 +418,32 @@ def _normalized(v: np.ndarray) -> np.ndarray:
     return v / (n if v.ndim == 1 else n[:, None])
 
 
-def _rescaled(x: np.ndarray, rank: int = 1):
-    """``x 2**-e``, the norm of each item (a state for ``rank`` 1, a matrix for
-    2) of one or a stack, and e, ``_exponent`` of each item's largest entry
-    part; None when none is scaled.  One item is flattened in memory order,
-    as ``np.linalg.norm`` does, so its scaled copy is right for a C-contiguous x;
-    a stack is read in C order, whatever its layout."""
+def _stepped(x: np.ndarray, rank: int = 1):
+    """The range step of one item (a state for ``rank`` 1, a matrix for 2) or a stack:
+    ``x 2**-e``, its items flattened (None for one item that is 0, whose norm needs no
+    pass) and e, ``_exponent`` of each item's largest entry part; None when none is
+    scaled.  One item is flattened in memory order, as ``np.linalg.norm`` does, so its
+    scaled copy is right for a C-contiguous x; a stack is read in C order, whatever its layout."""
     if x.ndim == rank:
-        # one item: its largest part decides, in Python; 0 needs no norm
+        # one item: its largest part decides, in Python
         flat = x.ravel(order="K")
-        parts = flat.view(float)
-        big = max(map(abs, parts.tolist()))
+        big = max(map(abs, flat.view(float).tolist()))
         e = _exponent(big)
         if not e:
-            return x, _norm(flat) if big else 0.0, None
+            return x, flat if big else None, None
     else:
         flat = np.ascontiguousarray(x).reshape(len(x), math.prod(x.shape[1:]))
-        parts = flat.view(float)
-        e = _exponent(np.abs(parts).max(axis=-1))
+        e = _exponent(np.abs(flat.view(float)).max(axis=-1))
         if not e.any():
-            return x, _norm(flat), None
-    flat = np.ldexp(parts, -np.expand_dims(e, -1)).view(complex)
-    return flat.reshape(x.shape), _norm(flat), e
+            return x, flat, None
+    flat = np.ldexp(flat.view(float), -np.expand_dims(e, -1)).view(complex)
+    return flat.reshape(x.shape), flat, e
+
+
+def _rescaled(x: np.ndarray, rank: int = 1):
+    """``_stepped``'s ``x 2**-e`` and e, with the norm of each item between them."""
+    x, flat, e = _stepped(x, rank)
+    return x, 0.0 if flat is None else _norm(flat), e
 
 
 def _unit2(x0: complex, x1: complex) -> tuple[complex, complex]:
@@ -513,8 +508,18 @@ def _det2(m00, m01, m10, m11):
 
 
 def _norm(x):
-    """``np.linalg.norm`` of one vector as a float, or of each row of an ``(n, d)`` stack."""
-    return row_norms(x) if x.ndim == 2 else float(np.linalg.norm(x))
+    """``np.linalg.norm`` of one complex vector as a float, or of each ``x[k]`` of a stack, bit for bit.
+
+    The norm of a complex array is sqrt(re.re + im.im) over its flattened
+    entries, each dot one BLAS call; a stacked matmul makes the same call per
+    row, in one pass, where a reduction over the trailing axes would sum in
+    another order.  One vector keeps ``np.linalg.norm``, which is faster there.
+    """
+    if x.ndim == 1:
+        return float(np.linalg.norm(x))
+    flat = np.ascontiguousarray(x).reshape(len(x), math.prod(x.shape[1:]))
+    re, im = flat.real[:, None, :], flat.imag[:, None, :]
+    return np.sqrt((_matmul(re, re.swapaxes(1, 2)) + _matmul(im, im.swapaxes(1, 2)))[:, 0, 0])
 
 
 def _float_or_array(x):
@@ -590,9 +595,7 @@ def _pair(u, v):
 
 def _pair_angle(a, b):
     """The angle of two unit rays from ``_pair``'s |<u|v>| and |w|: arcsin b where b < a,
-    else arccos a, so neither reads a value near 1; elementwise on arrays."""
-    if isinstance(b, np.ndarray):
-        return np.where(b < a, _asin(b), _angle(a))
+    else arccos a, so neither reads a value near 1."""
     return _asin(b) if b < a else _angle(a)
 
 
@@ -716,12 +719,27 @@ def _pauli_size(nx, ny, nz):
     return abs(nx.real) + abs(nx.imag) + abs(ny.real) + abs(ny.imag) + abs(nz.real) + abs(nz.imag)
 
 
-def _ldexp(z, e):
-    """z 2**e of a Python complex (or float) and an int ``e``, or elementwise
-    of a complex array and an int array, each part scaled exactly."""
-    if isinstance(e, int):
-        return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
-    return np.ldexp(z.view(float).reshape(*z.shape, 2), np.expand_dims(e, -1)).view(complex)[..., 0]
+def _ldexp(x, e):
+    """x 2**e, each part scaled exactly: the one way back from a range step, for a result
+    or ``propagator``'s clock.  Of a Python float or complex and an int ``e``, or elementwise
+    of a float or complex array and an int (or int array); x itself where ``e`` is 0 or None.
+    ValueError, with no warning, where a value leaves the float range (a stack's first such row)."""
+    if not isinstance(e, np.ndarray) and not e:
+        return x
+    if not isinstance(x, np.ndarray):
+        try:
+            if isinstance(x, complex):
+                return complex(math.ldexp(x.real, e), math.ldexp(x.imag, e))
+            return math.ldexp(x, e)
+        except OverflowError:
+            raise ValueError(_OUT_OF_RANGE) from None
+    with np.errstate(over="ignore"):
+        if x.dtype.kind == "c":
+            y = np.ldexp(x.view(float).reshape(*x.shape, 2), np.expand_dims(e, -1)).view(complex)[..., 0]
+        else:
+            y = np.ldexp(x, e)
+    _reject_rows(~np.isfinite(y), ValueError(_OUT_OF_RANGE))
+    return y
 
 
 def _pauli_root(nx: complex, ny: complex, nz: complex) -> complex | float:
@@ -823,8 +841,9 @@ def propagator(ham, t) -> np.ndarray:
     vector n of ham = a0 I + n.sigma: before anything reads |n| or |r|, n
     takes the range step of ``_pauli_vector``, so ``propagator(2**k ham, 2**-k t)``
     is ``propagator(ham, t)`` bit for bit, and an s past the float range
-    raises ValueError.  Where |Im(r) t| passes 700 (r the root of the scaled
-    n.n, t its clock), cosh(Im r t) nears the float range, so those entries
+    raises ValueError, as does a clock t 2**e past it (``_ldexp``).  Where
+    |Im(r) t| passes 700 (r the root of the scaled n.n, t its clock),
+    cosh(Im r t) nears the float range, so those entries
     put the damping e^{Im(a0) t} onto cos and sin through the overflow-free
     e^{at} sinh/cosh; below |r| = 1 the gate is |Im(r) t| - ln|r| > 700,
     since sin(r t)/r carries a further 1/|r|.  Those entries are then
@@ -843,9 +862,9 @@ def propagator(ham, t) -> np.ndarray:
         raise ValueError(f"a generator stack needs one time each, got t {np.shape(t)}")
     a0, e, r, pauli_part = _pauli_split(m)
     # n 2**-e turns on the clock t 2**e
-    tr = t * 2.0**e if isinstance(t, float) else np.ldexp(t, e)
-    phase, cosf, sincf = _damped_factors(a0, r, t, tr)
+    tr = _ldexp(t, e)
     with np.errstate(over="ignore", invalid="ignore"):
+        phase, cosf, sincf = _damped_factors(a0, r, t, tr)
         u = _col(phase) * (_col(cosf) * np.eye(2) - _col(1j * sincf) * pauli_part)
         if not _all_finite(u):
             flags = (u * 0.0).sum(axis=(-2, -1))  # NaN where a time's matrix is not finite: inf * 0 is NaN
@@ -881,10 +900,11 @@ def eigvals2(mat):
     An ``(n, 2, 2)`` stack gives two ``(n,)`` arrays whose rows are the single
     calls, bit for bit: both run ``_eigvals2``.  A matrix whose largest entry
     part leaves the range of ``_exponent`` is first scaled into it, and its
-    eigenvalues are scaled back, so the squared trace and the determinant
-    neither overflow nor lose bits below the normal floats:
-    ``eigvals2(2**k h)`` is ``2**k eigvals2(h)`` for |k| up to 1000.  Every
-    other matrix keeps the plain formula, bit for bit.
+    eigenvalues are scaled back (``_ldexp``), so the squared trace and the
+    determinant neither overflow nor lose bits below the normal floats:
+    ``eigvals2(2**k h)`` is ``2**k eigvals2(h)`` for |k| up to 1000, and an
+    eigenvalue past the float range raises ValueError.  Every other matrix
+    keeps the plain formula, bit for bit.
     """
     return _eigvals2(*_entries2(as_operator(mat, stack=True)))
 

@@ -290,7 +290,6 @@ NUMERIC_CALLS = {
     ("pseudo_hermiticity_defect", "eta"): (lambda x: metric.pseudo_hermiticity_defect(H, x), ETA),
     ("pseudo_hermiticity_defect", "operator"): (lambda x: metric.pseudo_hermiticity_defect(x, ETA), H),
     ("quasi_hamiltonian", "h"): (lambda x: metric.quasi_hamiltonian(x, METRIC, 1.0), H),
-    ("row_norms", "x"): (smallmat.row_norms, [E0, E1]),
     ("shifted_generator", "ham"): (opendyn.shifted_generator, H),
     ("split_generator", "ham"): (opendyn.split_generator, H),
     ("state_angle", "u"): (lambda x: metric.state_angle(x, E1), E0),

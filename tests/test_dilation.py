@@ -274,6 +274,20 @@ def test_build_dilation_rejects_degenerate_metric():
         build_dilation(H_HALF_X, metric, 1.0)
 
 
+def test_build_dilation_root_column_self_check_raises_on_an_ill_conditioned_metric():
+    # cond(eta) 5.5e11 passes the determinant floor, but the rounding of about eps cond^2 fails
+    # the root columns' adjoint eigenvalue relation.  Only the ValueError is pinned: a
+    # MetricDegeneracyError with a known bound, its subclass, would serve as well
+    h = float.fromhex
+    f = h("0x1.fe0443138875cp-19")
+    g = complex(h("-0x1.1275c44e04ed1p-10"), h("0x1.31bb0c14c0b84p-10"))
+    n = (h("-0x1.2691a8cfc7a4dp-1"), h("-0x1.9a66987c3c7a5p-1"), h("-0x1.4d549d6066ba6p-3"))
+    omega = h("0x1.7bfaac41e6d69p+3")
+    drive = 0.5 * omega * (n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z)
+    with pytest.raises(ValueError):
+        build_dilation(drive, metric_from_sqrt(f, g), omega)
+
+
 # ---------------------------------------------------------------- visibility
 
 

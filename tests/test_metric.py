@@ -246,6 +246,23 @@ def test_pseudo_hermiticity_defect_zero_for_hermitian_flat():
         pseudo_hermiticity_defect(PAULI_X, np.zeros((2, 2)))
 
 
+def test_pseudo_hermiticity_defect_is_scale_free_in_the_metric():
+    # eta @ op @ eta^-1 is judged and formed in eta's scaled frame, so 2**k eta gives eta's bits;
+    # the parent called 2**-600 eta singular, its determinant and norm underflowed to 0.  2**k op
+    # gives 2**k times op's distance
+    op = np.array([[0.3, 0.5 - 0.2j], [0.7j, -0.4]])
+    eta = metric_from_sqrt(2.0, 0.5 + 0.25j).eta
+    want = pseudo_hermiticity_defect(op, eta)
+    assert want > 0.1
+    for k in (-1000, -600, -300, 300, 600, 1000):
+        assert pseudo_hermiticity_defect(op, 2.0**k * eta) == want, k
+        assert pseudo_hermiticity_defect(2.0**k * op, eta) == math.ldexp(want, k), k
+        stacked = pseudo_hermiticity_defect(np.stack([op, op]), np.stack([eta, 2.0**k * eta]))
+        assert stacked.tolist() == [want, want], k
+    with pytest.raises(ValueError, match="^the result leaves the float range$"):
+        pseudo_hermiticity_defect(2.0**1022 * op, eta)
+
+
 def _exact_det(m):
     """The real and imaginary parts of m00 m11 - m01 m10 of a 2x2 complex
     matrix in rational arithmetic, then the sums of the moduli of their
@@ -263,7 +280,8 @@ def test_near_degenerate_metric_is_not_singular():
     eta = metric_from_sqrt(5.9, math.sqrt(5.9 - 1e-7)).eta
     assert float(_exact_det(eta)[0]) == pytest.approx(3.42e-14, rel=1e-3)
     assert math.isfinite(pseudo_hermiticity_defect(np.eye(2), eta))
-    assert _determinant(eta) == float(_exact_det(eta)[0])
+    scaled, det = _determinant(eta)
+    assert scaled is eta and det == float(_exact_det(eta)[0])
 
 
 def test_determinant_is_dot2_accurate_and_stacks_keep_the_single_bits():
@@ -278,11 +296,15 @@ def test_determinant_is_dot2_accurate_and_stacks_keep_the_single_bits():
         g = math.sqrt(f - f * 10.0 ** rng.uniform(-11.0, -1.0)) * complex(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
         mats.append(metric_from_sqrt(f, g).eta * 2.0 ** int(rng.integers(-400, 401)))
         mats.append((rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) * 2.0 ** int(rng.integers(-200, 201)))
-    dets = _determinant(np.array(mats))
-    for m, stacked in zip(mats, dets):
-        det = _determinant(m)
+    # the determinant is that of the metric after its range step, an exact power-of-two scaling
+    scaled_stack, dets = _determinant(np.array(mats))
+    for m, row, stacked in zip(mats, scaled_stack, dets):
+        scaled, det = _determinant(m)
         assert np.array(det, dtype=complex).tobytes() == stacked.tobytes()
-        re, im, size_re, size_im = _exact_det(m)
+        assert scaled.tobytes() == row.tobytes()
+        k = math.frexp(np.abs(scaled.view(float)).max())[1] - math.frexp(np.abs(m.view(float)).max())[1]
+        assert np.array_equal(scaled, m * 2.0**k)
+        re, im, size_re, size_im = _exact_det(scaled)
         assert abs(Fraction(det.real) - re) <= u * abs(re) + gamma2 * size_re
         assert abs(Fraction(det.imag) - im) <= u * abs(im) + gamma2 * size_im
 

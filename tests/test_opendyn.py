@@ -924,6 +924,24 @@ def test_energy_gap_squared_identities():
     assert energy_gap_squared(np.eye(2)) == pytest.approx(0.0)
 
 
+def test_energy_gap_squared_scales_by_powers_of_four():
+    # the matrix takes the range step and the gap is scaled back: 2**k h gives 4**k times h's gap,
+    # and past the float range (5 * 2**1200 at k = 600) ValueError, where the parent warned and
+    # returned NaN; a subnormal LU pivot, which makes np.linalg.det NaN, takes the exact det
+    h = np.array([[1.0, 0.5], [0.5, -1.0]])
+    gap = energy_gap_squared(h)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (-300, 300):
+            assert energy_gap_squared(2.0**k * h) == math.ldexp(gap, 2 * k)
+            assert energy_gap_squared(np.stack([h, 2.0**k * h])).tolist() == [gap, math.ldexp(gap, 2 * k)]
+        with pytest.raises(ValueError, match="^the result leaves the float range$"):
+            energy_gap_squared(2.0**600 * h)
+        pivot = np.array([[0.0, -5e-324 - 2.5e-310j], [-5e-324 + 2.5e-310j, 1.9]])
+        assert energy_gap_squared(pivot) == 1.9**2
+        assert energy_gap_squared(np.stack([h, pivot])).tolist() == [gap, 1.9**2]
+
+
 def test_energy_gap_diverges_toward_degeneracy():
     gaps = []
     for delta in (1e-1, 1e-2, 1e-3, 1e-4):

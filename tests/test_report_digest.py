@@ -73,17 +73,14 @@ def test_library_digest_repeats_and_runs_every_family():
     assert all(len(f) == 3 and int(f[1]) >= 3 and len(f[2]) == 64 for f in fields)
 
 
-def test_every_public_function_is_a_library_family_or_excluded_with_a_reason():
-    # a new public function joins the census (and the digest) or says why it cannot
+def test_every_public_function_is_a_library_family():
+    # a new public function joins the census (and the digest)
     tool = _tool_module()
     public = set()
     for m in tool.LIBRARY_MODULES:
         module = importlib.import_module(f"tachys.{m}")
         public |= {name for name in module.__all__ if inspect.isfunction(getattr(module, name))}
-    excluded = dict(tool.LIBRARY_EXCLUDED)
-    assert len(excluded) == len(tool.LIBRARY_EXCLUDED) and all(excluded.values())
-    assert not excluded.keys() & tool.LIBRARY_FAMILIES.keys()
-    assert public - tool.LIBRARY_FAMILIES.keys() == excluded.keys()
+    assert public == tool.LIBRARY_FAMILIES.keys()
 
 
 #: the errors a library call may raise for finite arguments

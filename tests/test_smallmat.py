@@ -28,6 +28,7 @@ from tachys.smallmat import (
     _hermitian_part,
     _is_hermitian2,
     _matmul,
+    _norm,
     _operator2,
     _operator_entries,
     _pauli_root,
@@ -49,7 +50,6 @@ from tachys.smallmat import (
     normalize,
     positive_finite,
     propagator,
-    row_norms,
 )
 
 UNITARITY_TOL = 1e-11
@@ -234,6 +234,17 @@ def test_propagator_is_covariant_under_scale():
     huge = np.array([[0.8e308, 1e308], [0.8e308, -0.8e308]])
     with pytest.raises(ValueError, match="^the generator's Pauli vector leaves the float range$"):
         propagator(huge, 1.0)
+    # a finite Pauli vector on a clock t 2**e past the float range raises with no warning (the
+    # parent warned of overflow and NaN first); so does a phase a0 t past it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        edge = 0.75e308 * np.ones((2, 2))
+        assert np.isfinite(propagator(edge, 1.0)).all()
+        for t in (4.0, [1.0, 4.0]):
+            with pytest.raises(ValueError, match="^the result leaves the float range$"):
+                propagator(edge, t)
+        with pytest.raises(ValueError, match=r"^the propagator overflows: U\(t\) is first not finite at t = 4\.0$"):
+            propagator(1e308 * np.eye(2), 4.0)
     # the entries are halved before they are summed, so a finite Pauli vector
     # is not taken for an overflow: 2**1023 X on the clock 2**-1023 is X on
     # 1, and 1e308 X gives its finite unitary
@@ -344,11 +355,14 @@ def test_stacked_products_round_as_the_scalar_products():
         assert _bytes_equal(np.stack(n, axis=-1), [s[2:] for s in singles])
 
 
-def test_row_norms_equal_numpy_norm_of_each_row():
+def test_norm_of_a_stack_equals_numpy_norm_of_each_row():
     rng = np.random.default_rng(14)
     for shape in ((500, 2), (500, 4), (500, 2, 2), (0, 2)):
         x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        assert _bytes_equal(row_norms(x), [np.linalg.norm(row) for row in x])
+        assert _bytes_equal(_norm(x), [np.linalg.norm(row) for row in x])
+    # one vector is np.linalg.norm itself, as a Python float
+    v = rng.normal(size=4) + 1j * rng.normal(size=4)
+    assert _norm(v) == np.linalg.norm(v) and type(_norm(v)) is float
     # a dagger is laid out column-major; its norm still matches
     m = _random_generators(rng, 500)
     assert _bytes_equal(frobenius(dagger(m) - m), [np.linalg.norm(dagger(x) - x) for x in m])
@@ -545,6 +559,22 @@ def test_eigvals2_scales_by_powers_of_two_across_the_float_range():
             assert np.stack([hi, lo], axis=-1).tobytes() == np.array(want).tobytes()
     assert eigvals2(np.zeros((2, 2))) == (0j, 0j)
     assert [x.shape for x in eigvals2(np.zeros((0, 2, 2)))] == [(0,), (0,)]
+    # an eigenvalue past the float range raises on the way back from the range step, single and
+    # stacked, with no warning: the parent raised OverflowError("math range error") for one matrix
+    _raise_past_the_float_range(eigvals2)
+
+
+def _raise_past_the_float_range(f):
+    """``f`` of np.full((2, 2), 1.5e308), whose result (3e308) passes the float range, alone and as
+    row 1 of a stack, raises ValueError marking that row, with no warning."""
+    huge = np.full((2, 2), 1.5e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^the result leaves the float range$"):
+            f(huge)
+        with pytest.raises(ValueError, match="^the result leaves the float range$") as exc:
+            f(np.stack([PAULI_X, huge]))
+    assert exc.value.row == 1
 
 
 def test_eigvals2_ordering():
@@ -870,6 +900,12 @@ def test_frobenius_is_true_across_the_float_range(k):
         assert frobenius(2.0**k * a) == 2.0**k * frobenius(a)
         got = frobenius(np.stack([2.0**k * stack[0], stack[1], np.zeros((2, 2))]))
     assert got.tolist() == [2.0**k * frobenius(stack[0]), frobenius(stack[1]), 0.0]
+
+
+def test_frobenius_past_the_float_range_raises():
+    # the norm of 2**1023-sized entries, 3e308 here, is past the float range: the parent
+    # returned inf with "overflow encountered in ldexp"
+    _raise_past_the_float_range(frobenius)
 
 
 def test_frobenius_keeps_ordinary_matrices_bit_for_bit():

@@ -229,8 +229,10 @@ def call(name: str, *args, pick=None) -> Call:
 
 
 #: exponents k of the 2**k scales: most draws inside the range step's
-#: [2**-252, 2**252], the others past it, one into the subnormals
-_SCALES = (-1060, -300, -60, 0, 0, 0, 0, 0, 60, 300, 1000)
+#: [2**-252, 2**252], the others past it, one into the subnormals and one
+#: to the top of the float range (the rare entry it takes past the range is
+#: inf, a non-finite argument like those of the bad-argument calls)
+_SCALES = (-1060, -300, -60, 0, 0, 0, 0, 0, 60, 300, 1000, 1020)
 
 #: entry parts that replace about one part in eight: signed zeros and subnormals
 _SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310)
@@ -290,7 +292,8 @@ class _Draw:
     def _place(self, x, rank: int, scale: bool):
         """x at 2**k scales, one per item of a stack, in C order, in Fortran order or as a strided view."""
         if scale:
-            x = x * np.ldexp(1.0, self.rng.choice(_SCALES, size=x.shape[:-rank] + (1,) * rank))
+            with np.errstate(over="ignore"):
+                x = x * np.ldexp(1.0, self.rng.choice(_SCALES, size=x.shape[:-rank] + (1,) * rank))
         layout = self.rng.integers(3)
         if layout == 1:
             return np.asfortranarray(x)
@@ -409,6 +412,12 @@ def _inconclusive(d: _Draw):
     # a POVM of one angle or a stack of n, and one state or a stack of n
     n = d.n(single=True)
     return call("discrimination_povm", call("BlochBasis", d.uniform(1e-3, math.pi, n))), d.state(d.pick((None, n)))
+
+
+def _pseudo_hermiticity_defect(d: _Draw):
+    # an operator or a stack of n, with a positive metric or a general matrix (a stack of n where the operator is)
+    n = d.n(single=True)
+    return d.matrix(n), d.pick((d.positive(), d.matrix(n)))
 
 
 def _dilation(d: _Draw):
@@ -531,15 +540,15 @@ LIBRARY_FAMILIES = {
         "revelation_probability", lambda d: (d.metric(d.n(single=True)), d.uniform(0.5, 2.0)), (_ROOT, 1.0),
         (1, _BAD_REALS),
     ),
+    "energy_gap_squared": _family(
+        "energy_gap_squared", lambda d: (d.matrix(d.n(single=True), hermitian=d.rng.random() < 0.75),), (),
+        (0, _BAD_MATRICES),
+    ),
+    "pseudo_hermiticity_defect": _family(
+        "pseudo_hermiticity_defect", _pseudo_hermiticity_defect, (_H, [[2.0, 0.5], [0.5, 1.0]]),
+        (0, _BAD_MATRICES), (1, (*_BAD_MATRICES, [[1.0, 1.0], [1.0, 1.0]])),
+    ),
 }
-
-#: public functions with no family, each with the reason: a family would break the census
-#: rule of ``tests/test_report_digest.py`` (finite arguments give finite values or a typed error)
-LIBRARY_EXCLUDED = (
-    ("row_norms", "2**600 rows warn 'overflow encountered in matmul' though their norms are finite"),
-    ("energy_gap_squared", "a 2**600-scaled matrix warns of overflow in det and returns NaN"),
-    ("pseudo_hermiticity_defect", "a 2**-600-scaled regular metric raises 'metric matrix is singular'"),
-)
 
 
 def _feed(h, x) -> None:
