@@ -24,18 +24,22 @@ from .smallmat import (
     _asin,
     _cis,
     _cos_sinc,
+    _finite,
     _first_failing_row,
     _float_or_array,
     _is_hermitian2,
     _matmul,
     _matrix2,
     _norm,
+    _normalized,
     _operator_entries,
     _paired,
     _pauli_entries,
     _pauli_root,
     _pauli_vector,
+    _propagator,
     _real,
+    _reals,
     _reject_first_time,
     _reject_rows,
     _state_entries,
@@ -45,7 +49,6 @@ from .smallmat import (
     as_state,
     normalize,
     positive_finite,
-    propagator,
 )
 
 __all__ = [
@@ -100,8 +103,12 @@ def minimal_time(initial, final, omega: float):
     u = normalize(initial)
     v = normalize(final)
     _paired("initial", u, "final", v, 1)
-    overlap = _vdots(u, v)
-    return _float_or_array((2.0 / omega) * _angle(_abs(overlap)))
+    return _minimal_time(u, v, omega)
+
+
+def _minimal_time(u: np.ndarray, v: np.ndarray, omega: float):
+    """``minimal_time`` of two unit states (or stacks) and omega already read."""
+    return _float_or_array((2.0 / omega) * _angle(_abs(_vdots(u, v))))
 
 
 def optimal_hamiltonian(target, omega: float) -> OptimalHamiltonianSpec:
@@ -152,12 +159,12 @@ def _transfer(v: np.ndarray, omega: float) -> BrachistochroneResult:
     arg_b = _arg(b)
     half_turn = _asin(abs_b)
     shift = -omega * arg_a / (2.0 * half_turn)
-    tau = minimal_time(_E0, v, omega)
+    tau = _minimal_time(_E0, _normalized(v), omega)
     phase = (arg_b - arg_a + np.pi / 2.0 + np.pi) % (2.0 * np.pi) - np.pi
     phase = _where(phase == -np.pi, np.pi, phase)
     off = 0.5 * omega * _cis(-phase)
     ham = _matrix2(shift, off, np.conj(off), shift)
-    residual = _norm(_matmul(propagator(ham, tau), _E0) - v)
+    residual = _norm(_matmul(_propagator(_finite(ham), _reals("t", tau)), _E0) - v)
     _reject_rows(
         np.logical_not(residual <= _PROPAGATION_TOL),
         lambda x: ValueError(f"the minimal-time drive misses the target by {x:.3e}"),

@@ -13,14 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import Metric, QuasiHamiltonian, _single_eta, metric_from_matrix, quasi_hamiltonian
+from .metric import _NOT_HERMITIAN, Metric, QuasiHamiltonian, _metric_from_matrix, _quasi_hamiltonian, _single_eta
 from .smallmat import (
     POSDEF_FLOOR,
     MetricDegeneracyError,
     _arg,
     _cis,
     _col,
+    _finite,
+    _frobenius,
     _hermitian_part,
+    _is_hermitian,
     _matmul,
     _negligible,
     _normalized,
@@ -30,8 +33,7 @@ from .smallmat import (
     as_operator,
     as_state,
     dagger,
-    frobenius,
-    is_hermitian,
+    positive_finite,
 )
 
 __all__ = ["DilationModel", "build_dilation", "evolve_dilated", "visibility_ratio"]
@@ -77,14 +79,16 @@ def build_dilation(h, metric: Metric, omega: float) -> DilationModel:
     are sized by ||h||_F, the right-hand side ||root E||_F, ||I||_F = 2, ||B||_F.
     """
     hm = as_operator(h)
-    if not _negligible(abs(complex(np.trace(hm))), frobenius(hm)):
+    if not _negligible(abs(complex(np.trace(hm))), _frobenius(hm)):
         raise ValueError("build_dilation requires a traceless generator")
     det_eta = float(np.linalg.det(metric.eta).real)
-    size = frobenius(metric.eta)
+    size = _frobenius(metric.eta)
     if _negligible(det_eta, size * size, POSDEF_FLOOR):
         message = f"metric determinant {det_eta:.3e} is below the dilation floor"
         raise MetricDegeneracyError(message, eigenvalue=det_eta)
-    generator = quasi_hamiltonian(hm, metric, omega)
+    if not _is_hermitian(hm):
+        raise ValueError(_NOT_HERMITIAN)
+    generator = _quasi_hamiltonian(hm, metric, positive_finite("omega", omega))
     eta_unit = metric.eta / np.sqrt(det_eta)
 
     # orthonormal eigenbasis of h, gap-upper state first, phases pinned
@@ -94,7 +98,7 @@ def build_dilation(h, metric: Metric, omega: float) -> DilationModel:
 
     eta_e = _matmul(dagger(basis), eta_unit, basis)
     eta_e = _hermitian_part(eta_e)
-    m = metric_from_matrix(eta_e)
+    m = _metric_from_matrix(_finite(eta_e))
     norm_factor = float(1.0 / np.sqrt(np.trace(eta_e).real))
 
     level = 0.5 * generator.omega
@@ -102,14 +106,14 @@ def build_dilation(h, metric: Metric, omega: float) -> DilationModel:
     op = _matmul(m.inv_sqrt_eta, energies, m.sqrt_eta)
 
     rhs = _matmul(m.inv_sqrt_eta, energies)
-    if not _negligible(frobenius(_matmul(op, m.inv_sqrt_eta) - rhs), frobenius(rhs)):
+    if not _negligible(_frobenius(_matmul(op, m.inv_sqrt_eta) - rhs), _frobenius(rhs)):
         raise ValueError("inverse-root columns fail the eigenvalue relation")
     rhs = _matmul(m.sqrt_eta, energies)
-    if not _negligible(frobenius(_matmul(dagger(op), m.sqrt_eta) - rhs), frobenius(rhs)):
+    if not _negligible(_frobenius(_matmul(dagger(op), m.sqrt_eta) - rhs), _frobenius(rhs)):
         raise ValueError("root columns fail the adjoint eigenvalue relation")
 
     vmat = norm_factor * np.block([[m.inv_sqrt_eta, m.sqrt_eta], [m.sqrt_eta, -m.inv_sqrt_eta]])
-    unitarity_defect = frobenius(_matmul(dagger(vmat), vmat) - np.eye(4))
+    unitarity_defect = _frobenius(_matmul(dagger(vmat), vmat) - np.eye(4))
     if not _negligible(unitarity_defect, 2.0):
         raise ValueError("extended-vector matrix failed its unitarity check")
 
@@ -117,13 +121,13 @@ def build_dilation(h, metric: Metric, omega: float) -> DilationModel:
     top = _matmul(op, inv_eta) + _matmul(eta_e, op)
     off = op - dagger(op)
     big = norm_factor**2 * np.block([[top, off], [-off, top]])
-    if not is_hermitian(big):
+    if not _is_hermitian(big):
         raise ValueError("dilated generator failed its Hermiticity check")
     big = _hermitian_part(big)
 
     return DilationModel(metric=m, extended_vectors=vmat, hamiltonian=big, norm_factor=norm_factor,
                          eigenbasis=basis, generator=generator, unitarity_defect=unitarity_defect,
-                         hermiticity_defect=frobenius(big - dagger(big)))
+                         hermiticity_defect=_frobenius(big - dagger(big)))
 
 
 def evolve_dilated(model: DilationModel, initial, t) -> tuple[np.ndarray, np.ndarray]:
@@ -141,7 +145,7 @@ def evolve_dilated(model: DilationModel, initial, t) -> tuple[np.ndarray, np.nda
     """
     psi = _normalized(as_state(initial))
     t = _reals("t", t)
-    if not is_hermitian(model.hamiltonian):
+    if not _is_hermitian(model.hamiltonian):
         raise ValueError("4x4 generators must be Hermitian")
     w, v = np.linalg.eigh(_hermitian_part(model.hamiltonian))
     psi_e = _matmul(dagger(model.eigenbasis), psi)

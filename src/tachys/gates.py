@@ -17,13 +17,13 @@ from .smallmat import (
     _angle,
     _cos_sin,
     _float_or_array,
+    _frobenius,
     _matmul,
     _norm,
     _paired,
     _reals,
     _vdots,
     dagger,
-    frobenius,
     normalize,
     positive_finite,
 )
@@ -303,8 +303,8 @@ def control_u_channel(basis: BlochBasis, e_basis_polar: float) -> ControlUReport
     q = float(abs(_vdots(basis.psi0, e0)) ** 2)
     proj0 = _projector(basis.psi0)
     proj1 = _projector(basis.psi1)
-    res1 = frobenius(out1 - (p * proj0 + (1.0 - p) * proj1))
-    res0 = frobenius(out0 - ((1.0 - q) * proj0 + q * proj1))
+    res1 = _frobenius(out1 - (p * proj0 + (1.0 - p) * proj1))
+    res0 = _frobenius(out0 - ((1.0 - q) * proj0 + q * proj1))
     residual = max(res1, res0)
 
     lhs = float(np.pi / 2.0)

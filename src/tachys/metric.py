@@ -20,9 +20,14 @@ from .smallmat import (
     MetricDegeneracyError,
     _abs,
     _det2,
+    _eigvals2,
     _entries2,
+    _finite,
+    _frobenius,
     _hermitian_part,
+    _hermitian_sqrt,
     _inverse,
+    _is_hermitian,
     _ldexp,
     _matmul,
     _matrix2,
@@ -42,10 +47,6 @@ from .smallmat import (
     as_operator,
     as_state,
     dagger,
-    eigvals2,
-    frobenius,
-    hermitian_sqrt,
-    is_hermitian,
     positive_finite,
 )
 
@@ -69,6 +70,9 @@ NORM_FLOOR = 1e-14
 
 GAP_MATCH_TOL = 1e-8
 
+#: quasi_hamiltonian's Hermitian gate, which build_dilation also runs before it reads omega
+_NOT_HERMITIAN = "quasi_hamiltonian requires a Hermitian generator"
+
 #: the float epsilon, 2**-52, that sizes quasi_hamiltonian's rounding allowance
 _EPS = sys.float_info.epsilon
 
@@ -78,7 +82,8 @@ class Metric:
     """A positive-definite metric with cached square root and inverse root.
 
     ``metric_from_sqrt`` over arrays gives ``(n, 2, 2)`` stacks of the three
-    matrices, one metric per row.
+    matrices, one metric per row.  Kernels take the fields as they are: a
+    Metric is a record the library builds, not an argument it reads again.
     """
 
     eta: np.ndarray
@@ -103,7 +108,7 @@ class QuasiHamiltonian:
 
 def diag_metric(scale: float) -> Metric:
     """Metric diag(1, scale**2): ``metric_from_sqrt`` of the root diag(1, scale)."""
-    return metric_from_sqrt(positive_finite("diagonal metric scale", scale), 0.0)
+    return _metric_from_sqrt(positive_finite("diagonal metric scale", scale), np.array(0j))
 
 
 def metric_from_sqrt(diag, offdiag) -> Metric:
@@ -130,6 +135,11 @@ def metric_from_sqrt(diag, offdiag) -> Metric:
     if g.ndim > 1:
         raise ValueError(f"offdiag must be a scalar or a 1-d array, got shape {g.shape}")
     _paired("diag", f, "offdiag", g, 0)
+    return _metric_from_sqrt(f, g)
+
+
+def _metric_from_sqrt(f, g) -> Metric:
+    """``metric_from_sqrt`` of a diag read by ``_reals`` and an offdiag by ``_numeric``."""
     margin = f - _square(_abs(g))
     _reject_rows(
         margin <= DEGENERACY_MARGIN,
@@ -154,8 +164,12 @@ def metric_from_sqrt(diag, offdiag) -> Metric:
 
 def metric_from_matrix(eta) -> Metric:
     """Metric built from an explicit positive-definite matrix."""
-    m = as_operator(eta)
-    root = hermitian_sqrt(m)
+    return _metric_from_matrix(as_operator(eta))
+
+
+def _metric_from_matrix(m: np.ndarray) -> Metric:
+    """``metric_from_matrix`` of a 2x2 matrix already read, C-ordered."""
+    root = _hermitian_sqrt(m)
     inv_root = np.linalg.inv(root)
     inv_root = _hermitian_part(inv_root)
     return Metric(eta=m, sqrt_eta=root, inv_sqrt_eta=inv_root)
@@ -177,10 +191,13 @@ def quasi_hamiltonian(h, metric: Metric, omega: float) -> QuasiHamiltonian:
     """
     hm = as_operator(h, stack=True)
     _paired("h", hm, "metric", metric.eta, 2)
-    not_hermitian = ValueError("quasi_hamiltonian requires a Hermitian generator")
-    _reject_rows(np.logical_not(is_hermitian(hm)), not_hermitian)
-    omega = positive_finite("omega", omega)
-    l_h = eigvals2(hm)
+    _reject_rows(np.logical_not(_is_hermitian(hm)), ValueError(_NOT_HERMITIAN))
+    return _quasi_hamiltonian(hm, metric, positive_finite("omega", omega))
+
+
+def _quasi_hamiltonian(hm: np.ndarray, metric: Metric, omega: float) -> QuasiHamiltonian:
+    """``quasi_hamiltonian`` from its gap gate on, of a Hermitian generator (or stack) and omega already read."""
+    l_h = _eigvals2(*_entries2(hm))
     gap = l_h[0] - l_h[1]
     _reject_rows(
         np.logical_not(_negligible(_abs(gap - omega), omega, GAP_MATCH_TOL)),
@@ -190,12 +207,13 @@ def quasi_hamiltonian(h, metric: Metric, omega: float) -> QuasiHamiltonian:
     op = _matmul(metric.inv_sqrt_eta, hm, metric.sqrt_eta)
     # the sizes grow with the conditioning of the similarity: near the
     # degenerate-metric limit its roundoff dominates the residuals
-    cond = 0.5 * frobenius(metric.sqrt_eta) * frobenius(metric.inv_sqrt_eta)
-    op_norm = frobenius(op)
-    defect = pseudo_hermiticity_defect(op, metric.eta)
+    cond = 0.5 * _frobenius(metric.sqrt_eta) * _frobenius(metric.inv_sqrt_eta)
+    op_norm = _frobenius(op)
+    # the range step reads one matrix in memory order, so eta goes to it C-ordered, as as_operator copied it
+    defect = _pseudo_hermiticity_defect(_finite(op), np.ascontiguousarray(metric.eta))
     violates = ValueError("constructed operator violates metric-Hermiticity")
     _reject_rows(np.logical_not(_negligible(defect, op_norm * cond * cond)), violates)
-    l_op = eigvals2(op)
+    l_op = _eigvals2(*_entries2(op))
     rounding = 50.0 * _EPS * op_norm * cond
     miss0, miss1 = _abs(l_op[0] - l_h[0]), _abs(l_op[1] - l_h[1])
     spread = _where(miss1 > miss0, miss1, miss0)
@@ -217,16 +235,21 @@ def pseudo_hermiticity_defect(operator, eta):
     op = as_operator(operator, stack=True)
     em = as_operator(eta, stack=True)
     _paired("operator", op, "eta", em, 2)
+    return _pseudo_hermiticity_defect(op, em)
+
+
+def _pseudo_hermiticity_defect(op: np.ndarray, em: np.ndarray):
+    """``pseudo_hermiticity_defect`` of an operator and a metric (or stacks) already read, C-ordered."""
     op, _, e = _stepped(op, 2)
     em, det = _determinant(em)
-    return _ldexp(frobenius(dagger(op) - _matmul(em, op, _inverse(em, det))), e)
+    return _ldexp(_frobenius(dagger(op) - _matmul(em, op, _inverse(em, det))), e)
 
 
 def _determinant(eta):
     """A metric, or each of a stack, after the range step, and its det there from ``_det2``,
     as accurate as if computed in twice the precision; ValueError "metric matrix is singular"
     for the first whose |det| is negligible, at the smallest normal float, next to
-    ||eta||_F^2 in that frame.  ``pseudo_hermiticity_defect`` is its one caller."""
+    ||eta||_F^2 in that frame.  ``_pseudo_hermiticity_defect`` is its one caller."""
     scaled, size, _ = _rescaled(eta, 2)
     re, im = _det2(*_entries2(scaled))
     det = re + 1j * im
@@ -277,7 +300,7 @@ def metric_angle(u, v, metric: Metric) -> float:
     eta = _single_eta(metric)
     a, na, nu = _metric_norm(as_state(u), eta)
     b, nb, nv = _metric_norm(as_state(v), eta)
-    size = frobenius(eta)
+    size = _frobenius(eta)
     if _negligible(nu, size * na * na, NORM_FLOOR) or _negligible(nv, size * nb * nb, NORM_FLOOR):
         raise MetricDegeneracyError(
             f"metric norm collapsed ({min(nu, nv):.3e}); angle undefined",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import Metric, QuasiHamiltonian, _flat_image, _metric_norm, metric_from_sqrt, quasi_hamiltonian
+from .metric import Metric, QuasiHamiltonian, _flat_image, _metric_from_sqrt, _metric_norm, _quasi_hamiltonian
 from .smallmat import (
     _E0,
     _E1,
@@ -34,6 +34,7 @@ from .smallmat import (
     _eigvals2,
     _entries2,
     _exp,
+    _finite,
     _first_failing_row,
     _float_or_array,
     _hermitian_part,
@@ -48,6 +49,7 @@ from .smallmat import (
     _pauli_entries,
     _pauli_root,
     _pauli_vector,
+    _propagator,
     _reals,
     _reject_first_time,
     _reject_rows,
@@ -60,7 +62,6 @@ from .smallmat import (
     as_state,
     dagger,
     positive_finite,
-    propagator,
 )
 
 __all__ = [
@@ -126,7 +127,11 @@ def split_generator(ham) -> OpenSplit:
     drift = (0.5 ham - 0.5 ham^dag) / i, so a finite generator has a finite
     split.  An ``(n, 2, 2)`` stack gives stacked parts and ``(n,)`` rate arrays.
     """
-    m = as_operator(ham, stack=True)
+    return _split_generator(as_operator(ham, stack=True))
+
+
+def _split_generator(m: np.ndarray) -> OpenSplit:
+    """``split_generator`` of a generator (or stack) already read, C-ordered."""
     drift = _drift2(*_entries2(m))
     hi, lo = _eigvals2(*drift)
     return OpenSplit(coherent=_hermitian_part(m), drift=_matrix2(*drift), rate_max=np.real(hi), rate_min=np.real(lo))
@@ -366,8 +371,13 @@ def map_boundary_states(metric: Metric, initial, final):
     which sets the travel time of the aligned problem.  A metric of ``(n, 2, 2)`` stacks gives
     ``(n, 2)`` images and ``(n,)`` moduli, and the first failing row of the first gate any row fails raises.
     """
+    return _map_boundary_states(metric, as_state(initial), as_state(final))
+
+
+def _map_boundary_states(metric: Metric, initial: np.ndarray, final: np.ndarray):
+    """``map_boundary_states`` of the two states already read."""
     out = []
-    for psi in (as_state(initial), as_state(final)):
+    for psi in (initial, final):
         a, _, nrm2 = _metric_norm(psi, metric.eta)
         _reject_rows(nrm2 <= 0.0, ValueError("state has non-positive metric norm"))
         out.append(_flat_image(metric, a, nrm2))
@@ -385,13 +395,13 @@ def aligned_hamiltonian(metric: Metric, omega: float, initial, final) -> QuasiHa
     ``(n, 2, 2)`` stacks gives a stack of drives, each equal to the single call bit for bit,
     and the first failing row of the first gate any row fails raises (not a row loop's error).
     """
-    return _aligned_drive(metric, omega, initial, final)[0]
+    return _aligned_drive(metric, positive_finite("omega", omega), as_state(initial), as_state(final))[0]
 
 
 def _aligned_drive(metric: Metric, omega: float, initial, final):
-    """``aligned_hamiltonian`` together with the flat overlap |a'| of the pair."""
-    omega = positive_finite("omega", omega)
-    mapped_i, mapped_f, a_abs = map_boundary_states(metric, initial, final)
+    """``aligned_hamiltonian`` of omega and two states already read, and the flat overlap |a'| of the pair.
+    Its drive is a Hermitian part, Hermitian bit for bit, so of quasi_hamiltonian's reader it needs only ``_finite``."""
+    mapped_i, mapped_f, a_abs = _map_boundary_states(metric, initial, final)
     a_complex, w, b_abs = _pair(mapped_i, mapped_f)
     u0 = mapped_i
     parallel = AlignmentError("mapped boundary states are parallel; no aligned drive exists")
@@ -409,8 +419,8 @@ def _aligned_drive(metric: Metric, omega: float, initial, final):
         lambda r: AlignmentError(f"phase alignment residual {r:.3e} exceeds tolerance"),
         residual,
     )
-    h = _hermitian_part(0.5 * omega * _matmul(frame, PAULI_X, dagger(frame)))
-    return quasi_hamiltonian(h, metric, omega), a_abs
+    h = _finite(_hermitian_part(0.5 * omega * _matmul(frame, PAULI_X, dagger(frame))))
+    return _quasi_hamiltonian(h, metric, omega), a_abs
 
 
 def dissipative_factor(f: float) -> float:
@@ -434,7 +444,7 @@ def revelation_probability(metric: Metric, omega: float):
     degenerates, matching ``dissipative_factor(1.0)``.  A metric of
     ``(n, 2, 2)`` stacks gives one probability per metric.
     """
-    return _float_or_array(_canonical_arrival(metric, omega)[3])
+    return _float_or_array(_canonical_arrival(metric, positive_finite("omega", omega))[3])
 
 
 def _canonical_arrival(metric: Metric, omega: float):
@@ -444,14 +454,15 @@ def _canonical_arrival(metric: Metric, omega: float):
     arrival time tau = (2/omega) * arccos|a'| and the revelation probability,
     the squared norm of the reference state evolved to tau under the shifted
     (trace-contracting) generator; a metric of ``(n, 2, 2)`` stacks gives each
-    of them stacked.
+    of them stacked; ``omega`` is read by ``positive_finite``.
     """
     qh, a_abs = _aligned_drive(metric, omega, _E0, _E1)
-    tau = (2.0 / omega) * _angle(a_abs)
-    split = split_generator(qh.operator)
-    # the shift of shifted_generator, from the split computed once here
-    shifted = _shifted(qh.operator, split.rate_max)
-    return split, a_abs, _float_or_array(tau), _square(_norm(_matmul(propagator(shifted, tau), _E0)))
+    tau = _float_or_array((2.0 / omega) * _angle(a_abs))
+    split = _split_generator(qh.operator)
+    # the shift of shifted_generator, from the split computed once here; it and tau may leave the
+    # float range, so they keep the checks of propagator's reader
+    shifted = _finite(_shifted(qh.operator, split.rate_max))
+    return split, a_abs, tau, _square(_norm(_matmul(_propagator(shifted, _reals("t", tau)), _E0)))
 
 
 def energy_gap_squared(hermitian_part):
@@ -461,7 +472,12 @@ def energy_gap_squared(hermitian_part):
     first and the gap is scaled back (``_ldexp``), so 2**k M gives 4**k times
     M's gap; ValueError where that passes the float range.
     """
-    m, _, e = _stepped(as_operator(hermitian_part, stack=True), 2)
+    return _energy_gap_squared(as_operator(hermitian_part, stack=True))
+
+
+def _energy_gap_squared(m: np.ndarray):
+    """``energy_gap_squared`` of a matrix (or stack) already read."""
+    m, _, e = _stepped(m, 2)
     tr = m[..., 0, 0] + m[..., 1, 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         det = np.linalg.det(m)
@@ -510,9 +526,9 @@ def _scan_columns(f: np.ndarray, omega: float, proximity: float):
         lambda x: ValueError(f"proximity {proximity:.3g} must be smaller than f {x:.3g}"),
         f,
     )
-    metric = metric_from_sqrt(f, np.sqrt(f - proximity))
+    metric = _metric_from_sqrt(f, np.sqrt(f - proximity).astype(complex))
     split, a_abs, tau, finite_factor = _canonical_arrival(metric, omega)
-    gap_sq = energy_gap_squared(split.coherent)
+    gap_sq = _energy_gap_squared(split.coherent)
     # finite_factor tends to (1/f) e^{-(sqrt f + 1/sqrt f)} as the proximity
     # shrinks, and d_factor is (1/f) e^{-(f + 1/f)}: the two meet only at f = 1
     return _dissipative_factor(f), finite_factor, gap_sq, a_abs, tau

@@ -23,7 +23,12 @@ rule runs on Python complex scalars for one matrix and elementwise on rows
 for a stack: ``_entries2`` is the one reader of a matrix's four entries, and
 ``_eigvals2`` the one eigenvalue kernel.  ``_reals`` reads every real scalar
 or grid argument, and ``_numeric`` every matrix, state or complex parameter:
-each raises TypeError for a str, None or other non-numeric value.
+each raises TypeError for a str, None or other non-numeric value.  Each
+argument is read once: a public function is its reader (``_numeric`` or
+``_reals``, the shape and finiteness checks, ``positive_finite``,
+``_paired``) followed by a private kernel of the values read, such as
+``frobenius`` and ``_frobenius``; inside the package a function calls
+another's kernel, never its reader, and a kernel checks only what it computes.
 
 Every numpy function whose last bits depend on the host (its SIMD loops,
 glibc's libm, the BLAS kernel) has one owner here, which the other modules
@@ -251,10 +256,7 @@ def as_operator(mat, stack: bool = False) -> np.ndarray:
     """
     m = _numeric("matrix", mat, copy=True)
     _check_operator_shape(m.shape, stack)
-    if not _all_finite(m):
-        finite = np.isfinite(m.view(float))
-        _reject_rows(~finite.all(axis=(-2, -1)), ValueError(_MATRIX_NOT_FINITE))
-    return m
+    return _finite(m)
 
 
 def as_state(vec, stack: bool = False) -> np.ndarray:
@@ -267,10 +269,15 @@ def as_state(vec, stack: bool = False) -> np.ndarray:
     """
     v = _numeric("state", vec, copy=True)
     _check_state_shape(v.shape, stack)
-    if not _all_finite(v):
-        finite = np.isfinite(v.view(float))
-        _reject_rows(~finite.all(axis=-1), ValueError(_STATE_NOT_FINITE))
-    return v
+    return _finite(v, 1)
+
+
+def _finite(x: np.ndarray, rank: int = 2) -> np.ndarray:
+    """``x``, a C-ordered matrix (``rank`` 2) or state (1) or stack; ValueError at its first non-finite item."""
+    if not _all_finite(x):
+        finite = np.isfinite(x.view(float)).all(axis=tuple(range(-rank, 0)))
+        _reject_rows(~finite, ValueError(_MATRIX_NOT_FINITE if rank == 2 else _STATE_NOT_FINITE))
+    return x
 
 
 def _check_square(shape: tuple, stack: bool = True) -> None:
@@ -347,6 +354,11 @@ def frobenius(mat):
     and ValueError where the norm itself passes the float range (``_ldexp``)."""
     m = _numeric("matrix", mat)
     _check_square(m.shape)
+    return _frobenius(m)
+
+
+def _frobenius(m: np.ndarray):
+    """``frobenius`` of a complex matrix or stack already read."""
     _, n, e = _rescaled(m, 2)
     return _ldexp(n, e)
 
@@ -374,6 +386,11 @@ def is_hermitian(mat):
     TypeError and ValueError as ``frobenius`` raises them."""
     m = _numeric("matrix", mat)
     _check_square(m.shape)
+    return _is_hermitian(m)
+
+
+def _is_hermitian(m: np.ndarray):
+    """``is_hermitian`` of a complex matrix or stack already read."""
     scaled, size, _ = _rescaled(np.ascontiguousarray(m), 2)
     _, skew, e = _rescaled(scaled - dagger(scaled), 2)
     ok = _negligible(_ldexp(skew, e), size)
@@ -387,7 +404,7 @@ def _is_hermitian2(m00: complex, m01: complex, m10: complex, m11: complex) -> tu
     Hermitian matrix, whose verdict needs no size).  In scalar arithmetic
     where the skew is 0 and the real diagonal finite, or where the norm lies
     in [_NORM_MIN, _NORM_MAX], which shows every entry finite and in range;
-    every other matrix goes to ``is_hermitian`` itself."""
+    every other matrix goes to ``as_operator`` and ``_is_hermitian``."""
     # ||m - m^dag||_F: the off-diagonal pair each give |m01 - conj m10|, each
     # diagonal entry 2 Im m_kk; a skew of 0 shows m01, m10 and Im m_kk finite
     d = m01 - m10.conjugate()
@@ -397,7 +414,7 @@ def _is_hermitian2(m00: complex, m01: complex, m10: complex, m11: complex) -> tu
     size = math.hypot(m00.real, m00.imag, m01.real, m01.imag, m10.real, m10.imag, m11.real, m11.imag)
     if _NORM_MIN <= size <= _NORM_MAX:
         return _negligible(skew, size), size
-    return is_hermitian(as_operator([[m00, m01], [m10, m11]])), size
+    return _is_hermitian(as_operator([[m00, m01], [m10, m11]])), size
 
 
 def normalize(vec) -> np.ndarray:
@@ -419,7 +436,7 @@ def _normalized(v: np.ndarray) -> np.ndarray:
 
 
 def _stepped(x: np.ndarray, rank: int = 1):
-    """The range step of one item (a state for ``rank`` 1, a matrix for 2) or a stack:
+    """The range step of one item (a state for ``rank`` 1, a matrix for 2) or a stack, complex or real:
     ``x 2**-e``, its items flattened (None for one item that is 0, whose norm needs no
     pass) and e, ``_exponent`` of each item's largest entry part; None when none is
     scaled.  One item is flattened in memory order, as ``np.linalg.norm`` does, so its
@@ -436,7 +453,7 @@ def _stepped(x: np.ndarray, rank: int = 1):
         e = _exponent(np.abs(flat.view(float)).max(axis=-1))
         if not e.any():
             return x, flat, None
-    flat = np.ldexp(flat.view(float), -np.expand_dims(e, -1)).view(complex)
+    flat = np.ldexp(flat.view(float), -np.expand_dims(e, -1)).view(flat.dtype)
     return flat.reshape(x.shape), flat, e
 
 
@@ -451,10 +468,10 @@ def _unit2(x0: complex, x1: complex) -> tuple[complex, complex]:
     unchecked (``_state_entries``), bit for bit and error for error, as a
     pair of them: in scalar arithmetic where the norm lies in
     [_NORM_MIN, _NORM_MAX], which shows the entries finite and in range;
-    every other state goes to ``normalize`` itself."""
+    every other state goes to ``as_state`` and ``_normalized``."""
     a, b, c, d = x0.real, x0.imag, x1.real, x1.imag
     if not _NORM_MIN <= math.hypot(a, b, c, d) <= _NORM_MAX:
-        y0, y1 = normalize([x0, x1]).tolist()
+        y0, y1 = _normalized(as_state([x0, x1])).tolist()
         return y0, y1
     # np.linalg.norm's BLAS dot fuses its second product into the sum:
     # |x|^2 = fma(c, c, a a) + fma(d, d, b b)
@@ -841,7 +858,8 @@ def propagator(ham, t) -> np.ndarray:
     vector n of ham = a0 I + n.sigma: before anything reads |n| or |r|, n
     takes the range step of ``_pauli_vector``, so ``propagator(2**k ham, 2**-k t)``
     is ``propagator(ham, t)`` bit for bit, and an s past the float range
-    raises ValueError, as does a clock t 2**e past it (``_ldexp``).  Where
+    raises ValueError, as does a clock t 2**e past it, naming its earliest
+    such time (a stack marks its first such row, ``_ldexp``).  Where
     |Im(r) t| passes 700 (r the root of the scaled n.n, t its clock),
     cosh(Im r t) nears the float range, so those entries
     put the damping e^{Im(a0) t} onto cos and sin through the overflow-free
@@ -860,8 +878,16 @@ def propagator(ham, t) -> np.ndarray:
     t = _reals("t", t)
     if m.ndim == 3 and np.shape(t) != m.shape[:1]:
         raise ValueError(f"a generator stack needs one time each, got t {np.shape(t)}")
+    return _propagator(m, t)
+
+
+def _propagator(m: np.ndarray, t):
+    """``propagator`` of a generator (or stack) and times already read."""
     a0, e, r, pauli_part = _pauli_split(m)
-    # n 2**-e turns on the clock t 2**e
+    if m.ndim == 2 and e:
+        # n 2**-e turns on the clock t 2**e: past the float range it names its earliest such time
+        with np.errstate(over="ignore"):
+            _reject_first_time(np.reshape(t, -1), np.reshape(np.ldexp(t, e), -1), "the propagator's clock t 2**e")
     tr = _ldexp(t, e)
     with np.errstate(over="ignore", invalid="ignore"):
         phase, cosf, sincf = _damped_factors(a0, r, t, tr)
@@ -880,17 +906,28 @@ def hermitian_sqrt(mat) -> np.ndarray:
     ValueError unless ``mat`` passes ``is_hermitian``; MetricDegeneracyError
     (carrying the offending eigenvalue) when the smallest eigenvalue is
     negligible, at POSDEF_FLOOR, next to ||mat||_F (``_negligible``), so
-    2**k mat gets the verdict of mat and a zero matrix raises.
+    2**k mat gets the verdict of mat and a zero matrix raises.  A matrix
+    whose largest entry part leaves the range of ``_exponent`` is first
+    scaled by an even power of two 4**-j, its floor judged and its root
+    taken in that frame, and the root scaled back by 2**j (``_ldexp``), so
+    ``hermitian_sqrt(4**k mat)`` is 2**k times the root of mat.
     """
-    p = as_operator(mat)
-    if not is_hermitian(p):
+    return _hermitian_sqrt(as_operator(mat))
+
+
+def _hermitian_sqrt(p: np.ndarray) -> np.ndarray:
+    """``hermitian_sqrt`` of a 2x2 matrix already read, C-ordered, in the frame of an even range step 4**-j."""
+    if not _is_hermitian(p):
         raise ValueError("hermitian_sqrt requires a Hermitian matrix")
+    j = -(-_exponent(max(map(abs, p.view(float).ravel().tolist()))) // 2)
+    p = _ldexp(p, -2 * j)
     w, v = np.linalg.eigh(_hermitian_part(p))
     wmin = float(w.min())
-    if _negligible(wmin, frobenius(p), POSDEF_FLOOR):
+    if _negligible(wmin, _frobenius(p), POSDEF_FLOOR):
+        wmin = _ldexp(wmin, 2 * j)
         message = f"matrix is not positive definite: smallest eigenvalue {wmin:.3e}"
         raise MetricDegeneracyError(message, eigenvalue=wmin)
-    return _hermitian_part(_matmul(v * np.sqrt(w), dagger(v)))
+    return _ldexp(_hermitian_part(_matmul(v * np.sqrt(w), dagger(v))), j)
 
 
 def eigvals2(mat):

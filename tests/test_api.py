@@ -386,10 +386,10 @@ LINALG_SITES = {
     ("dilation", "evolve_dilated", "eigh"),
     ("gates", "Povm", "eigvalsh"),
     ("gates", "Povm", "norm"),
-    ("metric", "metric_from_matrix", "inv"),
-    ("opendyn", "energy_gap_squared", "det"),
+    ("metric", "_metric_from_matrix", "inv"),
+    ("opendyn", "_energy_gap_squared", "det"),
+    ("smallmat", "_hermitian_sqrt", "eigh"),
     ("smallmat", "_norm", "norm"),
-    ("smallmat", "hermitian_sqrt", "eigh"),
 }
 
 #: numpy functions whose last bits depend on the host: on the SIMD loops numpy
@@ -433,6 +433,7 @@ COMPLEX_COERCION_SITES = [
     ("gates", "BlochBasis"),
     ("gates", "discrimination_povm"),
     ("opendyn", "_semigroup_basis"),
+    ("opendyn", "_scan_columns"),
     *[("smallmat", "<module>")] * 5,
     ("smallmat", "_numeric"),
 ]

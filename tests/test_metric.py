@@ -212,6 +212,23 @@ def test_quasi_hamiltonian_gates_are_relative_at_every_scale(side):
                     quasi_hamiltonian(s * h, m, s * gap * factor)
 
 
+def test_metric_fields_of_any_layout_or_real_dtype_keep_their_results_past_the_range_step():
+    # the fields of a Metric are not read again: held in Fortran order, as strided views or
+    # as real arrays, 4**k eta (its roots 2**+-k) gives the operator and the angle of eta
+    # (a real array of a real root's metric; a complex root, whose eta is not its transpose, for the layouts)
+    h = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
+    layouts = (np.ascontiguousarray, np.asfortranarray, lambda x: np.stack([x, x], axis=-1)[..., 0])
+    for j, (g, layout) in enumerate([(0.7, lambda x: x.real.copy()), *((0.7 + 0.3j, f) for f in layouts)]):
+        m, got = metric_from_sqrt(1.6, g), []
+        for k in (0, 150, -200):
+            s, r = 2.0 ** (2 * k), 2.0**k
+            held = Metric(layout(s * m.eta), layout(r * m.sqrt_eta), layout(m.inv_sqrt_eta / r))
+            got.append((quasi_hamiltonian(h, held, 1.0).operator.tobytes(), metric_angle([1.0, 0.3j], [0.2, 1.0], held)))
+        assert got == [got[0]] * 3
+        if j:
+            assert got[0][0] == quasi_hamiltonian(h, m, 1.0).operator.tobytes()
+
+
 def test_quasi_hamiltonian_rejects_non_hermitian_generators_at_every_scale():
     rng = np.random.default_rng(1)
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))

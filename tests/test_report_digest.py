@@ -1,6 +1,6 @@
 """Smoke tests of tools/report_digest.py, the byte-identity digest of CLI reports and of library calls,
-and a census over its library call families: a call of finite arguments returns finite values or raises a
-typed error, with no numpy RuntimeWarning."""
+and two censuses over its library call families: a call of finite arguments returns finite values or raises
+a typed error, with no numpy RuntimeWarning; and a call reads each matrix, state or complex argument once."""
 
 import dataclasses
 import importlib
@@ -129,3 +129,55 @@ def test_library_calls_of_finite_arguments_return_finite_values_or_raise_a_typed
                 except Exception as exc:
                     pytest.fail(f"{where} raised {type(exc).__name__}: {exc}")
             assert _finite_result(result), f"{where} returned a value that is not finite"
+
+
+#: the parameters of public functions that take a matrix, a state or a complex value, each
+#: read by ``smallmat._numeric``: a public call reads each once, and its interior calls kernels
+ARRAY_PARAMETERS = {
+    "eta", "final", "h", "ham", "hermitian_part", "initial", "mat", "offdiag", "operator", "rho0", "state", "target",
+    "u", "v", "vec",
+}
+
+#: every other parameter: reals (read by ``_reals``), library records and flags
+OTHER_PARAMETERS = {
+    "basis", "diag", "e_basis_polar", "f", "f_grid", "metric", "model", "name", "omega", "povm", "proximity",
+    "scale", "stack", "steps", "t", "t_max", "times", "x",
+}
+
+#: reads past one per such parameter: ``first_passage_scan``'s out-of-range fallbacks, ``_unit2`` to
+#: ``as_state`` for each state and ``_is_hermitian2`` to ``as_operator`` for the drive, are its finiteness checks
+FALLBACK_READS = {"first_passage_scan": 3}
+
+
+def test_each_public_call_reads_each_matrix_state_or_complex_argument_once(monkeypatch):
+    # count the _numeric calls of each successful call (its arguments built first); a public
+    # function calling another public function reads its arguments again and fails this
+    tool = _tool_module()
+    modules = [importlib.import_module(f"tachys.{m}") for m in tool.LIBRARY_MODULES]
+    api = {name: getattr(m, name) for m in modules for name in m.__all__}
+    numeric, reads = modules[0]._numeric, []
+
+    def counted(*args, **kwargs):
+        reads.append(args[0])
+        return numeric(*args, **kwargs)
+
+    for m in modules:
+        if hasattr(m, "_numeric"):
+            monkeypatch.setattr(m, "_numeric", counted)
+    for name, family in tool.LIBRARY_FAMILIES.items():
+        params = inspect.signature(api[name]).parameters
+        assert set(params) <= ARRAY_PARAMETERS | OTHER_PARAMETERS, name
+        allowed = sum(p in ARRAY_PARAMETERS for p in params) + FALLBACK_READS.get(name, 0)
+        calls = 0
+        for c in family(tool._Draw(1, name), 5):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    args = [tool._evaluate(api, a) for a in c.args]
+                    reads.clear()
+                    api[name](*args)
+                except TYPED_ERRORS:
+                    continue
+            assert len(reads) <= allowed, f"{name} read {len(reads)} arguments: {reads}"
+            calls += 1
+        assert calls, f"no call of {name} succeeded"

@@ -234,15 +234,18 @@ def test_propagator_is_covariant_under_scale():
     huge = np.array([[0.8e308, 1e308], [0.8e308, -0.8e308]])
     with pytest.raises(ValueError, match="^the generator's Pauli vector leaves the float range$"):
         propagator(huge, 1.0)
-    # a finite Pauli vector on a clock t 2**e past the float range raises with no warning (the
-    # parent warned of overflow and NaN first); so does a phase a0 t past it
+    # a finite Pauli vector on a clock t 2**e past the float range raises with no warning, naming
+    # its earliest such time (a stack marks its first such row); so does a phase a0 t past it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         edge = 0.75e308 * np.ones((2, 2))
         assert np.isfinite(propagator(edge, 1.0)).all()
-        for t in (4.0, [1.0, 4.0]):
-            with pytest.raises(ValueError, match="^the result leaves the float range$"):
+        for t in (4.0, [1.0, 4.0], [5.0, 1.0, -4.0]):
+            with pytest.raises(ValueError, match=r"^the propagator's clock t 2\*\*e is first not finite at t = -?4\.0$"):
                 propagator(edge, t)
+        with pytest.raises(ValueError, match="^the result leaves the float range$") as exc:
+            propagator(np.stack([edge] * 3), np.array([1.0, 5.0, 4.0]))
+        assert exc.value.row == 1
         with pytest.raises(ValueError, match=r"^the propagator overflows: U\(t\) is first not finite at t = 4\.0$"):
             propagator(1e308 * np.eye(2), 4.0)
     # the entries are halved before they are summed, so a finite Pauli vector
@@ -509,6 +512,29 @@ def test_hermitian_sqrt_of_entries_near_the_float_range():
         warnings.simplefilter("error")
         got = hermitian_sqrt(np.diag([1e308, 1e308]))
     assert np.abs(got - 1e154 * np.eye(2)).max() <= 1e-15 * 1e154
+
+
+def test_hermitian_sqrt_scales_by_powers_of_two_across_the_float_range():
+    # the floor is judged in the frame of an even range step 4**-j, so a finite root of entries
+    # whose Frobenius norm passes the float range is returned, not refused
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = hermitian_sqrt(2.0**1022 * np.diag([3.0, 3.0]))
+    assert got.tobytes() == (math.sqrt(3.0) * 2.0**511 * np.eye(2, dtype=complex)).tobytes()
+    # and 4**k P has the root of P times 2**k, bit for bit, far outside [2**-252, 2**252]
+    rng = np.random.default_rng(25)
+    for _ in range(20):
+        b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        p = _matmul(b, dagger(b)) + 0.1 * np.eye(2)
+        p = 0.5 * p + 0.5 * dagger(p)
+        want = hermitian_sqrt(p).view(float)
+        for k in (300, -300, 500, -500):
+            got = hermitian_sqrt(np.ldexp(p.view(float), 2 * k).view(complex))
+            assert got.tobytes() == np.ldexp(want, k).tobytes(), k
+    # an indefinite matrix out of range names its eigenvalue in the caller's frame
+    with pytest.raises(MetricDegeneracyError, match=r"smallest eigenvalue -2\.000e-300$") as exc:
+        hermitian_sqrt(np.diag([3e-300, -2e-300]))
+    assert exc.value.eigenvalue == -2e-300
 
 
 def test_hermitian_sqrt_rejects_non_hermitian():
