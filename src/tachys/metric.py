@@ -82,13 +82,18 @@ class Metric:
     """A positive-definite metric with cached square root and inverse root.
 
     ``metric_from_sqrt`` over arrays gives ``(n, 2, 2)`` stacks of the three
-    matrices, one metric per row.  Kernels take the fields as they are: a
-    Metric is a record the library builds, not an argument it reads again.
+    matrices, one metric per row.  Each field is read once, as the record is
+    built, into a C-ordered complex array (the library's own pass uncopied);
+    kernels take the fields as they are.
     """
 
     eta: np.ndarray
     sqrt_eta: np.ndarray
     inv_sqrt_eta: np.ndarray
+
+    def __post_init__(self):
+        for name in ("eta", "sqrt_eta", "inv_sqrt_eta"):
+            object.__setattr__(self, name, np.ascontiguousarray(getattr(self, name), dtype=complex))
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,8 +214,7 @@ def _quasi_hamiltonian(hm: np.ndarray, metric: Metric, omega: float) -> QuasiHam
     # degenerate-metric limit its roundoff dominates the residuals
     cond = 0.5 * _frobenius(metric.sqrt_eta) * _frobenius(metric.inv_sqrt_eta)
     op_norm = _frobenius(op)
-    # the range step reads one matrix in memory order, so eta goes to it C-ordered, as as_operator copied it
-    defect = _pseudo_hermiticity_defect(_finite(op), np.ascontiguousarray(metric.eta))
+    defect = _pseudo_hermiticity_defect(_finite(op), metric.eta)
     violates = ValueError("constructed operator violates metric-Hermiticity")
     _reject_rows(np.logical_not(_negligible(defect, op_norm * cond * cond)), violates)
     l_op = _eigvals2(*_entries2(op))

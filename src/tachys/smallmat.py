@@ -436,7 +436,7 @@ def _normalized(v: np.ndarray) -> np.ndarray:
 
 
 def _stepped(x: np.ndarray, rank: int = 1):
-    """The range step of one item (a state for ``rank`` 1, a matrix for 2) or a stack, complex or real:
+    """The range step of one item (a state for ``rank`` 1, a matrix for 2) or a stack:
     ``x 2**-e``, its items flattened (None for one item that is 0, whose norm needs no
     pass) and e, ``_exponent`` of each item's largest entry part; None when none is
     scaled.  One item is flattened in memory order, as ``np.linalg.norm`` does, so its
@@ -453,7 +453,7 @@ def _stepped(x: np.ndarray, rank: int = 1):
         e = _exponent(np.abs(flat.view(float)).max(axis=-1))
         if not e.any():
             return x, flat, None
-    flat = np.ldexp(flat.view(float), -np.expand_dims(e, -1)).view(flat.dtype)
+    flat = np.ldexp(flat.view(float), -np.expand_dims(e, -1)).view(complex)
     return flat.reshape(x.shape), flat, e
 
 
@@ -884,11 +884,14 @@ def propagator(ham, t) -> np.ndarray:
 def _propagator(m: np.ndarray, t):
     """``propagator`` of a generator (or stack) and times already read."""
     a0, e, r, pauli_part = _pauli_split(m)
-    if m.ndim == 2 and e:
+    if m.ndim == 3 or not e:
+        tr = _ldexp(t, e)
+    else:
         # n 2**-e turns on the clock t 2**e: past the float range it names its earliest such time
         with np.errstate(over="ignore"):
-            _reject_first_time(np.reshape(t, -1), np.reshape(np.ldexp(t, e), -1), "the propagator's clock t 2**e")
-    tr = _ldexp(t, e)
+            tr = np.ldexp(t, e)
+        _reject_first_time(np.reshape(t, -1), np.reshape(tr, -1), "the propagator's clock t 2**e")
+        tr = float(tr) if tr.ndim == 0 else tr
     with np.errstate(over="ignore", invalid="ignore"):
         phase, cosf, sincf = _damped_factors(a0, r, t, tr)
         u = _col(phase) * (_col(cosf) * np.eye(2) - _col(1j * sincf) * pauli_part)
@@ -919,7 +922,7 @@ def _hermitian_sqrt(p: np.ndarray) -> np.ndarray:
     """``hermitian_sqrt`` of a 2x2 matrix already read, C-ordered, in the frame of an even range step 4**-j."""
     if not _is_hermitian(p):
         raise ValueError("hermitian_sqrt requires a Hermitian matrix")
-    j = -(-_exponent(max(map(abs, p.view(float).ravel().tolist()))) // 2)
+    j = -(-(_stepped(p, 2)[2] or 0) // 2)
     p = _ldexp(p, -2 * j)
     w, v = np.linalg.eigh(_hermitian_part(p))
     wmin = float(w.min())

@@ -1,7 +1,6 @@
 """Smoke test of tools/abtime.py, the side-by-side kernel timer: the tree against itself."""
 
 import importlib.util
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -17,7 +16,6 @@ def _tool_module():
 
 def test_the_tree_against_itself_runs_every_kernel_with_equal_bits():
     # no timing is checked: only that every kernel ran on both sides, round by round, with equal results
-    start = time.perf_counter()
     tool = _tool_module()
     parent, change = tool.load("tachys_parent", ROOT), tool.load("tachys_change", ROOT / "src")
     assert parent["propagator"].__module__ == "tachys_parent.smallmat"
@@ -32,4 +30,3 @@ def test_the_tree_against_itself_runs_every_kernel_with_equal_bits():
     moved = {**change, "eigvals2": lambda m: change["eigvals2"](2.0 * m)}
     marked = {name: equal for name, _, _, equal in tool.compare(parent, moved, rounds=1, budget=0.0)}
     assert [name for name, equal in marked.items() if not equal] == ["eigvals2"]
-    assert time.perf_counter() - start < 2.0

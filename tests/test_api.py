@@ -424,14 +424,15 @@ FLOAT_DTYPES = {"float", "np.float64", "np.double", "'float'", "'float64'", "'f8
 
 
 #: the package's complex coercions, as above: ``_numeric``, the reader of
-#: every matrix, state or complex argument, and constants and states the
-#: package builds itself
+#: every matrix, state or complex argument, ``Metric``'s read of its fields
+#: as it is built, and constants and states the package builds itself
 COMPLEX_COERCION_SITES = [
     ("cli", "_cmd_dilation"),
     ("cli", "_cmd_dilation"),
     ("dilation", "build_dilation"),
     ("gates", "BlochBasis"),
     ("gates", "discrimination_povm"),
+    ("metric", "Metric"),
     ("opendyn", "_semigroup_basis"),
     ("opendyn", "_scan_columns"),
     *[("smallmat", "<module>")] * 5,

@@ -213,7 +213,7 @@ def test_quasi_hamiltonian_gates_are_relative_at_every_scale(side):
 
 
 def test_metric_fields_of_any_layout_or_real_dtype_keep_their_results_past_the_range_step():
-    # the fields of a Metric are not read again: held in Fortran order, as strided views or
+    # a Metric reads its fields once, as it is built: held in Fortran order, as strided views or
     # as real arrays, 4**k eta (its roots 2**+-k) gives the operator and the angle of eta
     # (a real array of a real root's metric; a complex root, whose eta is not its transpose, for the layouts)
     h = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
@@ -227,6 +227,13 @@ def test_metric_fields_of_any_layout_or_real_dtype_keep_their_results_past_the_r
         assert got == [got[0]] * 3
         if j:
             assert got[0][0] == quasi_hamiltonian(h, m, 1.0).operator.tobytes()
+    # int64 fields are read as their values, not as the bytes of floats
+    m = diag_metric(2.0)
+    held = Metric(np.array([[1, 0], [0, 4]]), np.array([[1, 0], [0, 2]]), np.diag([1.0, 0.5]))
+    for metric in (held, m):
+        got.append((quasi_hamiltonian(h, metric, 1.0).operator.tobytes(), metric_angle([1.0, 0.3j], [0.2, 1.0], metric),
+                    build_dilation(h, metric, 1.0).hamiltonian.tobytes()))
+    assert got[-2] == got[-1]
 
 
 def test_quasi_hamiltonian_rejects_non_hermitian_generators_at_every_scale():

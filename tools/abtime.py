@@ -1,6 +1,6 @@
 """Time the library's kernels side by side against another checkout, in one process.
 
-    python tools/abtime.py --src PARENT [--rounds N] [--budget SECONDS]
+    python tools/abtime.py --src PARENT
 
 Loads the ``tachys`` package of PARENT (its root or its ``src``) as
 ``tachys_parent`` and this checkout's as ``tachys_change``, each through
@@ -9,10 +9,10 @@ on the same inputs.  First every kernel of ``KERNELS`` runs once on each
 side and its results are compared bit for bit (``report_digest._feed``:
 arrays by dtype, shape and bytes, floats by ``float.hex``, errors by type
 and message); a kernel whose bits differ is marked ``differ``.  Then the
-kernels are timed in ``--rounds`` interleaved rounds: in each round every
+kernels are timed in ``ROUNDS`` interleaved rounds: in each round every
 kernel runs a batch of calls on one side and then on the other, the side
 that goes first alternating from round to round, with the garbage collector
-off.  A batch holds as many calls as take about ``--budget`` seconds.
+off.  A batch holds as many calls as take about ``BUDGET`` seconds.
 
 One tab-separated line per kernel: its name, the median time per call and
 its quartiles on the parent side, the same on the change side (in
@@ -59,6 +59,9 @@ KERNELS = {
     "build_dilation": lambda a, x: a["build_dilation"](x.flat, a["metric"], 1.0),
     "evolve_dilated": lambda a, x: a["evolve_dilated"](a["model"], x.e0, 0.7),
 }
+
+#: interleaved rounds, and seconds per batch of calls
+ROUNDS, BUDGET = 31, 0.005
 
 
 class Inputs:
@@ -167,12 +170,10 @@ def table(rows) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, help="the parent checkout (its root or its src)")
-    parser.add_argument("--rounds", type=int, default=31, help="interleaved rounds (default 31)")
-    parser.add_argument("--budget", type=float, default=0.005, help="seconds per batch of calls (default 0.005)")
     args = parser.parse_args(argv)
     parent = load("tachys_parent", args.src)
     change = load("tachys_change", Path(__file__).resolve().parents[1])
-    for line in table(compare(parent, change, args.rounds, args.budget)):
+    for line in table(compare(parent, change, ROUNDS, BUDGET)):
         print(line)
     return 0
 
