@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import _NOT_HERMITIAN, Metric, QuasiHamiltonian, _metric_from_matrix, _quasi_hamiltonian, _single_eta
+from .metric import Metric, QuasiHamiltonian, _metric_from_matrix, _quasi_hamiltonian, _single_eta
 from .smallmat import (
     POSDEF_FLOOR,
     MetricDegeneracyError,
@@ -33,7 +33,6 @@ from .smallmat import (
     as_operator,
     as_state,
     dagger,
-    positive_finite,
 )
 
 __all__ = ["DilationModel", "build_dilation", "evolve_dilated", "visibility_ratio"]
@@ -86,9 +85,7 @@ def build_dilation(h, metric: Metric, omega: float) -> DilationModel:
     if _negligible(det_eta, size * size, POSDEF_FLOOR):
         message = f"metric determinant {det_eta:.3e} is below the dilation floor"
         raise MetricDegeneracyError(message, eigenvalue=det_eta)
-    if not _is_hermitian(hm):
-        raise ValueError(_NOT_HERMITIAN)
-    generator = _quasi_hamiltonian(hm, metric, positive_finite("omega", omega))
+    generator = _quasi_hamiltonian(hm, metric, omega)
     eta_unit = metric.eta / np.sqrt(det_eta)
 
     # orthonormal eigenbasis of h, gap-upper state first, phases pinned

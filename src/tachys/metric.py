@@ -70,9 +70,6 @@ NORM_FLOOR = 1e-14
 
 GAP_MATCH_TOL = 1e-8
 
-#: quasi_hamiltonian's Hermitian gate, which build_dilation also runs before it reads omega
-_NOT_HERMITIAN = "quasi_hamiltonian requires a Hermitian generator"
-
 #: the float epsilon, 2**-52, that sizes quasi_hamiltonian's rounding allowance
 _EPS = sys.float_info.epsilon
 
@@ -196,12 +193,14 @@ def quasi_hamiltonian(h, metric: Metric, omega: float) -> QuasiHamiltonian:
     """
     hm = as_operator(h, stack=True)
     _paired("h", hm, "metric", metric.eta, 2)
-    _reject_rows(np.logical_not(_is_hermitian(hm)), ValueError(_NOT_HERMITIAN))
-    return _quasi_hamiltonian(hm, metric, positive_finite("omega", omega))
+    return _quasi_hamiltonian(hm, metric, omega)
 
 
-def _quasi_hamiltonian(hm: np.ndarray, metric: Metric, omega: float) -> QuasiHamiltonian:
-    """``quasi_hamiltonian`` from its gap gate on, of a Hermitian generator (or stack) and omega already read."""
+def _quasi_hamiltonian(hm: np.ndarray, metric: Metric, omega) -> QuasiHamiltonian:
+    """``quasi_hamiltonian`` of a generator (or stack) already read: its Hermitian gate, then
+    omega read by ``positive_finite``, then its gap, defect and spectrum gates."""
+    _reject_rows(np.logical_not(_is_hermitian(hm)), ValueError("quasi_hamiltonian requires a Hermitian generator"))
+    omega = positive_finite("omega", omega)
     l_h = _eigvals2(*_entries2(hm))
     gap = l_h[0] - l_h[1]
     _reject_rows(

@@ -400,7 +400,7 @@ def aligned_hamiltonian(metric: Metric, omega: float, initial, final) -> QuasiHa
 
 def _aligned_drive(metric: Metric, omega: float, initial, final):
     """``aligned_hamiltonian`` of omega and two states already read, and the flat overlap |a'| of the pair.
-    Its drive is a Hermitian part, Hermitian bit for bit, so of quasi_hamiltonian's reader it needs only ``_finite``."""
+    Its drive, a Hermitian part, Hermitian bit for bit, passes ``_finite`` and then ``_quasi_hamiltonian``'s gates."""
     mapped_i, mapped_f, a_abs = _map_boundary_states(metric, initial, final)
     a_complex, w, b_abs = _pair(mapped_i, mapped_f)
     u0 = mapped_i
@@ -468,9 +468,11 @@ def _canonical_arrival(metric: Metric, omega: float):
 def energy_gap_squared(hermitian_part):
     """(Tr M)^2 - 4 det M for a Hermitian matrix: the squared eigenvalue gap.
 
-    An ``(n, 2, 2)`` stack gives one value per matrix.  M takes the range step
-    first and the gap is scaled back (``_ldexp``), so 2**k M gives 4**k times
-    M's gap; ValueError where that passes the float range.
+    An ``(n, 2, 2)`` stack gives one value per matrix.  Only where M's largest entry
+    part leaves [2**-252, 2**252] does M take the range step and its gap come back
+    through ``_ldexp``, so there 2**k M gives 4**k times M's gap (ValueError past the
+    float range).  Inside, ``det`` rounds by scale: 2**60 [[1, 0.5], [0.5, -0.3]] gives
+    4**60 times 2.6899999999999973, not 2.69, until ROADMAP item 2's closed forms.
     """
     return _energy_gap_squared(as_operator(hermitian_part, stack=True))
 

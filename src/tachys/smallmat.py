@@ -14,9 +14,10 @@ so does every floor.  Every kernel takes one range step, ``_exponent``: a
 size (a largest entry part, or a Pauli vector's sum_k |Re n_k| + |Im n_k|)
 outside [2**-252, 2**252] is first scaled by a power of two, which is exact
 (``_stepped``, and ``_rescaled`` with the norm).  ``_ldexp`` is the one way
-back: it scales a result, or ``propagator``'s clock, by the step's power of
-two, and raises ValueError where that leaves the float range.  Every norm,
-of one vector or of each row of a stack, is ``_norm``.
+back: it scales a result by the step's power of two, and raises ValueError
+where that leaves the float range (``propagator``'s clock t 2**e is checked by
+``_reject_first_time`` instead).  Every norm, of one vector or of each row
+of a stack, is ``_norm``.
 Every Hermitian part is ``_hermitian_part``, 0.5 m + 0.5 m^dag, halved
 before it is summed so that a finite matrix has a finite part.  Each 2x2
 rule runs on Python complex scalars for one matrix and elementwise on rows
@@ -173,12 +174,15 @@ def _reject_rows(bad, error, *values) -> None:
     raise exc
 
 
-def _reject_first_time(ts: np.ndarray, values: np.ndarray, what: str) -> None:
-    """The earliest-overflow rule: ValueError "<what> is first not finite at t = <t>",
-    naming the earliest time t in ``ts`` whose value is not finite."""
+def _reject_first_time(ts, values, what: str, stack: bool = False) -> None:
+    """The earliest-overflow rule: ValueError "<what> is first not finite at t = <t>", naming the
+    earliest time t in ``ts`` whose value is not finite; over the rows of a ``stack``, "<what> is
+    not finite at t = <t>" naming the first such row's own time, the row marked (``_reject_rows``)."""
     finite = np.isfinite(values)
-    if not finite.all():
-        raise ValueError(f"{what} is first not finite at t = {float(ts[~finite].min())!r}")
+    if stack:
+        _reject_rows(~finite, lambda t: ValueError(f"{what} is not finite at t = {float(t)!r}"), ts)
+    elif not finite.all():
+        raise ValueError(f"{what} is first not finite at t = {float(np.reshape(ts, -1)[~np.ravel(finite)].min())!r}")
 
 
 def _any(flags) -> bool:
@@ -233,7 +237,6 @@ def _first_failing_row(run, n: int):
 _MATRIX_NOT_FINITE = "matrix has non-finite entries"
 _PAULI_NOT_FINITE = "the generator's Pauli vector leaves the float range"
 _STATE_NOT_FINITE = "state has non-finite entries"
-_U_OVERFLOWS = "the propagator overflows: U(t)"
 _OUT_OF_RANGE = "the result leaves the float range"
 
 
@@ -683,12 +686,12 @@ def _pauli_split(m: np.ndarray):
 
     n is the Pauli vector after the range step of ``_pauli_vector``, and ``r``
     the principal root of its n.n, complex for non-Hermitian generators and
-    zero at an exceptional point, where n.sigma is nilpotent.  An
-    ``(n, 2, 2)`` stack gives ``(n,)`` arrays and an ``(n, 2, 2)`` stack.
+    zero at an exceptional point, where n.sigma (``_pauli_entries``) is nilpotent.
+    An ``(n, 2, 2)`` stack gives ``(n,)`` arrays and an ``(n, 2, 2)`` stack.
     """
     a0, e, ax, ay, az = _pauli_vector(*_entries2(m))
     r = np.sqrt(_cmul(ax, ax) + _cmul(ay, ay) + _cmul(az, az) + 0j)
-    return a0, e, r, _col(ax) * PAULI_X + _col(ay) * PAULI_Y + _col(az) * PAULI_Z
+    return a0, e, r, _matrix2(*_pauli_entries(ax, ay, az))
 
 
 def _pauli_vector(m00, m01, m10, m11):
@@ -737,10 +740,10 @@ def _pauli_size(nx, ny, nz):
 
 
 def _ldexp(x, e):
-    """x 2**e, each part scaled exactly: the one way back from a range step, for a result
-    or ``propagator``'s clock.  Of a Python float or complex and an int ``e``, or elementwise
-    of a float or complex array and an int (or int array); x itself where ``e`` is 0 or None.
-    ValueError, with no warning, where a value leaves the float range (a stack's first such row)."""
+    """x 2**e, each part scaled exactly: the one way back from a range step, for a result.  Of a
+    Python float or complex and an int ``e``, or elementwise of a float or complex array and an int
+    (or int array); x itself where ``e`` is 0 or None.  ValueError, with no warning, where a value
+    leaves the float range (a stack's first such row)."""
     if not isinstance(e, np.ndarray) and not e:
         return x
     if not isinstance(x, np.ndarray):
@@ -827,21 +830,19 @@ def _damped_factors(a0, r, t, tr):
     small = (size < 1.0) & (size >= _EP_RADIUS)
     if _any(small):
         damped = damped | (abs(kt) - np.log(_where(small, size, 1.0)) > _COSH_LIMIT)
+    phase, cosf, sincf = _exp(-1j * a0 * t), *_cos_sinc(r, tr)
     if not _any(damped):
-        return (_exp(-1j * a0 * t), *_cos_sinc(r, tr))
-    with np.errstate(over="ignore", invalid="ignore"):
-        phase, cosf, sincf = _exp(-1j * a0 * t), *_cos_sinc(r, tr)
-        # [j, ...] keeps a scalar t's rows as 0-d arrays the ufuncs can write to
-        hyperbolic = np.empty((2, *np.shape(kt)))
-        esinh, ecosh = hyperbolic[0, ...], hyperbolic[1, ...]
-        _damped_sinh_cosh(a0.imag * t, kt, (esinh, ecosh))
-        wt = r.real * tr
-        cos_w, sin_w = _cos_sin(wt)
-        return (
-            _where(damped, _cis(-(a0.real * t)), phase),
-            _where(damped, cos_w * ecosh - 1j * sin_w * esinh, cosf),
-            _where(damped, (sin_w * ecosh + 1j * cos_w * esinh) / r, sincf),
-        )
+        return phase, cosf, sincf
+    # [j, ...] keeps a scalar t's rows as 0-d arrays the ufuncs can write to
+    hyperbolic = np.empty((2, *np.shape(kt)))
+    esinh, ecosh = hyperbolic[0, ...], hyperbolic[1, ...]
+    _damped_sinh_cosh(a0.imag * t, kt, (esinh, ecosh))
+    cos_w, sin_w = _cos_sin(r.real * tr)
+    return (
+        _where(damped, _cis(-(a0.real * t)), phase),
+        _where(damped, cos_w * ecosh - 1j * sin_w * esinh, cosf),
+        _where(damped, (sin_w * ecosh + 1j * cos_w * esinh) / r, sincf),
+    )
 
 
 def propagator(ham, t) -> np.ndarray:
@@ -859,7 +860,7 @@ def propagator(ham, t) -> np.ndarray:
     takes the range step of ``_pauli_vector``, so ``propagator(2**k ham, 2**-k t)``
     is ``propagator(ham, t)`` bit for bit, and an s past the float range
     raises ValueError, as does a clock t 2**e past it, naming its earliest
-    such time (a stack marks its first such row, ``_ldexp``).  Where
+    such time (a stack names its first such row's time and marks the row).  Where
     |Im(r) t| passes 700 (r the root of the scaled n.n, t its clock),
     cosh(Im r t) nears the float range, so those entries
     put the damping e^{Im(a0) t} onto cos and sin through the overflow-free
@@ -869,7 +870,7 @@ def propagator(ham, t) -> np.ndarray:
     t = 800 gives diag(1, e^-1600), diag(0, -2e-10 i) at t = 6.9e12 gives
     diag(1, e^-1380)).  Every other entry, real r included, keeps the plain
     form.  A result that is not finite raises ValueError, with no warning,
-    naming its earliest such time (a stack's first such row).  ``t`` is read
+    in the same way (``_reject_first_time``).  ``t`` is read
     by ``_reals``: a complex or str ``t`` raises TypeError, a NaN or infinite
     time ValueError naming the first such value, and a ``t`` of more than one
     dimension ValueError naming its shape.
@@ -884,22 +885,17 @@ def propagator(ham, t) -> np.ndarray:
 def _propagator(m: np.ndarray, t):
     """``propagator`` of a generator (or stack) and times already read."""
     a0, e, r, pauli_part = _pauli_split(m)
-    if m.ndim == 3 or not e:
-        tr = _ldexp(t, e)
-    else:
-        # n 2**-e turns on the clock t 2**e: past the float range it names its earliest such time
-        with np.errstate(over="ignore"):
-            tr = np.ldexp(t, e)
-        _reject_first_time(np.reshape(t, -1), np.reshape(tr, -1), "the propagator's clock t 2**e")
-        tr = float(tr) if tr.ndim == 0 else tr
     with np.errstate(over="ignore", invalid="ignore"):
+        tr = t
+        if _any(e):
+            # n 2**-e turns on the clock t 2**e, which names its time where it passes the float range
+            tr = _float_or_array(np.ldexp(t, e))
+            _reject_first_time(t, tr, "the propagator's clock t 2**e", m.ndim == 3)
         phase, cosf, sincf = _damped_factors(a0, r, t, tr)
         u = _col(phase) * (_col(cosf) * np.eye(2) - _col(1j * sincf) * pauli_part)
         if not _all_finite(u):
-            flags = (u * 0.0).sum(axis=(-2, -1))  # NaN where a time's matrix is not finite: inf * 0 is NaN
-            if m.ndim == 2:
-                _reject_first_time(np.reshape(t, -1), np.reshape(flags, -1), _U_OVERFLOWS)
-            _reject_rows(np.isnan(flags), lambda x: ValueError(f"{_U_OVERFLOWS} is not finite at t = {float(x)!r}"), t)
+            # NaN where a time's matrix is not finite: inf * 0 is NaN
+            _reject_first_time(t, (u * 0.0).sum(axis=(-2, -1)), "the propagator overflows: U(t)", m.ndim == 3)
     return u
 
 

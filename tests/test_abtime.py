@@ -29,4 +29,4 @@ def test_the_tree_against_itself_runs_every_kernel_with_equal_bits():
     # a side whose bits move is marked, kernel by kernel
     moved = {**change, "eigvals2": lambda m: change["eigvals2"](2.0 * m)}
     marked = {name: equal for name, _, _, equal in tool.compare(parent, moved, rounds=1, budget=0.0)}
-    assert [name for name, equal in marked.items() if not equal] == ["eigvals2"]
+    assert [name for name, equal in marked.items() if not equal] == ["eigvals2", "eigvals2.4096"]

@@ -41,6 +41,8 @@ from report_digest import LIBRARY_MODULES, _feed  # noqa: E402
 #: (its public names plus ``metric`` and ``model`` built by that side) and the shared inputs
 KERNELS = {
     "propagator": lambda a, x: a["propagator"](x.h2, 0.7),
+    "propagator.times": lambda a, x: a["propagator"](x.drive, x.times),
+    "propagator.stack": lambda a, x: a["propagator"](x.stack, x.stack_times),
     "first_passage_scan.hermitian": lambda a, x: a["first_passage_scan"](x.h2, x.e0, x.on_h2, 10.0, 1500),
     "first_passage_scan.metric_hermitian": lambda a, x: a["first_passage_scan"](x.drive, x.e0, x.on_drive, 10.0, 1500),
     "first_passage_scan.broken_pt": lambda a, x: a["first_passage_scan"](x.broken, x.e0, x.e1, 10.0, 1500),
@@ -54,6 +56,7 @@ KERNELS = {
     "energy_gap_squared": lambda a, x: a["energy_gap_squared"](x.h2),
     "dissipation_scan.4096": lambda a, x: a["dissipation_scan"](x.f_grid, 1.0, 1e-6),
     "eigvals2": lambda a, x: a["eigvals2"](x.broken),
+    "eigvals2.4096": lambda a, x: a["eigvals2"](x.stack),
     "split_generator": lambda a, x: a["split_generator"](x.broken),
     "hermitian_sqrt": lambda a, x: a["hermitian_sqrt"](x.eta),
     "build_dilation": lambda a, x: a["build_dilation"](x.flat, a["metric"], 1.0),
@@ -67,7 +70,8 @@ ROUNDS, BUDGET = 31, 0.005
 class Inputs:
     """The arguments both sides share, built here with numpy alone: a Hermitian drive, a metric-Hermitian
     drive S^-1 h S under the metric root S and its trace-shifted form, a broken-PT drive, targets on the
-    orbits of the first two, a density matrix, a time grid and a dissipation grid."""
+    orbits of the first two, a density matrix, a time grid, a dissipation grid, and a seeded stack of 4096
+    Hermitian drives with one time each."""
 
     def __init__(self):
         self.e0, self.e1 = np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)
@@ -85,6 +89,10 @@ class Inputs:
         self.rho0 = np.array([[0.6, 0.25 + 0.1j], [0.25 - 0.1j, 0.4]])
         self.times = np.linspace(0.0, 10.0, 4096)
         self.f_grid = np.linspace(0.05, 6.0, 4096)
+        rng = np.random.default_rng(1)
+        a = rng.normal(size=(4096, 2, 2)) + 1j * rng.normal(size=(4096, 2, 2))
+        self.stack = 0.5 * (a + a.conj().transpose(0, 2, 1))
+        self.stack_times = rng.uniform(0.0, 10.0, 4096)
 
     def _evolved(self, h, t, psi=None):
         """e^{-i h t} psi of a Hermitian h, psi = e0 by default."""
