@@ -32,7 +32,7 @@ from .smallmat import (
     _matrix2,
     _norm,
     _normalized,
-    _operator_entries,
+    _operator2,
     _paired,
     _pauli_entries,
     _pauli_root,
@@ -213,9 +213,9 @@ def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -
     each once, and the first bad one raises ValueError (TypeError, naming
     it, for a str, complex or array ``t_max`` or ``steps``); a bad array raises
     what ``as_operator(ham)``, ``as_state(x)`` or ``normalize`` would.  The
-    drive and each state are read once into Python complex scalars, gated
-    by ``_is_hermitian2`` and normalized by ``_unit2``, which give
-    ``is_hermitian``'s verdict and ``normalize``'s bits; where a norm
+    drive and each state are read once into Python complex scalars, the drive
+    checked (``_operator2``) and gated by ``_is_hermitian2``, the states normalized
+    by ``_unit2``, which give ``is_hermitian``'s verdict and ``normalize``'s bits; where a norm
     lies inside [2**-250, 2**251], as for every ordinary input, they and the
     real-spectrum path are Python scalar arithmetic with no numpy call.  The
     drive's norm also sizes the grid's candidate slack.  The drive's
@@ -224,7 +224,7 @@ def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -
     n 2**-e over [0, t_max 2**e] and the time found scaled back; ValueError
     where t_max 2**e leaves the normal floats, or that sum the float range.
     """
-    m00, m01, m10, m11 = _operator_entries(ham)
+    m00, m01, m10, m11 = _operator2(ham)
     hermitian, size = _is_hermitian2(m00, m01, m10, m11)
     t_max = positive_finite("t_max", t_max)
     steps = _scan_steps(steps)

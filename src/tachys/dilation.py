@@ -69,7 +69,7 @@ class DilationModel:
 def build_dilation(h, metric: Metric, omega: float) -> DilationModel:
     """Assemble the four-level Hermitian model for (h, metric).
 
-    Checks in order: ``h`` is traceless; the metric determinant is not
+    Checks in order: ``h`` is traceless; ``metric`` is not a stack; its determinant is not
     negligible, at POSDEF_FLOOR, next to ||eta||_F^2; then the gates of
     ``quasi_hamiltonian(h, metric, omega)`` (Hermitian ``h`` with gap ``omega``),
     whose dressed generator the model keeps as ``generator``; then the two
@@ -80,7 +80,7 @@ def build_dilation(h, metric: Metric, omega: float) -> DilationModel:
     hm = as_operator(h)
     if not _negligible(abs(complex(np.trace(hm))), _frobenius(hm)):
         raise ValueError("build_dilation requires a traceless generator")
-    det_eta = float(np.linalg.det(metric.eta).real)
+    det_eta = float(np.linalg.det(_single_eta(metric)).real)
     size = _frobenius(metric.eta)
     if _negligible(det_eta, size * size, POSDEF_FLOOR):
         message = f"metric determinant {det_eta:.3e} is below the dilation floor"

@@ -44,7 +44,6 @@ from .smallmat import (
     _matrix2,
     _norm,
     _operator2,
-    _operator_entries,
     _pair,
     _pauli_entries,
     _pauli_root,
@@ -193,9 +192,9 @@ def evolve_semigroup(ham, rho0, times) -> EvolutionTrace:
 
     The set-up runs on Python scalars, with no numpy call: ``ham`` and
     ``rho0`` are each read once, raising what ``as_operator(x)``
-    would, in the order ham, rho0, times; rho0 is checked by
-    ``_is_hermitian2`` (``is_hermitian``'s verdict, in scalar arithmetic
-    for a rho0 of ordinary size) and by its smaller eigenvalue and trace;
+    would, in the order ham, rho0, times (``_operator2``); rho0 is gated by
+    ``_is_hermitian2`` (``is_hermitian``'s one verdict of a 2x2 matrix, in scalar
+    arithmetic for a rho0 of ordinary size) and by its smaller eigenvalue and trace;
     the rate of ``k_values`` is ``split_generator``'s ``rate_max``, bit for
     bit, and k(t) is e^{-2 (rate t)}, so it overflows only where it exceeds
     the float range; a rate of exactly 0 (a Hermitian generator, most
@@ -207,7 +206,7 @@ def evolve_semigroup(ham, rho0, times) -> EvolutionTrace:
     arrays.
     """
     m00, m01, m10, m11 = _operator2(ham)
-    rho = p00, p01, p10, p11 = _operator_entries(rho0)
+    rho = p00, p01, p10, p11 = _operator2(rho0)
     if not _is_hermitian2(*rho)[0]:
         raise ValueError("rho0 must be Hermitian")
     # the smaller eigenvalue of the Hermitian part (rho0 + rho0^dag) / 2

@@ -21,8 +21,10 @@ of a stack, is ``_norm``.
 Every Hermitian part is ``_hermitian_part``, 0.5 m + 0.5 m^dag, halved
 before it is summed so that a finite matrix has a finite part.  Each 2x2
 rule runs on Python complex scalars for one matrix and elementwise on rows
-for a stack: ``_entries2`` is the one reader of a matrix's four entries, and
-``_eigvals2`` the one eigenvalue kernel.  ``_reals`` reads every real scalar
+for a stack: ``_entries2`` is the one reader of a matrix's four entries,
+``_eigvals2`` the one eigenvalue kernel and ``_is_hermitian2`` the one Hermitian
+verdict (``_is_hermitian``'s numpy rule judges a stack, a 4x4 matrix and a 2x2
+one past its scalar range, with one range step).  ``_reals`` reads every real scalar
 or grid argument, and ``_numeric`` every matrix, state or complex parameter:
 each raises TypeError for a str, None or other non-numeric value.  Each
 argument is read once: a public function is its reader (``_numeric`` or
@@ -307,23 +309,17 @@ def _check_state_shape(shape: tuple, stack: bool = False) -> None:
         raise ValueError(f"expected a length-2 state, got length {shape[-1]}")
 
 
-def _operator2(mat) -> tuple[complex, complex, complex, complex]:
+def _operator2(mat) -> list[complex]:
     """The entries m00, m01, m10, m11 of one 2x2 matrix as Python complex
     scalars, raising the error type and message of ``as_operator(mat)``
     (without its ``row`` mark): the matrix is read once, without a copy."""
-    m00, m01, m10, m11 = _operator_entries(mat)
-    if not (cmath.isfinite(m00) and cmath.isfinite(m01) and cmath.isfinite(m10) and cmath.isfinite(m11)):
-        raise ValueError(_MATRIX_NOT_FINITE)
-    return m00, m01, m10, m11
-
-
-def _operator_entries(mat) -> list[complex]:
-    """``_operator2`` without its finiteness check, which ``_is_hermitian2``
-    makes in its pass over the entries."""
     m = _numeric("matrix", mat)
     if m.shape != (2, 2):
         _check_operator_shape(m.shape)
-    return _entries2(m)
+    entries = m00, m01, m10, m11 = _entries2(m)
+    if not (cmath.isfinite(m00) and cmath.isfinite(m01) and cmath.isfinite(m10) and cmath.isfinite(m11)):
+        raise ValueError(_MATRIX_NOT_FINITE)
+    return entries
 
 
 def _entries2(m: np.ndarray):
@@ -393,21 +389,22 @@ def is_hermitian(mat):
 
 
 def _is_hermitian(m: np.ndarray):
-    """``is_hermitian`` of a complex matrix or stack already read."""
+    """``is_hermitian`` of a matrix or stack already read: one 2x2 by ``_is_hermitian2``, else both norms after one range step."""
+    if m.shape == (2, 2):
+        return _is_hermitian2(*_entries2(m))[0]
     scaled, size, _ = _rescaled(np.ascontiguousarray(m), 2)
-    _, skew, e = _rescaled(scaled - dagger(scaled), 2)
-    ok = _negligible(_ldexp(skew, e), size)
+    skew = scaled - dagger(scaled)
+    ok = _negligible(_norm(skew if m.ndim == 3 else skew.ravel()), size)
     return ok if m.ndim == 3 else bool(ok)
 
 
 def _is_hermitian2(m00: complex, m01: complex, m10: complex, m11: complex) -> tuple[bool, float]:
-    """``is_hermitian(as_operator([[m00, m01], [m10, m11]]))`` of Python complex
-    scalars, which may be unchecked (``_operator_entries``), and the
-    Frobenius norm, ``math.hypot`` of the entry parts (0.0 for an exactly
+    """The one Hermitian verdict of a single 2x2 matrix [[m00, m01], [m10, m11]] of Python complex
+    scalars, and its Frobenius norm, ``math.hypot`` of the entry parts (0.0 for an exactly
     Hermitian matrix, whose verdict needs no size).  In scalar arithmetic
     where the skew is 0 and the real diagonal finite, or where the norm lies
     in [_NORM_MIN, _NORM_MAX], which shows every entry finite and in range;
-    every other matrix goes to ``as_operator`` and ``_is_hermitian``."""
+    every other matrix takes ``_is_hermitian``'s numpy rule as a one-matrix stack."""
     # ||m - m^dag||_F: the off-diagonal pair each give |m01 - conj m10|, each
     # diagonal entry 2 Im m_kk; a skew of 0 shows m01, m10 and Im m_kk finite
     d = m01 - m10.conjugate()
@@ -417,7 +414,7 @@ def _is_hermitian2(m00: complex, m01: complex, m10: complex, m11: complex) -> tu
     size = math.hypot(m00.real, m00.imag, m01.real, m01.imag, m10.real, m10.imag, m11.real, m11.imag)
     if _NORM_MIN <= size <= _NORM_MAX:
         return _negligible(skew, size), size
-    return _is_hermitian(as_operator([[m00, m01], [m10, m11]])), size
+    return bool(_is_hermitian(_matrix2(m00, m01, m10, m11)[None])[0]), size
 
 
 def normalize(vec) -> np.ndarray:
@@ -447,10 +444,12 @@ def _stepped(x: np.ndarray, rank: int = 1):
     if x.ndim == rank:
         # one item: its largest part decides, in Python
         flat = x.ravel(order="K")
-        big = max(map(abs, flat.view(float).tolist()))
+        parts = flat.view(float).tolist()
+        big = max(map(abs, parts))
         e = _exponent(big)
         if not e:
-            return x, flat if big else None, None
+            # max skips a NaN that is not first; any counts it
+            return x, flat if big or any(parts) else None, None
     else:
         flat = np.ascontiguousarray(x).reshape(len(x), math.prod(x.shape[1:]))
         e = _exponent(np.abs(flat.view(float)).max(axis=-1))

@@ -332,6 +332,16 @@ def test_visibility_ratio_rejects_a_stacked_metric(n):
         visibility_ratio(stacked, E0)
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_build_dilation_rejects_a_stacked_metric_after_the_trace_check(n):
+    # the metric is checked single before its determinant floor, which reads one float
+    stacked = metric_from_sqrt(np.full(n, 2.0), np.zeros(n))
+    with pytest.raises(ValueError, match=rf"^metric must be a single 2x2 metric, got a stack of shape \({n}, 2, 2\)$"):
+        build_dilation(H_HALF_X, stacked, 1.0)
+    with pytest.raises(ValueError, match="^build_dilation requires a traceless generator$"):
+        build_dilation(H_HALF_X + np.eye(2), stacked, 1.0)
+
+
 def test_visibility_collapses_along_degenerating_rescaled_metrics():
     # det(eta) -> 0 with the unit-normalized convention: the observable part
     # of the stack loses all weight while the shortcut time collapses

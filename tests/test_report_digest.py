@@ -145,8 +145,8 @@ OTHER_PARAMETERS = {
 }
 
 #: reads past one per such parameter: ``first_passage_scan``'s out-of-range fallbacks, ``_unit2`` to
-#: ``as_state`` for each state and ``_is_hermitian2`` to ``as_operator`` for the drive, are its finiteness checks
-FALLBACK_READS = {"first_passage_scan": 3}
+#: ``as_state`` for each state, are its finiteness checks
+FALLBACK_READS = {"first_passage_scan": 2}
 
 
 def test_each_public_call_reads_each_matrix_state_or_complex_argument_once(monkeypatch):

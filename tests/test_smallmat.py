@@ -30,7 +30,6 @@ from tachys.smallmat import (
     _matmul,
     _norm,
     _operator2,
-    _operator_entries,
     _pauli_root,
     _pauli_split,
     _pauli_vector,
@@ -804,10 +803,10 @@ def _verdict(gate, x):
 def test_operator_reader_acts_as_as_operator(x):
     want = _outcome(lambda y: as_operator(y).ravel().tolist(), x)
     assert _outcome(_operator2, x) == want
-    # the unchecked read and the Hermiticity gate's one pass raise the same,
-    # or give is_hermitian's verdict
-    want = _verdict(lambda y: is_hermitian(as_operator(y)), x)
-    assert _verdict(lambda y: _is_hermitian2(*_operator_entries(y))[0], x) == want
+    # the checked read and the Hermiticity gate raise the same, or give the
+    # verdict of the numpy rule on the one-matrix stack
+    want = _verdict(lambda y: bool(is_hermitian(as_operator(y)[None])[0]), x)
+    assert _verdict(lambda y: _is_hermitian2(*_operator2(y))[0], x) == want
 
 
 @pytest.mark.parametrize("x", _STATE_INPUTS)
@@ -837,8 +836,8 @@ def test_one_pass_readers_keep_bits_and_errors_across_the_float_range():
         m = entries.reshape(2, 2)
         if k % 3 == 0:
             m = np.array([[m[0, 0].real, m[0, 1]], [m[0, 1].conjugate(), m[1, 1].real]])
-        want = _verdict(lambda y: (is_hermitian(as_operator(y)), math.hypot(*y.view(float).ravel())), m)
-        got = _verdict(lambda y: _is_hermitian2(*_operator_entries(y)), m)
+        want = _verdict(lambda y: (bool(is_hermitian(as_operator(y)[None])[0]), math.hypot(*y.view(float).ravel())), m)
+        got = _verdict(lambda y: _is_hermitian2(*_operator2(y)), m)
         if isinstance(got, tuple) and got[0] is True and got[1] == 0.0:
             # an exactly Hermitian matrix's verdict needs no norm
             want = (want[0], 0.0) if isinstance(want[0], bool) else want
@@ -875,7 +874,7 @@ def test_strided_and_fortran_order_stacks_read_as_their_c_order_copies():
 
 def test_readers_give_python_complex_scalars():
     m = np.array([[0.5, 1j], [-1j, 0.25]], dtype=np.complex64)
-    for entries in (_operator2(m), _operator_entries(m), _state_entries([1, 0.5])):
+    for entries in (_operator2(m), _state_entries([1, 0.5])):
         assert {type(z) for z in entries} == {complex}
     # a (1, 2) array is no state: the reader raises as as_state does
     with pytest.raises(ValueError, match=re.escape("expected a 1-d state, got shape (1, 2)")):
@@ -937,6 +936,21 @@ def test_frobenius_past_the_float_range_raises():
     _raise_past_the_float_range(frobenius)
 
 
+def test_a_nan_part_counts_in_the_range_step_of_one_matrix():
+    # max skips a NaN that is not first: the zero shortcut gave frobenius 0.0
+    # and a Hermitian verdict where the one-matrix stack gave NaN and False
+    for k in range(8):
+        m = np.zeros(8)
+        m[k] = np.nan
+        m = m.view(complex).reshape(2, 2)
+        assert math.isnan(frobenius(m)) and np.isnan(frobenius(m[None])).tolist() == [True], k
+        assert is_hermitian(m) is False and is_hermitian(m[None]).tolist() == [False], k
+    # the skew inf - inf is NaN: one matrix read True, its stack [False]
+    m = np.array([[1.0, np.inf], [np.inf, 1.0]])
+    with np.errstate(invalid="ignore"):
+        assert is_hermitian(m) is False and is_hermitian(m[None]).tolist() == [False]
+
+
 def test_frobenius_keeps_ordinary_matrices_bit_for_bit():
     rng = np.random.default_rng(19)
     m = _random_generators(rng, 400) * 10.0 ** rng.uniform(-150, 150, size=(400, 1, 1))
@@ -980,8 +994,8 @@ def test_is_hermitian_gate_is_relative_to_the_matrix(k, size, hermitian):
 
 
 def test_scalar_hermiticity_gate_is_is_hermitians_across_the_float_range():
-    # _is_hermitian2 gives is_hermitian's verdict on the entries, on both
-    # sides of the tolerance, at every scale 2**k with |k| <= 1000, and the
+    # _is_hermitian2 gives the numpy rule's verdict on the one-matrix stack, on
+    # both sides of the tolerance, at every scale 2**k with |k| <= 1000, and the
     # Frobenius norm with it (0.0 for an exactly Hermitian matrix)
     rng = np.random.default_rng(21)
     for _ in range(10):
@@ -993,7 +1007,7 @@ def test_scalar_hermiticity_gate_is_is_hermitians_across_the_float_range():
             for k in [*range(-1000, 1001, 50), *EDGE_KS]:
                 s = 2.0**k * m
                 hermitian, norm = _is_hermitian2(*s.ravel().tolist())
-                assert hermitian is is_hermitian(s) is (size < 1e-10)
+                assert hermitian is bool(is_hermitian(s[None])[0]) is (size < 1e-10)
                 assert norm == (0.0 if size == 0.0 else pytest.approx(frobenius(s), rel=1e-15))
                 if k in EDGE_KS:
                     # the unscaled verdict, and its norm scaled exactly

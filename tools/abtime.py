@@ -58,6 +58,8 @@ KERNELS = {
     "eigvals2": lambda a, x: a["eigvals2"](x.broken),
     "eigvals2.4096": lambda a, x: a["eigvals2"](x.stack),
     "split_generator": lambda a, x: a["split_generator"](x.broken),
+    "is_hermitian": lambda a, x: a["is_hermitian"](x.drive),
+    "is_hermitian.4096": lambda a, x: a["is_hermitian"](x.stack),
     "hermitian_sqrt": lambda a, x: a["hermitian_sqrt"](x.eta),
     "build_dilation": lambda a, x: a["build_dilation"](x.flat, a["metric"], 1.0),
     "evolve_dilated": lambda a, x: a["evolve_dilated"](a["model"], x.e0, 0.7),
