@@ -42,7 +42,6 @@ from .smallmat import (
     _reals,
     _reject_first_time,
     _reject_rows,
-    _state_entries,
     _unit2,
     _vdots,
     _where,
@@ -215,12 +214,12 @@ def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -
     what ``as_operator(ham)``, ``as_state(x)`` or ``normalize`` would.  The
     drive and each state are read once into Python complex scalars, the drive
     checked (``_operator2``) and gated by ``_is_hermitian2``, the states normalized
-    by ``_unit2``, which give ``is_hermitian``'s verdict and ``normalize``'s bits; where a norm
-    lies inside [2**-250, 2**251], as for every ordinary input, they and the
-    real-spectrum path are Python scalar arithmetic with no numpy call.  The
-    drive's norm also sizes the grid's candidate slack.  The drive's
-    Pauli vector n takes the range step of ``_pauli_vector``: where its
-    sum_k |Re n_k| + |Im n_k| leaves [2**-252, 2**252], it is scanned as
+    by ``_unit2``, which reads each once: they give ``is_hermitian``'s verdict and
+    ``normalize``'s bits; where a norm lies inside [2**-250, 2**251], as for every
+    ordinary input, they and the real-spectrum path are Python scalar arithmetic
+    with no numpy call.  The drive's norm also sizes the grid's candidate slack.
+    The drive's Pauli vector n takes the range step of ``_pauli_vector``: where
+    its sum_k |Re n_k| + |Im n_k| leaves [2**-252, 2**252], it is scanned as
     n 2**-e over [0, t_max 2**e] and the time found scaled back; ValueError
     where t_max 2**e leaves the normal floats, or that sum the float range.
     """
@@ -228,8 +227,8 @@ def first_passage_scan(ham, initial, final, t_max: float, steps: int = 10_000) -
     hermitian, size = _is_hermitian2(m00, m01, m10, m11)
     t_max = positive_finite("t_max", t_max)
     steps = _scan_steps(steps)
-    u = _unit2(*_state_entries(initial))
-    v = _unit2(*_state_entries(final))
+    u = _unit2(initial)
+    v = _unit2(final)
     if hermitian:
         # the symmetrized drive (m + m^dag) / 2, halved before it is summed,
         # whose n.n has imaginary part 0

@@ -32,6 +32,8 @@ argument is read once: a public function is its reader (``_numeric`` or
 ``_paired``) followed by a private kernel of the values read, such as
 ``frobenius`` and ``_frobenius``; inside the package a function calls
 another's kernel, never its reader, and a kernel checks only what it computes.
+On the scalar path ``_operator2`` reads one 2x2 matrix, and ``_unit2`` reads
+and normalizes a 2-state, each once, with no fallback re-read.
 
 Every numpy function whose last bits depend on the host (its SIMD loops,
 glibc's libm, the BLAS kernel) has one owner here, which the other modules
@@ -328,16 +330,6 @@ def _entries2(m: np.ndarray):
     return m.ravel().tolist() if m.ndim == 2 else np.ascontiguousarray(m.reshape(-1, 4).T)
 
 
-def _state_entries(vec) -> list[complex]:
-    """The entries of one 2-state as Python complex scalars, raising the error
-    type and message of ``as_state(vec)`` for a bad shape: the state is read
-    once, without a copy.  ``_unit2`` checks the entries."""
-    v = _numeric("state", vec)
-    if v.shape != (2,):
-        _check_state_shape(v.shape)
-    return v.tolist()
-
-
 def _all_finite(x: np.ndarray) -> bool:
     """Whether every entry of a complex array is finite.  Up to 16 entries a
     Python pass is used: it is about 3x faster than a ufunc and its reduction."""
@@ -350,9 +342,11 @@ def frobenius(mat):
     """Frobenius norm, true across the float range (``_rescaled``); per matrix of a stack.
     TypeError unless ``mat`` is numeric (``_numeric``), ValueError naming its shape
     unless it is a square matrix or an ``(n, k, k)`` stack of them (``_check_square``),
-    and ValueError where the norm itself passes the float range (``_ldexp``)."""
+    ValueError at its first matrix with a non-finite entry (the row marked), and
+    ValueError where the norm itself passes the float range (``_ldexp``)."""
     m = _numeric("matrix", mat)
     _check_square(m.shape)
+    _reject_rows(~np.isfinite(m).all(axis=(-2, -1)), ValueError(_MATRIX_NOT_FINITE))
     return _frobenius(m)
 
 
@@ -382,9 +376,10 @@ def _negligible(residual, size, tol=HERMITICITY_TOL):
 def is_hermitian(mat):
     """Whether ||mat - mat^dag||_F is negligible next to ||mat||_F; one bool per stacked matrix.
     Both norms are of the matrix as ``frobenius`` rescales it, so an overflowing skew fails.
-    TypeError and ValueError as ``frobenius`` raises them."""
+    TypeError and ValueError as ``frobenius`` raises them, a non-finite entry's included."""
     m = _numeric("matrix", mat)
     _check_square(m.shape)
+    _reject_rows(~np.isfinite(m).all(axis=(-2, -1)), ValueError(_MATRIX_NOT_FINITE))
     return _is_hermitian(m)
 
 
@@ -465,15 +460,19 @@ def _rescaled(x: np.ndarray, rank: int = 1):
     return x, 0.0 if flat is None else _norm(flat), e
 
 
-def _unit2(x0: complex, x1: complex) -> tuple[complex, complex]:
-    """``normalize([x0, x1])`` of Python complex scalars, which may be
-    unchecked (``_state_entries``), bit for bit and error for error, as a
-    pair of them: in scalar arithmetic where the norm lies in
-    [_NORM_MIN, _NORM_MAX], which shows the entries finite and in range;
-    every other state goes to ``as_state`` and ``_normalized``."""
+def _unit2(vec) -> tuple[complex, complex]:
+    """The one reader and normalizer of a 2-state on the scalar path: ``normalize(vec)`` as a
+    pair of Python complex scalars, bit for bit and error for error.  ``vec`` is read once
+    (``_numeric``, then ``as_state``'s shape error) and normalized in scalar arithmetic where its
+    norm lies in [_NORM_MIN, _NORM_MAX], which shows the entries finite and in range; any other
+    state takes ``as_state``'s finiteness check and ``_normalized`` on the array read."""
+    v = _numeric("state", vec)
+    if v.shape != (2,):
+        _check_state_shape(v.shape)
+    x0, x1 = v.tolist()
     a, b, c, d = x0.real, x0.imag, x1.real, x1.imag
     if not _NORM_MIN <= math.hypot(a, b, c, d) <= _NORM_MAX:
-        y0, y1 = _normalized(as_state([x0, x1])).tolist()
+        y0, y1 = _normalized(_finite(np.ascontiguousarray(v), 1)).tolist()
         return y0, y1
     # np.linalg.norm's BLAS dot fuses its second product into the sum:
     # |x|^2 = fma(c, c, a a) + fma(d, d, b b)

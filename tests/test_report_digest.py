@@ -144,10 +144,6 @@ OTHER_PARAMETERS = {
     "scale", "stack", "steps", "t", "t_max", "times", "x",
 }
 
-#: reads past one per such parameter: ``first_passage_scan``'s out-of-range fallbacks, ``_unit2`` to
-#: ``as_state`` for each state, are its finiteness checks
-FALLBACK_READS = {"first_passage_scan": 2}
-
 
 def test_each_public_call_reads_each_matrix_state_or_complex_argument_once(monkeypatch):
     # count the _numeric calls of each successful call (its arguments built first); a public
@@ -167,7 +163,7 @@ def test_each_public_call_reads_each_matrix_state_or_complex_argument_once(monke
     for name, family in tool.LIBRARY_FAMILIES.items():
         params = inspect.signature(api[name]).parameters
         assert set(params) <= ARRAY_PARAMETERS | OTHER_PARAMETERS, name
-        allowed = sum(p in ARRAY_PARAMETERS for p in params) + FALLBACK_READS.get(name, 0)
+        allowed = sum(p in ARRAY_PARAMETERS for p in params)
         calls = 0
         for c in family(tool._Draw(1, name), 5):
             with warnings.catch_warnings():

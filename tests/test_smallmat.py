@@ -25,7 +25,9 @@ from tachys.smallmat import (
     _eigvals2,
     _entries2,
     _first_failing_row,
+    _frobenius,
     _hermitian_part,
+    _is_hermitian,
     _is_hermitian2,
     _matmul,
     _norm,
@@ -33,7 +35,6 @@ from tachys.smallmat import (
     _pauli_root,
     _pauli_split,
     _pauli_vector,
-    _state_entries,
     _unit2,
     PAULI_X,
     PAULI_Y,
@@ -742,16 +743,16 @@ def test_unit2_is_normalize_bit_for_bit():
     states += [np.array([complex(a, b), complex(c, d)]) for a in zeros for b in zeros for c in zeros for d in zeros if a or b or c or d]
     states += [np.array(x, dtype=complex) for x in ([1e300, 1e300], [1e-170, 1e-170j], [5e-324, 0.0], [1.7e308, -1.7e308j])]
     for v in states:
-        got = np.array(_unit2(*_state_entries(v)))
+        got = np.array(_unit2(v))
         assert got.tobytes() == normalize(v).tobytes(), v
     # at the edges of the range a scaled state gives the unscaled one's bits
     for v in states[:50]:
         v = v / np.abs(v.view(float)).max()
-        want = _unit2(*_state_entries(v))
+        want = _unit2(v)
         for k in EDGE_KS:
-            assert np.array(_unit2(*_state_entries(2.0**k * v))).tobytes() == np.array(want).tobytes(), k
+            assert np.array(_unit2(2.0**k * v)).tobytes() == np.array(want).tobytes(), k
     with pytest.raises(ValueError, match="cannot normalize the zero vector"):
-        _unit2(*_state_entries([0.0, -0.0]))
+        _unit2([0.0, -0.0])
 
 
 def _outcome(read, x):
@@ -811,12 +812,9 @@ def test_operator_reader_acts_as_as_operator(x):
 
 @pytest.mark.parametrize("x", _STATE_INPUTS)
 def test_state_reader_acts_as_as_state(x):
-    want = _outcome(lambda y: as_state(y).tolist(), x)
-    if isinstance(want, list):
-        assert _outcome(_state_entries, x) == want
-    # the unchecked read and _unit2's one pass raise what as_state, then
-    # normalize, raise, or give normalize's bits
-    assert _outcome(lambda y: _unit2(*_state_entries(y)), x) == _outcome(lambda y: normalize(as_state(y)), x)
+    # _unit2's one read and pass raise what as_state, then normalize, raise,
+    # or give normalize's bits
+    assert _outcome(_unit2, x) == _outcome(lambda y: normalize(as_state(y)), x)
 
 
 def test_one_pass_readers_keep_bits_and_errors_across_the_float_range():
@@ -832,7 +830,7 @@ def test_one_pass_readers_keep_bits_and_errors_across_the_float_range():
         entries = parts.view(complex)
         state = entries[:2]
         want = _outcome(lambda y: normalize(as_state(y)), state)
-        assert _outcome(lambda y: _unit2(*_state_entries(y)), state) == want
+        assert _outcome(_unit2, state) == want
         m = entries.reshape(2, 2)
         if k % 3 == 0:
             m = np.array([[m[0, 0].real, m[0, 1]], [m[0, 1].conjugate(), m[1, 1].real]])
@@ -874,11 +872,11 @@ def test_strided_and_fortran_order_stacks_read_as_their_c_order_copies():
 
 def test_readers_give_python_complex_scalars():
     m = np.array([[0.5, 1j], [-1j, 0.25]], dtype=np.complex64)
-    for entries in (_operator2(m), _state_entries([1, 0.5])):
+    for entries in (_operator2(m), _unit2([1, 0.5])):
         assert {type(z) for z in entries} == {complex}
     # a (1, 2) array is no state: the reader raises as as_state does
     with pytest.raises(ValueError, match=re.escape("expected a 1-d state, got shape (1, 2)")):
-        _state_entries(np.ones((1, 2)))
+        _unit2(np.ones((1, 2)))
 
 
 def test_fidelity_rescales_states_whose_squares_leave_the_float_range():
@@ -938,17 +936,29 @@ def test_frobenius_past_the_float_range_raises():
 
 def test_a_nan_part_counts_in_the_range_step_of_one_matrix():
     # max skips a NaN that is not first: the zero shortcut gave frobenius 0.0
-    # and a Hermitian verdict where the one-matrix stack gave NaN and False
+    # and a Hermitian verdict where the one-matrix stack gave NaN and False.
+    # The public readers reject a non-finite entry; the kernels still meet
+    # interior values
+    bad = []
     for k in range(8):
         m = np.zeros(8)
         m[k] = np.nan
         m = m.view(complex).reshape(2, 2)
-        assert math.isnan(frobenius(m)) and np.isnan(frobenius(m[None])).tolist() == [True], k
-        assert is_hermitian(m) is False and is_hermitian(m[None]).tolist() == [False], k
+        assert math.isnan(_frobenius(m)) and np.isnan(_frobenius(m[None])).tolist() == [True], k
+        assert _is_hermitian(m) is False and _is_hermitian(m[None]).tolist() == [False], k
+        bad.append(m)
     # the skew inf - inf is NaN: one matrix read True, its stack [False]
-    m = np.array([[1.0, np.inf], [np.inf, 1.0]])
+    m = np.array([[1.0, np.inf], [np.inf, 1.0]], dtype=complex)
     with np.errstate(invalid="ignore"):
-        assert is_hermitian(m) is False and is_hermitian(m[None]).tolist() == [False]
+        assert _is_hermitian(m) is False and _is_hermitian(m[None]).tolist() == [False]
+    for m in [*bad, m]:
+        big = np.eye(4, dtype=complex)
+        big[2:, 2:] = m
+        for x, row in ((m, 0), (m[None], 0), (np.stack([np.eye(2), m]), 1), (big, 0), (big.T, 0)):
+            for public in (frobenius, is_hermitian):
+                with pytest.raises(ValueError, match="matrix has non-finite entries") as exc:
+                    public(x)
+                assert exc.value.row == row
 
 
 def test_frobenius_keeps_ordinary_matrices_bit_for_bit():

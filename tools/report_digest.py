@@ -357,6 +357,30 @@ class _Draw:
     def basis(self, stack=False):
         return call("BlochBasis", self.uniform(1e-3, math.pi, self.n(single=True) if stack else None))
 
+    def orbit(self, h, u, t_max: float):
+        """A target on the orbit of the state ``u`` under the 2x2 drive ``h``: e^{-i h t} u at a drawn t in
+        [0, t_max], up to the phase and norm a passage ignores, from the closed form cos(r t) u - i sin(r t)/r
+        (n.sigma) u with r^2 = n.n.  It is computed in the frame where h and u are scaled by powers of two to
+        a largest part in [0.5, 1), and t by the inverse of h's (a frame time past 2**60 is taken smaller:
+        an earlier point of the orbit).  A drive or state that is 0 or not finite gets a random target."""
+        h, u = np.asarray(h, dtype=complex), np.asarray(u, dtype=complex)
+        if not (np.isfinite(h).all() and np.isfinite(u).all() and h.any() and u.any()):
+            return self.state()
+        ((h00, h01), (h10, h11)), e = _frame(h)
+        (u0, u1), _ = _frame(u)
+        nz = 0.5 * (h00 - h11)
+        r = np.sqrt(nz * nz + h01 * h10)
+        t = math.ldexp(self.uniform(0.0, t_max), min(e, 60 - math.frexp(t_max)[1]))
+        s = np.sin(r * t) / r if r else t
+        c = np.cos(r * t)
+        return np.array([c * u0 - 1j * s * (nz * u0 + h01 * u1), c * u1 - 1j * s * (h10 * u0 - nz * u1)])
+
+
+def _frame(x: np.ndarray):
+    """``x`` scaled by 2**-e to a largest entry part in [0.5, 1), and e."""
+    e = int(np.frexp(np.maximum(np.abs(x.real), np.abs(x.imag)).max())[1])
+    return np.ldexp(x.real, -e) + 1j * np.ldexp(x.imag, -e), e
+
 
 def _family(name: str, draw, valid: tuple = (), *bad):
     """The family of ``name``: ``count`` draws, each ``draw(d)`` giving the arguments of one
@@ -380,13 +404,16 @@ def _propagator(d: _Draw) -> list:
 
 
 def _first_passage_scan(d: _Draw) -> list:
-    # Hermitian, metric-Hermitian and broken-PT drives, then one of them 2**k times on 2**-k t_max
+    # Hermitian, metric-Hermitian and broken-PT drives, then one of them 2**k times on 2**-k t_max, each to
+    # a target on its own orbit; then one of the four to a random target
     u, v = d.state(), d.state()
     t_max, steps = d.uniform(1.0, 20.0), int(d.rng.integers(1000, 2000))
     drives = d.matrix(hermitian=True), d.metric_hermitian(), d.matrix(scale=False, special=False)
     unscaled = d.pick((d.matrix(hermitian=True, scale=False), *drives[1:]))
     k = d.pick((-300, 300))
-    return [(h, u, v, t_max, steps) for h in drives] + [(unscaled * 2.0**k, u, v, t_max * 2.0**-k, steps)]
+    runs = [(h, t_max) for h in drives] + [(unscaled * 2.0**k, t_max * 2.0**-k)]
+    h, t = d.pick(runs)
+    return [(drive, u, d.orbit(drive, u, top), top, steps) for drive, top in runs] + [(h, u, v, t, steps)]
 
 
 def _evolve_semigroup(d: _Draw) -> list:
