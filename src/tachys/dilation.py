@@ -20,10 +20,12 @@ from .smallmat import (
     _arg,
     _cis,
     _col,
+    _even_step,
     _finite,
     _frobenius,
     _hermitian_part,
     _is_hermitian,
+    _ldexp,
     _matmul,
     _negligible,
     _normalized,
@@ -88,8 +90,9 @@ def build_dilation(h, metric: Metric, omega: float) -> DilationModel:
     generator = _quasi_hamiltonian(hm, metric, omega)
     eta_unit = metric.eta / np.sqrt(det_eta)
 
-    # orthonormal eigenbasis of h, gap-upper state first, phases pinned
-    basis = np.linalg.eigh(_hermitian_part(hm))[1][:, ::-1]
+    # orthonormal eigenbasis of h, gap-upper state first, phases pinned; eigh after
+    # the even range step, so a drive past 2**+-252 is taken in range
+    basis = np.linalg.eigh(_even_step(_hermitian_part(hm))[0])[1][:, ::-1]
     anchor = basis[np.argmax(np.abs(basis), axis=0), [0, 1]]
     basis = basis * _cis(-_arg(anchor))
 
@@ -138,13 +141,16 @@ def evolve_dilated(model: DilationModel, initial, t) -> tuple[np.ndarray, np.nda
     ``t`` is a scalar or a 1-d array of times, read as ``propagator`` reads
     it; an array gives ``(len(t), 4)`` and ``(len(t), 2)`` stacks whose rows
     equal the scalar calls bit for bit.  exp(-i B t) of the model's
-    ``hamiltonian`` B comes from its ``eigh``; B must pass ``is_hermitian``.
+    ``hamiltonian`` B comes from its ``eigh`` after the even range step (``_even_step``), the
+    eigenvalues scaled back by 4**j; B must pass ``is_hermitian``.
     """
     psi = _normalized(as_state(initial))
     t = _reals("t", t)
     if not _is_hermitian(model.hamiltonian):
         raise ValueError("4x4 generators must be Hermitian")
-    w, v = np.linalg.eigh(_hermitian_part(model.hamiltonian))
+    b, j = _even_step(_hermitian_part(model.hamiltonian))
+    w, v = np.linalg.eigh(b)
+    w = _ldexp(w, 2 * j)
     psi_e = _matmul(dagger(model.eigenbasis), psi)
     stacked = np.concatenate([psi_e, _matmul(model.metric.eta, psi_e)])
     evolved = _matmul(v * _cis(-(w * _col(t))), dagger(v), stacked)

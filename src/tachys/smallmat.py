@@ -13,7 +13,9 @@ checks, both norms true across the float range, whatever the energy unit;
 so does every floor.  Every kernel takes one range step, ``_exponent``: a
 size (a largest entry part, or a Pauli vector's sum_k |Re n_k| + |Im n_k|)
 outside [2**-252, 2**252] is first scaled by a power of two, which is exact
-(``_stepped``, and ``_rescaled`` with the norm).  ``_ldexp`` is the one way
+(``_stepped``, and ``_rescaled`` with the norm); every ``eigh``, here and in
+the dilation, takes the even step 4**-j (``_even_step``), so its eigenvalues go
+back by 4**j and a square root by 2**j.  ``_ldexp`` is the one way
 back: it scales a result by the step's power of two, and raises ValueError
 where that leaves the float range (``propagator``'s clock t 2**e is checked by
 ``_reject_first_time`` instead).  Every norm, of one vector or of each row
@@ -28,10 +30,11 @@ one past its scalar range, with one range step).  ``_reals`` reads every real sc
 or grid argument, and ``_numeric`` every matrix, state or complex parameter:
 each raises TypeError for a str, None or other non-numeric value.  Each
 argument is read once: a public function is its reader (``_numeric`` or
-``_reals``, the shape and finiteness checks, ``positive_finite``,
-``_paired``) followed by a private kernel of the values read, such as
-``frobenius`` and ``_frobenius``; inside the package a function calls
-another's kernel, never its reader, and a kernel checks only what it computes.
+``_reals``, the shape checks, ``_finite``, the one finiteness rule of a matrix
+or state of any layout, ``positive_finite``, ``_paired``) followed by a
+private kernel of the values read, such as ``frobenius`` and ``_frobenius``;
+inside the package a function calls another's kernel, never its reader, and a
+kernel checks only what it computes.
 On the scalar path ``_operator2`` reads one 2x2 matrix, and ``_unit2`` reads
 and normalizes a 2-state, each once, with no fallback re-read.
 
@@ -280,9 +283,10 @@ def as_state(vec, stack: bool = False) -> np.ndarray:
 
 
 def _finite(x: np.ndarray, rank: int = 2) -> np.ndarray:
-    """``x``, a C-ordered matrix (``rank`` 2) or state (1) or stack; ValueError at its first non-finite item."""
+    """``x``, a matrix (``rank`` 2) or state (1) or stack of any layout, uncopied; ValueError
+    at its first non-finite item: the one finiteness rule of a matrix or state read."""
     if not _all_finite(x):
-        finite = np.isfinite(x.view(float)).all(axis=tuple(range(-rank, 0)))
+        finite = np.isfinite(x).all(axis=tuple(range(-rank, 0)))
         _reject_rows(~finite, ValueError(_MATRIX_NOT_FINITE if rank == 2 else _STATE_NOT_FINITE))
     return x
 
@@ -331,11 +335,12 @@ def _entries2(m: np.ndarray):
 
 
 def _all_finite(x: np.ndarray) -> bool:
-    """Whether every entry of a complex array is finite.  Up to 16 entries a
-    Python pass is used: it is about 3x faster than a ufunc and its reduction."""
+    """Whether every entry of a complex array of any layout is finite.  Up to 16 entries a
+    Python pass is used: it is about 3x faster than a ufunc and its reduction.  A larger
+    C-contiguous array is read as floats, which takes half the time of the complex test."""
     if x.size <= 16:
         return all(map(cmath.isfinite, x.ravel().tolist()))
-    return bool(np.isfinite(x.view(float)).all())
+    return bool(np.isfinite(x.view(float) if x.flags.c_contiguous else x).all())
 
 
 def frobenius(mat):
@@ -346,8 +351,7 @@ def frobenius(mat):
     ValueError where the norm itself passes the float range (``_ldexp``)."""
     m = _numeric("matrix", mat)
     _check_square(m.shape)
-    _reject_rows(~np.isfinite(m).all(axis=(-2, -1)), ValueError(_MATRIX_NOT_FINITE))
-    return _frobenius(m)
+    return _frobenius(_finite(m))
 
 
 def _frobenius(m: np.ndarray):
@@ -379,8 +383,7 @@ def is_hermitian(mat):
     TypeError and ValueError as ``frobenius`` raises them, a non-finite entry's included."""
     m = _numeric("matrix", mat)
     _check_square(m.shape)
-    _reject_rows(~np.isfinite(m).all(axis=(-2, -1)), ValueError(_MATRIX_NOT_FINITE))
-    return _is_hermitian(m)
+    return _is_hermitian(_finite(m))
 
 
 def _is_hermitian(m: np.ndarray):
@@ -452,6 +455,14 @@ def _stepped(x: np.ndarray, rank: int = 1):
             return x, flat, None
     flat = np.ldexp(flat.view(float), -np.expand_dims(e, -1)).view(complex)
     return flat.reshape(x.shape), flat, e
+
+
+def _even_step(m: np.ndarray):
+    """The even range step of one C-contiguous matrix, before an ``eigh``: m 4**-j and j, with
+    j = ceil(e / 2) of ``_stepped``'s e, so the largest entry part lies in [0.25, 1); m itself
+    and 0 in range.  Eigenvalues go back by 4**j and a square root by 2**j (``_ldexp``)."""
+    j = -(-(_stepped(m, 2)[2] or 0) // 2)
+    return _ldexp(m, -2 * j), j
 
 
 def _rescaled(x: np.ndarray, rank: int = 1):
@@ -916,8 +927,7 @@ def _hermitian_sqrt(p: np.ndarray) -> np.ndarray:
     """``hermitian_sqrt`` of a 2x2 matrix already read, C-ordered, in the frame of an even range step 4**-j."""
     if not _is_hermitian(p):
         raise ValueError("hermitian_sqrt requires a Hermitian matrix")
-    j = -(-(_stepped(p, 2)[2] or 0) // 2)
-    p = _ldexp(p, -2 * j)
+    p, j = _even_step(p)
     w, v = np.linalg.eigh(_hermitian_part(p))
     wmin = float(w.min())
     if _negligible(wmin, _frobenius(p), POSDEF_FLOOR):

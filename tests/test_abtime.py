@@ -1,22 +1,15 @@
 """Smoke test of tools/abtime.py, the side-by-side kernel timer: the tree against itself."""
 
-import importlib.util
 from pathlib import Path
 
+import support
+
 ROOT = Path(__file__).resolve().parents[1]
-TOOL = ROOT / "tools" / "abtime.py"
-
-
-def _tool_module():
-    spec = importlib.util.spec_from_file_location("abtime", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_the_tree_against_itself_runs_every_kernel_with_equal_bits():
     # no timing is checked: only that every kernel ran on both sides, round by round, with equal results
-    tool = _tool_module()
+    tool = support.tool("abtime")
     parent, change = tool.load("tachys_parent", ROOT), tool.load("tachys_change", ROOT / "src")
     assert parent["propagator"].__module__ == "tachys_parent.smallmat"
     rows = tool.compare(parent, change, rounds=2, budget=0.0)

@@ -19,14 +19,13 @@ import collections
 import dataclasses
 import functools
 import inspect
-import os
 import pathlib
-import subprocess
 import sys
 import textwrap
 
 import numpy as np
 import pytest
+from support import fresh_python
 
 import tachys
 from tachys import brachistochrone, dilation, gates, metric, opendyn, smallmat
@@ -335,21 +334,10 @@ def test_every_export_resolves_and_comes_from_its_module_exports():
         tachys.no_such_name
 
 
-def _fresh(code):
-    """stdout of ``code`` run in a new interpreter that fails on RuntimeWarning."""
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
 def test_import_tachys_loads_smallmat_only():
     code = "import sys, tachys; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'tachys'))"
-    assert _fresh(code).split() == ["tachys", "tachys.smallmat"]
+    proc = fresh_python("-W", "error::RuntimeWarning", "-c", code)
+    assert proc.returncode == 0 and proc.stdout.split() == ["tachys", "tachys.smallmat"], proc.stderr
 
 
 def test_star_import_and_dir_list_every_export_before_any_is_loaded():
@@ -358,7 +346,8 @@ def test_star_import_and_dir_list_every_export_before_any_is_loaded():
         "names = set(tachys.__all__); "
         "print(sorted(names - listed), sorted(names ^ (set(ns) - {'__builtins__'})))"
     )
-    assert _fresh(code).strip() == "[] []"
+    proc = fresh_python("-W", "error::RuntimeWarning", "-c", code)
+    assert proc.returncode == 0 and proc.stdout.strip() == "[] []", proc.stderr
 
 
 def test_dir_lists_every_export_sorted():
@@ -373,7 +362,9 @@ def test_runtime_imports_numpy_only():
         "import sys, tachys, tachys.cli, tachys.smallmat, tachys.brachistochrone, tachys.metric, "
         "tachys.opendyn, tachys.dilation, tachys.gates; print(' '.join(sys.modules))"
     )
-    loaded = {name.split(".")[0] for name in _fresh(code).split()}
+    proc = fresh_python("-W", "error::RuntimeWarning", "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {name.split(".")[0] for name in proc.stdout.split()}
     assert "numpy" in loaded
     assert loaded & {"scipy", "mpmath", "sympy", "hypothesis", "pytest"} == set()
 

@@ -1,10 +1,7 @@
 """Fastest fixed-gap drives: closed form, propagation checks, passage scan."""
 
 import math
-import os
 import re
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -34,6 +31,7 @@ from tachys.smallmat import (
     is_hermitian,
     propagator,
 )
+from support import fresh_python, hex_array, rule_boundary_drive
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)
@@ -482,11 +480,6 @@ RULE_BOUNDARY_TARGETS = {
 }
 
 
-def _rule_boundary_drive(side):
-    d = 10 * sys.float_info.epsilon * (1 - 2**-8 if side == "inside" else 1 + 2**-8)
-    return np.array([[0.3, complex(1.5, d)], [complex(0.5, d), 0.3]])
-
-
 @pytest.mark.parametrize("side", ["inside", "outside"])
 def test_real_spectrum_rule_boundary_in_the_scan(monkeypatch, side):
     # just inside the rule the drive takes the closed form, just outside the
@@ -494,7 +487,7 @@ def test_real_spectrum_rule_boundary_in_the_scan(monkeypatch, side):
     # t = 1000 at its first image 1000 - 275 pi / w (w = sqrt 0.75, the ray's
     # period pi / w), the k t ~ 3e-12 the rule drops being far below 1e-8
     calls = _count_grid_calls(monkeypatch)
-    ham = _rule_boundary_drive(side)
+    ham = rule_boundary_drive(side)
     assert not is_hermitian(ham)
     for t_star, (a, b, c, d) in zip((2.5, 1000.0), RULE_BOUNDARY_TARGETS[side]):
         t = first_passage_scan(ham, E0, [complex(a, b), complex(c, d)], t_max=1e3)
@@ -507,7 +500,7 @@ def test_general_passage_bisection_ends_where_floats_are_sparse():
     # past t ~ 8192 adjacent floats lie more than the 1e-12 refinement window
     # apart, so a midpoint can round to an end of its window: the bisection
     # then never shrank it and the scan never returned.  The call runs in a
-    # subprocess with a timeout, so a regression fails instead of hanging.
+    # fresh interpreter with a timeout, so a regression fails instead of hanging.
     # This broken-PT drive's normalized fidelity peaks at 0.69 (a 2e6-point
     # propagator grid over [0, 1e5]), so no passage exists
     code = (
@@ -516,13 +509,7 @@ def test_general_passage_bisection_ends_where_floats_are_sparse():
         "ham = np.array([[1e-3j, 1.0], [0.9, 0.3]])\n"
         "print(first_passage_scan(ham, [1, 0], [0.6, 0.8], 1e5))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-    )
+    proc = fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "None"
 
@@ -721,29 +708,59 @@ def test_hermitian_passage_edge_cases():
     assert abs(first - _expm_passage(h, u, v, 10.0 * np.pi / 1.8, steps=10_000)) <= 1e-9
 
 
+#: ``_pinned_family``'s nine cases, 17 ``float.hex`` parts each: the drive's entries (8), the initial
+#: state (4) and the target (4), real and imaginary in turn, and t_max.  A Hermitian drive on a random
+#: axis, one whose orbit runs through the target and a metric-Hermitian drive, three of each, drawn at
+#: seed 1717: the states normalized by np.linalg.norm, the tilted axes built through axis @ gap and the
+#: metric drives by aligned_hamiltonian, pinned as those bits, so no BLAS kernel moves them
+PINNED_CASES_HEX = (
+    "0x1.5731eed9f3ee4p-4 0x0.0p+0 0x1.605fb2e524c93p-3 -0x1.4591726f00238p-2 0x1.605fb2e524c93p-3 "
+    "0x1.4591726f00238p-2 -0x1.d0be6dbb46f80p-4 0x0.0p+0 -0x1.4e6808fd62b17p-2 0x1.4b1fa310ed90bp-1 "
+    "0x1.8d2edaad0105bp-2 -0x1.23ba90d9eb283p-1 0x1.913e6cbffa5b9p-1 0x1.bde833d8cbba9p-2 -0x1.de176d21bca6cp-5 "
+    "0x1.c1a65c31ce34dp-2 0x1.11a605b553291p+3",
+    "0x1.2f5337c9b95fbp-1 0x0.0p+0 -0x1.4048cf1c73c69p+0 -0x1.a587ca52565e6p-4 -0x1.4048cf1c73c69p+0 "
+    "0x1.a587ca52565e6p-4 -0x1.b4127a6f227f5p-1 0x0.0p+0 -0x1.d699289ff39acp-2 -0x1.59ca57547d9bdp-1 "
+    "0x1.259306b5cb433p-3 -0x1.1e0b0dd43122ep-1 -0x1.aae09fd64b6a0p-2 0x1.d05ec8570124dp-2 0x1.f4005ab5f1303p-2 "
+    "0x1.3c822d9eb60eap-1 0x1.1b3a21c5f2eb6p+1",
+    "0x1.e9d6ee8f3e7fep-3 -0x1.8879cccecefa9p-4 0x1.4cb16c9275eadp-2 -0x1.bb08d2e80ef8ep-6 0x1.23f4a478a714cp-2 "
+    "0x1.51874b0520f72p-3 -0x1.e9d6ee8f3e800p-3 0x1.8879cccecefaap-4 0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 "
+    "0x0.0p+0 -0x1.f9352533a9380p-1 -0x1.0aa8fdb49dc17p-3 -0x1.07bb98de590c2p-4 0x1.28ffd15601e00p-4 "
+    "0x1.0d2e7fbbf2f01p+3",
+    "-0x1.9ab39365fb5b2p+0 0x0.0p+0 -0x1.5bc7c503f3c8fp-1 -0x1.63ba6588262f2p-4 -0x1.5bc7c503f3c8fp-1 "
+    "0x1.63ba6588262f2p-4 0x1.288b4709fa424p-3 0x0.0p+0 0x1.51c450555490ap-2 0x1.2f3db1a3de54ep-1 "
+    "0x1.1e135b8c220aap-2 -0x1.5c260d396d164p-1 0x1.600d12f846cefp-3 0x1.7a056dcb761a5p-2 0x1.42865423fc1b3p-1 "
+    "-0x1.5299d291693fap-1 0x1.7144cdf5777a6p+1",
+    "0x1.dc0d1954a69fcp-2 0x0.0p+0 -0x1.235d94d57dc14p-4 -0x1.aef23fb95e04fp-4 -0x1.235d94d57dc14p-4 "
+    "0x1.aef23fb95e04fp-4 0x1.e2618bf8f8ab4p-1 0x0.0p+0 0x1.029cd47383e50p-1 0x1.b52ccbfa63c66p-1 "
+    "-0x1.b58b1952e9a53p-4 -0x1.0f51fc13c8ebcp-4 -0x1.a3b6b598291bep-1 -0x1.87ce42f0aaff0p-3 -0x1.08b7b3d28e09bp-1 "
+    "0x1.3ddb16406f855p-3 0x1.7b556f5a9fa5fp+3",
+    "-0x1.201cc05bf334dp-2 -0x1.18da91706917cp+0 -0x1.1c8ccfc367a33p-1 -0x1.465189e374804p+0 -0x1.9b76135b31026p-4 "
+    "0x1.575a23ffcaf4cp+0 0x1.201cc05bf334dp-2 0x1.18da91706917cp+0 0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+    "-0x1.89813b95c600ap-2 0x1.35e3019e52eaep-3 -0x1.4b8e1cd757fc4p-1 0x1.47dfecfb1276ep-1 0x1.00262f2105244p+2",
+    "0x1.b941618ccce96p+0 0x0.0p+0 -0x1.d071b1b11a720p-4 0x1.dadde37b978b8p-4 -0x1.d071b1b11a720p-4 "
+    "-0x1.dadde37b978b8p-4 0x1.bc92bdf3a06e3p+1 0x0.0p+0 0x1.7f361884b1309p-2 0x1.ecde3d28018acp-2 "
+    "-0x1.39f24fe68ca2fp-1 0x1.012cdc3da9565p-1 -0x1.33c8e14dd7b9ap-3 -0x1.e36cfe0beb79fp-2 0x1.a205a59dbb0e8p-1 "
+    "-0x1.2faea995b9d84p-2 0x1.cd055eb20a26ap+1",
+    "0x1.150e6dc05c79fp+0 0x0.0p+0 -0x1.3c7819b57b068p-2 -0x1.8e6b8360ac261p-3 -0x1.3c7819b57b068p-2 "
+    "0x1.8e6b8360ac261p-3 0x1.0a66cc583a14dp-2 0x0.0p+0 0x1.103563a5b5049p-4 -0x1.4d9b79b120061p-3 "
+    "0x1.eebf410e03fe9p-6 0x1.f7c6ed38bc0cbp-1 -0x1.0536f60e6e770p-1 -0x1.04af66d6eb0cap-1 -0x1.39629a41782b4p-1 "
+    "0x1.4d213b6aabf23p-2 0x1.74fd802e9eccap+2",
+    "0x1.5ae7a415a1f5bp-3 -0x1.396af57705693p-3 -0x1.dbfadd4d5f18ep-3 -0x1.76353d81e8181p-7 -0x1.2603ff1652ddap-2 "
+    "-0x1.abf541efcd3d5p-3 -0x1.5ae7a415a1f5ap-3 0x1.396af57705693p-3 0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 "
+    "0x0.0p+0 -0x1.a343294d20c7ap-1 -0x1.49b0227efe273p-5 0x1.f2eeb5f53cbadp-2 -0x1.33edded0d290bp-2 "
+    "0x1.84a2c5b7ce7efp+3",
+)
+
+
 def _pinned_family():
-    """(drive, initial, target, t_max): a Hermitian drive on a random axis,
-    one whose orbit runs through the target and a metric-Hermitian drive,
-    three of each; every one also scaled by 2**300 and 2**-300 (over a
-    window scaled by the reciprocal), and with the initial state scaled by
+    """(drive, initial, target, t_max): each case of PINNED_CASES_HEX, also scaled by 2**300 and
+    2**-300 (over a window scaled by the reciprocal), and with the initial state scaled by
     1e300 and the target by 1e-170."""
-    rng = np.random.default_rng(1717)
     cases = []
-    for kind in ("hermitian", "tilted", "metric") * 3:
-        omega = rng.uniform(0.3, 3.0)
-        u, v = _random_state(rng), _random_state(rng)
-        if kind == "metric":
-            u = E0
-            f = rng.uniform(0.8, 2.5)
-            g = rng.uniform(0.15, 0.7) * np.sqrt(f) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-            h = aligned_hamiltonian(metric_from_sqrt(f, g), omega, E0, v).operator
-        else:
-            axis = rng.normal(size=3)
-            if kind == "tilted":
-                gap = _bloch(u) - _bloch(v)
-                axis -= axis @ gap / (gap @ gap) * gap
-            h = _axis_drive(axis, 0.5 * omega) + rng.normal() * np.eye(2)
-        t_max = 1.02 * 2.0 * np.pi / omega
+    for case in PINNED_CASES_HEX:
+        *parts, t_max = case.split()
+        x, t_max = hex_array(" ".join(parts)), float.fromhex(t_max)
+        h, u, v = x[:4].reshape(2, 2), x[4:6], x[6:]
         cases.append((h, u, v, t_max))
         cases += [(h * 2.0**k, u, v, t_max * 2.0**-k) for k in (300, -300)]
         cases.append((h, 1e300 * u, 1e-170 * v, t_max))

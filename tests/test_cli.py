@@ -4,8 +4,6 @@ import argparse
 import errno
 import json
 import os
-import subprocess
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -25,6 +23,7 @@ from tachys.gates import (
 )
 from tachys.metric import diag_metric, quasi_hamiltonian
 from tachys.smallmat import PAULI_X, propagator
+from support import fresh_python
 
 EXP_MINUS_2 = 0.1353352832366127
 
@@ -783,11 +782,9 @@ def test_readme_report_from_python_m_loads_only_its_modules(name):
     # sys.modules" RuntimeWarning into a failure, and -X importtime logs each
     # module the process imports, one "import time: self | cumulative | name"
     # line per module
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-X", "importtime", "-m", "tachys.cli",
-         *README_INVOCATIONS[name].split()],
-        capture_output=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    proc = fresh_python(
+        "-W", "error::RuntimeWarning", "-X", "importtime", "-m", "tachys.cli", *README_INVOCATIONS[name].split(),
+        text=False,
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (GOLDENS / f"{name}.csv").read_bytes()
@@ -810,12 +807,7 @@ def test_output_file_matches_stdout_and_leaves_no_droppings(tmp_path, capsys):
 
 
 def test_console_script_is_wired():
-    proc = subprocess.run(
-        [sys.executable, "-m", "tachys.cli", "--help"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-    )
+    proc = fresh_python("-m", "tachys.cli", "--help")
     # argparse --help exits 0 and lists every subcommand
     assert proc.returncode == 0
     for name in ("brachy", "dissipation", "dilation", "povm", "notgate", "controlu", "efficiency"):

@@ -11,6 +11,7 @@ from tachys import smallmat
 from tachys.dilation import build_dilation, evolve_dilated, visibility_ratio
 from tachys.metric import Metric, diag_metric, metric_from_matrix, metric_from_sqrt, quasi_hamiltonian
 from tachys.smallmat import MetricDegeneracyError, PAULI_X, PAULI_Y, PAULI_Z, dagger, frobenius, normalize
+from support import taylor_expm
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)
@@ -32,17 +33,6 @@ def _random_model(rng):
     f = rng.uniform(1.0, 3.0)
     g = rng.uniform(0.0, 0.6) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
     return build_dilation(h, metric_from_sqrt(f, g), omega)
-
-
-def _taylor_expm(m, t, terms=60):
-    """Independent oracle: plain Taylor sum of exp(-1j*m*t)."""
-    acc = np.eye(m.shape[0], dtype=complex)
-    term = np.eye(m.shape[0], dtype=complex)
-    x = -1j * t * m
-    for k in range(1, terms):
-        term = term @ x / k
-        acc = acc + term
-    return acc
 
 
 # ----------------------------------------------------------------- structure
@@ -126,7 +116,7 @@ def test_dilated_evolution_matches_a_taylor_sum():
         stacked = np.concatenate([psi_e, model.metric.eta @ psi_e])
         for t in (0.9, -1.7):
             evolved, _ = evolve_dilated(model, psi0, t)
-            want = _taylor_expm(model.hamiltonian, t) @ stacked
+            want = taylor_expm(model.hamiltonian, t, 60) @ stacked
             assert np.linalg.norm(evolved - want) < 1e-11 * np.linalg.norm(stacked)
             assert abs(np.linalg.norm(evolved) - np.linalg.norm(stacked)) < 1e-12 * np.linalg.norm(stacked)
 

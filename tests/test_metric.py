@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from tachys.metric import (
     Metric,
     MetricDegeneracyError,
-    QuasiHamiltonian,
     diag_metric,
     metric_angle,
     metric_from_matrix,

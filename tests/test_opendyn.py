@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 
 from tachys import opendyn, smallmat
-from tachys.metric import diag_metric, metric_from_matrix, metric_from_sqrt, pseudo_hermiticity_defect, quasi_hamiltonian
+from tachys.metric import metric_from_matrix, metric_from_sqrt, pseudo_hermiticity_defect, quasi_hamiltonian
 from tachys.opendyn import (
     AlignmentError,
     aligned_hamiltonian,
@@ -25,6 +25,7 @@ from tachys.opendyn import (
     split_generator,
 )
 from tachys.smallmat import PAULI_X, PAULI_Y, PAULI_Z, dagger, is_hermitian, propagator
+from support import hex_array, rule_boundary_drive
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)
@@ -386,15 +387,7 @@ def test_evolve_semigroup_returns_disjoint_views_of_one_buffer():
 # ------------------------------------------------ real-spectrum rule and set-up
 
 
-def _rule_boundary_drive(side):
-    """[[0.3, 1.5 + i d], [0.5 + i d, 0.3]]: N = (1 + i d) X + (i/2) Y has
-    N^2 = 0.75 + 2 i d exactly and sum |n_k|^2 = 1.25, so d = 10 eps (1 -+ 2**-8)
-    lies just inside and just outside the real-spectrum rule."""
-    d = 10 * sys.float_info.epsilon * (1 - 2**-8 if side == "inside" else 1 + 2**-8)
-    return np.array([[0.3, complex(1.5, d)], [complex(0.5, d), 0.3]])
-
-
-#: rho(t) = (rho00, rho11, Re rho01, Im rho01) of ``_rule_boundary_drive`` from
+#: rho(t) = (rho00, rho11, Re rho01, Im rho01) of ``rule_boundary_drive`` from
 #: RHO_NEAR_EP at each of RULE_BOUNDARY_TIMES, from a 40-digit mpmath expm of
 #: the drive's entries taken exactly
 RULE_BOUNDARY_TIMES = (0.5, 3.0, 100.0, 1000.0)
@@ -423,7 +416,7 @@ def test_evolve_semigroup_real_spectrum_rule_boundary(monkeypatch, side):
     calls = []
     damped = opendyn._damped_sinh_cosh
     monkeypatch.setattr(opendyn, "_damped_sinh_cosh", lambda *args: calls.append(1) or damped(*args))
-    trace = evolve_semigroup(_rule_boundary_drive(side), RHO_NEAR_EP, RULE_BOUNDARY_TIMES)
+    trace = evolve_semigroup(rule_boundary_drive(side), RHO_NEAR_EP, RULE_BOUNDARY_TIMES)
     assert len(calls) == (side == "outside")
     eps = sys.float_info.epsilon
     k_max = 8 * eps * 1.25 / np.sqrt(0.75)
@@ -641,18 +634,27 @@ def test_semigroup_set_up_makes_no_linalg_call(monkeypatch):
         assert got_shifted.tobytes() == shifted.tobytes() and got_rate == rate
 
 
+#: the two metric-Hermitian generators of ``_bits_family`` as ``float.hex`` parts, real and imaginary
+#: in turn: quasi_hamiltonian(0.5 n.sigma / |n|, metric_from_sqrt(f, g), 1.0) of f in [0.8, 2.5],
+#: |g| / sqrt f in [0.15, 0.7] and a normal n, drawn at seed 18, pinned as those bits, so no BLAS
+#: kernel moves them
+QUASI_HEX = (
+    "0x1.e1ec24aaebee9p-3 0x1.e0f7f68e2ecb8p-2 -0x1.611a5b0aa85f0p-1 -0x1.8c1dd890f1c2ep-2 "
+    "-0x1.48f4c3bdaf43dp-2 0x1.005db9f9b4e40p-1 -0x1.e1ec24aaebee7p-3 -0x1.e0f7f68e2ecb8p-2",
+    "0x1.9597b89356a78p-4 -0x1.1264ae4909b3fp-2 0x1.6911915a378e7p-1 0x1.e49ff4eff3f65p-2 "
+    "0x1.5c0366902086cp-2 -0x1.38fcc5de75312p-3 -0x1.9597b89356a7dp-4 0x1.1264ae4909b3fp-2",
+)
+
+
 def _bits_family():
     """(generator, clock): metric-Hermitian, general, Hermitian, decaying,
     exceptional-point and 2**+-300-scaled generators, each with the factor
     by which its k_values times are scaled."""
     rng = np.random.default_rng(18)
     family = []
-    for _ in range(2):
-        f = rng.uniform(0.8, 2.5)
-        g = rng.uniform(0.15, 0.7) * np.sqrt(f) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        n = rng.normal(size=3)
-        pauli = (n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z) / np.linalg.norm(n)
-        family.append((quasi_hamiltonian(0.5 * pauli, metric_from_sqrt(f, g), 1.0).operator, 1.0))
+    for parts in QUASI_HEX:
+        rng.uniform(size=3), rng.normal(size=3)  # the draws f, g and n that built it
+        family.append((hex_array(parts).reshape(2, 2), 1.0))
     for _ in range(2):
         family.append((0.5 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))), 1.0))
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))

@@ -4,11 +4,8 @@ a typed error, with no numpy RuntimeWarning; and a call reads each matrix, state
 
 import dataclasses
 import importlib
-import importlib.util
 import inspect
 import itertools
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
@@ -16,19 +13,15 @@ import numpy as np
 import pytest
 
 from tachys.opendyn import AlignmentError
+import support
 
 ROOT = Path(__file__).resolve().parents[1]
-TOOL = ROOT / "tools" / "report_digest.py"
+TOOL = support.TOOLS / "report_digest.py"
 COMMANDS = {"brachy", "dissipation", "dilation", "povm", "notgate", "controlu", "efficiency"}
 
 
 def _digest(*extra, count=21):
-    proc = subprocess.run(
-        [sys.executable, str(TOOL), "--seed", "7", "--count", str(count), *extra],
-        capture_output=True,
-        text=True,
-        cwd=ROOT,
-    )
+    proc = support.fresh_python(str(TOOL), "--seed", "7", "--count", str(count), *extra, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -46,16 +39,9 @@ def test_report_digest_repeats_and_covers_every_command():
     assert "<tmp>/report" in first and "tachys-digest-" not in first
 
 
-def _tool_module():
-    spec = importlib.util.spec_from_file_location("report_digest", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_probes_run_one_child_per_configuration():
     # one invocation per command; each configuration's child must run to the end
-    tool = _tool_module()
+    tool = support.tool("report_digest")
     labels = [" ".join(f"{k}={v}" for k, v in config.items()) for config in tool.probe_configurations()]
     header, *rows = _digest("--probes", count=7).splitlines()
     assert header.split("\t") == ["configuration", *tool.COMMANDS, "moved"]
@@ -64,7 +50,7 @@ def test_probes_run_one_child_per_configuration():
 
 
 def test_library_digest_repeats_and_runs_every_family():
-    tool = _tool_module()
+    tool = support.tool("report_digest")
     first = _digest("--library", count=3)
     # a second run, importing the package through --src, gives the same lines
     assert _digest("--library", "--src", str(ROOT), count=3) == first
@@ -75,7 +61,7 @@ def test_library_digest_repeats_and_runs_every_family():
 
 def test_every_public_function_is_a_library_family():
     # a new public function joins the census (and the digest)
-    tool = _tool_module()
+    tool = support.tool("report_digest")
     public = set()
     for m in tool.LIBRARY_MODULES:
         module = importlib.import_module(f"tachys.{m}")
@@ -112,7 +98,7 @@ def _finite_result(x) -> bool:
 
 def test_library_calls_of_finite_arguments_return_finite_values_or_raise_a_typed_error():
     # every family at two seeds: a RuntimeWarning, an untyped error or a NaN result breaks the rule
-    tool = _tool_module()
+    tool = support.tool("report_digest")
     modules = [importlib.import_module(f"tachys.{m}") for m in tool.LIBRARY_MODULES]
     api = {name: getattr(m, name) for m in modules for name in m.__all__}
     for seed, (name, family) in itertools.product((1, 2), tool.LIBRARY_FAMILIES.items()):
@@ -148,7 +134,7 @@ OTHER_PARAMETERS = {
 def test_each_public_call_reads_each_matrix_state_or_complex_argument_once(monkeypatch):
     # count the _numeric calls of each successful call (its arguments built first); a public
     # function calling another public function reads its arguments again and fails this
-    tool = _tool_module()
+    tool = support.tool("report_digest")
     modules = [importlib.import_module(f"tachys.{m}") for m in tool.LIBRARY_MODULES]
     api = {name: getattr(m, name) for m in modules for name in m.__all__}
     numeric, reads = modules[0]._numeric, []

@@ -197,8 +197,8 @@ LAWS = [
 KNOWN = {
     "energy_gap_squared": "item 2: np.linalg.det's LU and exp(log|det|) are not exact under a power-of-two scale",
     "first_passage_scan": "item 25: the closed form's quadratic has coefficients in |n|**3, |n|**2 and |n|",
-    "build_dilation": "item 11: LAPACK's eigh, for the eigenbasis of h, rescales past 2**+-500 by no power of two",
-    "evolve_dilated": "items 11 and 12: its model's eigenbasis comes from build_dilation's eigh",
+    "build_dilation": "item 11: at 2**-1000 entries of the dilated generator B fall below the normal floats and round",
+    "evolve_dilated": "items 11 and 12: at 2**-1000 its model's B has entries below the normal floats",
 }
 
 

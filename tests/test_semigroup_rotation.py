@@ -12,16 +12,16 @@ glibc's FMA variants off), where ``tan`` and ``exp`` take other code.
 
 import math
 import os
-import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from tachys import opendyn, smallmat
-from tachys.metric import metric_from_sqrt, quasi_hamiltonian
-from tachys.opendyn import _semigroup_coefficients, aligned_hamiltonian, evolve_semigroup
+from tachys.opendyn import _semigroup_coefficients, evolve_semigroup
 from tachys.smallmat import PAULI_X, PAULI_Y, PAULI_Z
+import support
 
 EPS = sys.float_info.epsilon
 
@@ -128,18 +128,26 @@ def test_rotation_coefficients_sum_to_e_squared():
         assert np.max(np.abs(((c0 + c3) - p) - q) / p) <= 2.0 * EPS
 
 
+#: two metric-Hermitian drives as ``float.hex`` parts, real and imaginary in turn:
+#: quasi_hamiltonian(0.5 X, metric_from_sqrt(1.6, 0.7 + 0.3j), 1.0) and
+#: aligned_hamiltonian(metric_from_sqrt(1.6, 0.7 + 0.3j), 1.3, (1, 0), (0.6, 0.8i)), pinned as
+#: their bits, so no BLAS kernel moves them (Im a0 is exactly 0 in both)
+METRIC_DRIVES_HEX = (
+    "0x1.a5a5a5a5a5a5bp-3 -0x1.8787878787878p-2 0x1.0f0f0f0f0f0f1p+0 -0x1.a5a5a5a5a5a59p-3 "
+    "0x1.2d2d2d2d2d2d4p-2 0x1.a5a5a5a5a5a59p-3 -0x1.a5a5a5a5a5a5ap-3 0x1.8787878787878p-2",
+    "0x1.796769e076643p-1 -0x1.062e4d7caf730p+0 0x1.43767df1d3417p+0 -0x1.39b503c10f3cap+0 "
+    "-0x1.bfe872673aecbp-3 0x1.f7348d2b48859p-1 -0x1.796769e076641p-1 0x1.062e4d7caf730p+0",
+)
+
+
 def test_real_spectrum_semigroup_reaches_neither_sin_nor_cos(monkeypatch):
     # a Hermitian or metric-Hermitian generator reaches neither sin nor cos;
     # where alpha = Im a0 is exactly 0 (so for these three) it takes no exp
     # but that of k_values: per block one tan and one exp pass, and the
     # states keep their bits; the Hermitian drive's drift rate is exactly 0,
     # so its k_values are 1 and take no exp
-    v = np.array([0.6, 0.8j])
-    drives = [
-        0.3 * PAULI_X + 0.5 * PAULI_Y + 0.2 * PAULI_Z,
-        quasi_hamiltonian(0.5 * PAULI_X, metric_from_sqrt(1.6, 0.7 + 0.3j), 1.0).operator,
-        aligned_hamiltonian(metric_from_sqrt(1.6, 0.7 + 0.3j), 1.3, np.array([1.0, 0.0]), v).operator,
-    ]
+    drives = [0.3 * PAULI_X + 0.5 * PAULI_Y + 0.2 * PAULI_Z]
+    drives += [support.hex_array(parts).reshape(2, 2) for parts in METRIC_DRIVES_HEX]
     rho0 = np.array([[0.6, 0.25 + 0.1j], [0.25 - 0.1j, 0.4]])
     ts = np.linspace(-3.0, 9.0, opendyn._BLOCK + 5)
     want = [evolve_semigroup(h, rho0, ts) for h in drives]
@@ -164,16 +172,6 @@ def test_real_spectrum_semigroup_reaches_neither_sin_nor_cos(monkeypatch):
         assert sorted(calls) == passes
 
 
-def _dispatch_targets():
-    """numpy's dispatch targets that this process runs (``NPY_DISABLE_CPU_FEATURES``
-    ignores any other name, so a probe naming one tests nothing)."""
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy 1.x
-        from numpy.core import _multiarray_umath as umath
-    return [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
-
-
 def test_rotation_table_holds_under_other_host_dispatch():
     # the same bounds in fresh processes: with numpy's dispatch targets off
     # (tan and exp fall back to libm; the child checks that none is left),
@@ -181,15 +179,15 @@ def test_rotation_table_holds_under_other_host_dispatch():
     # on its child process only; the child's disabled targets join any this
     # process inherited, which are off here already and must stay off there
     check = "import test_semigroup_rotation as t\nt.check_rotation_table()\n"
-    disabled = " ".join(filter(None, [os.environ.get("NPY_DISABLE_CPU_FEATURES"), *_dispatch_targets()]))
+    targets = support.tool("report_digest").dispatch_targets()
+    disabled = " ".join(filter(None, [os.environ.get("NPY_DISABLE_CPU_FEATURES"), *targets]))
+    none_left = "import support\nassert not support.tool('report_digest').dispatch_targets()\n"
     hosts = [
-        ({"NPY_DISABLE_CPU_FEATURES": disabled}, check + "assert not t._dispatch_targets()\n"),
+        ({"NPY_DISABLE_CPU_FEATURES": disabled}, check + none_left),
         ({"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX"}, check),
     ]
     start = time.perf_counter()
     for host, code in hosts:
-        path = os.pathsep.join([os.path.dirname(os.path.abspath(__file__)), *sys.path])
-        env = {**os.environ, "PYTHONPATH": path, **host}
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+        proc = support.fresh_python("-c", code, env=host, path=[Path(__file__).resolve().parent])
         assert proc.returncode == 0, (host, proc.stderr)
     assert time.perf_counter() - start < 3.0

@@ -8,9 +8,7 @@ test.
 """
 
 import math
-import os
 import re
-import subprocess
 import sys
 import warnings
 
@@ -51,22 +49,12 @@ from tachys.smallmat import (
     positive_finite,
     propagator,
 )
+from support import taylor_expm
 
 UNITARITY_TOL = 1e-11
 GROUP_LAW_TOL = 1e-10
 SQRT_TOL = 1e-9
 TRACE_DET_TOL = 1e-12
-
-
-def _taylor_expm(m, t, terms=40):
-    """Independent oracle: plain Taylor sum of exp(-1j*m*t)."""
-    acc = np.eye(m.shape[0], dtype=complex)
-    term = np.eye(m.shape[0], dtype=complex)
-    x = -1j * t * np.asarray(m, dtype=complex)
-    for k in range(1, terms):
-        term = term @ x / k
-        acc = acc + term
-    return acc
 
 
 finite_floats = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -423,22 +411,6 @@ def test_propagator_rejects_non_finite_times():
     assert exc.value.row == 0
 
 
-def test_import_loads_no_scipy():
-    code = (
-        "import sys, tachys, tachys.cli, tachys.smallmat, tachys.brachistochrone, tachys.metric, "
-        "tachys.opendyn, tachys.dilation, tachys.gates; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     reals=st.lists(finite_floats, min_size=4, max_size=4),
@@ -472,7 +444,7 @@ def test_propagator_taylor_agreement_general(reals):
             [reals[4] + 1j * reals[5], reals[6] + 1j * reals[7]],
         ]
     )
-    assert np.linalg.norm(propagator(m, 0.3) - _taylor_expm(m, 0.3, terms=60)) < 1e-10
+    assert np.linalg.norm(propagator(m, 0.3) - taylor_expm(m, 0.3, 60)) < 1e-10
 
 
 # ------------------------------------------------------------- hermitian_sqrt

@@ -4,12 +4,11 @@
 
 Loads the ``tachys`` package of PARENT (its root or its ``src``) as
 ``tachys_parent`` and this checkout's as ``tachys_change``, each through
-``importlib.util.spec_from_file_location``, so both run in one interpreter
-on the same inputs.  First every kernel of ``KERNELS`` runs once on each
-side and its results are compared bit for bit (``report_digest._feed``:
-arrays by dtype, shape and bytes, floats by ``float.hex``, errors by type
-and message); a kernel whose bits differ is marked ``differ``.  Then the
-kernels are timed in ``ROUNDS`` interleaved rounds: in each round every
+``report_digest.load``, so both run in one interpreter on the same inputs.
+First every kernel of ``KERNELS`` runs once on each side and its results
+are compared bit for bit (``report_digest._feed``: arrays by dtype, shape
+and bytes, floats by ``float.hex``, errors by type and message); a kernel
+whose bits differ is marked ``differ``.  Then the kernels are timed in ``ROUNDS`` interleaved rounds: in each round every
 kernel runs a batch of calls on one side and then on the other, the side
 that goes first alternating from round to round, with the garbage collector
 off.  A batch holds as many calls as take about ``BUDGET`` seconds.
@@ -26,8 +25,6 @@ from __future__ import annotations
 import argparse
 import gc
 import hashlib
-import importlib
-import importlib.util
 import sys
 import time
 from pathlib import Path
@@ -35,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from report_digest import LIBRARY_MODULES, _feed  # noqa: E402
+from report_digest import _feed, load  # noqa: E402
 
 #: the kernels of the north star's layers: name -> the call, a function of one side's api
 #: (its public names plus ``metric`` and ``model`` built by that side) and the shared inputs
@@ -60,6 +57,8 @@ KERNELS = {
     "split_generator": lambda a, x: a["split_generator"](x.broken),
     "is_hermitian": lambda a, x: a["is_hermitian"](x.drive),
     "is_hermitian.4096": lambda a, x: a["is_hermitian"](x.stack),
+    "frobenius": lambda a, x: a["frobenius"](x.drive),
+    "frobenius.4096": lambda a, x: a["frobenius"](x.stack),
     "hermitian_sqrt": lambda a, x: a["hermitian_sqrt"](x.eta),
     "build_dilation": lambda a, x: a["build_dilation"](x.flat, a["metric"], 1.0),
     "evolve_dilated": lambda a, x: a["evolve_dilated"](a["model"], x.e0, 0.7),
@@ -100,21 +99,6 @@ class Inputs:
         """e^{-i h t} psi of a Hermitian h, psi = e0 by default."""
         w, v = np.linalg.eigh(h)
         return (v * np.exp(-1j * w * t)) @ v.conj().T @ (self.e0 if psi is None else psi)
-
-
-def load(name: str, src) -> dict:
-    """The public names of the library modules of the checkout ``src`` (its root or its ``src``),
-    imported as the package ``name``."""
-    root = Path(src)
-    pkg = (root / "src" / "tachys") if (root / "src" / "tachys").is_dir() else root / "tachys"
-    if not (pkg / "__init__.py").is_file():
-        raise SystemExit(f"abtime: no tachys package under {root}")
-    spec = importlib.util.spec_from_file_location(name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
-    package = importlib.util.module_from_spec(spec)
-    sys.modules[name] = package
-    spec.loader.exec_module(package)
-    modules = [importlib.import_module(f"{name}.{m}") for m in LIBRARY_MODULES]
-    return {n: getattr(m, n) for m in modules for n in m.__all__}
 
 
 def _side(api: dict, x: Inputs) -> dict:

@@ -44,6 +44,7 @@ import contextlib
 import dataclasses
 import hashlib
 import importlib
+import importlib.util
 import io
 import json
 import math
@@ -59,6 +60,11 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
+
+try:  # numpy's dispatch targets and the features of this CPU
+    from numpy._core._multiarray_umath import __cpu_dispatch__ as CPU_DISPATCH, __cpu_features__ as CPU_FEATURES
+except ImportError:  # numpy 1
+    from numpy.core._multiarray_umath import __cpu_dispatch__ as CPU_DISPATCH, __cpu_features__ as CPU_FEATURES
 
 COMMANDS = ("brachy", "dissipation", "dilation", "povm", "notgate", "controlu", "efficiency")
 
@@ -155,14 +161,25 @@ def digest_lines(main, seed: int, count: int) -> list[str]:
     return lines
 
 
-def _import(src: str | None, *modules: str) -> list:
-    """The modules ``tachys.<name>`` of the checkout ``src`` (its root or its ``src``), or of this one."""
+def load(name: str, src=None) -> dict:
+    """The public names of the library modules of the checkout ``src`` (its root or its ``src``;
+    by default this one), imported as the package ``name``."""
     root = Path(src) if src else Path(__file__).resolve().parents[1]
-    path = root / "src" if (root / "src" / "tachys").is_dir() else root
-    if not (path / "tachys").is_dir():
-        raise SystemExit(f"report_digest: no tachys package under {root}")
-    sys.path.insert(0, str(path))
-    return [importlib.import_module(f"tachys.{m}") for m in modules]
+    pkg = (root / "src" / "tachys") if (root / "src" / "tachys").is_dir() else root / "tachys"
+    if not (pkg / "__init__.py").is_file():
+        raise SystemExit(f"no tachys package under {root}")
+    spec = importlib.util.spec_from_file_location(name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    modules = [importlib.import_module(f"{name}.{m}") for m in LIBRARY_MODULES]
+    return {n: getattr(m, n) for m in modules for n in m.__all__}
+
+
+def dispatch_targets() -> list[str]:
+    """numpy's dispatch targets that this process runs (``NPY_DISABLE_CPU_FEATURES``
+    ignores any other name, so a probe naming one tests nothing)."""
+    return [t for t in CPU_DISPATCH if CPU_FEATURES.get(t)]
 
 
 def probe_configurations() -> list[dict[str, str]]:
@@ -172,20 +189,12 @@ def probe_configurations() -> list[dict[str, str]]:
     run a core type the CPU lacks, so only targets numpy dispatches to and
     this CPU has are switched off, and only core types it can run are forced.
     """
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy 1
-        from numpy.core import _multiarray_umath as umath
-
-    def has(*features):
-        return all(umath.__cpu_features__.get(f) for f in features)
-
-    present = {t for t in umath.__cpu_dispatch__ if has(t)}
+    present = set(dispatch_targets())
     avx512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
     offs = [" ".join(t for t in targets if t in present) for targets in (avx512, (*avx512, "X86_V3"))]
     configs = [{"NPY_DISABLE_CPU_FEATURES": off} for off in dict.fromkeys(offs) if off]
     for core, needs in (("Haswell", ("AVX2", "FMA3")), ("Zen", ("AVX2", "FMA3")), ("Prescott", ("SSE3",))):
-        if has(*needs):
+        if all(CPU_FEATURES.get(f) for f in needs):
             configs.append({"OPENBLAS_CORETYPE": core})
     if platform.libc_ver()[0] == "glibc":
         configs.append({"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX"})
@@ -641,14 +650,12 @@ def main(argv=None) -> int:
     mode.add_argument("--library", action="store_true", help="digest seeded library calls, one line per call family")
     args = parser.parse_args(argv)
     if args.library:
-        modules = _import(args.src, *LIBRARY_MODULES)
-        api = {name: getattr(m, name) for m in modules for name in m.__all__}
-        lines = library_lines(api, args.seed, 200 if args.count is None else args.count)
+        lines = library_lines(load("tachys", args.src), args.seed, 200 if args.count is None else args.count)
     elif args.count is None:
         parser.error("--count is required without --library")
     else:
-        (cli,) = _import(args.src, "cli")
-        lines = digest_lines(cli.main, args.seed, args.count)
+        load("tachys", args.src)
+        lines = digest_lines(importlib.import_module("tachys.cli").main, args.seed, args.count)
     for line in probe_table(lines, args.seed, args.count, args.src) if args.probes else lines:
         print(line)
     return 0
