@@ -20,7 +20,7 @@ from .smallmat import (
     _arg,
     _cis,
     _col,
-    _even_step,
+    _eigh,
     _finite,
     _frobenius,
     _hermitian_part,
@@ -55,7 +55,8 @@ class DilationModel:
     ``unitarity_defect`` is ||V^dag V - I||_F of the extended vectors V, the
     residual that ``build_dilation``'s unitarity check measures, and
     ``hermiticity_defect`` is ||B - B^dag||_F of the stored, symmetrized
-    ``hamiltonian`` B.
+    ``hamiltonian`` B.  B is checked (``is_hermitian``, else ValueError) and decomposed by
+    ``_eigh`` once, as the model is built; ``evolve_dilated`` reads that spectrum, no field.
     """
 
     metric: Metric
@@ -66,6 +67,12 @@ class DilationModel:
     generator: QuasiHamiltonian
     unitarity_defect: float
     hermiticity_defect: float
+
+    def __post_init__(self):
+        if not _is_hermitian(self.hamiltonian):
+            raise ValueError("4x4 generators must be Hermitian")
+        _, w, v, j = _eigh(np.ascontiguousarray(self.hamiltonian))
+        object.__setattr__(self, "_spectrum", (_ldexp(w, 2 * j), v))
 
 
 def build_dilation(h, metric: Metric, omega: float) -> DilationModel:
@@ -85,24 +92,20 @@ def build_dilation(h, metric: Metric, omega: float) -> DilationModel:
     det_eta = float(np.linalg.det(_single_eta(metric)).real)
     size = _frobenius(metric.eta)
     if _negligible(det_eta, size * size, POSDEF_FLOOR):
-        message = f"metric determinant {det_eta:.3e} is below the dilation floor"
-        raise MetricDegeneracyError(message, eigenvalue=det_eta)
+        raise MetricDegeneracyError(f"metric determinant {det_eta:.3e} is below the dilation floor", eigenvalue=det_eta)
     generator = _quasi_hamiltonian(hm, metric, omega)
     eta_unit = metric.eta / np.sqrt(det_eta)
 
-    # orthonormal eigenbasis of h, gap-upper state first, phases pinned; eigh after
-    # the even range step, so a drive past 2**+-252 is taken in range
-    basis = np.linalg.eigh(_even_step(_hermitian_part(hm))[0])[1][:, ::-1]
+    # orthonormal eigenbasis of h (``_eigh``, in range at any scale), gap-upper state first, phases pinned
+    basis = _eigh(hm)[2][:, ::-1]
     anchor = basis[np.argmax(np.abs(basis), axis=0), [0, 1]]
     basis = basis * _cis(-_arg(anchor))
 
-    eta_e = _matmul(dagger(basis), eta_unit, basis)
-    eta_e = _hermitian_part(eta_e)
+    eta_e = _hermitian_part(_matmul(dagger(basis), eta_unit, basis))
     m = _metric_from_matrix(_finite(eta_e))
     norm_factor = float(1.0 / np.sqrt(np.trace(eta_e).real))
 
-    level = 0.5 * generator.omega
-    energies = np.diag([level, -level]).astype(complex)
+    energies = np.diag([0.5 * generator.omega, -0.5 * generator.omega]).astype(complex)
     op = _matmul(m.inv_sqrt_eta, energies, m.sqrt_eta)
 
     rhs = _matmul(m.inv_sqrt_eta, energies)
@@ -112,7 +115,7 @@ def build_dilation(h, metric: Metric, omega: float) -> DilationModel:
     if not _negligible(_frobenius(_matmul(dagger(op), m.sqrt_eta) - rhs), _frobenius(rhs)):
         raise ValueError("root columns fail the adjoint eigenvalue relation")
 
-    vmat = norm_factor * np.block([[m.inv_sqrt_eta, m.sqrt_eta], [m.sqrt_eta, -m.inv_sqrt_eta]])
+    vmat = norm_factor * _blocks(m.inv_sqrt_eta, m.sqrt_eta, m.sqrt_eta, -m.inv_sqrt_eta)
     unitarity_defect = _frobenius(_matmul(dagger(vmat), vmat) - np.eye(4))
     if not _negligible(unitarity_defect, 2.0):
         raise ValueError("extended-vector matrix failed its unitarity check")
@@ -120,7 +123,7 @@ def build_dilation(h, metric: Metric, omega: float) -> DilationModel:
     inv_eta = _matmul(m.inv_sqrt_eta, m.inv_sqrt_eta)
     top = _matmul(op, inv_eta) + _matmul(eta_e, op)
     off = op - dagger(op)
-    big = norm_factor**2 * np.block([[top, off], [-off, top]])
+    big = norm_factor**2 * _blocks(top, off, -off, top)
     if not _is_hermitian(big):
         raise ValueError("dilated generator failed its Hermiticity check")
     big = _hermitian_part(big)
@@ -128,6 +131,11 @@ def build_dilation(h, metric: Metric, omega: float) -> DilationModel:
     return DilationModel(metric=m, extended_vectors=vmat, hamiltonian=big, norm_factor=norm_factor,
                          eigenbasis=basis, generator=generator, unitarity_defect=unitarity_defect,
                          hermiticity_defect=_frobenius(big - dagger(big)))
+
+
+def _blocks(a, b, c, d) -> np.ndarray:
+    """The 4x4 matrix [[a, b], [c, d]] of four 2x2 blocks: ``np.block``'s bits, without its walk of the nesting."""
+    return np.concatenate([np.concatenate([a, b], axis=1), np.concatenate([c, d], axis=1)])
 
 
 def evolve_dilated(model: DilationModel, initial, t) -> tuple[np.ndarray, np.ndarray]:
@@ -140,22 +148,15 @@ def evolve_dilated(model: DilationModel, initial, t) -> tuple[np.ndarray, np.nda
     non-unitary evolution exactly while the four-vector norm stays constant.
     ``t`` is a scalar or a 1-d array of times, read as ``propagator`` reads
     it; an array gives ``(len(t), 4)`` and ``(len(t), 2)`` stacks whose rows
-    equal the scalar calls bit for bit.  exp(-i B t) of the model's
-    ``hamiltonian`` B comes from its ``eigh`` after the even range step (``_even_step``), the
-    eigenvalues scaled back by 4**j; B must pass ``is_hermitian``.
+    equal the scalar calls bit for bit.  exp(-i B t) of the model's ``hamiltonian`` B
+    takes the spectrum that ``DilationModel`` checked and took by ``_eigh`` as it was built.
     """
-    psi = _normalized(as_state(initial))
+    psi_e = _matmul(dagger(model.eigenbasis), _normalized(as_state(initial)))
     t = _reals("t", t)
-    if not _is_hermitian(model.hamiltonian):
-        raise ValueError("4x4 generators must be Hermitian")
-    b, j = _even_step(_hermitian_part(model.hamiltonian))
-    w, v = np.linalg.eigh(b)
-    w = _ldexp(w, 2 * j)
-    psi_e = _matmul(dagger(model.eigenbasis), psi)
+    w, v = model._spectrum
     stacked = np.concatenate([psi_e, _matmul(model.metric.eta, psi_e)])
     evolved = _matmul(v * _cis(-(w * _col(t))), dagger(v), stacked)
-    observed = _matmul(model.eigenbasis, evolved[..., :2, None])[..., 0]
-    return evolved, observed
+    return evolved, _matmul(model.eigenbasis, evolved[..., :2, None])[..., 0]
 
 
 def visibility_ratio(metric: Metric, state) -> float:

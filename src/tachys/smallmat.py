@@ -13,8 +13,8 @@ checks, both norms true across the float range, whatever the energy unit;
 so does every floor.  Every kernel takes one range step, ``_exponent``: a
 size (a largest entry part, or a Pauli vector's sum_k |Re n_k| + |Im n_k|)
 outside [2**-252, 2**252] is first scaled by a power of two, which is exact
-(``_stepped``, and ``_rescaled`` with the norm); every ``eigh``, here and in
-the dilation, takes the even step 4**-j (``_even_step``), so its eigenvalues go
+(``_stepped``, and ``_rescaled`` with the norm); the one ``eigh``, ``_eigh``,
+takes the even step 4**-j for this module and the dilation, so its eigenvalues go
 back by 4**j and a square root by 2**j.  ``_ldexp`` is the one way
 back: it scales a result by the step's power of two, and raises ValueError
 where that leaves the float range (``propagator``'s clock t 2**e is checked by
@@ -245,16 +245,17 @@ _MATRIX_NOT_FINITE = "matrix has non-finite entries"
 _PAULI_NOT_FINITE = "the generator's Pauli vector leaves the float range"
 _STATE_NOT_FINITE = "state has non-finite entries"
 _OUT_OF_RANGE = "the result leaves the float range"
+_COMPLEX = np.dtype(complex)
 
 
 def _numeric(what: str, x, copy: bool = False) -> np.ndarray:
     """The one reader of a matrix, state or complex parameter: ``x`` after one ``np.asarray``
-    as a complex128 array (with ``copy``, a C-ordered copy); TypeError naming ``what``
-    unless its dtype is bool, int, float or complex (not a str, None or another object)."""
+    as a complex128 array (with ``copy``, a C-ordered copy; else complex128 as it is); TypeError
+    naming ``what`` unless its dtype is bool, int, float or complex (not a str, None or another object)."""
     a = np.asarray(x)
     if a.dtype.kind not in "biufc":
         raise TypeError(f"{what} must be numeric, got dtype {a.dtype}")
-    return a.astype(complex, order="C" if copy else "K", copy=copy)
+    return a if a.dtype is _COMPLEX and not copy else a.astype(complex, order="C" if copy else "K", copy=copy)
 
 
 def as_operator(mat, stack: bool = False) -> np.ndarray:
@@ -457,12 +458,13 @@ def _stepped(x: np.ndarray, rank: int = 1):
     return flat.reshape(x.shape), flat, e
 
 
-def _even_step(m: np.ndarray):
-    """The even range step of one C-contiguous matrix, before an ``eigh``: m 4**-j and j, with
-    j = ceil(e / 2) of ``_stepped``'s e, so the largest entry part lies in [0.25, 1); m itself
-    and 0 in range.  Eigenvalues go back by 4**j and a square root by 2**j (``_ldexp``)."""
+def _eigh(m: np.ndarray):
+    """The one ``eigh``: the even range step m 4**-j of one C-contiguous m, j = ceil(e / 2) of ``_stepped``'s e
+    (0 in range), then ``np.linalg.eigh`` of that step's Hermitian part.  Returns the stepped m, w and v
+    in its frame, and j: eigenvalues go back by 4**j and a square root by 2**j (``_ldexp``)."""
     j = -(-(_stepped(m, 2)[2] or 0) // 2)
-    return _ldexp(m, -2 * j), j
+    m = _ldexp(m, -2 * j)
+    return (m, *np.linalg.eigh(_hermitian_part(m)), j)
 
 
 def _rescaled(x: np.ndarray, rank: int = 1):
@@ -914,11 +916,10 @@ def hermitian_sqrt(mat) -> np.ndarray:
     ValueError unless ``mat`` passes ``is_hermitian``; MetricDegeneracyError
     (carrying the offending eigenvalue) when the smallest eigenvalue is
     negligible, at POSDEF_FLOOR, next to ||mat||_F (``_negligible``), so
-    2**k mat gets the verdict of mat and a zero matrix raises.  A matrix
-    whose largest entry part leaves the range of ``_exponent`` is first
-    scaled by an even power of two 4**-j, its floor judged and its root
-    taken in that frame, and the root scaled back by 2**j (``_ldexp``), so
-    ``hermitian_sqrt(4**k mat)`` is 2**k times the root of mat.
+    2**k mat gets the verdict of mat and a zero matrix raises.  After the check
+    ``_eigh`` takes the even range step 4**-j (j = 0 in range), the Hermitian part
+    and the ``eigh``; the floor is judged and the root taken in that frame, and the
+    root scaled back by 2**j (``_ldexp``): ``hermitian_sqrt(4**k mat)`` is 2**k times its root.
     """
     return _hermitian_sqrt(as_operator(mat))
 
@@ -927,13 +928,11 @@ def _hermitian_sqrt(p: np.ndarray) -> np.ndarray:
     """``hermitian_sqrt`` of a 2x2 matrix already read, C-ordered, in the frame of an even range step 4**-j."""
     if not _is_hermitian(p):
         raise ValueError("hermitian_sqrt requires a Hermitian matrix")
-    p, j = _even_step(p)
-    w, v = np.linalg.eigh(_hermitian_part(p))
+    p, w, v, j = _eigh(p)
     wmin = float(w.min())
     if _negligible(wmin, _frobenius(p), POSDEF_FLOOR):
         wmin = _ldexp(wmin, 2 * j)
-        message = f"matrix is not positive definite: smallest eigenvalue {wmin:.3e}"
-        raise MetricDegeneracyError(message, eigenvalue=wmin)
+        raise MetricDegeneracyError(f"matrix is not positive definite: smallest eigenvalue {wmin:.3e}", eigenvalue=wmin)
     return _ldexp(_hermitian_part(_matmul(v * np.sqrt(w), dagger(v))), j)
 
 

@@ -373,13 +373,11 @@ def test_runtime_imports_numpy_only():
 #: function or class, linalg name); a new site must be added here on purpose
 LINALG_SITES = {
     ("dilation", "build_dilation", "det"),
-    ("dilation", "build_dilation", "eigh"),
-    ("dilation", "evolve_dilated", "eigh"),
     ("gates", "Povm", "eigvalsh"),
     ("gates", "Povm", "norm"),
     ("metric", "_metric_from_matrix", "inv"),
     ("opendyn", "_energy_gap_squared", "det"),
-    ("smallmat", "_hermitian_sqrt", "eigh"),
+    ("smallmat", "_eigh", "eigh"),
     ("smallmat", "_norm", "norm"),
 }
 
@@ -515,6 +513,11 @@ def test_numpy_linalg_is_called_only_at_the_listed_sites():
 
 def test_host_sensitive_numpy_calls_are_only_at_the_listed_sites():
     assert set(_census()["sensitive"]) == HOST_SENSITIVE_SITES
+
+
+def test_eigh_has_one_site():
+    # the square root, the flat eigenbasis and the dilated generator share one stepped eigh
+    assert [site for site in _census()["linalg"] if site[2] == "eigh"] == [("smallmat", "_eigh", "eigh")]
 
 
 def test_each_host_sensitive_name_has_one_site():

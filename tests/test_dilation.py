@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from tachys import smallmat
+from tachys import dilation, smallmat
 from tachys.dilation import build_dilation, evolve_dilated, visibility_ratio
 from tachys.metric import Metric, diag_metric, metric_from_matrix, metric_from_sqrt, quasi_hamiltonian
 from tachys.smallmat import MetricDegeneracyError, PAULI_X, PAULI_Y, PAULI_Z, dagger, frobenius, normalize
@@ -56,6 +56,14 @@ def test_extended_vectors_unitary_and_hamiltonian_hermitian():
     assert np.linalg.norm(model.hamiltonian - dagger(model.hamiltonian)) <= 1e-13
     # the stored metric is the unit-determinant rescale, in the eigenbasis
     assert np.linalg.det(model.metric.eta).real == pytest.approx(1.0, abs=1e-10)
+
+
+def test_blocks_are_np_block_bit_for_bit():
+    rng = np.random.default_rng(46)
+    a, b, c, d = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
+    for blocks in ((a, b, c, d), (a, -b, b, -a), (a.T, b, -b, a.T)):
+        got, want = dilation._blocks(*blocks), np.block([list(blocks[:2]), list(blocks[2:])])
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
 
 
 def test_unit_determinant_rescale_is_recorded():
@@ -122,11 +130,35 @@ def test_dilated_evolution_matches_a_taylor_sum():
 
 
 def test_evolve_dilated_rejects_a_non_hermitian_generator():
+    # a hand-built model is checked as it is built, before any evolve_dilated call
     model = build_dilation(H_HALF_X, metric_from_sqrt(2.0, 1.0), 1.0)
     big = model.hamiltonian.copy()
     big[0, 1] += 0.5
     with pytest.raises(ValueError, match="4x4 generators must be Hermitian"):
-        evolve_dilated(dataclasses.replace(model, hamiltonian=big), E0, 0.5)
+        dataclasses.replace(model, hamiltonian=big)
+
+
+def test_evolve_dilated_neither_checks_nor_decomposes_its_generator(monkeypatch):
+    # B is checked and decomposed once, as the model is built; a call only evaluates exp(-i B t)
+    model = build_dilation(H_HALF_X, metric_from_sqrt(2.0, 1.0), 1.0)
+    calls = []
+
+    def counted(name, fn):
+        def run(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return run
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    for module in (dilation, smallmat):
+        monkeypatch.setattr(module, "_is_hermitian", counted("_is_hermitian", smallmat._is_hermitian))
+    evolve_dilated(model, E0, 0.5)
+    evolve_dilated(model, E1, np.linspace(0.0, 3.0, 7))
+    assert calls == []
+    # the counters are live: a rebuilt model takes one check and one eigh
+    dataclasses.replace(model)
+    assert calls == ["_is_hermitian", "eigh"]
 
 
 def test_four_vector_norm_is_conserved():

@@ -29,6 +29,7 @@ from tachys.smallmat import (
     _is_hermitian2,
     _matmul,
     _norm,
+    _numeric,
     _operator2,
     _pauli_root,
     _pauli_split,
@@ -375,6 +376,18 @@ def test_hermitian_part_halves_before_it_sums():
         assert _bytes_equal(_hermitian_part(m), 0.5 * (m + dagger(m)))
     m = np.array([[1.5e308, 1e308 - 1e308j], [1e308 + 1e308j, -1.5e308]])
     assert _bytes_equal(_hermitian_part(m), m)
+
+
+def test_numeric_reads_a_complex128_array_as_it_is():
+    m = np.arange(8.0).view(complex).reshape(2, 2)
+    for x in (m, m.T, m[:, :1]):
+        assert _numeric("matrix", x) is x
+        copied = _numeric("matrix", x, copy=True)
+        assert copied is not x and copied.flags.c_contiguous and _bytes_equal(copied, np.ascontiguousarray(x))
+    # any other numeric dtype, a byte-swapped complex128 included, is converted to native complex128
+    for x in (m.astype(">c16"), m.astype(np.complex64), np.arange(4).reshape(2, 2), [[1.0, 2j], [3, 4]]):
+        got = _numeric("matrix", x)
+        assert got.dtype == np.complex128 and got.dtype.isnative and np.array_equal(got, np.asarray(x))
 
 
 def test_first_failing_row_raises_an_unmarked_error_as_it_is():

@@ -62,6 +62,7 @@ KERNELS = {
     "hermitian_sqrt": lambda a, x: a["hermitian_sqrt"](x.eta),
     "build_dilation": lambda a, x: a["build_dilation"](x.flat, a["metric"], 1.0),
     "evolve_dilated": lambda a, x: a["evolve_dilated"](a["model"], x.e0, 0.7),
+    "evolve_dilated.4096": lambda a, x: a["evolve_dilated"](a["model"], x.e0, x.times),
 }
 
 #: interleaved rounds, and seconds per batch of calls
