@@ -9,6 +9,17 @@ rename).  Exit status: 0 on success, 1 when the numerics reject the request
 finite or the output file cannot be written, 2 on bad usage, which includes
 a float flag that is not a finite number and a sweep of more than MAX_POINTS
 points.
+
+``main`` is the in-process entry; ``run`` is the process entry of ``python -m
+tachys.cli`` and of the ``tachys`` script.  Once ``main`` returns 0 or 1, the
+report written and any ``--output`` file closed and renamed, ``run`` flushes
+stdout and stderr and ends the process with ``os._exit``, skipping the
+interpreter's teardown (its last collections and the teardown of numpy's
+modules), which a report needs none of; atexit handlers do not run.  The
+process exits as usual, through ``SystemExit``, on a usage error or ``--help``
+(both exit inside ``main``), an uncaught exception, a flush that raises (a
+closed pipe), an interpreter kept interactive (``-i``, ``PYTHONINSPECT``) and
+with a trace or profile function installed (a debugger, coverage).
 """
 
 from __future__ import annotations
@@ -312,5 +323,19 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> int:
+    """``main()`` as a process: its exit code, returned only where the process must exit as
+    usual, else the process ends here with ``os._exit`` once stdout and stderr are flushed."""
+    code = main()
+    if sys.flags.inspect or os.environ.get("PYTHONINSPECT") or sys.gettrace() or sys.getprofile():
+        return code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:  # the usual exit meets the same failure and reports it
+        return code
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

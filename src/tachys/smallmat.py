@@ -26,7 +26,8 @@ rule runs on Python complex scalars for one matrix and elementwise on rows
 for a stack: ``_entries2`` is the one reader of a matrix's four entries,
 ``_eigvals2`` the one eigenvalue kernel and ``_is_hermitian2`` the one Hermitian
 verdict (``_is_hermitian``'s numpy rule judges a stack, a 4x4 matrix and a 2x2
-one past its scalar range, with one range step).  ``_reals`` reads every real scalar
+one past its scalar range: one equal to its m^dag, entry for entry and finite,
+passes, any other takes one range step).  ``_reals`` reads every real scalar
 or grid argument, and ``_numeric`` every matrix, state or complex parameter:
 each raises TypeError for a str, None or other non-numeric value.  Each
 argument is read once: a public function is its reader (``_numeric`` or
@@ -388,9 +389,13 @@ def is_hermitian(mat):
 
 
 def _is_hermitian(m: np.ndarray):
-    """``is_hermitian`` of a matrix or stack already read: one 2x2 by ``_is_hermitian2``, else both norms after one range step."""
+    """``is_hermitian`` of a matrix or stack already read: one 2x2 by ``_is_hermitian2``; else a matrix or
+    stack equal to its m^dag entry for entry, every entry finite, is Hermitian with no range step or norm,
+    and any other takes both norms after one range step."""
     if m.shape == (2, 2):
         return _is_hermitian2(*_entries2(m))[0]
+    if (m == dagger(m)).all() and _all_finite(m):
+        return np.ones(len(m), bool) if m.ndim == 3 else True
     scaled, size, _ = _rescaled(np.ascontiguousarray(m), 2)
     skew = scaled - dagger(scaled)
     ok = _negligible(_norm(skew if m.ndim == 3 else skew.ravel()), size)
@@ -544,7 +549,9 @@ def _norm(x):
     The norm of a complex array is sqrt(re.re + im.im) over its flattened
     entries, each dot one BLAS call; a stacked matmul makes the same call per
     row, in one pass, where a reduction over the trailing axes would sum in
-    another order.  One vector keeps ``np.linalg.norm``, which is faster there.
+    another order.  One vector keeps ``np.linalg.norm``: its two dots made
+    through ``_matmul`` give the same bits but cost more than its dispatch,
+    since ``np.matmul`` dispatches more slowly than ``dot``.
     """
     if x.ndim == 1:
         return float(np.linalg.norm(x))

@@ -807,8 +807,73 @@ def test_output_file_matches_stdout_and_leaves_no_droppings(tmp_path, capsys):
 
 
 def test_console_script_is_wired():
+    # the ``tachys`` script is the process entry, as ``python -m tachys.cli`` is
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())["project"]
+    assert project["scripts"]["tachys"] == "tachys.cli:run"
     proc = fresh_python("-m", "tachys.cli", "--help")
     # argparse --help exits 0 and lists every subcommand
     assert proc.returncode == 0
     for name in ("brachy", "dissipation", "dilation", "povm", "notgate", "controlu", "efficiency"):
         assert name in proc.stdout
+
+
+# ------------------------------------------------------------ process entry
+
+
+def test_python_m_output_file_is_the_golden_and_nothing_else(tmp_path):
+    target = tmp_path / "notgate.csv"
+    proc = fresh_python("-m", "tachys.cli", *README_INVOCATIONS["notgate"].split(), "--output", str(target))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert target.read_bytes() == (GOLDENS / "notgate.csv").read_bytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["notgate.csv"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["brachy", "--theta", "1e-8"], 1), (["brachy", "--theta", "nan"], 2), (["nonsense"], 2),
+])
+def test_python_m_keeps_exit_codes_and_stderr(capsys, argv, code):
+    # a domain error (exit 1) ends on the fast path; a usage error (exit 2) inside main
+    try:
+        want = run_cli(capsys, argv)
+    except SystemExit as exc:
+        want = (exc.code, *capsys.readouterr())
+    assert want[0] == code
+    proc = fresh_python("-m", "tachys.cli", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+
+#: a ``python -m tachys.cli notgate`` run by runpy after an atexit handler is
+#: registered, with ``setup`` run first
+_ATEXIT_RUN = """
+import atexit, io, runpy, sys
+atexit.register(lambda: print("atexit ran", file=sys.stderr))
+{setup}
+sys.argv = ["tachys", *{argv!r}]
+runpy.run_module("tachys.cli", run_name="__main__")
+"""
+
+
+#: a stdout whose flush fails as a closed pipe does
+_FAILING_FLUSH = """
+class Stdout(io.StringIO):
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+sys.stdout = Stdout()
+"""
+
+
+@pytest.mark.parametrize("setup, code, atexit_ran", [
+    ("", 0, False),
+    ("sys.settrace(lambda *args: None)", 0, True),
+    ("sys.setprofile(lambda *args: None)", 0, True),
+    # the usual exit meets the same failed flush, reports it and exits 120
+    (_FAILING_FLUSH, 120, True),
+], ids=["fast-path", "settrace", "setprofile", "failing-flush"])
+def test_process_entry_skips_teardown_only_on_the_fast_path(setup, code, atexit_ran):
+    argv = README_INVOCATIONS["notgate"].split()
+    proc = fresh_python("-c", _ATEXIT_RUN.format(setup=setup, argv=argv))
+    assert proc.returncode == code, proc.stderr
+    assert ("atexit ran" in proc.stderr) == atexit_ran
+    if not code:
+        assert proc.stdout == (GOLDENS / "notgate.csv").read_text()

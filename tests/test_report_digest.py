@@ -20,8 +20,8 @@ TOOL = support.TOOLS / "report_digest.py"
 COMMANDS = {"brachy", "dissipation", "dilation", "povm", "notgate", "controlu", "efficiency"}
 
 
-def _digest(*extra, count=21):
-    proc = support.fresh_python(str(TOOL), "--seed", "7", "--count", str(count), *extra, cwd=ROOT)
+def _digest(*extra, count=21, seed=7):
+    proc = support.fresh_python(str(TOOL), "--seed", str(seed), "--count", str(count), *extra, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -37,6 +37,13 @@ def test_report_digest_repeats_and_covers_every_command():
     assert {f[0].split()[0] for f in fields} == COMMANDS
     assert "0" in {f[1] for f in fields}
     assert "<tmp>/report" in first and "tachys-digest-" not in first
+
+
+def test_process_digest_equals_the_in_process_digest():
+    # seed 40's first seven invocations exit 0, 1 and 2; --processes runs each as a fresh python -m tachys.cli
+    first = _digest(count=7, seed=40)
+    assert {line.split("\t")[1] for line in first.splitlines()} == {"0", "1", "2"}
+    assert _digest("--processes", count=7, seed=40) == first
 
 
 def test_probes_run_one_child_per_configuration():

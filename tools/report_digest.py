@@ -14,6 +14,12 @@ program, so ``diff`` of two runs, one with ``--src`` naming another
 checkout (its root or its ``src``), shows every invocation whose report,
 exit code or message moved.
 
+    python tools/report_digest.py --seed S --count N --processes [--src DIR]
+
+prints the same lines with each invocation run as a fresh ``python -m
+tachys.cli`` process, the process entry (``tachys.cli.run``) and its exit
+included, so its lines can be diffed against the in-process ones.
+
     python tools/report_digest.py --seed S --count N --probes [--src DIR]
 
 reruns the digest in one child process per host configuration this machine
@@ -133,41 +139,62 @@ def invocations(seed: int, count: int):
         yield argv, rng.random() < 0.3
 
 
-def _run(main, argv: list[str], output: str | None) -> tuple[int, bytes, str]:
-    """Exit code, report bytes and stderr of one in-process invocation."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv + (["--output", output] if output else []))
-        except SystemExit as exc:
-            code = exc.code
-    report = out.getvalue().encode()
-    if output and os.path.exists(output):
-        report = Path(output).read_bytes()
-        os.unlink(output)
-    return code, report, err.getvalue()
+def in_process(main):
+    """The runner of ``digest_lines`` that calls ``main``: argv -> (exit code, stdout bytes, stderr)."""
+
+    def run(argv: list[str]) -> tuple[int, bytes, str]:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue().encode(), err.getvalue()
+
+    return run
 
 
-def digest_lines(main, seed: int, count: int) -> list[str]:
-    """One line per invocation: argv, exit code, sha256 of the report, stderr."""
+def fresh_processes(src=None):
+    """The runner of ``digest_lines`` that starts each invocation as a fresh ``python -m tachys.cli``
+    of the checkout ``src`` (as ``load`` reads it)."""
+    env = {**os.environ, "PYTHONPATH": str(_package(src).parent)}
+
+    def run(argv: list[str]) -> tuple[int, bytes, str]:
+        proc = subprocess.run([sys.executable, "-m", "tachys.cli", *argv], capture_output=True, env=env)
+        return proc.returncode, proc.stdout, proc.stderr.decode()
+
+    return run
+
+
+def digest_lines(run, seed: int, count: int) -> list[str]:
+    """One line per invocation: argv, exit code, sha256 of the report, stderr; each invocation
+    by ``run`` (``in_process`` or ``fresh_processes``)."""
     lines = []
     with tempfile.TemporaryDirectory(prefix="tachys-digest-") as tmp:
         for argv, to_file in invocations(seed, count):
             output = os.path.join(tmp, "report") if to_file else None
-            code, report, err = _run(main, argv, output)
+            code, report, err = run(argv + (["--output", output] if output else []))
+            if output and os.path.exists(output):
+                report = Path(output).read_bytes()
+                os.unlink(output)
             shown = argv + (["--output", "<tmp>/report"] if to_file else [])
             stderr = json.dumps(err.replace(tmp, "<tmp>"))
             lines.append(f"{' '.join(shown)}\t{code}\t{hashlib.sha256(report).hexdigest()}\t{stderr}")
     return lines
 
 
-def load(name: str, src=None) -> dict:
-    """The public names of the library modules of the checkout ``src`` (its root or its ``src``;
-    by default this one), imported as the package ``name``."""
+def _package(src=None) -> Path:
+    """The ``tachys`` package directory of the checkout ``src`` (its root or its ``src``; by default this one)."""
     root = Path(src) if src else Path(__file__).resolve().parents[1]
     pkg = (root / "src" / "tachys") if (root / "src" / "tachys").is_dir() else root / "tachys"
     if not (pkg / "__init__.py").is_file():
         raise SystemExit(f"no tachys package under {root}")
+    return pkg
+
+
+def load(name: str, src=None) -> dict:
+    """The public names of the library modules of the checkout ``src`` (``_package``), imported as the package ``name``."""
+    pkg = _package(src)
     spec = importlib.util.spec_from_file_location(name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
@@ -647,15 +674,19 @@ def main(argv=None) -> int:
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--probes", action="store_true",
                       help="count the invocations each emulated host configuration moves")
+    mode.add_argument("--processes", action="store_true",
+                      help="run each invocation as a fresh python -m tachys.cli process")
     mode.add_argument("--library", action="store_true", help="digest seeded library calls, one line per call family")
     args = parser.parse_args(argv)
     if args.library:
         lines = library_lines(load("tachys", args.src), args.seed, 200 if args.count is None else args.count)
     elif args.count is None:
         parser.error("--count is required without --library")
+    elif args.processes:
+        lines = digest_lines(fresh_processes(args.src), args.seed, args.count)
     else:
         load("tachys", args.src)
-        lines = digest_lines(importlib.import_module("tachys.cli").main, args.seed, args.count)
+        lines = digest_lines(in_process(importlib.import_module("tachys.cli").main), args.seed, args.count)
     for line in probe_table(lines, args.seed, args.count, args.src) if args.probes else lines:
         print(line)
     return 0
