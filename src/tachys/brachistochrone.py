@@ -131,7 +131,10 @@ def transfer(target, omega: float) -> BrachistochroneResult:
     ``target`` may be an ``(n, 2)`` stack of targets: every row is validated,
     the drives are propagated in one stacked ``propagator`` call, and the
     result holds ``(n,)`` arrays and an ``(n, 2, 2)`` drive stack whose rows
-    equal the single calls bit for bit.  The first row that fails a check
+    equal the single calls bit for bit.  The stack is read whole first: a
+    non-finite row anywhere raises the reader's error, that row marked, so
+    ``[target at angle 1e-8, [nan, 0]]`` names row 1 where a loop over the
+    rows stops at row 0's miss.  Then the first row that fails a check
     raises, from the earliest check it fails, as a loop over the rows would.
     """
     omega = positive_finite("omega", omega)

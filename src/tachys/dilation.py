@@ -55,7 +55,9 @@ class DilationModel:
     ``unitarity_defect`` is ||V^dag V - I||_F of the extended vectors V, the
     residual that ``build_dilation``'s unitarity check measures, and
     ``hermiticity_defect`` is ||B - B^dag||_F of the stored, symmetrized
-    ``hamiltonian`` B.  B is checked (``is_hermitian``, else ValueError) and decomposed by
+    ``hamiltonian`` B: exactly 0 for every model ``build_dilation`` builds, as it is
+    measured after the symmetrization (0.5 B + 0.5 B^dag equals its own conjugate
+    transpose entry for entry).  B is checked (``is_hermitian``, else ValueError) and decomposed by
     ``_eigh`` once, as the model is built; ``evolve_dilated`` reads that spectrum, no field.
     """
 

@@ -124,7 +124,10 @@ def split_generator(ham) -> OpenSplit:
 
     Both halve before they sum, coherent = ``_hermitian_part(ham)`` and
     drift = (0.5 ham - 0.5 ham^dag) / i, so a finite generator has a finite
-    split.  An ``(n, 2, 2)`` stack gives stacked parts and ``(n,)`` rate arrays.
+    split.  An ``(n, 2, 2)`` stack gives stacked parts and ``(n,)`` rate arrays,
+    row k the split of ham[k] bit for bit but for one sign: where an entry part
+    is -5e-324, a stacked drift can keep a -0.0 that the single call gives as
+    +0.0 (ROADMAP item 8).
     """
     return _split_generator(as_operator(ham, stack=True))
 
@@ -368,7 +371,8 @@ def map_boundary_states(metric: Metric, initial, final):
     metric norm read by ``metric._metric_norm``, so 2**k psi maps as psi; the
     returned scalar is the modulus of the flat overlap of the two images,
     which sets the travel time of the aligned problem.  A metric of ``(n, 2, 2)`` stacks gives
-    ``(n, 2)`` images and ``(n,)`` moduli, and the first failing row of the first gate any row fails raises.
+    ``(n, 2)`` images and ``(n,)`` moduli, row k the single call on that row's metric bit for bit,
+    and the first failing row of the first gate any row fails raises.
     """
     return _map_boundary_states(metric, as_state(initial), as_state(final))
 
@@ -467,7 +471,8 @@ def _canonical_arrival(metric: Metric, omega: float):
 def energy_gap_squared(hermitian_part):
     """(Tr M)^2 - 4 det M for a Hermitian matrix: the squared eigenvalue gap.
 
-    An ``(n, 2, 2)`` stack gives one value per matrix.  Only where M's largest entry
+    An ``(n, 2, 2)`` stack gives one value per matrix, each the single call's bit for bit,
+    and its first row past the float range raises, marked.  Only where M's largest entry
     part leaves [2**-252, 2**252] does M take the range step and its gap come back
     through ``_ldexp``, so there 2**k M gives 4**k times M's gap (ValueError past the
     float range).  Inside, ``det`` rounds by scale: 2**60 [[1, 0.5], [0.5, -0.3]] gives
@@ -509,9 +514,11 @@ def dissipation_scan(f_grid, omega: float, proximity: float = 1e-6) -> np.recarr
     (``metric_from_sqrt``, ``revelation_probability``, ``aligned_hamiltonian``,
     ``split_generator``, ``energy_gap_squared``) bit for bit, and a failing
     grid raises the error of its first failing row, from the earliest gate
-    that row fails, as a loop over the rows would.  ``f_grid``, a scalar or a
-    1-d grid, is read by ``_reals``: TypeError for complex or str values,
-    ValueError naming the first non-finite one or the shape of a 2-d grid.
+    that row fails, as a loop over the rows would once the whole grid is read.
+    ``f_grid``, a scalar or a 1-d grid, is read first, by ``_reals``: TypeError
+    for complex or str values, ValueError naming the first non-finite one (so
+    ``dissipation_scan([0.05, nan], 1.0, 1e-12)`` names the NaN, not row 0's
+    MetricDegeneracyError) or the shape of a 2-d grid.
     """
     omega = positive_finite("omega", omega)
     proximity = positive_finite("proximity", proximity)

@@ -350,7 +350,10 @@ def frobenius(mat):
     TypeError unless ``mat`` is numeric (``_numeric``), ValueError naming its shape
     unless it is a square matrix or an ``(n, k, k)`` stack of them (``_check_square``),
     ValueError at its first matrix with a non-finite entry (the row marked), and
-    ValueError where the norm itself passes the float range (``_ldexp``)."""
+    ValueError where the norm itself passes the float range (``_ldexp``).  A stack
+    is read in C order whatever its layout, one matrix in memory order, so row k is
+    the single call on ``mat[k]``'s C-order copy bit for bit; a row of a Fortran-order
+    stack can sum one ulp away from the call on the slice as it lies."""
     m = _numeric("matrix", mat)
     _check_square(m.shape)
     return _frobenius(_finite(m))
@@ -380,7 +383,8 @@ def _negligible(residual, size, tol=HERMITICITY_TOL):
 
 
 def is_hermitian(mat):
-    """Whether ||mat - mat^dag||_F is negligible next to ||mat||_F; one bool per stacked matrix.
+    """Whether ||mat - mat^dag||_F is negligible next to ||mat||_F; one bool per stacked matrix,
+    each the single call's (both read a matrix in C order, whatever its layout).
     Both norms are of the matrix as ``frobenius`` rescales it, so an overflowing skew fails.
     TypeError and ValueError as ``frobenius`` raises them, a non-finite entry's included."""
     m = _numeric("matrix", mat)

@@ -50,9 +50,7 @@ from tachys.opendyn import (
     split_generator,
 )
 from tachys.smallmat import PAULI_X, PAULI_Y, PAULI_Z, propagator
-
-E0 = np.array([1.0, 0.0], dtype=complex)
-E1 = np.array([0.0, 1.0], dtype=complex)
+from support import E0, E1, bloch
 
 
 @contextmanager
@@ -71,12 +69,6 @@ def _verdict(tag: str, budget: float | None = None):
         print(line("FAIL"))
         raise
     print(line("PASS"))
-
-
-def _bloch_target(theta: float, alpha: float, beta: float) -> np.ndarray:
-    return np.array(
-        [np.cos(0.5 * theta) * np.exp(1j * alpha), np.sin(0.5 * theta) * np.exp(1j * beta)]
-    )
 
 
 def _pauli_sum(vec) -> np.ndarray:
@@ -106,7 +98,7 @@ def _optimality_sweep():
         theta = rng.uniform(0.05, np.pi)
         alpha, beta = rng.uniform(-np.pi, np.pi, size=2)
         omega = rng.uniform(0.3, 3.0)
-        v = _bloch_target(theta, alpha, beta)
+        v = bloch(theta, alpha, beta)
         tau = minimal_time(E0, v, omega)
         a, b = v
         p = np.array(
@@ -372,7 +364,7 @@ def test_criterion_12_time_energy_efficiency_inequality():
             theta = rng.uniform(0.1, np.pi)
             alpha, beta = rng.uniform(-np.pi, np.pi, size=2)
             omega = rng.uniform(0.4, 2.5)
-            v = _bloch_target(theta, alpha, beta)
+            v = bloch(theta, alpha, beta)
             res = transfer(v, omega)
             epsilon = float(np.arccos(np.clip(abs(res.overlap), 0.0, 1.0)))
             rhs = 2.0 * epsilon / omega

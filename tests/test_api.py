@@ -25,15 +25,13 @@ import textwrap
 
 import numpy as np
 import pytest
-from support import fresh_python
+from support import E0, E1, fresh_python
 
 import tachys
 from tachys import brachistochrone, dilation, gates, metric, opendyn, smallmat
 
 MODULES = (smallmat, brachistochrone, metric, opendyn, dilation, gates)
 
-E0 = np.array([1.0, 0.0], dtype=complex)
-E1 = np.array([0.0, 1.0], dtype=complex)
 H = 0.5 * smallmat.PAULI_X
 RHO0 = np.diag([1.0, 0.0]).astype(complex)
 METRIC = metric.metric_from_sqrt(2.0, 1.0)

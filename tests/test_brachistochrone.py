@@ -31,21 +31,9 @@ from tachys.smallmat import (
     is_hermitian,
     propagator,
 )
-from support import fresh_python, hex_array, rule_boundary_drive
-
-E0 = np.array([1.0, 0.0], dtype=complex)
-E1 = np.array([0.0, 1.0], dtype=complex)
+from support import E0, E1, Spy, bloch, counted, fresh_python, hex_array, rule_boundary_drive
 
 PROPAGATION_TOL = 1e-9
-
-
-def _target(theta, alpha=0.0, beta=None):
-    """Unit target (cos(theta/2) e^{i alpha}, sin(theta/2) e^{i beta})."""
-    if beta is None:
-        beta = -np.pi / 2.0  # the normal form reached by the plain sigma_x drive
-    return np.array(
-        [np.cos(0.5 * theta) * np.exp(1j * alpha), np.sin(0.5 * theta) * np.exp(1j * beta)]
-    )
 
 
 # ------------------------------------------------------------- minimal_time
@@ -74,7 +62,7 @@ def test_minimal_time_speed_law(theta, omega):
     # tau = 2 * angle / omega: halving the gap doubles the time.  The
     # cos -> arccos round trip is ill-conditioned near theta = 0, so the
     # tolerance carries the 1/sin(theta/2) amplification factor.
-    v = _target(theta)
+    v = bloch(theta)
     tol = 1e-14 / max(np.sin(0.5 * theta), 1e-14)
     assert minimal_time(E0, v, omega) == pytest.approx(theta / omega, rel=1e-12, abs=tol / omega)
     assert minimal_time(E0, v, 2.0 * omega) == pytest.approx(
@@ -110,7 +98,7 @@ def test_optimal_drive_orthogonal_target_is_pauli_x_form():
 def test_optimal_drive_normal_form_targets():
     # targets already in the (|a|, -i|b|) normal form need no diagonal shift
     for theta in (0.3, 1.2, 2.9):
-        spec = optimal_hamiltonian(_target(theta), 1.0)
+        spec = optimal_hamiltonian(bloch(theta), 1.0)
         assert spec.shift == pytest.approx(0.0, abs=1e-15)
         assert np.allclose(spec.matrix, 0.5 * PAULI_X, atol=1e-12)
 
@@ -118,12 +106,12 @@ def test_optimal_drive_normal_form_targets():
 def test_optimal_drive_shift_tracks_leading_phase():
     # a target with arg(a) = alpha needs shift = -omega * alpha / (2 arcsin|b|)
     theta, alpha, omega = 1.0, 0.8, 1.7
-    spec = optimal_hamiltonian(_target(theta, alpha=alpha), omega)
+    spec = optimal_hamiltonian(bloch(theta, alpha=alpha), omega)
     assert spec.shift == pytest.approx(-omega * alpha / (2.0 * np.arcsin(np.sin(0.5))), rel=1e-12)
 
 
 def test_optimal_drive_structure_and_gap():
-    spec = optimal_hamiltonian(_target(1.3, alpha=0.4, beta=1.1), 2.5)
+    spec = optimal_hamiltonian(bloch(1.3, alpha=0.4, beta=1.1), 2.5)
     m = spec.matrix
     assert m[0, 0] == m[1, 1] == spec.shift
     assert abs(m[0, 1]) == pytest.approx(1.25, rel=1e-12)
@@ -140,7 +128,7 @@ def test_optimal_drive_structure_and_gap():
     omega=st.floats(min_value=0.2, max_value=5.0),
 )
 def test_optimal_drive_propagates_onto_target(theta, alpha, beta, omega):
-    v = _target(theta, alpha=alpha, beta=beta)
+    v = bloch(theta, alpha=alpha, beta=beta)
     spec = optimal_hamiltonian(v, omega)
     tau = minimal_time(E0, v, omega)
     reached = propagator(spec.matrix, tau) @ E0
@@ -157,7 +145,7 @@ def test_optimal_drive_validation():
 
 
 def test_transfer_bundle():
-    v = _target(0.9, alpha=0.2)
+    v = bloch(0.9, alpha=0.2)
     res = transfer(v, 1.5)
     assert res.tau == pytest.approx(0.9 / 1.5, rel=1e-12)
     assert res.overlap == pytest.approx(complex(v[0]))
@@ -165,34 +153,6 @@ def test_transfer_bundle():
 
 
 # -------------------------------------------------------- first_passage_scan
-
-
-def _transfer_fields(r):
-    return [r.tau, r.overlap, r.drive.shift, r.drive.phase, r.drive.matrix]
-
-
-def test_transfer_over_a_target_stack_equals_single_calls_bit_for_bit():
-    rng = np.random.default_rng(31)
-    thetas = np.concatenate([rng.uniform(1e-3, np.pi, 400), [np.pi, 2e-9, 1e-10]])
-    alphas, betas = rng.uniform(-np.pi, np.pi, size=(2, thetas.size))
-    alphas[:5] = alphas[-3:] = 0.0  # real leading amplitudes, as on the CLI's circle
-    targets = np.stack([_target(*args) for args in zip(thetas, alphas, betas)])
-    got = _transfer_fields(transfer(targets, 1.7))
-    want = [_transfer_fields(transfer(v, 1.7)) for v in targets]
-    assert got[4].shape == (thetas.size, 2, 2)
-    for k, column in enumerate(got):
-        assert np.asarray(column).tobytes() == np.array([w[k] for w in want]).tobytes()
-
-
-def test_transfer_stack_raises_for_first_failing_row():
-    good, unnormalized, missed = _target(1.0), 1.5 * _target(1.0), _target(1e-8)
-    with pytest.raises(ValueError, match="misses the target by 5.000e-09") as exc:
-        transfer(np.stack([good, missed, unnormalized]), 1.0)
-    assert exc.value.row == 1
-    with pytest.raises(ValueError, match="must be normalized"):
-        transfer(np.stack([good, unnormalized, missed]), 1.0)
-    with pytest.raises(ValueError, match="trivial target"):
-        transfer(np.stack([good, E0, missed]), 1.0)
 
 
 def test_first_passage_orthogonal_half_period():
@@ -232,7 +192,7 @@ def test_first_passage_agrees_with_minimal_time_for_optimal_drives():
         theta = rng.uniform(0.3, np.pi)
         alpha, beta = rng.uniform(-np.pi, np.pi, size=2)
         omega = rng.uniform(0.5, 3.0)
-        v = _target(theta, alpha=alpha, beta=beta)
+        v = bloch(theta, alpha=alpha, beta=beta)
         spec = optimal_hamiltonian(v, omega)
         tau = minimal_time(E0, v, omega)
         t = first_passage_scan(spec.matrix, E0, v, t_max=1.2 * tau, steps=1500)
@@ -243,7 +203,7 @@ def test_first_passage_agrees_with_minimal_time_for_optimal_drives():
 def test_first_passage_never_beats_minimal_time():
     # any same-gap Hermitian drive arrives no earlier than the optimal one
     rng = np.random.default_rng(17)
-    v = _target(2.0, alpha=0.3, beta=-0.7)
+    v = bloch(2.0, alpha=0.3, beta=-0.7)
     tau = minimal_time(E0, v, 1.0)
     for _ in range(10):
         vec = rng.normal(size=3)
@@ -356,7 +316,7 @@ def test_first_passage_scales_drives_with_huge_pauli_vectors_exactly():
     # 2**252 is scanned as n 2**-e over [0, t_max 2**e] with that sum taken
     # into [1, 2), so 2**520 h, h's sum in [1, 2), is h over 2**520 t_max, bit
     # for bit; one Hermitian and one metric-Hermitian drive
-    v = _target(2.1, alpha=0.3, beta=-0.8)
+    v = bloch(2.1, alpha=0.3, beta=-0.8)
     aligned = aligned_hamiltonian(metric_from_sqrt(1.7, 0.4 * np.exp(0.9j)), 1.3, E0, v).operator
     aligned = aligned * 2.0 ** -(np.frexp(np.abs(_pauli_parts(aligned)).sum())[1] - 1)
     assert not is_hermitian(aligned)
@@ -404,7 +364,7 @@ def test_hermiticity_gate_matches_is_hermitian(monkeypatch, size):
     # closed form, outside n.n turns complex and the grid runs.  The scan's
     # gate is is_hermitian's for every drive, scaled by 2**+-300 and 2**+-1000 too
     rng = np.random.default_rng(88)
-    v = _target(1.7, alpha=0.4, beta=-1.1)
+    v = bloch(1.7, alpha=0.4, beta=-1.1)
     calls = _count_grid_calls(monkeypatch)
     for _ in range(20):
         h = _axis_drive(rng.normal(size=3), 0.6) + rng.normal() * np.eye(2)
@@ -440,7 +400,7 @@ def test_hermiticity_gate_is_relative_for_tiny_drives():
     # drive scaled below about 1e-10 was symmetrized and scanned as its
     # Hermitian part, which misses the target (None); the passage time scales
     # as 1/s, so s ham reaches it at t / s
-    v = _target(1.7, alpha=0.4, beta=-1.1)
+    v = bloch(1.7, alpha=0.4, beta=-1.1)
     ham = aligned_hamiltonian(metric_from_sqrt(1.6, 0.7 + 0.3j), 1.3, E0, v).operator
     t = first_passage_scan(ham, E0, v, t_max=8.0)
     assert t is not None and not is_hermitian(ham)
@@ -532,7 +492,7 @@ def test_real_spectrum_passage_makes_no_numpy_call(monkeypatch):
     # the scan of a Hermitian or metric-Hermitian drive reaches no numpy name
     # of brachistochrone, and of smallmat only np.asarray, once per array
     # argument, in the scalar readers that check and read it
-    v = _target(1.7, alpha=0.4, beta=-1.1)
+    v = bloch(1.7, alpha=0.4, beta=-1.1)
     drives = [
         np.array([[0.3, 0.4 - 0.2j], [0.4 + 0.2j, -0.3]]),
         aligned_hamiltonian(metric_from_sqrt(1.6, 0.7 + 0.3j), 1.3, E0, v).operator,
@@ -540,21 +500,8 @@ def test_real_spectrum_passage_makes_no_numpy_call(monkeypatch):
     ]
     want = [first_passage_scan(h, E0, v, t_max=8.0) for h in drives]
     reads = []
-
-    class NoNumpy:
-        def __getattr__(self, name):
-            raise AssertionError(f"numpy.{name} called")
-
-    class OnlyAsarray:
-        def asarray(self, *args, **kwargs):
-            reads.append(args)
-            return np.asarray(*args, **kwargs)
-
-        def __getattr__(self, name):
-            raise AssertionError(f"numpy.{name} called")
-
-    monkeypatch.setattr(brachistochrone, "np", NoNumpy())
-    monkeypatch.setattr(smallmat, "np", OnlyAsarray())
+    monkeypatch.setattr(brachistochrone, "np", Spy(forbid=("*",)))
+    monkeypatch.setattr(smallmat, "np", Spy(reads, forbid=("*",), count=("asarray",)))
     assert [first_passage_scan(h, E0, v, t_max=8.0) for h in drives] == want
     assert len(reads) == 3 * len(drives)
 
@@ -690,14 +637,14 @@ def test_hermitian_passage_matches_expm_grid_scan():
 def test_hermitian_passage_edge_cases():
     # a drive proportional to I never moves the ray
     assert first_passage_scan(0.7 * np.eye(2), E0, np.exp(0.4j) * E0, t_max=5.0) == 0.0
-    assert first_passage_scan(0.7 * np.eye(2), E0, _target(0.5), t_max=5.0) is None
+    assert first_passage_scan(0.7 * np.eye(2), E0, bloch(0.5), t_max=5.0) is None
     # 0.5 sigma_x peaks on E1 at pi with |<E1|psi(t)>| = sin(t/2): a t_max
     # 1e-4 short of pi clears the threshold (1 - 1.25e-9), 1e-3 short does not
     h = 0.5 * PAULI_X
     assert first_passage_scan(h, E0, E1, t_max=np.pi - 1e-4) == np.pi - 1e-4
     assert first_passage_scan(h, E0, E1, t_max=np.pi - 1e-3) is None
     # passages every 2 pi / omega after the first: the earliest is returned
-    u, v = _target(1.1, alpha=0.3, beta=-0.4), _target(2.3, alpha=-1.0, beta=0.9)
+    u, v = bloch(1.1, alpha=0.3, beta=-0.4), bloch(2.3, alpha=-1.0, beta=0.9)
     gap = _bloch(u) - _bloch(v)
     axis = np.array([0.3, -0.8, 0.5])
     axis -= axis @ gap / (gap @ gap) * gap
@@ -795,7 +742,7 @@ def test_general_passage_meets_aligned_closed_form():
     rng = np.random.default_rng(909)
     for _ in range(40):
         omega = rng.uniform(0.3, 3.0)
-        v = _target(rng.uniform(0.05, np.pi), *rng.uniform(-np.pi, np.pi, size=2))
+        v = bloch(rng.uniform(0.05, np.pi), *rng.uniform(-np.pi, np.pi, size=2))
         f = rng.uniform(0.8, 2.5)
         g = rng.uniform(0.15, 0.7) * np.sqrt(f) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         ham = aligned_hamiltonian(metric_from_sqrt(f, g), omega, E0, v).operator
@@ -836,7 +783,7 @@ def _fast_passage_case(k):
     x = 10.0 ** (-6.0 + 5.0 * k / 23.0)
     f, omega = 0.8 + 0.07 * k, 0.4 + 0.11 * k
     g = np.sqrt(f * (1.0 - x)) * np.exp(0.9j * k)
-    v = _target(0.2 + 0.12 * k, alpha=0.5 * k, beta=-0.3 * k)
+    v = bloch(0.2 + 0.12 * k, alpha=0.5 * k, beta=-0.3 * k)
     return aligned_hamiltonian(metric_from_sqrt(f, g), omega, E0, v).operator, v, omega
 
 
@@ -855,13 +802,7 @@ def test_near_degenerate_aligned_passage_matches_mpmath(k):
 
 def _count_grid_calls(monkeypatch):
     calls = []
-    grid = brachistochrone._general_passage
-
-    def counted(*args):
-        calls.append(args)
-        return grid(*args)
-
-    monkeypatch.setattr(brachistochrone, "_general_passage", counted)
+    monkeypatch.setattr(brachistochrone, "_general_passage", counted(brachistochrone._general_passage, calls))
     return calls
 
 
@@ -896,7 +837,7 @@ def test_dispatch_boundary_paths_agree(monkeypatch, ratio):
     # gains an imaginary part 2 delta n.n, set to ``ratio`` times the closed
     # form's tolerance 16 eps sum |n_k|^2; just inside it takes the closed
     # form, just outside the grid, and both find the same passage
-    v = _target(1.7, alpha=0.4, beta=-1.1)
+    v = bloch(1.7, alpha=0.4, beta=-1.1)
     base = aligned_hamiltonian(metric_from_sqrt(1.6, 0.7 + 0.3j), 1.3, E0, v).operator
     a0 = 0.5 * np.trace(base)
     pauli = base - a0 * np.eye(2)

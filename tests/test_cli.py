@@ -23,7 +23,7 @@ from tachys.gates import (
 )
 from tachys.metric import diag_metric, quasi_hamiltonian
 from tachys.smallmat import PAULI_X, propagator
-from support import fresh_python
+from support import Spy, fresh_python
 
 EXP_MINUS_2 = 0.1353352832366127
 
@@ -437,19 +437,12 @@ def test_nonfinite_report_value_exits_one_before_writing(capsys, monkeypatch, tm
 )
 def test_sweep_points_are_capped_before_the_grid_is_built(capsys, monkeypatch, argv):
     flag = "--t-points" if argv[0] == "dilation" else "--points"
-
-    class GridBuilt(Exception):
-        pass
-
-    def linspace(*args, **kwargs):
-        raise GridBuilt
-
-    monkeypatch.setattr(cli.np, "linspace", linspace)
+    monkeypatch.setattr(cli, "np", Spy(forbid=("linspace",)))
     code, out, err = run_cli_expecting_exit(capsys, argv + [flag, str(cli.MAX_POINTS + 1)])
     assert (code, out) == (2, "")
     assert f"sweep takes at most {cli.MAX_POINTS} points, got {cli.MAX_POINTS + 1}" in err
     # the cap itself is allowed: the grid is the next step
-    with pytest.raises(GridBuilt):
+    with pytest.raises(AssertionError, match="linspace reached"):
         cli.main(argv + [flag, str(cli.MAX_POINTS)])
 
 
@@ -599,23 +592,11 @@ def test_povm_sweep_audits_each_effect_stack_once(capsys, monkeypatch):
     # computed: one eigvalsh over the 3n effects and one completeness norm
     # per sweep, counted in gates, which owns them, and in cli
     calls = []
-
-    class CountingLinalg:
-        def __getattr__(self, name):
-            calls.append(name)
-            return getattr(np.linalg, name)
-
-    class Numpy:
-        linalg = CountingLinalg()
-
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-    monkeypatch.setattr(gates, "np", Numpy())
-    monkeypatch.setattr(cli, "np", Numpy())
+    monkeypatch.setattr(gates, "np", Spy(calls, count=("linalg.*",)))
+    monkeypatch.setattr(cli, "np", Spy(calls, count=("linalg.*",)))
     code, _, _ = run_cli(capsys, ["povm", "--theta-min", "0.1", "--theta-max", "3.1", "--points", "4096"])
     assert code == 0
-    assert sorted(calls) == ["eigvalsh", "norm"]
+    assert sorted(calls) == ["linalg.eigvalsh", "linalg.norm"]
 
 
 def test_povm_sweep_reports_clean_audit(capsys):

@@ -11,10 +11,7 @@ from tachys import dilation, smallmat
 from tachys.dilation import build_dilation, evolve_dilated, visibility_ratio
 from tachys.metric import Metric, diag_metric, metric_from_matrix, metric_from_sqrt, quasi_hamiltonian
 from tachys.smallmat import MetricDegeneracyError, PAULI_X, PAULI_Y, PAULI_Z, dagger, frobenius, normalize
-from support import taylor_expm
-
-E0 = np.array([1.0, 0.0], dtype=complex)
-E1 = np.array([0.0, 1.0], dtype=complex)
+from support import E0, E1, counted, taylor_expm
 
 H_HALF_X = 0.5 * PAULI_X
 
@@ -142,17 +139,9 @@ def test_evolve_dilated_neither_checks_nor_decomposes_its_generator(monkeypatch)
     # B is checked and decomposed once, as the model is built; a call only evaluates exp(-i B t)
     model = build_dilation(H_HALF_X, metric_from_sqrt(2.0, 1.0), 1.0)
     calls = []
-
-    def counted(name, fn):
-        def run(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-
-        return run
-
-    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh, calls))
     for module in (dilation, smallmat):
-        monkeypatch.setattr(module, "_is_hermitian", counted("_is_hermitian", smallmat._is_hermitian))
+        monkeypatch.setattr(module, "_is_hermitian", counted(smallmat._is_hermitian, calls))
     evolve_dilated(model, E0, 0.5)
     evolve_dilated(model, E1, np.linspace(0.0, 3.0, 7))
     assert calls == []
@@ -259,13 +248,8 @@ def test_evolve_dilated_reads_its_state_once(monkeypatch):
     model = build_dilation(H_HALF_X, diag_metric(2.0), 1.0)
     ts = np.linspace(0.0, 3.0, 7)
     before = evolve_dilated(model, [3.0, 4.0j], ts)
-    reads, numeric = [], smallmat._numeric
-
-    def counting(what, x, copy=False):
-        reads.append(what)
-        return numeric(what, x, copy)
-
-    monkeypatch.setattr(smallmat, "_numeric", counting)
+    reads = []
+    monkeypatch.setattr(smallmat, "_numeric", counted(smallmat._numeric, reads, record=lambda what, *_, **__: what))
     after = evolve_dilated(model, [3.0, 4.0j], ts)
     assert reads.count("state") == 1
     assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))

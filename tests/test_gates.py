@@ -130,44 +130,6 @@ def test_single_angle_functions_reject_a_basis_of_an_angle_array(name, n):
     call(BlochBasis(theta=float(grid[0])))
 
 
-def test_povm_effect_stacks_match_single_angle_calls():
-    rng = np.random.default_rng(9)
-    grid = np.concatenate([rng.uniform(1e-3, np.pi, 400), [1e-9, np.pi]])
-    stacked = discrimination_povm(BlochBasis(theta=grid))
-    defects = stacked.completeness_defect
-    lowest = stacked.min_eigenvalue
-    for k, theta in enumerate(grid):
-        b = BlochBasis(theta=float(theta))
-        povm = discrimination_povm(b)
-        assert np.array_equal(b.psi1.view(float), BlochBasis(theta=grid).psi1[k].view(float))
-        for single, stack in zip(povm.effects, stacked.effects):
-            # bit for bit, signed zeros included
-            assert np.array_equal(single.view(float), stack[k].view(float))
-        assert povm.completeness_defect == defects[k]
-        assert povm.min_eigenvalue == lowest[k]
-
-
-def test_inconclusive_probability_of_stacks_equals_single_calls():
-    # a stacked POVM with one state or with a stack of states, and one POVM
-    # with a stack of states, give the single calls bit for bit
-    rng = np.random.default_rng(28)
-    grid = np.concatenate([rng.uniform(1e-3, np.pi, 200), [1e-9, np.pi]])
-    basis = BlochBasis(theta=grid)
-    stacked = discrimination_povm(basis)
-    states = rng.normal(size=(len(grid), 2)) + 1j * rng.normal(size=(len(grid), 2))
-    on_psi0 = inconclusive_probability(stacked, basis.psi0)
-    on_psi1 = inconclusive_probability(stacked, basis.psi1)
-    one = discrimination_povm(BlochBasis(theta=1.1))
-    on_states = inconclusive_probability(one, states)
-    assert on_psi0.shape == on_psi1.shape == on_states.shape == grid.shape
-    for k, theta in enumerate(grid):
-        b = BlochBasis(theta=float(theta))
-        povm = discrimination_povm(b)
-        assert on_psi0[k] == inconclusive_probability(povm, b.psi0)
-        assert on_psi1[k] == inconclusive_probability(povm, b.psi1)
-        assert on_states[k] == inconclusive_probability(one, states[k])
-
-
 def test_povm_outcome_probabilities_sum_to_one():
     b = BlochBasis(theta=1.7)
     povm = discrimination_povm(b)

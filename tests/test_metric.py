@@ -22,9 +22,7 @@ from tachys.metric import (
 from tachys.metric import _determinant
 from tachys.dilation import build_dilation
 from tachys.smallmat import PAULI_X, PAULI_Z, dagger, hermitian_sqrt, propagator
-
-E0 = np.array([1.0, 0.0], dtype=complex)
-E1 = np.array([0.0, 1.0], dtype=complex)
+from support import E0, E1, hex_array
 
 small = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
@@ -395,11 +393,6 @@ NEAR_PARALLEL_METRIC_ANGLES = [
 ]
 
 
-def _hex_state(parts):
-    re0, im0, re1, im1 = map(float.fromhex, parts)
-    return np.array([complex(re0, im0), complex(re1, im1)])
-
-
 def test_angles_of_near_parallel_rays_keep_their_digits():
     # the arccos of an overlap near 1 loses them: at eps = 1e-8 the state angle read 0.0, and
     # the metric angle below missed atan(3e-7) by 4e-4 relative
@@ -410,7 +403,7 @@ def test_angles_of_near_parallel_rays_keep_their_digits():
     for f, (g_re, g_im), x, y, angle in NEAR_PARALLEL_METRIC_ANGLES:
         m = metric_from_sqrt(float.fromhex(f), complex(float.fromhex(g_re), float.fromhex(g_im)))
         want = float(angle)
-        assert abs(metric_angle(_hex_state(x), _hex_state(y), m) - want) <= 1e-10 * want
+        assert abs(metric_angle(hex_array(" ".join(x)), hex_array(" ".join(y)), m) - want) <= 1e-10 * want
 
 
 def test_metric_angle_flat_reduces_to_state_angle():

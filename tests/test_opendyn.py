@@ -1,6 +1,5 @@
 """Non-Hermitian open dynamics: trace motion, shifts, aligned drives."""
 
-import json
 import math
 import sys
 import tracemalloc
@@ -25,10 +24,7 @@ from tachys.opendyn import (
     split_generator,
 )
 from tachys.smallmat import PAULI_X, PAULI_Y, PAULI_Z, dagger, is_hermitian, propagator
-from support import hex_array, rule_boundary_drive
-
-E0 = np.array([1.0, 0.0], dtype=complex)
-E1 = np.array([0.0, 1.0], dtype=complex)
+from support import E0, E1, Spy, counted, hex_array, rule_boundary_drive
 
 EXP_MINUS_2 = 0.1353352832366127  # e^-2
 
@@ -414,8 +410,7 @@ def test_evolve_semigroup_real_spectrum_rule_boundary(monkeypatch, side):
     # 8 eps sum |n_k|^2 / |r| (3.2e-15 here), which moves rho(t) by about
     # 2 k t relative; the bound allows that on top of the rounding of w t
     calls = []
-    damped = opendyn._damped_sinh_cosh
-    monkeypatch.setattr(opendyn, "_damped_sinh_cosh", lambda *args: calls.append(1) or damped(*args))
+    monkeypatch.setattr(opendyn, "_damped_sinh_cosh", counted(opendyn._damped_sinh_cosh, calls))
     trace = evolve_semigroup(rule_boundary_drive(side), RHO_NEAR_EP, RULE_BOUNDARY_TIMES)
     assert len(calls) == (side == "outside")
     eps = sys.float_info.epsilon
@@ -613,21 +608,11 @@ def test_semigroup_set_up_makes_no_linalg_call(monkeypatch):
     ts = np.linspace(0.0, 4.0, 33)
     want = [(evolve_semigroup(m, RHO_NEAR_EP, ts).rhos, shifted_generator(m)) for m in gens]
 
-    class Forbidden:
-        def __init__(self, name):
-            self.name = name
-
-        def __getattr__(self, attr):
-            raise AssertionError(f"{self.name}.{attr} reached")
-
-        def __call__(self, *args, **kwargs):
-            raise AssertionError(f"{self.name} called")
-
-    monkeypatch.setattr(np, "linalg", Forbidden("numpy.linalg"))
+    monkeypatch.setattr(np, "linalg", Spy(forbid=("*",), target=np.linalg, name="numpy.linalg"))
     for module in (opendyn, smallmat):
         for name in ("as_operator", "is_hermitian", "eigvals2", "split_generator"):
             if hasattr(module, name):
-                monkeypatch.setattr(module, name, Forbidden(name))
+                monkeypatch.setattr(module, name, Spy(forbid=("*",), target=getattr(module, name), name=name))
     for m, (rhos, (shifted, rate)) in zip(gens, want):
         assert evolve_semigroup(m, RHO_NEAR_EP, ts).rhos.tobytes() == rhos.tobytes()
         got_shifted, got_rate = shifted_generator(m)
@@ -745,15 +730,8 @@ def test_shifted_metric_hermitian_k_values_are_one_without_an_exp_pass(monkeypat
     rho0 = np.array([[0.5, 0.5j], [-0.5j, 0.5]], dtype=complex)
     ts = np.linspace(-3.0, 9.0, 1001)
     calls = []
-
-    class CountExp:
-        def __getattr__(self, name):
-            if name == "exp":
-                calls.append(name)
-            return getattr(np, name)
-
-    monkeypatch.setattr(opendyn, "np", CountExp())
-    monkeypatch.setattr(smallmat, "np", CountExp())
+    monkeypatch.setattr(opendyn, "np", Spy(calls, count=("exp",)))
+    monkeypatch.setattr(smallmat, "np", Spy(calls, count=("exp",)))
     trace = evolve_semigroup(shifted, rho0, ts)
     assert trace.k_values.tobytes() == np.ones(len(ts)).tobytes()
     assert calls == ["exp"]
@@ -1051,88 +1029,3 @@ def test_dissipation_scan_validation():
             dissipation_scan([1.0], bad)
         with pytest.raises(ValueError, match="proximity"):
             dissipation_scan([1.0], 1.0, proximity=bad)
-
-
-def _scalar_row(f, omega, proximity):
-    """One dissipation row from the single-metric public calls."""
-    if proximity >= f:
-        raise ValueError(f"proximity {proximity:.3g} must be smaller than f {f:.3g}")
-    m = metric_from_sqrt(f, np.sqrt(f - proximity))
-    finite = revelation_probability(m, omega)
-    qh = aligned_hamiltonian(m, omega, E0, E1)
-    gap_sq = energy_gap_squared(split_generator(qh.operator).coherent)
-    _, _, a_prime = map_boundary_states(m, E0, E1)
-    tau = (2.0 / omega) * float(np.arccos(np.clip(a_prime, 0.0, 1.0)))
-    return [f, dissipative_factor(f), finite, gap_sq, a_prime, tau]
-
-
-def _scalar_scan(grid, omega, proximity):
-    """The rows of a loop over the grid, or the error of its first failing row."""
-    rows = []
-    for f in grid:
-        try:
-            rows.append(_scalar_row(float(f), omega, proximity))
-        except (ValueError, RuntimeError) as exc:
-            return type(exc), str(exc)
-    return rows
-
-
-def test_dissipation_scan_rows_equal_scalar_chain_bit_for_bit():
-    rng = np.random.default_rng(21)
-    outcomes = set()
-    for _ in range(12):
-        lo = float(np.exp(rng.uniform(np.log(1e-3), np.log(1.0))))
-        grid = np.linspace(lo, float(rng.uniform(1.0, 6.0)), int(rng.integers(2, 120)))
-        omega = float(np.exp(rng.uniform(np.log(0.5), np.log(2.0))))
-        proximity = float(np.exp(rng.uniform(np.log(1e-8), np.log(1e-2))))
-        want = _scalar_scan(grid, omega, proximity)
-        if isinstance(want, tuple):
-            with pytest.raises(want[0]) as exc:
-                dissipation_scan(grid, omega, proximity=proximity)
-            assert str(exc.value) == want[1]
-            outcomes.add("error")
-            continue
-        rows = dissipation_scan(grid, omega, proximity=proximity)
-        got = [[r.f, r.d_factor, r.finite_factor, r.gap_sq, r.a_prime, r.tau] for r in rows]
-        # repr round-trips every double and tells -0.0 from 0.0
-        assert json.dumps(got) == json.dumps(want)
-        outcomes.add("rows")
-    assert outcomes == {"rows", "error"}
-
-
-def test_dissipation_scan_raises_for_first_failing_row():
-    # f = 1e-13 fails the first check; at proximity 1e-12, f = 0.05 fails the
-    # metric root's degeneracy check, the second, and f = 5.9 the alignment
-    # check, deep in the chain; grid order decides.  At proximity 1e-7 f = 1
-    # passes (f = 2.2863... once failed there as a singular metric, on LU's
-    # determinant 0 of a metric whose determinant is of order 1e-14)
-    degenerate, parallel, tiny = 0.05, 5.9, 1e-13
-    assert _scalar_scan([degenerate], 1.0, 1e-12)[0] is smallmat.MetricDegeneracyError
-    assert _scalar_scan([parallel], 1.0, 1e-12)[0] is AlignmentError
-    rows = _scalar_scan([1.0, 2.286324786324786], 1.0, 1e-7)
-    assert isinstance(rows, list) and len(rows) == 2
-    grids = ([parallel, degenerate, tiny], [tiny, degenerate, parallel], [degenerate, parallel, tiny], [parallel, tiny])
-    cases = [(grid, 1e-12) for grid in grids] + [([1.0, parallel, tiny], 1e-7)]
-    for grid, proximity in cases:
-        kind, message = _scalar_scan(grid, 1.0, proximity)
-        with pytest.raises(kind) as exc:
-            dissipation_scan(grid, 1.0, proximity=proximity)
-        assert str(exc.value) == message
-    assert len(dissipation_scan([], 1.0)) == 0
-
-
-def test_stacked_metric_chain_equals_single_metric_calls():
-    rng = np.random.default_rng(22)
-    f = rng.uniform(0.8, 2.5, size=40)
-    g = rng.uniform(0.1, 0.9, size=40) * np.sqrt(f) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=40))
-    stacked = metric_from_sqrt(f, g)
-    singles = [metric_from_sqrt(a, b) for a, b in zip(f, g)]
-    qh = aligned_hamiltonian(stacked, 1.3, E0, E1)
-    for k, m in enumerate(singles):
-        for name in ("eta", "sqrt_eta", "inv_sqrt_eta"):
-            assert getattr(stacked, name)[k].tobytes() == getattr(m, name).tobytes()
-        assert qh.operator[k].tobytes() == aligned_hamiltonian(m, 1.3, E0, E1).operator.tobytes()
-    assert revelation_probability(stacked, 1.3).tolist() == [revelation_probability(m, 1.3) for m in singles]
-    split = split_generator(qh.operator)
-    assert split.rate_max.tolist() == [split_generator(x).rate_max for x in qh.operator]
-    assert energy_gap_squared(split.coherent).tolist() == [energy_gap_squared(x) for x in split.coherent]

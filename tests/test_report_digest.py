@@ -144,15 +144,11 @@ def test_each_public_call_reads_each_matrix_state_or_complex_argument_once(monke
     tool = support.tool("report_digest")
     modules = [importlib.import_module(f"tachys.{m}") for m in tool.LIBRARY_MODULES]
     api = {name: getattr(m, name) for m in modules for name in m.__all__}
-    numeric, reads = modules[0]._numeric, []
-
-    def counted(*args, **kwargs):
-        reads.append(args[0])
-        return numeric(*args, **kwargs)
-
+    reads = []
+    spy = support.counted(modules[0]._numeric, reads, record=lambda what, *args, **kwargs: what)
     for m in modules:
         if hasattr(m, "_numeric"):
-            monkeypatch.setattr(m, "_numeric", counted)
+            monkeypatch.setattr(m, "_numeric", spy)
     for name, family in tool.LIBRARY_FAMILIES.items():
         params = inspect.signature(api[name]).parameters
         assert set(params) <= ARRAY_PARAMETERS | OTHER_PARAMETERS, name

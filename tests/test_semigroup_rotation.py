@@ -152,17 +152,8 @@ def test_real_spectrum_semigroup_reaches_neither_sin_nor_cos(monkeypatch):
     ts = np.linspace(-3.0, 9.0, opendyn._BLOCK + 5)
     want = [evolve_semigroup(h, rho0, ts) for h in drives]
     calls = []
-
-    class NoSinOrCos:
-        def __getattr__(self, name):
-            if name in ("sin", "cos"):
-                raise AssertionError(f"numpy.{name} reached")
-            if name in ("tan", "exp"):
-                calls.append(name)
-            return getattr(np, name)
-
-    monkeypatch.setattr(opendyn, "np", NoSinOrCos())
-    monkeypatch.setattr(smallmat, "np", NoSinOrCos())
+    monkeypatch.setattr(opendyn, "np", support.Spy(calls, forbid=("sin", "cos"), count=("tan", "exp")))
+    monkeypatch.setattr(smallmat, "np", support.Spy(calls, forbid=("sin", "cos"), count=("tan", "exp")))
     expected = [["tan", "tan"], ["exp", "exp", "tan", "tan"], ["exp", "exp", "tan", "tan"]]
     for h, w, passes in zip(drives, want, expected, strict=True):
         calls.clear()

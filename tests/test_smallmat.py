@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tachys.smallmat import (
-    _EP_RADIUS,
     MetricDegeneracyError,
     _eigvals2,
     _entries2,
@@ -117,16 +116,6 @@ def test_propagator_pauli_x_half_period():
     assert fidelity(u @ np.array([1.0, 0.0]), np.array([0.0, 1.0])) >= 1.0 - 1e-10
 
 
-def test_propagator_time_array_stacks_scalar_calls_bit_for_bit():
-    rng = np.random.default_rng(11)
-    general = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    ts = np.linspace(-2.0, 5.0, 257)
-    for gen in (general, general + dagger(general)):
-        stack = propagator(gen, ts)
-        assert stack.shape == (ts.size, 2, 2)
-        assert np.array_equal(stack, np.stack([propagator(gen, float(t)) for t in ts]))
-
-
 def _random_generators(rng, n):
     return rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
 
@@ -138,33 +127,6 @@ def _bytes_equal(stack, singles):
 #: exponents k at the edges of the range step's [2**-252, 2**252], and where
 #: a squared norm reaches the ends of the normal floats (2**-1022, 2**1022)
 EDGE_KS = (-512, -511, -253, -252, 252, 253, 300, 511, 512)
-
-
-def test_propagator_generator_stack_matches_scalar_calls_bit_for_bit():
-    rng = np.random.default_rng(12)
-    general = _random_generators(rng, 300)
-    hermitian = 0.5 * (general + dagger(general))
-    nilpotent = np.zeros((4, 2, 2), dtype=complex)
-    nilpotent[:, 0, 1] = [1.0, -2.5, 1j, 0.3 - 0.7j]
-    stack = np.concatenate(
-        [
-            hermitian,
-            general,  # complex r
-            hermitian + (rng.normal(size=300) + 1j * rng.normal(size=300))[:, None, None] * np.eye(2),
-            nilpotent,
-            nilpotent + 0.7j * np.eye(2),
-            # |r| just below and just above the exceptional-point radius
-            np.array([s * PAULI_Z for s in (0.5, 0.99, 1.01, 2.0)]) * _EP_RADIUS,
-            np.array([0.3 * np.eye(2) + s * _EP_RADIUS * PAULI_X for s in (0.9, 1.1)]),
-        ]
-    )
-    ts = rng.uniform(-4.0, 6.0, size=len(stack))
-    got = propagator(stack, ts)
-    assert got.shape == stack.shape
-    assert _bytes_equal(got, [propagator(m, float(t)) for m, t in zip(stack, ts)])
-    # n = 1 is a stack too, and a time-array call on one generator agrees
-    assert _bytes_equal(propagator(stack[:1], ts[:1]), propagator(stack[0], ts[0])[None])
-    assert _bytes_equal(propagator(np.repeat(general[:1], 5, axis=0), ts[:5]), propagator(general[0], ts[:5]))
 
 
 def test_propagator_stack_needs_one_time_per_2x2_generator():
