@@ -1,5 +1,6 @@
 """Non-Hermitian open dynamics: trace motion, shifts, aligned drives."""
 
+import json
 import math
 import sys
 import tracemalloc
@@ -1029,3 +1030,71 @@ def test_dissipation_scan_validation():
             dissipation_scan([1.0], bad)
         with pytest.raises(ValueError, match="proximity"):
             dissipation_scan([1.0], 1.0, proximity=bad)
+
+
+def _scalar_row(f, omega, proximity):
+    """One dissipation row from the single-metric public calls."""
+    if proximity >= f:
+        raise ValueError(f"proximity {proximity:.3g} must be smaller than f {f:.3g}")
+    m = metric_from_sqrt(f, np.sqrt(f - proximity))
+    finite = revelation_probability(m, omega)
+    qh = aligned_hamiltonian(m, omega, E0, E1)
+    gap_sq = energy_gap_squared(split_generator(qh.operator).coherent)
+    _, _, a_prime = map_boundary_states(m, E0, E1)
+    tau = (2.0 / omega) * float(np.arccos(np.clip(a_prime, 0.0, 1.0)))
+    return [f, dissipative_factor(f), finite, gap_sq, a_prime, tau]
+
+
+def _scalar_scan(grid, omega, proximity):
+    """The rows of a loop over the grid, or the error of its first failing row."""
+    rows = []
+    for f in grid:
+        try:
+            rows.append(_scalar_row(float(f), omega, proximity))
+        except (ValueError, RuntimeError) as exc:
+            return type(exc), str(exc)
+    return rows
+
+
+def test_dissipation_scan_rows_equal_scalar_chain_bit_for_bit():
+    rng = np.random.default_rng(21)
+    outcomes = set()
+    for _ in range(12):
+        lo = float(np.exp(rng.uniform(np.log(1e-3), np.log(1.0))))
+        grid = np.linspace(lo, float(rng.uniform(1.0, 6.0)), int(rng.integers(2, 120)))
+        omega = float(np.exp(rng.uniform(np.log(0.5), np.log(2.0))))
+        proximity = float(np.exp(rng.uniform(np.log(1e-8), np.log(1e-2))))
+        want = _scalar_scan(grid, omega, proximity)
+        if isinstance(want, tuple):
+            with pytest.raises(want[0]) as exc:
+                dissipation_scan(grid, omega, proximity=proximity)
+            assert str(exc.value) == want[1]
+            outcomes.add("error")
+            continue
+        rows = dissipation_scan(grid, omega, proximity=proximity)
+        got = [[r.f, r.d_factor, r.finite_factor, r.gap_sq, r.a_prime, r.tau] for r in rows]
+        # repr round-trips every double and tells -0.0 from 0.0
+        assert json.dumps(got) == json.dumps(want)
+        outcomes.add("rows")
+    assert outcomes == {"rows", "error"}
+
+
+def test_dissipation_scan_raises_for_first_failing_row():
+    # f = 1e-13 fails the first check; at proximity 1e-12, f = 0.05 fails the
+    # metric root's degeneracy check, the second, and f = 5.9 the alignment
+    # check, deep in the chain; grid order decides.  At proximity 1e-7 f = 1
+    # passes (f = 2.2863... once failed there as a singular metric, on LU's
+    # determinant 0 of a metric whose determinant is of order 1e-14)
+    degenerate, parallel, tiny = 0.05, 5.9, 1e-13
+    assert _scalar_scan([degenerate], 1.0, 1e-12)[0] is smallmat.MetricDegeneracyError
+    assert _scalar_scan([parallel], 1.0, 1e-12)[0] is AlignmentError
+    rows = _scalar_scan([1.0, 2.286324786324786], 1.0, 1e-7)
+    assert isinstance(rows, list) and len(rows) == 2
+    grids = ([parallel, degenerate, tiny], [tiny, degenerate, parallel], [degenerate, parallel, tiny], [parallel, tiny])
+    cases = [(grid, 1e-12) for grid in grids] + [([1.0, parallel, tiny], 1e-7)]
+    for grid, proximity in cases:
+        kind, message = _scalar_scan(grid, 1.0, proximity)
+        with pytest.raises(kind) as exc:
+            dissipation_scan(grid, 1.0, proximity=proximity)
+        assert str(exc.value) == message
+    assert len(dissipation_scan([], 1.0)) == 0
